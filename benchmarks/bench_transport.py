@@ -21,10 +21,12 @@ against) are carried over untouched.
 
 Headline cells (244 MB, P=4): threads baseline, processes/queue/tree,
 processes/shm/tree, processes/shm/ring. Satellite matrix (24 MB,
-P in {2, 4, 8}): tree, chunked tree, ring — all on processes/shm — plus
-one float16-wire ring ablation.
+P in {2, 4, 8}): tree and ring, both on processes/shm. (The chunked-tree
+and float16-wire cells this matrix used to carry were deleted with the
+options they measured; their last archived rows are quoted in
+docs/performance.md.)
 
-Assertions: final weights bit-identical across every float32 cell of a
+Assertions: final weights bit-identical across every cell of a
 given size (schedules and transports may never touch numerics — verified
 via sha256 of the weight bytes, so the forked ranks ship back 64-byte
 digests instead of 244 MB arrays); processes/shm/tree at least 2x the
@@ -78,8 +80,6 @@ PACKED_ELEMS = ALEXNET.num_params + 1
 MATRIX_ELEMS = 6_000_000 + 1
 MATRIX_ITERATIONS = 5
 MATRIX_WARMUP = 2
-#: ~4 MB chunks for the pipelined tree cells.
-MATRIX_CHUNK_ELEMS = 1 << 20
 
 ROOT_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
 ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
@@ -146,12 +146,11 @@ def _step_stats(step_walls: list) -> dict:
 
 
 def _run_cell(backend: str, transport, ranks: int, *, collective: str = "tree",
-              wire_dtype: str = "float32", chunk_elems=None,
               elems: int = PACKED_ELEMS, iterations: int = ITERATIONS,
               warmup: int = WARMUP) -> dict:
     comm = make_communicator(
         ranks, backend=backend, timeout=600.0, transport=transport,
-        collective=collective, wire_dtype=wire_dtype, chunk_elems=chunk_elems,
+        collective=collective,
     )
     try:
         results = comm.run(
@@ -175,8 +174,6 @@ def _run_cell(backend: str, transport, ranks: int, *, collective: str = "tree",
         "backend": backend,
         "transport": transport,
         "collective": collective,
-        "wire_dtype": wire_dtype,
-        "chunk_elems": chunk_elems,
         "iterations": iterations,
         "warmup_iterations": warmup,
         "buffer_bytes": elems * 4,
@@ -191,12 +188,7 @@ def _run_cell(backend: str, transport, ranks: int, *, collective: str = "tree",
 
 
 def _label(c: dict) -> str:
-    extra = f"/{c['collective']}"
-    if c["chunk_elems"]:
-        extra += f"+chunk{c['chunk_elems']}"
-    if c["wire_dtype"] != "float32":
-        extra += f"/{c['wire_dtype']}"
-    return f"{c['backend']}/{c['transport'] or '-'}{extra}"
+    return f"{c['backend']}/{c['transport'] or '-'}/{c['collective']}"
 
 
 def run_experiment() -> dict:
@@ -207,26 +199,18 @@ def run_experiment() -> dict:
         _run_cell("processes", "shm", RANKS, collective="ring"),
     ]
     matrix = [
-        _run_cell("processes", "shm", p, collective=coll, chunk_elems=chunk,
+        _run_cell("processes", "shm", p, collective=coll,
                   elems=MATRIX_ELEMS, iterations=MATRIX_ITERATIONS,
                   warmup=MATRIX_WARMUP)
         for p in (2, 4, 8)
-        for coll, chunk in (
-            ("tree", None), ("tree", MATRIX_CHUNK_ELEMS), ("ring", None),
-        )
+        for coll in ("tree", "ring")
     ]
-    ablation = [
-        _run_cell("processes", "shm", RANKS, collective="ring",
-                  wire_dtype="float16", elems=MATRIX_ELEMS,
-                  iterations=MATRIX_ITERATIONS, warmup=MATRIX_WARMUP),
-    ]
-    return {"headline": headline, "matrix": matrix, "ablation": ablation}
+    return {"headline": headline, "matrix": matrix}
 
 
 def check_and_archive(sections: dict) -> float:
     headline = sections["headline"]
     matrix = sections["matrix"]
-    ablation = sections["ablation"]
     by_key = {
         (c["backend"], c["transport"], c["collective"]): c for c in headline
     }
@@ -234,7 +218,7 @@ def check_and_archive(sections: dict) -> float:
     print("\n=== Transport/collective shoot-out: packed allreduce, "
           f"{PACKED_ELEMS * 4 / 1e6:.0f} MB buffer, P={RANKS}, "
           f"{ITERATIONS} steps ===")
-    for c in headline + matrix + ablation:
+    for c in headline + matrix:
         print(f"  P={c['P']} {_label(c):<34} "
               f"{c['steps_per_second']:>8.3f} steps/s   "
               f"min {c['min_step_seconds']:.3f}s "
@@ -242,7 +226,7 @@ def check_and_archive(sections: dict) -> float:
               f"p95 {c['p95_step_seconds']:.3f}s "
               f"spread {c['spread_p95_p50']:.2f}x")
 
-    # Bit-identity across every float32 headline cell: neither the
+    # Bit-identity across every headline cell: neither the
     # transport nor the schedule may change the bits.
     digests = {c["digest"] for c in headline}
     assert len(digests) == 1, f"headline cells diverged: {digests}"
@@ -277,22 +261,13 @@ def check_and_archive(sections: dict) -> float:
         "the measurement is too noisy to trust"
     )
 
-    # Satellite matrix: within each P every float32 schedule lands on the
+    # Satellite matrix: within each P every schedule lands on the
     # same digest (the collectives are interchangeable bit for bit).
     for p in sorted({c["P"] for c in matrix}):
         p_digests = {c["digest"] for c in matrix if c["P"] == p}
         assert len(p_digests) == 1, f"P={p} matrix cells diverged: {p_digests}"
 
-    # float16 ring ablation: close to the float32 result, never equal.
-    f32_ref = next(c for c in matrix
-                   if c["P"] == RANKS and c["collective"] == "ring"
-                   and not c["chunk_elems"])
-    for c in ablation:
-        assert c["digest"] != f32_ref["digest"], "half wire rounded nothing"
-        np.testing.assert_allclose(c["head"], f32_ref["head"], rtol=2e-2,
-                                   atol=1e-4)
-
-    cells = headline + matrix + ablation
+    cells = headline + matrix
     foreign = []
     if ROOT_ARTIFACT.exists():  # carry archived foreign methods forward
         previous = json.loads(ROOT_ARTIFACT.read_text())

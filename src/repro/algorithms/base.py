@@ -73,20 +73,11 @@ class TrainerConfig:
     #: ports, the KNL chip-partition trainer, and the Hogwild runner
     #: dispatch on it. Numerics are backend-invariant by construction.
     backend: str = "threads"
-    #: Message transport for the process backend: "shm" (zero-copy slot
-    #: rings) or "queue" (pickle through pipes). None keeps each backend's
-    #: own default; the thread backend passes by reference regardless.
-    #: Like ``backend``, this changes wall-clock behaviour, never bits.
-    transport: Optional[str] = None
     #: Allreduce schedule for the collective runners and the simulated
     #: cost models: "tree" (binomial, Theta(log P) latency) or "ring"
     #: (sharded reduce-scatter + allgather, Theta(1) per-rank bandwidth).
-    #: With a float32 wire both schedules are bit-identical by design.
+    #: Both schedules are bit-identical by design.
     collective: str = "tree"
-    #: On-fabric array format for the message runners: "float32" (exact)
-    #: or "float16" (half the wire bytes; reductions still accumulate in
-    #: float32). The only knob here that is allowed to change numerics.
-    wire_dtype: str = "float32"
     #: Durable runs (repro.durability): save a crash-safe checkpoint of the
     #: full pipeline state every N completed steps (0 = off). Requires
     #: ``checkpoint_dir``. Like tracing, this never changes run numerics.
@@ -113,18 +104,10 @@ class TrainerConfig:
             raise ValueError("checkpoint_every requires checkpoint_dir")
         # Late import: repro.comm.backend imports nothing from algorithms,
         # but keeping the dependency one-way at module load is cheap.
-        from repro.comm.backend import (
-            validate_backend,
-            validate_collective,
-            validate_transport,
-            validate_wire_dtype,
-        )
+        from repro.comm.backend import validate_backend, validate_collective
 
         validate_backend(self.backend)
-        if self.transport is not None:
-            validate_transport(self.transport)
         validate_collective(self.collective)
-        validate_wire_dtype(self.wire_dtype)
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,6 @@ def run_mpi_sync_easgd(
     backend: str = "threads",
     variant: int = 3,
     transport: Optional[str] = None,
-    wire_dtype: str = "float32",
-    chunk_elems: Optional[int] = None,
     pool: Optional[Any] = None,
 ) -> MpiEasgdResult:
     """Run Sync EASGD across ``ranks`` real threads or processes.
@@ -149,11 +147,7 @@ def run_mpi_sync_easgd(
     ``"shm"`` (zero-copy slot rings) or ``"queue"`` (pickle through
     pipes); ``None`` keeps the backend's default. Transports change only
     how bytes travel, never their values, so results are bit-identical
-    across transports too. ``chunk_elems`` pipelines the reduce/bcast
-    edges in fixed-size chunks (also bit-exact, but the packed
-    single-message invariant no longer applies); ``wire_dtype="float16"``
-    halves the wire bytes at the cost of rounded weights — the only knob
-    here that changes numerics. ``pool`` attaches the process backend to
+    across transports too. ``pool`` attaches the process backend to
     a persistent :class:`repro.pool.WorkerPool`: the rank program is
     dispatched to long-lived pre-forked workers instead of freshly
     forked ones — amortized spin-up, bit-identical weights.
@@ -184,11 +178,11 @@ def run_mpi_sync_easgd(
         # doesn't emit. The variant label is informational here.
         trace.meta.setdefault("easgd_variant", variant)
         trace.meta.setdefault("pattern", "tree")
-        trace.meta.setdefault("packed", chunk_elems is None or chunk_elems <= 0)
+        trace.meta.setdefault("packed", True)
         trace.meta.setdefault("messages_per_exchange", 1)
     comm = make_communicator(
         ranks, backend=backend, timeout=timeout, trace=trace, transport=transport,
-        wire_dtype=wire_dtype, chunk_elems=chunk_elems, pool=pool,
+        pool=pool,
     )
     try:
         results = comm.run(

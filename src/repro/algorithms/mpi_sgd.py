@@ -101,8 +101,6 @@ def run_mpi_sync_sgd(
     backend: str = "threads",
     transport: Optional[str] = None,
     collective: str = "tree",
-    wire_dtype: str = "float32",
-    chunk_elems: Optional[int] = None,
     pool: Optional[Any] = None,
 ) -> MpiSgdResult:
     """Run synchronous data-parallel SGD across ``ranks`` real workers.
@@ -110,12 +108,9 @@ def run_mpi_sync_sgd(
     ``transport`` picks the process backend's byte path (``"shm"`` or
     ``"queue"``; ``None`` = backend default) and ``collective`` the
     allreduce schedule (``"tree"`` or ``"ring"``) — wall-clock only, the
-    weights are bit-identical either way. ``wire_dtype="float16"`` halves
-    the on-fabric bytes but rounds them (approximate weights);
-    ``chunk_elems`` pipelines the tree reduce's edges in fixed-size
-    chunks (bit-exact, but no longer one packed message per edge).
-    ``pool`` dispatches the process backend to a persistent
-    :class:`repro.pool.WorkerPool` instead of forking per call.
+    weights are bit-identical either way. ``pool`` dispatches the process
+    backend to a persistent :class:`repro.pool.WorkerPool` instead of
+    forking per call.
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")
@@ -124,16 +119,14 @@ def run_mpi_sync_sgd(
     if lr <= 0:
         raise ValueError("lr must be positive")
 
-    chunked = chunk_elems is not None and chunk_elems > 0
     if trace is not None:
         trace.meta.setdefault("method", "MPI Sync SGD")
         trace.meta.setdefault("pattern", collective)
-        trace.meta.setdefault("packed", not chunked)
+        trace.meta.setdefault("packed", True)
         trace.meta.setdefault("messages_per_exchange", 1)
     comm = make_communicator(
         ranks, backend=backend, timeout=timeout, trace=trace, transport=transport,
-        collective=collective, wire_dtype=wire_dtype, chunk_elems=chunk_elems,
-        pool=pool,
+        collective=collective, pool=pool,
     )
     try:
         results = comm.run(

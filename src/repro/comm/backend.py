@@ -17,17 +17,14 @@ from repro.comm.collectives import COLLECTIVES, validate_collective
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.comm.runtime import InProcessCommunicator
 from repro.comm.shm_transport import TRANSPORTS, validate_transport
-from repro.optim.quantize import validate_wire_dtype, WIRE_DTYPES
 
 __all__ = [
     "BACKENDS",
     "TRANSPORTS",
     "COLLECTIVES",
-    "WIRE_DTYPES",
     "validate_backend",
     "validate_transport",
     "validate_collective",
-    "validate_wire_dtype",
     "make_communicator",
 ]
 
@@ -47,22 +44,21 @@ def make_communicator(size: int, backend: str = "threads", **kwargs: Any):
 
     ``kwargs`` are the common knobs (``timeout``, ``faults``,
     ``max_retries``, ``retry_backoff``, ``trace``, ``transport``,
-    ``collective``, ``wire_dtype``, ``chunk_elems``) plus the
-    process-backend tuning knobs (``shm_slots``, ``shm_min_bytes``,
-    ``pin_cpus``). ``transport`` selects how the process backend moves
-    message bytes — ``"shm"`` (zero-copy slot rings, the default) or
-    ``"queue"`` (pickle through pipes); the thread backend accepts the
-    knob for interface parity but always passes payloads by reference.
-    ``collective`` picks the allreduce schedule ("tree"/"ring") and
-    ``wire_dtype`` the on-fabric array format ("float32"/"float16") —
-    both are shared knobs, honoured identically by either backend. The
-    process-only tuning knobs are meaningless for threads and are dropped
-    rather than rejected, so one call site can serve both backends.
+    ``collective``) plus the process-backend ring depth ``shm_slots``.
+    ``transport`` selects how the process backend moves message bytes —
+    ``"shm"`` (zero-copy slot rings, the default) or ``"queue"`` (pickle
+    through pipes); the thread backend accepts the knob for interface
+    parity but always passes payloads by reference. ``collective`` picks
+    the allreduce schedule ("tree"/"ring"), honoured identically by
+    either backend. ``shm_slots`` is meaningless for threads and is
+    dropped rather than rejected, so one call site can serve both
+    backends.
 
     ``pool`` (a :class:`repro.pool.WorkerPool`) attaches the process
     backend to persistent pre-forked workers: ``run`` then dispatches to
-    the pool instead of forking per call — amortized spin-up, identical
-    numerics. Threads spin up cheaply, so the knob is dropped there.
+    that pool instead of a private one built and closed per call —
+    amortized spin-up, identical numerics. Threads spin up cheaply, so
+    the knob is dropped there.
     """
     validate_backend(backend)
     if kwargs.get("transport", "") is None:
@@ -78,7 +74,5 @@ def make_communicator(size: int, backend: str = "threads", **kwargs: Any):
             )
         return MultiprocessCommunicator(size, **kwargs)
     kwargs.pop("shm_slots", None)
-    kwargs.pop("shm_min_bytes", None)
-    kwargs.pop("pin_cpus", None)
     kwargs.pop("pool", None)
     return InProcessCommunicator(size, **kwargs)

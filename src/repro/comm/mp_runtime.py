@@ -20,11 +20,15 @@ Design:
   drains only its own inbox and keeps a per-``(source, tag)`` stash for
   selective receive; per-sender FIFO is preserved by the queue's feeder
   thread, matching the thread backend's mailbox semantics.
-- Ranks are **forked**, never spawned: rank programs stay ordinary
-  closures (no pickling of the target function), children inherit the
-  communicator's monotonic epoch (``CLOCK_MONOTONIC`` is system-wide on
-  Linux, so child timestamps are coherent with the parent's), and
+- Ranks are **forked**, never spawned, and there is one launch path:
+  :meth:`MultiprocessCommunicator.run` always dispatches to a
+  :class:`repro.pool.WorkerPool` — the attached one, or a private pool
+  built for that call and closed after it. The private pool carries
+  ``(fn, args)`` as its fork-inherited payload, so cold rank programs
+  stay ordinary closures (nothing is pickled on the way in), and
   inherited :class:`SharedFlatArray` mappings need no reattachment.
+  ``CLOCK_MONOTONIC`` is system-wide on Linux, so child timestamps are
+  coherent with the parent's.
 - Results, trace events, and fault records travel back on a result queue:
   :class:`repro.trace.events.TraceEvent` and
   :class:`repro.faults.log.FaultRecord` are frozen picklable dataclasses,
@@ -33,7 +37,8 @@ Design:
   applies unchanged.
 - A child exception is shipped back pickled when possible, else as a
   :class:`RemoteRankError` carrying its repr; a child that dies without
-  reporting (crash, ``os._exit``) is detected by exit code. Multiple
+  reporting (crash, ``os._exit``) is detected by the pool's liveness
+  check and named in a :class:`RemoteRankError`. Multiple
   failures aggregate through :meth:`MultiRankError.aggregate`, exactly as
   in the thread backend.
 
@@ -48,11 +53,10 @@ from __future__ import annotations
 from collections import deque
 import multiprocessing
 from multiprocessing import shared_memory
-import os
 import pickle
 import queue as _queue
 import time
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,24 +72,15 @@ from repro.comm.runtime import (
     MultiRankError,
     RankContextBase,
 )
-from repro.comm.shm_lifecycle import (
-    adopt_owner_pid,
-    reap_stale_segments,
-    register_segment,
-    segment_name,
-    unregister_segment,
-)
+from repro.comm.shm_lifecycle import register_segment, segment_name, unregister_segment
 from repro.comm.shm_transport import (
     CollectiveArena,
-    DEFAULT_MIN_BYTES,
     DEFAULT_SLOTS,
     ShmSlotRef,
-    ShmTransport,
     validate_transport,
 )
 from repro.faults import FaultLog, FaultPlan
-from repro.optim.quantize import validate_wire_dtype
-from repro.trace.events import Trace, TraceEvent
+from repro.trace.events import Trace
 
 __all__ = [
     "fork_available",
@@ -96,10 +91,6 @@ __all__ = [
     "run_rank_program",
     "emit_transport_marks",
 ]
-
-#: Extra parent-side patience beyond the rank timeout before declaring a
-#: child hung: children normally report their own DeadlockError first.
-_COLLECT_GRACE = 30.0
 
 
 def fork_available() -> bool:
@@ -238,9 +229,8 @@ def run_rank_program(
     """Run ``fn(ctx, *args)`` and normalize the outcome for shipping.
 
     Returns ``("ok", result)`` or ``("err", exception)`` where the
-    exception is guaranteed to survive the queue back to the parent — the
-    one rank-execution contract shared by the one-shot fork path and the
-    persistent :class:`repro.pool.WorkerPool` dispatch loop.
+    exception is guaranteed to survive the queue back to the parent. Called
+    once per cell rank by the :class:`repro.pool.WorkerPool` dispatch loop.
     """
     status: str = "ok"
     payload: Any = None
@@ -297,12 +287,10 @@ class MpRankContext(RankContextBase):
         retry_backoff: float,
         start_time: float,
         tracing: bool,
+        coll_prefix: str,
+        arena_cache: Dict[str, CollectiveArena],
         transport: Optional[Any] = None,
         collective: str = "tree",
-        wire_dtype: str = "float32",
-        chunk_elems: Optional[int] = None,
-        coll_prefix: Optional[str] = None,
-        arena_cache: Optional[Dict[str, CollectiveArena]] = None,
     ) -> None:
         self.size = size
         self.timeout = timeout
@@ -310,23 +298,20 @@ class MpRankContext(RankContextBase):
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.collective = collective
-        self.wire_dtype = wire_dtype
-        self.chunk_elems = chunk_elems
         self.fault_log = FaultLog()
         self.trace: Optional[Trace] = Trace() if tracing else None
         self._inboxes = inboxes
         self._start = start_time
         self._transport = transport
-        self._coll_prefix = coll_prefix or segment_name("coll")
-        #: Collective arenas keyed by (tag, elems); shared across ranks by
-        #: name, created lazily on the first ring allreduce of that shape.
-        self._arenas: Dict[Tuple[int, int], CollectiveArena] = {}
-        #: Cross-cell arena reuse (the pool path): a by-name cache owned
-        #: by the long-lived worker, consulted before creating a segment.
-        #: Cached arenas outlive this context — ``arena_names`` and
-        #: ``close_arenas`` then leave them alone (the pool unlinks at
-        #: shutdown), so consecutive cells recycle one mapping.
-        self._arena_cache = arena_cache
+        #: Arena names derive from this prefix, identical on every rank
+        #: of the cell, so the first arrival creates and the rest attach.
+        self._coll_prefix = coll_prefix
+        #: Collective arenas by segment name, created lazily on the first
+        #: ring allreduce of that shape. The dict belongs to the pool
+        #: worker and outlives this context, so consecutive cells recycle
+        #: one mapping; the worker reports the names for the parent to
+        #: unlink when the pool shuts down.
+        self._arenas = arena_cache
         #: Receiver-side seq counters for manually-emitted arena trace
         #: events (mirrors the sender's ``_next_seq`` discipline).
         self._recv_seq: Dict[Tuple[int, int], int] = {}
@@ -375,7 +360,7 @@ class MpRankContext(RankContextBase):
             return
         self._view_ok = True
         try:
-            np.add(acc, self._wire_in(self.recv(source, tag)), out=acc)
+            np.add(acc, self.recv(source, tag), out=acc)
         finally:
             self._view_ok = False
             release, self._pending_release = self._pending_release, None
@@ -422,39 +407,13 @@ class MpRankContext(RankContextBase):
 
     # -- collective arena (the shm ring allreduce fast path) ---------------------
     def _arena_for(self, tag: int, elems: int) -> CollectiveArena:
-        key = (tag, elems)
-        arena = self._arenas.get(key)
+        name = f"{self._coll_prefix}-t{tag}-n{elems}"
+        arena = self._arenas.get(name)
         if arena is None:
-            name = f"{self._coll_prefix}-t{tag}-n{elems}"
-            cache = self._arena_cache
-            if cache is not None:
-                arena = cache.get(name)
-            if arena is None:
-                arena = CollectiveArena.create_or_attach(
-                    name, self.size, elems, self.wire_dtype, timeout=self.timeout
-                )
-                if cache is not None:
-                    cache[name] = arena
-            self._arenas[key] = arena
+            arena = self._arenas[name] = CollectiveArena.create_or_attach(
+                name, self.size, elems, timeout=self.timeout
+            )
         return arena
-
-    def arena_names(self) -> List[str]:
-        """Arena segment names this rank mapped (for parent-side unlink).
-
-        Empty under an arena cache: cached mappings belong to the pool
-        worker and must survive this cell."""
-        if self._arena_cache is not None:
-            return []
-        return [arena.name for arena in self._arenas.values()]
-
-    def close_arenas(self) -> None:
-        """Drop this rank's arena mappings (the parent unlinks by name).
-
-        No-op under an arena cache — the pool recycles the mappings."""
-        if self._arena_cache is None:
-            for arena in self._arenas.values():
-                arena.close()
-        self._arenas.clear()
 
     def _next_recv_seq(self, source: int, tag: int) -> int:
         key = (source, tag)
@@ -492,12 +451,11 @@ class MpRankContext(RankContextBase):
         skips the staging copy in :meth:`_ring_allreduce` — gradients are
         then *born* in shared memory. Falls back to a private buffer
         whenever the arena path would not engage (tree collective, queue
-        transport, float16 wire, or a buffer too small to shard).
+        transport, a fault plan, or a buffer too small to shard).
         """
         if (
             self._transport is not None
             and self.collective == "ring"
-            and self.wire_dtype == "float32"
             and self.faults is None
             and self.size > 1
             and elems >= self.size
@@ -545,13 +503,12 @@ class MpRankContext(RankContextBase):
         n = flat.size
         arena = self._arena_for(tag, n)
         bounds = shard_bounds(n, p)
-        wire_item = arena.rows[0].dtype.itemsize
+        row = arena.rows[r]
 
         def shard_nbytes(s: int) -> int:
-            return (bounds[s + 1] - bounds[s]) * wire_item
+            return (bounds[s + 1] - bounds[s]) * row.itemsize
 
         # 1. Stage our contribution (no-op when it was born in the row).
-        row = arena.rows[r]
         if not np.shares_memory(row, flat):
             np.copyto(row, flat, casting="same_kind")
 
@@ -569,10 +526,7 @@ class MpRankContext(RankContextBase):
             self._poll(src, rs_tag, None)
             self._arena_msg("recv", src, rs_tag, shard_nbytes(r), k - 1)
         if hi > lo:
-            cols: Sequence[np.ndarray] = [arena.rows[q][lo:hi] for q in range(p)]
-            if self.wire_dtype != "float32":
-                cols = [c.astype(np.float32) for c in cols]
-            tree_reduce_into(cols, arena.result[lo:hi])
+            tree_reduce_into([arena.rows[q][lo:hi] for q in range(p)], arena.result[lo:hi])
 
         # 3. Allgather: done tokens out, done tokens in, result is ready.
         self._trace_op = "ring-allgather"
@@ -593,8 +547,14 @@ class MpRankContext(RankContextBase):
         return arena.result.reshape(arr.shape).copy()
 
 
+def _run_inherited(ctx: MpRankContext, payload: Tuple[Any, ...]) -> Any:
+    """Rank program of a cold run: unpack the fork-inherited ``(fn, args)``."""
+    fn, args = payload
+    return fn(ctx, *args)
+
+
 class MultiprocessCommunicator:
-    """Spawn ``size`` rank *processes* (forked) and run a function on each.
+    """Run a function on ``size`` forked rank *processes*.
 
     Drop-in for :class:`repro.comm.runtime.InProcessCommunicator`: same
     constructor knobs, same ``run``/``close`` surface, same error
@@ -616,11 +576,7 @@ class MultiprocessCommunicator:
         trace: Optional[Trace] = None,
         transport: str = "shm",
         shm_slots: int = DEFAULT_SLOTS,
-        shm_min_bytes: int = DEFAULT_MIN_BYTES,
         collective: str = "tree",
-        wire_dtype: str = "float32",
-        chunk_elems: Optional[int] = None,
-        pin_cpus: Any = "auto",
         pool: Optional[Any] = None,
     ) -> None:
         if size <= 0:
@@ -633,9 +589,6 @@ class MultiprocessCommunicator:
             raise ValueError("retry_backoff must be positive")
         validate_transport(transport)
         validate_collective(collective)
-        validate_wire_dtype(wire_dtype)
-        if chunk_elems is not None and chunk_elems <= 0:
-            raise ValueError("chunk_elems must be positive")
         if shm_slots <= 0:
             raise ValueError("shm_slots must be positive")
         if not fork_available():
@@ -648,23 +601,17 @@ class MultiprocessCommunicator:
         self.faults = faults
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        #: Allreduce schedule ("tree"/"ring") and on-fabric array format
-        #: ("float32"/"float16") — see RankContextBase for semantics.
+        #: Allreduce schedule ("tree"/"ring") — see RankContextBase.
         self.collective = collective
-        self.wire_dtype = wire_dtype
-        self.chunk_elems = chunk_elems
-        #: Rank->CPU pinning: "auto" pins rank i to core i (mod cores) only
-        #: when at least ``size`` cores are available; True forces pinning
-        #: even oversubscribed; None/False disables.
-        self.pin_cpus = pin_cpus
         #: Message transport: "shm" (default) stages large array payloads
         #: through zero-copy slot rings; "queue" pickles every payload
         #: through the inbox pipes (the pre-transport behaviour). Numerics
         #: are transport-invariant by construction — only bytes move
         #: differently.
         self.transport = transport
+        #: Slot-ring depth of a cold run's private pool (an attached pool
+        #: keeps the depth it was built with).
         self.shm_slots = shm_slots
-        self.shm_min_bytes = shm_min_bytes
         #: Per-run transport counters summed over ranks (shm_messages,
         #: queue_messages, bytes_copied_in/out, bytes_on_wire, ring_allocs);
         #: empty until a run completes under transport="shm".
@@ -676,14 +623,13 @@ class MultiprocessCommunicator:
             trace.meta.setdefault("backend", "processes")
             trace.meta.setdefault("transport", transport)
             trace.meta.setdefault("collective", collective)
-            trace.meta.setdefault("wire_dtype", wire_dtype)
         self.fault_log = FaultLog()
-        #: The reuse path: when a :class:`repro.pool.WorkerPool` is
-        #: attached, ``run`` dispatches the rank program to its long-lived
-        #: forked workers (amortized fork, recycled slot rings and
-        #: collective arenas) instead of forking fresh ranks per call.
-        #: Numerics are identical by construction — the pool workers run
-        #: the same :class:`MpRankContext` code over the same fabric.
+        #: The reuse path: an attached :class:`repro.pool.WorkerPool` keeps
+        #: its forked workers, slot rings and collective arenas alive
+        #: across ``run`` calls; without one every ``run`` builds and
+        #: closes a private pool. Numerics are identical either way —
+        #: both are the same workers running the same
+        #: :class:`MpRankContext` code over the same fabric.
         self._pool = pool
         if pool is not None:
             if size > pool.size:
@@ -692,219 +638,60 @@ class MultiprocessCommunicator:
                 )
             if pool.backend != "processes":
                 raise ValueError("MultiprocessCommunicator requires a processes pool")
-        self._mp = multiprocessing.get_context("fork")
         self._start = time.monotonic()
-
-    def _pin_plan(self) -> Optional[List[int]]:
-        """The CPU list ranks pin to, or None when pinning is off/impossible."""
-        if not self.pin_cpus or not hasattr(os, "sched_getaffinity"):
-            return None
-        cpus = sorted(os.sched_getaffinity(0))
-        if not cpus:
-            return None
-        if self.pin_cpus == "auto" and len(cpus) < self.size:
-            # Oversubscribed: exclusive cores don't exist, and pinning
-            # several ranks to one core would serialize them outright.
-            return None
-        return cpus
 
     def _elapsed(self) -> float:
         """Wall seconds since the communicator was created."""
         return time.monotonic() - self._start
 
     def close(self) -> None:
-        """Release fabric resources (queues are per-run; nothing persists)."""
+        """Release fabric resources (a cold run's pool is per-call and an
+        attached pool belongs to its creator; nothing persists here)."""
 
     def run(self, fn: Callable[..., Any], *args: Any) -> List[Any]:
         """Execute ``fn(ctx, *args)`` on every rank; return per-rank results.
 
-        ``fn`` and ``args`` are inherited by fork — closures over local
-        state work; nothing is pickled on the way *in*. Return values
-        travel back pickled; a rank whose result cannot be pickled fails
-        with a :class:`RemoteRankError`.
+        Without an attached pool, ``fn`` and ``args`` are inherited by
+        fork — closures over local state work; nothing is pickled on the
+        way *in*. With one, they travel as a work item (the pool forked
+        long ago), so ``fn`` must be a module-level function and ``args``
+        picklable. Return values travel back pickled either way; a rank
+        whose result cannot be pickled fails with a
+        :class:`RemoteRankError`.
 
-        With an attached pool the call is dispatched to its persistent
-        workers instead (``fn`` must then be a module-level function and
-        ``args`` picklable — fork inheritance does not apply to work
-        items submitted after the pool forked).
+        Traces and fault records merge into this communicator
+        (timestamped against its epoch, which the workers honour per
+        job), transport counters land in ``transport_stats``, and
+        failures aggregate through :meth:`MultiRankError.aggregate`.
         """
-        if self._pool is not None:
-            return self._run_pooled(fn, args)
-        if self.transport == "shm":
-            # Spawn the resource tracker *before* forking: children then
-            # inherit one shared tracker, so their ring registrations are
-            # cleared by this parent's unlink instead of each child's
-            # private tracker warning about "leaked" segments at exit.
-            from multiprocessing import resource_tracker
+        # Late import: the pool builds its rank contexts from this module.
+        from repro.pool.worker_pool import POOL_PAYLOAD, WorkerPool
 
-            resource_tracker.ensure_running()
-        # Post-mortem for earlier runs that died by signal: their atexit
-        # sweeps never fired, but their pids are in the segment names.
-        reap_stale_segments()
-        # Segments created anywhere in this run's process tree carry this
-        # (top-level) pid, so the reaper only fires once the run is dead.
-        adopt_owner_pid()
-        inboxes = [self._mp.Queue() for _ in range(self.size)]
-        results_q = self._mp.Queue()
-        tracing = self.trace is not None
-        # Generated pre-fork so every child derives identical arena names.
-        coll_prefix = segment_name("coll")
-        pin_plan = self._pin_plan()
-
-        def child_main(rank: int) -> None:
-            if pin_plan is not None:
-                try:
-                    os.sched_setaffinity(0, {pin_plan[rank % len(pin_plan)]})
-                except OSError:  # pragma: no cover - cgroup/permission quirk
-                    pass
-            transport = (
-                ShmTransport(
-                    rank, self.size, slots=self.shm_slots,
-                    min_bytes=self.shm_min_bytes, timeout=self.timeout,
-                )
-                if self.transport == "shm"
-                else None
+        pool = self._pool
+        if pool is None:
+            # A cold run is a pool of one call, with (fn, args) as the
+            # fork-inherited payload.
+            pool = WorkerPool(
+                self.size, timeout=self.timeout, transport=self.transport,
+                shm_slots=self.shm_slots, payload=(fn, args),
             )
-            ctx = MpRankContext(
-                rank, self.size, inboxes, self.timeout, self.faults,
-                self.max_retries, self.retry_backoff, self._start, tracing,
-                transport=transport, collective=self.collective,
-                wire_dtype=self.wire_dtype, chunk_elems=self.chunk_elems,
-                coll_prefix=coll_prefix,
-            )
-            status, payload = run_rank_program(ctx, fn, args)
-            ring_names: List[str] = ctx.arena_names()
-            ctx.close_arenas()
-            tstats: Dict[str, int] = {}
-            if transport is not None:
-                ring_names += transport.ring_names()
-                tstats = dict(transport.stats)
-                emit_transport_marks(ctx, tstats)
-                # Close mappings only — the parent unlinks by name after
-                # the run, so in-flight descriptors stay attachable.
-                transport.close()
-            events = list(ctx.trace.events) if ctx.trace is not None else []
-            records = list(ctx.fault_log.records)
-            # Reported names become the parent's to unlink — drop them from
-            # this child's registry so its atexit sweep can't destroy
-            # segments other ranks may still hold descriptors into.
-            for name in ring_names:
-                unregister_segment(name)
-            results_q.put((rank, status, payload, events, records, ring_names, tstats))
-
-        procs = [
-            self._mp.Process(target=child_main, args=(r,), name=f"rank-{r}")
-            for r in range(self.size)
-        ]
-        for p in procs:
-            p.start()
-
-        results: List[Any] = [None] * self.size
-        failures: List[Tuple[int, BaseException]] = []
-        events: List[TraceEvent] = []
-        records = []
-        segment_names: List[str] = []
-        stats_total: Dict[str, int] = {}
-
-        def collect(rank, status, payload, ev, recs, names, tstats) -> None:
-            pending.discard(rank)
-            events.extend(ev)
-            records.extend(recs)
-            segment_names.extend(names)
-            for key, val in tstats.items():
-                stats_total[key] = stats_total.get(key, 0) + int(val)
-            if status == "ok":
-                results[rank] = payload
-            else:
-                failures.append((rank, payload))
-
-        pending = set(range(self.size))
-        deadline = time.monotonic() + self.timeout + _COLLECT_GRACE
+            fn, args = _run_inherited, (POOL_PAYLOAD,)
         try:
-            while pending:
-                try:
-                    report = results_q.get(timeout=0.1)
-                except _queue.Empty:
-                    dead = [
-                        r for r in pending
-                        if not procs[r].is_alive() and procs[r].exitcode is not None
-                    ]
-                    for r in dead:
-                        # Drain once more: the result may have been queued
-                        # between the timeout and the liveness check.
-                        try:
-                            report = results_q.get(timeout=0.5)
-                        except _queue.Empty:
-                            pending.discard(r)
-                            failures.append((r, RemoteRankError(
-                                r,
-                                f"rank {r} process died without reporting "
-                                f"(exitcode {procs[r].exitcode})",
-                            )))
-                        else:
-                            collect(*report)
-                    if time.monotonic() > deadline:
-                        for r in sorted(pending):
-                            failures.append((r, RemoteRankError(
-                                r, f"rank {r} hung past the collection deadline"
-                            )))
-                        pending.clear()
-                    continue
-                collect(*report)
+            job = pool.submit(
+                self.size, fn, *args,
+                tracing=self.trace is not None,
+                faults=self.faults,
+                timeout=self.timeout,
+                max_retries=self.max_retries,
+                retry_backoff=self.retry_backoff,
+                transport=self.transport,
+                collective=self.collective,
+                start_time=self._start,
+            )
+            job.wait()
         finally:
-            for p in procs:
-                p.join(timeout=5.0)
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - hung-child cleanup
-                    p.terminate()
-                    p.join(timeout=5.0)
-            for q in [*inboxes, results_q]:
-                q.cancel_join_thread()
-                q.close()
-            # The parent, not the sending child, unlinks ring segments: a
-            # rank may finish (and exit) while its last descriptor is still
-            # in some inbox, so names must outlive every child.
-            for name in segment_names:
-                try:
-                    seg = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    continue
-                seg.unlink()
-                seg.close()
-        self.transport_stats = stats_total
-
-        if self.trace is not None:
-            for ev in sorted(events, key=lambda e: (e.t0, e.t1, e.rank)):
-                self.trace.add(ev)
-        for rec in sorted(records, key=lambda r: r.time):
-            self.fault_log.record(rec.time, rec.kind, rec.subject, rec.detail)
-        if failures:
-            raise MultiRankError.aggregate(sorted(failures, key=lambda f: f[0]))
-        return results
-
-    def _run_pooled(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> List[Any]:
-        """Dispatch the rank program to the attached persistent pool.
-
-        Same observable surface as the fork path: traces and fault
-        records merge into this communicator (timestamped against *this*
-        communicator's epoch, which the workers honour per job), transport
-        counters land in ``transport_stats``, and failures aggregate into
-        the identical :class:`MultiRankError` shape.
-        """
-        job = self._pool.submit(
-            self.size, fn, *args,
-            tracing=self.trace is not None,
-            faults=self.faults,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            transport=self.transport,
-            collective=self.collective,
-            wire_dtype=self.wire_dtype,
-            chunk_elems=self.chunk_elems,
-            start_time=self._start,
-        )
-        job.wait()
+            if pool is not self._pool:
+                pool.close()
         self.transport_stats = dict(job.transport_stats)
         if self.trace is not None:
             for ev in sorted(job.events, key=lambda e: (e.t0, e.t1, e.rank)):

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 from repro.comm.alphabeta import LinkModel
 
-__all__ = ["MessagePlan", "packed_plan", "per_layer_plan", "chunked_plan"]
+__all__ = ["MessagePlan", "packed_plan", "per_layer_plan"]
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,3 @@ def per_layer_plan(layer_sizes: Sequence[int]) -> MessagePlan:
     """One message per layer (the conventional scheme the paper replaces)."""
     return MessagePlan("per-layer", tuple(int(s) for s in layer_sizes))
 
-
-def chunked_plan(layer_sizes: Sequence[int], chunk_bytes: int) -> MessagePlan:
-    """The packed buffer split into fixed-size pipeline chunks.
-
-    The wire plan of the chunked tree reduce (``chunk_elems``): same total
-    bytes as :func:`packed_plan`, but ``ceil(total / chunk_bytes)``
-    messages whose transfers can overlap the receive-side reduction. Its
-    alpha-beta ``cost`` deliberately charges the *serial* chunk train —
-    compare against :func:`repro.comm.pipelining.pipelined_hops_cost` to
-    see what the overlap buys.
-    """
-    if chunk_bytes <= 0:
-        raise ValueError("chunk_bytes must be positive")
-    total = int(sum(layer_sizes))
-    if total == 0:
-        return MessagePlan("chunked", (0,))
-    full, rem = divmod(total, chunk_bytes)
-    sizes = (chunk_bytes,) * full + ((rem,) if rem else ())
-    return MessagePlan("chunked", sizes)

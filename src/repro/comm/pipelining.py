@@ -25,7 +25,6 @@ __all__ = [
     "pipelined_hops_cost",
     "optimal_chunks",
     "pipelined_tree_bcast_cost",
-    "pipelined_tree_reduce_cost",
     "pipelined_ring_allreduce_cost",
 ]
 
@@ -61,16 +60,6 @@ def pipelined_tree_bcast_cost(link: LinkModel, nbytes: int, p: int) -> float:
         return 0.0
     chunks = optimal_chunks(link, nbytes, depth)
     return pipelined_hops_cost(link, nbytes, depth, chunks)
-
-
-def pipelined_tree_reduce_cost(link: LinkModel, nbytes: int, p: int) -> float:
-    """Binomial-tree reduce with chunked edges (``chunk_elems``).
-
-    Under alpha-beta the reduce pipeline mirrors the bcast: chunk k's
-    transfer down an edge overlaps the fold of chunk k-1, so the critical
-    path is the same ``(depth + C - 1)`` chunk-times.
-    """
-    return pipelined_tree_bcast_cost(link, nbytes, p)
 
 
 def pipelined_ring_allreduce_cost(link: LinkModel, nbytes: int, p: int, chunks: int = 1) -> float:

@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.comm.collectives import shard_bounds, tree_reduce_into, validate_collective
 from repro.faults import FaultLog, FaultPlan
-from repro.optim.quantize import decode_wire, encode_wire, validate_wire_dtype
 from repro.trace.events import Trace
 
 __all__ = [
@@ -171,7 +170,10 @@ class MultiRankError(RuntimeError):
             f"rank {rank}: {type(exc).__name__}: {exc}"
             for rank, exc in sorted(self.failures.items())
         )
-        super().__init__(f"{len(self.failures)} ranks failed — {parts}")
+        # Not super(): in aggregate()'s mixin classes the next class in the
+        # MRO can be the failures' common type, whose __init__ takes that
+        # type's own fields (RemoteRankError's rank and message).
+        RuntimeError.__init__(self, f"{len(self.failures)} ranks failed — {parts}")
 
     def __reduce__(self):
         return (_rebuild_multi_rank_error, (list(self.failures.items()),))
@@ -308,14 +310,6 @@ class RankContextBase:
     #: Both produce bitwise-identical sums; see ``allreduce`` for when the
     #: ring dispatch falls back to the tree.
     collective: str = "tree"
-    #: On-fabric payload format for collective arrays: "float32" (identity)
-    #: or "float16" (half the bytes, lossy — backends stop being
-    #: bit-identical, see docs/performance.md).
-    wire_dtype: str = "float32"
-    #: When set, tree-reduce edges move the buffer in pipelined chunks of
-    #: this many elements (memcpy of chunk k overlaps reduction of k-1)
-    #: instead of one packed message. Association is unchanged.
-    chunk_elems: Optional[int] = None
 
     def _init_rank_state(self, rank: int) -> None:
         self.rank = rank
@@ -447,17 +441,6 @@ class RankContextBase:
             trace.span("collective", self.rank, t0, self._elapsed(), op=op,
                        iteration=self.trace_iteration)
 
-    # -- wire format helpers ------------------------------------------------------
-    def _wire_out(self, array: np.ndarray) -> np.ndarray:
-        """Cast an outgoing collective array to the wire format (no-op f32)."""
-        return encode_wire(array, self.wire_dtype)
-
-    def _wire_in(self, payload: Any) -> Any:
-        """Widen an incoming collective payload back to float32 (no-op f32)."""
-        if isinstance(payload, np.ndarray):
-            return decode_wire(payload, self.wire_dtype)
-        return payload
-
     def _recv_add(self, acc: np.ndarray, source: int, tag: int) -> None:
         """Receive an array and fold it into ``acc`` in place.
 
@@ -469,32 +452,14 @@ class RankContextBase:
         shm transport adds straight from the slot bytes
         (:meth:`repro.comm.mp_runtime.MpRankContext._recv_add`).
         """
-        np.add(acc, self._wire_in(self.recv(source, tag)), out=acc)
-
-    def _send_chunked(self, acc: np.ndarray, dest: int, tag: int, chunk: int) -> None:
-        flat = acc.reshape(-1)
-        for lo in range(0, flat.size, chunk):
-            self.send(self._wire_out(flat[lo : lo + chunk]), dest, tag)
-
-    def _recv_add_chunked(self, acc: np.ndarray, source: int, tag: int, chunk: int) -> None:
-        flat = acc.reshape(-1)
-        for lo in range(0, flat.size, chunk):
-            seg = flat[lo : lo + chunk]
-            np.add(seg, self._wire_in(self.recv(source, tag)), out=seg)
+        np.add(acc, self.recv(source, tag), out=acc)
 
     def bcast(self, payload: Any, root: int = 0, tag: int = 101) -> Any:
-        """Broadcast from ``root``; every rank returns the payload.
-
-        Array payloads travel in the wire format: the root encodes once
-        and interior ranks forward the wire bytes verbatim, so a float16
-        bcast quantizes exactly once regardless of tree depth.
-        """
+        """Broadcast from ``root``; every rank returns the payload."""
         t0 = self._elapsed()
         prev_op = self._trace_op
         self._trace_op = "tree-bcast"
         rel = (self.rank - root) % self.size
-        if rel == 0 and isinstance(payload, np.ndarray):
-            payload = self._wire_out(payload)
         # receive from parent (the rank that turned our bit on)
         if rel != 0:
             have = 1
@@ -515,28 +480,19 @@ class RankContextBase:
             have *= 2
         self._trace_op, self._trace_round = prev_op, -1
         self._collective_span("tree-bcast", t0)
-        return self._wire_in(payload)
+        return payload
 
     def reduce(self, array: np.ndarray, root: int = 0, tag: int = 102) -> Optional[np.ndarray]:
         """Tree-sum arrays to ``root`` with the same association order as
         :func:`repro.comm.collectives.tree_reduce`. Returns the sum at the
-        root, ``None`` elsewhere.
-
-        With ``chunk_elems`` set (and no fault plan, whose message
-        accounting assumes one packed send per edge), each edge moves the
-        buffer as a pipelined chunk train: the receiver folds chunk k
-        while the fabric is already moving chunk k+1. The accumulation
-        is elementwise, so chunking never changes the bits.
+        root, ``None`` elsewhere. Each tree edge moves the buffer as one
+        packed message.
         """
         t0 = self._elapsed()
         prev_op = self._trace_op
         self._trace_op = "tree-reduce"
         rel = (self.rank - root) % self.size
         acc = np.array(array, copy=True)
-        chunk = self.chunk_elems
-        chunked = (
-            chunk is not None and 0 < chunk < acc.size and self.faults is None
-        )
         result: Optional[np.ndarray] = None
         stride = 1
         while stride < self.size:
@@ -544,17 +500,9 @@ class RankContextBase:
             if rel % (2 * stride) == 0:
                 partner = rel + stride
                 if partner < self.size:
-                    src = (partner + root) % self.size
-                    if chunked:
-                        self._recv_add_chunked(acc, src, tag, chunk)
-                    else:
-                        self._recv_add(acc, src, tag)
+                    self._recv_add(acc, (partner + root) % self.size, tag)
             elif rel % (2 * stride) == stride:
-                dest = (rel - stride + root) % self.size
-                if chunked:
-                    self._send_chunked(acc, dest, tag, chunk)
-                else:
-                    self.send(self._wire_out(acc), dest, tag)
+                self.send(acc, (rel - stride + root) % self.size, tag)
                 break  # sent upstream; this rank is done
             stride *= 2
         else:
@@ -623,37 +571,28 @@ class RankContextBase:
         flat = np.array(arr, copy=True).reshape(-1)
         bounds = shard_bounds(flat.size, p)
         lo, hi = bounds[r], bounds[r + 1]
-        wire = self.wire_dtype
 
         # Phase 1: reduce-scatter. Sends are asynchronous, so the
         # send-then-recv step order cannot deadlock.
         self._trace_op = "ring-reduce-scatter"
         versions: List[Optional[np.ndarray]] = [None] * p
-        own = flat[lo:hi]
-        # Our own contribution passes through the same wire round-trip as
-        # everyone else's, so all P shard versions are uniformly quantized.
-        versions[r] = own if wire == "float32" else decode_wire(self._wire_out(own), wire)
+        versions[r] = flat[lo:hi]
         for k in range(1, p):
             dest, src = (r + k) % p, (r - k) % p
             self._trace_round = k - 1
-            self.send(self._wire_out(flat[bounds[dest] : bounds[dest + 1]]), dest, rs_tag)
-            versions[src] = self._wire_in(self.recv(src, rs_tag))
+            self.send(flat[bounds[dest] : bounds[dest + 1]], dest, rs_tag)
+            versions[src] = self.recv(src, rs_tag)
         out = np.empty(flat.size, dtype=flat.dtype)
         if hi > lo:
             tree_reduce_into(versions, out[lo:hi])  # type: ignore[arg-type]
 
         # Phase 2: allgather the reduced owner shards.
         self._trace_op = "ring-allgather"
-        wire_reduced = self._wire_out(out[lo:hi])
-        if wire != "float32":
-            # Keep our own copy of the shard identical to what the other
-            # ranks will decode, so all ranks return the same total.
-            out[lo:hi] = decode_wire(wire_reduced, wire)
         for k in range(1, p):
             dest, src = (r + k) % p, (r - k) % p
             self._trace_round = k - 1
-            self.send(wire_reduced, dest, ag_tag)
-            out[bounds[src] : bounds[src + 1]] = self._wire_in(self.recv(src, ag_tag))
+            self.send(out[lo:hi], dest, ag_tag)
+            out[bounds[src] : bounds[src + 1]] = self.recv(src, ag_tag)
         self._trace_op, self._trace_round = prev_op, -1
         self._collective_span("ring-allreduce", t0)
         return out.reshape(arr.shape)
@@ -713,14 +652,6 @@ class RankContext(RankContextBase):
     def collective(self) -> str:
         return self.comm.collective
 
-    @property
-    def wire_dtype(self) -> str:
-        return self.comm.wire_dtype
-
-    @property
-    def chunk_elems(self) -> Optional[int]:
-        return self.comm.chunk_elems
-
     # -- fabric hooks -----------------------------------------------------------
     def _deliver(self, dest: int, tag: int, payload: Any) -> None:
         self.comm._mailboxes[dest].put(self.rank, tag, payload)
@@ -755,8 +686,6 @@ class InProcessCommunicator:
         trace: Optional[Trace] = None,
         transport: Optional[str] = None,
         collective: str = "tree",
-        wire_dtype: str = "float32",
-        chunk_elems: Optional[int] = None,
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
@@ -772,9 +701,6 @@ class InProcessCommunicator:
 
             validate_transport(transport)
         validate_collective(collective)
-        validate_wire_dtype(wire_dtype)
-        if chunk_elems is not None and chunk_elems <= 0:
-            raise ValueError("chunk_elems must be positive")
         # Thread mailboxes pass payloads by reference — already zero-copy —
         # so "shm" is accepted for interface parity but coerced: there is
         # exactly one (optimal) transport on this backend.
@@ -785,8 +711,6 @@ class InProcessCommunicator:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.collective = collective
-        self.wire_dtype = wire_dtype
-        self.chunk_elems = chunk_elems
         #: When set, every send/recv/collective records a TraceEvent here
         #: (wall-clock spans). None = tracing off, zero overhead.
         self.trace = trace
@@ -795,7 +719,6 @@ class InProcessCommunicator:
             trace.meta.setdefault("clock", "wall")
             trace.meta.setdefault("transport", self.transport)
             trace.meta.setdefault("collective", collective)
-            trace.meta.setdefault("wire_dtype", wire_dtype)
         #: Drops, retransmissions, delays, and lost messages land here.
         self.fault_log = FaultLog()
         self._mailboxes = [_Mailbox() for _ in range(size)]

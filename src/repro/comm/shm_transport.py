@@ -49,9 +49,11 @@ attachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import os
 import pickle
 import time
 from typing import Any, Dict, List, Optional, Tuple
+import uuid
 
 import numpy as np
 
@@ -173,9 +175,12 @@ class SlotRing:
         self.capacity = capacity
         self.total_bytes = _HEADER_BYTES + self.capacity * self.slot_nbytes
         # Lifecycle-tracked name: the pid-stamped prefix lets a later run
-        # reap this segment if we die before any unlink path executes.
+        # reap this segment if the whole run dies before any unlink path
+        # executes; the creating rank's own pid lets the pool parent find
+        # the rings of a rank that died without reporting them.
         self._shm = shared_memory.SharedMemory(
-            create=True, size=self.total_bytes, name=segment_name("ring")
+            create=True, size=self.total_bytes,
+            name=segment_name("ring", f"{os.getpid()}-{uuid.uuid4().hex[:8]}"),
         )
         register_segment(self._shm.name)
         self._tail = np.frombuffer(self._shm.buf, dtype=np.int64, count=1)
@@ -425,9 +430,9 @@ class ShmTransport:
 class CollectiveArena:
     """All-ranks shared staging area for one sharded-ring allreduce channel.
 
-    One named segment holds P **contribution rows** (``elems`` elements in
-    the wire dtype, one row per rank, each row cache-line aligned) followed
-    by one float32 **result row**. The ring schedule then never moves the
+    One named segment holds P float32 **contribution rows** (``elems``
+    elements, one row per rank, each row cache-line aligned) followed by
+    one float32 **result row**. The ring schedule then never moves the
     bulk bytes at all: every rank writes its contribution into its own row,
     each shard owner tree-reduces the P row slices of its shard straight
     into the result row — reduction happens *in place in shared memory* —
@@ -442,28 +447,24 @@ class CollectiveArena:
     communicator unlinks by name after the run, exactly like slot rings.
     """
 
-    def __init__(self, shm: Any, size: int, elems: int, wire_dtype: str) -> None:
-        wire = np.dtype(np.float16 if wire_dtype == "float16" else np.float32)
+    def __init__(self, shm: Any, size: int, elems: int) -> None:
         self.size = size
         self.elems = elems
-        self.wire_dtype = wire_dtype
-        self.row_nbytes = -(-elems * wire.itemsize // 64) * 64
+        self.row_nbytes = self._row_nbytes(elems)
         self._shm = shm
-        #: rows[q]: rank q's contribution, in the wire dtype.
+        #: rows[q]: rank q's contribution.
         self.rows: List[np.ndarray] = [
-            np.frombuffer(shm.buf, dtype=wire, count=elems, offset=q * self.row_nbytes)
+            np.frombuffer(shm.buf, dtype=np.float32, count=elems, offset=q * self.row_nbytes)
             for q in range(size)
         ]
-        #: The float32 result row all ranks read after the owners reduce.
+        #: The result row all ranks read after the owners reduce.
         self.result: np.ndarray = np.frombuffer(
             shm.buf, dtype=np.float32, count=elems, offset=size * self.row_nbytes
         )
 
     @staticmethod
-    def _total_bytes(size: int, elems: int, wire_dtype: str) -> int:
-        wire = np.dtype(np.float16 if wire_dtype == "float16" else np.float32)
-        row = -(-elems * wire.itemsize // 64) * 64
-        return size * row + elems * 4
+    def _row_nbytes(elems: int) -> int:
+        return -(-elems * 4 // 64) * 64
 
     @property
     def name(self) -> str:
@@ -475,7 +476,6 @@ class CollectiveArena:
         name: str,
         size: int,
         elems: int,
-        wire_dtype: str = "float32",
         timeout: float = _DEFAULT_TIMEOUT,
     ) -> "CollectiveArena":
         """Map the arena ``name``, creating it if this rank arrives first.
@@ -490,11 +490,11 @@ class CollectiveArena:
             raise ValueError("size and elems must be positive")
         from multiprocessing import shared_memory
 
-        total = cls._total_bytes(size, elems, wire_dtype)
+        total = size * cls._row_nbytes(elems) + elems * 4
         try:
             shm = shared_memory.SharedMemory(create=True, size=total, name=name)
             register_segment(name)
-            return cls(shm, size, elems, wire_dtype)
+            return cls(shm, size, elems)
         except FileExistsError:
             pass
         deadline = time.monotonic() + timeout
@@ -505,7 +505,7 @@ class CollectiveArena:
                 shm = None
             if shm is not None:
                 if shm.buf.nbytes >= total:
-                    return cls(shm, size, elems, wire_dtype)
+                    return cls(shm, size, elems)
                 shm.close()  # creator's ftruncate not landed yet
             if time.monotonic() >= deadline:
                 raise TimeoutError(
@@ -531,10 +531,7 @@ class CollectiveArena:
             unregister_segment(self._shm.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CollectiveArena({self.name!r}, ranks={self.size}, "
-            f"elems={self.elems}, wire={self.wire_dtype})"
-        )
+        return f"CollectiveArena({self.name!r}, ranks={self.size}, elems={self.elems})"
 
 
 class TornReadError(RuntimeError):

@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from repro.algorithms import ALGORITHM_INFO, ALGORITHMS, TrainerConfig
 from repro.cluster import CostModel
-from repro.comm.backend import BACKENDS, COLLECTIVES, TRANSPORTS, WIRE_DTYPES
+from repro.comm.backend import BACKENDS, COLLECTIVES
 from repro.data import make_cifar_like, make_mnist_like
 from repro.durability.errors import CheckpointError
 from repro.faults import FaultError, FaultPlan
@@ -135,20 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default="threads", choices=BACKENDS,
                      help="execution substrate for runners that move real "
                           "messages (simulated trainers ignore it)")
-    run.add_argument("--transport", default=None, choices=TRANSPORTS,
-                     help="process-backend message transport: 'shm' "
-                          "(zero-copy slot rings, the default) or 'queue' "
-                          "(pickle through pipes); bits are identical, only "
-                          "wall-clock changes")
     run.add_argument("--collective", default="tree", choices=COLLECTIVES,
                      help="allreduce schedule: 'tree' (binomial, log-P "
                           "latency) or 'ring' (sharded reduce-scatter + "
-                          "allgather, constant per-rank bandwidth); with a "
-                          "float32 wire the results are bit-identical")
-    run.add_argument("--wire-dtype", default="float32", choices=WIRE_DTYPES,
-                     help="on-fabric array format for the message runners; "
-                          "'float16' halves the wire bytes but rounds them "
-                          "(the only comm knob that changes numerics)")
+                          "allgather, constant per-rank bandwidth); the "
+                          "results are bit-identical")
     run.add_argument("--train-samples", type=int, default=4096)
     run.add_argument("--difficulty", type=float, default=1.5)
     run.add_argument("--paper-scale-cost", action="store_true",
@@ -195,10 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="'threads' runs the serial simulator; 'processes' "
                           "forks one worker per group over shared memory "
                           "(same weights either way)")
-    knl.add_argument("--transport", default=None, choices=TRANSPORTS,
-                     help="message transport recorded in the run config "
-                          "(the KNL trainer always stages batches through "
-                          "shared memory under --backend processes)")
     knl.add_argument("--json", metavar="PATH", default=None,
                      help="write the trajectory to a JSON file")
     _add_durability_args(knl)
@@ -320,8 +307,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = TrainerConfig(
             batch_size=args.batch_size, lr=args.lr, rho=args.rho, seed=args.seed,
             trace=args.trace is not None, backend=args.backend,
-            transport=args.transport,
-            collective=args.collective, wire_dtype=args.wire_dtype,
+            collective=args.collective,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_keep=args.checkpoint_keep,
@@ -446,7 +432,7 @@ def _cmd_knl(args: argparse.Namespace) -> int:
     try:
         config = TrainerConfig(
             batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-            backend=args.backend, transport=args.transport,
+            backend=args.backend,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_keep=args.checkpoint_keep,

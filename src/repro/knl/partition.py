@@ -308,6 +308,9 @@ class _PartitionProcessesStep(_PartitionStepBase):
         for q in [*self.task_qs, self.done_q]:
             q.cancel_join_thread()
             q.close()
+        # The reshaped views export the segments' buffers; a mapping cannot
+        # close while one is alive.
+        self.img_views = self.lbl_views = []
         for seg in [self.w_shm, *self.g_shms, *self.img_shms, *self.lbl_shms]:
             seg.unlink()
 

@@ -11,57 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "quantize_gradient",
-    "WIRE_DTYPES",
-    "validate_wire_dtype",
-    "encode_wire",
-    "decode_wire",
-]
-
-#: Wire formats a rank runtime may put on the fabric. ``float32`` is the
-#: identity (and the only format under which backends are bit-identical);
-#: ``float16`` halves every collective's byte volume at ~3 decimal digits
-#: of mantissa — the bandwidth x accuracy ablation of paper Section 3.4.
-WIRE_DTYPES = ("float32", "float16")
-
-
-def validate_wire_dtype(wire_dtype: str) -> str:
-    """Return ``wire_dtype`` or raise a ValueError naming the valid choices."""
-    if wire_dtype not in WIRE_DTYPES:
-        raise ValueError(
-            f"unknown wire dtype {wire_dtype!r}; expected one of {WIRE_DTYPES}"
-        )
-    return wire_dtype
-
-
-def encode_wire(array: np.ndarray, wire_dtype: str) -> np.ndarray:
-    """Cast ``array`` to the wire format (identity — no copy — for float32).
-
-    Unlike :func:`quantize_gradient` this is an IEEE *format* conversion,
-    not a level quantizer, so non-finite payloads are legal: NaN stays NaN,
-    out-of-range magnitudes saturate to ±Inf, and float32 denormals (below
-    float16's ~6e-8 subnormal floor) flush to signed zero. Collectives must
-    stay total under fault-injected garbage, which is why the codec cannot
-    share quantize_gradient's finite-only contract.
-    """
-    validate_wire_dtype(wire_dtype)
-    if wire_dtype == "float32":
-        return array
-    return array.astype(np.float16)
-
-
-def decode_wire(array: np.ndarray, wire_dtype: str) -> np.ndarray:
-    """Widen a wire-format payload back to float32 (identity for float32).
-
-    Every float16 value (including NaN/±Inf and subnormals) is exactly
-    representable in float32, so decode is lossless; the information loss
-    of the ablation happens entirely in :func:`encode_wire`.
-    """
-    validate_wire_dtype(wire_dtype)
-    if wire_dtype == "float32":
-        return array
-    return array.astype(np.float32)
+__all__ = ["quantize_gradient"]
 
 
 def quantize_gradient(

@@ -174,7 +174,7 @@ class SweepScheduler:
             else:
                 to_run.append(cell)
         if self.pool is not None:
-            self._run_pooled(to_run, outcomes)
+            self._run_on_pool(to_run, outcomes)
         else:
             self._run_cold(to_run, outcomes)
         return [outcomes[c.key] for c in cells]
@@ -193,7 +193,7 @@ class SweepScheduler:
         self._write_marker(outcome)
         return outcome
 
-    def _run_pooled(
+    def _run_on_pool(
         self, cells: List[SweepCell], outcomes: Dict[str, CellOutcome]
     ) -> None:
         # Smallest-first: narrow cells fill the gaps wide cells leave, so

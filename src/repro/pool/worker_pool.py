@@ -22,7 +22,7 @@ Design:
   sized once per shape and reused).
 - A **cell** is one ``fn(ctx, *args)`` rank program over ``n <= P_max``
   ranks.  :meth:`submit` leases a contiguous block of free workers,
-  ships one work item per rank over a dispatch queue (distinct from the
+  ships one work item per rank over a dispatch pipe (distinct from the
   message fabric, so dispatch never interleaves with rank traffic), and
   returns a :class:`PoolJob` handle.  Cells on disjoint blocks run
   concurrently — the scheduler packs them.
@@ -40,6 +40,9 @@ Design:
   fork inheritance: pass it as the pool's ``payload`` and put the
   :data:`POOL_PAYLOAD` sentinel in a cell's args — each worker
   substitutes its inherited copy, and the bytes never cross a pipe.
+  A communicator without an attached pool uses exactly this: it builds
+  a pool for one ``run`` with ``(fn, args)`` as the payload, so this
+  module is the only place rank processes are launched.
 
 ``backend="threads"`` keeps the identical surface over
 :class:`~repro.comm.runtime.InProcessCommunicator` cells (thread spin-up
@@ -50,7 +53,6 @@ scheduler's code path).
 from __future__ import annotations
 
 import multiprocessing
-from multiprocessing import shared_memory
 import os
 import pickle
 import queue as _queue
@@ -69,12 +71,14 @@ from repro.comm.mp_runtime import (
 from repro.comm.runtime import _DEFAULT_TIMEOUT, InProcessCommunicator, MultiRankError
 from repro.comm.shm_lifecycle import (
     adopt_owner_pid,
+    list_live_segments,
     reap_stale_segments,
     segment_name,
+    unlink_segment,
     unregister_segment,
 )
 from repro.comm.shm_transport import (
-    DEFAULT_MIN_BYTES,
+    CollectiveArena,
     DEFAULT_SLOTS,
     ShmTransport,
     validate_transport,
@@ -85,7 +89,7 @@ from repro.trace.events import Trace
 __all__ = ["POOL_PAYLOAD", "PoolJob", "WorkerPool"]
 
 #: Parent-side patience beyond a job's rank timeout before declaring its
-#: workers hung (mirrors the one-shot communicator's collection grace).
+#: workers hung: ranks normally report their own DeadlockError first.
 _COLLECT_GRACE = 30.0
 
 
@@ -93,7 +97,7 @@ class _PayloadSentinel:
     """Placeholder for the pool's fork-inherited payload in cell args.
 
     Pickles by reference to the module attribute, so identity survives
-    the dispatch queue and workers can substitute with ``is``.
+    the dispatch pipe and workers can substitute with ``is``.
     """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -171,8 +175,6 @@ class WorkerPool:
         timeout: float = _DEFAULT_TIMEOUT,
         transport: str = "shm",
         shm_slots: int = DEFAULT_SLOTS,
-        shm_min_bytes: int = DEFAULT_MIN_BYTES,
-        pin_cpus: Any = "auto",
         payload: Any = None,
     ) -> None:
         if size <= 0:
@@ -187,12 +189,9 @@ class WorkerPool:
         self.timeout = timeout
         self.transport = transport
         self.shm_slots = shm_slots
-        self.shm_min_bytes = shm_min_bytes
-        self.pin_cpus = pin_cpus
         self.payload = payload
         #: Completed-cell counter (amortization evidence for benchmarks).
         self.jobs_run = 0
-        self._payload = payload
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._free = [True] * size
@@ -217,8 +216,10 @@ class WorkerPool:
                 "use backend='threads' on this platform"
             )
         if transport == "shm":
-            # One shared resource tracker inherited by every worker (same
-            # rationale as the one-shot communicator's pre-fork spawn).
+            # Spawn the resource tracker *before* forking: workers then
+            # inherit one shared tracker, so their ring registrations are
+            # cleared by this parent's unlink instead of each worker's
+            # private tracker warning about "leaked" segments at exit.
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
@@ -233,8 +234,15 @@ class WorkerPool:
         #: the slice ``inboxes[base:base+n]`` so a context's own-rank
         #: indexing works unchanged on any block.
         self._inboxes = [self._mp.Queue() for _ in range(size)]
-        self._work_qs = [self._mp.Queue() for _ in range(size)]
         self._results_q = self._mp.Queue()
+        #: One dispatch pipe per worker, apart from the message fabric so
+        #: dispatch never interleaves with rank traffic. Pipes this process
+        #: writes itself rather than Queues: ``Queue.put`` starts a feeder
+        #: thread per queue, memory freed in a thread's malloc arena stays
+        #: resident, and every later fork inherits it as RSS.
+        work = [self._mp.Pipe(duplex=False) for _ in range(size)]
+        self._work_recv = [recv for recv, _ in work]
+        self._work_send = [send for _, send in work]
         #: Stable per-pool stem for arena names: cells on the same block
         #: derive the same names, so consecutive cells reuse one arena.
         self._coll_stem = segment_name("coll", f"pool{uuid.uuid4().hex[:6]}")
@@ -247,6 +255,11 @@ class WorkerPool:
         ]
         for p in self._procs:
             p.start()
+        # Worker r alone holds the read end of pipe r, so dispatching to a
+        # dead worker raises BrokenPipeError instead of blocking on a
+        # pipe nobody drains.
+        for conn in self._work_recv:
+            conn.close()
         self._collector = threading.Thread(
             target=self._collect_loop, name="pool-collector", daemon=True
         )
@@ -254,21 +267,14 @@ class WorkerPool:
 
     # -- parent side -----------------------------------------------------------
     def _pin_plan(self) -> Optional[List[int]]:
-        if not self.pin_cpus or not hasattr(os, "sched_getaffinity"):
+        """The CPUs workers pin to (worker i takes the i-th), or None when
+        the host has fewer cores than the pool has workers: exclusive
+        cores then don't exist, and pinning several ranks to one core
+        would serialize them outright."""
+        if not hasattr(os, "sched_getaffinity"):
             return None
         cpus = sorted(os.sched_getaffinity(0))
-        if not cpus:
-            return None
-        if self.pin_cpus == "auto" and len(cpus) < self.size:
-            return None
-        return cpus
-
-    def _coll_prefix(self, base: int, nranks: int, wire_dtype: str) -> str:
-        # The wire dtype is part of the identity: arena rows are laid out
-        # in wire format, so a float16 cell must never attach a float32
-        # cell's segment of the same shape.
-        stem = f"{self._coll_stem}b{base}x{nranks}"
-        return stem if wire_dtype == "float32" else f"{stem}{wire_dtype}"
+        return cpus if len(cpus) >= self.size else None
 
     def _allocate(self, nranks: int) -> int:
         """First contiguous free block (caller holds the lock), or -1."""
@@ -304,8 +310,6 @@ class WorkerPool:
         retry_backoff: float = 0.001,
         transport: Optional[str] = None,
         collective: str = "tree",
-        wire_dtype: str = "float32",
-        chunk_elems: Optional[int] = None,
         start_time: Optional[float] = None,
     ) -> PoolJob:
         """Dispatch ``fn(ctx, *args)`` over ``nranks`` pooled ranks.
@@ -322,8 +326,7 @@ class WorkerPool:
             return self._submit_threads(
                 nranks, fn, args, tracing=tracing, faults=faults, timeout=timeout,
                 max_retries=max_retries, retry_backoff=retry_backoff,
-                collective=collective, wire_dtype=wire_dtype,
-                chunk_elems=chunk_elems, start_time=start_time,
+                collective=collective,
             )
         # Fail fast on unpicklable work: a bad item would otherwise die in
         # the queue's feeder thread and strand the job until its deadline.
@@ -354,16 +357,25 @@ class WorkerPool:
             "retry_backoff": retry_backoff,
             "transport": self.transport if transport is None else transport,
             "collective": collective,
-            "wire_dtype": wire_dtype,
-            "chunk_elems": chunk_elems,
             "start_time": self._start if start_time is None else start_time,
-            "coll_prefix": self._coll_prefix(base, nranks, wire_dtype),
+            "coll_prefix": f"{self._coll_stem}b{base}x{nranks}",
         }
         for cell_rank in range(nranks):
-            self._work_qs[base + cell_rank].put(
-                ("job", job.job_id, base, nranks, cell_rank, fn, args, opts)
+            self._dispatch(
+                base + cell_rank,
+                ("job", job.job_id, base, nranks, cell_rank, fn, args, opts),
             )
         return job
+
+    def _dispatch(self, pool_rank: int, item: Tuple[Any, ...]) -> None:
+        """Hand ``item`` to one worker (at most one sender per worker at a
+        time: a worker is leased to one job, and reset/close follow all
+        jobs). A dead worker's pipe is broken; the collector's liveness
+        check is what reports that, so the error is dropped here."""
+        try:
+            self._work_send[pool_rank].send(item)
+        except OSError:
+            pass
 
     def run(self, nranks: int, fn: Callable[..., Any], *args: Any, **opts: Any) -> List[Any]:
         """Synchronous convenience: ``submit(...).result()``."""
@@ -373,7 +385,6 @@ class WorkerPool:
         self, nranks: int, fn: Callable[..., Any], args: Tuple[Any, ...], *,
         tracing: bool, faults: Optional[FaultPlan], timeout: float,
         max_retries: int, retry_backoff: float, collective: str,
-        wire_dtype: str, chunk_elems: Optional[int], start_time: Optional[float],
     ) -> PoolJob:
         """Thread-backend cell: an InProcessCommunicator on a driver thread.
 
@@ -390,14 +401,13 @@ class WorkerPool:
             self._next_job += 1
             job = PoolJob(self._next_job, base, nranks)
             self._jobs[job.job_id] = job
-        cell_args = tuple(self._payload if a is POOL_PAYLOAD else a for a in args)
+        cell_args = tuple(self.payload if a is POOL_PAYLOAD else a for a in args)
         trace = Trace() if tracing else None
 
         def drive() -> None:
             comm = InProcessCommunicator(
                 nranks, timeout=timeout, faults=faults, max_retries=max_retries,
                 retry_backoff=retry_backoff, trace=trace, collective=collective,
-                wire_dtype=wire_dtype, chunk_elems=chunk_elems,
             )
             try:
                 job.results = comm.run(fn, *cell_args)
@@ -489,13 +499,19 @@ class WorkerPool:
             hung = job.deadline is not None and now > job.deadline
             if not lost and not hung:
                 continue
-            reason = (
+            self._broken = (
                 f"pool worker(s) {[job.base + c for c in lost]} died mid-cell"
                 if lost else f"cell exceeded its {job.deadline - job.t_submit:.0f}s deadline"
             )
-            self._broken = reason
             for cr in sorted(job._pending):
-                job.failures.append((cr, RemoteRankError(cr, f"rank {cr}: {reason}")))
+                if cr in lost:
+                    what = (f"rank {cr} process died without reporting "
+                            f"(exitcode {self._procs[job.base + cr].exitcode})")
+                elif lost:
+                    what = f"rank {cr} abandoned: rank(s) {lost} died mid-cell"
+                else:
+                    what = f"rank {cr} hung past the collection deadline"
+                job.failures.append((cr, RemoteRankError(cr, what)))
             job._pending.clear()
             self._finish_job_locked(job)
         if dead and self._broken is None:
@@ -525,8 +541,8 @@ class WorkerPool:
             self._reset_acks = 0
             self._reset_names = []
             gen = self._reset_gen
-        for q in self._work_qs:
-            q.put(("reset", gen))
+        for r in range(self.size):
+            self._dispatch(r, ("reset", gen))
         deadline = time.monotonic() + self.timeout + _COLLECT_GRACE
         with self._cond:
             while self._reset_acks < self.size:
@@ -551,11 +567,8 @@ class WorkerPool:
                 return
             self._closed = True
             self._cond.notify_all()
-        for q in self._work_qs:
-            try:
-                q.put(("stop",))
-            except (ValueError, OSError):  # pragma: no cover - queue torn down
-                pass
+        for r in range(self.size):
+            self._dispatch(r, ("stop",))
         self._collector.join(timeout=self.timeout + _COLLECT_GRACE)
         for p in self._procs:
             p.join(timeout=5.0)
@@ -566,20 +579,28 @@ class WorkerPool:
         with self._cond:
             names = list(self._stop_names)
             self._stop_names = []
-        self._unlink(names)
-        for q in [*self._inboxes, *self._work_qs, self._results_q]:
+        self._unlink(names + self._orphans())
+        for conn in self._work_send:
+            conn.close()
+        for q in [*self._inboxes, self._results_q]:
             q.cancel_join_thread()
             q.close()
 
-    def _unlink(self, names: List[str]) -> None:
-        """Destroy worker-reported segments (the parent-scoped unlink)."""
+    def _orphans(self) -> List[str]:
+        """Segments no worker reported: a worker that died (or had to be
+        terminated) never sent the names of the rings it created, and an
+        arena's name is lost only if every rank that mapped it died.
+        Rings carry their creator's pid, arenas this pool's stem."""
+        stems = (self._coll_stem,) + tuple(
+            segment_name("ring", f"{p.pid}-") for p in self._procs if p.exitcode != 0
+        )
+        return [name for name in list_live_segments() if name.startswith(stems)]
+
+    @staticmethod
+    def _unlink(names: List[str]) -> None:
+        """Destroy segments by name (the parent-scoped unlink)."""
         for name in names:
-            try:
-                seg = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:  # pragma: no cover - already gone
-                continue
-            seg.unlink()
-            seg.close()
+            unlink_segment(name)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -601,8 +622,14 @@ class WorkerPool:
                 os.sched_setaffinity(0, {pin_plan[pool_rank % len(pin_plan)]})
             except OSError:  # pragma: no cover - cgroup/permission quirk
                 pass
+        for conn in self._work_send:
+            conn.close()
+        for r, conn in enumerate(self._work_recv):
+            if r != pool_rank:
+                conn.close()
+        work = self._work_recv[pool_rank]
         transport: Optional[ShmTransport] = None
-        arena_cache: Dict[str, Any] = {}
+        arenas: Dict[str, CollectiveArena] = {}
 
         def teardown() -> List[str]:
             nonlocal transport
@@ -611,10 +638,10 @@ class WorkerPool:
                 names += transport.ring_names()
                 transport.close()
                 transport = None
-            for arena in arena_cache.values():
+            for arena in arenas.values():
                 names.append(arena.name)
                 arena.close()
-            arena_cache.clear()
+            arenas.clear()
             # Reported names become the parent's to unlink — drop them
             # from this worker's registry so its atexit sweep can't
             # destroy segments a sibling may still hold descriptors into.
@@ -623,7 +650,12 @@ class WorkerPool:
             return names
 
         while True:
-            item = self._work_qs[pool_rank].get()
+            try:
+                item = work.recv()
+            except EOFError:
+                # Every write end is closed: the parent is gone, and with it
+                # anyone to report to. Its next run reaps our segments.
+                return
             kind = item[0]
             if kind == "stop":
                 self._results_q.put(("stop", pool_rank, teardown()))
@@ -644,22 +676,19 @@ class WorkerPool:
             use_shm = opts["transport"] == "shm"
             if use_shm and transport is None:
                 transport = ShmTransport(
-                    pool_rank, self.size, slots=self.shm_slots,
-                    min_bytes=self.shm_min_bytes, timeout=self.timeout,
+                    pool_rank, self.size, slots=self.shm_slots, timeout=self.timeout,
                 )
-            args = tuple(self._payload if a is POOL_PAYLOAD else a for a in args)
+            args = tuple(self.payload if a is POOL_PAYLOAD else a for a in args)
             ctx = MpRankContext(
                 cell_rank, nranks, self._inboxes[base:base + nranks],
                 opts["timeout"], opts["faults"], opts["max_retries"],
                 opts["retry_backoff"], opts["start_time"], opts["tracing"],
+                opts["coll_prefix"], arenas,
                 transport=transport if use_shm else None,
-                collective=opts["collective"], wire_dtype=opts["wire_dtype"],
-                chunk_elems=opts["chunk_elems"], coll_prefix=opts["coll_prefix"],
-                arena_cache=arena_cache,
+                collective=opts["collective"],
             )
             stats_before = dict(transport.stats) if use_shm else {}
             status, payload = run_rank_program(ctx, fn, args)
-            ctx.close_arenas()  # cache-owned: drops only the per-cell index
             tstats: Dict[str, int] = {}
             if use_shm and transport is not None:
                 tstats = {

@@ -123,3 +123,15 @@ class TestCli:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "sync-easgd", "--transport", "queue"],
+        ["run", "--method", "sync-easgd", "--wire-dtype", "float16"],
+        ["knl", "--transport", "queue"],
+    ])
+    def test_removed_comm_flags_exit_2(self, argv, capsys):
+        # These used to parse, validate, and then change nothing.
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

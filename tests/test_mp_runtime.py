@@ -5,9 +5,15 @@ slow tier (the fast gate runs ``-m "not slow"``); the bit-identity and
 algorithm-level cross-checks live in ``test_backend_equivalence.py``.
 """
 
+import contextlib
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.comm.backend import make_communicator
 from repro.comm.collectives import tree_reduce
 from repro.comm.mp_runtime import (
     fork_available,
@@ -16,6 +22,8 @@ from repro.comm.mp_runtime import (
     SharedFlatArray,
 )
 from repro.comm.runtime import DeadlockError, InProcessCommunicator, MultiRankError
+from repro.comm.shm_lifecycle import list_live_segments, registered_segments, segment_name
+from repro.pool import WorkerPool
 
 pytestmark = [
     pytest.mark.mp,
@@ -163,6 +171,101 @@ class TestMpFailures:
                 comm.run(prog)
         finally:
             comm.close()
+
+
+# ---------------------------------------------------------------------------
+# The one launch path: a cold run is a private pool of one call, a pooled
+# run borrows a long-lived one. Same failures, same cleanup, either way.
+# ---------------------------------------------------------------------------
+
+RING_ELEMS = 1 << 14  # 64 KiB of float32: rides a slot ring under transport="shm"
+
+
+@contextlib.contextmanager
+def _launched(launch, transport, size, timeout):
+    """A processes communicator launched cold or over a pool it closes."""
+    pool = WorkerPool(size, transport=transport, timeout=timeout) if launch == "pooled" else None
+    comm = make_communicator(
+        size, backend="processes", timeout=timeout, transport=transport, pool=pool
+    )
+    try:
+        yield comm
+    finally:
+        comm.close()
+        if pool is not None:
+            pool.close()
+
+
+def _exits_mid_program(ctx):
+    if ctx.rank == 1:
+        # Ship a ring-sized message first: the dying rank then owns a shm
+        # segment whose name it never gets to report.
+        ctx.send(np.ones(RING_ELEMS, dtype=np.float32), dest=0, tag=3)
+        os._exit(3)
+    ctx.recv(source=1, tag=3)
+    return ctx.rank
+
+
+def _two_distinct_failures(ctx):
+    ctx.allreduce(np.ones(RING_ELEMS, dtype=np.float32))
+    if ctx.rank == 0:
+        raise RuntimeError("zero broke")
+    if ctx.rank == 1:
+        raise ValueError("one broke")
+    return ctx.rank
+
+
+@pytest.fixture
+def no_segment_left_behind():
+    """Nothing this process's tree created may outlive the case."""
+    stamp = segment_name("x").rsplit("x", 1)[0]  # "repro-<owner pid>-"
+    before = set(list_live_segments()) | set(registered_segments())
+    yield
+    left = set(list_live_segments()) | set(registered_segments())
+    assert not sorted(n for n in left - before if n.startswith(stamp))
+
+
+@pytest.mark.usefixtures("no_segment_left_behind")
+@pytest.mark.parametrize("transport", ["shm", "queue"])
+class TestLaunchPath:
+    @pytest.mark.parametrize("launch", ["cold", "pooled"])
+    def test_rank_that_exits_is_named_not_waited_for(self, launch, transport):
+        timeout = 3.0
+        t0 = time.monotonic()
+        with _launched(launch, transport, 3, timeout) as comm:
+            with pytest.raises(RemoteRankError) as ei:
+                comm.run(_exits_mid_program)
+            raised_after = time.monotonic() - t0
+        failures = getattr(ei.value, "failures", {ei.value.rank: ei.value})
+        assert isinstance(failures[1], RemoteRankError)
+        assert "rank 1" in str(failures[1]) and "exitcode 3" in str(failures[1])
+        assert raised_after < timeout + 30.0  # the collect deadline; no hang
+
+    @pytest.mark.parametrize("launch", ["cold", "pooled"])
+    def test_two_distinct_failures_both_named(self, launch, transport):
+        with _launched(launch, transport, 3, 20.0) as comm:
+            with pytest.raises(MultiRankError) as ei:
+                comm.run(_two_distinct_failures)
+        assert set(ei.value.failures) == {0, 1}
+        assert isinstance(ei.value.failures[0], RuntimeError)
+        assert isinstance(ei.value.failures[1], ValueError)
+        msg = str(ei.value)
+        assert "rank 0" in msg and "zero broke" in msg
+        assert "rank 1" in msg and "one broke" in msg
+
+    def test_cold_runs_closures_over_unpicklable_state(self, transport):
+        # Cold only: a pool forked earlier cannot inherit a later closure.
+        lock = threading.Lock()  # unpicklable: must ride fork inheritance
+
+        def outer(scale):
+            def prog(ctx):
+                with lock:
+                    total = ctx.allreduce(np.full(RING_ELEMS, scale, dtype=np.float32))
+                return float(total[0])
+            return prog
+
+        with _launched("cold", transport, 2, 20.0) as comm:
+            assert comm.run(outer(1.5)) == [3.0, 3.0]
 
 
 class TestMpTraceAndFaults:

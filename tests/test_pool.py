@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from repro.algorithms.base import TrainerConfig
 from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
-from repro.comm.mp_runtime import fork_available
+from repro.comm.mp_runtime import fork_available, RemoteRankError
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_methods
 from repro.harness.sweeps import grid_sweep
@@ -164,6 +165,23 @@ def test_failed_cell_then_reset_recovers():
             pool.run(RANKS, _boom_cell, 1.0)
         pool.reset()
         assert pool.run(RANKS, _ring_cell, 1.0) == pool.run(RANKS, _ring_cell, 1.0)
+
+
+def _sum_cell(ctx, big):
+    return float(big.sum())
+
+
+@pytest.mark.slow
+@pytest.mark.mp
+@needs_fork
+def test_dispatch_to_dead_worker_fails_the_cell_not_the_caller():
+    """A work item bigger than a pipe buffer, sent to a worker that died
+    while idle, must come back as that rank's failure — not block submit."""
+    with WorkerPool(2, backend="processes", timeout=5.0) as pool:
+        os.kill(pool._procs[1].pid, signal.SIGKILL)
+        big = np.ones(1 << 20, dtype=np.float32)  # 4 MB pickled per rank
+        with pytest.raises(RemoteRankError, match="rank 1 process died"):
+            pool.run(2, _sum_cell, big)
 
 
 # ---------------------------------------------------------------------------
