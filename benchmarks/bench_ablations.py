@@ -160,8 +160,7 @@ def bench_ablation_knl_cluster_modes(benchmark, cifar_spec):
 def bench_ablation_fault_tolerance(benchmark, mnist_spec):
     """The cloud motivation: async EASGD keeps training through a
     fail-stop worker loss; the survivors' throughput carries the run."""
-    from repro.algorithms.async_ps import AsyncEASGDTrainer
-    from repro.algorithms.registry import make_trainer
+    from repro.algorithms import AsyncEASGDTrainer
 
     def experiment():
         healthy = make_trainer(

@@ -44,7 +44,7 @@ import time
 
 import numpy as np
 
-from repro.algorithms.mpi_easgd import _rank_main
+from repro.algorithms.mpi_easgd import rank_program
 from repro.data import make_mnist_like
 from repro.nn.models import build_mlp
 from repro.optim.easgd import EASGDHyper
@@ -72,7 +72,7 @@ ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 def _cell_main(ctx, payload, lr: float, rho: float):
     """One grid cell: the Sync EASGD3 rank program at (lr, rho)."""
     net, train = payload
-    return _rank_main(
+    return rank_program(
         ctx, net, train, ITERATIONS, BATCH, EASGDHyper(lr=lr, rho=rho),
         SEED, False, 3,
     )
@@ -81,9 +81,9 @@ def _cell_main(ctx, payload, lr: float, rho: float):
 def _digest(results) -> str:
     """One hash over every rank's final weights + the center."""
     h = hashlib.sha256()
-    for local, _center, _history in results:
-        h.update(np.ascontiguousarray(local).tobytes())
-    h.update(np.ascontiguousarray(results[0][1]).tobytes())
+    for outcome in results:
+        h.update(np.ascontiguousarray(outcome.local).tobytes())
+    h.update(np.ascontiguousarray(results[0].center).tobytes())
     return h.hexdigest()
 
 

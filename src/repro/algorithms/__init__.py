@@ -15,12 +15,19 @@ from repro.algorithms.async_ps import (
     HogwildSGDTrainer,
 )
 from repro.algorithms.base import RunResult, TimeBreakdown, TrainerConfig, TrainRecord
-from repro.algorithms.mpi_async_easgd import MpiAsyncEasgdResult, run_mpi_async_easgd
-from repro.algorithms.mpi_easgd import MpiEasgdResult, run_mpi_sync_easgd
-from repro.algorithms.mpi_sgd import MpiSgdResult, run_mpi_sync_sgd
+from repro.algorithms.launch import MpiResult
+from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
+from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
+from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
 from repro.algorithms.multinode import ClusterSyncEASGDTrainer
 from repro.algorithms.original_easgd import OriginalEASGDTrainer
-from repro.algorithms.registry import ALGORITHM_INFO, AlgorithmInfo, ALGORITHMS, make_trainer
+from repro.algorithms.registry import (
+    ALGORITHM_INFO,
+    AlgorithmInfo,
+    ALGORITHMS,
+    make_trainer,
+    UnsupportedOptionError,
+)
 from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
 
@@ -39,15 +46,13 @@ __all__ = [
     "AsyncMEASGDTrainer",
     "HogwildEASGDTrainer",
     "ClusterSyncEASGDTrainer",
-    "MpiSgdResult",
+    "MpiResult",
     "run_mpi_sync_sgd",
-    "MpiEasgdResult",
     "run_mpi_sync_easgd",
-    "MpiAsyncEasgdResult",
     "run_mpi_async_easgd",
     "ALGORITHM_INFO",
     "ALGORITHMS",
     "AlgorithmInfo",
-
     "make_trainer",
+    "UnsupportedOptionError",
 ]

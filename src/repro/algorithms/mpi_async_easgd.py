@@ -1,195 +1,11 @@
-"""Async EASGD over the rank runtimes (the artifact's ``mpi_easgd -a`` port).
+"""Async EASGD over the rank runtimes: the import path of its entry point.
 
 The message-passing twin of :class:`repro.algorithms.async_ps
-.AsyncEASGDTrainer`: rank 0 is the master holding the elastic center; every
-other rank is a worker that computes on its *local* weights and exchanges
-with the master once per iteration via an explicit request/reply pair —
-the worker sends ``(loss, W^j_t)``, the master replies the pre-update
-center ``Wbar_t`` and then folds the worker's weights in with the
-single-worker Eq 2 step (Algorithm 1 line 14).
-
-The master serves workers in deterministic round-robin order (worker 1,
-2, ..., P-1, then around again), so the interleaving — and therefore the
-final weights — is reproducible and bit-identical across backends
-(``threads`` vs ``processes``) and transports (``queue`` vs ``shm``).
-This trades the wall-clock freedom of a first-come-first-served master
-for determinism; the simulated :class:`AsyncEASGDTrainer` covers the
-contention behaviour, this port covers the real message path.
-
-Hot-loop allocations are arena-backed: the worker's gradient copy and its
-request snapshot live in a :class:`repro.comm.arena.BufferArena` and are
-reused every iteration. The request/reply sequencing makes snapshot reuse
-safe even when the thread backend passes it by reference: the master
-consumes the snapshot *before* replying, and the worker cannot overwrite
-it until the reply arrives. The master's ``Wbar_t`` reply is deliberately
-a fresh copy — the worker keeps that reference after the reply, so the
-master must never mutate it.
+.AsyncEASGDTrainer` is the ``async-easgd`` row of
+:data:`repro.engine.ps.PS_FAMILIES` run by the one asynchronous rank
+program in :mod:`repro.algorithms.ps_runner`, where it is defined.
 """
 
-from __future__ import annotations
+from repro.algorithms.ps_runner import run_mpi_async_easgd
 
-from dataclasses import dataclass
-from typing import Any, List, Optional
-
-import numpy as np
-
-from repro.comm.arena import BufferArena
-from repro.comm.backend import make_communicator
-from repro.comm.runtime import RankContextBase
-from repro.data.dataset import Dataset
-from repro.data.loader import BatchSampler
-from repro.engine.rank_loop import rank_steps
-from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.network import Network
-from repro.optim.easgd import EASGDHyper, elastic_center_update_single, elastic_worker_update
-from repro.trace.events import Trace
-
-__all__ = ["MpiAsyncEasgdResult", "run_mpi_async_easgd"]
-
-#: Wire tags for the request/reply pair (clear of the collective strides).
-TAG_W = 7  # worker -> master: (batch loss, worker weights)
-TAG_C = 8  # master -> worker: pre-update center Wbar_t
-
-
-@dataclass
-class MpiAsyncEasgdResult:
-    """Outcome of one message-passing Async EASGD run."""
-
-    center: np.ndarray
-    worker_weights: List[np.ndarray]  # final W^j per worker rank (1..P-1)
-    center_history: List[np.ndarray]  # center snapshot per round (master)
-    mean_losses: List[float]  # per-round batch loss averaged over workers
-
-
-def _master_main(
-    ctx: RankContextBase,
-    center: np.ndarray,
-    iterations: int,
-    hyper: EASGDHyper,
-    record_history: bool,
-):
-    """Rank 0: serve one request per worker per round, round-robin."""
-    history: List[np.ndarray] = []
-    mean_losses: List[float] = []
-    trace = ctx.trace
-    for t in rank_steps(ctx, iterations):
-        loss_sum = 0.0
-        for j in range(1, ctx.size):
-            batch_loss, w_j = ctx.recv(source=j, tag=TAG_W)
-            t0 = ctx._elapsed() if trace is not None else 0.0
-            loss_sum += float(batch_loss)
-            # Reply the pre-update center (step 1 of the interaction), but
-            # only after Eq 2 consumed w_j: under the thread backend w_j
-            # aliases the worker's arena snapshot, which the worker is free
-            # to overwrite as soon as the reply lands.
-            wbar_t = center.copy()
-            elastic_center_update_single(center, w_j, hyper)
-            ctx.send(wbar_t, dest=j, tag=TAG_C)
-            if trace is not None:
-                # value = when the request reached the serial master: the
-                # FCFS invariant checks service order against it.
-                trace.span(
-                    "service", ctx.rank, t0, ctx._elapsed(),
-                    op="easgd-interaction", nbytes=w_j.nbytes, iteration=t,
-                    value=t0,
-                )
-        mean_losses.append(loss_sum / (ctx.size - 1))
-        if record_history:
-            history.append(center.copy())
-    return center, history, mean_losses
-
-
-def _worker_main(
-    ctx: RankContextBase,
-    template: Network,
-    train_set: Dataset,
-    iterations: int,
-    batch_size: int,
-    hyper: EASGDHyper,
-    seed: int,
-):
-    """Ranks 1..P-1: compute on local weights, exchange with the master."""
-    net = template.clone(name=f"async-rank{ctx.rank}")
-    local = template.get_params()
-    sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
-    loss = SoftmaxCrossEntropy()
-    arena = BufferArena()
-
-    for _t in rank_steps(ctx, iterations):
-        images, labels = sampler.next_batch()
-        net.set_params(local)
-        batch_loss = net.gradient(images, labels, loss)
-        grad = arena.fill("grad", net.grads)
-
-        snap = arena.fill("wsnap", local)  # request payload, reused per step
-        ctx.send((np.float32(batch_loss), snap), dest=0, tag=TAG_W)
-        wbar_t = ctx.recv(source=0, tag=TAG_C)
-        elastic_worker_update(local, grad, wbar_t, hyper)  # Eq 1
-
-    return local
-
-
-def _rank_main(ctx: RankContextBase, template, train_set, iterations,
-               batch_size, hyper, seed, record_history):
-    if ctx.rank == 0:
-        center = template.get_params()  # master starts from W, like workers
-        return _master_main(ctx, center, iterations, hyper, record_history)
-    return _worker_main(ctx, template, train_set, iterations, batch_size, hyper, seed)
-
-
-def run_mpi_async_easgd(
-    network: Network,
-    train_set: Dataset,
-    ranks: int,
-    iterations: int,
-    batch_size: int = 32,
-    lr: float = 0.05,
-    rho: float = 2.0,
-    seed: int = 0,
-    record_history: bool = False,
-    timeout: float = 120.0,
-    trace: Optional[Trace] = None,
-    backend: str = "threads",
-    transport: Optional[str] = None,
-    pool: Optional[Any] = None,
-) -> MpiAsyncEasgdResult:
-    """Run Async EASGD across ``ranks`` real threads or processes.
-
-    ``ranks`` counts the master: ``ranks - 1`` workers train. The master's
-    round-robin service makes the schedule deterministic, so the returned
-    weights are bit-identical across backends and transports for a fixed
-    seed. ``transport`` picks the process backend's byte path (``"shm"``
-    or ``"queue"``; ``None`` = backend default). ``pool`` dispatches the
-    process backend to a persistent :class:`repro.pool.WorkerPool`
-    instead of forking per call (amortized spin-up, identical bits).
-    """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if ranks < 2:
-        raise ValueError("need at least 2 ranks (one master, one worker)")
-    hyper = EASGDHyper(lr=lr, rho=rho)
-
-    if trace is not None:
-        trace.meta.setdefault("method", "MPI Async EASGD")
-        trace.meta.setdefault("pattern", "ps")
-        trace.meta.setdefault("lock_free", False)
-        trace.meta.setdefault("service", "round-robin")
-    comm = make_communicator(
-        ranks, backend=backend, timeout=timeout, trace=trace, transport=transport,
-        pool=pool,
-    )
-    try:
-        results = comm.run(
-            _rank_main, network, train_set, iterations, batch_size, hyper, seed,
-            record_history,
-        )
-    finally:
-        comm.close()
-    center, history, mean_losses = results[0]
-    worker_weights = list(results[1:])
-    return MpiAsyncEasgdResult(
-        center=center,
-        worker_weights=worker_weights,
-        center_history=history,
-        mean_losses=mean_losses,
-    )
+__all__ = ["run_mpi_async_easgd"]

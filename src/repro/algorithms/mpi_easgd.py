@@ -17,13 +17,12 @@ that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional
 
 import numpy as np
 
+from repro.algorithms.launch import launch, MpiResult, RankOutcome
 from repro.comm.arena import BufferArena
-from repro.comm.backend import make_communicator
 from repro.comm.runtime import RankContextBase
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
@@ -33,19 +32,10 @@ from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper, elastic_worker_update
 from repro.trace.events import Trace
 
-__all__ = ["MpiEasgdResult", "run_mpi_sync_easgd"]
+__all__ = ["rank_program", "run_mpi_sync_easgd"]
 
 
-@dataclass
-class MpiEasgdResult:
-    """Outcome of one message-passing run."""
-
-    center: np.ndarray
-    worker_weights: List[np.ndarray]
-    center_history: List[np.ndarray]  # center snapshot per iteration (rank 0)
-
-
-def _rank_main(
+def rank_program(
     ctx: RankContextBase,
     template: Network,
     train_set: Dataset,
@@ -55,7 +45,7 @@ def _rank_main(
     seed: int,
     record_history: bool,
     variant: int,
-):
+) -> RankOutcome:
     """The per-rank program: compute, allreduce weights, elastic updates."""
     net = template.clone(name=f"mpi-rank{ctx.rank}")
     local = template.get_params()  # all replicas start from W (Alg 4 line 6)
@@ -117,7 +107,7 @@ def _rank_main(
             if record_history:
                 history.append(center.copy())
 
-    return local, center, history
+    return RankOutcome(local, center, history)
 
 
 def run_mpi_sync_easgd(
@@ -136,21 +126,12 @@ def run_mpi_sync_easgd(
     variant: int = 3,
     transport: Optional[str] = None,
     pool: Optional[Any] = None,
-) -> MpiEasgdResult:
+) -> MpiResult:
     """Run Sync EASGD across ``ranks`` real threads or processes.
 
-    ``backend`` selects the execution substrate (``"threads"`` or
-    ``"processes"``); both run the identical rank program over identical
-    binomial trees, so the returned weights are bit-equal across backends.
-
-    ``transport`` picks how the process backend moves message bytes —
-    ``"shm"`` (zero-copy slot rings) or ``"queue"`` (pickle through
-    pipes); ``None`` keeps the backend's default. Transports change only
-    how bytes travel, never their values, so results are bit-identical
-    across transports too. ``pool`` attaches the process backend to
-    a persistent :class:`repro.pool.WorkerPool`: the rank program is
-    dispatched to long-lived pre-forked workers instead of freshly
-    forked ones — amortized spin-up, bit-identical weights.
+    Both backends run the identical rank program over identical binomial
+    trees, so the returned weights are bit-equal across ``backend``,
+    ``transport`` and ``pool`` (see :func:`repro.algorithms.launch.launch`).
 
     ``variant`` labels which Sync EASGD flavour (1, 2, or 3) this run
     stands in for. The paper's variants differ in *system* behaviour
@@ -164,35 +145,23 @@ def run_mpi_sync_easgd(
     stamps) — the trace the structural invariants in
     :mod:`repro.trace.check` verify against the simulator's claims.
     """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
     if variant not in (1, 2, 3):
         raise ValueError(f"variant must be 1, 2, or 3, got {variant}")
     hyper = EASGDHyper(lr=lr, rho=rho)
     hyper.validate_sync(ranks)
-
-    if trace is not None:
-        trace.meta.setdefault("method", f"MPI Sync EASGD{variant}")
-        # NOT meta["variant"]: that key dispatches the simulator's
-        # overlap invariants, which need compute spans the runtime
-        # doesn't emit. The variant label is informational here.
-        trace.meta.setdefault("easgd_variant", variant)
-        trace.meta.setdefault("pattern", "tree")
-        trace.meta.setdefault("packed", True)
-        trace.meta.setdefault("messages_per_exchange", 1)
-    comm = make_communicator(
-        ranks, backend=backend, timeout=timeout, trace=trace, transport=transport,
-        pool=pool,
+    return launch(
+        rank_program,
+        (network, train_set, iterations, batch_size, hyper, seed, record_history, variant),
+        ranks, iterations, min_ranks=1, backend=backend, timeout=timeout,
+        transport=transport, pool=pool, trace=trace,
+        trace_meta={
+            "method": f"MPI Sync EASGD{variant}",
+            # NOT "variant": that key dispatches the simulator's overlap
+            # invariants, which need compute spans the runtime doesn't
+            # emit. The variant label is informational here.
+            "easgd_variant": variant,
+            "pattern": "tree",
+            "packed": True,
+            "messages_per_exchange": 1,
+        },
     )
-    try:
-        results = comm.run(
-            _rank_main, network, train_set, iterations, batch_size, hyper, seed,
-            record_history, variant,
-        )
-    finally:
-        comm.close()
-    worker_weights = [r[0] for r in results]
-    center = results[0][1]
-    history = results[0][2]
-    assert center is not None
-    return MpiEasgdResult(center=center, worker_weights=worker_weights, center_history=history)

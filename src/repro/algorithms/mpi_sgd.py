@@ -16,12 +16,11 @@ and ``processes``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.comm.backend import make_communicator
+from repro.algorithms.launch import launch, MpiResult, RankOutcome
 from repro.comm.runtime import RankContextBase
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
@@ -30,18 +29,10 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Network
 from repro.trace.events import Trace
 
-__all__ = ["MpiSgdResult", "run_mpi_sync_sgd"]
+__all__ = ["rank_program", "run_mpi_sync_sgd"]
 
 
-@dataclass
-class MpiSgdResult:
-    """Outcome of one message-passing Sync SGD run."""
-
-    weights: np.ndarray  # the shared final weights (identical on every rank)
-    mean_losses: List[float]  # per-iteration loss averaged over ranks (rank 0)
-
-
-def _rank_main(
+def rank_program(
     ctx: RankContextBase,
     template: Network,
     train_set: Dataset,
@@ -49,7 +40,8 @@ def _rank_main(
     batch_size: int,
     lr: float,
     seed: int,
-):
+) -> RankOutcome:
+    """The per-rank program: gradient, packed allreduce, identical update."""
     net = template.clone(name=f"sgd-rank{ctx.rank}")
     weights = template.get_params()
     sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
@@ -85,7 +77,8 @@ def _rank_main(
         if ctx.rank == 0:
             mean_losses.append(float(total[-1] / ctx.size))
 
-    return weights, mean_losses
+    # The weights are identical on every rank, so they are also the center.
+    return RankOutcome(weights, weights, losses=mean_losses)
 
 
 def run_mpi_sync_sgd(
@@ -102,36 +95,19 @@ def run_mpi_sync_sgd(
     transport: Optional[str] = None,
     collective: str = "tree",
     pool: Optional[Any] = None,
-) -> MpiSgdResult:
+) -> MpiResult:
     """Run synchronous data-parallel SGD across ``ranks`` real workers.
 
-    ``transport`` picks the process backend's byte path (``"shm"`` or
-    ``"queue"``; ``None`` = backend default) and ``collective`` the
-    allreduce schedule (``"tree"`` or ``"ring"``) — wall-clock only, the
-    weights are bit-identical either way. ``pool`` dispatches the process
-    backend to a persistent :class:`repro.pool.WorkerPool` instead of
-    forking per call.
+    ``collective`` picks the allreduce schedule (``"tree"`` or ``"ring"``);
+    like ``transport`` and ``pool`` (see :func:`repro.algorithms.launch
+    .launch`) it is wall-clock only — the weights are bit-identical.
     """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if ranks <= 0:
-        raise ValueError("ranks must be positive")
     if lr <= 0:
         raise ValueError("lr must be positive")
-
-    if trace is not None:
-        trace.meta.setdefault("method", "MPI Sync SGD")
-        trace.meta.setdefault("pattern", collective)
-        trace.meta.setdefault("packed", True)
-        trace.meta.setdefault("messages_per_exchange", 1)
-    comm = make_communicator(
-        ranks, backend=backend, timeout=timeout, trace=trace, transport=transport,
-        collective=collective, pool=pool,
+    return launch(
+        rank_program, (network, train_set, iterations, batch_size, lr, seed),
+        ranks, iterations, min_ranks=1, backend=backend, timeout=timeout,
+        transport=transport, pool=pool, trace=trace, collective=collective,
+        trace_meta={"method": "MPI Sync SGD", "pattern": collective,
+                    "packed": True, "messages_per_exchange": 1},
     )
-    try:
-        results = comm.run(
-            _rank_main, network, train_set, iterations, batch_size, lr, seed
-        )
-    finally:
-        comm.close()
-    return MpiSgdResult(weights=results[0][0], mean_losses=results[0][1])

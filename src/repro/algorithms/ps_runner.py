@@ -1,186 +1,171 @@
-"""The parameter-server zoo over the rank runtimes (threads/processes).
+"""The asynchronous families over the rank runtimes (threads/processes).
 
-The message-passing twins of the :mod:`repro.algorithms.ps_zoo` families.
-Each is a deterministic rank program over
-:func:`repro.comm.backend.make_communicator`, the same discipline as
-:mod:`repro.algorithms.mpi_async_easgd`: rank 0 is the server holding the
-center through the family's :class:`repro.engine.ps.CenterStore`, ranks
-1..P-1 are workers that run ``local_steps`` batches per exchange and fold
-the reply with the family's :class:`~repro.engine.ps.WorkerRule`. The
-server serves workers in round-robin order, so the interleaving — and
-therefore the final weights — is bit-identical across backends
-(``threads`` vs ``processes``) and transports (``queue`` vs ``shm``).
+The message-passing twin of :class:`repro.algorithms.async_ps
+.AsyncPSTrainer`: one deterministic rank program that reads the same
+:data:`repro.engine.ps.PS_FAMILIES` row the simulation reads. Rank 0 is
+the server holding the center through the row's store; ranks 1..P-1 are
+workers whose arrays, local steps, payload and reply fold all come from
+the row's rule. The server serves workers in round-robin order, so the
+final weights are bit-identical across backends (``threads`` vs
+``processes``) and transports (``queue`` vs ``shm``) — determinism bought
+with the wall-clock freedom of a first-come-first-served master, whose
+contention behaviour the simulated trainer covers. A bounded row threads
+its :class:`~repro.engine.ps.StalenessBound` through the server with real
+master versions; a rejected worker resyncs from the center.
 
-Gossip has no server: all P ranks are peers, and each round they pair up
-by the deterministic tournament schedule (:func:`repro.comm.topology.
-gossip_pairs`) and average pairwise via an explicit send/recv exchange
-(lower rank sends first, higher rank receives first — deadlock-free under
-any buffering).
+Nothing is copied on the worker's hot path: the request aliases the
+worker's own arrays, which is safe even when the thread backend passes it
+by reference, because the server consumes the request *before* replying
+and the worker cannot touch its state until the reply arrives. The
+server's reply is always a detached array — the worker keeps it.
 
-The bounded family threads a :class:`~repro.engine.ps.StalenessBound`
-through the server: staleness is tracked with real master versions, and a
-rejected worker's local progress is discarded in favour of a center
-resync — the same semantics the simulated trainer implements.
+Gossip has no server: all P ranks are peers that pair up each round by
+the tournament schedule (:func:`repro.comm.topology.gossip_pairs`) and
+average pairwise (lower rank sends first, higher rank receives first —
+deadlock-free under any buffering).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.comm.backend import make_communicator
+from repro.algorithms.launch import launch, MpiResult, RankOutcome
 from repro.comm.runtime import RankContextBase
 from repro.comm.topology import gossip_pairs
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
-from repro.engine.ps import (
-    AdagServerStore,
-    DeltaServerStore,
-    ElasticCenterStore,
-    ElasticPullWorkerRule,
-    ElasticWorkerRule,
-    StalenessBound,
-)
+from repro.engine.ps import CenterStore, PS_FAMILIES, PsFamily, StalenessBound
 from repro.engine.rank_loop import rank_steps
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper
+from repro.trace.events import Trace
 
-__all__ = ["PS_RUNNER_METHODS", "MpiPsResult", "run_mpi_ps", "run_mpi_gossip"]
+__all__ = [
+    "PS_RUNNER_METHODS",
+    "ps_rank_program",
+    "gossip_rank_program",
+    "run_mpi_ps",
+    "run_mpi_async_easgd",
+    "run_mpi_gossip",
+]
 
 #: Wire tags for the request/reply pair (clear of the collective strides).
-TAG_REQ = 11  # worker -> server: family payload
-TAG_REP = 12  # server -> worker: family reply
+TAG_REQ = 11  # worker -> server: (batch loss, family payload)
+TAG_REP = 12  # server -> worker: (verdict, family reply)
 TAG_GOSSIP = 13  # peer <-> peer pairwise exchange
 
-#: Centered families this runner implements (gossip runs peer-to-peer).
-PS_RUNNER_METHODS = ("downpour", "adag", "eamsgd", "bounded-async-easgd")
+#: Families with a rank-program twin: the rows whose service discipline a
+#: round-robin server reproduces (the lock-free rows have no real-message
+#: analogue; the gradient-push rows are covered by ``run_mpi_sync_sgd``).
+PS_RUNNER_METHODS = ("async-easgd", "downpour", "adag", "eamsgd", "bounded-async-easgd")
 
 
-@dataclass
-class MpiPsResult:
-    """Outcome of one message-passing parameter-server-zoo run."""
-
-    center: np.ndarray  # final center (gossip: the consensus mean)
-    worker_weights: List[np.ndarray]  # final local weights per worker
-    mean_losses: List[float]  # per-round batch loss averaged over workers
-    extras: Dict[str, float] = field(default_factory=dict)
-
-
-def _server_main(ctx: RankContextBase, method: str, center: np.ndarray,
-                 iterations: int, hyper: EASGDHyper, tau: Optional[int]):
+def _server_main(ctx: RankContextBase, store: CenterStore,
+                 bound: Optional[StalenessBound], iterations: int,
+                 record_history: bool) -> RankOutcome:
     """Rank 0: serve one exchange per worker per round, round-robin."""
     workers = ctx.size - 1
-    if method == "downpour":
-        store = DeltaServerStore().bind(center)
-    elif method == "adag":
-        store = AdagServerStore(hyper.lr, workers).bind(center)
-    else:  # eamsgd / bounded-async-easgd share the elastic fold
-        store = ElasticCenterStore(hyper).bind(center)
-    bound = None
-    if method == "bounded-async-easgd":
-        bound = StalenessBound(2 * max(workers - 1, 1) if tau is None else tau)
+    trace = ctx.trace
     version = 0
-    worker_version = [0] * (workers + 1)
+    worker_version = [0] * ctx.size
+    history: List[np.ndarray] = []
     mean_losses: List[float] = []
-    for _t in rank_steps(ctx, iterations):
+    for t in rank_steps(ctx, iterations):
         loss_sum = 0.0
         for j in range(1, ctx.size):
             batch_loss, payload = ctx.recv(source=j, tag=TAG_REQ)
+            t0 = ctx._elapsed() if trace is not None else 0.0
             loss_sum += float(batch_loss)
+            verdict = "apply"
             if bound is not None:
                 verdict, _scale = bound.admit(version - worker_version[j])
-                if verdict == "reject":
-                    # Discard the contribution; the worker resyncs from the
-                    # untouched center. No version bump — nothing landed.
-                    worker_version[j] = version
-                    ctx.send(("reject", center.copy()), dest=j, tag=TAG_REP)
-                    continue
-            if method in ("eamsgd", "bounded-async-easgd"):
-                # Elastic exchange: reply the pre-fold center, then fold.
-                # The payload may alias the worker's arena under the thread
-                # backend, so fold before replying.
-                reply = store.exchange(payload)
+            if verdict == "reject":
+                # Discard the contribution; the worker resyncs from the
+                # untouched center. No version bump — nothing landed.
+                reply = store.pull()
             else:
-                # Delta/accumulated-gradient fold; reply the fresh center.
-                store.push(payload)
-                reply = center.copy()
-            version += 1
+                # The payload may alias the worker's own arrays under the
+                # thread backend: serve() folds it before we reply.
+                reply = store.serve(payload)
+                if reply is store.weights:
+                    reply = store.pull()  # the worker keeps the reply
+                version += 1
             worker_version[j] = version
-            ctx.send(("apply", reply), dest=j, tag=TAG_REP)
+            ctx.send((verdict, reply), dest=j, tag=TAG_REP)
+            if trace is not None:
+                # value = when the request reached the serial server: the
+                # FCFS invariant checks service order against it.
+                trace.span(
+                    "service", ctx.rank, t0, ctx._elapsed(), op="ps-serve",
+                    nbytes=payload.nbytes, iteration=t, value=t0,
+                )
         mean_losses.append(loss_sum / workers)
-    extras = bound.extras() if bound is not None else {}
-    return center, mean_losses, extras
+        if record_history:
+            history.append(store.pull())
+    return RankOutcome(None, store.weights, history, mean_losses,
+                       bound.extras() if bound is not None else None)
 
 
-def _worker_main(ctx: RankContextBase, method: str, template: Network,
+def _worker_main(ctx: RankContextBase, row: PsFamily, template: Network,
                  train_set: Dataset, iterations: int, batch_size: int,
-                 local_steps: int, hyper: EASGDHyper, seed: int):
-    """Ranks 1..P-1: local steps per exchange, family-specific payload."""
+                 local_steps: int, hyper: EASGDHyper, seed: int) -> RankOutcome:
+    """Ranks 1..P-1: local pass(es), push the rule's payload, fold the reply."""
     net = template.clone(name=f"ps-rank{ctx.rank}")
-    local = template.get_params()
-    anchor = local.copy() if method == "downpour" else None
-    acc = np.zeros_like(local) if method == "adag" else None
-    velocity = np.zeros_like(local) if method == "eamsgd" else None
-    elastic_rule = ElasticWorkerRule()
-    pull_rule = ElasticPullWorkerRule()
+    rule = row.rule()
+    state = rule.init_state(template.get_params())
     sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
     loss = SoftmaxCrossEntropy()
 
     for _t in rank_steps(ctx, iterations):
-        batch_loss = 0.0
-        for _s in range(local_steps):
-            images, labels = sampler.next_batch()
-            net.set_params(local)
-            batch_loss = net.gradient(images, labels, loss)
-            if method == "downpour":
-                local -= hyper.lr * net.grads
-            elif method == "adag":
-                acc += net.grads
-                local -= hyper.lr * net.grads
-            elif method == "eamsgd":
-                velocity *= hyper.mu
-                velocity -= hyper.lr * net.grads
-                local += velocity
-            else:  # bounded-async-easgd: one gradient per exchange (Eq 1)
-                break
-        grad = net.grads.copy()
-
-        if method == "downpour":
-            payload = local - anchor
-        elif method == "adag":
-            payload = acc.copy()
-        else:
-            payload = local.copy()
-        ctx.send((np.float32(batch_loss), payload), dest=0, tag=TAG_REQ)
+        batch_loss = row.local_passes(rule, state, net, sampler, loss, hyper, local_steps)
+        grad = net.grads
+        ctx.send((np.float32(batch_loss), rule.payload(state, grad)),
+                 dest=0, tag=TAG_REQ)
         verdict, reply = ctx.recv(source=0, tag=TAG_REP)
-
         if verdict == "reject":
-            local[...] = reply  # resync; local progress is discarded
-            if velocity is not None:
-                velocity[...] = 0.0
-        elif method == "downpour":
-            local[...] = reply
-            anchor[...] = reply
-        elif method == "adag":
-            local[...] = reply
-            acc[...] = 0.0
-        elif method == "eamsgd":
-            pull_rule.apply(local, reply, hyper)
-        else:  # bounded-async-easgd
-            elastic_rule.apply(local, grad, reply, hyper)
-    return local
+            rule.resync(state, reply)  # local progress is discarded
+        else:
+            rule.apply(state, grad, reply, hyper)
+    return RankOutcome(state["w"])
 
 
-def _rank_main(ctx: RankContextBase, method, template, train_set, iterations,
-               batch_size, local_steps, hyper, seed, tau):
+def ps_rank_program(ctx: RankContextBase, key: str, template: Network,
+                    train_set: Dataset, iterations: int, batch_size: int,
+                    local_steps: int, hyper: EASGDHyper, seed: int,
+                    bound: Optional[StalenessBound],
+                    record_history: bool) -> RankOutcome:
+    """One rank of family ``key`` (rows hold factories, so the key travels)."""
+    row = PS_FAMILIES[key]
     if ctx.rank == 0:
-        center = template.get_params()
-        return _server_main(ctx, method, center, iterations, hyper, tau)
-    return _worker_main(ctx, method, template, train_set, iterations,
-                        batch_size, local_steps, hyper, seed)
+        store = row.store(hyper, ctx.size - 1).bind(template.get_params())
+        return _server_main(ctx, store, bound, iterations, record_history)
+    return _worker_main(ctx, row, template, train_set, iterations, batch_size,
+                        local_steps, hyper, seed)
+
+
+def _run_family(method: str, network: Network, train_set: Dataset, ranks: int,
+                iterations: int, batch_size: int, local_steps: Optional[int],
+                hyper: EASGDHyper, tau: Optional[int], seed: int,
+                record_history: bool = False, **launch_kwargs: Any) -> MpiResult:
+    """Resolve ``method``'s row and launch its rank program."""
+    if method not in PS_RUNNER_METHODS:
+        raise ValueError(f"method must be one of {PS_RUNNER_METHODS}, got {method!r}")
+    if ranks < 2:
+        raise ValueError("need at least 2 ranks (one server, one worker)")
+    row = PS_FAMILIES[method]
+    local_steps, bound = row.options(ranks - 1, local_steps, tau)
+    return launch(
+        ps_rank_program,
+        (method, network, train_set, iterations, batch_size, local_steps, hyper,
+         seed, bound, record_history),
+        ranks, iterations,
+        trace_meta={"method": f"MPI {row.name}", "pattern": "ps",
+                    "service": "round-robin", **row.trace_meta(local_steps, bound)},
+        **launch_kwargs,
+    )
 
 
 def run_mpi_ps(
@@ -190,7 +175,7 @@ def run_mpi_ps(
     ranks: int,
     iterations: int,
     batch_size: int = 32,
-    local_steps: int = 4,
+    local_steps: Optional[int] = None,
     lr: float = 0.05,
     rho: float = 2.0,
     mu: float = 0.9,
@@ -200,45 +185,58 @@ def run_mpi_ps(
     backend: str = "threads",
     transport: Optional[str] = None,
     pool: Optional[Any] = None,
-) -> MpiPsResult:
-    """Run one centered zoo family across ``ranks`` real threads/processes.
+    trace: Optional[Trace] = None,
+) -> MpiResult:
+    """Run one centered family across ``ranks`` real threads/processes.
 
     ``ranks`` counts the server: ``ranks - 1`` workers train. The server's
     round-robin service makes the schedule deterministic, so the returned
     weights are bit-identical across backends and transports for a fixed
-    seed.
+    seed. ``local_steps`` and ``tau`` default to the family's own values;
+    a family that cannot honour a passed one raises a ``ValueError``
+    naming it. ``transport``/``pool``: see :func:`repro.algorithms.launch.launch`.
     """
-    if method not in PS_RUNNER_METHODS:
-        raise ValueError(f"method must be one of {PS_RUNNER_METHODS}, got {method!r}")
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if ranks < 2:
-        raise ValueError("need at least 2 ranks (one server, one worker)")
-    if local_steps < 1:
-        raise ValueError("local_steps must be >= 1")
-    hyper = EASGDHyper(lr=lr, rho=rho, mu=mu)
-
-    comm = make_communicator(ranks, backend=backend, timeout=timeout,
-                             transport=transport, pool=pool)
-    try:
-        results = comm.run(
-            _rank_main, method, network, train_set, iterations, batch_size,
-            local_steps, hyper, seed, tau,
-        )
-    finally:
-        comm.close()
-    center, mean_losses, extras = results[0]
-    return MpiPsResult(
-        center=center,
-        worker_weights=list(results[1:]),
-        mean_losses=mean_losses,
-        extras=extras,
+    return _run_family(
+        method, network, train_set, ranks, iterations, batch_size, local_steps,
+        EASGDHyper(lr=lr, rho=rho, mu=mu), tau, seed, timeout=timeout,
+        backend=backend, transport=transport, pool=pool, trace=trace,
     )
 
 
-def _gossip_rank_main(ctx: RankContextBase, template: Network,
-                      train_set: Dataset, iterations: int, batch_size: int,
-                      lr: float, seed: int):
+def run_mpi_async_easgd(
+    network: Network,
+    train_set: Dataset,
+    ranks: int,
+    iterations: int,
+    batch_size: int = 32,
+    lr: float = 0.05,
+    rho: float = 2.0,
+    seed: int = 0,
+    record_history: bool = False,
+    timeout: float = 120.0,
+    trace: Optional[Trace] = None,
+    backend: str = "threads",
+    transport: Optional[str] = None,
+    pool: Optional[Any] = None,
+) -> MpiResult:
+    """Run Async EASGD (the ``async-easgd`` row) across ``ranks`` ranks.
+
+    The artifact's ``mpi_easgd -a`` port: the worker sends ``(loss,
+    W^j_t)``, the master replies the pre-update center ``Wbar_t`` and
+    folds the worker in with the single-worker Eq 2 step (Algorithm 1
+    line 14). Over :func:`run_mpi_ps` it adds ``record_history``: the
+    center after every round, as ``center_history``.
+    """
+    return _run_family(
+        "async-easgd", network, train_set, ranks, iterations, batch_size, None,
+        EASGDHyper(lr=lr, rho=rho), None, seed, record_history, timeout=timeout,
+        backend=backend, transport=transport, pool=pool, trace=trace,
+    )
+
+
+def gossip_rank_program(ctx: RankContextBase, template: Network,
+                        train_set: Dataset, iterations: int, batch_size: int,
+                        lr: float, seed: int) -> RankOutcome:
     """All ranks are peers: local SGD step, then tournament-pair averaging."""
     net = template.clone(name=f"gossip-rank{ctx.rank}")
     local = template.get_params()
@@ -262,7 +260,7 @@ def _gossip_rank_main(ctx: RankContextBase, template: Network,
             else:
                 continue
             local[...] = 0.5 * (local + peer_w)
-    return local, losses
+    return RankOutcome(local, losses=losses)
 
 
 def run_mpi_gossip(
@@ -277,34 +275,17 @@ def run_mpi_gossip(
     backend: str = "threads",
     transport: Optional[str] = None,
     pool: Optional[Any] = None,
-) -> MpiPsResult:
+) -> MpiResult:
     """Run decentralized gossip SGD across ``ranks`` real threads/processes.
 
     All ranks train; the returned center is the consensus mean of the
     final replicas. The tournament pairing schedule is deterministic, so
     the result is bit-identical across backends and transports.
     """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if ranks < 2:
-        raise ValueError("need at least 2 ranks")
-    comm = make_communicator(ranks, backend=backend, timeout=timeout,
-                             transport=transport, pool=pool)
-    try:
-        results = comm.run(
-            _gossip_rank_main, network, train_set, iterations, batch_size, lr, seed,
-        )
-    finally:
-        comm.close()
-    replicas = [r[0] for r in results]
-    per_rank_losses = [r[1] for r in results]
-    mean_losses = [
-        float(np.mean([ranklosses[t] for ranklosses in per_rank_losses]))
-        for t in range(iterations)
-    ]
-    consensus = np.mean(np.stack(replicas, axis=0), axis=0)
-    return MpiPsResult(
-        center=consensus,
-        worker_weights=replicas,
-        mean_losses=mean_losses,
+    result = launch(
+        gossip_rank_program, (network, train_set, iterations, batch_size, lr, seed),
+        ranks, iterations, backend=backend, timeout=timeout, transport=transport,
+        pool=pool,
     )
+    result.center = np.mean(np.stack(result.worker_weights, axis=0), axis=0)
+    return result

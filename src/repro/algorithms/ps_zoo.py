@@ -1,39 +1,28 @@
 """The classic parameter-server zoo on the engine's PS protocol layer.
 
-Five families beyond the paper's own methods, each a thin store/rule
-pairing over the shared machinery (:mod:`repro.engine.ps` for the
-numerics seam, :class:`repro.algorithms.async_ps._AsyncPSBase` for the
-asynchronous discrete-event simulation, :class:`repro.engine.
-ClockStepStrategy` for the synchronous gossip rounds):
+Five families beyond the paper's own methods. Four are centered — DOWNPOUR
+SGD (Dean et al., NIPS 2012), ADAG (accumulated-gradient asynchronous
+SGD), EAMSGD (Zhang, Choromanska & LeCun, NIPS 2015) and bounded-async
+EASGD (Async EASGD under a :class:`repro.engine.ps.StalenessBound`) — and
+are nothing but rows of :data:`repro.engine.ps.PS_FAMILIES` bound to the
+one asynchronous trainer; their mathematics is documented on the rows'
+stores and rules.
 
-- **DOWNPOUR SGD** (Dean et al., NIPS 2012): workers run ``local_steps``
-  plain SGD steps between exchanges, push the raw weight delta
-  ``W - anchor``, and pull fresh center weights.
-- **ADAG** (accumulated-gradient asynchronous SGD): workers step locally
-  while accumulating the raw gradients; the server applies the
-  accumulated gradient normalized by the worker count.
-- **EAMSGD** (Zhang, Choromanska & LeCun, NIPS 2015): momentum SGD runs
-  entirely on the worker between exchanges (Eqs 5-6's local half); the
-  exchange itself is purely elastic — the server folds Eq 2, the worker
-  relaxes toward the replied center.
-- **Gossip SGD** (Jin et al. / Blot et al. style): no center at all.
-  Each round every worker takes one local SGD step, then deterministic
-  tournament pairs (:func:`repro.comm.topology.gossip_pairs`) average
-  pairwise; the consensus mean stands in for the center at evaluation.
-- **Bounded-async EASGD**: Async EASGD under a first-class
-  :class:`repro.engine.ps.StalenessBound` — contributions staler than
-  ``tau`` master versions are rejected (worker resyncs) or clipped, and
-  the bound is stamped into the trace meta so the
-  ``update-staleness-bound`` invariant enforces it structurally.
+The fifth has no center, so it is the one family with code here: **Gossip
+SGD** (Jin et al. / Blot et al. style). Each round every worker takes one
+local SGD step, then deterministic tournament pairs
+(:func:`repro.comm.topology.gossip_pairs`) average pairwise on a
+:class:`repro.engine.ClockStepStrategy`; the consensus mean stands in for
+the center at evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.algorithms.async_ps import AsyncEASGDTrainer, _AsyncPSBase
+from repro.algorithms.async_ps import AsyncPSTrainer
 from repro.algorithms.base import BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
@@ -41,19 +30,7 @@ from repro.comm.topology import gossip_pairs
 from repro.data.dataset import Dataset
 from repro.engine.compute import jittered_fwdbwd
 from repro.engine.faults import SyncFaultTracker
-from repro.engine.ps import (
-    AccumGradWorkerRule,
-    AdagServerStore,
-    CenterStore,
-    DeltaServerStore,
-    ElasticCenterStore,
-    ElasticPullWorkerRule,
-    FreshPullWorkerRule,
-    GossipStore,
-    LocalSgdWorkerRule,
-    StalenessBound,
-    WorkerRule,
-)
+from repro.engine.ps import GossipStore, PS_FAMILIES
 from repro.engine.strategy import ClockStepStrategy
 from repro.faults import FaultLog, FaultPlan
 from repro.nn.network import Network
@@ -67,180 +44,28 @@ __all__ = [
 ]
 
 
-class DownpourTrainer(_AsyncPSBase):
+class DownpourTrainer(AsyncPSTrainer):
     """DOWNPOUR SGD: local SGD bursts, raw weight-delta pushes, fresh pulls."""
 
-    name = "DOWNPOUR SGD"
-    update_op = "ps-apply"
-
-    def __init__(self, *args, local_steps: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        self.batches_per_exchange = local_steps
-
-    def _init_states(self, g: int, init: np.ndarray) -> None:
-        super()._init_states(g, init)
-        #: The center snapshot each worker last pulled; the pushed delta is
-        #: measured against it, so concurrent pushes compose additively.
-        self.anchor: List[np.ndarray] = [init.copy() for _ in range(g)]
-
-    def _make_store(self, g: int) -> CenterStore:
-        return DeltaServerStore().bind(self.master)
-
-    def _make_rule(self) -> WorkerRule:
-        return LocalSgdWorkerRule()
-
-    def _local_compute(self, j: int, sampler) -> float:
-        w = self.worker_w[j]
-        loss = 0.0
-        for _ in range(self.batches_per_exchange):
-            images, labels = sampler.next_batch()
-            self.net.set_params(w)
-            loss = self.net.gradient(images, labels, self.loss)
-            self.rule.local_step(w, self.net.grads, self.hyper.lr)
-        return loss
-
-    def _interaction(self, j: int, grad: np.ndarray, scale: float = 1.0) -> None:
-        self.store.push(self.rule.delta(self.worker_w[j], self.anchor[j]), scale)
-        self.worker_w[j][...] = self.master  # pull fresh, re-anchor
-        self.anchor[j][...] = self.master
-
-    def _resync(self, j: int) -> None:
-        super()._resync(j)
-        self.anchor[j][...] = self.master
-
-    def _trace_meta(self) -> Dict:
-        return {"local_steps": self.batches_per_exchange}
-
-    def _family_arrays(self) -> Dict[str, np.ndarray]:
-        return {f"anchor-{j}": self.anchor[j] for j in range(len(self.anchor))}
+    row = PS_FAMILIES["downpour"]
 
 
-class AdagTrainer(_AsyncPSBase):
+class AdagTrainer(AsyncPSTrainer):
     """ADAG: accumulate gradients while stepping locally; server applies /P."""
 
-    name = "ADAG"
-    update_op = "ps-apply"
-
-    def __init__(self, *args, local_steps: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        self.batches_per_exchange = local_steps
-
-    def _init_states(self, g: int, init: np.ndarray) -> None:
-        super()._init_states(g, init)
-        self.acc: List[np.ndarray] = [np.zeros_like(init) for _ in range(g)]
-
-    def _make_store(self, g: int) -> CenterStore:
-        return AdagServerStore(self.hyper.lr, g).bind(self.master)
-
-    def _make_rule(self) -> WorkerRule:
-        return AccumGradWorkerRule()
-
-    def _local_compute(self, j: int, sampler) -> float:
-        w, acc = self.worker_w[j], self.acc[j]
-        loss = 0.0
-        for _ in range(self.batches_per_exchange):
-            images, labels = sampler.next_batch()
-            self.net.set_params(w)
-            loss = self.net.gradient(images, labels, self.loss)
-            self.rule.local_step(w, acc, self.net.grads, self.hyper.lr)
-        return loss
-
-    def _interaction(self, j: int, grad: np.ndarray, scale: float = 1.0) -> None:
-        self.store.push(self.acc[j], scale)
-        self.acc[j][...] = 0.0
-        self.worker_w[j][...] = self.master  # pull fresh
-
-    def _resync(self, j: int) -> None:
-        super()._resync(j)
-        self.acc[j][...] = 0.0
-
-    def _trace_meta(self) -> Dict:
-        return {"local_steps": self.batches_per_exchange}
-
-    def _family_arrays(self) -> Dict[str, np.ndarray]:
-        return {f"acc-{j}": self.acc[j] for j in range(len(self.acc))}
+    row = PS_FAMILIES["adag"]
 
 
-class EamsgdTrainer(_AsyncPSBase):
+class EamsgdTrainer(AsyncPSTrainer):
     """EAMSGD: local momentum SGD between purely-elastic exchanges (Eqs 5-6)."""
 
-    name = "EAMSGD"
-    elastic = True
-    momentum = True
-    update_op = "elastic-update"
-
-    def __init__(self, *args, local_steps: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        self.batches_per_exchange = local_steps
-
-    def _make_store(self, g: int) -> ElasticCenterStore:
-        return ElasticCenterStore(self.hyper).bind(self.master)
-
-    def _make_rule(self) -> WorkerRule:
-        return ElasticPullWorkerRule()
-
-    def _local_compute(self, j: int, sampler) -> float:
-        w, v = self.worker_w[j], self.worker_v[j]
-        loss = 0.0
-        for _ in range(self.batches_per_exchange):
-            images, labels = sampler.next_batch()
-            self.net.set_params(w)
-            loss = self.net.gradient(images, labels, self.loss)
-            v *= self.hyper.mu
-            v -= self.hyper.lr * self.net.grads
-            w += v
-        return loss
-
-    def _interaction(self, j: int, grad: np.ndarray, scale: float = 1.0) -> None:
-        # The gradient work already happened locally; the exchange is the
-        # elastic pair only — Eq 2 on the server, the elastic pull on the
-        # worker.
-        wbar_t = self.store.exchange(self.worker_w[j], scale)
-        self.rule.apply(self.worker_w[j], wbar_t, self.hyper, scale)
-
-    def _trace_meta(self) -> Dict:
-        return {"local_steps": self.batches_per_exchange}
+    row = PS_FAMILIES["eamsgd"]
 
 
-class BoundedAsyncEasgdTrainer(AsyncEASGDTrainer):
+class BoundedAsyncEasgdTrainer(AsyncPSTrainer):
     """Async EASGD under a hard staleness bound (reject or clip policy)."""
 
-    name = "Bounded Async EASGD"
-
-    def __init__(self, *args, tau: Optional[int] = None,
-                 staleness_policy: str = "reject", **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if tau is None:
-            # Default: twice the worker count's natural pipelining depth.
-            # With P workers round-robining an FCFS master, healthy
-            # staleness is ~P-1; 2(P-1) only trips under real stragglers.
-            tau = 2 * max(self.platform.num_gpus - 1, 1)
-        self.bound = StalenessBound(int(tau), staleness_policy)
-
-    def _admit(self, staleness: int) -> Tuple[str, float]:
-        return self.bound.admit(staleness)
-
-    def _trace_meta(self) -> Dict:
-        return {
-            "staleness_bound": self.bound.tau,
-            "staleness_policy": self.bound.policy,
-        }
-
-    def _family_state(self) -> Dict:
-        return self.bound.state_dict()
-
-    def _load_family_state(self, state: Dict) -> None:
-        if state:
-            self.bound.load_state_dict(state)
-
-    def _family_extras(self) -> Dict[str, float]:
-        return self.bound.extras()
+    row = PS_FAMILIES["bounded-async-easgd"]
 
 
 class _GossipStep(ClockStepStrategy):

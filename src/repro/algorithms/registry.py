@@ -36,8 +36,15 @@ from repro.algorithms.ps_zoo import (
 )
 from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
+from repro.engine.ps import PS_FAMILIES, UnsupportedOptionError
 
-__all__ = ["ALGORITHMS", "ALGORITHM_INFO", "AlgorithmInfo", "make_trainer"]
+__all__ = [
+    "ALGORITHMS",
+    "ALGORITHM_INFO",
+    "AlgorithmInfo",
+    "UnsupportedOptionError",
+    "make_trainer",
+]
 
 
 def _make_knl_sync_easgd(network, train_set, test_set, platform, config,
@@ -107,56 +114,64 @@ class AlgorithmInfo:
     backends: str = "threads, processes"  # engine backends the family runs on
 
 
+def _ps_info(key: str, section: str) -> AlgorithmInfo:
+    """An asynchronous family's metadata, read off its PS_FAMILIES row."""
+    row = PS_FAMILIES[key]
+    return AlgorithmInfo(
+        "parameter server", "async", section, family_class=row.kind,
+        staleness="bounded: tau (reject/clip)" if row.bounded else "unbounded",
+    )
+
+
 ALGORITHM_INFO: Dict[str, AlgorithmInfo] = {
     "original-easgd": AlgorithmInfo(
         "round-robin EASGD", "sync", "Alg 1, Table 3"),
     "original-easgd*": AlgorithmInfo(
         "round-robin EASGD", "sync", "Alg 1, Table 3"),
-    "async-sgd": AlgorithmInfo(
-        "parameter server", "async", "Sec 3.1", staleness="unbounded"),
-    "async-msgd": AlgorithmInfo(
-        "parameter server", "async", "Sec 3.1, Eqs 3-4", staleness="unbounded"),
-    "hogwild-sgd": AlgorithmInfo(
-        "parameter server", "async", "Sec 3.2", staleness="unbounded"),
+    "async-sgd": _ps_info("async-sgd", "Sec 3.1"),
+    "async-msgd": _ps_info("async-msgd", "Sec 3.1, Eqs 3-4"),
+    "hogwild-sgd": _ps_info("hogwild-sgd", "Sec 3.2"),
     "sync-sgd": AlgorithmInfo(
         "allreduce SGD", "sync", "Sec 5.2, Fig 10"),
     "sync-sgd-unpacked": AlgorithmInfo(
         "allreduce SGD", "sync", "Sec 5.2, Fig 10"),
-    "async-easgd": AlgorithmInfo(
-        "parameter server", "async", "Sec 5.1, Eqs 1-2", staleness="unbounded"),
-    "async-measgd": AlgorithmInfo(
-        "parameter server", "async", "Sec 5.1, Eqs 5-6", staleness="unbounded"),
-    "hogwild-easgd": AlgorithmInfo(
-        "parameter server", "async", "Sec 5.1", staleness="unbounded"),
+    "async-easgd": _ps_info("async-easgd", "Sec 5.1, Eqs 1-2"),
+    "async-measgd": _ps_info("async-measgd", "Sec 5.1, Eqs 5-6"),
+    "hogwild-easgd": _ps_info("hogwild-easgd", "Sec 5.1"),
     "sync-easgd1": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 2"),
     "sync-easgd2": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 3"),
     "sync-easgd3": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 3+overlap"),
     "sync-easgd": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 3+overlap"),
     "knl-sync-easgd": AlgorithmInfo("KNL cluster", "sync", "Sec 6.2, Alg 4"),
     "cluster-sync-easgd": AlgorithmInfo("GPU cluster", "sync", "Sec 7, Table 4"),
-    "downpour": AlgorithmInfo(
-        "parameter server", "async", "Dean et al. 2012",
-        staleness="unbounded"),
-    "adag": AlgorithmInfo(
-        "parameter server", "async", "accumulated-gradient ASGD",
-        staleness="unbounded"),
-    "eamsgd": AlgorithmInfo(
-        "parameter server", "async", "Zhang et al. 2015, Eqs 5-6",
-        staleness="unbounded"),
+    "downpour": _ps_info("downpour", "Dean et al. 2012"),
+    "adag": _ps_info("adag", "accumulated-gradient ASGD"),
+    "eamsgd": _ps_info("eamsgd", "Zhang et al. 2015, Eqs 5-6"),
     "gossip-sgd": AlgorithmInfo(
         "gossip", "sync", "Jin et al. 2016",
         family_class="decentralized", staleness="none (pairwise)"),
-    "bounded-async-easgd": AlgorithmInfo(
-        "parameter server", "async", "bounded-delay EASGD",
-        staleness="bounded: tau (reject/clip)"),
+    "bounded-async-easgd": _ps_info("bounded-async-easgd", "bounded-delay EASGD"),
 }
+
+#: Options only (some) asynchronous families honour; everything else
+#: rejects them by name instead of failing on an unexpected keyword.
+PS_OPTIONS = ("local_steps", "tau", "staleness_policy")
 
 
 def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
-    """Instantiate a registered trainer by method name."""
+    """Instantiate a registered trainer by method name.
+
+    Raises :class:`UnsupportedOptionError` when ``kwargs`` carries a
+    parameter-server option (``local_steps``, ``tau``,
+    ``staleness_policy``) the method cannot honour.
+    """
     try:
         factory = ALGORITHMS[name]
     except KeyError:
         known = ", ".join(sorted(ALGORITHMS))
         raise KeyError(f"unknown algorithm {name!r}; known: {known}") from None
+    if name not in PS_FAMILIES:  # the rows check their own options
+        for option in PS_OPTIONS:
+            if option in kwargs:
+                raise UnsupportedOptionError(name, option)
     return factory(*args, **kwargs)

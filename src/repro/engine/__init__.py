@@ -54,8 +54,11 @@ from repro.engine.ps import (
     FreshPullWorkerRule,
     GossipStore,
     LocalSgdWorkerRule,
+    PS_FAMILIES,
+    PsFamily,
     SgdServerStore,
     StalenessBound,
+    UnsupportedOptionError,
     WorkerRule,
 )
 from repro.engine.rank_loop import local_steps, rank_steps
@@ -94,6 +97,9 @@ __all__ = [
     "LocalSgdWorkerRule",
     "AccumGradWorkerRule",
     "StalenessBound",
+    "PsFamily",
+    "PS_FAMILIES",
+    "UnsupportedOptionError",
     "SyncFaultTracker",
     "gather_gradients",
     "jittered_fwdbwd",

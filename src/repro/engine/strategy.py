@@ -197,7 +197,7 @@ class SyncElasticUpdate(UpdateRule):
         sum_w = tree_reduce([workers[j] for j in live])  # step 3: tree sum
         center_t = center  # Eq 1/Eq 2 both read the pre-update center
         for i, j in enumerate(live):  # step 4: Eq 1 on every live worker
-            self.rule.apply(workers[j], grads[i], center_t, self.hyper)
+            self.rule.apply({"w": workers[j]}, grads[i], center_t, self.hyper)
         # step 5: Eq 2 — in place, reading the pre-update value once.
         self.store.bind(center).fold_sum(sum_w, len(live))
 

@@ -29,7 +29,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.algorithms import ALGORITHM_INFO, ALGORITHMS, TrainerConfig
+from repro.algorithms import (
+    ALGORITHM_INFO,
+    ALGORITHMS,
+    TrainerConfig,
+    UnsupportedOptionError,
+)
 from repro.cluster import CostModel
 from repro.comm.backend import BACKENDS, COLLECTIVES
 from repro.data import make_cifar_like, make_mnist_like
@@ -352,17 +357,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"resume failed: {exc}", file=sys.stderr)
         return 3
+    except UnsupportedOptionError as exc:
+        flag = "--" + exc.option.replace("_", "-")
+        print(f"method {exc.method!r} does not support {flag}", file=sys.stderr)
+        return 2
     except TypeError as exc:
         if args.faults and "faults" in str(exc):
             print(f"method {args.method!r} does not support fault injection",
                   file=sys.stderr)
             return 2
-        for kwarg, flag in (("tau", "--tau"), ("staleness_policy", "--staleness-policy"),
-                            ("local_steps", "--local-steps")):
-            if kwarg in trainer_kwargs and kwarg in str(exc):
-                print(f"method {args.method!r} does not support {flag}",
-                      file=sys.stderr)
-                return 2
         raise
     except ValueError as exc:
         if args.faults:  # e.g. the plan targets a worker the platform lacks

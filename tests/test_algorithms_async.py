@@ -97,24 +97,25 @@ class TestUpdateRules:
         tr = _make(AsyncSGDTrainer, mnist_tiny, async_config)
         init = tr.net.get_params()
         tr.train(30)
-        assert not np.allclose(tr.master, init)
+        assert not np.allclose(tr.step.eval_params(), init)
 
     def test_easgd_workers_stay_distinct_from_center(self, mnist_tiny, async_config):
         tr = _make(AsyncEASGDTrainer, mnist_tiny, async_config)
         tr.train(50)
-        assert any(not np.allclose(w, tr.master) for w in tr.worker_w)
+        center = tr.step.eval_params()
+        assert any(not np.allclose(st["w"], center) for st in tr.step.states)
 
     def test_measgd_uses_velocity(self, mnist_tiny, async_config):
         tr = _make(AsyncMEASGDTrainer, mnist_tiny, async_config)
         tr.train(30)
-        assert any(float(np.abs(v).sum()) > 0 for v in tr.worker_v)
+        assert any(float(np.abs(st["v"]).sum()) > 0 for st in tr.step.states)
 
     def test_msgd_uses_master_velocity(self, mnist_tiny, async_config):
         # mu=0.5 keeps master momentum stable at this scale.
         cfg = TrainerConfig(batch_size=16, lr=0.02, rho=2.0, mu=0.5, seed=0, eval_every=20)
         tr = _make(AsyncMSGDTrainer, mnist_tiny, cfg)
         tr.train(30)
-        assert float(np.abs(tr.master_v).sum()) > 0
+        assert float(np.abs(tr.step.store.velocity).sum()) > 0
 
     def test_sgd_workers_track_master_exactly(self, mnist_tiny, async_config):
         """An SGD worker's weights after a reply are the master weights at
@@ -122,4 +123,5 @@ class TestUpdateRules:
         tr = _make(AsyncSGDTrainer, mnist_tiny, async_config)
         tr.train(9)  # not a multiple of 4: last reply state differs per worker
         # At least the most recently served worker matches the master.
-        assert any(np.allclose(w, tr.master) for w in tr.worker_w)
+        center = tr.step.eval_params()
+        assert any(np.allclose(st["w"], center) for st in tr.step.states)

@@ -1,10 +1,14 @@
 """Registry: every advertised method constructs and runs."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms import ALGORITHM_INFO, ALGORITHMS, make_trainer
 from repro.algorithms.base import BaseTrainer
 from repro.cluster import CostModel, GpuPlatform
+from repro.engine.ps import PS_FAMILIES
+from repro.harness.cli import main
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 
@@ -32,6 +36,34 @@ EXPECTED_METHODS = {
     "gossip-sgd",
     "bounded-async-easgd",
 }
+
+#: ``repro --list-algorithms``, byte for byte. The ten asynchronous rows'
+#: class / mode / staleness columns are derived from ``PS_FAMILIES``.
+LIST_ALGORITHMS = """\
+method               family             class          mode   staleness                   backends            paper
+-------------------  -----------------  -------------  -----  --------------------------  ------------------  --------------------------
+adag                 parameter server   centered       async  unbounded                   threads, processes  accumulated-gradient ASGD
+async-easgd          parameter server   centered       async  unbounded                   threads, processes  Sec 5.1, Eqs 1-2
+async-measgd         parameter server   centered       async  unbounded                   threads, processes  Sec 5.1, Eqs 5-6
+async-msgd           parameter server   centered       async  unbounded                   threads, processes  Sec 3.1, Eqs 3-4
+async-sgd            parameter server   centered       async  unbounded                   threads, processes  Sec 3.1
+bounded-async-easgd  parameter server   centered       async  bounded: tau (reject/clip)  threads, processes  bounded-delay EASGD
+cluster-sync-easgd   GPU cluster        centered       sync   none (bulk-sync)            threads, processes  Sec 7, Table 4
+downpour             parameter server   centered       async  unbounded                   threads, processes  Dean et al. 2012
+eamsgd               parameter server   centered       async  unbounded                   threads, processes  Zhang et al. 2015, Eqs 5-6
+gossip-sgd           gossip             decentralized  sync   none (pairwise)             threads, processes  Jin et al. 2016
+hogwild-easgd        parameter server   centered       async  unbounded                   threads, processes  Sec 5.1
+hogwild-sgd          parameter server   centered       async  unbounded                   threads, processes  Sec 3.2
+knl-sync-easgd       KNL cluster        centered       sync   none (bulk-sync)            threads, processes  Sec 6.2, Alg 4
+original-easgd       round-robin EASGD  centered       sync   none (bulk-sync)            threads, processes  Alg 1, Table 3
+original-easgd*      round-robin EASGD  centered       sync   none (bulk-sync)            threads, processes  Alg 1, Table 3
+sync-easgd           tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 3+overlap
+sync-easgd1          tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 2
+sync-easgd2          tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 3
+sync-easgd3          tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 3+overlap
+sync-sgd             allreduce SGD      centered       sync   none (bulk-sync)            threads, processes  Sec 5.2, Fig 10
+sync-sgd-unpacked    allreduce SGD      centered       sync   none (bulk-sync)            threads, processes  Sec 5.2, Fig 10
+"""
 
 
 class TestRegistry:
@@ -74,3 +106,30 @@ class TestRegistry:
         res = tr.train(4)
         assert res.iterations == 4
         assert res.sim_time > 0
+
+    def test_list_algorithms_output_is_pinned(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["--list-algorithms"])
+        assert ei.value.code == 0
+        assert capsys.readouterr().out == LIST_ALGORITHMS
+
+    def test_async_entries_are_the_family_table(self):
+        for key, row in PS_FAMILIES.items():
+            assert ALGORITHMS[key].row is row
+            info = ALGORITHM_INFO[key]
+            assert (info.sync, info.family_class) == ("async", row.kind)
+            assert info.staleness.startswith("bounded") == row.bounded
+
+    def test_docs_async_rows_match_the_family_table(self):
+        """docs/algorithms.md's pattern and staleness columns for the async
+        rows are generated text: ``row.pattern`` and the registry staleness."""
+        doc = Path(__file__).parent.parent / "docs" / "algorithms.md"
+        cells = {}
+        for line in doc.read_text().splitlines():
+            if line.startswith("| `"):
+                cols = [c.strip() for c in line.strip("|").split("|")]
+                cells[cols[0].strip("`")] = cols
+        for key, row in PS_FAMILIES.items():
+            assert cells[key][2] == row.pattern, key
+            assert cells[key][3] == ALGORITHM_INFO[key].staleness, key
+

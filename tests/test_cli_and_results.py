@@ -135,3 +135,17 @@ class TestCli:
             main(argv)
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,flag,value", [
+        ("async-easgd", "--local-steps", "4"),
+        ("downpour", "--tau", "3"),
+        ("sync-sgd", "--tau", "3"),
+    ])
+    def test_unsupported_ps_option_exits_2(self, method, flag, value, capsys):
+        # A knob the method cannot honour is refused by name, not ignored.
+        code = main(["run", "--method", method, flag, value,
+                     "--iterations", "4", "--train-samples", "256"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(method) in err
+

@@ -10,7 +10,11 @@ CenterStore/WorkerRule seam:
 - backend-equivalence tests (threads vs processes, P=4) for every new
   family via the rank-program runners;
 - checkpoint/resume bit-identity for each simulated zoo family;
-- schedule properties of the tournament :func:`gossip_pairs`.
+- schedule properties of the tournament :func:`gossip_pairs`;
+- what the family table (:data:`repro.engine.ps.PS_FAMILIES`) makes cheap,
+  parametrized over its rows: one crash + straggler + drop plan replayed
+  bit-identically by all ten asynchronous families, and the elastic
+  force's conservation of ``sum_i x_i + x~`` for every elastic pairing.
 """
 
 import numpy as np
@@ -27,10 +31,12 @@ from repro.algorithms.ps_runner import (
 from repro.cluster import CostModel, GpuPlatform
 from repro.comm.mp_runtime import fork_available
 from repro.comm.topology import gossip_pairs
+from repro.engine.ps import ElasticCenterStore, PS_FAMILIES
 from repro.faults import FaultPlan
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
-from repro.trace import check_all
+from repro.optim.easgd import EASGDHyper
+from repro.trace import check_all, to_jsonl
 from repro.trace.metrics import staleness_stats
 
 pytestmark = pytest.mark.algorithms
@@ -111,6 +117,88 @@ class TestStalenessBound:
     def test_default_tau_scales_with_workers(self, mnist_tiny):
         res = _run("bounded-async-easgd", mnist_tiny, iterations=8)
         assert res.extras["staleness_tau"] == 2 * (RANKS - 1)
+
+
+# ---------------------------------------------------------------------------
+# the family table: every row under one fault plan, every elastic pairing
+# ---------------------------------------------------------------------------
+class TestFamilyTable:
+    @pytest.mark.parametrize("method", sorted(PS_FAMILIES))
+    def test_fault_plan_replays_bit_identically(self, method, mnist_tiny):
+        """Crash-and-rejoin + straggler + 5% message drop: the run replays
+        bit for bit and its trace still conserves every message."""
+        def run():
+            plan = (FaultPlan(seed=3).crash(1, 0.004, rejoin_at=0.012)
+                    .straggler(2, 3.0).drop_rate(0.05))
+            return _run(method, mnist_tiny, iterations=40, faults=plan)
+
+        a, b = run(), run()
+        assert to_jsonl(a.trace) == to_jsonl(b.trace)
+        assert a.fault_log == b.fault_log
+        assert a.extras == b.extras
+        assert (a.sim_time, a.final_accuracy) == (b.sim_time, b.final_accuracy)
+        # The plan actually bit: a crash, its rejoin, and dropped messages.
+        assert a.fault_log.count("crash") == a.fault_log.count("rejoin") == 1
+        assert a.extras["messages_dropped"] > 0
+        assert "message-conservation" in check_all(a.trace)
+
+    ELASTIC_ROWS = sorted(
+        key for key, row in PS_FAMILIES.items()
+        if isinstance(row.store(EASGDHyper(lr=0.05, rho=2.0), 1), ElasticCenterStore)
+    )
+
+    @pytest.mark.parametrize("method", ELASTIC_ROWS)
+    def test_elastic_force_conserves_total_mass(self, method):
+        """The elastic force is symmetric (Eqs 1-2): with zero gradients
+        ``sum_i x_i + x~`` is conserved, to float32 rounding, whether the
+        center folds one worker at a time (``serve``/``apply``) or all at
+        once (``fold_sum``)."""
+        row = PS_FAMILIES[method]
+        hyper = EASGDHyper(lr=0.05, rho=2.0)
+        rng = np.random.default_rng(11)
+        n, workers, rounds = 257, 4, 25
+        rule = row.rule()
+        store = row.store(hyper, workers).bind(
+            rng.standard_normal(n).astype(np.float32))
+        states = [rule.init_state(rng.standard_normal(n).astype(np.float32))
+                  for _ in range(workers)]
+        zero = np.zeros(n, dtype=np.float32)
+
+        def mass():
+            return store.weights.astype(np.float64) + sum(
+                st["w"].astype(np.float64) for st in states)
+
+        # One rounding of an O(1) value per fold, 2 folds per exchange.
+        atol = 2 * workers * rounds * 4 * np.finfo(np.float32).eps
+        before = mass()
+        for _ in range(rounds):  # asynchronous: one worker at a time
+            for j in rng.permutation(workers):
+                reply = store.serve(rule.payload(states[j], zero))
+                rule.apply(states[j], zero, reply, hyper)
+        np.testing.assert_allclose(mass(), before, rtol=0, atol=atol)
+        for _ in range(rounds):  # synchronous: Eq 1 everywhere, then Eq 2
+            sum_w = sum(st["w"] for st in states)
+            for st in states:
+                rule.apply(st, zero, store.weights, hyper)
+            store.fold_sum(sum_w, workers)
+        np.testing.assert_allclose(mass(), before, rtol=0, atol=2 * atol)
+
+    def test_runner_refuses_a_knob_the_row_cannot_honour(self, mnist_tiny):
+        train, _ = mnist_tiny
+        net = build_mlp(seed=7)
+        with pytest.raises(ValueError, match="'bounded-async-easgd'.*local_steps"):
+            run_mpi_ps("bounded-async-easgd", net, train, ranks=3, iterations=2,
+                       local_steps=8)
+        with pytest.raises(ValueError, match="'downpour'.*tau"):
+            run_mpi_ps("downpour", net, train, ranks=3, iterations=2, tau=3)
+
+    def test_runner_default_tau_scales_with_workers(self, mnist_tiny):
+        train, _ = mnist_tiny
+        net = build_mlp(seed=7)
+        net.forward(train.images[:1])
+        res = run_mpi_ps("bounded-async-easgd", net, train, ranks=RANKS,
+                         iterations=2, batch_size=16)
+        assert res.extras["staleness_tau"] == 2 * (RANKS - 2)
 
 
 # ---------------------------------------------------------------------------
