@@ -12,6 +12,14 @@ the packed parameter buffer of Section 5.2:
    parameter gradients into the bound views and returns the input gradient.
 
 Shapes exclude the batch dimension: ``input_shape`` is e.g. ``(C, H, W)``.
+
+**Memory order.** Every 4-D array a layer receives or returns is *shaped*
+``(N, C, H, W)``. :class:`Conv2D` produces its output (and its input
+gradient) with the batch innermost in memory — ``(C, H, W, N)`` handed on
+as a transposed view, see :mod:`repro.nn.tensor_ops` — and the elementwise
+and pooling layers downstream keep whatever order they are given (NumPy's
+``order="K"``), so they walk unit-stride runs either way. No layer but
+``Conv2D`` depends on it: ``Flatten`` and ``Dense`` reshape by logical index.
 """
 
 from __future__ import annotations
@@ -49,8 +57,46 @@ class ParamSpec:
         return int(np.prod(self.shape))
 
 
+def _zeros_ordered_like(like: np.ndarray, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros of ``shape`` whose axes sit in memory in the order ``like``'s do.
+
+    What ``np.zeros_like(..., order="K")`` would give if it took a shape:
+    a layer that allocates its input gradient this way hands back the
+    memory order it was given, whatever that order is.
+    """
+    outer_first = sorted(range(like.ndim), key=lambda a: -abs(like.strides[a]))
+    buf = np.zeros([shape[a] for a in outer_first], dtype=dtype)
+    return buf.transpose(np.argsort(outer_first))
+
+
 class Layer:
-    """Base layer. Subclasses override ``build``, ``forward``, ``backward``."""
+    """Base layer. Subclasses override ``build``, ``forward``, ``backward``.
+
+    **Aliasing contract.** What ``forward`` and ``backward`` return is never
+    a view of state that a later call overwrites: a caller may keep it
+    (serving keeps logits, the gradchecks keep ``dx``). No result depends on
+    what an earlier call left behind.
+
+    **One backward per training forward.** ``backward`` may release what
+    ``forward`` cached once it has used it; :class:`Conv2D` does, because
+    its unfolded input is ``k*k`` times the input and would otherwise stay
+    pinned per replica until the next step — or, in a finished trainer's
+    network, until the cyclic GC finds it. A second ``backward`` raises the
+    same ``RuntimeError`` as one with no training-mode forward before it.
+    """
+
+    #: Per-call caches — forward activations, masks, and the
+    #: ``params``/``grads`` views the owning network re-binds. They are not
+    #: part of a layer's state: a copied or pickled layer starts without them.
+    _CACHES = ("params", "grads", "_x", "_y", "_cols", "_mask", "_masks",
+               "_relu_mask", "_cache")
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._CACHES:
+            if name in state:
+                state[name] = {} if isinstance(state[name], dict) else None
+        return state
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or type(self).__name__
@@ -127,12 +173,14 @@ class Dense(Layer):
         self._x = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """``input_grad=False`` (the network's first trainable layer) skips
+        the ``dy @ W.T`` nobody reads and returns None."""
         if self._x is None:
             raise RuntimeError("backward called without a training-mode forward")
         self.grads["W"] += self._x.T @ dy
         self.grads["b"] += dy.sum(axis=0)
-        return dy @ self.params["W"].T
+        return dy @ self.params["W"].T if input_grad else None
 
     def flops_per_sample(self) -> int:
         (fan_in,) = self.input_shape
@@ -146,7 +194,17 @@ class Conv2D(Layer):
     output ``(N, out_channels, H', W')``. ``groups > 1`` splits input and
     output channels into independent groups (AlexNet's two-GPU legacy
     layout for conv2/4/5, which the full-scale ModelSpec also uses).
+
+    The unfolded input is one channel-major matrix ``(C*k*k, H'*W'*N)``
+    (:func:`repro.nn.tensor_ops.im2col`); a group is a block of its rows,
+    so every ``groups`` takes the same path:
+    ``y[group] = W_mat[group] @ cols[group rows]`` straight into an
+    ``(out_channels, H', W', N)`` buffer returned as an NCHW view.
     """
+
+    #: Samples per unfold at inference: an evaluation batch goes through in
+    #: slices, so the unfolded matrix of a whole one is never allocated.
+    INFERENCE_SLICE = 32
 
     def __init__(
         self,
@@ -167,24 +225,7 @@ class Conv2D(Layer):
         self.stride = stride
         self.pad = pad
         self.groups = groups
-        self._cols: Optional[List[np.ndarray]] = None
-        self._x_shape: Optional[Tuple[int, ...]] = None
-        # Training-path scratch reused across steps while shapes are static
-        # (the common case: fixed batch size). Keyed by role so a batch-size
-        # change just replaces the buffer. Private per replica — Network.clone
-        # deep-copies layers — so thread-backend ranks never share scratch.
-        self._ws: dict = {}
-
-    def _workspace(self, key: object, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """The reusable buffer for ``key``, reallocated only on shape change.
-
-        Contents are unspecified (previous step's data); every consumer
-        overwrites it fully.
-        """
-        buf = self._ws.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._ws[key] = np.empty(shape, dtype=dtype)
-        return buf
+        self._cols: Optional[np.ndarray] = None
 
     def build(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 3:
@@ -212,70 +253,66 @@ class Conv2D(Layer):
             ParamSpec("b", (self.out_channels,), "zeros", fan_in, fan_out),
         ]
 
+    def _groups(self):
+        """Per group: its rows of the unfolded matrix, its output channels."""
+        rows = (self.input_shape[0] // self.groups) * self.kernel_size ** 2
+        og = self.out_channels // self.groups
+        for g in range(self.groups):
+            yield slice(g * rows, (g + 1) * rows), slice(g * og, (g + 1) * og)
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n = x.shape[0]
         k = self.kernel_size
         out_c, out_h, out_w = self.output_shape
-        c = self.input_shape[0]
-        cg, og = c // self.groups, out_c // self.groups
+        hw = out_h * out_w
+        w_mat = self.params["W"].reshape(out_c, -1)
+        y = np.empty((out_c, hw, n), dtype=np.result_type(x.dtype, w_mat.dtype))
 
-        cols_per_group: List[np.ndarray] = []
-        outputs = []
-        for g in range(self.groups):
-            xg = x[:, g * cg : (g + 1) * cg]
-            # Training forwards unfold into a per-group workspace reused
-            # across steps (static shapes allocate only once); inference
-            # batches vary in size, so they take the allocating path and
-            # leave the training workspace untouched.
-            ws = (
-                self._workspace(("cols", g), (n * out_h * out_w, cg * k * k), x.dtype)
-                if training
-                else None
-            )
-            cols = im2col(xg, k, k, self.stride, self.pad, out=ws)  # (N*oh*ow, cg*k*k)
-            w_mat = self.params["W"][g * og : (g + 1) * og].reshape(og, -1)
-            bg = self.params["b"][g * og : (g + 1) * og]
-            outputs.append(cols @ w_mat.T + bg)  # (N*oh*ow, og)
-            cols_per_group.append(cols)
-        y = np.concatenate(outputs, axis=1)  # (N*oh*ow, out_c)
+        # A training batch is unfolded whole (backward needs the columns);
+        # an inference batch goes through in slices.
+        step = n if training else min(n, self.INFERENCE_SLICE)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            cols = im2col(x[lo:hi], k, k, self.stride, self.pad)
+            # The batch is the innermost axis of y: a slice of it is not a
+            # column block, so it takes one extra copy into place.
+            whole = hi - lo == n
+            part = y.reshape(out_c, -1) if whole else np.empty((out_c, hw * (hi - lo)), y.dtype)
+            for in_rows, outs in self._groups():
+                np.matmul(w_mat[outs], cols[in_rows], out=part[outs])
+            if not whole:
+                y[:, :, lo:hi] = part.reshape(out_c, hw, hi - lo)
+        y += self.params["b"][:, None, None]
 
-        if training:
-            self._cols = cols_per_group
-            self._x_shape = x.shape
-        else:
-            self._cols = None
-            self._x_shape = None
-        return y.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
+        self._cols = cols if training else None
+        return y.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """``input_grad=False`` (the network's first trainable layer) skips
+        the ``dcols`` GEMM and the fold nobody reads and returns None."""
+        if self._cols is None:
             raise RuntimeError("backward called without a training-mode forward")
-        n, out_c, out_h, out_w = dy.shape
+        n, out_c = dy.shape[:2]
         k = self.kernel_size
-        c = self.input_shape[0]
-        cg, og = c // self.groups, out_c // self.groups
-        dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, out_c)  # (N*oh*ow, out_c)
+        # A view when dy has the output's memory order (it does when it
+        # comes back through ReLU/pooling from this layer's own output).
+        dy_mat = dy.transpose(1, 2, 3, 0).reshape(out_c, -1)  # (out_c, oh*ow*N)
+        w_mat = self.params["W"].reshape(out_c, -1)
+        g_mat = self.grads["W"].reshape(out_c, -1)
+        cols, self._cols = self._cols, None
 
-        dx = self._workspace(("dx",), self._x_shape, dy.dtype)
-        group_x_shape = (n, cg) + self._x_shape[2:]
-        h, w = self._x_shape[2], self._x_shape[3]
-        padded_shape = (n, cg, h + 2 * self.pad, w + 2 * self.pad)
-        for g in range(self.groups):
-            dyg = dy_mat[:, g * og : (g + 1) * og]
-            w_view = self.params["W"][g * og : (g + 1) * og]
-            w_mat = w_view.reshape(og, -1)
-            self.grads["W"][g * og : (g + 1) * og] += (
-                dyg.T @ self._cols[g]
-            ).reshape(w_view.shape)
-            self.grads["b"][g * og : (g + 1) * og] += dyg.sum(axis=0)
-            dcols = dyg @ w_mat  # (N*oh*ow, cg*k*k)
-            # col2im zeroes and scatter-adds into the reused padded scratch;
-            # its return aliases that scratch, so copy into dx immediately.
-            dx[:, g * cg : (g + 1) * cg] = col2im(
-                dcols, group_x_shape, k, k, self.stride, self.pad,
-                out=self._workspace(("col2im", g), padded_shape, dy.dtype),
-            )
-        return dx
+        self.grads["b"] += dy_mat.sum(axis=1)
+        for in_rows, outs in self._groups():
+            # (cols @ dy.T).T, not dy @ cols.T: same product, and the BLAS
+            # here runs it 1.7-2x faster with the long axis contiguous on
+            # both operands (docs/performance.md, "The nn plane").
+            g_mat[outs] += (cols[in_rows] @ dy_mat[outs].T).T
+        if not input_grad:
+            return None
+        dcols = np.empty(cols.shape, dtype=np.result_type(dy.dtype, w_mat.dtype))
+        for in_rows, outs in self._groups():
+            np.matmul(w_mat[outs].T, dy_mat[outs], out=dcols[in_rows])
+        return col2im(dcols, (n,) + self.input_shape, k, k, self.stride, self.pad)
 
     def flops_per_sample(self) -> int:
         c, _, _ = self.input_shape
@@ -314,37 +351,62 @@ class _Pool2D(Layer):
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling; gradient routes to the argmax element of each window."""
+    """Max pooling; gradient routes to the first maximal element of each window.
+
+    One path for every stride, overlapping windows included: the window
+    offset ``(i, j)`` selects the strided slice ``x[:, :, i::s, j::s]`` of
+    every window's ``(i, j)`` element at once, forward is a running
+    ``np.maximum`` over the ``p*p`` slices, and backward adds ``dy`` back
+    through per-slice masks. Ties go to the first offset in row-major
+    order, as ``argmax`` over the flattened window would.
+    """
 
     def __init__(self, pool_size: int, stride: Optional[int] = None, name: Optional[str] = None) -> None:
         super().__init__(pool_size, stride, name)
-        self._x_shape: Optional[Tuple[int, ...]] = None
-        self._argmax: Optional[np.ndarray] = None
+        self._masks: Optional[List[np.ndarray]] = None
+
+    def _slices(self, x: np.ndarray) -> List[np.ndarray]:
+        """Per in-window offset, the (N, C, oh, ow) view of that element of every window."""
+        _, out_h, out_w = self.output_shape
+        p, s = self.pool_size, self.stride
+        return [
+            x[:, :, i : i + s * out_h : s, j : j + s * out_w : s]
+            for i in range(p)
+            for j in range(p)
+        ]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        windows = self._windows(x)
-        n, c, oh, ow, p, _ = windows.shape
-        flat = windows.reshape(n, c, oh, ow, p * p)
-        if training:
-            self._x_shape = x.shape
-            self._argmax = flat.argmax(axis=-1)
-            return np.take_along_axis(flat, self._argmax[..., None], axis=-1)[..., 0]
-        return flat.max(axis=-1)
+        slices = self._slices(x)
+        y = slices[0].copy(order="K")
+        for part in slices[1:]:
+            np.maximum(y, part, out=y)
+        if not training:
+            return y
+        # First-match masks: an element wins if it equals the maximum and
+        # no earlier offset already did (all-zero post-ReLU windows tie).
+        masks = [slices[0] == y]
+        unclaimed = ~masks[0]
+        for part in slices[1:]:
+            mask = part == y
+            mask &= unclaimed
+            unclaimed ^= mask
+            masks.append(mask)
+        self._masks = masks
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._x_shape is None or self._argmax is None:
+        if self._masks is None:
             raise RuntimeError("backward called without a training-mode forward")
-        n, c, oh, ow = dy.shape
-        p = self.pool_size
-        dx = np.zeros(self._x_shape, dtype=dy.dtype)
-        # Decompose flat argmax into in-window offsets, then scatter-add with
-        # advanced indexing (vectorized over the whole batch).
-        off_i = self._argmax // p
-        off_j = self._argmax % p
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        rows = oi * self.stride + off_i
-        cols = oj * self.stride + off_j
-        np.add.at(dx, (ni, ci, rows, cols), dy)
+        # Everything below runs in the masks' (= the input's) memory order,
+        # whatever order dy arrives in.
+        first = self._masks[0]
+        grad = np.empty_like(first, dtype=dy.dtype)
+        grad[...] = dy
+        dx = _zeros_ordered_like(first, dy.shape[:1] + self.input_shape, dy.dtype)
+        routed = np.empty_like(grad)
+        for part, mask in zip(self._slices(dx), self._masks):
+            np.multiply(grad, mask, out=routed)
+            part += routed
         return dx
 
 

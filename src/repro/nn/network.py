@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.init import INITIALIZERS
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Layer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.util.rng import spawn_rng
 
@@ -82,21 +82,32 @@ class Network:
                 offset += spec.size
         self.params = np.zeros(offset, dtype=np.float32)
         self.grads = np.zeros(offset, dtype=np.float32)
+        self._bind_layers()
 
-        # Bind per-layer views and initialize weights.
         rng = spawn_rng(seed, "init", name)
+        for layer in self.layers:
+            for spec in layer.param_specs():
+                layer.params[spec.name][...] = INITIALIZERS[spec.init](
+                    rng, spec.shape, spec.fan_in, spec.fan_out
+                )
+
+    def _bind_layers(self) -> None:
+        """Point every layer's ``params``/``grads`` at its slices of the packed buffers."""
         seg_iter = iter(self.segments)
         for layer in self.layers:
-            specs = layer.param_specs()
             params, grads = {}, {}
-            for spec in specs:
+            for spec in layer.param_specs():
                 seg = next(seg_iter)
-                view = self.params[seg.start : seg.stop].reshape(spec.shape)
-                gview = self.grads[seg.start : seg.stop].reshape(spec.shape)
-                view[...] = INITIALIZERS[spec.init](rng, spec.shape, spec.fan_in, spec.fan_out)
-                params[spec.name] = view
-                grads[spec.name] = gview
+                params[spec.name] = self.params[seg.start : seg.stop].reshape(spec.shape)
+                grads[spec.name] = self.grads[seg.start : seg.stop].reshape(spec.shape)
             layer.bind(params, grads)
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickled or deep-copied network carries the packed buffers once
+        # and its layers without views or scratch (Layer.__getstate__);
+        # re-binding makes set_params/zero_grads reach the layers again.
+        self.__dict__.update(state)
+        self._bind_layers()
 
     # -- introspection -------------------------------------------------------
     @property
@@ -183,11 +194,27 @@ class Network:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        """Backward propagation; accumulates into the packed gradient buffer."""
-        for layer in reversed(self.layers):
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Backward propagation; accumulates into the packed gradient buffer.
+
+        Returns the gradient with respect to the network's input.
+        ``input_grad=False`` — what :meth:`gradient` passes, since no
+        trainer reads an image gradient — stops at the first layer that
+        owns parameters, tells it to skip its own input gradient where the
+        layer can (``Dense``, ``Conv2D``), and returns None.
+        """
+        layers = self.layers
+        if not input_grad:
+            first = next((i for i, layer in enumerate(layers) if layer.params), 0)
+            layers = layers[first:]
+        for layer in reversed(layers[1:]):
             dy = layer.backward(dy)
-        return dy
+        head = layers[0]
+        if input_grad or not isinstance(head, (Dense, Conv2D)):
+            dy = head.backward(dy)
+        else:
+            head.backward(dy, input_grad=False)
+        return dy if input_grad else None
 
     def gradient(
         self, images: np.ndarray, labels: np.ndarray, loss: Optional[SoftmaxCrossEntropy] = None
@@ -195,14 +222,14 @@ class Network:
         """One fused forward+backward over a batch.
 
         Zeroes the gradient buffer, runs forward propagation, evaluates the
-        loss, and backpropagates. After this call ``self.grads`` holds the
-        batch-mean gradient; returns the scalar loss.
+        loss, and backpropagates the parameter gradients. After this call
+        ``self.grads`` holds the batch-mean gradient; returns the scalar loss.
         """
         loss = loss or SoftmaxCrossEntropy()
         self.zero_grads()
         logits = self.forward(images, training=True)
         value = loss.forward(logits, labels)
-        self.backward(loss.backward())
+        self.backward(loss.backward(), input_grad=False)
         return value
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:

@@ -1,9 +1,23 @@
-"""Low-level tensor transforms: im2col / col2im.
+"""Low-level tensor transforms: im2col / col2im over channel-major columns.
 
 Convolution is implemented as a single large matrix multiply over an
 im2col-unfolded input — the standard GEMM formulation the paper's substrate
 (cuDNN/MKL) uses, and the vectorization idiom the HPC guides call for
 (one big BLAS call instead of Python-level loops).
+
+**Layout.** Columns are *channel-major, batch-innermost*: the unfolded
+matrix has shape ``(C * field_h * field_w, out_h * out_w * N)``, row
+``(c, i, j)`` holding input channel ``c`` shifted by the in-window offset
+``(i, j)``, column ``(oy, ox, n)`` naming one output position of one
+sample. Filling it (and folding it back) is ``field_h * field_w`` slice
+copies whose innermost runs are ``out_w * N`` contiguous floats on both
+sides at stride 1 (``N`` at a larger stride) — the unit-stride streaming
+the paper's KNL half argues for, and long even where the image has shrunk
+to 8x8 — and ``W_mat @ cols`` lands directly in
+``(out_channels, out_h, out_w, N)``, which is handed on as an
+``(N, out_channels, out_h, out_w)`` *view*. Only this module and
+:class:`repro.nn.layers.Conv2D` know the layout; every other layer sees
+ordinary NCHW-shaped arrays (whose memory happens to be ordered C, H, W, N).
 """
 
 from __future__ import annotations
@@ -24,6 +38,14 @@ def conv_output_size(size: int, field: int, stride: int, pad: int) -> int:
     return out
 
 
+def _check_out(out: np.ndarray, shape: tuple, dtype) -> None:
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be C-contiguous {shape} of {dtype}, got "
+            f"{out.shape} of {out.dtype}"
+        )
+
+
 def im2col(
     x: np.ndarray,
     field_h: int,
@@ -32,43 +54,38 @@ def im2col(
     pad: int,
     out: np.ndarray = None,
 ) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into ``(N * out_h * out_w, C * field_h * field_w)``.
-
-    Built with ``stride_tricks.sliding_window_view`` so the unfolding itself
-    is a zero-copy view; only the final reshape materializes memory.
+    """Unfold ``(N, C, H, W)`` into ``(C * field_h * field_w, out_h * out_w * N)``.
 
     ``out``, if given, receives the columns in place (must be C-contiguous
-    with the exact result shape and ``x``'s dtype) and is returned — the
-    hot-loop form: :class:`repro.nn.layers.Conv2D` hands the same workspace
-    back every training step, so steady-state forwards allocate nothing
-    here. Bit-for-bit identical to the allocating form.
+    with the exact result shape and ``x``'s dtype) and is returned. Every
+    element of it is overwritten, so its previous contents never matter:
+    bit-for-bit identical to the allocating form.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, field_h, stride, pad)
     out_w = conv_output_size(w, field_w, stride, pad)
-    shape = (n * out_h * out_w, c * field_h * field_w)
-
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-
-    # windows: (N, C, H', W', field_h, field_w) where H'/W' enumerate window
-    # origins at stride 1; then subsample by stride.
-    windows = np.lib.stride_tricks.sliding_window_view(x, (field_h, field_w), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    assert windows.shape[2] == out_h and windows.shape[3] == out_w
-
+    shape = (c * field_h * field_w, out_h * out_w * n)
     if out is None:
         out = np.empty(shape, dtype=x.dtype)
-    elif out.shape != shape or out.dtype != x.dtype or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be C-contiguous {shape} of {x.dtype}, got "
-            f"{out.shape} of {out.dtype}"
-        )
-    # One strided copy: reorder to (N, out_h, out_w, C, field_h, field_w)
-    # directly into the (possibly reused) destination.
-    out.reshape(n, out_h, out_w, c, field_h, field_w)[...] = windows.transpose(
-        0, 2, 3, 1, 4, 5
-    )
+    else:
+        _check_out(out, shape, x.dtype)
+
+    # Bring x to the columns' memory order once — a copy only when it is
+    # not there already (the network's input images; a padded input) — so
+    # the field_h * field_w slice copies below all stream.
+    xc = x.transpose(1, 2, 3, 0)  # (C, H, W, N) view
+    if pad > 0:
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = xc
+        xc = padded
+    else:
+        xc = np.ascontiguousarray(xc)
+    cols6 = out.reshape(c, field_h, field_w, out_h, out_w, n)
+    for i in range(field_h):
+        i_max = i + stride * out_h
+        for j in range(field_w):
+            j_max = j + stride * out_w
+            cols6[:, i, j] = xc[:, i:i_max:stride, j:j_max:stride]
     return out
 
 
@@ -83,43 +100,33 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
-    ``cols`` has shape ``(N * out_h * out_w, C * field_h * field_w)``;
-    returns an array of ``x_shape``. Overlapping windows accumulate, which is
+    ``cols`` has shape ``(C * field_h * field_w, out_h * out_w * N)``;
+    returns an ``x_shape`` = ``(N, C, H, W)`` *view* of a channel-major,
+    batch-innermost accumulator. Overlapping windows accumulate, which is
     exactly the gradient of the unfolding.
 
-    ``out``, if given, is the **padded** accumulator workspace of shape
-    ``(N, C, H + 2*pad, W + 2*pad)`` (``cols``'s dtype, C-contiguous). It is
-    zeroed here, so reuse across steps is safe — but the returned array
-    *aliases* it (it is a view when ``pad > 0``), so the caller must copy
-    the result out before the next call with the same workspace.
+    ``out``, if given, is that **padded** accumulator, of shape
+    ``(C, H + 2*pad, W + 2*pad, N)`` (``cols``'s dtype, C-contiguous). It is
+    zeroed here, so its previous contents never matter — but the returned
+    array *aliases* it, so it is valid only until ``out`` is written again.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, field_h, stride, pad)
     out_w = conv_output_size(w, field_w, stride, pad)
+    cols6 = cols.reshape(c, field_h, field_w, out_h, out_w, n)
 
-    cols6 = cols.reshape(n, out_h, out_w, c, field_h, field_w).transpose(
-        0, 3, 1, 2, 4, 5
-    )  # (N, C, out_h, out_w, fh, fw)
-
-    padded_shape = (n, c, h + 2 * pad, w + 2 * pad)
+    padded_shape = (c, h + 2 * pad, w + 2 * pad, n)
     if out is None:
         padded = np.zeros(padded_shape, dtype=cols.dtype)
-    elif out.shape != padded_shape or out.dtype != cols.dtype or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be C-contiguous {padded_shape} of {cols.dtype}, got "
-            f"{out.shape} of {out.dtype}"
-        )
     else:
+        _check_out(out, padded_shape, cols.dtype)
         padded = out
         padded.fill(0)
-    # Scatter-add each in-window offset as one vectorized strided assignment:
-    # field_h * field_w iterations instead of N * out_h * out_w.
+    # One strided accumulation per in-window offset: field_h * field_w
+    # passes instead of N * out_h * out_w.
     for i in range(field_h):
         i_max = i + stride * out_h
         for j in range(field_w):
             j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, :, :, i, j]
-
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+            padded[:, i:i_max:stride, j:j_max:stride] += cols6[:, i, j]
+    return padded[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2)

@@ -233,3 +233,67 @@ class TestSetParamsBuffers:
         net = _net()
         with pytest.raises(ValueError, match="expected"):
             net.set_params(np.zeros((2, net.num_params), dtype=np.float32))
+
+
+class TestPickleAndDeepCopy:
+    """A pickled or deep-copied network stays one packed buffer with views
+    into it (it used to come back detached, with four copies of the weights
+    and every layer's scratch in the payload)."""
+
+    @staticmethod
+    def _roundtrips(net):
+        import copy
+        import pickle
+
+        return [pickle.loads(pickle.dumps(net)), copy.deepcopy(net)]
+
+    def test_layer_views_alias_the_packed_buffers(self):
+        net = _net(seed=1)
+        for twin in self._roundtrips(net):
+            np.testing.assert_array_equal(twin.params, net.params)
+            for layer in twin.layers:
+                for name, view in layer.params.items():
+                    assert np.shares_memory(view, twin.params)
+                    assert np.shares_memory(layer.grads[name], twin.grads)
+                    assert not np.shares_memory(view, net.params)
+
+    def test_set_params_reaches_forward(self):
+        from repro.nn.models import build_mlp
+
+        net = build_mlp(seed=2)
+        x = np.random.default_rng(0).normal(size=(3, 1, 28, 28)).astype(np.float32)
+        for twin in self._roundtrips(net):
+            np.testing.assert_array_equal(twin.forward(x), net.forward(x))
+            twin.set_params(np.zeros(twin.num_params, dtype=np.float32))
+            np.testing.assert_array_equal(twin.forward(x), 0.0)
+            twin.gradient(x, np.array([1, 2, 3]))  # zero weights: only the last bias moves
+            assert twin.grads.any() and twin.layers[-1].grads["b"].any()
+
+    def test_trained_network_pickles_to_two_buffers(self):
+        import pickle
+
+        from repro.nn.models import build_lenet
+
+        net = build_lenet(seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(32, 1, 28, 28)).astype(np.float32)
+        net.gradient(x, rng.integers(0, 10, size=32))
+        net.evaluate(x, rng.integers(0, 10, size=32))
+        assert len(pickle.dumps(net)) <= 2 * net.nbytes + 32 * 1024
+
+    def test_stochastic_layer_state_survives(self):
+        from repro.nn.regularization import BatchNorm, Dropout
+
+        net = Network(
+            [Flatten(), Dense(6, name="d1"), BatchNorm(name="bn"), Dropout(0.5, seed=5),
+             Dense(5, name="d2")],
+            input_shape=(1, 4, 4),
+            seed=1,
+        )
+        x = np.random.default_rng(2).normal(size=(8, 1, 4, 4)).astype(np.float32)
+        net.forward(x, training=True)  # advances the dropout stream and the running stats
+        twins = self._roundtrips(net)
+        want = net.forward(x, training=True)
+        for twin in twins:  # the same next mask, the same running statistics after it
+            np.testing.assert_array_equal(twin.forward(x, training=True), want)
+            np.testing.assert_array_equal(twin.layers[2].running_mean, net.layers[2].running_mean)

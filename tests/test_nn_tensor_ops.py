@@ -1,4 +1,8 @@
-"""im2col / col2im: shapes, values, adjointness."""
+"""im2col / col2im: shapes, values, adjointness.
+
+Columns are channel-major and batch-innermost: ``(C*kh*kw, oh*ow*N)``,
+row ``(c, i, j)``, column ``(oy, ox, n)``.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,32 +34,32 @@ class TestIm2col:
     def test_shape(self):
         x = np.arange(2 * 3 * 8 * 8, dtype=np.float32).reshape(2, 3, 8, 8)
         cols = im2col(x, 3, 3, 1, 0)
-        assert cols.shape == (2 * 6 * 6, 3 * 3 * 3)
+        assert cols.shape == (3 * 3 * 3, 6 * 6 * 2)
 
     def test_identity_window(self):
-        # 1x1 window, stride 1: im2col is just a channel-last reshape.
+        # 1x1 window, stride 1: im2col is just a channel-first, batch-last reshape.
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 4)).astype(np.float32)
         cols = im2col(x, 1, 1, 1, 0)
-        expected = x.transpose(0, 2, 3, 1).reshape(-1, 3)
+        expected = x.transpose(1, 2, 3, 0).reshape(3, -1)
         np.testing.assert_array_equal(cols, expected)
 
     def test_known_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         cols = im2col(x, 2, 2, 2, 0)
-        # windows at (0,0), (0,2), (2,0), (2,2)
+        # one column per window, at (0,0), (0,2), (2,0), (2,2)
         np.testing.assert_array_equal(
             cols,
             np.array(
                 [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]],
                 dtype=np.float32,
-            ),
+            ).T,
         )
 
     def test_padding_zeroes_border(self):
         x = np.ones((1, 1, 2, 2), dtype=np.float32)
         cols = im2col(x, 3, 3, 1, 1)
         # center window covers the whole padded image; corners include zeros
-        assert cols.shape == (4, 9)
+        assert cols.shape == (9, 4)
         assert cols.sum() == pytest.approx(4 * 4)  # each original pixel in 4 windows
 
     def test_conv_as_gemm_matches_direct(self):
@@ -70,9 +74,9 @@ class TestIm2col:
                 for i in range(3):
                     for j in range(3):
                         direct[n, o, i, j] = (x[n, :, i : i + 3, j : j + 3] * w[o]).sum()
-        # im2col output rows are (n, oh, ow); reorder to (n, o, oh, ow)
-        y3 = (cols @ w.reshape(3, -1).T).reshape(2, 3, 3, 3)
-        y3 = y3.transpose(0, 3, 1, 2)
+        # im2col output columns are (oh, ow, n); reorder to (n, o, oh, ow)
+        y3 = (w.reshape(3, -1) @ cols).reshape(3, 3, 3, 2)
+        y3 = y3.transpose(3, 0, 1, 2)
         np.testing.assert_allclose(y3, direct, rtol=1e-5, atol=1e-5)
 
 

@@ -240,7 +240,7 @@ class TestTensorOpsOut:
         cols = im2col(x, fh, fw, stride, pad)
         ref = col2im(cols, x.shape, fh, fw, stride, pad)
         n, c, h, w = x.shape
-        scratch = np.full((n, c, h + 2 * pad, w + 2 * pad), 7.0, dtype=cols.dtype)
+        scratch = np.full((c, h + 2 * pad, w + 2 * pad, n), 7.0, dtype=cols.dtype)
         got = col2im(cols, x.shape, fh, fw, stride, pad, out=scratch)
         np.testing.assert_array_equal(got, ref)  # stale scratch contents zeroed
         # Second use with the same workspace is still exact.
