@@ -9,97 +9,26 @@ gradient, worker weights are reduced within each node and allreduced
 across nodes, and the EASGD updates are applied exactly as in Sync EASGD3
 (including the compute/communication overlap).
 
-The loop is the shared :class:`repro.engine.StepPipeline`; the family
-contributes a clock step built on the same
-:class:`~repro.engine.SyncElasticUpdate` rule as Sync EASGD3.
+The iteration is the shared :class:`repro.engine.SyncStep` under Sync
+EASGD3's :class:`~repro.engine.SyncElasticUpdate` rule; the clock is its
+:class:`~repro.algorithms.sync_easgd.TreeEasgdComm` over that allreduce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.algorithms.base import BaseTrainer, TrainerConfig
+from repro.algorithms.sync_easgd import TreeEasgdComm
 from repro.cluster.cost import CostModel
 from repro.cluster.multinode import GpuClusterPlatform
 from repro.data.dataset import Dataset
-from repro.engine.compute import gather_gradients, jittered_fwdbwd
-from repro.engine.strategy import ClockStepStrategy, SyncElasticUpdate
+from repro.engine.strategy import SyncElasticUpdate
+from repro.engine.sync import SyncStep
 from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper
 
 __all__ = ["ClusterSyncEASGDTrainer"]
-
-
-class _ClusterSyncEasgdStep(ClockStepStrategy):
-    """One hierarchical Sync EASGD iteration across nodes x GPUs."""
-
-    def __init__(self, trainer: "ClusterSyncEASGDTrainer") -> None:
-        self.trainer = trainer
-
-    def begin(self, pipeline) -> None:
-        tr = self.trainer
-        w = tr.platform.num_workers
-        cfg = tr.config
-        self.center = tr.net.get_params()
-        self.workers: List[np.ndarray] = [self.center.copy() for _ in range(w)]
-        self.samplers = [tr.make_sampler(("cluster-worker", j)) for j in range(w)]
-        self.update = SyncElasticUpdate(tr.hyper)
-        self.live = list(range(w))
-        self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
-        self.comm_t = tr.platform.hierarchical_allreduce_time(
-            tr.cost, tr.allreduce, tr.packed
-        )
-        self.upd_t = 2.0 * tr.platform.gpu_update_time(tr.cost)
-
-    def step(self, pipeline, t: int) -> float:
-        tr = self.trainer
-        cfg = tr.config
-        grads, losses = gather_gradients(tr, self.samplers, self.live,
-                                         weights=self.workers)
-        self.last_loss = losses[-1]
-        self.update.apply(self.center, self.workers, grads, self.live)
-
-        fwdbwd_max = max(jittered_fwdbwd(
-            tr.platform, tr.cost, cfg.batch_size, self.live, None,
-            pipeline.sim_time,
-        ))
-        if tr.overlap:
-            hidden = cfg.overlap_efficiency * min(self.comm_t, self.stage_t + fwdbwd_max)
-            visible_comm = self.comm_t - hidden
-        else:
-            visible_comm = self.comm_t
-        breakdown = pipeline.breakdown
-        breakdown.add("cpu-gpu data", self.stage_t)
-        breakdown.add("for/backward", fwdbwd_max)
-        breakdown.add("gpu-gpu para", visible_comm)
-        breakdown.add("gpu update", self.upd_t)
-        return self.stage_t + fwdbwd_max + visible_comm + self.upd_t
-
-    def eval_params(self) -> np.ndarray:
-        return self.center
-
-    def state_dict(self) -> Dict:
-        arrays = {"center": self.center}
-        for j, w in enumerate(self.workers):
-            arrays[f"worker-{j}"] = w
-        return {
-            "arrays": arrays,
-            "meta": {
-                "last_loss": self.last_loss,
-                "samplers": [s.get_state() for s in self.samplers],
-            },
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        self.center[:] = arrays["center"]
-        for j, w in enumerate(self.workers):
-            w[:] = arrays[f"worker-{j}"]
-        for sampler, st in zip(self.samplers, meta["samplers"]):
-            sampler.set_state(st)
-        self.last_loss = meta["last_loss"]
 
 
 class ClusterSyncEASGDTrainer(BaseTrainer):
@@ -131,17 +60,26 @@ class ClusterSyncEASGDTrainer(BaseTrainer):
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
         self.hyper.validate_sync(platform.num_workers)
 
+    def make_comm(self) -> TreeEasgdComm:
+        """Sync EASGD3's clock over the nodes x GPUs hierarchy."""
+        platform, cost = self.platform, self.cost
+        return TreeEasgdComm(
+            platform.num_workers,
+            overlapped=True,
+            stage_t=platform.stage_batch_time(cost, self.config.batch_size),
+            bcast_t=0.0,  # the allreduce leaves the sum on every worker
+            reduce_t=platform.hierarchical_allreduce_time(cost, self.allreduce, self.packed),
+            upd_t=platform.gpu_update_time(cost),
+            overlap_efficiency=self.config.overlap_efficiency if self.overlap else 0.0,
+        )
+
     def iteration_time(self) -> float:
         """Per-iteration simulated seconds (jitter-free expectation)."""
-        cfg = self.config
-        stage = self.platform.stage_batch_time(self.cost, cfg.batch_size)
-        fwdbwd = self.platform.fwdbwd_time(self.cost, cfg.batch_size, worker=0, jittered=False)
-        comm = self.platform.hierarchical_allreduce_time(self.cost, self.allreduce, self.packed)
-        upd = 2.0 * self.platform.gpu_update_time(self.cost)
-        if self.overlap:
-            hidden = cfg.overlap_efficiency * min(comm, stage + fwdbwd)
-            return stage + fwdbwd + (comm - hidden) + upd
-        return stage + fwdbwd + comm + upd
+        fwdbwd = self.platform.fwdbwd_time(
+            self.cost, self.config.batch_size, worker=0, jittered=False
+        )
+        return self.make_comm().timing(fwdbwd)[0]
 
-    def make_step(self) -> _ClusterSyncEasgdStep:
-        return _ClusterSyncEasgdStep(self)
+    def make_step(self) -> SyncStep:
+        return SyncStep(self, SyncElasticUpdate(self.hyper), self.make_comm(),
+                        sampler_label="cluster-worker")

@@ -12,25 +12,25 @@ Two timing variants, as in Table 3:
 - ``overlapped=True``  -> "Original EASGD": forward/backward hides under the
   CPU<->GPU parameter transfers; only the residue is visible compute.
 
-The loop itself lives in :mod:`repro.engine`; this module contributes the
-round-robin step strategy and its point-to-point communication model.
+The iteration is the shared :class:`repro.engine.SyncStep`; this module
+contributes the point-to-point communication model, paired with the
+:class:`~repro.engine.RoundRobinElasticUpdate` rule (one worker computes
+per iteration).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.algorithms.base import BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
 from repro.data.dataset import Dataset
-from repro.engine.faults import SyncFaultTracker
-from repro.engine.strategy import ClockStepStrategy, CommStrategy
-from repro.faults import FaultLog, FaultPlan
+from repro.engine.strategy import CommStrategy, RoundRobinElasticUpdate
+from repro.engine.sync import SyncStep
+from repro.faults import FaultPlan
 from repro.nn.network import Network
-from repro.optim.easgd import EASGDHyper, elastic_center_update_single, elastic_worker_update
+from repro.optim.easgd import EASGDHyper
 from repro.trace.events import MASTER
 from repro.trace.schedule import emit_p2p
 
@@ -43,6 +43,7 @@ class _RoundRobinComm(CommStrategy):
     def __init__(self, trainer: "OriginalEASGDTrainer") -> None:
         tr = trainer
         cfg = tr.config
+        self.ranks = tr.platform.num_gpus
         self.overlapped = tr.overlapped
         self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
         self.param_oneway = tr.platform.cpu_gpu_param_time(tr.cost, packed=tr.packed)
@@ -54,16 +55,22 @@ class _RoundRobinComm(CommStrategy):
             0.0, self.gpu_upd_t - cfg.overlap_efficiency * self.cpu_upd_t
         )
         self.plan_msgs = tr.platform.param_plan(tr.cost, packed=tr.packed)
+        self.trace_meta = dict(pattern="round-robin", packed=tr.packed,
+                               overlapped=tr.overlapped,
+                               messages_per_exchange=self.plan_msgs.num_messages)
 
-    def charge(self, pipeline, t: int, j: int, fwdbwd: float) -> float:
+    def _visible_fwd(self, fwdbwd: float) -> float:
+        if not self.overlapped:
+            return fwdbwd
+        # The pass pipelines fully under the (longer) weight
+        # transfers; only the part of compute that outlasts the
+        # transfer remains visible (Table 3 measures 3% residue).
+        return max(0.0, fwdbwd - 2.0 * self.param_oneway)
+
+    def charge(self, pipeline, t: int, active: List[int],
+               fwdbwd_each: List[float]) -> float:
         param_comm = 2.0 * self.param_oneway  # send Wbar down, fetch W_j up
-        if self.overlapped:
-            # The pass pipelines fully under the (longer) weight
-            # transfers; only the part of compute that outlasts the
-            # transfer remains visible (Table 3 measures 3% residue).
-            visible_fwd = max(0.0, fwdbwd - param_comm)
-        else:
-            visible_fwd = fwdbwd
+        visible_fwd = self._visible_fwd(fwdbwd_each[0])
         breakdown = pipeline.breakdown
         breakdown.add("cpu-gpu data", self.stage_t)
         breakdown.add("cpu-gpu para", param_comm)
@@ -72,11 +79,12 @@ class _RoundRobinComm(CommStrategy):
         breakdown.add("cpu update", self.cpu_upd_t)
         return self.stage_t + param_comm + visible_fwd + self.visible_gpu_upd + self.cpu_upd_t
 
-    def emit(self, trace, t: int, T: float, j: int, fwdbwd: float,
-             visible_fwd: float) -> None:
+    def emit(self, trace, t: int, T: float, active: List[int],
+             fwdbwd_each: List[float], iter_time: float) -> None:
         # Reconstruct the iteration's timeline: staging, then the two
         # CPU<->GPU transfers (compute hides under them when
         # overlapped), then the visible update residues.
+        j, fwdbwd = active[0], fwdbwd_each[0]
         t_stage = T + self.stage_t
         t_down = t_stage + self.param_oneway
         t_up = t_down + self.param_oneway
@@ -89,105 +97,12 @@ class _RoundRobinComm(CommStrategy):
                  messages=self.plan_msgs.num_messages, tag=2, seq=t, iteration=t)
         c0 = t_stage if self.overlapped else t_up
         trace.span("compute", j, c0, c0 + fwdbwd, op="fwd-bwd", iteration=t)
-        u0 = t_up + visible_fwd
+        u0 = t_up + self._visible_fwd(fwdbwd)
         trace.span("update", j, u0, u0 + self.visible_gpu_upd, op="gpu-update",
                    iteration=t)
         trace.span("update", MASTER, u0 + self.visible_gpu_upd,
                    u0 + self.visible_gpu_upd + self.cpu_upd_t, op="cpu-update",
                    iteration=t)
-
-
-class _OriginalEasgdStep(ClockStepStrategy):
-    """One round-robin iteration: single-worker exchange, Eq 1, Eq 2."""
-
-    def __init__(self, trainer: "OriginalEASGDTrainer") -> None:
-        self.trainer = trainer
-
-    def begin(self, pipeline) -> None:
-        tr = self.trainer
-        g = self.g = tr.platform.num_gpus
-        # Algorithm 1 lines 3-5: per-GPU local weights and the CPU center,
-        # all copies of the same initialization.
-        self.center = tr.net.get_params()
-        self.workers: List[np.ndarray] = [self.center.copy() for _ in range(g)]
-        self.samplers = [tr.make_sampler(("worker", j)) for j in range(g)]
-        self.comm = _RoundRobinComm(tr)
-        tr.make_trace(
-            g,
-            pattern="round-robin",
-            packed=tr.packed,
-            overlapped=tr.overlapped,
-            messages_per_exchange=self.comm.plan_msgs.num_messages,
-        )
-        log = tr.fault_log = FaultLog()
-        self.tracker = SyncFaultTracker(
-            tr.faults, log, g, tr.name,
-            restore=lambda k: self.workers[k].__setitem__(..., self.center),
-        )
-
-    def step(self, pipeline, t: int) -> float:
-        tr = self.trainer
-        live = self.tracker.prologue(pipeline, t)
-        j = (t - 1) % self.g  # Algorithm 1 line 7 (0-based)
-        # Round-robin over survivors: the master skips dead ranks
-        # instead of blocking on a reply that will never come.
-        while j not in live:
-            j = (j + 1) % self.g
-
-        # --- numerics -------------------------------------------------
-        images, labels = self.samplers[j].next_batch()
-        tr.net.set_params(self.workers[j])
-        self.last_loss = tr.net.gradient(images, labels, tr.loss)
-        w_before = self.workers[j].copy()  # W_j^t as fetched by the CPU (line 12)
-        # line 13: GPU applies Eq 1 against the Wbar it was sent.
-        elastic_worker_update(self.workers[j], tr.net.grads, self.center, tr.hyper)
-        # line 14: CPU applies the single-worker Eq 2 with W_j^t.
-        elastic_center_update_single(self.center, w_before, tr.hyper)
-
-        # --- simulated time --------------------------------------------
-        fwdbwd = tr.platform.fwdbwd_time(tr.cost, tr.config.batch_size, worker=j)
-        if tr.faults is not None:
-            fwdbwd *= tr.faults.slowdown(j, pipeline.sim_time)  # straggler inflation
-        iter_time = self.comm.charge(pipeline, t, j, fwdbwd)
-        if tr.trace is not None:
-            visible_fwd = (max(0.0, fwdbwd - 2.0 * self.comm.param_oneway)
-                           if tr.overlapped else fwdbwd)
-            self.comm.emit(tr.trace, t, pipeline.sim_time, j, fwdbwd, visible_fwd)
-        return iter_time
-
-    def eval_params(self) -> np.ndarray:
-        return self.center
-
-    def state_dict(self) -> Dict:
-        arrays = {"center": self.center}
-        for j, w in enumerate(self.workers):
-            arrays[f"worker-{j}"] = w
-        return {
-            "arrays": arrays,
-            "meta": {
-                "last_loss": self.last_loss,
-                "samplers": [s.get_state() for s in self.samplers],
-                "tracker": self.tracker.state_dict(),
-            },
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        self.center[:] = arrays["center"]
-        for j, w in enumerate(self.workers):
-            w[:] = arrays[f"worker-{j}"]
-        for sampler, st in zip(self.samplers, meta["samplers"]):
-            sampler.set_state(st)
-        self.last_loss = meta["last_loss"]
-        self.tracker.load_state_dict(meta["tracker"])
-
-    def extras(self) -> Dict[str, float]:
-        if self.trainer.faults is None:
-            return {}
-        return {
-            "degraded_rounds": float(self.tracker.degraded_rounds),
-            "workers_rejoined": float(self.tracker.rejoined),
-        }
 
 
 class OriginalEASGDTrainer(BaseTrainer):
@@ -214,5 +129,5 @@ class OriginalEASGDTrainer(BaseTrainer):
         self.name = "Original EASGD" if overlapped else "Original EASGD*"
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
 
-    def make_step(self) -> _OriginalEasgdStep:
-        return _OriginalEasgdStep(self)
+    def make_step(self) -> SyncStep:
+        return SyncStep(self, RoundRobinElasticUpdate(self.hyper), _RoundRobinComm(self))

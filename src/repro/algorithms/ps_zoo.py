@@ -11,28 +11,25 @@ stores and rules.
 The fifth has no center, so it is the one family with code here: **Gossip
 SGD** (Jin et al. / Blot et al. style). Each round every worker takes one
 local SGD step, then deterministic tournament pairs
-(:func:`repro.comm.topology.gossip_pairs`) average pairwise on a
-:class:`repro.engine.ClockStepStrategy`; the consensus mean stands in for
-the center at evaluation.
+(:func:`repro.comm.topology.gossip_pairs`) average pairwise — the
+:class:`~repro.engine.GossipUpdate` rule on the shared
+:class:`repro.engine.SyncStep`, costed by the pairwise-exchange model
+below; the consensus mean stands in for the center at evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.algorithms.async_ps import AsyncPSTrainer
 from repro.algorithms.base import BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
-from repro.comm.topology import gossip_pairs
 from repro.data.dataset import Dataset
-from repro.engine.compute import jittered_fwdbwd
-from repro.engine.faults import SyncFaultTracker
-from repro.engine.ps import GossipStore, PS_FAMILIES
-from repro.engine.strategy import ClockStepStrategy
-from repro.faults import FaultLog, FaultPlan
+from repro.engine.ps import PS_FAMILIES
+from repro.engine.strategy import CommStrategy, GossipUpdate, live_gossip_pairs
+from repro.engine.sync import SyncStep
+from repro.faults import FaultPlan
 from repro.nn.network import Network
 
 __all__ = [
@@ -68,132 +65,51 @@ class BoundedAsyncEasgdTrainer(AsyncPSTrainer):
     row = PS_FAMILIES["bounded-async-easgd"]
 
 
-class _GossipStep(ClockStepStrategy):
-    """One gossip round: local SGD everywhere, tournament pairs average."""
+class _GossipComm(CommStrategy):
+    """One gossip round's cost: local step everywhere, one pairwise exchange."""
 
     def __init__(self, trainer: "GossipSGDTrainer") -> None:
-        self.trainer = trainer
-
-    def begin(self, pipeline) -> None:
-        tr = self.trainer
-        g = self.g = tr.platform.num_gpus
-        cfg = tr.config
-        init = tr.net.get_params()
-        self.replicas: List[np.ndarray] = [init.copy() for _ in range(g)]
-        self.consensus = init.copy()
-        self.samplers = [tr.make_sampler(("worker", j)) for j in range(g)]
-        self.store = GossipStore().bind_replicas(self.replicas)
-        self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
+        tr = trainer
+        self.ranks = tr.platform.num_gpus
+        self.stage_t = tr.platform.stage_batch_time(tr.cost, tr.config.batch_size)
         self.exch_t = tr.platform.gpu_gpu_param_time(tr.cost, packed=True)
         self.upd_t = tr.platform.gpu_update_time(tr.cost)
-        plan_msgs = tr.platform.param_plan(tr.cost, packed=True)
-        self.nb = plan_msgs.total_bytes
-        tr.make_trace(
-            g,
-            pattern="gossip",
-            packed=True,
-            messages_per_exchange=1,
-        )
-        log = tr.fault_log = FaultLog()
-        self.tracker = SyncFaultTracker(
-            tr.faults, log, g, tr.name,
-            rejoin_note="re-pulled consensus mean",
-            restore=self._restore,
-        )
+        self.nb = tr.platform.param_plan(tr.cost, packed=True).total_bytes
+        self.trace_meta = dict(pattern="gossip", packed=True, messages_per_exchange=1)
 
-    def _restore(self, j: int) -> None:
-        """A rejoiner adopts the current consensus mean (its checkpoint)."""
-        self.replicas[j][...] = self.consensus
+    def _exchange(self, t: int, active: List[int]):
+        """The round's live pairs and what their (concurrent) exchange costs."""
+        pairs = live_gossip_pairs(t, self.ranks, active)
+        return pairs, (self.exch_t if pairs else 0.0)
 
-    def step(self, pipeline, t: int) -> float:
-        tr = self.trainer
-        cfg = tr.config
-        live = self.tracker.prologue(pipeline, t)
-        live_set = set(live)
-
-        # Local SGD step on every live replica.
-        losses = []
-        for j in live:
-            images, labels = self.samplers[j].next_batch()
-            tr.net.set_params(self.replicas[j])
-            losses.append(tr.net.gradient(images, labels, tr.loss))
-            self.replicas[j] -= cfg.lr * tr.net.grads
-        self.last_loss = float(np.mean(losses))
-
-        # Deterministic tournament pairing; pairs with a dead peer skip.
-        pairs = [
-            (a, b) for a, b in gossip_pairs(t, self.g)
-            if a in live_set and b in live_set
-        ]
-        for a, b in pairs:
-            self.store.mix(a, b)
-        self.store.consensus_into(self.consensus, live)
-
-        # --- simulated time & trace ------------------------------------
-        fwdbwd_each = jittered_fwdbwd(
-            tr.platform, tr.cost, cfg.batch_size, live, tr.faults,
-            pipeline.sim_time,
-        )
+    def charge(self, pipeline, t: int, active: List[int],
+               fwdbwd_each: List[float]) -> float:
         fwdbwd_max = max(fwdbwd_each)
-        exch = self.exch_t if pairs else 0.0
-        iter_time = self.stage_t + fwdbwd_max + exch + self.upd_t
+        _, exch = self._exchange(t, active)
         breakdown = pipeline.breakdown
         breakdown.add("cpu-gpu data", self.stage_t)
         breakdown.add("for/backward", fwdbwd_max)
         breakdown.add("gpu-gpu para", exch)
         breakdown.add("gpu update", self.upd_t)
+        return self.stage_t + fwdbwd_max + exch + self.upd_t
 
-        trace = tr.trace
-        if trace is not None:
-            T = pipeline.sim_time
-            t_stage = T + self.stage_t
-            t_comp = t_stage + fwdbwd_max
-            t_done = t_comp + exch
-            for j, fwd in zip(live, fwdbwd_each):
-                trace.span("staging", j, T, t_stage, op="cpu-gpu-data", iteration=t)
-                trace.span("compute", j, t_stage, t_stage + fwd, op="fwd-bwd",
-                           iteration=t)
-            for a, b in pairs:
-                for src, dst in ((a, b), (b, a)):
-                    trace.send(src, dst, t_comp, t_done, tag=0, nbytes=self.nb,
-                               seq=t, op="gossip-exchange", iteration=t)
-                    trace.recv(dst, src, t_comp, t_done, tag=0, nbytes=self.nb,
-                               seq=t, op="gossip-exchange", iteration=t)
-                for j in (a, b):
-                    trace.span("update", j, t_done, t_done + self.upd_t,
-                               op="gossip-avg", iteration=t)
-        return iter_time
-
-    def eval_params(self) -> np.ndarray:
-        return self.consensus
-
-    def state_dict(self) -> Dict:
-        arrays = {"consensus": self.consensus}
-        for j, w in enumerate(self.replicas):
-            arrays[f"replica-{j}"] = w
-        return {
-            "arrays": arrays,
-            "meta": {
-                "last_loss": self.last_loss,
-                "samplers": [s.get_state() for s in self.samplers],
-                "tracker": self.tracker.state_dict(),
-            },
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        self.consensus[...] = arrays["consensus"]
-        for j, w in enumerate(self.replicas):
-            w[...] = arrays[f"replica-{j}"]
-        for sampler, st in zip(self.samplers, meta["samplers"]):
-            sampler.set_state(st)
-        self.last_loss = meta["last_loss"]
-        self.tracker.load_state_dict(meta["tracker"])
-
-    def extras(self) -> Dict[str, float]:
-        if self.trainer.faults is None:
-            return {}
-        return {"degraded_rounds": float(self.tracker.degraded_rounds)}
+    def emit(self, trace, t: int, T: float, active: List[int],
+             fwdbwd_each: List[float], iter_time: float) -> None:
+        pairs, exch = self._exchange(t, active)
+        t_stage = T + self.stage_t
+        t_comp = t_stage + max(fwdbwd_each)
+        t_done = t_comp + exch
+        for j, fwd in zip(active, fwdbwd_each):
+            trace.span("staging", j, T, t_stage, op="cpu-gpu-data", iteration=t)
+            trace.span("compute", j, t_stage, t_stage + fwd, op="fwd-bwd", iteration=t)
+        for a, b in pairs:
+            for src, dst in ((a, b), (b, a)):
+                trace.send(src, dst, t_comp, t_done, tag=0, nbytes=self.nb,
+                           seq=t, op="gossip-exchange", iteration=t)
+                trace.recv(dst, src, t_comp, t_done, tag=0, nbytes=self.nb,
+                           seq=t, op="gossip-exchange", iteration=t)
+            for j in (a, b):
+                trace.span("update", j, t_done, t_done + self.upd_t, op="gossip-avg", iteration=t)
 
 
 class GossipSGDTrainer(BaseTrainer):
@@ -216,5 +132,5 @@ class GossipSGDTrainer(BaseTrainer):
         super().__init__(network, train_set, test_set, config, cost_model, faults=faults)
         self.platform = platform
 
-    def make_step(self) -> _GossipStep:
-        return _GossipStep(self)
+    def make_step(self) -> SyncStep:
+        return SyncStep(self, GossipUpdate(self.config.lr), _GossipComm(self))

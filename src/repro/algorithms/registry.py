@@ -156,6 +156,9 @@ ALGORITHM_INFO: Dict[str, AlgorithmInfo] = {
 #: Options only (some) asynchronous families honour; everything else
 #: rejects them by name instead of failing on an unexpected keyword.
 PS_OPTIONS = ("local_steps", "tau", "staleness_policy")
+#: Families with no re-costing story for a group that shrinks (the fabric
+#: tree, the hierarchical allreduce): they refuse a fault plan by name.
+NO_FAULT_PLAN = ("knl-sync-easgd", "cluster-sync-easgd")
 
 
 def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
@@ -163,7 +166,7 @@ def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
 
     Raises :class:`UnsupportedOptionError` when ``kwargs`` carries a
     parameter-server option (``local_steps``, ``tau``,
-    ``staleness_policy``) the method cannot honour.
+    ``staleness_policy``) or a ``faults`` plan the method cannot honour.
     """
     try:
         factory = ALGORITHMS[name]
@@ -174,4 +177,6 @@ def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
         for option in PS_OPTIONS:
             if option in kwargs:
                 raise UnsupportedOptionError(name, option)
+    if name in NO_FAULT_PLAN and "faults" in kwargs:
+        raise UnsupportedOptionError(name, "faults")
     return factory(*args, **kwargs)

@@ -19,246 +19,141 @@ That the three variants produce bit-identical weight trajectories while
 their clocks strictly improve is the paper's determinism + speedup story,
 and is asserted by the integration tests.
 
-The step structure (loop, clock, eval snapshots) lives in
-:mod:`repro.engine`; this module contributes the family's strategy
-objects: the shared :class:`~repro.engine.SyncElasticUpdate` rule and the
-variant-aware tree :class:`~repro.engine.CommStrategy`.
+The iteration itself is the shared :class:`repro.engine.SyncStep`; this
+module contributes the family's two strategy objects: the shared
+:class:`~repro.engine.SyncElasticUpdate` rule and :class:`TreeEasgdComm`,
+the tree clock whose phase costs are data — so Algorithm 4 on KNL nodes
+and the multi-node GPU cluster are further constructions of it
+(:mod:`repro.knl.trainer`, :mod:`repro.algorithms.multinode`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.algorithms.base import BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
+from repro.comm.packing import MessagePlan
 from repro.data.dataset import Dataset
-from repro.engine.compute import gather_gradients, jittered_fwdbwd
-from repro.engine.faults import SyncFaultTracker
-from repro.engine.strategy import (
-    ClockStepStrategy,
-    CommStrategy,
-    SyncElasticUpdate,
-)
-from repro.faults import FaultLog, FaultPlan
+from repro.engine.strategy import CommStrategy, SyncElasticUpdate
+from repro.engine.sync import SyncStep
+from repro.faults import FaultPlan
 from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper
 from repro.trace.events import MASTER
 from repro.trace.schedule import emit_tree_phase
 
-__all__ = ["SyncEASGDTrainer"]
+__all__ = ["SyncEASGDTrainer", "TreeEasgdComm"]
 
 
-class _TreeEasgdComm(CommStrategy):
-    """Variant-aware tree communication: per-iteration cost + trace spans."""
+@dataclass
+class TreeEasgdComm(CommStrategy):
+    """Tree EASGD's per-iteration cost + trace spans, phase costs as data.
 
-    def __init__(self, trainer: "SyncEASGDTrainer") -> None:
-        tr = trainer
-        cfg = tr.config
-        self.variant = tr.variant
-        self.overlap_efficiency = cfg.overlap_efficiency
-        # Constant per-iteration costs.
-        self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
-        self.gpu_upd_t = tr.platform.gpu_update_time(tr.cost)
-        self.cpu_upd_t = tr.platform.cpu_update_time(tr.cost)
-        if self.variant == 1:
+    Two shapes. *Serial* (Algorithms 2 and 3): stage, bcast, compute,
+    reduce, updates, each waiting for the previous one. *Overlapped*
+    (Sync EASGD3, Algorithm 4, the GPU cluster): the collective runs
+    beside the staging + compute path and only the part of it that
+    ``overlap_efficiency`` fails to hide is visible. ``cpu_upd_t`` says
+    where the center lives: on the host (its Eq 2 cost; parameter traffic
+    crosses the CPU<->GPU link) or, when None, on worker 0's device.
+    ``recost(ranks)`` gives ``(bcast_t, reduce_t)`` for a tree rebuilt
+    over survivors; a traced run draws its tree edges from ``plan_msgs``.
+    """
+
+    ranks: int
+    overlapped: bool
+    stage_t: float
+    bcast_t: float
+    reduce_t: float
+    upd_t: float  # Eq 1 on one worker's device
+    overlap_efficiency: float
+    cpu_upd_t: Optional[float] = None
+    recost: Optional[Callable[[int], Tuple[float, float]]] = None
+    trace_meta: Optional[Dict[str, object]] = None
+    plan_msgs: Optional[MessagePlan] = None
+
+    def __post_init__(self) -> None:
+        if self.cpu_upd_t is not None:
             self.param_traffic = "cpu-gpu para"
+            self.gpu_upd_part, self.cpu_upd_part = self.upd_t, self.cpu_upd_t
         else:
+            # Center on worker 0's device: it also applies Eq 2.
             self.param_traffic = "gpu-gpu para"
-        self._platform, self._cost, self._packed = tr.platform, tr.cost, tr.packed
-        self.bcast_t = tr.platform.tree_bcast_time(tr.cost, self.param_traffic, tr.packed)
-        self.reduce_t = tr.platform.tree_reduce_time(tr.cost, self.param_traffic, tr.packed)
-        self.plan_msgs = tr.platform.param_plan(tr.cost, packed=tr.packed)
+            self.gpu_upd_part, self.cpu_upd_part = 2.0 * self.upd_t, 0.0
+        if self.recost is not None:
+            self.resize_label = "binomial tree"
 
     def retime(self, ranks: int) -> None:
         """Re-cost the tree phases after a rebuild over the survivors."""
-        self.bcast_t = self._platform.tree_bcast_time(
-            self._cost, self.param_traffic, self._packed, ranks=ranks
-        )
-        self.reduce_t = self._platform.tree_reduce_time(
-            self._cost, self.param_traffic, self._packed, ranks=ranks
-        )
+        self.bcast_t, self.reduce_t = self.recost(ranks)
 
-    def charge(self, pipeline, t: int, live: List[int],
+    def timing(self, fwdbwd_max: float) -> Tuple[float, float]:
+        """(iteration, visible communication) seconds at one compute time."""
+        comm = self.bcast_t + self.reduce_t
+        if not self.overlapped:
+            # Serial: stage, bcast, compute, reduce, worker and master update.
+            return (self.stage_t + self.bcast_t + fwdbwd_max + self.reduce_t
+                    + self.gpu_upd_part + self.cpu_upd_part), comm
+        # The collective overlaps the stage+compute path.
+        hidden = self.overlap_efficiency * min(comm, self.stage_t + fwdbwd_max)
+        visible_comm = comm - hidden
+        return self.stage_t + fwdbwd_max + visible_comm + self.gpu_upd_part, visible_comm
+
+    def charge(self, pipeline, t: int, active: List[int],
                fwdbwd_each: List[float]) -> float:
-        breakdown = pipeline.breakdown
         fwdbwd_max = max(fwdbwd_each)
-        if self.variant == 1:
-            # Serial: stage, bcast, compute, reduce, GPU update, CPU update.
-            iter_time = (self.stage_t + self.bcast_t + fwdbwd_max + self.reduce_t
-                         + self.gpu_upd_t + self.cpu_upd_t)
-            breakdown.add("cpu-gpu data", self.stage_t)
-            breakdown.add("cpu-gpu para", self.bcast_t + self.reduce_t)
-            breakdown.add("for/backward", fwdbwd_max)
-            breakdown.add("gpu update", self.gpu_upd_t)
-            breakdown.add("cpu update", self.cpu_upd_t)
-        elif self.variant == 2:
-            # Center on GPU1: switch traffic; GPU1 also applies Eq 2.
-            upd = 2.0 * self.gpu_upd_t
-            iter_time = self.stage_t + self.bcast_t + fwdbwd_max + self.reduce_t + upd
-            breakdown.add("cpu-gpu data", self.stage_t)
-            breakdown.add("gpu-gpu para", self.bcast_t + self.reduce_t)
-            breakdown.add("for/backward", fwdbwd_max)
-            breakdown.add("gpu update", upd)
-        else:
-            # Variant 3: GPU-GPU comm overlaps the stage+compute path.
-            comm = self.bcast_t + self.reduce_t
-            hidden = self.overlap_efficiency * min(comm, self.stage_t + fwdbwd_max)
-            visible_comm = comm - hidden
-            upd = 2.0 * self.gpu_upd_t
-            iter_time = self.stage_t + fwdbwd_max + visible_comm + upd
-            breakdown.add("cpu-gpu data", self.stage_t)
-            breakdown.add("gpu-gpu para", visible_comm)
-            breakdown.add("for/backward", fwdbwd_max)
-            breakdown.add("gpu update", upd)
+        iter_time, visible_comm = self.timing(fwdbwd_max)
+        breakdown = pipeline.breakdown
+        breakdown.add("cpu-gpu data", self.stage_t)
+        breakdown.add(self.param_traffic, visible_comm)
+        breakdown.add("for/backward", fwdbwd_max)
+        breakdown.add("gpu update", self.gpu_upd_part)
+        breakdown.add("cpu update", self.cpu_upd_part)
         return iter_time
 
-    def emit(self, trace, t: int, T: float, live: List[int],
+    def emit(self, trace, t: int, T: float, active: List[int],
              fwdbwd_each: List[float], iter_time: float) -> None:
         """Expand one iteration into its traced timeline.
 
-        Variants 1/2 are strictly serial: staging, broadcast, compute,
-        reduce, updates. Variant 3 runs both tree phases concurrently
-        with the staging+compute path (the overlap the paper's speedup
-        comes from), with updates at the iteration tail. The tree is
-        drawn over the live ranks (root = ``live[0]`` after a rebuild);
-        variant 1's extra CPU residency is a link-cost matter already
-        folded into ``bcast_t``/``reduce_t``.
+        The serial shape is strictly serial: staging, broadcast, compute,
+        reduce, updates. The overlapped shape runs both tree phases
+        concurrently with the staging+compute path (the overlap the
+        paper's speedup comes from), with updates at the iteration tail.
+        The tree is drawn over the live ranks (root = ``active[0]`` after
+        a rebuild); a host-resident center's extra residency is a
+        link-cost matter already folded into ``bcast_t``/``reduce_t``.
         """
-        stage_t, bcast_t, reduce_t = self.stage_t, self.bcast_t, self.reduce_t
-        gpu_upd_t, cpu_upd_t = self.gpu_upd_t, self.cpu_upd_t
-        nbytes = self.plan_msgs.total_bytes
-        mult = self.plan_msgs.num_messages
-        if self.variant == 3:
-            for j, fwd in zip(live, fwdbwd_each):
-                trace.span("staging", j, T, T + stage_t, op="cpu-gpu-data", iteration=t)
-                trace.span("compute", j, T + stage_t, T + stage_t + fwd,
-                           op="fwd-bwd", iteration=t)
-            emit_tree_phase(trace, "tree-reduce", live, T, T + reduce_t,
-                            nbytes=nbytes, messages_per_edge=mult, tag=102,
-                            iteration=t, reduce=True)
-            emit_tree_phase(trace, "tree-bcast", live, T + reduce_t,
-                            T + reduce_t + bcast_t, nbytes=nbytes,
-                            messages_per_edge=mult, tag=101, iteration=t)
+        gpu_upd_t = self.upd_t
+        t_stage = T + self.stage_t
+        reduce = ("tree-reduce", self.reduce_t, 102, True)
+        bcast = ("tree-bcast", self.bcast_t, 101, False)
+        if self.overlapped:
+            t_comp, starts = t_stage, ((T, reduce), (T + self.reduce_t, bcast))
             u0 = T + iter_time - 2.0 * gpu_upd_t
-            for j in live:
-                trace.span("update", j, u0, u0 + gpu_upd_t, op="gpu-update", iteration=t)
-            trace.span("update", live[0], u0 + gpu_upd_t, u0 + 2.0 * gpu_upd_t,
-                       op="gpu-update", iteration=t)
-            return
-        # Serial variants: each phase waits for the previous one.
-        fwd_max = max(fwdbwd_each)
-        t_stage = T + stage_t
-        t_bcast = t_stage + bcast_t
-        t_comp = t_bcast + fwd_max
-        t_red = t_comp + reduce_t
-        for j, fwd in zip(live, fwdbwd_each):
+        else:  # each phase waits for the previous one
+            t_comp = t_stage + self.bcast_t
+            t_reduce = t_comp + max(fwdbwd_each)
+            starts = ((t_stage, bcast), (t_reduce, reduce))
+            u0 = t_reduce + self.reduce_t
+        for j, fwd in zip(active, fwdbwd_each):
             trace.span("staging", j, T, t_stage, op="cpu-gpu-data", iteration=t)
-            trace.span("compute", j, t_bcast, t_bcast + fwd, op="fwd-bwd", iteration=t)
-        emit_tree_phase(trace, "tree-bcast", live, t_stage, t_bcast,
-                        nbytes=nbytes, messages_per_edge=mult, tag=101, iteration=t)
-        emit_tree_phase(trace, "tree-reduce", live, t_comp, t_red,
-                        nbytes=nbytes, messages_per_edge=mult, tag=102,
-                        iteration=t, reduce=True)
-        for j in live:
-            trace.span("update", j, t_red, t_red + gpu_upd_t, op="gpu-update", iteration=t)
-        if self.variant == 1:
-            trace.span("update", MASTER, t_red + gpu_upd_t,
-                       t_red + gpu_upd_t + cpu_upd_t, op="cpu-update", iteration=t)
+            trace.span("compute", j, t_comp, t_comp + fwd, op="fwd-bwd", iteration=t)
+        for t0, (phase, seconds, tag, is_reduce) in starts:
+            emit_tree_phase(trace, phase, active, t0, t0 + seconds,
+                            nbytes=self.plan_msgs.total_bytes,
+                            messages_per_edge=self.plan_msgs.num_messages,
+                            tag=tag, iteration=t, reduce=is_reduce)
+        for j in active:
+            trace.span("update", j, u0, u0 + gpu_upd_t, op="gpu-update", iteration=t)
+        if self.cpu_upd_t is not None:
+            trace.span("update", MASTER, u0 + gpu_upd_t,
+                       u0 + gpu_upd_t + self.cpu_upd_t, op="cpu-update", iteration=t)
         else:
-            trace.span("update", live[0], t_red + gpu_upd_t,
-                       t_red + 2.0 * gpu_upd_t, op="gpu-update", iteration=t)
-
-
-class _SyncEasgdStep(ClockStepStrategy):
-    """One Sync EASGD iteration: gather, tree-elastic update, charge, trace."""
-
-    def __init__(self, trainer: "SyncEASGDTrainer") -> None:
-        self.trainer = trainer
-
-    def begin(self, pipeline) -> None:
-        tr = self.trainer
-        g = tr.platform.num_gpus
-        self.center = tr.net.get_params()
-        self.workers: List[np.ndarray] = [self.center.copy() for _ in range(g)]
-        self.samplers = [tr.make_sampler(("worker", j)) for j in range(g)]
-        self.update = SyncElasticUpdate(tr.hyper)
-        self.comm = _TreeEasgdComm(tr)
-        tr.make_trace(
-            g,
-            pattern="tree",
-            variant=tr.variant,
-            packed=tr.packed,
-            overlapped=tr.variant == 3,
-            messages_per_exchange=self.comm.plan_msgs.num_messages,
-        )
-        # Fault machinery: a crash removes a rank from the reduction tree
-        # (the tree is rebuilt over survivors instead of deadlocking); a
-        # rejoining rank re-pulls the elastic center before re-entering.
-        log = tr.fault_log = FaultLog()
-        self.tracker = SyncFaultTracker(
-            tr.faults, log, g, tr.name,
-            restore=lambda j: self.workers[j].__setitem__(..., self.center),
-            on_resize=self.comm.retime,
-            resize_label="binomial tree",
-        )
-
-    def step(self, pipeline, t: int) -> float:
-        tr = self.trainer
-        live = self.tracker.prologue(pipeline, t)
-
-        # --- numerics (identical across variants) -----------------------
-        grads, losses = gather_gradients(tr, self.samplers, live, weights=self.workers)
-        self.last_loss = losses[-1]
-        self.update.apply(self.center, self.workers, grads, live)
-
-        # --- simulated time ---------------------------------------------
-        fwdbwd_each = jittered_fwdbwd(
-            tr.platform, tr.cost, tr.config.batch_size, live, tr.faults,
-            pipeline.sim_time,
-        )
-        iter_time = self.comm.charge(pipeline, t, live, fwdbwd_each)
-        if tr.trace is not None:
-            self.comm.emit(tr.trace, t, pipeline.sim_time, live, fwdbwd_each, iter_time)
-        return iter_time
-
-    def eval_params(self) -> np.ndarray:
-        return self.center
-
-    def state_dict(self) -> Dict:
-        arrays = {"center": self.center}
-        for j, w in enumerate(self.workers):
-            arrays[f"worker-{j}"] = w
-        return {
-            "arrays": arrays,
-            "meta": {
-                "last_loss": self.last_loss,
-                "samplers": [s.get_state() for s in self.samplers],
-                "tracker": self.tracker.state_dict(),
-            },
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        self.center[:] = arrays["center"]
-        for j, w in enumerate(self.workers):
-            w[:] = arrays[f"worker-{j}"]
-        for sampler, st in zip(self.samplers, meta["samplers"]):
-            sampler.set_state(st)
-        self.last_loss = meta["last_loss"]
-        # Restoring the tracker re-fires comm.retime if the saved run was
-        # mid-degradation, so the rebuilt tree is costed for the survivors.
-        self.tracker.load_state_dict(meta["tracker"])
-
-    def extras(self) -> Dict[str, float]:
-        if self.trainer.faults is None:
-            return {}
-        return {
-            "degraded_rounds": float(self.tracker.degraded_rounds),
-            "tree_rebuilds": float(self.tracker.rebuilds),
-        }
+            trace.span("update", active[0], u0 + gpu_upd_t, u0 + 2.0 * gpu_upd_t,
+                       op="gpu-update", iteration=t)
 
 
 class SyncEASGDTrainer(BaseTrainer):
@@ -286,7 +181,34 @@ class SyncEASGDTrainer(BaseTrainer):
         self.packed = packed
         self.name = f"Sync EASGD{variant}"
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
-        self.hyper.validate_sync(platform.num_gpus if hasattr(platform, 'num_gpus') else platform.num_nodes)
+        self.hyper.validate_sync(platform.num_gpus)
 
-    def make_step(self) -> _SyncEasgdStep:
-        return _SyncEasgdStep(self)
+    def make_comm(self) -> TreeEasgdComm:
+        """The variant's clock: where the center lives and what overlaps."""
+        platform, cost, packed = self.platform, self.cost, self.packed
+        traffic = "cpu-gpu para" if self.variant == 1 else "gpu-gpu para"
+
+        def tree_times(ranks: int) -> Tuple[float, float]:
+            return (platform.tree_bcast_time(cost, traffic, packed, ranks=ranks),
+                    platform.tree_reduce_time(cost, traffic, packed, ranks=ranks))
+
+        bcast_t, reduce_t = tree_times(platform.num_gpus)
+        plan_msgs = platform.param_plan(cost, packed=packed)
+        return TreeEasgdComm(
+            platform.num_gpus,
+            overlapped=self.variant == 3,
+            stage_t=platform.stage_batch_time(cost, self.config.batch_size),
+            bcast_t=bcast_t,
+            reduce_t=reduce_t,
+            upd_t=platform.gpu_update_time(cost),
+            cpu_upd_t=platform.cpu_update_time(cost) if self.variant == 1 else None,
+            overlap_efficiency=self.config.overlap_efficiency,
+            recost=tree_times,
+            trace_meta=dict(pattern="tree", variant=self.variant, packed=packed,
+                            overlapped=self.variant == 3,
+                            messages_per_exchange=plan_msgs.num_messages),
+            plan_msgs=plan_msgs,
+        )
+
+    def make_step(self) -> SyncStep:
+        return SyncStep(self, SyncElasticUpdate(self.hyper), self.make_comm())

@@ -14,32 +14,25 @@ the reduction, and the collective's byte volume shrinks proportionally.
 It trades trajectory fidelity for bandwidth — the ablation benchmark
 measures both sides.
 
-The loop lives in :mod:`repro.engine`; this module contributes the
-allreduce step strategy built on the shared
-:class:`~repro.engine.MeanGradientUpdate` rule.
+The iteration is the shared :class:`repro.engine.SyncStep`; this module
+contributes the allreduce communication model, paired with the shared
+:class:`~repro.engine.MeanGradientUpdate` rule (which owns the
+quantization).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.algorithms.base import BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
 from repro.comm.collectives import ring_allreduce_cost, tree_rounds, validate_collective
 from repro.data.dataset import Dataset
-from repro.engine.compute import gather_gradients, jittered_fwdbwd
-from repro.engine.faults import SyncFaultTracker
-from repro.engine.strategy import (
-    ClockStepStrategy,
-    CommStrategy,
-    MeanGradientUpdate,
-)
-from repro.faults import FaultLog, FaultPlan
+from repro.engine.strategy import CommStrategy, MeanGradientUpdate
+from repro.engine.sync import SyncStep
+from repro.faults import FaultPlan
 from repro.nn.network import Network
-from repro.optim.quantize import quantize_gradient
 from repro.trace.schedule import emit_ring_allreduce, emit_tree_phase
 from repro.util.rng import spawn_rng
 
@@ -57,36 +50,38 @@ class _AllreduceComm(CommStrategy):
 
     def __init__(self, trainer: "SyncSGDTrainer") -> None:
         tr = trainer
-        cfg = tr.config
-        g = tr.platform.num_gpus
-        self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
-        self.gpu_upd_t = tr.platform.gpu_update_time(tr.cost)
-        self.bcast_t = tr.platform.tree_bcast_time(tr.cost, tr.param_traffic, tr.packed)
-        self.reduce_t = tr.platform.tree_reduce_time(tr.cost, tr.param_traffic, tr.packed)
+        platform, cost = tr.platform, tr.cost
+        g = self.ranks = platform.num_gpus
+        self.stage_t = platform.stage_batch_time(cost, tr.config.batch_size)
+        self.gpu_upd_t = platform.gpu_update_time(cost)
+        self.bcast_t = platform.tree_bcast_time(cost, tr.param_traffic, tr.packed)
+        self.reduce_t = platform.tree_reduce_time(cost, tr.param_traffic, tr.packed)
+        self.plan_msgs = plan = platform.param_plan(cost, tr.packed)
+        self._link = link = platform.topology.link_for(tr.param_traffic)
+        self.wire_bytes = plan.total_bytes
         if tr.quantize_bits is not None:
             # Low-precision wire format: the latency (alpha) terms stay, the
             # byte volume scales with the bit width.
             shrink = tr.quantize_bits / 32.0
-            plan = tr.platform.param_plan(tr.cost, tr.packed)
-            link = tr.platform.topology.link_for(tr.param_traffic)
             full_bytes_time = link.beta * plan.total_bytes
             hops = tree_rounds(g)
             saved = hops * full_bytes_time * (1.0 - shrink)
             self.bcast_t = max(self.bcast_t - saved, hops * link.alpha * plan.num_messages)
             self.reduce_t = max(self.reduce_t - saved, hops * link.alpha * plan.num_messages)
+            self.wire_bytes = int(self.wire_bytes * tr.quantize_bits / 32.0)
         self.comm_part = (
             "gpu-gpu para" if tr.param_traffic == "gpu-gpu para" else "cpu-gpu para"
         )
-        self.plan_msgs = tr.platform.param_plan(tr.cost, tr.packed)
-        self.wire_bytes = self.plan_msgs.total_bytes
-        if tr.quantize_bits is not None:
-            self.wire_bytes = int(self.wire_bytes * tr.quantize_bits / 32.0)
         self.full_bcast_t, self.full_reduce_t = self.bcast_t, self.reduce_t
-        self._full_ranks = g
         self.collective = tr.collective
-        self._link = tr.platform.topology.link_for(tr.param_traffic)
+        self.resize_label = f"allreduce {tr.collective}"
+        self.trace_meta = dict(
+            pattern=tr.collective,  # "tree" or "ring" — picks the invariants
+            packed=tr.packed, messages_per_exchange=plan.num_messages,
+            quantize_bits=tr.quantize_bits or 0,
+        )
         self.ring_t = (
-            ring_allreduce_cost(self._link, self.wire_bytes, g)
+            ring_allreduce_cost(link, self.wire_bytes, g)
             if self.collective == "ring" else 0.0
         )
 
@@ -103,13 +98,13 @@ class _AllreduceComm(CommStrategy):
         quantized-width adjustment); the ring re-shards the same buffer
         over the survivors — fewer, larger shards, 2(ranks-1) steps.
         """
-        depth_ratio = tree_rounds(ranks) / max(tree_rounds(self._full_ranks), 1)
+        depth_ratio = tree_rounds(ranks) / max(tree_rounds(self.ranks), 1)
         self.bcast_t = self.full_bcast_t * depth_ratio
         self.reduce_t = self.full_reduce_t * depth_ratio
         if self.collective == "ring":
             self.ring_t = ring_allreduce_cost(self._link, self.wire_bytes, ranks)
 
-    def charge(self, pipeline, t: int, live: List[int],
+    def charge(self, pipeline, t: int, active: List[int],
                fwdbwd_each: List[float]) -> float:
         fwdbwd_max = max(fwdbwd_each)
         comm_t = self.comm_time()
@@ -121,119 +116,34 @@ class _AllreduceComm(CommStrategy):
         breakdown.add("gpu update", self.gpu_upd_t)
         return iter_time
 
-    def emit(self, trace, t: int, T: float, live: List[int],
+    def emit(self, trace, t: int, T: float, active: List[int],
              fwdbwd_each: List[float], iter_time: float) -> None:
         # Serial timeline: stage, compute, allreduce (gradient tree-reduce
         # + weight tree-bcast, or one sharded ring pass), local update.
         fwdbwd_max = max(fwdbwd_each)
         t_stage = T + self.stage_t
         t_comp = t_stage + fwdbwd_max
-        for j, fwd in zip(live, fwdbwd_each):
+        for j, fwd in zip(active, fwdbwd_each):
             trace.span("staging", j, T, t_stage, op="cpu-gpu-data", iteration=t)
             trace.span("compute", j, t_stage, t_stage + fwd, op="fwd-bwd", iteration=t)
         if self.collective == "ring":
             t_done = t_comp + self.ring_t
-            emit_ring_allreduce(trace, live, t_comp, t_done,
+            emit_ring_allreduce(trace, active, t_comp, t_done,
                                 nbytes=self.wire_bytes, tag=102, iteration=t)
         else:
             t_red = t_comp + self.reduce_t
             t_done = t_red + self.bcast_t
-            emit_tree_phase(trace, "tree-reduce", live, t_comp, t_red,
+            emit_tree_phase(trace, "tree-reduce", active, t_comp, t_red,
                             nbytes=self.wire_bytes,
                             messages_per_edge=self.plan_msgs.num_messages,
                             tag=102, iteration=t, reduce=True)
-            emit_tree_phase(trace, "tree-bcast", live, t_red, t_done,
+            emit_tree_phase(trace, "tree-bcast", active, t_red, t_done,
                             nbytes=self.wire_bytes,
                             messages_per_edge=self.plan_msgs.num_messages,
                             tag=101, iteration=t)
-        for j in live:
+        for j in active:
             trace.span("update", j, t_done, t_done + self.gpu_upd_t, op="gpu-update",
                        iteration=t)
-
-
-class _SyncSgdStep(ClockStepStrategy):
-    """One allreduce-SGD iteration: gather, quantize, mean-apply, charge."""
-
-    def __init__(self, trainer: "SyncSGDTrainer") -> None:
-        self.trainer = trainer
-
-    def begin(self, pipeline) -> None:
-        tr = self.trainer
-        g = tr.platform.num_gpus
-        self.weights = tr.net.get_params()
-        self.samplers = [tr.make_sampler(("worker", j)) for j in range(g)]
-        self.update = MeanGradientUpdate(tr.config.lr)
-        self.comm = _AllreduceComm(tr)
-        tr.make_trace(
-            g,
-            pattern=tr.collective,  # "tree" or "ring" — picks the invariants
-            packed=tr.packed,
-            messages_per_exchange=self.comm.plan_msgs.num_messages,
-            quantize_bits=tr.quantize_bits or 0,
-        )
-        log = tr.fault_log = FaultLog()
-        self.tracker = SyncFaultTracker(
-            tr.faults, log, g, tr.name,
-            rejoin_note="re-entered allreduce group",
-            on_resize=self.comm.retime,
-            resize_label=f"allreduce {tr.collective}",
-        )
-        tr.net.set_params(self.weights)
-
-    def step(self, pipeline, t: int) -> float:
-        tr = self.trainer
-        live = self.tracker.prologue(pipeline, t)
-
-        grads, losses = gather_gradients(tr, self.samplers, live)
-        self.last_loss = float(np.mean(losses))
-        if tr.quantize_bits is not None:
-            grads = [
-                quantize_gradient(grad, tr.quantize_bits, tr._quant_rng)[0]
-                for grad in grads
-            ]
-        self.update.apply(tr.net, self.weights, grads, len(live))
-
-        fwdbwd_each = jittered_fwdbwd(
-            tr.platform, tr.cost, tr.config.batch_size, live, tr.faults,
-            pipeline.sim_time,
-        )
-        iter_time = self.comm.charge(pipeline, t, live, fwdbwd_each)
-        if tr.trace is not None:
-            self.comm.emit(tr.trace, t, pipeline.sim_time, live, fwdbwd_each, iter_time)
-        return iter_time
-
-    def eval_params(self) -> np.ndarray:
-        return self.weights
-
-    def state_dict(self) -> Dict:
-        tr = self.trainer
-        meta = {
-            "last_loss": self.last_loss,
-            "samplers": [s.get_state() for s in self.samplers],
-            "tracker": self.tracker.state_dict(),
-            "quant_rng": (
-                tr._quant_rng.bit_generator.state
-                if tr._quant_rng is not None else None
-            ),
-        }
-        return {"arrays": {"weights": self.weights}, "meta": meta}
-
-    def load_state_dict(self, state: Dict) -> None:
-        tr = self.trainer
-        meta = state["meta"]
-        self.weights[:] = state["arrays"]["weights"]
-        tr.net.set_params(self.weights)
-        for sampler, st in zip(self.samplers, meta["samplers"]):
-            sampler.set_state(st)
-        self.last_loss = meta["last_loss"]
-        self.tracker.load_state_dict(meta["tracker"])
-        if meta["quant_rng"] is not None:
-            tr._quant_rng.bit_generator.state = meta["quant_rng"]
-
-    def extras(self) -> Dict[str, float]:
-        if self.trainer.faults is None:
-            return {}
-        return {"degraded_rounds": float(self.tracker.degraded_rounds)}
 
 
 class SyncSGDTrainer(BaseTrainer):
@@ -275,5 +185,6 @@ class SyncSGDTrainer(BaseTrainer):
         self.name = f"Sync SGD ({suffix})"
         self._quant_rng = spawn_rng(config.seed, "grad-quantize") if quantize_bits else None
 
-    def make_step(self) -> _SyncSgdStep:
-        return _SyncSgdStep(self)
+    def make_step(self) -> SyncStep:
+        rule = MeanGradientUpdate(self.config.lr, self.quantize_bits, self._quant_rng)
+        return SyncStep(self, rule, _AllreduceComm(self))

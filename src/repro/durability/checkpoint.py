@@ -251,7 +251,9 @@ def read_version(path: Union[str, Path]) -> CheckpointData:
 
     arrays: Dict[str, np.ndarray] = {}
     try:
-        with np.load(path / _ARRAYS_FILE) as data:
+        # np.load leaks a handle it opened itself when the zip directory
+        # is unreadable; one opened here is closed whatever it raises.
+        with open(path / _ARRAYS_FILE, "rb") as fh, np.load(fh) as data:
             names = set(data.files)
             expected = manifest.get("arrays", {})
             if names != set(expected):

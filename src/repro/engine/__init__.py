@@ -25,12 +25,16 @@ The engine vocabulary:
   snapshot/early-stop logic every trainer used to copy by hand.
 - :class:`ClockStepStrategy` / :class:`EventStepStrategy` are the two
   step shapes a family plugs into the pipeline.
+- :class:`SyncStep` is the one clock step every synchronous family runs:
+  a family is the (:class:`UpdateRule`, :class:`CommStrategy`) pair its
+  trainer hands it.
 - :class:`CommStrategy` is a family's communication model: what an
   iteration costs on the simulated hardware and which trace spans it
   emits.
 - :class:`UpdateRule` is a family's parameter-update mathematics
   (synchronous elastic averaging, mean-gradient SGD, round-robin
-  elastic exchange, the async parameter-server interactions).
+  elastic exchange, gossip averaging; the async parameter-server
+  interactions are the rows of :data:`PS_FAMILIES`).
 - :class:`SyncFaultTracker` is the shared crash/rejoin/tree-rebuild
   bookkeeping of the synchronous families.
 - :func:`rank_steps` / :func:`local_steps` sequence the message-passing
@@ -66,11 +70,14 @@ from repro.engine.strategy import (
     ClockStepStrategy,
     CommStrategy,
     EventStepStrategy,
+    GossipUpdate,
     MeanGradientUpdate,
+    RoundRobinElasticUpdate,
     StepStrategy,
     SyncElasticUpdate,
     UpdateRule,
 )
+from repro.engine.sync import SyncStep
 
 __all__ = [
     "StepPipeline",
@@ -81,8 +88,11 @@ __all__ = [
     "EventStepStrategy",
     "CommStrategy",
     "UpdateRule",
+    "SyncStep",
     "SyncElasticUpdate",
+    "RoundRobinElasticUpdate",
     "MeanGradientUpdate",
+    "GossipUpdate",
     "CenterStore",
     "ElasticCenterStore",
     "SgdServerStore",

@@ -1,19 +1,17 @@
 """The shared "stage data -> local compute" phase of every simulated family.
 
-Each synchronous trainer (Sync EASGD, Sync SGD, the KNL and multinode
-cluster trainers) and the gossip family runs the same two sub-phases per
-iteration: draw one batch per live worker and compute its gradient
-(:func:`gather_gradients`), and cost the forward/backward passes with
-per-worker straggler inflation (:func:`jittered_fwdbwd`). These used to
-ride along in :mod:`repro.engine.strategy`; they live here so the
-update/communication seam (strategy + parameter-server layers) carries
-no compute plumbing. ``repro.engine.strategy`` and ``repro.engine``
-keep re-exporting both names for compatibility.
+Every synchronous family (:class:`repro.engine.sync.SyncStep`) runs the
+same two sub-phases per iteration: draw one batch per computing worker
+and take its gradient (:func:`gather_gradients`), and cost the
+forward/backward passes with per-worker straggler inflation
+(:func:`jittered_fwdbwd`). They live here so the update/communication
+seam (strategy + parameter-server layers) carries no compute plumbing;
+``repro.engine`` re-exports both names.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,22 +22,26 @@ def gather_gradients(
     trainer,
     samplers,
     live: Sequence[int],
-    weights: Optional[Sequence[np.ndarray]] = None,
-) -> Tuple[List[np.ndarray], List[float]]:
+    weights: Optional[Sequence[np.ndarray]],
+    keep: Callable[[int, np.ndarray], object],
+) -> Tuple[list, List[float]]:
     """Stage one batch and compute one gradient per live worker.
 
     When ``weights`` is given each worker's replica is loaded before its
     pass (the EASGD families); when it is None the network keeps its
-    current (shared) parameters (the Sync SGD family).
+    current (shared) parameters (the Sync SGD family). ``keep(j, grad)``
+    is handed the network's live gradient buffer after worker ``j``'s
+    pass and returns what outlives the next one (a copy when all
+    gradients meet in a reduction).
     """
-    grads: List[np.ndarray] = []
+    grads: list = []
     losses: List[float] = []
     for j in live:
         images, labels = samplers[j].next_batch()
         if weights is not None:
             trainer.net.set_params(weights[j])
         losses.append(trainer.net.gradient(images, labels, trainer.loss))
-        grads.append(trainer.net.grads.copy())
+        grads.append(keep(j, trainer.net.grads))
     return grads, losses
 
 

@@ -361,12 +361,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         flag = "--" + exc.option.replace("_", "-")
         print(f"method {exc.method!r} does not support {flag}", file=sys.stderr)
         return 2
-    except TypeError as exc:
-        if args.faults and "faults" in str(exc):
-            print(f"method {args.method!r} does not support fault injection",
-                  file=sys.stderr)
-            return 2
-        raise
     except ValueError as exc:
         if args.faults:  # e.g. the plan targets a worker the platform lacks
             print(f"invalid --faults spec: {exc}", file=sys.stderr)

@@ -161,8 +161,9 @@ class _PartitionSerialStep(_PartitionStepBase):
             lo, hi = j * tr.group_batch, (j + 1) * tr.group_batch
             losses.append(tr.net.gradient(images[lo:hi], labels[lo:hi], tr.loss))
             grads.append(tr.net.grads.copy())
-        self.last_loss = float(np.mean(losses))
-        self.update.apply(tr.net, self.weights, grads, p)
+        self.last_loss = self.update.apply(
+            {"weights": self.weights}, grads, losses, range(p), range(p), t)
+        tr.net.set_params(self.weights)
 
         pipeline.breakdown.add("for/backward", self.iter_time)  # single-chip: no links
         return self.iter_time

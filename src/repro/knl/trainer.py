@@ -8,94 +8,26 @@ overlaps the local compute (the same independence argument as Sync EASGD3).
 Used by the Figure 13 experiment and as the per-iteration model behind the
 Table 4 weak-scaling study.
 
-The loop is the shared :class:`repro.engine.StepPipeline`; the family
-contributes a clock step built on the same
-:class:`~repro.engine.SyncElasticUpdate` rule as Sync EASGD3.
+The iteration is the shared :class:`repro.engine.SyncStep` under Sync
+EASGD3's :class:`~repro.engine.SyncElasticUpdate` rule; the clock is its
+:class:`~repro.algorithms.sync_easgd.TreeEasgdComm` over the fabric trees.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.algorithms.base import BaseTrainer, TrainerConfig
+from repro.algorithms.sync_easgd import TreeEasgdComm
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import KnlPlatform
 from repro.data.dataset import Dataset
-from repro.engine.compute import gather_gradients, jittered_fwdbwd
-from repro.engine.strategy import ClockStepStrategy, SyncElasticUpdate
+from repro.engine.strategy import SyncElasticUpdate
+from repro.engine.sync import SyncStep
 from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper
 
 __all__ = ["KnlSyncEASGDTrainer"]
-
-
-class _KnlSyncEasgdStep(ClockStepStrategy):
-    """One Algorithm 4 iteration: local batches, fabric trees, overlap."""
-
-    def __init__(self, trainer: "KnlSyncEASGDTrainer") -> None:
-        self.trainer = trainer
-
-    def begin(self, pipeline) -> None:
-        tr = self.trainer
-        k = self.k = tr.platform.num_nodes
-        self.center = tr.net.get_params()
-        self.workers: List[np.ndarray] = [self.center.copy() for _ in range(k)]
-        self.samplers = [tr.make_sampler(("node", j)) for j in range(k)]
-        self.update = SyncElasticUpdate(tr.hyper)
-        self.live = list(range(k))
-
-    def step(self, pipeline, t: int) -> float:
-        tr = self.trainer
-        cfg = tr.config
-        grads, losses = gather_gradients(tr, self.samplers, self.live,
-                                         weights=self.workers)
-        self.last_loss = losses[-1]
-        self.update.apply(self.center, self.workers, grads, self.live)
-
-        # --- simulated time -----------------------------------------
-        fwdbwd = max(jittered_fwdbwd(
-            tr.platform, tr.cost, cfg.batch_size, self.live, None,
-            pipeline.sim_time,
-        ))
-        comm = tr.platform.tree_bcast_time(tr.cost, tr.packed)
-        comm += tr.platform.tree_reduce_time(tr.cost, tr.packed)
-        upd = 2.0 * tr.platform.update_time(tr.cost)
-        if tr.overlap:
-            hidden = cfg.overlap_efficiency * min(comm, fwdbwd)
-            visible_comm = comm - hidden
-        else:
-            visible_comm = comm
-        breakdown = pipeline.breakdown
-        breakdown.add("for/backward", fwdbwd)
-        breakdown.add("gpu-gpu para", visible_comm)  # fabric traffic
-        breakdown.add("gpu update", upd)
-        return fwdbwd + visible_comm + upd
-
-    def eval_params(self) -> np.ndarray:
-        return self.center
-
-    def state_dict(self) -> Dict:
-        arrays = {"center": self.center}
-        for j, w in enumerate(self.workers):
-            arrays[f"worker-{j}"] = w
-        return {
-            "arrays": arrays,
-            "meta": {
-                "last_loss": self.last_loss,
-                "samplers": [s.get_state() for s in self.samplers],
-            },
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        self.center[:] = arrays["center"]
-        for j, w in enumerate(self.workers):
-            w[:] = arrays[f"worker-{j}"]
-        for sampler, st in zip(self.samplers, meta["samplers"]):
-            sampler.set_state(st)
-        self.last_loss = meta["last_loss"]
 
 
 class KnlSyncEASGDTrainer(BaseTrainer):
@@ -118,22 +50,29 @@ class KnlSyncEASGDTrainer(BaseTrainer):
         self.overlap = overlap
         self.name = f"KNL Sync EASGD ({platform.num_nodes} nodes)"
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
-        self.hyper.validate_sync(platform.num_gpus if hasattr(platform, 'num_gpus') else platform.num_nodes)
+        self.hyper.validate_sync(platform.num_nodes)
+
+    def make_comm(self) -> TreeEasgdComm:
+        """Algorithm 4's clock: local batches, fabric trees, overlap."""
+        platform, cost = self.platform, self.cost
+        return TreeEasgdComm(
+            platform.num_nodes,
+            overlapped=True,
+            stage_t=0.0,  # line 10: batches come from local memory
+            bcast_t=platform.tree_bcast_time(cost, self.packed),
+            reduce_t=platform.tree_reduce_time(cost, self.packed),  # fabric traffic
+            upd_t=platform.update_time(cost),
+            overlap_efficiency=self.config.overlap_efficiency if self.overlap else 0.0,
+        )
 
     def iteration_time(self) -> float:
         """Simulated seconds per iteration (constant, modulo jitter)."""
-        k = self.platform.num_nodes
         fwdbwd = max(
             self.platform.fwdbwd_time(self.cost, self.config.batch_size, worker=j)
-            for j in range(k)
+            for j in range(self.platform.num_nodes)
         )
-        comm = self.platform.tree_bcast_time(self.cost, self.packed)
-        comm += self.platform.tree_reduce_time(self.cost, self.packed)
-        upd = 2.0 * self.platform.update_time(self.cost)
-        if self.overlap:
-            hidden = self.config.overlap_efficiency * min(comm, fwdbwd)
-            return fwdbwd + (comm - hidden) + upd
-        return fwdbwd + comm + upd
+        return self.make_comm().timing(fwdbwd)[0]
 
-    def make_step(self) -> _KnlSyncEasgdStep:
-        return _KnlSyncEasgdStep(self)
+    def make_step(self) -> SyncStep:
+        return SyncStep(self, SyncElasticUpdate(self.hyper), self.make_comm(),
+                        sampler_label="node")

@@ -8,6 +8,7 @@ wrong architecture silently.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 import hashlib
 import json
 from pathlib import Path
@@ -56,13 +57,16 @@ def load_checkpoint(net: Network, path: Union[str, Path]) -> int:
     CheckpointCorruptionError`.
     """
     path = Path(path)
-    try:
-        data = np.load(path)
-    except Exception as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint {path} is unreadable ({exc})"
-        ) from exc
-    with data:
+    with ExitStack() as stack:
+        try:
+            # np.load leaks a handle it opened itself when the zip directory
+            # is unreadable; one opened here is closed whatever it raises.
+            fh = stack.enter_context(open(path, "rb"))
+            data = stack.enter_context(np.load(fh))
+        except Exception as exc:
+            raise CheckpointCorruptionError(
+                f"checkpoint {path} is unreadable ({exc})"
+            ) from exc
         for key in ("fingerprint", "params", "iteration"):
             if key not in data.files:
                 raise CheckpointCorruptionError(

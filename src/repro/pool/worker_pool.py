@@ -89,7 +89,9 @@ from repro.trace.events import Trace
 __all__ = ["POOL_PAYLOAD", "PoolJob", "WorkerPool"]
 
 #: Parent-side patience beyond a job's rank timeout before declaring its
-#: workers hung: ranks normally report their own DeadlockError first.
+#: workers hung: ranks normally report their own DeadlockError first. It
+#: runs from the cell's first failure — the rank timeout bounds one
+#: ``recv``, not the program, so a healthy cell has no wall budget.
 _COLLECT_GRACE = 30.0
 
 
@@ -133,6 +135,9 @@ class PoolJob:
         self._error: Optional[BaseException] = None
         self._pending = set(range(nranks))
         self._done = threading.Event()
+        #: Seconds a failed cell's other ranks get to report (set at
+        #: dispatch); ``deadline`` is set when the first rank fails.
+        self.patience = 0.0
         self.deadline: Optional[float] = None
 
     @property
@@ -328,8 +333,8 @@ class WorkerPool:
                 max_retries=max_retries, retry_backoff=retry_backoff,
                 collective=collective,
             )
-        # Fail fast on unpicklable work: a bad item would otherwise die in
-        # the queue's feeder thread and strand the job until its deadline.
+        # Fail fast on unpicklable work: a bad item would otherwise die on
+        # its way to the worker and strand the job.
         try:
             pickle.dumps((fn, args))
         except Exception as exc:
@@ -346,7 +351,7 @@ class WorkerPool:
                 base = self._allocate(nranks)
             self._next_job += 1
             job = PoolJob(self._next_job, base, nranks)
-            job.deadline = job.t_submit + timeout + _COLLECT_GRACE
+            job.patience = timeout + _COLLECT_GRACE
             self._jobs[job.job_id] = job
             self._job_blocks[job.job_id] = (base, nranks)
         opts = {
@@ -454,6 +459,8 @@ class WorkerPool:
                         job.results[cell_rank] = payload
                     else:
                         job.failures.append((cell_rank, payload))
+                        if job.deadline is None:
+                            job.deadline = time.monotonic() + job.patience
                     job._pending.discard(cell_rank)
                     if not job._pending:
                         self._finish_job_locked(job)
@@ -501,7 +508,8 @@ class WorkerPool:
                 continue
             self._broken = (
                 f"pool worker(s) {[job.base + c for c in lost]} died mid-cell"
-                if lost else f"cell exceeded its {job.deadline - job.t_submit:.0f}s deadline"
+                if lost else
+                f"cell still running {job.patience:.0f}s after its first rank failed"
             )
             for cr in sorted(job._pending):
                 if cr in lost:

@@ -4,10 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms import ALGORITHM_INFO, ALGORITHMS, make_trainer
+from repro.algorithms import (
+    ALGORITHM_INFO,
+    ALGORITHMS,
+    make_trainer,
+    UnsupportedOptionError,
+)
 from repro.algorithms.base import BaseTrainer
 from repro.cluster import CostModel, GpuPlatform
 from repro.engine.ps import PS_FAMILIES
+from repro.faults import FaultPlan
 from repro.harness.cli import main
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
@@ -89,6 +95,19 @@ class TestRegistry:
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="unknown algorithm"):
             make_trainer("definitely-not-a-method")
+
+    @pytest.mark.parametrize("name", ["knl-sync-easgd", "cluster-sync-easgd"])
+    def test_fault_plan_refused_by_name(self, name, mnist_tiny, fast_config):
+        # No re-costing story for a shrunken fabric tree / hierarchical
+        # allreduce yet: a typed refusal, not an unexpected-keyword TypeError.
+        train, test = mnist_tiny
+        with pytest.raises(UnsupportedOptionError) as ei:
+            make_trainer(
+                name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
+                fast_config, CostModel.from_spec(LENET),
+                faults=FaultPlan().crash(1, at=0.01),
+            )
+        assert (ei.value.method, ei.value.option) == (name, "faults")
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_METHODS))
     def test_constructs_and_runs_one_iteration(self, name, mnist_tiny, fast_config):

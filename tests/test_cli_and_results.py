@@ -140,6 +140,8 @@ class TestCli:
         ("async-easgd", "--local-steps", "4"),
         ("downpour", "--tau", "3"),
         ("sync-sgd", "--tau", "3"),
+        ("knl-sync-easgd", "--faults", "crash:1@0.01"),
+        ("cluster-sync-easgd", "--faults", "crash:1@0.01"),
     ])
     def test_unsupported_ps_option_exits_2(self, method, flag, value, capsys):
         # A knob the method cannot honour is refused by name, not ignored.

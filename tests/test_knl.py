@@ -216,12 +216,11 @@ class TestClusterModeModel:
 
 @pytest.mark.mp
 @pytest.mark.slow
-@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 class TestChipPartitionProcesses:
     """backend='processes': forked group workers over shared memory must be
     an exact substitute for the serial divide-and-conquer loop. A segment
-    unlinked while a view still exports its buffer is an error here, not
-    an unraisable warning."""
+    unlinked while a view still exports its buffer is an error (warnings
+    are errors suite-wide), not an unraisable warning."""
 
     def _trainer(self, cifar_tiny, backend, parts=4, batch=16):
         from repro.comm.mp_runtime import fork_available

@@ -215,6 +215,28 @@ def _two_distinct_failures(ctx):
     return ctx.rank
 
 
+def _slow_but_healthy(ctx):
+    for _ in range(10):
+        time.sleep(0.2)
+        ctx.barrier()
+    return ctx.rank
+
+
+def _one_raises_one_sleeps(ctx):
+    ctx.allreduce(np.ones(RING_ELEMS, dtype=np.float32))
+    if ctx.rank == 1:
+        raise ValueError("one broke")
+    time.sleep(2.4)  # past timeout + grace, and never inside a recv
+    return ctx.rank
+
+
+@pytest.fixture
+def short_grace(monkeypatch):
+    """Rank timeout 1.0 s + collection grace 0.5 s: hung after 1.5 s."""
+    monkeypatch.setattr("repro.pool.worker_pool._COLLECT_GRACE", 0.5)
+    return 1.0
+
+
 @pytest.fixture
 def no_segment_left_behind():
     """Nothing this process's tree created may outlive the case."""
@@ -252,6 +274,23 @@ class TestLaunchPath:
         msg = str(ei.value)
         assert "rank 0" in msg and "zero broke" in msg
         assert "rank 1" in msg and "one broke" in msg
+
+    @pytest.mark.parametrize("launch", ["cold", "pooled"])
+    def test_healthy_cell_has_no_wall_budget(self, launch, transport, short_grace):
+        # The rank timeout bounds one recv, not the program: 2 s of
+        # progressing barriers is not a hang, exactly as on threads.
+        with _launched(launch, transport, 2, short_grace) as comm:
+            assert comm.run(_slow_but_healthy) == [0, 1]
+
+    @pytest.mark.parametrize("launch", ["cold", "pooled"])
+    def test_grace_runs_from_the_first_failure(self, launch, transport, short_grace):
+        with _launched(launch, transport, 2, short_grace) as comm:
+            with pytest.raises(MultiRankError) as ei:
+                comm.run(_one_raises_one_sleeps)
+        # Rank 0 was failed while still asleep, not waited out.
+        assert set(ei.value.failures) == {0, 1}
+        assert "rank 0 hung past the collection deadline" in str(ei.value.failures[0])
+        assert isinstance(ei.value.failures[1], ValueError)
 
     def test_cold_runs_closures_over_unpicklable_state(self, transport):
         # Cold only: a pool forked earlier cannot inherit a later closure.
