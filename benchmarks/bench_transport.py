@@ -3,12 +3,12 @@
 The process backend can move a packed AlexNet-scale buffer (Section 6.1's
 61 M parameters, ~244 MB of float32) across rank boundaries two ways:
 ``transport="queue"`` pickles the whole buffer through an OS pipe for
-every edge, ``transport="shm"`` memcpys it into a shared-memory slot ring
-and pickles only a ~200-byte descriptor — and it can schedule the
-reduction two ways: ``collective="tree"`` (binomial reduce + bcast) or
-``collective="ring"`` (sharded reduce-scatter + allgather; over shm the
-shards live in a :class:`~repro.comm.shm_transport.CollectiveArena` and
-the bulk bytes never cross the message fabric at all).
+every edge, ``transport="shm"`` never moves it: every rank's contribution
+lives in a row of a :class:`~repro.comm.shm_transport.CollectiveArena`,
+the folds happen in place, and only tokens cross the message fabric —
+and it can schedule the reduction two ways: ``collective="tree"``
+(binomial reduce + bcast) or ``collective="ring"`` (sharded
+reduce-scatter + allgather). Threads fold in heap rows the same way.
 
 This benchmark times the same packed-allreduce rank program — the
 communication inner loop of Sync SGD / Sync EASGD with Section 5.2's
@@ -93,8 +93,8 @@ def _packed_allreduce_program(ctx, elems: int, iterations: int, warmup: int,
     RNG over 61 M elements) keep the program transport-dominated; the
     allreduce + update numerics are the real ones, so final weights are a
     meaningful bit-identity witness. The packed buffer comes from
-    ``ctx.collective_buffer`` — on the shm ring that is the rank's arena
-    contribution row, so gradients are born in shared memory — and
+    ``ctx.collective_buffer`` — off the queue transport that is the
+    rank's arena contribution row, so gradients are born in the fabric — and
     ``view=True`` lets the arena hand back its result row without a
     copy. Each rank times every iteration individually; the caller folds
     them into per-step walls (max across ranks). Returns a digest, not
@@ -242,9 +242,11 @@ def check_and_archive(sections: dict) -> float:
         f"shm transport only {speedup:.2f}x over pickled queue "
         "(needs >= 2x for the zero-copy claim)"
     )
-    # shm-tree moved the tensor bytes by memcpy, with tiny descriptors.
-    assert shm_tree["bytes_copied"] > 0 and queue["bytes_copied"] == 0
-    assert shm_tree["bytes_on_wire"] < shm_tree["bytes_copied"] // 1000
+    # shm-tree folded the tensor bytes where they lay: no memcpy, and
+    # nothing but tokens on the wire.
+    assert shm_tree["bytes_inplace"] > 0 and shm_tree["bytes_copied"] == 0
+    assert queue["bytes_inplace"] == 0 and queue["bytes_copied"] == 0
+    assert shm_tree["bytes_on_wire"] < shm_tree["bytes_inplace"] // 1000
 
     # The tentpole: the arena ring beats by-reference threads at P=4 on
     # the 244 MB buffer (its bulk bytes never cross the message fabric).

@@ -47,11 +47,12 @@ def rank_program(
     sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
     loss = SoftmaxCrossEntropy()
     mean_losses: List[float] = []
-    # The packed send buffer, reused every step. On the shm-backed ring
-    # this is the rank's collective-arena contribution row: gradients are
-    # packed straight into shared memory and the allreduce skips its
-    # staging copy. Elsewhere it is an ordinary private buffer (reuse is
-    # safe either way — the collective copies, or owns the row protocol).
+    # The packed send buffer, refilled every step. Where an arena carries
+    # the allreduce (shm and threads, tree or ring) this is the rank's
+    # contribution row: gradients are packed straight into the fabric and
+    # the allreduce skips its staging copy. Elsewhere it is an ordinary
+    # private buffer (reuse is safe either way — the collective copies,
+    # or owns the row protocol).
     buf = ctx.collective_buffer(weights.size + 1)
 
     for _t in rank_steps(ctx, iterations):
@@ -66,7 +67,7 @@ def rank_program(
         # elementwise summation leaves the gradient entries untouched, and
         # the iteration stays a single packed buffer per tree edge (the
         # invariant check_packed_single_message enforces). ``view=True``
-        # lets the shm ring hand back a zero-copy window on the shared
+        # lets an arena hand back a zero-copy window on the shared
         # result row — read before the next collective, never written.
         buf[:-1] = net.grads
         buf[-1] = np.float32(batch_loss)

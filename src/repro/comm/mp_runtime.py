@@ -16,10 +16,16 @@ Design:
   the binomial-tree collectives are *the same code* as the thread backend.
   Identical tree association means identical floating-point results:
   ``threads`` and ``processes`` runs of the sync algorithms are bit-equal.
-- The fabric is one ``multiprocessing.Queue`` inbox per rank. Each child
-  drains only its own inbox and keeps a per-``(source, tag)`` stash for
-  selective receive; per-sender FIFO is preserved by the queue's feeder
-  thread, matching the thread backend's mailbox semantics.
+- The fabric is one inbox per rank: under ``transport="shm"`` a
+  :class:`repro.comm.shm_transport.ShmInbox` — a shared-memory ring per
+  sender, polled without a syscall — and under ``transport="queue"`` a
+  ``multiprocessing.Queue``. Each child drains only its own inbox and
+  keeps a per-``(source, tag)`` stash for selective receive; both
+  inboxes preserve per-sender FIFO, matching the thread backend's
+  mailbox semantics.
+- The in-place allreduce (tree and ring) is :class:`RankContextBase`'s;
+  this module only binds its ``_arena_for`` hook to the shm
+  :class:`~repro.comm.shm_transport.CollectiveArena`.
 - Ranks are **forked**, never spawned, and there is one launch path:
   :meth:`MultiprocessCommunicator.run` always dispatches to a
   :class:`repro.pool.WorkerPool` — the attached one, or a private pool
@@ -60,14 +66,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.collectives import (
-    shard_bounds,
-    tree_reduce_into,
-    validate_collective,
-)
+from repro.comm.collectives import validate_collective
 from repro.comm.runtime import (
     _DEFAULT_TIMEOUT,
-    COLLECTIVE_TAG_STRIDE,
     DeadlockError,
     MultiRankError,
     RankContextBase,
@@ -76,6 +77,8 @@ from repro.comm.shm_lifecycle import register_segment, segment_name, unregister_
 from repro.comm.shm_transport import (
     CollectiveArena,
     DEFAULT_SLOTS,
+    INBOX_RING_BYTES,
+    RingBackpressureError,
     ShmSlotRef,
     validate_transport,
 )
@@ -267,13 +270,15 @@ class MpRankContext(RankContextBase):
     the parent merges them after the run — so no cross-process locking
     exists anywhere on the message path.
 
-    ``transport`` (a :class:`repro.comm.shm_transport.ShmTransport`, or
-    None for the plain pickle path) intercepts the fabric at exactly two
-    points: ``_deliver`` stages large array payloads into a shared-memory
-    slot ring and enqueues only the descriptor; ``_poll`` decodes
-    descriptors the moment they come off the inbox — including ones
-    stashed for other channels, so an unconsumed stash entry can never
-    hold a ring slot hostage and backpressure a foreign channel.
+    ``transport`` (a :class:`repro.comm.shm_transport.ShmTransport` over
+    :class:`~repro.comm.shm_transport.ShmInbox` inboxes, or None for
+    ``multiprocessing.Queue`` inboxes that pickle every payload whole)
+    intercepts the fabric at exactly two points: ``_deliver`` serializes
+    the payload once, stages its bulk into a shared-memory slot ring and
+    writes only the descriptor to the destination's inbox ring; ``_poll``
+    decodes descriptors the moment they come off the inbox — including
+    ones stashed for other channels, so an unconsumed stash entry can
+    never hold a ring slot hostage and backpressure a foreign channel.
     """
 
     def __init__(
@@ -312,9 +317,6 @@ class MpRankContext(RankContextBase):
         #: one mapping; the worker reports the names for the parent to
         #: unlink when the pool shuts down.
         self._arenas = arena_cache
-        #: Receiver-side seq counters for manually-emitted arena trace
-        #: events (mirrors the sender's ``_next_seq`` discipline).
-        self._recv_seq: Dict[Tuple[int, int], int] = {}
         # Zero-copy receive plumbing for the in-place reduce fold.
         self._view_ok = False
         self._pending_release: Optional[Callable[[], None]] = None
@@ -325,26 +327,35 @@ class MpRankContext(RankContextBase):
     # -- fabric hooks -----------------------------------------------------------
     def _deliver(self, dest: int, tag: int, payload: Any) -> None:
         transport = self._transport
-        if transport is not None:
-            ref = transport.encode(dest, tag, payload)
-            if ref is not None:
-                payload = ref
-        self._inboxes[dest].put((self.rank, tag, payload))
+        if transport is None:
+            self._inboxes[dest].put((self.rank, tag, payload))
+            return
+        try:
+            self._inboxes[dest].put((self.rank, tag, transport.pack(dest, tag, payload)))
+        except _queue.Full:
+            raise RingBackpressureError(
+                self.rank, dest, tag, self._inboxes[dest].timeout, INBOX_RING_BYTES
+            ) from None
 
     def _decode(self, payload: Any, view: bool = False) -> Any:
-        """Materialize a slot-ring descriptor back into its payload.
+        """Materialize an inbox record back into its payload.
 
-        ``view=True`` (only ever set for the channel actually being
-        polled, never for stashed foreign messages) defers the private
-        copy: the payload's arrays view slot memory and the slot stays
-        claimed until the stored ``_pending_release`` runs.
+        On the shm transport a record is a pickle: the payload's own, or
+        a slot-ring descriptor's. ``view=True`` (only ever set for the
+        channel actually being polled, never for stashed foreign
+        messages) defers a descriptor's private copy: the payload's
+        arrays view slot memory and the slot stays claimed until the
+        stored ``_pending_release`` runs.
         """
-        if self._transport is not None and isinstance(payload, ShmSlotRef):
+        transport = self._transport
+        if transport is None:
+            return payload
+        payload = pickle.loads(payload)
+        if isinstance(payload, ShmSlotRef):
             if view:
-                obj, release = self._transport.decode_view(payload)
-                self._pending_release = release
-                return obj
-            return self._transport.decode(payload)
+                payload, self._pending_release = transport.decode_view(payload)
+            else:
+                payload = transport.decode(payload)
         return payload
 
     def _recv_add(self, acc: np.ndarray, source: int, tag: int) -> None:
@@ -405,8 +416,10 @@ class MpRankContext(RankContextBase):
             # its ring slot and could backpressure-deadlock the sender.
             self._stash.setdefault((src, t), deque()).append(self._decode(payload))
 
-    # -- collective arena (the shm ring allreduce fast path) ---------------------
-    def _arena_for(self, tag: int, elems: int) -> CollectiveArena:
+    # -- arena hooks (the schedules themselves live in RankContextBase) ----------
+    def _arena_for(self, tag: int, elems: int) -> Optional[CollectiveArena]:
+        if self._transport is None:
+            return None  # queue transport: every byte rides a message
         name = f"{self._coll_prefix}-t{tag}-n{elems}"
         arena = self._arenas.get(name)
         if arena is None:
@@ -415,136 +428,8 @@ class MpRankContext(RankContextBase):
             )
         return arena
 
-    def _next_recv_seq(self, source: int, tag: int) -> int:
-        key = (source, tag)
-        seq = self._recv_seq.get(key, 0)
-        self._recv_seq[key] = seq + 1
-        return seq
-
-    def _arena_msg(self, kind: str, peer: int, tag: int, nbytes: int, rnd: int) -> None:
-        """One manually-emitted trace event for an arena-phase message.
-
-        The arena moves bulk bytes through shared rows, not through
-        ``send``/``recv``, so the trace events that keep the ring's
-        structure checkable (P(P-1) messages per phase, shard-sized
-        nbytes, per-channel seq) are emitted by hand with the *logical*
-        chunk size — byte accounting is identical to the generic
-        message-passing ring schedule.
-        """
-        trace = self.trace
-        if trace is None:
-            return
-        now = self._elapsed()
-        if kind == "send":
-            trace.send(self.rank, peer, now, now, tag=tag, nbytes=nbytes,
-                       seq=self._next_seq(peer, tag), op=self._trace_op,
-                       round=rnd, iteration=self.trace_iteration)
-        else:
-            trace.recv(self.rank, peer, now, now, tag=tag, nbytes=nbytes,
-                       seq=self._next_recv_seq(peer, tag), op=self._trace_op,
-                       round=rnd, iteration=self.trace_iteration)
-
-    def collective_buffer(self, elems: int, tag: int = 103) -> np.ndarray:
-        """The arena contribution row, when one will back the allreduce.
-
-        A caller that computes its contribution straight into this row
-        skips the staging copy in :meth:`_ring_allreduce` — gradients are
-        then *born* in shared memory. Falls back to a private buffer
-        whenever the arena path would not engage (tree collective, queue
-        transport, a fault plan, or a buffer too small to shard).
-        """
-        if (
-            self._transport is not None
-            and self.collective == "ring"
-            and self.faults is None
-            and self.size > 1
-            and elems >= self.size
-        ):
-            row = self._arena_for(tag, int(elems)).rows[self.rank]
-            row[:] = 0.0
-            return row
-        return super().collective_buffer(elems, tag)
-
-    def _ring_allreduce(self, arr: np.ndarray, tag: int, view: bool = False) -> np.ndarray:
-        """Sharded ring allreduce with the bulk bytes never leaving shm.
-
-        Same logical schedule (and bit-identical association) as the
-        generic message ring, but the data plane is a
-        :class:`~repro.comm.shm_transport.CollectiveArena`:
-
-        1. stage the contribution into this rank's arena row (skipped
-           when the caller already computed into it via
-           :meth:`collective_buffer`);
-        2. *reduce-scatter*: send a ready token to every peer, collect
-           theirs, then tree-reduce the P row slices of our owner shard
-           straight into the shared result row — in place in shm;
-        3. *allgather*: send a done token to every peer, collect theirs,
-           then read the fully-assembled result row.
-
-        Reuse safety (single-generation rows): a rank re-enters this
-        method (and may overwrite its row) only after collecting *all*
-        P-1 done tokens, and a done token is sent only after its owner
-        finished reading every row — so no row is overwritten while any
-        reader is mid-reduce. The result row for round t+1 is rewritten
-        only after every rank has sent its round-t+1 ready token, i.e.
-        after every rank returned from round t — which is exactly the
-        documented validity window of a ``view=True`` result.
-        """
-        transport = self._transport
-        if transport is None:
-            # Queue transport: fall back to the generic message-passing ring.
-            return super()._ring_allreduce(arr, tag, view=view)
-        t0 = self._elapsed()
-        prev_op = self._trace_op
-        p, r = self.size, self.rank
-        rs_tag = tag + 6 * COLLECTIVE_TAG_STRIDE
-        ag_tag = tag + 7 * COLLECTIVE_TAG_STRIDE
-        flat = arr.reshape(-1)
-        n = flat.size
-        arena = self._arena_for(tag, n)
-        bounds = shard_bounds(n, p)
-        row = arena.rows[r]
-
-        def shard_nbytes(s: int) -> int:
-            return (bounds[s + 1] - bounds[s]) * row.itemsize
-
-        # 1. Stage our contribution (no-op when it was born in the row).
-        if not np.shares_memory(row, flat):
-            np.copyto(row, flat, casting="same_kind")
-
-        # 2. Reduce-scatter: ready tokens out, ready tokens in, then the
-        #    in-shm owner reduce. Logically rank r ships shard (r+k)%p's
-        #    chunk to its owner in step k — the trace records that.
-        self._trace_op = "ring-reduce-scatter"
-        for k in range(1, p):
-            dest = (r + k) % p
-            self._deliver(dest, rs_tag, r)
-            self._arena_msg("send", dest, rs_tag, shard_nbytes(dest), k - 1)
-        lo, hi = bounds[r], bounds[r + 1]
-        for k in range(1, p):
-            src = (r - k) % p
-            self._poll(src, rs_tag, None)
-            self._arena_msg("recv", src, rs_tag, shard_nbytes(r), k - 1)
-        if hi > lo:
-            tree_reduce_into([arena.rows[q][lo:hi] for q in range(p)], arena.result[lo:hi])
-
-        # 3. Allgather: done tokens out, done tokens in, result is ready.
-        self._trace_op = "ring-allgather"
-        for k in range(1, p):
-            dest = (r + k) % p
-            self._deliver(dest, ag_tag, r)
-            self._arena_msg("send", dest, ag_tag, shard_nbytes(r), k - 1)
-        for k in range(1, p):
-            src = (r - k) % p
-            self._poll(src, ag_tag, None)
-            self._arena_msg("recv", src, ag_tag, shard_nbytes(src), k - 1)
-        self._trace_op, self._trace_round = prev_op, -1
-        self._collective_span("ring-allreduce", t0)
-        if view:
-            result = arena.result.view()
-            result.flags.writeable = False
-            return result.reshape(arr.shape)
-        return arena.result.reshape(arr.shape).copy()
+    def _count(self, key: str, n: int) -> None:
+        self._transport.stats[key] += n
 
 
 def _run_inherited(ctx: MpRankContext, payload: Tuple[Any, ...]) -> Any:

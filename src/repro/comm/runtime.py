@@ -89,6 +89,13 @@ def _payload_nbytes(payload: Any) -> int:
 
 _DEFAULT_TIMEOUT = 60.0  # seconds before a recv declares a deadlock
 
+#: Buffers below this stay on the message path: a tree allreduce of fewer
+#: bytes does not take an arena (``barrier``'s one element never does),
+#: and the shm transport pickles smaller arrays in band instead of staging
+#: them through a slot ring — below ~16 KiB the shared-segment machinery
+#: costs more than the copy it saves.
+DEFAULT_MIN_BYTES = 1 << 14
+
 #: Width of the user tag block. Collective phases add multiples of this
 #: stride to the user tag, so as long as user tags stay below the stride
 #: each phase occupies its own disjoint tag range:
@@ -300,6 +307,12 @@ class RankContextBase:
     emission, and the binomial-tree collectives with their association
     order) is shared, which is what keeps the ``threads`` and
     ``processes`` backends bit-identical.
+
+    Two optional hooks bind the in-place allreduce: ``_arena_for(tag,
+    elems)`` returns the fabric's shared rows for that channel (an object
+    with ``rows[P]`` and ``result``, float32) or ``None`` when the fabric
+    has none, and ``_count(key, n)`` feeds the fabric's transport counters.
+    Both arena schedules — tree and ring — live here, once.
     """
 
     rank: int
@@ -517,11 +530,15 @@ class RankContextBase:
         The schedule follows ``self.collective``: the binomial tree
         (reduce to rank 0 + bcast) or the sharded ring (reduce-scatter +
         allgather, Theta(1) bytes per rank in the buffer size). Both
-        produce bitwise-identical results. The ring falls back to the
-        tree when a fault plan is active (its shard bookkeeping assumes
-        reliable links), when the buffer is smaller than the rank count,
-        or at size 1 — ``barrier``'s one-element allreduce therefore
-        always runs on the tree.
+        produce bitwise-identical results. When :meth:`_collective_arena`
+        grants one, either schedule folds in place in the fabric's shared
+        rows and only tokens cross the message fabric
+        (:meth:`_arena_allreduce`); otherwise the buffers travel as
+        messages. The ring falls back to the tree when a fault plan is
+        active (its shard bookkeeping assumes reliable links), when the
+        buffer is smaller than the rank count, or at size 1 —
+        ``barrier``'s one-element allreduce therefore always runs on the
+        message tree.
 
         Each phase runs on tags derived from ``tag`` in reserved blocks
         (see :func:`collective_wire_tags`) so no phase can ever collide
@@ -533,17 +550,20 @@ class RankContextBase:
         total (default: always a private array).
         """
         arr = np.asarray(array)
+        arena = self._collective_arena(tag, arr.size, arr.dtype, arr.flags.c_contiguous)
+        if arena is not None:
+            return self._arena_allreduce(arena, arr, tag, view)
         if (
             self.collective == "ring"
             and self.size > 1
             and self.faults is None
             and arr.size >= self.size
         ):
-            return self._ring_allreduce(arr, tag, view=view)
+            return self._ring_allreduce(arr, tag)
         total = self.reduce(array, root=0, tag=tag + COLLECTIVE_TAG_STRIDE)
         return self.bcast(total, root=0, tag=tag + 2 * COLLECTIVE_TAG_STRIDE)
 
-    def _ring_allreduce(self, arr: np.ndarray, tag: int, view: bool = False) -> np.ndarray:
+    def _ring_allreduce(self, arr: np.ndarray, tag: int) -> np.ndarray:
         """Sharded ring allreduce over point-to-point messages.
 
         The buffer splits into P owner shards (:func:`shard_bounds`).
@@ -557,11 +577,11 @@ class RankContextBase:
         sends 2(P-1) messages of ~n/P elements — Theta(1) total bytes in
         n per rank versus the tree's Theta(log P).
 
-        Fabrics with shared result storage override this (the shm arena
-        path reduces in place in shared memory); this generic schedule
-        works over any fabric and makes exactly one private copy of the
-        input, mirroring ``reduce``'s copy discipline so slice sends are
-        safe under by-reference delivery.
+        The schedule for buffers no arena takes (the ``queue`` transport,
+        non-float32 or non-contiguous input); it works over any fabric
+        and makes exactly one private copy of the input, mirroring
+        ``reduce``'s copy discipline so slice sends are safe under
+        by-reference delivery.
         """
         t0 = self._elapsed()
         prev_op = self._trace_op
@@ -597,18 +617,223 @@ class RankContextBase:
         self._collective_span("ring-allreduce", t0)
         return out.reshape(arr.shape)
 
+    # -- arena allreduce: folds in place in shared rows, tokens on the fabric ----
+    def _arena_for(self, tag: int, elems: int) -> Optional[Any]:
+        """Fabric hook: the shared rows behind ``allreduce(tag)`` of
+        ``elems`` float32 — ``rows[q]`` per rank plus ``result`` — or
+        ``None`` on a fabric without shared collective storage."""
+        return None
+
+    def _count(self, key: str, n: int) -> None:
+        """Fabric hook: add ``n`` to transport counter ``key`` (a fabric
+        that keeps no counters ignores it)."""
+
+    def _collective_arena(
+        self, tag: int, elems: int, dtype: Any = np.float32, contiguous: bool = True
+    ) -> Optional[Any]:
+        """The arena ``allreduce(tag)`` of such a buffer folds in, or None
+        when it travels as messages — the one eligibility rule, shared by
+        :meth:`allreduce` and :meth:`collective_buffer`.
+
+        Decided only from what the call can observe: more than one rank,
+        no fault plan (tokens assume reliable links), a C-contiguous
+        float32 buffer (the rows' own layout — anything else would be
+        cast or reordered on the way in), big enough for the schedule —
+        :data:`DEFAULT_MIN_BYTES` for the tree, one element per rank for
+        the ring — and a fabric that has arenas at all. Every rank must
+        reach the same verdict, so (as under MPI) all ranks pass buffers
+        of one size, dtype and layout.
+        """
+        if self.size == 1 or self.faults is not None:
+            return None
+        if dtype != np.float32 or not contiguous:
+            return None
+        if self.collective == "ring":
+            if elems < self.size:
+                return None
+        elif 4 * elems < DEFAULT_MIN_BYTES:
+            return None
+        return self._arena_for(tag, int(elems))
+
+    def _token_out(self, dest: int, tag: int, nbytes: int, rnd: int) -> None:
+        """Send one arena token and trace the *logical* message it stands for.
+
+        The arena moves bulk bytes through shared rows, not through
+        ``send``/``recv``, so the events that keep the schedule's
+        structure checkable (one message per edge, buffer- or shard-sized
+        ``nbytes``, per-channel ``seq``) are emitted by hand; the token
+        carries the ``seq`` so the receiver's event names the same
+        channel however arena and message collectives interleave on it.
+        """
+        trace = self.trace
+        seq = self._next_seq(dest, tag) if trace is not None else 0
+        self._deliver(dest, tag, seq)
+        self._count("arena_tokens", 1)
+        if trace is not None:
+            now = self._elapsed()
+            trace.send(self.rank, dest, now, now, tag=tag, nbytes=nbytes, seq=seq,
+                       op=self._trace_op, round=rnd, iteration=self.trace_iteration)
+
+    def _token_in(self, source: int, tag: int, nbytes: int, rnd: int) -> None:
+        """Wait for one arena token (raises :class:`DeadlockError` like any
+        receive) and trace the logical message's arrival."""
+        trace = self.trace
+        t0 = self._elapsed() if trace is not None else 0.0
+        seq = self._poll(source, tag, None)
+        if trace is not None:
+            trace.recv(self.rank, source, t0, self._elapsed(), tag=tag, nbytes=nbytes,
+                       seq=seq, op=self._trace_op, round=rnd,
+                       iteration=self.trace_iteration)
+
+    def _arena_allreduce(self, arena: Any, arr: np.ndarray, tag: int, view: bool) -> np.ndarray:
+        """Allreduce with the bulk bytes never leaving the arena.
+
+        1. Stage the contribution into ``rows[rank]`` — a no-op when the
+           caller computed into :meth:`collective_buffer`. A buffer that
+           is not the row is *copied*, never folded into: the caller's
+           array is left untouched.
+        2. Run the schedule (:meth:`_arena_tree` or :meth:`_arena_ring`)
+           on tokens; every fold is ``np.add`` in :func:`tree_reduce`'s
+           stride-doubling order, so the bits are the message
+           collectives' by construction.
+        3. Hand out ``result`` — never a contribution row, which the tree
+           clobbers with partial sums: the read-only window itself under
+           ``view=True``, else a private copy.
+        """
+        flat = arr.reshape(-1)
+        row = arena.rows[self.rank]
+        if not np.shares_memory(row, flat):
+            np.copyto(row, flat)
+            self._count("bytes_copied_in", row.nbytes)
+        prev_op = self._trace_op
+        if self.collective == "ring":
+            self._arena_ring(arena, tag)
+        else:
+            self._arena_tree(arena, tag)
+        self._trace_op = prev_op
+        if view:
+            result = arena.result.view()
+            result.flags.writeable = False
+            return result.reshape(arr.shape)
+        self._count("bytes_copied_out", row.nbytes)
+        return arena.result.reshape(arr.shape).copy()
+
+    def _arena_tree(self, arena: Any, tag: int) -> None:
+        """Binomial-tree allreduce over arena rows.
+
+        The schedule of :meth:`reduce` + :meth:`bcast` from rank 0, with
+        each message replaced by a token: a child sends "row ready", its
+        parent folds ``rows[r] += rows[child]`` in place, the root's last
+        fold writes the separate ``result`` row, and done tokens travel
+        down the broadcast tree.
+
+        Reuse safety: a row is read only by its parent, after the ready
+        token and before the parent's own ready token (or, at the root,
+        its final fold). A rank returns only after its done token, which
+        the root emits after that fold — so a rank may overwrite its row
+        as soon as it returns. ``result`` is rewritten only by the root's
+        final fold of round t+1, which needs a ready token from every
+        subtree, i.e. every rank has left round t — exactly the
+        documented validity window of a ``view=True`` result.
+        """
+        p, r = self.size, self.rank
+        rows, nbytes = arena.rows, arena.result.nbytes
+        red_tag = tag + COLLECTIVE_TAG_STRIDE
+        bc_tag = tag + 2 * COLLECTIVE_TAG_STRIDE
+
+        t0 = self._elapsed()
+        self._trace_op = "tree-reduce"
+        stride = 1
+        while stride < p:
+            rnd = stride.bit_length() - 1
+            if r % (2 * stride):
+                self._token_out(r - stride, red_tag, nbytes, rnd)
+                break  # row handed upstream; nothing left to fold here
+            child = r + stride
+            if child < p:
+                self._token_in(child, red_tag, nbytes, rnd)
+                last = r == 0 and 2 * stride >= p
+                np.add(rows[r], rows[child], out=arena.result if last else rows[r])
+                self._count("bytes_inplace", nbytes)
+            stride *= 2
+        self._collective_span("tree-reduce", t0)
+
+        t0 = self._elapsed()
+        self._trace_op = "tree-bcast"
+        have = 1
+        while have * 2 <= r:
+            have *= 2
+        if r:  # the parent is the rank that turned our top bit on
+            self._token_in(r - have, bc_tag, nbytes, have.bit_length() - 1)
+            have *= 2
+        while have < p:
+            if r + have < p:
+                self._token_out(r + have, bc_tag, nbytes, have.bit_length() - 1)
+            have *= 2
+        self._collective_span("tree-bcast", t0)
+
+    def _arena_ring(self, arena: Any, tag: int) -> None:
+        """Sharded ring allreduce over arena rows.
+
+        Same logical schedule (and bit-identical association) as
+        :meth:`_ring_allreduce`: *reduce-scatter* — a ready token to every
+        peer, theirs collected, then the P row slices of our owner shard
+        tree-reduced straight into ``result``; *allgather* — a done token
+        to every peer, theirs collected, and ``result`` is complete.
+
+        Reuse safety (single-generation rows): a rank re-enters (and may
+        overwrite its row) only after collecting *all* P-1 done tokens,
+        and a done token is sent only after its owner finished reading
+        every row — so no row is overwritten while any reader is
+        mid-reduce. ``result`` for round t+1 is rewritten only after
+        every rank has sent its round-t+1 ready token, i.e. after every
+        rank returned from round t — the ``view=True`` validity window.
+        """
+        t0 = self._elapsed()
+        p, r = self.size, self.rank
+        rs_tag = tag + 6 * COLLECTIVE_TAG_STRIDE
+        ag_tag = tag + 7 * COLLECTIVE_TAG_STRIDE
+        rows = arena.rows
+        bounds = shard_bounds(rows[r].size, p)
+        shard_nbytes = [(bounds[s + 1] - bounds[s]) * rows[r].itemsize for s in range(p)]
+        lo, hi = bounds[r], bounds[r + 1]
+
+        # Logically rank r ships shard (r+k)%p's chunk to its owner in
+        # step k, and later its reduced shard to everyone: the trace says so.
+        self._trace_op = "ring-reduce-scatter"
+        for k in range(1, p):
+            self._token_out((r + k) % p, rs_tag, shard_nbytes[(r + k) % p], k - 1)
+        for k in range(1, p):
+            self._token_in((r - k) % p, rs_tag, shard_nbytes[r], k - 1)
+        if hi > lo:
+            tree_reduce_into([rows[q][lo:hi] for q in range(p)], arena.result[lo:hi])
+            self._count("bytes_inplace", (p - 1) * shard_nbytes[r])
+
+        self._trace_op = "ring-allgather"
+        for k in range(1, p):
+            self._token_out((r + k) % p, ag_tag, shard_nbytes[r], k - 1)
+        for k in range(1, p):
+            self._token_in((r - k) % p, ag_tag, shard_nbytes[(r - k) % p], k - 1)
+        self._collective_span("ring-allreduce", t0)
+
     def collective_buffer(self, elems: int, tag: int = 103) -> np.ndarray:
         """A zeroed float32 staging buffer for ``allreduce(..., tag=tag)``.
 
-        Fabrics with shared collective storage return their own staging
-        row here (the shm arena's contribution row), letting the caller
-        compute *into* the fabric and skip the allreduce staging copy.
-        The default is an ordinary private buffer, so callers can use
-        this unconditionally on any backend.
+        When an arena will carry that allreduce this is the rank's own
+        contribution row: a caller that computes *into* it skips the
+        staging copy — gradients are born in the fabric. The allreduce
+        may leave partial sums in it, so refill it every step. Otherwise
+        (messages: see :meth:`_collective_arena`) an ordinary private
+        buffer, so callers can use this unconditionally on any backend.
         """
         if elems <= 0:
             raise ValueError("elems must be positive")
-        return np.zeros(int(elems), dtype=np.float32)
+        arena = self._collective_arena(tag, elems)
+        if arena is None:
+            return np.zeros(int(elems), dtype=np.float32)
+        row = arena.rows[self.rank]
+        row[:] = 0.0
+        return row
 
     def barrier(self, tag: int = 104) -> None:
         """Synchronize all ranks (zero-byte allreduce on a reserved tag block)."""
@@ -663,6 +888,20 @@ class RankContext(RankContextBase):
 
     def _elapsed(self) -> float:
         return self.comm._elapsed()
+
+    def _arena_for(self, tag: int, elems: int) -> "_HeapArena":
+        return self.comm._arena(tag, elems)
+
+
+class _HeapArena:
+    """The shape of the shm ``CollectiveArena`` on the process heap: one
+    float32 contribution row per rank plus the result row, which rank
+    threads share by reference."""
+
+    def __init__(self, size: int, elems: int) -> None:
+        block = np.zeros((size + 1, elems), dtype=np.float32)
+        self.rows: List[np.ndarray] = list(block[:size])
+        self.result: np.ndarray = block[size]
 
 
 class InProcessCommunicator:
@@ -722,11 +961,25 @@ class InProcessCommunicator:
         #: Drops, retransmissions, delays, and lost messages land here.
         self.fault_log = FaultLog()
         self._mailboxes = [_Mailbox() for _ in range(size)]
+        #: Arena rows by ``(tag, elems)``, built on first use and kept for
+        #: the communicator's life: their pages are faulted in once, not
+        #: per allreduce.
+        self._arenas: Dict[Tuple[int, int], _HeapArena] = {}
+        self._arena_lock = threading.Lock()
         self._start = time.monotonic()
 
     def _elapsed(self) -> float:
         """Wall seconds since the communicator was created (log timestamps)."""
         return time.monotonic() - self._start
+
+    def _arena(self, tag: int, elems: int) -> _HeapArena:
+        arena = self._arenas.get((tag, elems))
+        if arena is None:
+            with self._arena_lock:  # every rank asks at once; one allocates
+                arena = self._arenas.get((tag, elems))
+                if arena is None:
+                    arena = self._arenas[(tag, elems)] = _HeapArena(self.size, elems)
+        return arena
 
     def close(self) -> None:
         """Release fabric resources (no-op for the thread backend; present

@@ -1,63 +1,90 @@
 """Zero-copy shared-memory transport for the multiprocess rank runtime.
 
-The process backend's queues (`multiprocessing.Queue` = pickle + pipe)
-charge Θ(|W|) serialization for every packed weight/gradient buffer the
-Θ(log P) tree moves — exactly the parameter-movement tax the paper's
-codesign removes (Section 5.2's packed single-buffer messages). This module
-supplies the shared-memory substrate: bulk tensor bytes cross process
-boundaries through fixed-capacity **slot rings** in named POSIX shared
-memory, and the queue carries only a tiny :class:`ShmSlotRef` descriptor.
+A ``multiprocessing.Queue`` fabric (pickle -> feeder thread -> pipe ->
+reader lock -> ``poll``) charges every message twice: Θ(|W|) serialization
+for each packed weight/gradient buffer the Θ(log P) tree moves — exactly
+the parameter-movement tax the paper's codesign removes (Section 5.2's
+packed single-buffer messages) — and a cross-core *blocking* wake of
+50-100 us for every hop, however small. This module is the substrate that
+pays neither: bulk bytes cross process boundaries through **slot rings**
+in named POSIX shared memory, the descriptors (and everything small)
+through a per-rank **inbox ring** the receiver spins on before it blocks,
+and an allreduce's bytes do not cross at all — they are folded in place
+in a :class:`CollectiveArena`. No syscall and no copy on the hot path.
 
 Design
 ------
-- One :class:`SlotRing` per ``(src, dst, tag)`` channel, created lazily by
-  the *sender* on first large payload and sized to it (a later, larger
-  payload retires the ring and allocates a new generation; in-flight
-  descriptors keep naming the old segment, which stays mapped until the
-  run ends). Default capacity 2 — double buffering, the paper's overlap
-  primitive.
-- Segment layout: a 64-byte header whose first int64 is the **consumed
+- **Control path.** One :class:`ShmInbox` per rank, created by the pool
+  parent before it forks: a byte ring of length-prefixed records per
+  (source, owner) pair, head written only by that source, tail only by
+  the owner. A record body is a pickle — the payload's own when it is
+  small, else a :class:`ShmSlotRef`'s. Receive is *spin-then-doorbell*:
+  poll the heads for :data:`_SPIN_SECONDS`, then set a ``sleeping`` word
+  and block on a fork-inherited semaphore that senders post only when
+  they see the word set. Spinning is on exactly when the pool pinned
+  every rank to a core of its own (``WorkerPool._pin_plan``); it is not
+  an option. A full ring is backpressure.
+- **Bulk path.** One :class:`SlotRing` per ``(src, dst, tag)`` channel,
+  created lazily by the *sender* on first large payload and sized to it
+  (a later, larger payload retires the ring and allocates a new
+  generation; in-flight descriptors keep naming the old segment, which
+  stays mapped until the run ends). Default capacity 2 — double
+  buffering, the paper's overlap primitive.
+- Slot-ring layout: a 64-byte header whose first int64 is the **consumed
   count (tail)**, written only by the receiver, followed by
   ``capacity × slot_nbytes`` payload bytes. The sender keeps its produced
   count (head) locally, so each channel is single-producer/single-consumer
   and plain aligned int64 loads/stores are the whole protocol — no locks
   anywhere on the message path.
-- **Backpressure**: a send with ``head - tail >= capacity`` blocks until
-  the receiver consumes a slot; if the ring stays full past the timeout it
-  raises :class:`RingBackpressureError` — a :class:`DeadlockError`, so the
-  failure surface matches a wedged ``recv`` on the other side.
-- Serialization is pickle protocol 5 with out-of-band buffers: the
-  *structure* of the payload (tuples, scalars, dtypes, shapes — including
-  the ``(seq, payload)`` wrapping the tracing path adds) travels in a
-  small in-band pickle, while every contiguous array body is memcpy'd
-  into the slot. ``decode`` copies slot bytes into private storage before
+- **Backpressure**: a send with ``head - tail >= capacity`` (or into an
+  inbox ring without room) blocks until the receiver consumes; past the
+  timeout it raises :class:`RingBackpressureError` — a
+  :class:`DeadlockError`, so the failure surface matches a wedged
+  ``recv`` on the other side. Every such wait in this module is
+  :func:`_wait_until`.
+- Serialization is pickle protocol 5, once per message
+  (:meth:`ShmTransport.pack`): the *structure* of the payload (tuples,
+  scalars, dtypes, shapes — including the ``(seq, payload)`` wrapping the
+  tracing path adds) travels in a small in-band pickle, while every
+  contiguous buffer of at least ``min_bytes`` is memcpy'd into the slot.
+  ``decode`` copies slot bytes into private storage before
   reconstructing, so received arrays are ordinary writable NumPy arrays
-  with no aliasing of ring memory — one memcpy per side versus the
-  pickle-everything path's serialize + pipe-write + pipe-read + unpickle.
-- Small or array-free payloads (below ``min_bytes`` of out-of-band data)
-  return ``None`` from :meth:`ShmTransport.encode` and keep the existing
-  pickle path; non-contiguous arrays pickle in-band and likewise fall
-  through. Correctness never depends on which path a payload takes.
+  with no aliasing of ring memory.
+- **The spill rule.** Smaller buffers, array-free payloads and
+  non-contiguous arrays pickle in band. An in-band stream longer than
+  :data:`INLINE_LIMIT` rides the slot as one more body, so the inbox
+  ring carries descriptors and scalars only, no payload can fail for its
+  size, and "a sender may run ``slots`` messages ahead of its receiver"
+  stays the one buffering rule. Correctness never depends on which path
+  a payload takes.
+- ``transport="queue"`` keeps ``multiprocessing.Queue`` inboxes: it is
+  the reference the bit-identity tests compare against, and its
+  megabyte pickles need the queue's unbounded feeder buffer.
 
 Lifecycle: each rank process owns the rings it sends on and closes its
-mappings on exit; the *parent* communicator unlinks the segments by name
-after the run (children report their ring names in the result tuple), so
-a descriptor that is still in flight when its sender finishes remains
-attachable.
+mappings on exit; the *parent* unlinks the segments by name after the run
+(children report their ring and arena names), so a descriptor that is
+still in flight when its sender finishes remains attachable. Inboxes are
+the pool parent's own: created before the fork, unlinked in its
+``close``, reaped by the next run like any ``repro-<pid>-`` segment if it
+is killed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import multiprocessing
 import os
 import pickle
+import queue
+import struct
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import uuid
 
 import numpy as np
 
-from repro.comm.runtime import _DEFAULT_TIMEOUT, DeadlockError
+from repro.comm.runtime import _DEFAULT_TIMEOUT, DEFAULT_MIN_BYTES, DeadlockError
 from repro.comm.shm_lifecycle import (
     register_segment,
     segment_name,
@@ -71,6 +98,7 @@ __all__ = [
     "ShmSlotRef",
     "SlotRing",
     "ShmTransport",
+    "ShmInbox",
     "CollectiveArena",
     "SeqlockBuffer",
     "TornReadError",
@@ -87,15 +115,33 @@ TRANSPORTS = ("queue", "shm")
 #: message ahead of the receiver — the overlap window Sync EASGD3 needs).
 DEFAULT_SLOTS = 2
 
-#: Payloads whose out-of-band array bytes total less than this stay on the
-#: pickle path: below ~16 KiB the descriptor + segment machinery costs more
-#: than pickling, and control traffic (barrier's 4-byte buffers, scalars)
-#: should not allocate rings at all.
-DEFAULT_MIN_BYTES = 1 << 14
-
 #: Segment header: one cache line. Word 0 is the receiver-written consumed
 #: count; the rest is reserved padding so slot 0 starts cache-aligned.
 _HEADER_BYTES = 64
+
+#: How long a receive busy-polls the shared heads before it blocks on the
+#: doorbell, when the rank owns its core (a cross-core blocking wake costs
+#: 50-100 us on this class of host, a spin hit ~15 us). Swept on the 2-core
+#: reference host: 0 us reads 0.127 ms/step on the 64 KiB tree allreduce,
+#: 50 us to 1 ms all read 0.061 (docs/performance.md, "Message transport").
+_SPIN_SECONDS = 200e-6
+
+#: Longest nap of a polled wait (full ring, arena attach): a freed slot is
+#: noticed within a millisecond however long the wait has lasted.
+_SLEEP_CAP = 1e-3
+
+#: Longest doorbell wait before a blocked receiver re-scans unprompted. A
+#: sender's store(head) -> load(sleeping) may reorder against the owner's
+#: store(sleeping) -> load(head) (x86 permits store->load), so a wake-up
+#: can be missed; it then costs one slice, never a hang.
+_DOORBELL_SLICE = 4e-3
+
+#: In-band pickles above this ride a slot ring like an array body instead
+#: of the inbox ring: the control ring carries descriptors and scalars.
+INLINE_LIMIT = 1 << 11
+
+#: Bytes of inbox ring per (source, owner) pair.
+INBOX_RING_BYTES = 1 << 16
 
 
 def validate_transport(transport: str) -> str:
@@ -107,6 +153,61 @@ def validate_transport(transport: str) -> str:
     return transport
 
 
+def _close_segment(shm: Any, unlink: bool) -> None:
+    """Unmap ``shm`` (its NumPy views must already be dropped); ``unlink``
+    also destroys the segment system-wide and forgets it in the registry."""
+    try:
+        shm.close()
+    except BufferError:  # pragma: no cover - a stray view still pinned
+        pass
+    if unlink:
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+        unregister_segment(shm.name)
+
+
+def _wait_until(
+    ready: Callable[[], Any],
+    timeout: float,
+    spin: bool = False,
+    doze: Optional[Callable[[float], None]] = None,
+) -> Any:
+    """Wait for ``ready()`` (a predicate over shared words) to turn truthy.
+
+    Returns its value, or ``None`` once ``timeout`` is spent — the caller
+    raises its own typed error. ``spin`` busy-polls for the first
+    :data:`_SPIN_SECONDS` (only sensible when this rank owns its core: a
+    spinner sharing its peer's core turns a 33 us round trip into 8 ms).
+    After that the wait naps in doubling slices capped at
+    :data:`_SLEEP_CAP`, or calls ``doze(seconds)`` when the waiter has a
+    doorbell to block on. ``ready`` runs once more at the deadline, so
+    whatever lands exactly then still wins.
+    """
+    now = time.monotonic()
+    deadline = now + timeout
+    if spin:
+        spin_end = min(deadline, now + _SPIN_SECONDS)
+        while time.monotonic() < spin_end:
+            value = ready()
+            if value:
+                return value
+    nap = 50e-6
+    while True:
+        value = ready()
+        if value:
+            return value
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        if doze is not None:
+            doze(min(_DOORBELL_SLICE, remaining))
+        else:
+            time.sleep(min(nap, remaining))
+            nap = min(2.0 * nap, _SLEEP_CAP)
+
+
 class RingBackpressureError(DeadlockError):
     """A send blocked on a full slot ring until the timeout expired.
 
@@ -114,7 +215,9 @@ class RingBackpressureError(DeadlockError):
     ``(rank → dest, tag)`` channel stayed occupied for the whole budget,
     meaning the receiver stopped consuming (died, wedged, or the schedule
     never receives this message). ``source`` carries the *destination*
-    rank — the peer whose consumption was awaited.
+    rank — the peer whose consumption was awaited. The same error ends a
+    send blocked on a full :class:`ShmInbox` ring, whose ``capacity``
+    counts bytes.
     """
 
     def __init__(self, rank: int, dest: int, tag: int, timeout: float, capacity: int) -> None:
@@ -138,8 +241,10 @@ class ShmSlotRef:
 
     ``buffers`` lists ``(offset_in_slot, nbytes)`` for each out-of-band
     array body, in pickle-5 buffer order; ``meta`` is the in-band pickle
-    stream carrying the payload's structure. Everything here is cheap to
-    pickle — the whole point.
+    stream carrying the payload's structure — or empty when that stream
+    was itself too long for the inbox ring and rides the slot as the last
+    entry of ``buffers``. Everything here is cheap to pickle — the whole
+    point.
     """
 
     segment: str  # shared-memory name, attachable from any process
@@ -201,22 +306,18 @@ class SlotRing:
         """Claim the next slot; returns its absolute byte offset.
 
         Blocks while the ring is full (receiver owes consumption of the
-        oldest slot), polling the shared tail with the same exponential
-        backoff the receive path uses; raises
+        oldest slot), polling the shared tail (:func:`_wait_until`: a
+        freed slot is noticed within a millisecond); raises
         :class:`RingBackpressureError` once ``timeout`` is spent. On
         return the slot is the caller's to fill, and ``head`` has been
         advanced — the message **must** then be delivered.
         """
-        if self.head - int(self._tail[0]) >= self.capacity:
-            deadline = time.monotonic() + timeout
-            wait = min(0.0005, timeout)
-            while self.head - int(self._tail[0]) >= self.capacity:
-                if time.monotonic() >= deadline:
-                    raise RingBackpressureError(
-                        self.rank, self.dest, self.tag, timeout, self.capacity
-                    )
-                time.sleep(wait)
-                wait = min(wait * 2.0, 0.05)
+        if self.in_flight >= self.capacity and not _wait_until(
+            lambda: self.in_flight < self.capacity, timeout
+        ):
+            raise RingBackpressureError(
+                self.rank, self.dest, self.tag, timeout, self.capacity
+            )
         slot = self.head % self.capacity
         self.head += 1
         return _HEADER_BYTES + slot * self.slot_nbytes
@@ -232,16 +333,7 @@ class SlotRing:
         # The NumPy views pin the exported buffer; drop them before close.
         self._tail = None
         self._data = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a stray view still pinned
-            pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            unregister_segment(self._shm.name)
+        _close_segment(self._shm, unlink)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -250,23 +342,18 @@ class SlotRing:
         )
 
 
-def _contains_array(payload: Any) -> bool:
-    """Whether staging could help: any ndarray anywhere in the payload."""
-    if isinstance(payload, np.ndarray):
-        return True
-    if isinstance(payload, (tuple, list)):
-        return any(_contains_array(p) for p in payload)
-    return False
-
-
 class ShmTransport:
     """Per-rank encode/decode endpoint over shared-memory slot rings.
 
-    One instance lives in each rank process. ``encode`` stages a payload
-    and returns the descriptor to enqueue (or ``None`` — caller keeps the
-    pickle path); ``decode`` reconstructs a payload from a descriptor
-    popped off the inbox. ``stats`` counts both paths so traces can report
-    bytes-on-wire (descriptor pickles) versus bytes-copied (slot memcpys).
+    One instance lives in each rank process. :meth:`pack` serializes a
+    payload once into the bytes its inbox record carries — the payload's
+    own pickle when it is small, else a pickled :class:`ShmSlotRef` naming
+    the slot its bulk bytes were staged into; :meth:`decode` (or
+    :meth:`decode_view`) reconstructs a payload from a descriptor popped
+    off the inbox. ``stats`` counts both paths so traces can report
+    bytes-on-wire (descriptor pickles) versus bytes-copied (slot memcpys);
+    the rank's :class:`ShmInbox` and the arena collectives count into the
+    same dict.
     """
 
     def __init__(
@@ -290,36 +377,52 @@ class ShmTransport:
         self._retired: List[SlotRing] = []  # outgrown generations, kept mapped
         self._attached: Dict[str, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self.stats: Dict[str, int] = {
-            "shm_messages": 0,
-            "queue_messages": 0,
-            "bytes_copied_in": 0,  # sender-side memcpys into slots
-            "bytes_copied_out": 0,  # receiver-side memcpys out of slots
-            "bytes_inplace": 0,  # consumed in place from slots (no copy at all)
-            "bytes_on_wire": 0,  # descriptor meta actually crossing the pipe
+            "shm_messages": 0,  # staged through a slot ring
+            "queue_messages": 0,  # wholly in-band
+            "bytes_copied_in": 0,  # memcpys into slots and arena rows
+            "bytes_copied_out": 0,  # memcpys out of slots and arena results
+            "bytes_inplace": 0,  # read in place from slots / peers' arena rows
+            "bytes_on_wire": 0,  # in-band bytes of staged messages
             "ring_allocs": 0,
+            "inbox_messages": 0,  # records written to inbox rings
+            "inbox_spills": 0,  # in-band pickles staged through a slot ring
+            "doorbell_waits": 0,  # receives that had to block
+            "arena_tokens": 0,  # ready/done tokens of arena collectives
         }
 
     # -- sender side -----------------------------------------------------------
-    def encode(self, dest: int, tag: int, payload: Any) -> Optional[ShmSlotRef]:
-        """Stage ``payload`` for ``(dest, tag)``; None = use the pickle path."""
-        if not _contains_array(payload):
-            self.stats["queue_messages"] += 1
-            return None
+    def _stage(
+        self, dest: int, tag: int, payload: Any, inline_limit: Optional[int]
+    ) -> Union[ShmSlotRef, bytes]:
+        """Pickle ``payload`` once; stage its bulk through the channel ring.
+
+        Protocol 5 keeps every contiguous buffer of at least ``min_bytes``
+        out of band (smaller ones, and non-contiguous arrays, pickle in
+        band: below ~16 KiB the slot machinery costs more than the copy,
+        and barrier tokens should not allocate rings). Returns the
+        complete pickle when nothing needs a slot, else the descriptor of
+        the one slot that now holds the buffers — and the in-band stream
+        too, when it is longer than ``inline_limit``.
+        """
         buffers: List[pickle.PickleBuffer] = []
-        try:
-            meta = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-        except Exception:  # exotic payload; the queue path handles it
+
+        def in_band(buf: pickle.PickleBuffer) -> bool:
+            if memoryview(buf).nbytes < self.min_bytes:
+                return True
+            buffers.append(buf)
+            return False
+
+        meta = pickle.dumps(payload, protocol=5, buffer_callback=in_band)
+        spill = inline_limit is not None and len(meta) > inline_limit
+        if not buffers and not spill:
             self.stats["queue_messages"] += 1
-            return None
-        views = [buf.raw() for buf in buffers]
-        total = sum(v.nbytes for v in views)
-        if total < self.min_bytes:
-            # Small arrays (barrier tokens, scalars) — and non-contiguous
-            # ones, which pickle in-band — are cheaper on the queue.
-            for buf in buffers:
-                buf.release()
-            self.stats["queue_messages"] += 1
-            return None
+            return meta
+        bodies = [np.frombuffer(buf.raw(), dtype=np.uint8) for buf in buffers]
+        if spill:
+            bodies.append(np.frombuffer(meta, dtype=np.uint8))
+            self.stats["inbox_spills"] += 1
+            meta = b""
+        total = sum(body.size for body in bodies)
 
         ring = self._rings.get((dest, tag))
         if ring is None or ring.slot_nbytes < total:
@@ -332,11 +435,10 @@ class ShmTransport:
         offset = ring.acquire(self.timeout)
         descs: List[Tuple[int, int]] = []
         cursor = 0
-        for view in views:
-            flat = np.frombuffer(view, dtype=np.uint8)
-            ring.write(offset + cursor, flat)
-            descs.append((cursor, flat.size))
-            cursor += flat.size
+        for body in bodies:
+            ring.write(offset + cursor, body)
+            descs.append((cursor, body.size))
+            cursor += body.size
         for buf in buffers:
             buf.release()
         self.stats["shm_messages"] += 1
@@ -351,6 +453,23 @@ class ShmTransport:
             nbytes=total,
         )
 
+    def encode(self, dest: int, tag: int, payload: Any) -> Optional[ShmSlotRef]:
+        """Stage ``payload``'s large buffers for ``(dest, tag)``; None when it
+        has none (the payload then travels in band, whatever its size)."""
+        staged = self._stage(dest, tag, payload, None)
+        return staged if isinstance(staged, ShmSlotRef) else None
+
+    def pack(self, dest: int, tag: int, payload: Any) -> bytes:
+        """The bytes ``payload``'s inbox record carries: its own pickle, or
+        a pickled :class:`ShmSlotRef` when large buffers — or an in-band
+        stream above :data:`INLINE_LIMIT` — were staged through the slot
+        ring. Either way the payload is serialized exactly once, and "a
+        sender may run ``slots`` messages ahead of its receiver" is the one
+        buffering rule for everything too big for the control ring."""
+        staged = self._stage(dest, tag, payload, INLINE_LIMIT)
+        self.stats["inbox_messages"] += 1
+        return staged if isinstance(staged, bytes) else pickle.dumps(staged, protocol=5)
+
     # -- receiver side ---------------------------------------------------------
     def _attach(self, segment: str) -> Tuple[Any, np.ndarray, np.ndarray]:
         """Map (and cache) a sender's segment; returns (shm, tail, data)."""
@@ -364,6 +483,16 @@ class ShmTransport:
             entry = self._attached[segment] = (shm, tail, data)
         return entry
 
+    @staticmethod
+    def _bodies(ref: ShmSlotRef, data: np.ndarray) -> Tuple[Any, List[np.ndarray]]:
+        """``(meta, slot views of the out-of-band buffers)`` of a message;
+        a spilled in-band stream is the slot's last body."""
+        views = [
+            data[ref.slot_offset + off : ref.slot_offset + off + nbytes]
+            for off, nbytes in ref.buffers
+        ]
+        return (ref.meta or views.pop().tobytes()), views
+
     def decode(self, ref: ShmSlotRef) -> Any:
         """Reconstruct the payload and release its slot back to the sender.
 
@@ -373,15 +502,12 @@ class ShmTransport:
         cannot corrupt them.
         """
         _, tail, data = self._attach(ref.segment)
-        privates: List[np.ndarray] = []
-        for off, nbytes in ref.buffers:
-            start = ref.slot_offset + off
-            private = np.empty(nbytes, dtype=np.uint8)
-            np.copyto(private, data[start : start + nbytes])
-            privates.append(private)
+        meta, views = self._bodies(ref, data)
+        privates = [view.copy() for view in views]
+        del views
         tail[0] += 1  # slot is free for the sender again
         self.stats["bytes_copied_out"] += ref.nbytes
-        return pickle.loads(ref.meta, buffers=privates)
+        return pickle.loads(meta, buffers=privates)
 
     def decode_view(self, ref: ShmSlotRef) -> Tuple[Any, Any]:
         """Reconstruct the payload with arrays *viewing* slot memory.
@@ -395,11 +521,8 @@ class ShmTransport:
         ``release()`` would race the sender's next overwrite.
         """
         _, tail, data = self._attach(ref.segment)
-        views = [
-            data[ref.slot_offset + off : ref.slot_offset + off + nbytes].data
-            for off, nbytes in ref.buffers
-        ]
-        payload = pickle.loads(ref.meta, buffers=views)
+        meta, views = self._bodies(ref, data)
+        payload = pickle.loads(meta, buffers=[view.data for view in views])
         self.stats["bytes_inplace"] += ref.nbytes
 
         def release() -> None:
@@ -421,25 +544,206 @@ class ShmTransport:
         for name in list(self._attached):
             shm, tail, data = self._attached.pop(name)
             tail = data = None  # noqa: F841 - drop the views pinning the buffer
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - a stray payload view
-                pass
+            _close_segment(shm, unlink=False)
+
+
+class ShmInbox:
+    """One rank's message inbox: a byte ring per source in one shm segment.
+
+    What ``multiprocessing.Queue`` was to :class:`MpRankContext` — ``put``,
+    ``get(timeout)``, ``get_nowait`` — without the pickle-to-a-feeder-thread,
+    the pipe, the reader lock and the two ``poll`` syscalls per message.
+    The pool parent creates one per rank before forking; children inherit
+    the mapping and the doorbell.
+
+    Layout: a ``sleeping`` word (owner-written), ``nsrc`` head words (each
+    written only by its source), ``nsrc`` tail words (owner-written), then
+    ``nsrc`` rings of :data:`INBOX_RING_BYTES`. Heads and tails count bytes
+    and only grow. A record is a 16-byte ``(tag, nbytes)`` header plus the
+    body, padded to 16 bytes so a header never wraps (a body may). Every
+    ring is single-producer/single-consumer — source ``s`` of the running
+    cell is the only writer of ring ``s`` — so, as in :class:`SlotRing`,
+    plain aligned int64 loads and stores are the whole protocol: the head
+    is published after the record bytes and the tail after they are
+    copied out, under the same x86-TSO store-ordering assumption. A writer
+    that dies mid-``put`` never published its head, so it cannot wedge
+    anyone.
+
+    Receive is **spin-then-doorbell**: with ``spin`` (the pool sets it
+    exactly when it pinned each rank to a core of its own) ``get`` polls
+    the heads for :data:`_SPIN_SECONDS`; then it sets ``sleeping`` and
+    blocks on the fork-inherited semaphore, which a sender posts only
+    when it sees that word set. The sleeper re-scans after setting the
+    word and wakes every :data:`_DOORBELL_SLICE` regardless.
+
+    One thread per process may use an inbox (the rank's own).
+    """
+
+    _RECORD = struct.Struct("<qq")  # tag, body bytes
+    _ALIGN = 16
+
+    def __init__(self, shm: Any, bell: Any, nsrc: int, timeout: float, spin: bool) -> None:
+        self._shm = shm
+        self._bell = bell
+        self.nsrc = nsrc
+        self.timeout = timeout
+        self.spin = spin
+        words = np.frombuffer(shm.buf, dtype=np.int64, count=self._header_words(nsrc))
+        self._sleeping = words[0:1]
+        self._heads = words[8 : 8 + nsrc]
+        self._tails = words[8 + self._lane(nsrc) : 8 + self._lane(nsrc) + nsrc]
+        self._buf = shm.buf
+        self._base = 8 * self._header_words(nsrc)
+        self._consumed: List[int] = self._tails.tolist()  # owner's copy of the tails
+        self._next = 0  # round-robin scan start, so no source starves
+        self._blocked = False
+        #: ``doorbell_waits`` lands here; the pool worker points it at its
+        #: transport's counters.
+        self.stats: Dict[str, int] = {"doorbell_waits": 0}
+
+    @staticmethod
+    def _lane(nsrc: int) -> int:
+        """Words per head/tail group: whole cache lines, so senders'
+        stores and the owner's never share one."""
+        return -(-nsrc // 8) * 8
+
+    @classmethod
+    def _header_words(cls, nsrc: int) -> int:
+        return 8 + 2 * cls._lane(nsrc)
+
+    @classmethod
+    def _record_bytes(cls, n: int) -> int:
+        """Ring bytes an ``n``-byte body occupies, header and padding included."""
+        return cls._ALIGN + -(-n // cls._ALIGN) * cls._ALIGN
+
+    @classmethod
+    def create(cls, nsrc: int, timeout: float = _DEFAULT_TIMEOUT, spin: bool = False) -> "ShmInbox":
+        """Allocate an empty inbox for ``nsrc`` sources (call before forking)."""
+        if nsrc <= 0:
+            raise ValueError("nsrc must be positive")
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(
+            create=True, name=segment_name("inbox"),
+            size=8 * cls._header_words(nsrc) + nsrc * INBOX_RING_BYTES,
+        )
+        register_segment(shm.name)
+        bell = multiprocessing.get_context("fork").Semaphore(0)
+        return cls(shm, bell, nsrc, timeout, spin)
+
+    @property
+    def name(self) -> str:
+        return self._shm.name
+
+    def empty(self) -> bool:
+        """Whether every ring is drained (readable from any process)."""
+        return self._heads.tolist() == self._tails.tolist()
+
+    # -- sender side -----------------------------------------------------------
+    def put(self, item: Tuple[int, int, bytes]) -> None:
+        """Append ``(source, tag, body)`` to the source's ring.
+
+        Blocks while the ring lacks room; raises :class:`queue.Full` once
+        the inbox's ``timeout`` is spent with the owner not consuming.
+        """
+        src, tag, body = item
+        n = len(body)
+        need = self._record_bytes(n)
+        if need > INBOX_RING_BYTES:
+            raise ValueError(f"a {n}-byte record cannot fit a {INBOX_RING_BYTES}-byte inbox ring")
+        head = int(self._heads[src])
+        limit = head + need - INBOX_RING_BYTES  # the tail must reach this
+        if self._tails[src] < limit and not _wait_until(
+            lambda: self._tails[src] >= limit, self.timeout
+        ):
+            raise queue.Full
+        ring = self._base + src * INBOX_RING_BYTES
+        pos = head % INBOX_RING_BYTES
+        self._RECORD.pack_into(self._buf, ring + pos, tag, n)
+        pos = (pos + self._ALIGN) % INBOX_RING_BYTES
+        first = min(n, INBOX_RING_BYTES - pos)
+        self._buf[ring + pos : ring + pos + first] = body[:first]
+        if first < n:
+            self._buf[ring : ring + n - first] = body[first:]
+        self._heads[src] = head + need  # publish: after the record bytes
+        if self._sleeping[0]:
+            self._bell.release()
+
+    # -- owner side ------------------------------------------------------------
+    def _pop(self) -> Optional[Tuple[int, int, bytes]]:
+        heads = self._heads.tolist()
+        consumed = self._consumed
+        if heads == consumed:
+            return None
+        nsrc = self.nsrc
+        for k in range(nsrc):
+            src = (self._next + k) % nsrc
+            tail = consumed[src]
+            if heads[src] != tail:
+                break
+        ring = self._base + src * INBOX_RING_BYTES
+        pos = tail % INBOX_RING_BYTES
+        tag, n = self._RECORD.unpack_from(self._buf, ring + pos)
+        pos = (pos + self._ALIGN) % INBOX_RING_BYTES
+        first = min(n, INBOX_RING_BYTES - pos)
+        body = bytes(self._buf[ring + pos : ring + pos + first])
+        if first < n:
+            body += bytes(self._buf[ring : ring + n - first])
+        tail += self._record_bytes(n)
+        consumed[src] = tail
+        self._tails[src] = tail  # release: after the body is copied out
+        self._next = src + 1
+        return src, tag, body
+
+    def _doze(self, seconds: float) -> None:
+        """Block on the doorbell for at most ``seconds``."""
+        self._sleeping[0] = 1
+        if self.empty():  # re-scan: a put may have raced the word
+            self._blocked = True
+            self._bell.acquire(timeout=seconds)
+        self._sleeping[0] = 0
+
+    def get(self, timeout: float) -> Tuple[int, int, bytes]:
+        """The next ``(source, tag, body)``; :class:`queue.Empty` after ``timeout``."""
+        self._blocked = False
+        record = _wait_until(self._pop, timeout, self.spin, self._doze)
+        if record is None:
+            raise queue.Empty
+        self.stats["doorbell_waits"] += self._blocked
+        return record
+
+    def get_nowait(self) -> Tuple[int, int, bytes]:
+        record = self._pop()
+        if record is None:
+            raise queue.Empty
+        return record
+
+    # -- lifecycle -------------------------------------------------------------
+    def close(self, unlink: bool = False) -> None:
+        """Drop this process's views and mapping; ``unlink`` (the creating
+        parent's job) destroys the segment system-wide."""
+        self._sleeping = self._heads = self._tails = None  # type: ignore[assignment]
+        self._buf = None
+        _close_segment(self._shm, unlink)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ShmInbox({self.name!r}, sources={self.nsrc}, spin={self.spin})"
 
 
 class CollectiveArena:
-    """All-ranks shared staging area for one sharded-ring allreduce channel.
+    """All-ranks shared staging area for one in-place allreduce channel.
 
     One named segment holds P float32 **contribution rows** (``elems``
     elements, one row per rank, each row cache-line aligned) followed by
-    one float32 **result row**. The ring schedule then never moves the
-    bulk bytes at all: every rank writes its contribution into its own row,
-    each shard owner tree-reduces the P row slices of its shard straight
-    into the result row — reduction happens *in place in shared memory* —
-    and every rank reads the finished result row directly. Only tiny
-    ready/done tokens cross the message fabric; see
-    :meth:`repro.comm.mp_runtime.MpRankContext._ring_allreduce` for the
-    protocol and its single-generation reuse-safety argument.
+    one float32 **result row**. An allreduce then never moves the bulk
+    bytes at all: every rank writes its contribution into its own row,
+    the folds happen *in place in shared memory* — up the binomial tree
+    into the root's row and finally the result row, or shard by shard
+    straight into the result row on the ring — and every rank reads the
+    finished result row directly. Only tiny ready/done tokens cross the
+    message fabric; see
+    :meth:`repro.comm.runtime.RankContextBase._arena_tree` and
+    ``_arena_ring`` for the protocols and their reuse-safety arguments.
 
     All ranks of a run map the same segment: the first caller of
     :meth:`create_or_attach` creates it, the rest attach by name (retrying
@@ -497,21 +801,23 @@ class CollectiveArena:
             return cls(shm, size, elems)
         except FileExistsError:
             pass
-        deadline = time.monotonic() + timeout
-        while True:
+
+        def attach() -> Optional["CollectiveArena"]:
             try:
                 shm = shared_memory.SharedMemory(name=name)
             except (FileNotFoundError, ValueError):
-                shm = None
-            if shm is not None:
-                if shm.buf.nbytes >= total:
-                    return cls(shm, size, elems)
-                shm.close()  # creator's ftruncate not landed yet
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"collective arena {name!r} never reached {total} bytes"
-                )
-            time.sleep(0.0005)
+                return None
+            if shm.buf.nbytes >= total:
+                return cls(shm, size, elems)
+            shm.close()  # creator's ftruncate not landed yet
+            return None
+
+        arena = _wait_until(attach, timeout)
+        if arena is None:
+            raise TimeoutError(
+                f"collective arena {name!r} never reached {total} bytes"
+            )
+        return arena
 
     def close(self, unlink: bool = False) -> None:
         """Drop this process's views and mapping; ``unlink`` destroys the
@@ -519,16 +825,7 @@ class CollectiveArena:
         parent, so ranks normally close only)."""
         self.rows = []
         self.result = None  # type: ignore[assignment]
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a stray view still pinned
-            pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            unregister_segment(self._shm.name)
+        _close_segment(self._shm, unlink)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CollectiveArena({self.name!r}, ranks={self.size}, elems={self.elems})"
@@ -714,18 +1011,8 @@ class SeqlockBuffer:
         """Drop views and mapping; ``unlink`` destroys a shared segment."""
         self._header = None  # type: ignore[assignment]
         self._slots = []
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a stray view still pinned
-            pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            unregister_segment(self._shm.name)
+        if self._shm is not None:
+            _close_segment(self._shm, unlink)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.name or "local"

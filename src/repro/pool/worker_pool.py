@@ -16,10 +16,16 @@ Design:
   :func:`~repro.comm.shm_lifecycle.adopt_owner_pid`, so debris from
   killed runs is cleared and every segment the pool tree creates carries
   the pool parent's pid).  Each worker owns a persistent message inbox
-  (the fabric), a persistent :class:`~repro.comm.shm_transport.ShmTransport`
-  (slot rings are recycled across cells), and a by-name
+  (the fabric: a :class:`~repro.comm.shm_transport.ShmInbox` segment the
+  parent creates before forking and unlinks in :meth:`close`, or a
+  ``multiprocessing.Queue`` under ``transport="queue"`` — a pool runs
+  cells of its own transport only), a persistent
+  :class:`~repro.comm.shm_transport.ShmTransport` (slot rings are
+  recycled across cells), and a by-name
   :class:`~repro.comm.shm_transport.CollectiveArena` cache (arenas are
-  sized once per shape and reused).
+  sized once per shape and reused).  Workers are pinned one per core
+  when the host has that many, and exactly then their receives spin
+  before they block.
 - A **cell** is one ``fn(ctx, *args)`` rank program over ``n <= P_max``
   ranks.  :meth:`submit` leases a contiguous block of free workers,
   ships one work item per rank over a dispatch pipe (distinct from the
@@ -80,6 +86,7 @@ from repro.comm.shm_lifecycle import (
 from repro.comm.shm_transport import (
     CollectiveArena,
     DEFAULT_SLOTS,
+    ShmInbox,
     ShmTransport,
     validate_transport,
 )
@@ -235,10 +242,21 @@ class WorkerPool:
         adopt_owner_pid()
         self._mp = multiprocessing.get_context("fork")
         self._start = time.monotonic()
+        pin_plan = self._pin_plan()
         #: Persistent message fabric: one inbox per pool rank; cells see
         #: the slice ``inboxes[base:base+n]`` so a context's own-rank
-        #: indexing works unchanged on any block.
-        self._inboxes = [self._mp.Queue() for _ in range(size)]
+        #: indexing works unchanged on any block. ``shm``: a shared-memory
+        #: ring per (source, owner) pair, whose receives spin before they
+        #: block exactly when the pin plan gives each rank its own core.
+        #: ``queue``: the reference fabric, whose megabyte pickles need a
+        #: queue's unbounded feeder buffer.
+        if transport == "shm":
+            self._inboxes: List[Any] = [
+                ShmInbox.create(size, timeout, spin=pin_plan is not None)
+                for _ in range(size)
+            ]
+        else:
+            self._inboxes = [self._mp.Queue() for _ in range(size)]
         self._results_q = self._mp.Queue()
         #: One dispatch pipe per worker, apart from the message fabric so
         #: dispatch never interleaves with rank traffic. Pipes this process
@@ -251,7 +269,6 @@ class WorkerPool:
         #: Stable per-pool stem for arena names: cells on the same block
         #: derive the same names, so consecutive cells reuse one arena.
         self._coll_stem = segment_name("coll", f"pool{uuid.uuid4().hex[:6]}")
-        pin_plan = self._pin_plan()
         self._procs = [
             self._mp.Process(
                 target=self._worker_loop, args=(r, pin_plan), name=f"pool-rank-{r}"
@@ -333,6 +350,12 @@ class WorkerPool:
                 max_retries=max_retries, retry_backoff=retry_backoff,
                 collective=collective,
             )
+        if transport not in (None, self.transport):
+            # The inboxes were built before the workers forked.
+            raise ValueError(
+                f"the pool's fabric was built for transport={self.transport!r}; "
+                f"it cannot run a transport={transport!r} cell"
+            )
         # Fail fast on unpicklable work: a bad item would otherwise die on
         # its way to the worker and strand the job.
         try:
@@ -360,7 +383,6 @@ class WorkerPool:
             "timeout": timeout,
             "max_retries": max_retries,
             "retry_backoff": retry_backoff,
-            "transport": self.transport if transport is None else transport,
             "collective": collective,
             "start_time": self._start if start_time is None else start_time,
             "coll_prefix": f"{self._coll_stem}b{base}x{nranks}",
@@ -590,7 +612,13 @@ class WorkerPool:
         self._unlink(names + self._orphans())
         for conn in self._work_send:
             conn.close()
-        for q in [*self._inboxes, self._results_q]:
+        queues = [self._results_q]
+        if self.transport == "shm":
+            for inbox in self._inboxes:
+                inbox.close(unlink=True)
+        else:
+            queues += self._inboxes
+        for q in queues:
             q.cancel_join_thread()
             q.close()
 
@@ -636,6 +664,8 @@ class WorkerPool:
             if r != pool_rank:
                 conn.close()
         work = self._work_recv[pool_rank]
+        use_shm = self.transport == "shm"
+        inbox = self._inboxes[pool_rank]
         transport: Optional[ShmTransport] = None
         arenas: Dict[str, CollectiveArena] = {}
 
@@ -674,31 +704,31 @@ class WorkerPool:
                 # left messages — and ring descriptors — in flight).
                 while True:
                     try:
-                        self._inboxes[pool_rank].get_nowait()
+                        inbox.get_nowait()
                     except _queue.Empty:
                         break
                 names = teardown()
                 self._results_q.put(("reset", gen, pool_rank, names))
                 continue
             _, job_id, base, nranks, cell_rank, fn, args, opts = item
-            use_shm = opts["transport"] == "shm"
             if use_shm and transport is None:
                 transport = ShmTransport(
                     pool_rank, self.size, slots=self.shm_slots, timeout=self.timeout,
                 )
+                inbox.stats = transport.stats  # one counter surface per rank
             args = tuple(self.payload if a is POOL_PAYLOAD else a for a in args)
             ctx = MpRankContext(
                 cell_rank, nranks, self._inboxes[base:base + nranks],
                 opts["timeout"], opts["faults"], opts["max_retries"],
                 opts["retry_backoff"], opts["start_time"], opts["tracing"],
                 opts["coll_prefix"], arenas,
-                transport=transport if use_shm else None,
+                transport=transport,
                 collective=opts["collective"],
             )
-            stats_before = dict(transport.stats) if use_shm else {}
+            stats_before = dict(transport.stats) if transport is not None else {}
             status, payload = run_rank_program(ctx, fn, args)
             tstats: Dict[str, int] = {}
-            if use_shm and transport is not None:
+            if transport is not None:
                 tstats = {
                     k: int(v) - int(stats_before.get(k, 0))
                     for k, v in transport.stats.items()

@@ -26,6 +26,8 @@ import pytest
 
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
 from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
+from repro.comm.backend import make_communicator
+from repro.comm.collectives import tree_reduce
 from repro.comm.mp_runtime import fork_available
 from repro.nn.models import build_mlp
 from repro.trace import Trace
@@ -120,6 +122,71 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+#: Direct-allreduce buffer sizes (float32 elements; P-1 is added per run):
+#: the ring's one-element-per-rank floor and both sides of the tree's
+#: 16 KiB arena threshold, plus the MLP's packed buffer.
+ALLREDUCE_SIZES = (1, 4095, 4096, 4097, 50_891)
+
+
+def _contribution(rank: int, n: int) -> np.ndarray:
+    # Magnitudes six decades apart: any association drift flips bits.
+    rng = np.random.default_rng(1000 * n + rank)
+    return (rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3], size=n)).astype(np.float32)
+
+
+def _allreduce_sizes_program(ctx, sizes):
+    """allreduce every size, private copy and shared view; also report
+    whether the caller's own (non-arena) array came back bit-unchanged."""
+    out = {}
+    for n in sizes:
+        for view in (False, True):
+            mine = _contribution(ctx.rank, n)
+            total = ctx.allreduce(mine, view=view)
+            assert view or total.flags.writeable  # the default is a private array
+            out[(n, view)] = (_digest(total), _digest(mine) == _digest(_contribution(ctx.rank, n)))
+    return out
+
+
+def _odd_inputs(rank: int):
+    """Buffers no arena may take: wrong dtype (small, and past the 16 KiB
+    threshold) and a float32 view that is big enough but not contiguous."""
+    return {
+        "float64-small": np.full(8, 1.0 + 1e-12 * (rank + 1), dtype=np.float64),
+        "float64-big": np.full(4096, 1.0 + 1e-12 * (rank + 1), dtype=np.float64),
+        "int64": np.arange(8, dtype=np.int64) * (rank + 1),
+        "float32-strided": _contribution(rank, 2 * 5000)[::2],
+    }
+
+
+def _odd_inputs_program(ctx):
+    return {
+        name: (lambda total: (str(total.dtype), _digest(total)))(ctx.allreduce(x, view=True))
+        for name, x in _odd_inputs(ctx.rank).items()
+    }
+
+
+def _reuse_stress_program(ctx, rounds, elems):
+    """Back-to-back view=True allreduces on one tag, each rank checking
+    every element of round t before it writes round t+1's contribution:
+    a row overwritten while a peer still folds it, or a result rewritten
+    while a peer still reads it, shows up as a wrong element."""
+    buf = ctx.collective_buffer(elems)
+    lane = np.arange(elems, dtype=np.float32) % 5
+    ranks_sum = ctx.size * (ctx.size + 1) // 2
+    for t in range(rounds):
+        np.add(lane, np.float32((ctx.rank + 1) * (t + 1)), out=buf)
+        total = ctx.allreduce(buf, view=True)
+        expected = ctx.size * lane + np.float32(ranks_sum * (t + 1))
+        if not np.array_equal(total, expected):
+            return f"rank {ctx.rank} round {t}: {int((total != expected).sum())} wrong elements"
+    return "ok"
+
+
+def _comm_cell(ranks, backend, transport, collective, **kw):
+    return make_communicator(ranks, backend=backend, transport=transport,
+                             collective=collective, timeout=60.0, **kw)
+
+
 class TestCollectiveMatrix:
     """backend x transport x collective -> one digest."""
 
@@ -134,7 +201,10 @@ class TestCollectiveMatrix:
         ("processes", "shm", "ring"),
     ]
 
-    @pytest.mark.parametrize("ranks", [2, 4])
+    # 3, 5 and 8: non-power-of-two trees, and more ranks than this class
+    # of host has cores, so no rank is pinned and every receive that has
+    # to wait takes the doorbell path.
+    @pytest.mark.parametrize("ranks", [2, 4, 3, 5, 8])
     def test_one_digest_across_matrix(self, mnist_tiny, ranks):
         net, train = _template(mnist_tiny)
         digests = {}
@@ -146,6 +216,104 @@ class TestCollectiveMatrix:
             )
             digests[(backend, transport, collective)] = _digest(res.weights)
         assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.parametrize("ranks", [2, 4, 5])
+    def test_direct_allreduce_one_digest_per_size(self, ranks):
+        """Messages or arena, private copy or shared view: one sum, and it
+        is ``tree_reduce``'s; the caller's own array is never folded into."""
+        sizes = tuple(sorted({ranks - 1, *ALLREDUCE_SIZES}))
+        runs = {}
+        for cell in self.CELLS:
+            comm = _comm_cell(ranks, *cell)
+            try:
+                runs[cell] = comm.run(_allreduce_sizes_program, sizes)
+            finally:
+                comm.close()
+        for n in sizes:
+            want = _digest(tree_reduce([_contribution(r, n) for r in range(ranks)]))
+            for cell, per_rank in runs.items():
+                for view in (False, True):
+                    for rank, out in enumerate(per_rank):
+                        digest, input_unchanged = out[(n, view)]
+                        assert digest == want, (cell, n, view, rank)
+                        assert input_unchanged, (cell, n, view, rank)
+
+    def test_non_float32_and_strided_buffers_keep_dtype_and_bits(self):
+        """Regression: processes/shm/ring cast a float64 buffer into its
+        float32 arena rows. Only C-contiguous float32 takes an arena; the
+        rest travels as messages — one dtype, one digest, in every cell."""
+        ranks = 2
+        want = {
+            name: (str(total.dtype), _digest(total))
+            for name in _odd_inputs(0)
+            for total in [tree_reduce([_odd_inputs(r)[name] for r in range(ranks)])]
+        }
+        assert want["float64-small"][0] == "float64" and want["int64"][0] == "int64"
+        for cell in self.CELLS:
+            comm = _comm_cell(ranks, *cell)
+            try:
+                per_rank = comm.run(_odd_inputs_program)
+            finally:
+                comm.close()
+            for got in per_rank:
+                assert got == want, cell
+
+    @pytest.mark.parametrize("collective", ["tree", "ring"])
+    @pytest.mark.parametrize("backend,transport", [("threads", None), ("processes", "shm")])
+    def test_arena_reuse_is_safe_back_to_back(self, backend, transport, collective):
+        """P = 4 on fewer cores, 300 rounds of a 64 KiB buffer, one tag."""
+        comm = _comm_cell(4, backend, transport, collective)
+        try:
+            assert comm.run(_reuse_stress_program, 300, 1 << 14) == ["ok"] * 4
+        finally:
+            comm.close()
+
+    @pytest.mark.parametrize("backend,transport", [("threads", None), ("processes", "shm")])
+    def test_tree_trace_invariants(self, mnist_tiny, backend, transport):
+        """The arena tree moves tokens, but its trace must still show the
+        logical tree: one packed full-buffer message per edge per round."""
+        net, train = _template(mnist_tiny)
+        trace = Trace()
+        run_mpi_sync_sgd(
+            net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
+            seed=0, backend=backend, transport=transport,
+            collective="tree", trace=trace,
+        )
+        ran = check_all(trace)
+        assert "message-conservation" in ran
+        assert "tree-message-bound" in ran
+        assert "tree-round-bound" in ran
+        assert "packed-single-message" in ran
+        reduce_sends = [e for e in trace.sends() if e.op == "tree-reduce"]
+        assert len(reduce_sends) == (RANKS - 1) * ITERATIONS
+        assert {e.nbytes for e in reduce_sends} == {4 * (net.get_params().size + 1)}
+        if transport == "shm":  # it really was the arena: tokens, no slot copies
+            marks = {e.op: e.value for e in trace.by_kind("mark") if e.rank == 0}
+            assert marks["transport/arena_tokens"] > 0
+            assert marks["transport/bytes_copied_in"] == 0
+
+    def test_tree_schedule_is_transport_invariant(self, mnist_tiny):
+        """Same send/recv counts and byte totals whether the tree's buffers
+        ride thread mailboxes, pickles, or never leave the shm arena."""
+        net, train = _template(mnist_tiny)
+        counts = {}
+        for backend, transport in [
+            ("threads", None), ("processes", "queue"), ("processes", "shm"),
+        ]:
+            trace = Trace()
+            run_mpi_sync_sgd(
+                net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
+                seed=0, backend=backend, transport=transport,
+                collective="tree", trace=trace,
+            )
+            tree_sends = [e for e in trace.sends() if e.op.startswith("tree-")]
+            tree_recvs = [e for e in trace.recvs() if e.op.startswith("tree-")]
+            counts[(backend, transport)] = (
+                len(tree_sends),
+                len(tree_recvs),
+                sum(e.nbytes for e in tree_sends),
+            )
+        assert len(set(counts.values())) == 1, counts
 
     @pytest.mark.parametrize("transport", ["queue", "shm"])
     def test_ring_trace_invariants(self, mnist_tiny, transport):

@@ -206,6 +206,17 @@ def _exits_mid_program(ctx):
     return ctx.rank
 
 
+def _exits_inside_an_allreduce(ctx):
+    if ctx.rank == 1:
+        # Rank 1 is a leaf of the tree: it hands its buffer upstream (on
+        # shm: stages its arena row and sends the ready token), then waits
+        # for the total (the done token) — and dies instead.
+        ctx._poll = lambda *args: os._exit(3)
+    ctx.allreduce(np.ones(RING_ELEMS, dtype=np.float32))
+    ctx.allreduce(np.ones(RING_ELEMS, dtype=np.float32))  # survivors wait on a dead rank
+    return ctx.rank
+
+
 def _two_distinct_failures(ctx):
     ctx.allreduce(np.ones(RING_ELEMS, dtype=np.float32))
     if ctx.rank == 0:
@@ -262,6 +273,20 @@ class TestLaunchPath:
         assert isinstance(failures[1], RemoteRankError)
         assert "rank 1" in str(failures[1]) and "exitcode 3" in str(failures[1])
         assert raised_after < timeout + 30.0  # the collect deadline; no hang
+
+    @pytest.mark.parametrize("launch", ["cold", "pooled"])
+    def test_rank_that_exits_mid_allreduce_is_named(self, launch, transport):
+        # On shm the arena and the inbox rings are live when rank 1 dies;
+        # the class fixture checks that none of them outlives the case.
+        timeout = 3.0
+        t0 = time.monotonic()
+        with _launched(launch, transport, 3, timeout) as comm:
+            with pytest.raises(RemoteRankError) as ei:
+                comm.run(_exits_inside_an_allreduce)
+            raised_after = time.monotonic() - t0
+        failures = getattr(ei.value, "failures", {ei.value.rank: ei.value})
+        assert "rank 1" in str(failures[1]) and "exitcode 3" in str(failures[1])
+        assert raised_after < timeout + 30.0
 
     @pytest.mark.parametrize("launch", ["cold", "pooled"])
     def test_two_distinct_failures_both_named(self, launch, transport):

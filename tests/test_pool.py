@@ -167,6 +167,35 @@ def test_failed_cell_then_reset_recovers():
         assert pool.run(RANKS, _ring_cell, 1.0) == pool.run(RANKS, _ring_cell, 1.0)
 
 
+def _stranding_cell(ctx):
+    """Rank 1 raises without receiving what the others sent it: a token, a
+    slot-ring descriptor and a spilled pickle stay in its inbox."""
+    if ctx.rank == 1:
+        raise RuntimeError("boom")
+    ctx.send(ctx.rank, dest=1, tag=1)
+    ctx.send(np.ones(1 << 14, dtype=np.float32), dest=1, tag=2)
+    ctx.send(list(range(5000)), dest=1, tag=3)
+    return ctx.rank
+
+
+@pytest.mark.slow
+@pytest.mark.mp
+@needs_fork
+def test_reset_empties_every_inbox_ring(inputs):
+    net, train, _ = inputs
+    cold = run_mpi_sync_easgd(net, train, ranks=RANKS, iterations=ITERS,
+                              batch_size=BATCH, backend="processes")
+    with WorkerPool(RANKS, backend="processes") as pool:
+        with pytest.raises(RuntimeError, match="boom"):
+            pool.run(RANKS, _stranding_cell)
+        assert not pool._inboxes[1].empty()
+        pool.reset()
+        assert all(inbox.empty() for inbox in pool._inboxes)
+        pooled = run_mpi_sync_easgd(net, train, ranks=RANKS, iterations=ITERS,
+                                    batch_size=BATCH, backend="processes", pool=pool)
+    assert _sync_digests(cold) == _sync_digests(pooled)
+
+
 def _sum_cell(ctx, big):
     return float(big.sum())
 

@@ -15,6 +15,7 @@ Three layers of coverage:
    ``transport="shm"`` at P = 4.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -137,6 +138,32 @@ class TestSlotRing:
             # Consumption unblocks the next acquire.
             ring._tail[0] += 1
             ring.acquire(timeout=0.1)
+        finally:
+            ring.close(unlink=True)
+
+
+    def test_blocked_acquire_wakes_soon_after_the_consume(self):
+        """Regression: the old backoff doubled its sleeps to 50 ms, so a
+        sender blocked for 40 ms woke ~23 ms after the slot was freed."""
+        ring = SlotRing(rank=0, dest=1, tag=0, slot_nbytes=64, capacity=1)
+        try:
+            lags = []
+            for _ in range(5):  # best of five: host noise must not fail this
+                ring.acquire(timeout=1.0)  # the ring is full again
+                freed = []
+
+                def consume():
+                    time.sleep(0.04)
+                    freed.append(time.monotonic())
+                    ring._tail[0] += 1
+
+                receiver = threading.Thread(target=consume)
+                receiver.start()
+                ring.acquire(timeout=5.0)  # blocks until the consume
+                lags.append(time.monotonic() - freed[0])
+                receiver.join(timeout=5.0)
+                ring._tail[0] += 1
+            assert min(lags) < 0.010, lags
         finally:
             ring.close(unlink=True)
 
@@ -330,6 +357,19 @@ def _echo_stats(ctx):
     return "echoed"
 
 
+def _allreduce_only(ctx, steps):
+    buf = ctx.collective_buffer(ARRAY_ELEMS)
+    for t in range(steps):
+        buf[:] = ctx.rank + t
+        total = ctx.allreduce(buf, view=True)
+        assert total[0] == sum(range(ctx.size)) + ctx.size * t
+
+
+def _allreduce_private(ctx):
+    total = ctx.allreduce(np.ones(ARRAY_ELEMS, dtype=np.float32))
+    assert total[0] == ctx.size and total.flags.writeable
+
+
 @needs_fork
 @pytest.mark.mp
 class TestTransportStats:
@@ -344,6 +384,33 @@ class TestTransportStats:
         assert stats["bytes_copied_in"] == 2 * ARRAY_ELEMS * 4
         assert stats["bytes_copied_out"] == 2 * ARRAY_ELEMS * 4
         assert stats["ring_allocs"] == 2
+
+    @pytest.mark.parametrize("collective", ["tree", "ring"])
+    def test_arena_traffic_is_counted(self, collective):
+        ranks, steps = 4, 5
+        comm = MultiprocessCommunicator(ranks, transport="shm", timeout=30.0,
+                                        collective=collective)
+        try:
+            comm.run(_allreduce_only, steps)
+        finally:
+            comm.close()
+        stats = comm.transport_stats
+        # Born in the row, read through the view: nothing is copied...
+        assert stats["bytes_copied_in"] == stats["bytes_copied_out"] == 0
+        # ...and every peer row is read where it lies: (P-1) buffers a step.
+        assert stats["bytes_inplace"] == (ranks - 1) * ARRAY_ELEMS * 4 * steps
+        per_step = 2 * (ranks - 1) * (ranks if collective == "ring" else 1)
+        assert stats["arena_tokens"] == stats["inbox_messages"] == per_step * steps
+        assert stats["shm_messages"] == stats["inbox_spills"] == 0
+
+    def test_private_input_and_result_copies_are_counted(self):
+        comm = MultiprocessCommunicator(2, transport="shm", timeout=30.0)
+        try:
+            comm.run(_allreduce_private)
+        finally:
+            comm.close()
+        stats = comm.transport_stats
+        assert stats["bytes_copied_in"] == stats["bytes_copied_out"] == 2 * ARRAY_ELEMS * 4
 
     def test_queue_transport_reports_no_shm_traffic(self):
         comm = MultiprocessCommunicator(2, transport="queue", timeout=30.0)
