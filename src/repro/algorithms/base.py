@@ -68,10 +68,13 @@ class TrainerConfig:
     #: Record a structured communication trace (repro.trace) for the run.
     #: Off by default: the hot path then allocates no TraceEvent at all.
     trace: bool = False
-    #: Execution substrate for runners that move real messages ("threads"
-    #: or "processes"). Simulated trainers ignore it; the message-passing
-    #: ports, the KNL chip-partition trainer, and the Hogwild runner
-    #: dispatch on it. Numerics are backend-invariant by construction.
+    #: Execution substrate ("threads" or "processes"). Read by exactly one
+    #: trainer — :class:`repro.knl.ChipPartitionTrainer` (``knl --backend``:
+    #: "processes" runs the groups as real ranks) — and by none of the
+    #: registry's simulated trainers; the message-passing ports
+    #: (``run_mpi_*``), :class:`repro.hogwild.HogwildRunner` and the sweep
+    #: pool take their own ``backend=`` argument instead. Numerics are
+    #: backend-invariant by construction.
     backend: str = "threads"
     #: Allreduce schedule for the collective runners and the simulated
     #: cost models: "tree" (binomial, Theta(log P) latency) or "ring"

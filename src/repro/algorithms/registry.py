@@ -111,7 +111,6 @@ class AlgorithmInfo:
     section: str  # where the paper (or cited work) introduces/measures it
     family_class: str = "centered"  # "centered" (a real center) or "decentralized"
     staleness: str = "none (bulk-sync)"  # the family's staleness semantics
-    backends: str = "threads, processes"  # engine backends the family runs on
 
 
 def _ps_info(key: str, section: str) -> AlgorithmInfo:

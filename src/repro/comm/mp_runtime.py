@@ -50,8 +50,8 @@ Design:
 
 Shared memory: :class:`SharedFlatArray` wraps a named
 ``multiprocessing.shared_memory`` segment as a flat float32 NumPy array —
-the unit of weight/gradient storage for the process-backed Hogwild store
-(:class:`repro.hogwild.SharedWeights`) and the KNL chip-partition trainer.
+the weight storage of the process-backed Hogwild store
+(:class:`repro.hogwild.SharedWeights`).
 """
 
 from __future__ import annotations
@@ -104,15 +104,13 @@ def fork_available() -> bool:
 class SharedFlatArray:
     """A named shared-memory segment viewed as a flat NumPy array.
 
-    The storage unit of the process backend: weight and gradient vectors
-    live in one POSIX shared-memory segment each, and every process maps
-    the same physical pages — a worker's in-place update is immediately
-    visible to all others, which is precisely the Hogwild/chip-partition
-    memory model. ``array`` is a zero-copy ``np.frombuffer`` view.
+    A vector in one POSIX shared-memory segment that every process maps
+    to the same physical pages — a worker's in-place update is immediately
+    visible to all others, which is precisely the Hogwild memory model.
+    ``array`` is a zero-copy ``np.frombuffer`` view.
 
     ``dtype`` defaults to float32 (the packed-parameter convention every
-    existing call site relies on); the KNL batch-staging path also stores
-    int64 label vectors, so any fixed-width dtype is accepted.
+    existing call site relies on); any fixed-width dtype is accepted.
 
     Lifecycle: the creating process owns the segment and should call
     :meth:`unlink` when done (``close`` releases only this mapping).

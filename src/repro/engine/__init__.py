@@ -37,9 +37,9 @@ The engine vocabulary:
   interactions are the rows of :data:`PS_FAMILIES`).
 - :class:`SyncFaultTracker` is the shared crash/rejoin/tree-rebuild
   bookkeeping of the synchronous families.
-- :func:`rank_steps` / :func:`local_steps` sequence the message-passing
-  rank programs and shared-memory workers, which run one loop per rank
-  rather than one loop per run.
+- :func:`rank_steps` sequences the message-passing rank programs and the
+  Hogwild workers, which run one loop per rank rather than one loop per
+  run.
 """
 
 from repro.engine.compute import gather_gradients, jittered_fwdbwd
@@ -65,7 +65,7 @@ from repro.engine.ps import (
     UnsupportedOptionError,
     WorkerRule,
 )
-from repro.engine.rank_loop import local_steps, rank_steps
+from repro.engine.rank_loop import rank_steps
 from repro.engine.strategy import (
     ClockStepStrategy,
     CommStrategy,
@@ -114,5 +114,4 @@ __all__ = [
     "gather_gradients",
     "jittered_fwdbwd",
     "rank_steps",
-    "local_steps",
 ]

@@ -272,14 +272,18 @@ def _make_checkpointer(trainer) -> Optional[object]:
 
 
 def run_training(trainer, iterations: int, resume: bool = False,
-                 snapshotter=None) -> RunResult:
+                 snapshotter=None, strategy: Optional[StepStrategy] = None) -> RunResult:
     """Run ``trainer`` for ``iterations`` steps through the pipeline.
 
     ``snapshotter`` attaches a serving-tier
     :class:`~repro.serving.ModelSnapshotter`: each completed step then
     publishes the packed eval vector for concurrent inference readers.
+    ``strategy`` is the step strategy to drive when the caller holds
+    something ``trainer.make_step()`` cannot know (a rank context).
     """
-    pipeline = StepPipeline(trainer, trainer.make_step(),
+    if strategy is None:
+        strategy = trainer.make_step()
+    pipeline = StepPipeline(trainer, strategy,
                             checkpointer=_make_checkpointer(trainer),
                             snapshotter=snapshotter)
     return pipeline.run(iterations, resume=resume)

@@ -1,4 +1,4 @@
-"""Step sequencing for rank programs and shared-memory workers.
+"""Step sequencing for rank programs.
 
 The message-passing runners (``run_mpi_*``) and the Hogwild runner do
 not run one loop per *run* — they run one loop per *rank*. The step
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-__all__ = ["rank_steps", "local_steps"]
+__all__ = ["rank_steps"]
 
 
 def rank_steps(ctx, iterations: int) -> Iterator[int]:
@@ -25,12 +25,4 @@ def rank_steps(ctx, iterations: int) -> Iterator[int]:
         raise ValueError("iterations must be positive")
     for t in range(1, iterations + 1):
         ctx.trace_iteration = t
-        yield t
-
-
-def local_steps(steps: int) -> Iterator[int]:
-    """Iterate a context-free worker's steps ``1..steps`` (Hogwild)."""
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    for t in range(1, steps + 1):
         yield t

@@ -67,10 +67,10 @@ _MODELS = {
 
 def _render_algorithm_table() -> str:
     """The registry as an aligned table: name, family, class, staleness, etc."""
-    header = ("method", "family", "class", "mode", "staleness", "backends", "paper")
+    header = ("method", "family", "class", "mode", "staleness", "paper")
     rows = [
         (name, info.family, info.family_class, info.sync, info.staleness,
-         info.backends, info.section)
+         info.section)
         for name, info in sorted(ALGORITHM_INFO.items())
     ]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
@@ -111,6 +111,55 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "--checkpoint-dir (bit-identical continuation)")
 
 
+def _add_experiment_args(
+    parser: argparse.ArgumentParser, *, method: Optional[str], model: str,
+    iterations: int, train_samples: int, difficulty: float,
+) -> None:
+    """The experiment flags ``run``, ``serve`` and ``sweep`` share; the
+    keywords are the defaults the three differ in (``method=None`` makes
+    ``--method`` required)."""
+    parser.add_argument("--method", required=method is None, default=method,
+                        choices=sorted(ALGORITHMS))
+    parser.add_argument("--dataset", default="mnist", choices=sorted(_DATASETS))
+    parser.add_argument("--model", default=model, choices=sorted(_MODELS))
+    parser.add_argument("--gpus", type=int, default=4)
+    parser.add_argument("--iterations", type=int, default=iterations)
+    parser.add_argument("--batch-size", type=int, default=32)
+    parser.add_argument("--lr", type=float, default=0.03)
+    parser.add_argument("--rho", type=float, default=2.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--train-samples", type=int, default=train_samples)
+    parser.add_argument("--difficulty", type=float, default=difficulty)
+
+
+def _build_spec(args: argparse.Namespace, cost_model: Optional[CostModel] = None,
+                **config_fields) -> ExperimentSpec:
+    """The normalized :class:`ExperimentSpec` those flags describe;
+    ``config_fields`` are the command's own :class:`TrainerConfig` fields
+    (validated first: a bad one raises ``ValueError`` before any data is
+    generated)."""
+    config = TrainerConfig(batch_size=args.batch_size, lr=args.lr, rho=args.rho,
+                           seed=args.seed, **config_fields)
+    train, test = _DATASETS[args.dataset](
+        n_train=args.train_samples,
+        n_test=max(args.train_samples // 4, 256),
+        seed=args.seed,
+        difficulty=args.difficulty,
+    )
+    shape = {}
+    if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
+        shape["input_shape"] = (3, 32, 32)
+    builder = _MODELS[args.model]
+    return ExperimentSpec(
+        train_set=train,
+        test_set=test,
+        model_builder=lambda: builder(seed=args.seed, **shape),
+        num_gpus=args.gpus,
+        config=config,
+        cost_model=cost_model,
+    ).normalize()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -126,27 +175,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list registered training methods")
 
     run = sub.add_parser("run", help="train one method on a synthetic dataset")
-    run.add_argument("--method", required=True, choices=sorted(ALGORITHMS))
-    run.add_argument("--dataset", default="mnist", choices=sorted(_DATASETS))
-    run.add_argument("--model", default="lenet", choices=sorted(_MODELS))
-    run.add_argument("--gpus", type=int, default=4)
-    run.add_argument("--iterations", type=int, default=200)
+    _add_experiment_args(run, method=None, model="lenet", iterations=200,
+                         train_samples=4096, difficulty=1.5)
     run.add_argument("--target", type=float, default=None,
                      help="train to this test accuracy instead of a fixed length")
-    run.add_argument("--batch-size", type=int, default=32)
-    run.add_argument("--lr", type=float, default=0.03)
-    run.add_argument("--rho", type=float, default=2.0)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--backend", default="threads", choices=BACKENDS,
-                     help="execution substrate for runners that move real "
-                          "messages (simulated trainers ignore it)")
     run.add_argument("--collective", default="tree", choices=COLLECTIVES,
                      help="allreduce schedule: 'tree' (binomial, log-P "
                           "latency) or 'ring' (sharded reduce-scatter + "
                           "allgather, constant per-rank bandwidth); the "
                           "results are bit-identical")
-    run.add_argument("--train-samples", type=int, default=4096)
-    run.add_argument("--difficulty", type=float, default=1.5)
     run.add_argument("--paper-scale-cost", action="store_true",
                      help="charge the clock for the full-scale model (LeNet/AlexNet spec)")
     run.add_argument("--tau", type=int, default=None, metavar="T",
@@ -199,17 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="train while serving inference from live center weights",
     )
-    serve.add_argument("--method", default="sync-easgd3", choices=sorted(ALGORITHMS))
-    serve.add_argument("--dataset", default="mnist", choices=sorted(_DATASETS))
-    serve.add_argument("--model", default="mlp", choices=sorted(_MODELS))
-    serve.add_argument("--gpus", type=int, default=4)
-    serve.add_argument("--iterations", type=int, default=100)
-    serve.add_argument("--batch-size", type=int, default=32)
-    serve.add_argument("--lr", type=float, default=0.03)
-    serve.add_argument("--rho", type=float, default=2.0)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--train-samples", type=int, default=1024)
-    serve.add_argument("--difficulty", type=float, default=1.2)
+    _add_experiment_args(serve, method="sync-easgd3", model="mlp", iterations=100,
+                         train_samples=1024, difficulty=1.2)
     serve.add_argument("--requests", type=int, default=200,
                        help="total inference requests to issue")
     serve.add_argument("--loop", default="open", choices=("open", "closed"),
@@ -248,20 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run one method over a hyperparameter grid (optionally pooled)",
     )
-    sweep.add_argument("--method", required=True, choices=sorted(ALGORITHMS))
+    _add_experiment_args(sweep, method=None, model="mlp", iterations=100,
+                         train_samples=1024, difficulty=1.2)
     sweep.add_argument("--grid", required=True, metavar="SPEC",
                        help="grid axes over TrainerConfig fields, e.g. "
                             "'lr=0.01,0.03;rho=1.5,3.0'")
-    sweep.add_argument("--iterations", type=int, default=100)
-    sweep.add_argument("--dataset", default="mnist", choices=sorted(_DATASETS))
-    sweep.add_argument("--model", default="mlp", choices=sorted(_MODELS))
-    sweep.add_argument("--gpus", type=int, default=4)
-    sweep.add_argument("--batch-size", type=int, default=32)
-    sweep.add_argument("--lr", type=float, default=0.03)
-    sweep.add_argument("--rho", type=float, default=2.0)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--train-samples", type=int, default=1024)
-    sweep.add_argument("--difficulty", type=float, default=1.2)
     sweep.add_argument("--backend", default="processes", choices=BACKENDS,
                        help="pool worker substrate (only used with --pool)")
     sweep.add_argument("--pool", action="store_true",
@@ -291,28 +310,16 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    train, test = _DATASETS[args.dataset](
-        n_train=args.train_samples,
-        n_test=max(args.train_samples // 4, 256),
-        seed=args.seed,
-        difficulty=args.difficulty,
-    )
     cost = None
     if args.paper_scale_cost:
         cost = CostModel.from_spec(LENET if args.dataset == "mnist" else ALEXNET)
-    builder = _MODELS[args.model]
-    if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
-        spec_builder = lambda: builder(input_shape=(3, 32, 32), seed=args.seed)  # noqa: E731
-    else:
-        spec_builder = lambda: builder(seed=args.seed)  # noqa: E731
     if args.resume and args.checkpoint_dir is None:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
     try:
-        config = TrainerConfig(
-            batch_size=args.batch_size, lr=args.lr, rho=args.rho, seed=args.seed,
-            trace=args.trace is not None, backend=args.backend,
-            collective=args.collective,
+        spec = _build_spec(
+            args, cost_model=cost,
+            trace=args.trace is not None, collective=args.collective,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_keep=args.checkpoint_keep,
@@ -320,14 +327,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid checkpoint options: {exc}", file=sys.stderr)
         return 2
-    spec = ExperimentSpec(
-        train_set=train,
-        test_set=test,
-        model_builder=spec_builder,
-        num_gpus=args.gpus,
-        config=config,
-        cost_model=cost,
-    ).normalize()
 
     trainer_kwargs = {}
     if args.faults:
@@ -515,23 +514,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.trace.events import Trace
 
-    train, test = _DATASETS[args.dataset](
-        n_train=args.train_samples,
-        n_test=max(args.train_samples // 4, 256),
-        seed=args.seed,
-        difficulty=args.difficulty,
-    )
-    builder = _MODELS[args.model]
-    if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
-        spec_builder = lambda: builder(input_shape=(3, 32, 32), seed=args.seed)  # noqa: E731
-    else:
-        spec_builder = lambda: builder(seed=args.seed)  # noqa: E731
-    config = TrainerConfig(batch_size=args.batch_size, lr=args.lr,
-                           rho=args.rho, seed=args.seed)
-    spec = ExperimentSpec(
-        train_set=train, test_set=test, model_builder=spec_builder,
-        num_gpus=args.gpus, config=config,
-    ).normalize()
+    spec = _build_spec(args)
+    test = spec.test_set
 
     replica = spec.model_builder()  # the serving tier's own weights copy
     trace = Trace(meta={
@@ -685,28 +669,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.harness.sweeps import best_point, grid_sweep
 
-    train, test = _DATASETS[args.dataset](
-        n_train=args.train_samples,
-        n_test=max(args.train_samples // 4, 256),
-        seed=args.seed,
-        difficulty=args.difficulty,
-    )
-    builder = _MODELS[args.model]
-    if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
-        spec_builder = lambda: builder(input_shape=(3, 32, 32), seed=args.seed)  # noqa: E731
-    else:
-        spec_builder = lambda: builder(seed=args.seed)  # noqa: E731
-    config = TrainerConfig(batch_size=args.batch_size, lr=args.lr,
-                           rho=args.rho, seed=args.seed)
+    spec = _build_spec(args)
     try:
-        grid = _parse_grid(args.grid, config)
+        grid = _parse_grid(args.grid, spec.config)
     except ValueError as exc:
         print(f"invalid --grid spec: {exc}", file=sys.stderr)
         return 2
-    spec = ExperimentSpec(
-        train_set=train, test_set=test, model_builder=spec_builder,
-        num_gpus=args.gpus, config=config,
-    ).normalize()
 
     n_cells = 1
     for values in grid.values():

@@ -20,18 +20,16 @@ multi-core masters, with no GIL serializing the ``+=``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import threading
 import time
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.comm.arena import BufferArena
-from repro.comm.backend import validate_backend
-from repro.comm.runtime import MultiRankError
+from repro.comm.backend import make_communicator, validate_backend
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
-from repro.engine.rank_loop import local_steps
+from repro.engine.rank_loop import rank_steps
 from repro.hogwild.shared import SharedWeights
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Network
@@ -45,6 +43,7 @@ class HogwildResult:
     """Outcome of one concurrent run."""
 
     final_weights: np.ndarray
+    #: Launch + run + teardown of the communicator cell the workers ran in.
     wall_seconds: float
     steps_per_worker: List[int]
     final_losses: List[float] = field(default_factory=list)
@@ -88,12 +87,12 @@ class HogwildRunner:
         self.seed = seed
         self.backend = backend
 
-    def _worker_body(self, idx: int, shared: SharedWeights) -> Tuple[int, float]:
+    def _worker_body(self, ctx, shared: SharedWeights) -> Tuple[int, float]:
         """One worker's full run; returns (steps completed, last batch loss)."""
-        net = self.template.clone(name=f"hogwild-w{idx}")
+        net = self.template.clone(name=f"hogwild-w{ctx.rank}")
         local = shared.snapshot()
         sampler = BatchSampler(
-            self.train_set, self.batch_size, self.seed, name=("hogwild", idx)
+            self.train_set, self.batch_size, self.seed, name=("hogwild", ctx.rank)
         )
         loss = SoftmaxCrossEntropy()
         # Per-worker scratch (scaled gradient, pulled center) reused every
@@ -101,7 +100,7 @@ class HogwildRunner:
         arena = BufferArena()
         steps = 0
         last_loss = float("nan")
-        for _ in local_steps(self.steps_per_worker):
+        for _ in rank_steps(ctx, self.steps_per_worker):
             images, labels = sampler.next_batch()
             net.set_params(local)
             last_loss = net.gradient(images, labels, loss)
@@ -120,134 +119,33 @@ class HogwildRunner:
         return steps, last_loss
 
     def run(self) -> HogwildResult:
-        if self.backend == "processes":
-            return self._run_processes()
-        return self._run_threads()
+        """Race the workers as the ranks of one communicator cell.
 
-    def _run_threads(self) -> HogwildResult:
-        shared = SharedWeights(self.template.get_params(), use_lock=self.use_lock)
-        steps_done = [0] * self.num_workers
-        last_loss = [float("nan")] * self.num_workers
-        errors: List[Tuple[int, BaseException]] = []
-
-        def worker(idx: int) -> None:
-            try:
-                steps_done[idx], last_loss[idx] = self._worker_body(idx, shared)
-            except Exception as exc:  # surface thread failures to the caller
-                errors.append((idx, exc))
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), name=f"hogwild-{i}")
-            for i in range(self.num_workers)
-        ]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - start
-        if errors:
-            raise MultiRankError.aggregate(sorted(errors))
-
-        return HogwildResult(
-            final_weights=shared.snapshot(),
-            wall_seconds=wall,
-            steps_per_worker=steps_done,
-            final_losses=last_loss,
-            backend="threads",
-        )
-
-    def _run_processes(self) -> HogwildResult:
-        """Fork ``num_workers`` processes racing on one shm segment.
-
-        The forked children inherit the :class:`SharedWeights` object whose
-        buffer is a named shared-memory mapping, so their lock-free ``+=``
-        really interleave in physical memory. Step counts and losses travel
-        back on a result queue; failures are aggregated across workers like
-        the rank runtimes do.
+        The store is built *before* the launch: on ``processes`` the
+        forked ranks inherit the :class:`SharedWeights` object whose
+        buffer is a named shared-memory mapping (with its
+        ``multiprocessing.Lock`` and counter), so their lock-free ``+=``
+        really interleave in physical memory and nothing is pickled on
+        the way in. Launch, pinning, failure aggregation and the
+        died-without-reporting check are the communicator's.
         """
-        import multiprocessing
-        import queue as _queue
-
-        from repro.comm.mp_runtime import (
-            RemoteRankError,
-            _shippable_exception,
-            fork_available,
-        )
-
-        if not fork_available():
-            raise RuntimeError(
-                "backend='processes' requires the fork start method; "
-                "use backend='threads' on this platform"
-            )
-        mp_ctx = multiprocessing.get_context("fork")
-        shared = SharedWeights(
-            self.template.get_params(), use_lock=self.use_lock, storage="shared"
-        )
-        results_q = mp_ctx.Queue()
-
-        def child_main(idx: int) -> None:
-            try:
-                steps, loss_val = self._worker_body(idx, shared)
-            except Exception as exc:
-                results_q.put((idx, "err", _shippable_exception(idx, exc)))
-            else:
-                results_q.put((idx, "ok", (steps, float(loss_val))))
-
-        procs = [
-            mp_ctx.Process(target=child_main, args=(i,), name=f"hogwild-{i}")
-            for i in range(self.num_workers)
-        ]
         start = time.perf_counter()
+        comm = make_communicator(self.num_workers, backend=self.backend)
+        shared = SharedWeights(
+            self.template.get_params(), use_lock=self.use_lock,
+            storage="shared" if self.backend == "processes" else "local",
+        )
         try:
-            for p in procs:
-                p.start()
-            for p in procs:
-                p.join()
+            outcomes = comm.run(self._worker_body, shared)
             wall = time.perf_counter() - start
-
-            steps_done = [0] * self.num_workers
-            last_loss = [float("nan")] * self.num_workers
-            seen = [False] * self.num_workers
-            failures: List[Tuple[int, BaseException]] = []
-            while True:
-                try:
-                    idx, status, payload = results_q.get_nowait()
-                except _queue.Empty:
-                    break
-                seen[idx] = True
-                if status == "ok":
-                    steps_done[idx], last_loss[idx] = payload
-                else:
-                    failures.append((idx, payload))
-            for idx, done in enumerate(seen):
-                if not done:  # crashed before reporting (signal, hard exit)
-                    failures.append(
-                        (
-                            idx,
-                            RemoteRankError(
-                                idx,
-                                f"worker process exited with code {procs[idx].exitcode} "
-                                "before reporting a result",
-                            ),
-                        )
-                    )
             final = shared.snapshot()
         finally:
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - hung-worker cleanup
-                    p.terminate()
-                    p.join(timeout=5.0)
-            results_q.cancel_join_thread()
-            results_q.close()
+            comm.close()
             shared.close()
-        if failures:
-            raise MultiRankError.aggregate(sorted(failures))
-
         return HogwildResult(
             final_weights=final,
             wall_seconds=wall,
-            steps_per_worker=steps_done,
-            final_losses=last_loss,
-            backend="processes",
+            steps_per_worker=[steps for steps, _ in outcomes],
+            final_losses=[loss for _, loss in outcomes],
+            backend=self.backend,
         )

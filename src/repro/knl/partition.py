@@ -22,10 +22,11 @@ The gate: all P copies of (weights + data) must fit in 16 GB MCDRAM, or the
 working set spills to DDR4 bandwidth. AlexNet (249 MB) + one CIFAR copy
 (687 MB) fits 16 copies, not 32 — the paper's "P <= 16" limit.
 
-Both execution backends (serial simulation and real forked group workers)
-are clock step strategies over the shared :class:`repro.engine
-.StepPipeline`; they differ in where gradients are computed, never in the
-numbers they produce.
+Both execution backends (serial simulation and real forked groups, the
+ranks of one :func:`repro.comm.backend.make_communicator` cell) are clock
+step strategies over the shared :class:`repro.engine.StepPipeline`; they
+differ in where gradients are computed, never in the numbers they
+produce.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.algorithms.base import BaseTrainer, TrainerConfig
+from repro.algorithms.base import BaseTrainer, RunResult, TrainerConfig
 from repro.cluster.cost import CostModel
-from repro.comm.collectives import tree_reduce, tree_rounds
+from repro.comm.backend import make_communicator
+from repro.comm.collectives import tree_rounds
 from repro.data.dataset import Dataset
+from repro.engine.pipeline import run_training
+from repro.engine.ps import UnsupportedOptionError
 from repro.engine.strategy import ClockStepStrategy, MeanGradientUpdate
 from repro.knl.chip import KNL_7250_CHIP, KnlChip
 from repro.nn.network import Network
@@ -108,7 +112,6 @@ class _PartitionStepBase(ClockStepStrategy):
         # partitioning must be invisible to the optimization trajectory.
         self.sampler = tr.make_sampler("global-batch")
         self.iter_time = tr._iter_time()
-        self.update = MeanGradientUpdate(tr.config.lr)
 
     def eval_params(self) -> np.ndarray:
         return self.weights
@@ -146,6 +149,7 @@ class _PartitionSerialStep(_PartitionStepBase):
 
     def begin(self, pipeline) -> None:
         super().begin(pipeline)
+        self.update = MeanGradientUpdate(self.trainer.config.lr)
         self.trainer.net.set_params(self.weights)
 
     def _publish_weights(self) -> None:
@@ -169,25 +173,53 @@ class _PartitionSerialStep(_PartitionStepBase):
         return self.iter_time
 
 
-class _PartitionProcessesStep(_PartitionStepBase):
-    """The Figure 12 experiment on real cores.
+def _group_round(ctx, tr, weights: np.ndarray, buf: np.ndarray,
+                 images: np.ndarray, labels: np.ndarray) -> float:
+    """One group's share of a round, identical on every rank of the cell:
+    the slice gradient packed into the allreduce buffer, the conquer step,
+    and the batch-b update on this group's replica. Returns the slice loss.
+    """
+    net = tr.net
+    net.set_params(weights)
+    loss = net.gradient(images, labels, tr.loss)
+    buf[:] = net.grads
+    # The arena tree and (below 16 KiB) the message tree both fold in
+    # tree_reduce's stride-doubling association, so this is the serial
+    # path's update expression bit for bit.
+    weights -= tr.config.lr * (ctx.allreduce(buf, view=True) / ctx.size)
+    return loss
 
-    P persistent forked group workers each hold a weight replica
-    (their forked copy of the network) and one named shared-memory
-    gradient segment; the parent holds the weights in a named
-    shared-memory segment all groups map. Per round the parent stages
-    each group's ``b/P`` batch slice directly into per-group
-    shared-memory segments (float32 images, integer labels) and puts
-    only a round token on the task queue — no batch bytes are ever
-    pickled; the ``done_q`` round barrier guarantees a single staging
-    buffer per group suffices. The groups write gradients straight
-    into shared memory, and the parent tree-reduces the P
-    segment views **in the same group order and association as the
-    serial path**, so for deterministic (dropout-free) models the
-    weight trajectory is bit-identical to ``backend="threads"`` /
-    the serial simulation. (Models with stochastic layers diverge:
-    the serial path threads ONE RNG through all groups, replicas
-    cannot.)
+
+def _follow(ctx, tr: "ChipPartitionTrainer") -> None:
+    """Ranks 1..P-1: a group's weight replica, driven by rank 0's messages —
+    ``("round", images, labels)`` (a batch slice), ``("weights", w)``
+    (restored from a checkpoint) or ``None`` (the run is over, however it
+    ended)."""
+    weights = tr.net.get_params()
+    buf = ctx.collective_buffer(weights.size)
+    while True:
+        msg = ctx.recv(0)
+        if msg is None:
+            return
+        kind, *payload = msg
+        if kind == "weights":
+            weights[:] = payload[0]
+        else:
+            ctx.send(_group_round(ctx, tr, weights, buf, *payload), 0)
+
+
+class _PartitionRootStep(_PartitionStepBase):
+    """The Figure 12 experiment on real cores: rank 0 of a P-rank cell.
+
+    Every rank is a forked group holding a weight replica (its copy of
+    the network). Rank 0 draws the global batch from the one
+    ``"global-batch"`` sampler, sends group j its ``b/P`` slice, computes
+    slice 0 itself and joins the allreduce **in the same group order and
+    association as the serial path**, so for deterministic (dropout-free)
+    models the weight trajectory is bit-identical to
+    ``backend="threads"`` / the serial simulation. (Models with
+    stochastic layers diverge: the serial path threads ONE RNG through
+    all groups, replicas cannot.)
 
     The simulated clock is charged exactly as in the serial path —
     backends change wall-time, never the modeled time.
@@ -195,129 +227,58 @@ class _PartitionProcessesStep(_PartitionStepBase):
 
     run_backend = "processes"
 
+    def __init__(self, trainer: "ChipPartitionTrainer", ctx) -> None:
+        super().__init__(trainer)
+        self.ctx = ctx
+
     def begin(self, pipeline) -> None:
-        import multiprocessing
-
-        from repro.comm.mp_runtime import SharedFlatArray, fork_available
-
-        if not fork_available():
-            raise RuntimeError(
-                "backend='processes' requires the fork start method; "
-                "use backend='threads' on this platform"
-            )
         super().begin(pipeline)
-        tr = self.trainer
-        p = tr.parts
-        mp_ctx = multiprocessing.get_context("fork")
+        self.buf = self.ctx.collective_buffer(self.weights.size)
 
-        w_shm = SharedFlatArray.from_array(self.weights)
-        g_shms = [SharedFlatArray.create(tr.net.num_params) for _ in range(p)]
-        # Per-group batch staging segments: the parent writes each round's
-        # slice in place, children read the same physical pages (MCDRAM-
-        # style data placement) — the task queue carries a bare round token.
-        img_shape = (tr.group_batch,) + tr.train_set.images.shape[1:]
-        lbl_shape = (tr.group_batch,) + tr.train_set.labels.shape[1:]
-        img_shms = [
-            SharedFlatArray.create(
-                int(np.prod(img_shape)), dtype=tr.train_set.images.dtype
-            )
-            for _ in range(p)
-        ]
-        lbl_shms = [
-            SharedFlatArray.create(
-                int(np.prod(lbl_shape)), dtype=tr.train_set.labels.dtype
-            )
-            for _ in range(p)
-        ]
-        task_qs = [mp_ctx.Queue() for _ in range(p)]
-        done_q = mp_ctx.Queue()
-        net, loss_fn = tr.net, tr.loss
-
-        def group_main(j: int) -> None:
-            # `net` is this child's forked copy — the group's MCDRAM-style
-            # weight replica; `w_shm`/`g_shms`/`img_shms`/`lbl_shms` map the
-            # parent's segments.
-            grad_view = g_shms[j].array
-            images = img_shms[j].array.reshape(img_shape)
-            labels = lbl_shms[j].array.reshape(lbl_shape)
-            while True:
-                task = task_qs[j].get()
-                if task is None:
-                    return
-                net.set_params(w_shm.array)
-                loss = net.gradient(images, labels, loss_fn)
-                grad_view[:] = net.grads
-                done_q.put((j, loss))
-
-        procs = [
-            mp_ctx.Process(target=group_main, args=(j,), name=f"knl-group-{j}")
-            for j in range(p)
-        ]
-        for proc in procs:
-            proc.start()
-
-        self.w_shm, self.g_shms = w_shm, g_shms
-        self.img_shms, self.lbl_shms = img_shms, lbl_shms
-        self.task_qs, self.done_q = task_qs, done_q
-        self.procs = procs
-        self.img_views = [s.array.reshape(img_shape) for s in img_shms]
-        self.lbl_views = [s.array.reshape(lbl_shape) for s in lbl_shms]
+    def _tell_groups(self, msg) -> None:
+        for j in range(1, self.ctx.size):
+            self.ctx.send(msg, j)
 
     def _publish_weights(self) -> None:
-        # The group workers read the shared segment, not self.weights.
-        self.w_shm.array[:] = self.weights
+        # The other groups hold replicas of their own, not self.weights.
+        self._tell_groups(("weights", self.weights))
 
     def step(self, pipeline, t: int) -> float:
-        import queue as _queue
-
-        tr = self.trainer
-        p = tr.parts
+        tr, ctx = self.trainer, self.ctx
+        b = tr.group_batch
         images, labels = self.sampler.next_batch()
-        # Stage slices in shared memory, then wake each group with a
-        # round token. Safe with one buffer per group: the done_q
-        # barrier below means no group is still reading round t-1.
-        for j in range(p):
-            lo, hi = j * tr.group_batch, (j + 1) * tr.group_batch
-            self.img_views[j][:] = images[lo:hi]
-            self.lbl_views[j][:] = labels[lo:hi]
-            self.task_qs[j].put(t)
-        losses: List[float] = [0.0] * p
-        for _ in range(p):
-            try:
-                j, loss = self.done_q.get(timeout=120.0)
-            except _queue.Empty:
-                dead = [j for j in range(p) if not self.procs[j].is_alive()]
-                raise RuntimeError(
-                    f"KNL group worker(s) {dead} died mid-iteration {t}"
-                ) from None
-            losses[j] = loss
+        for j in range(1, ctx.size):
+            ctx.send(("round", images[j * b:(j + 1) * b], labels[j * b:(j + 1) * b]), j)
+        losses = [_group_round(ctx, tr, self.weights, self.buf, images[:b], labels[:b])]
+        # Python floats, gathered in group order: riding the float32
+        # buffer instead would change train_loss in the records.
+        losses += [ctx.recv(j) for j in range(1, ctx.size)]
         self.last_loss = float(np.mean(losses))
-        self.weights -= tr.config.lr * (tree_reduce([g.array for g in self.g_shms]) / p)
-        self.w_shm.array[:] = self.weights  # publish for the next round
 
         pipeline.breakdown.add("for/backward", self.iter_time)
         return self.iter_time
 
     def cleanup(self, pipeline) -> None:
-        for q in self.task_qs:
-            q.put(None)
-        for proc in self.procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - hung-worker cleanup
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for q in [*self.task_qs, self.done_q]:
-            q.cancel_join_thread()
-            q.close()
-        # The reshaped views export the segments' buffers; a mapping cannot
-        # close while one is alive.
-        self.img_views = self.lbl_views = []
-        for seg in [self.w_shm, *self.g_shms, *self.img_shms, *self.lbl_shms]:
-            seg.unlink()
+        # On every way out (completion, early stop, exception): a follower
+        # left in recv would sit out its whole timeout inside a dead cell.
+        self._tell_groups(None)
+        # A failure's traceback keeps this step alive past the worker's
+        # teardown, and a live row view pins the arena's mapping.
+        self.buf = None
 
-    def end(self, pipeline) -> None:
-        # Leave the net at the final weights, as the serial path does.
-        self.trainer.net.set_params(self.weights)
+
+def _partition_cell(ctx, tr: "ChipPartitionTrainer", iterations: int,
+                    resume: bool, snapshotter):
+    """Rank program of the chip-partition cell. Rank 0 runs the same
+    pipeline as the serial path — eval cadence, records, clock, and the
+    checkpoint manager, whose writer thread is born here, after the fork —
+    and hands back the final weights with the result."""
+    if ctx.rank:
+        return _follow(ctx, tr)
+    step = _PartitionRootStep(tr, ctx)
+    result = run_training(tr, iterations, resume=resume, snapshotter=snapshotter,
+                          strategy=step)
+    return result, step.weights
 
 
 class ChipPartitionTrainer(BaseTrainer):
@@ -373,6 +334,26 @@ class ChipPartitionTrainer(BaseTrainer):
         return compute + reduce_time + update_time
 
     def make_step(self) -> _PartitionStepBase:
-        if self.config.backend == "processes":
-            return _PartitionProcessesStep(self)
         return _PartitionSerialStep(self)
+
+    def train(self, iterations: int, resume: bool = False,
+              snapshotter=None) -> RunResult:
+        """``backend="processes"`` runs the whole pipeline inside one cold
+        P-rank cell (the trainer is fork-inherited, see
+        :func:`_partition_cell`); anything else is the serial simulation."""
+        if self.config.backend != "processes":
+            return super().train(iterations, resume=resume, snapshotter=snapshotter)
+        if snapshotter is not None and snapshotter.name is None:
+            # Rank 0 would publish into its private copy of the heap buffer.
+            raise UnsupportedOptionError(
+                self.name, "a heap-backed snapshotter (shared=False) on "
+                           "backend='processes'")
+        comm = make_communicator(self.parts, backend="processes")
+        try:
+            result, weights = comm.run(
+                _partition_cell, self, iterations, resume, snapshotter)[0]
+        finally:
+            comm.close()
+        # Leave the net at the final weights, as the serial path does.
+        self.net.set_params(weights)
+        return result

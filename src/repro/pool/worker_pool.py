@@ -599,6 +599,13 @@ class WorkerPool:
             self._cond.notify_all()
         for r in range(self.size):
             self._dispatch(r, ("stop",))
+        if self._broken is not None:
+            # The failed cell's survivors wait in a receive nobody will
+            # answer, and their reports are already discarded: end them now
+            # rather than sit out their rank timeout (``_orphans`` sweeps
+            # the rings they never got to name).
+            for p in self._procs:
+                p.terminate()
         self._collector.join(timeout=self.timeout + _COLLECT_GRACE)
         for p in self._procs:
             p.join(timeout=5.0)

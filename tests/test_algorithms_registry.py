@@ -46,29 +46,29 @@ EXPECTED_METHODS = {
 #: ``repro --list-algorithms``, byte for byte. The ten asynchronous rows'
 #: class / mode / staleness columns are derived from ``PS_FAMILIES``.
 LIST_ALGORITHMS = """\
-method               family             class          mode   staleness                   backends            paper
--------------------  -----------------  -------------  -----  --------------------------  ------------------  --------------------------
-adag                 parameter server   centered       async  unbounded                   threads, processes  accumulated-gradient ASGD
-async-easgd          parameter server   centered       async  unbounded                   threads, processes  Sec 5.1, Eqs 1-2
-async-measgd         parameter server   centered       async  unbounded                   threads, processes  Sec 5.1, Eqs 5-6
-async-msgd           parameter server   centered       async  unbounded                   threads, processes  Sec 3.1, Eqs 3-4
-async-sgd            parameter server   centered       async  unbounded                   threads, processes  Sec 3.1
-bounded-async-easgd  parameter server   centered       async  bounded: tau (reject/clip)  threads, processes  bounded-delay EASGD
-cluster-sync-easgd   GPU cluster        centered       sync   none (bulk-sync)            threads, processes  Sec 7, Table 4
-downpour             parameter server   centered       async  unbounded                   threads, processes  Dean et al. 2012
-eamsgd               parameter server   centered       async  unbounded                   threads, processes  Zhang et al. 2015, Eqs 5-6
-gossip-sgd           gossip             decentralized  sync   none (pairwise)             threads, processes  Jin et al. 2016
-hogwild-easgd        parameter server   centered       async  unbounded                   threads, processes  Sec 5.1
-hogwild-sgd          parameter server   centered       async  unbounded                   threads, processes  Sec 3.2
-knl-sync-easgd       KNL cluster        centered       sync   none (bulk-sync)            threads, processes  Sec 6.2, Alg 4
-original-easgd       round-robin EASGD  centered       sync   none (bulk-sync)            threads, processes  Alg 1, Table 3
-original-easgd*      round-robin EASGD  centered       sync   none (bulk-sync)            threads, processes  Alg 1, Table 3
-sync-easgd           tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 3+overlap
-sync-easgd1          tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 2
-sync-easgd2          tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 3
-sync-easgd3          tree EASGD         centered       sync   none (bulk-sync)            threads, processes  Sec 6.1, Alg 3+overlap
-sync-sgd             allreduce SGD      centered       sync   none (bulk-sync)            threads, processes  Sec 5.2, Fig 10
-sync-sgd-unpacked    allreduce SGD      centered       sync   none (bulk-sync)            threads, processes  Sec 5.2, Fig 10
+method               family             class          mode   staleness                   paper
+-------------------  -----------------  -------------  -----  --------------------------  --------------------------
+adag                 parameter server   centered       async  unbounded                   accumulated-gradient ASGD
+async-easgd          parameter server   centered       async  unbounded                   Sec 5.1, Eqs 1-2
+async-measgd         parameter server   centered       async  unbounded                   Sec 5.1, Eqs 5-6
+async-msgd           parameter server   centered       async  unbounded                   Sec 3.1, Eqs 3-4
+async-sgd            parameter server   centered       async  unbounded                   Sec 3.1
+bounded-async-easgd  parameter server   centered       async  bounded: tau (reject/clip)  bounded-delay EASGD
+cluster-sync-easgd   GPU cluster        centered       sync   none (bulk-sync)            Sec 7, Table 4
+downpour             parameter server   centered       async  unbounded                   Dean et al. 2012
+eamsgd               parameter server   centered       async  unbounded                   Zhang et al. 2015, Eqs 5-6
+gossip-sgd           gossip             decentralized  sync   none (pairwise)             Jin et al. 2016
+hogwild-easgd        parameter server   centered       async  unbounded                   Sec 5.1
+hogwild-sgd          parameter server   centered       async  unbounded                   Sec 3.2
+knl-sync-easgd       KNL cluster        centered       sync   none (bulk-sync)            Sec 6.2, Alg 4
+original-easgd       round-robin EASGD  centered       sync   none (bulk-sync)            Alg 1, Table 3
+original-easgd*      round-robin EASGD  centered       sync   none (bulk-sync)            Alg 1, Table 3
+sync-easgd           tree EASGD         centered       sync   none (bulk-sync)            Sec 6.1, Alg 3+overlap
+sync-easgd1          tree EASGD         centered       sync   none (bulk-sync)            Sec 6.1, Alg 2
+sync-easgd2          tree EASGD         centered       sync   none (bulk-sync)            Sec 6.1, Alg 3
+sync-easgd3          tree EASGD         centered       sync   none (bulk-sync)            Sec 6.1, Alg 3+overlap
+sync-sgd             allreduce SGD      centered       sync   none (bulk-sync)            Sec 5.2, Fig 10
+sync-sgd-unpacked    allreduce SGD      centered       sync   none (bulk-sync)            Sec 5.2, Fig 10
 """
 
 
@@ -84,7 +84,6 @@ class TestRegistry:
             assert info.section, name
             assert info.family_class in ("centered", "decentralized"), name
             assert info.staleness, name
-            assert info.backends, name
 
     def test_family_class_metadata(self):
         assert ALGORITHM_INFO["gossip-sgd"].family_class == "decentralized"

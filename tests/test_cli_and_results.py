@@ -136,6 +136,16 @@ class TestCli:
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_run_backend_flag_exits_2(self, capsys):
+        # No registry trainer reads TrainerConfig.backend: `run --backend`
+        # parsed, validated, and changed nothing (`knl` and `sweep` honour
+        # theirs and keep it).
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "--method", "sync-easgd", "--backend", "processes"])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--backend" in err
+
     @pytest.mark.parametrize("method,flag,value", [
         ("async-easgd", "--local-steps", "4"),
         ("downpour", "--tau", "3"),

@@ -340,7 +340,10 @@ def run_signature(result) -> dict:
 
 
 class TestBitIdenticalResume:
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    # The registry trainers are simulated and never read
+    # ``TrainerConfig.backend``; the trainer that does run on real
+    # processes is pinned by ``TestChipPartitionResume`` below.
+    @pytest.mark.parametrize("backend", ["threads"])
     @pytest.mark.parametrize(
         "method", ["sync-easgd3", "async-easgd", "hogwild-easgd"]
     )
@@ -412,9 +415,9 @@ class TestBitIdenticalResume:
 
 
 class TestChipPartitionResume:
-    """The KNL chip-partition trainer forks real worker processes under
-    ``--backend processes``: restore must re-publish the weights into the
-    shared-memory segment the forked group workers read."""
+    """The KNL chip-partition trainer runs its groups as real rank
+    processes under ``--backend processes``: rank 0 restores, and must
+    re-publish the weights to the replicas the other ranks hold."""
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_resume_equals_straight_run(self, tmp_path, mnist_tiny, backend):

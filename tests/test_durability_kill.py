@@ -104,12 +104,15 @@ def _newest_manifest(checkpoint_dir: Path) -> dict:
     return json.loads((versions[-1][1] / "manifest.json").read_text())
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+# `run` has no --backend: its trainers are simulated, one substrate is all
+# there is (the parameter only keeps this case's id stable). The trainer
+# on real processes is the chip-partition case below.
+@pytest.mark.parametrize("backend", ["threads"])
 def test_kill_and_resume_is_bit_identical(tmp_path, backend):
     common = [
         "run", "--method", "sync-easgd3", "--gpus", "4",
         "--iterations", str(ITERATIONS), "--batch-size", "16",
-        "--train-samples", "1024", "--seed", "0", "--backend", backend,
+        "--train-samples", "1024", "--seed", "0",
         "--checkpoint-every", str(CHECKPOINT_EVERY),
     ]
     straight_json = tmp_path / "straight.json"
@@ -144,7 +147,8 @@ def test_kill_and_resume_is_bit_identical(tmp_path, backend):
 
 @pytest.mark.mp
 def test_kill_and_resume_chip_partition_processes(tmp_path):
-    """Same contract for the trainer that forks real worker processes."""
+    """Same contract for the trainer whose groups are real rank processes
+    (the checkpoint writer lives in rank 0, a child of the killed CLI)."""
     from repro.comm.mp_runtime import fork_available
 
     if not fork_available():

@@ -1,5 +1,8 @@
 """Real-threads Hogwild: shared store semantics and lock-free convergence."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -163,3 +166,64 @@ class TestHogwildProcesses:
         with pytest.raises(ValueError, match="backend"):
             HogwildRunner(build_mlp(), train, num_workers=1, steps_per_worker=1,
                           backend="greenlets")
+
+
+def _failing_gradient(monkeypatch, workers, fail):
+    """Patch ``Network.gradient`` (before the launch, so a fork inherits
+    it) to ``fail()`` on a worker's second step in the named workers."""
+    from repro.nn.network import Network
+
+    gradient, calls = Network.gradient, []
+
+    def patched(self, *args):
+        calls.append(self.name)
+        if self.name in workers and calls.count(self.name) == 2:
+            fail()
+        return gradient(self, *args)
+
+    monkeypatch.setattr(Network, "gradient", patched)
+
+
+@pytest.mark.mp
+class TestHogwildFailures:
+    """Worker failures come from the communicator the workers run on:
+    the same aggregation on both backends, a hard death named at once."""
+
+    def _runner(self, mnist_tiny, backend, workers=3):
+        return HogwildRunner(
+            build_mlp(seed=7), mnist_tiny[0], num_workers=workers,
+            steps_per_worker=30, batch_size=16, backend=backend,
+        )
+
+    def test_worker_that_dies_hard_is_named_at_once(self, mnist_tiny, monkeypatch):
+        from repro.comm.mp_runtime import RemoteRankError
+        from repro.comm.shm_lifecycle import registered_segments
+
+        _failing_gradient(monkeypatch, {"hogwild-w1"}, lambda: os._exit(3))
+        t0 = time.monotonic()
+        with pytest.raises(RemoteRankError) as ei:
+            self._runner(mnist_tiny, "processes").run()
+        assert time.monotonic() - t0 < 10.0
+        failures = getattr(ei.value, "failures", {ei.value.rank: ei.value})
+        assert "rank 1" in str(failures[1]) and "exitcode 3" in str(failures[1])
+        assert registered_segments() == []
+        mine = f"repro-{os.getpid()}-"
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(mine)] == []
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("failing", [(1,), (0, 2)])
+    def test_exceptions_aggregate_alike_on_both_backends(
+            self, mnist_tiny, monkeypatch, failing, backend):
+        from repro.comm.runtime import MultiRankError
+
+        def boom():
+            raise ValueError("boom")
+
+        _failing_gradient(monkeypatch, {f"hogwild-w{r}" for r in failing}, boom)
+        with pytest.raises(ValueError, match="boom") as ei:
+            self._runner(mnist_tiny, backend).run()
+        if len(failing) == 1:
+            assert type(ei.value) is ValueError  # a lone failure travels as itself
+        else:
+            assert isinstance(ei.value, MultiRankError)
+            assert set(ei.value.failures) == set(failing)

@@ -1,6 +1,9 @@
 """KNL substrate: chip model, partitioning plans, the Figure 12 trainer,
 and the Algorithm 4 cluster trainer."""
 
+import os
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -19,6 +22,7 @@ from repro.knl import (
     plan_partition,
 )
 from repro.knl.partition import CIFAR_COPY_BYTES
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, Network, ReLU
 from repro.nn.models import build_mlp
 from repro.nn.spec import ALEXNET
 
@@ -217,12 +221,12 @@ class TestClusterModeModel:
 @pytest.mark.mp
 @pytest.mark.slow
 class TestChipPartitionProcesses:
-    """backend='processes': forked group workers over shared memory must be
-    an exact substitute for the serial divide-and-conquer loop. A segment
-    unlinked while a view still exports its buffer is an error (warnings
-    are errors suite-wide), not an unraisable warning."""
+    """backend='processes': the groups as the ranks of one communicator
+    cell must be an exact substitute for the serial divide-and-conquer
+    loop. A segment unlinked while a view still exports its buffer is an
+    error (warnings are errors suite-wide), not an unraisable warning."""
 
-    def _trainer(self, cifar_tiny, backend, parts=4, batch=16):
+    def _trainer(self, cifar_tiny, backend, parts=4, batch=16, net=None):
         from repro.comm.mp_runtime import fork_available
 
         if backend == "processes" and not fork_available():
@@ -233,7 +237,7 @@ class TestChipPartitionProcesses:
             backend=backend,
         )
         return ChipPartitionTrainer(
-            build_mlp(input_shape=(3, 32, 32), seed=4),
+            net or build_mlp(input_shape=(3, 32, 32), seed=4),
             train,
             test,
             cfg,
@@ -263,3 +267,84 @@ class TestChipPartitionProcesses:
         a.train(8)
         b.train(8)
         np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
+
+    #: One model per allreduce path: the conv net packs ~4.5 KB of
+    #: gradient (the message tree), the MLP ~790 KB (the arena tree).
+    _NETS = {
+        "message-tree": lambda: Network(
+            [Conv2D(2, 5), ReLU(), MaxPool2D(4), Flatten(), Dense(10)],
+            (3, 32, 32), seed=4, name="tiny-conv"),
+        "arena-tree": lambda: build_mlp(input_shape=(3, 32, 32), seed=4),
+    }
+
+    @pytest.mark.parametrize("parts", [2, 4])
+    @pytest.mark.parametrize("path", sorted(_NETS))
+    def test_both_allreduce_paths_match_serial(self, cifar_tiny, path, parts):
+        from repro.comm.runtime import DEFAULT_MIN_BYTES
+
+        build = self._NETS[path]
+        assert (4 * build().num_params < DEFAULT_MIN_BYTES) == (path == "message-tree")
+        a = self._trainer(cifar_tiny, "threads", parts=parts, net=build())
+        b = self._trainer(cifar_tiny, "processes", parts=parts, net=build())
+        serial, procs = a.train(10), b.train(10)
+        assert procs.records == serial.records
+        assert procs.sim_time == serial.sim_time
+        assert procs.final_accuracy == serial.final_accuracy
+        np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
+
+    def test_early_stop_releases_the_groups(self, cifar_tiny):
+        # Rank 0 leaves the loop at the first record that meets the target;
+        # the other ranks must be told, not left to sit out a recv timeout.
+        from repro.comm.runtime import _DEFAULT_TIMEOUT
+
+        serial = self._trainer(cifar_tiny, "threads").train_to_accuracy(0.5, 60)
+        t0 = time.monotonic()
+        procs = self._trainer(cifar_tiny, "processes").train_to_accuracy(0.5, 60)
+        assert time.monotonic() - t0 < _DEFAULT_TIMEOUT / 3
+        assert serial.reached_target and serial.iterations < 60
+        assert procs.reached_target
+        assert procs.records == serial.records
+        assert procs.iterations == serial.iterations
+
+    def test_snapshotter_must_be_shared_memory(self, cifar_tiny):
+        from repro.algorithms import UnsupportedOptionError
+        from repro.serving import ModelSnapshotter
+
+        tr = self._trainer(cifar_tiny, "processes")
+        heap = ModelSnapshotter(tr.net.num_params)
+        with pytest.raises(UnsupportedOptionError, match="heap-backed snapshotter"):
+            tr.train(4, snapshotter=heap)
+        assert heap.buffer.version == 0  # refused, not published into a copy
+
+        shm = ModelSnapshotter(tr.net.num_params, shared=True)
+        try:
+            tr.train(4, snapshotter=shm)
+            params, step, _ = shm.buffer.read()
+            assert step == 4
+            np.testing.assert_array_equal(params, tr.net.get_params())
+        finally:
+            shm.close(unlink=True)
+
+    def test_group_that_dies_hard_is_named_at_once(self, cifar_tiny, monkeypatch):
+        from repro.comm.mp_runtime import RemoteRankError
+        from repro.comm.shm_lifecycle import registered_segments
+        from repro.knl import partition
+
+        group_round, rounds = partition._group_round, []
+
+        def dies_in_group_2(ctx, *args):  # inherited by the fork
+            rounds.append(ctx.rank)
+            if ctx.rank == 2 and len(rounds) == 3:
+                os._exit(3)
+            return group_round(ctx, *args)
+
+        monkeypatch.setattr(partition, "_group_round", dies_in_group_2)
+        t0 = time.monotonic()
+        with pytest.raises(RemoteRankError) as ei:
+            self._trainer(cifar_tiny, "processes").train(20)
+        assert time.monotonic() - t0 < 10.0
+        died = ei.value.failures[2]
+        assert "rank 2" in str(died) and "exitcode 3" in str(died)
+        assert registered_segments() == []
+        mine = f"repro-{os.getpid()}-"
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(mine)] == []

@@ -332,3 +332,51 @@ def test_pool_rejects_unpicklable_work():
     with WorkerPool(1, backend="processes") as pool:
         with pytest.raises(ValueError, match="pickl"):
             pool.submit(1, lambda ctx: None)
+
+
+# ---------------------------------------------------------------------------
+# One launch site
+# ---------------------------------------------------------------------------
+def test_rank_processes_are_launched_in_one_place():
+    """docs/architecture.md calls ``pool/`` the one place rank processes
+    are launched. Under ``src/repro``, ``multiprocessing``'s
+    ``get_context``, ``Process``, ``Queue`` and ``Pipe`` are called (or
+    imported by name) in ``pool/worker_pool.py`` only; the inbox
+    doorbell — ``get_context("fork").Semaphore(0)`` in
+    ``comm/shm_transport.py`` — is the one named exception."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    launchers = {"get_context", "Process", "Queue", "Pipe"}
+    found: dict = {}
+    for path in sorted(root.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        std_queue = {  # `queue.Queue()` is the thread fabric's, not a launch
+            alias.asname or alias.name
+            for node in nodes if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "queue"
+        }
+        doorbells = {
+            id(node.func.value) for node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "Semaphore"
+        }
+        for node in nodes:
+            names: set = set()
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[0] == "multiprocessing":
+                    names = {alias.name for alias in node.names} & launchers
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr in launchers:
+                    if not (isinstance(func.value, ast.Name) and func.value.id in std_queue):
+                        names = {"doorbell" if id(node) in doorbells else func.attr}
+            if names:
+                found.setdefault(path.relative_to(root).as_posix(), set()).update(names)
+    assert found == {
+        "pool/worker_pool.py": launchers,
+        "comm/shm_transport.py": {"doorbell"},
+    }
