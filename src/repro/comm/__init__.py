@@ -38,6 +38,7 @@ from repro.comm.runtime import (
     MultiRankError,
     RankContext,
 )
+from repro.comm.shm_lifecycle import ShmCapacityError
 from repro.comm.shm_transport import (
     RingBackpressureError,
     ShmSlotRef,
@@ -83,6 +84,7 @@ __all__ = [
     "TRANSPORTS",
     "BufferArena",
     "RingBackpressureError",
+    "ShmCapacityError",
     "ShmSlotRef",
     "ShmTransport",
     "SlotRing",

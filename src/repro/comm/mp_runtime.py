@@ -73,7 +73,7 @@ from repro.comm.runtime import (
     MultiRankError,
     RankContextBase,
 )
-from repro.comm.shm_lifecycle import register_segment, segment_name, unregister_segment
+from repro.comm.shm_lifecycle import create_segment, unregister_segment
 from repro.comm.shm_transport import (
     CollectiveArena,
     DEFAULT_SLOTS,
@@ -144,12 +144,10 @@ class SharedFlatArray:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         dtype = np.dtype(dtype)
-        if name is None:
-            # Lifecycle-tracked: the pid-stamped name lets a later run reap
-            # this segment if the creator dies before any unlink path runs.
-            name = segment_name("flat")
-        shm = shared_memory.SharedMemory(create=True, size=dtype.itemsize * size, name=name)
-        register_segment(shm.name)
+        # Lifecycle-tracked unless the caller names it: the pid-stamped name
+        # lets a later run reap this segment if the creator dies before any
+        # unlink path runs.
+        shm = create_segment("flat", dtype.itemsize * size, name=name)
         arr = cls(shm, size, owner=True, dtype=dtype)
         arr.array[:] = 0
         return arr
@@ -538,9 +536,14 @@ class MultiprocessCommunicator:
         fork — closures over local state work; nothing is pickled on the
         way *in*. With one, they travel as a work item (the pool forked
         long ago), so ``fn`` must be a module-level function and ``args``
-        picklable. Return values travel back pickled either way; a rank
-        whose result cannot be pickled fails with a
-        :class:`RemoteRankError`.
+        picklable: they are pickled once per ``run``, every array of at
+        least :data:`~repro.comm.shm_transport.DEFAULT_MIN_BYTES` is
+        staged once in a shared-memory segment that lives as long as the
+        run, and each rank sees those arrays as **read-only** views of it
+        (a rank program that writes into one raises; copy first, as it
+        must on the thread backend, where ranks share ``args`` outright).
+        Return values travel back pickled either way; a rank whose result
+        cannot be pickled fails with a :class:`RemoteRankError`.
 
         Traces and fault records merge into this communicator
         (timestamped against its epoch, which the workers honour per

@@ -28,6 +28,11 @@ Three mechanisms close the gap, in escalating order of desperation:
    test performs) reaps the debris on startup.  Segments whose owner is
    alive are never touched, so concurrent runs stay safe.
 
+Creation goes through one door as well: :func:`create_segment` names,
+sizes, creates and registers a segment, and refuses — with a typed
+:class:`ShmCapacityError` instead of a later ``SIGBUS`` on first touch —
+one that ``/dev/shm`` has no room for.
+
 The registry is intentionally process-local state (no locks beyond a
 ``threading.Lock``): forked children inherit a *copy* and each process
 sweeps only what it registered itself after the fork — double unlinks
@@ -38,15 +43,18 @@ because children unregister nothing they didn't create.
 from __future__ import annotations
 
 import atexit
+import errno
 import os
 import re
 import threading
-from typing import List, Optional, Set
+from typing import Any, List, Optional, Set
 import uuid
 
 __all__ = [
     "SEGMENT_PREFIX",
+    "ShmCapacityError",
     "segment_name",
+    "create_segment",
     "adopt_owner_pid",
     "register_segment",
     "unregister_segment",
@@ -98,8 +106,8 @@ def adopt_owner_pid(pid: Optional[int] = None) -> int:
 def segment_name(kind: str, suffix: Optional[str] = None) -> str:
     """A fresh lifecycle-tracked segment name: ``repro-<pid>-<kind>-<sfx>``.
 
-    ``kind`` is a short label ("ring", "coll", "flat", "snap") that makes
-    ``ls /dev/shm`` debuggable; ``suffix`` defaults to 8 random hex chars.
+    ``kind`` is a short label ("ring", "coll", "flat", "snap", "stage")
+    that makes ``ls /dev/shm`` debuggable; ``suffix`` defaults to 8 random hex chars.
     The pid is the adopted owner (see :func:`adopt_owner_pid`) when one is
     set and alive, else the calling process.
     """
@@ -107,6 +115,58 @@ def segment_name(kind: str, suffix: Optional[str] = None) -> str:
         suffix = uuid.uuid4().hex[:8]
     pid = _owner_pid if (_owner_pid is not None and _pid_alive(_owner_pid)) else os.getpid()
     return f"{SEGMENT_PREFIX}-{pid}-{kind}-{suffix}"
+
+
+class ShmCapacityError(OSError):
+    """``/dev/shm`` has no room for a segment about to be created.
+
+    tmpfs hands out pages on first touch, so an oversized segment is
+    created happily and kills its writer with ``SIGBUS`` later; this is
+    the same fact as an exception, raised before anything is created.
+    """
+
+    def __init__(self, kind: str, needed: int, free: int) -> None:
+        super().__init__(
+            errno.ENOSPC,
+            f"no room in {_SHM_DIR} for a {kind!r} segment: "
+            f"{needed} bytes needed, {free} free",
+        )
+        self.kind = kind
+        self.needed = needed
+        self.free = free
+
+    def __reduce__(self):
+        return (ShmCapacityError, (self.kind, self.needed, self.free))
+
+
+def create_segment(
+    kind: str, size: int, suffix: Optional[str] = None, name: Optional[str] = None
+) -> Any:
+    """Create and register a ``size``-byte segment; returns its ``SharedMemory``.
+
+    The one creation path of every segment this codebase owns: the name is
+    :func:`segment_name`'s (``name`` overrides it where all ranks must
+    agree on one, as for a collective arena — a lost creation race is the
+    caller's ``FileExistsError``), the free-space check raises
+    :class:`ShmCapacityError`, and the segment is registered for the
+    atexit sweep. Where ``/dev/shm`` cannot be inspected (non-Linux) the
+    check is skipped.
+    """
+    from multiprocessing import shared_memory
+
+    try:
+        vfs = os.statvfs(_SHM_DIR)
+    except OSError:  # pragma: no cover - non-Linux shm layout
+        pass
+    else:
+        free = vfs.f_bavail * vfs.f_frsize
+        if size > free:
+            raise ShmCapacityError(kind, size, free)
+    shm = shared_memory.SharedMemory(
+        create=True, size=size, name=name or segment_name(kind, suffix)
+    )
+    register_segment(shm.name)
+    return shm
 
 
 def _reset_registry_for_pid(pid: int) -> None:

@@ -21,9 +21,9 @@ Design
   small, else a :class:`ShmSlotRef`'s. Receive is *spin-then-doorbell*:
   poll the heads for :data:`_SPIN_SECONDS`, then set a ``sleeping`` word
   and block on a fork-inherited semaphore that senders post only when
-  they see the word set. Spinning is on exactly when the pool pinned
-  every rank to a core of its own (``WorkerPool._pin_plan``); it is not
-  an option. A full ring is backpressure.
+  they see the word set. Spinning is on for exactly the cells whose
+  ranks the pool pinned to cores of their own (decided per cell, at
+  dispatch); it is not an option. A full ring is backpressure.
 - **Bulk path.** One :class:`SlotRing` per ``(src, dst, tag)`` channel,
   created lazily by the *sender* on first large payload and sized to it
   (a later, larger payload retires the ring and allocates a new
@@ -43,10 +43,13 @@ Design
   ``recv`` on the other side. Every such wait in this module is
   :func:`_wait_until`.
 - Serialization is pickle protocol 5, once per message
-  (:meth:`ShmTransport.pack`): the *structure* of the payload (tuples,
+  (:func:`split_pickle`): the *structure* of the payload (tuples,
   scalars, dtypes, shapes — including the ``(seq, payload)`` wrapping the
   tracing path adds) travels in a small in-band pickle, while every
   contiguous buffer of at least ``min_bytes`` is memcpy'd into the slot.
+  A pool dispatch is the same split with one writer and many readers:
+  its bulk goes once into a per-cell :class:`PickleStage`, which the
+  cell's ranks map read-only.
   ``decode`` copies slot bytes into private storage before
   reconstructing, so received arrays are ordinary writable NumPy arrays
   with no aliasing of ring memory.
@@ -85,16 +88,14 @@ import uuid
 import numpy as np
 
 from repro.comm.runtime import _DEFAULT_TIMEOUT, DEFAULT_MIN_BYTES, DeadlockError
-from repro.comm.shm_lifecycle import (
-    register_segment,
-    segment_name,
-    unregister_segment,
-)
+from repro.comm.shm_lifecycle import create_segment, unregister_segment
 
 __all__ = [
     "TRANSPORTS",
     "validate_transport",
     "RingBackpressureError",
+    "split_pickle",
+    "PickleStage",
     "ShmSlotRef",
     "SlotRing",
     "ShmTransport",
@@ -255,6 +256,89 @@ class ShmSlotRef:
     nbytes: int  # total out-of-band bytes (== bytes memcpy'd per side)
 
 
+def split_pickle(
+    obj: Any, min_bytes: int = DEFAULT_MIN_BYTES
+) -> Tuple[bytes, List[pickle.PickleBuffer]]:
+    """Pickle ``obj`` once (protocol 5): ``(in-band stream, bulk buffers)``.
+
+    Every contiguous buffer of at least ``min_bytes`` stays out of band,
+    in pickle-5 buffer order, for the caller to place in shared memory;
+    smaller ones, and non-contiguous arrays, pickle in band (below
+    ~16 KiB the shm machinery costs more than the copy, and barrier
+    tokens should not allocate segments). The one split behind both a
+    rank's messages (:meth:`ShmTransport.pack`) and a pool's dispatch
+    (:class:`PickleStage`).
+    """
+    buffers: List[pickle.PickleBuffer] = []
+
+    def in_band(buf: pickle.PickleBuffer) -> bool:
+        if memoryview(buf).nbytes < min_bytes:
+            return True
+        buffers.append(buf)
+        return False
+
+    return pickle.dumps(obj, protocol=5, buffer_callback=in_band), buffers
+
+
+class PickleStage:
+    """A write-once segment holding the bulk of one :func:`split_pickle`.
+
+    The counterpart of a slot for one writer and many readers: the
+    creator copies the out-of-band buffers in once, cache-line aligned,
+    and drops its mapping; every reader views them in place
+    (:meth:`load`); nobody consumes a tail. ``ref`` is the descriptor
+    readers need — the in-band stream travels apart from it, so its
+    ``meta`` is empty. :meth:`unlink` is the creator's; readers' mappings
+    outlive it.
+    """
+
+    def __init__(self, suffix: str, buffers: List[pickle.PickleBuffer]) -> None:
+        bodies = [np.frombuffer(buf.raw(), dtype=np.uint8) for buf in buffers]
+        descs: List[Tuple[int, int]] = []
+        total = 0
+        for body in bodies:
+            descs.append((total, body.size))
+            total += -(-body.size // 64) * 64
+        self._shm = create_segment("stage", total, suffix)
+        data = np.frombuffer(self._shm.buf, dtype=np.uint8)
+        for (offset, nbytes), body in zip(descs, bodies):
+            data[offset : offset + nbytes] = body
+        del data
+        for buf in buffers:
+            buf.release()
+        _close_segment(self._shm, unlink=False)
+        self.ref = ShmSlotRef(
+            segment=self._shm.name, segment_bytes=total, slot_offset=0,
+            buffers=tuple(descs), meta=b"", nbytes=sum(n for _, n in descs),
+        )
+
+    def unlink(self) -> None:
+        """Destroy the segment system-wide and forget it in the registry."""
+        _close_segment(self._shm, unlink=True)
+
+    @staticmethod
+    def load(meta: bytes, ref: Optional[ShmSlotRef]) -> Any:
+        """Unpickle ``meta`` with its bulk viewing ``ref``'s segment read-only.
+
+        No byte is copied: the arrays of the result are windows on a
+        ``PROT_READ`` mapping, so a write to one raises instead of
+        diverging silently from what the other readers see. The mapping
+        lives exactly as long as those arrays do. ``ref=None`` — nothing
+        was staged — is a plain ``pickle.loads``.
+        """
+        if ref is None:
+            return pickle.loads(meta)
+        import _posixshmem  # what multiprocessing.shared_memory opens segments with
+        import mmap
+
+        fd = _posixshmem.shm_open("/" + ref.segment, os.O_RDONLY, mode=0o600)
+        try:
+            view = memoryview(mmap.mmap(fd, ref.segment_bytes, access=mmap.ACCESS_READ))
+        finally:
+            os.close(fd)
+        return pickle.loads(meta, buffers=[view[off : off + n] for off, n in ref.buffers])
+
+
 class SlotRing:
     """Sender-owned SPSC ring of fixed-size slots in one shm segment."""
 
@@ -270,8 +354,6 @@ class SlotRing:
             raise ValueError("slot_nbytes must be positive")
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        from multiprocessing import shared_memory
-
         self.rank = rank
         self.dest = dest
         self.tag = tag
@@ -283,11 +365,9 @@ class SlotRing:
         # reap this segment if the whole run dies before any unlink path
         # executes; the creating rank's own pid lets the pool parent find
         # the rings of a rank that died without reporting them.
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=self.total_bytes,
-            name=segment_name("ring", f"{os.getpid()}-{uuid.uuid4().hex[:8]}"),
+        self._shm = create_segment(
+            "ring", self.total_bytes, f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
         )
-        register_segment(self._shm.name)
         self._tail = np.frombuffer(self._shm.buf, dtype=np.int64, count=1)
         self._tail[0] = 0
         self._data = np.frombuffer(self._shm.buf, dtype=np.uint8)
@@ -388,6 +468,9 @@ class ShmTransport:
             "inbox_spills": 0,  # in-band pickles staged through a slot ring
             "doorbell_waits": 0,  # receives that had to block
             "arena_tokens": 0,  # ready/done tokens of arena collectives
+            # The pool's, per cell, on the same surface:
+            "cell_pinned": 0,  # 1 when this rank ran the cell on a core of its own
+            "stage_bytes_copied": 0,  # dispatch bulk staged once (counted on rank 0)
         }
 
     # -- sender side -----------------------------------------------------------
@@ -404,15 +487,7 @@ class ShmTransport:
         the one slot that now holds the buffers — and the in-band stream
         too, when it is longer than ``inline_limit``.
         """
-        buffers: List[pickle.PickleBuffer] = []
-
-        def in_band(buf: pickle.PickleBuffer) -> bool:
-            if memoryview(buf).nbytes < self.min_bytes:
-                return True
-            buffers.append(buf)
-            return False
-
-        meta = pickle.dumps(payload, protocol=5, buffer_callback=in_band)
+        meta, buffers = split_pickle(payload, self.min_bytes)
         spill = inline_limit is not None and len(meta) > inline_limit
         if not buffers and not spill:
             self.stats["queue_messages"] += 1
@@ -569,8 +644,9 @@ class ShmInbox:
     that dies mid-``put`` never published its head, so it cannot wedge
     anyone.
 
-    Receive is **spin-then-doorbell**: with ``spin`` (the pool sets it
-    exactly when it pinned each rank to a core of its own) ``get`` polls
+    Receive is **spin-then-doorbell**: with ``spin`` (the pool worker
+    sets it per cell, exactly when the cell's ranks were pinned to cores
+    of their own) ``get`` polls
     the heads for :data:`_SPIN_SECONDS`; then it sets ``sleeping`` and
     blocks on the fork-inherited semaphore, which a sender posts only
     when it sees that word set. The sleeper re-scans after setting the
@@ -621,13 +697,9 @@ class ShmInbox:
         """Allocate an empty inbox for ``nsrc`` sources (call before forking)."""
         if nsrc <= 0:
             raise ValueError("nsrc must be positive")
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(
-            create=True, name=segment_name("inbox"),
-            size=8 * cls._header_words(nsrc) + nsrc * INBOX_RING_BYTES,
+        shm = create_segment(
+            "inbox", 8 * cls._header_words(nsrc) + nsrc * INBOX_RING_BYTES
         )
-        register_segment(shm.name)
         bell = multiprocessing.get_context("fork").Semaphore(0)
         return cls(shm, bell, nsrc, timeout, spin)
 
@@ -796,9 +868,7 @@ class CollectiveArena:
 
         total = size * cls._row_nbytes(elems) + elems * 4
         try:
-            shm = shared_memory.SharedMemory(create=True, size=total, name=name)
-            register_segment(name)
-            return cls(shm, size, elems)
+            return cls(create_segment("coll", total, name=name), size, elems)
         except FileExistsError:
             pass
 
@@ -909,12 +979,7 @@ class SeqlockBuffer:
             raise ValueError("elems must be positive")
         total = cls._total_bytes(elems)
         if shared:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=total, name=segment_name("snap")
-            )
-            register_segment(shm.name)
+            shm = create_segment("snap", total)
             return cls(shm, shm.buf, elems, owner=True)
         return cls(None, np.zeros(total, dtype=np.uint8).data, elems, owner=True)
 

@@ -23,15 +23,19 @@ Design:
   :class:`~repro.comm.shm_transport.ShmTransport` (slot rings are
   recycled across cells), and a by-name
   :class:`~repro.comm.shm_transport.CollectiveArena` cache (arenas are
-  sized once per shape and reused).  Workers are pinned one per core
-  when the host has that many, and exactly then their receives spin
-  before they block.
+  sized once per shape and reused).
 - A **cell** is one ``fn(ctx, *args)`` rank program over ``n <= P_max``
   ranks.  :meth:`submit` leases a contiguous block of free workers,
-  ships one work item per rank over a dispatch pipe (distinct from the
+  ships the work item to each over a dispatch pipe (distinct from the
   message fabric, so dispatch never interleaves with rank traffic), and
   returns a :class:`PoolJob` handle.  Cells on disjoint blocks run
   concurrently — the scheduler packs them.
+- A cell **owns its cores** when there are cores to own: if the ranks
+  leased pool-wide, this cell's included, fit the usable cores, each of
+  its ranks is pinned to a core no running cell holds and its receives
+  spin before they block; otherwise its ranks run on the full mask and
+  block on the doorbell. The verdict is per cell, so a two-rank cell on
+  a three-worker pool on two cores is pinned and spinning.
 - Each cell gets a **fresh** :class:`~repro.comm.mp_runtime.MpRankContext`
   (fresh stashes, sequence counters, RNG-free) over the recycled fabric,
   so numerics derive only from the cell's arguments and seeds: a pooled
@@ -40,15 +44,24 @@ Design:
   inboxes, rebuild their transports (old ring segments are unlinked by
   the parent), and zero every cached arena row — recovering a provably
   clean fabric after a failed cell.
-- Work items are pickled (the pool forked long ago), so ``fn`` must be a
-  module-level function.  Big constant state (datasets, an
-  :class:`~repro.harness.experiment.ExperimentSpec`) should instead ride
-  fork inheritance: pass it as the pool's ``payload`` and put the
-  :data:`POOL_PAYLOAD` sentinel in a cell's args — each worker
-  substitutes its inherited copy, and the bytes never cross a pipe.
-  A communicator without an attached pool uses exactly this: it builds
-  a pool for one ``run`` with ``(fn, args)`` as the payload, so this
-  module is the only place rank processes are launched.
+- A work item is pickled **once** per dispatch (the pool forked long
+  ago), so ``fn`` must be a module-level function: that one protocol-5
+  pickle is the picklability check and is what every rank receives.  Its
+  bulk — every contiguous buffer of at least
+  :data:`~repro.comm.shm_transport.DEFAULT_MIN_BYTES`, the same split a
+  rank's messages take — is copied once into a
+  :class:`~repro.comm.shm_transport.PickleStage` that lives as long as
+  the cell, and each rank unpickles with read-only views of it: a
+  launch ships a handle, not the dataset, and a rank program that
+  writes into a pooled argument raises instead of diverging silently.
+  What cannot pickle (closures, an
+  :class:`~repro.harness.experiment.ExperimentSpec` with a lambda
+  builder) rides fork inheritance: pass it as the pool's ``payload``
+  and put the :data:`POOL_PAYLOAD` sentinel in a cell's args — each
+  worker substitutes its inherited copy.  A communicator without an
+  attached pool uses exactly this: it builds a pool for one ``run``
+  with ``(fn, args)`` as the payload, so this module is the only place
+  rank processes are launched.
 
 ``backend="threads"`` keeps the identical surface over
 :class:`~repro.comm.runtime.InProcessCommunicator` cells (thread spin-up
@@ -60,7 +73,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import queue as _queue
 import threading
 import time
@@ -86,8 +98,11 @@ from repro.comm.shm_lifecycle import (
 from repro.comm.shm_transport import (
     CollectiveArena,
     DEFAULT_SLOTS,
+    PickleStage,
     ShmInbox,
+    ShmSlotRef,
     ShmTransport,
+    split_pickle,
     validate_transport,
 )
 from repro.faults import FaultPlan
@@ -124,6 +139,16 @@ def _payload_sentinel() -> "_PayloadSentinel":
 POOL_PAYLOAD = _PayloadSentinel()
 
 
+def _run_work(
+    ctx: MpRankContext, work: bytes, stage: Optional[ShmSlotRef], payload: Any
+) -> Any:
+    """What every pooled rank runs: unpickle the dispatch's one work item —
+    its bulk viewing the cell's stage — and call it. Inside the rank
+    program, so a work item that will not load fails its rank by name."""
+    fn, args = PickleStage.load(work, stage)
+    return fn(ctx, *(payload if a is POOL_PAYLOAD else a for a in args))
+
+
 class PoolJob:
     """Parent-side handle for one dispatched cell."""
 
@@ -146,6 +171,10 @@ class PoolJob:
         #: dispatch); ``deadline`` is set when the first rank fails.
         self.patience = 0.0
         self.deadline: Optional[float] = None
+        #: The cores this cell owns (one per rank; empty: full mask) and
+        #: the segment holding its work item's bulk (None: all in band).
+        self.cores: List[int] = []
+        self.stage: Optional[PickleStage] = None
 
     @property
     def wall_time(self) -> float:
@@ -242,18 +271,23 @@ class WorkerPool:
         adopt_owner_pid()
         self._mp = multiprocessing.get_context("fork")
         self._start = time.monotonic()
-        pin_plan = self._pin_plan()
+        #: Usable cores no running cell owns. A cell is granted one per
+        #: rank iff all leased ranks fit the usable cores — exclusive cores
+        #: then exist, and pinning several ranks to one would serialize
+        #: them outright.
+        self._free_cores: List[int] = (
+            sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        )
+        self._ncores = len(self._free_cores)
         #: Persistent message fabric: one inbox per pool rank; cells see
         #: the slice ``inboxes[base:base+n]`` so a context's own-rank
         #: indexing works unchanged on any block. ``shm``: a shared-memory
-        #: ring per (source, owner) pair, whose receives spin before they
-        #: block exactly when the pin plan gives each rank its own core.
-        #: ``queue``: the reference fabric, whose megabyte pickles need a
-        #: queue's unbounded feeder buffer.
+        #: ring per (source, owner) pair, whose owner sets ``spin`` per
+        #: cell. ``queue``: the reference fabric, whose megabyte pickles
+        #: need a queue's unbounded feeder buffer.
         if transport == "shm":
             self._inboxes: List[Any] = [
-                ShmInbox.create(size, timeout, spin=pin_plan is not None)
-                for _ in range(size)
+                ShmInbox.create(size, timeout) for _ in range(size)
             ]
         else:
             self._inboxes = [self._mp.Queue() for _ in range(size)]
@@ -266,13 +300,14 @@ class WorkerPool:
         work = [self._mp.Pipe(duplex=False) for _ in range(size)]
         self._work_recv = [recv for recv, _ in work]
         self._work_send = [send for _, send in work]
-        #: Stable per-pool stem for arena names: cells on the same block
-        #: derive the same names, so consecutive cells reuse one arena.
-        self._coll_stem = segment_name("coll", f"pool{uuid.uuid4().hex[:6]}")
+        #: Stable per-pool stems. Arenas: cells on the same block derive
+        #: the same names, so consecutive cells reuse one. Stages: one
+        #: segment per cell that has bulk, named by job.
+        tag = f"pool{uuid.uuid4().hex[:6]}"
+        self._coll_stem = segment_name("coll", tag)
+        self._stage_tag = tag
         self._procs = [
-            self._mp.Process(
-                target=self._worker_loop, args=(r, pin_plan), name=f"pool-rank-{r}"
-            )
+            self._mp.Process(target=self._worker_loop, args=(r,), name=f"pool-rank-{r}")
             for r in range(size)
         ]
         for p in self._procs:
@@ -288,16 +323,6 @@ class WorkerPool:
         self._collector.start()
 
     # -- parent side -----------------------------------------------------------
-    def _pin_plan(self) -> Optional[List[int]]:
-        """The CPUs workers pin to (worker i takes the i-th), or None when
-        the host has fewer cores than the pool has workers: exclusive
-        cores then don't exist, and pinning several ranks to one core
-        would serialize them outright."""
-        if not hasattr(os, "sched_getaffinity"):
-            return None
-        cpus = sorted(os.sched_getaffinity(0))
-        return cpus if len(cpus) >= self.size else None
-
     def _allocate(self, nranks: int) -> int:
         """First contiguous free block (caller holds the lock), or -1."""
         run = 0
@@ -356,10 +381,11 @@ class WorkerPool:
                 f"the pool's fabric was built for transport={self.transport!r}; "
                 f"it cannot run a transport={transport!r} cell"
             )
-        # Fail fast on unpicklable work: a bad item would otherwise die on
-        # its way to the worker and strand the job.
+        # The one pickle of the dispatch. It fails fast on unpicklable
+        # work (a bad item would otherwise die on its way to the worker
+        # and strand the job), and it is what every rank receives.
         try:
-            pickle.dumps((fn, args))
+            work, bulk = split_pickle((fn, args))
         except Exception as exc:
             raise ValueError(
                 f"pool work items must be picklable (module-level fn, "
@@ -375,8 +401,19 @@ class WorkerPool:
             self._next_job += 1
             job = PoolJob(self._next_job, base, nranks)
             job.patience = timeout + _COLLECT_GRACE
+            if self._free.count(False) <= self._ncores:
+                job.cores = [self._free_cores.pop(0) for _ in range(nranks)]
             self._jobs[job.job_id] = job
             self._job_blocks[job.job_id] = (base, nranks)
+        if bulk:
+            # After the lease, so submitters queued for workers hold no
+            # copy of their bulk while they wait.
+            try:
+                job.stage = PickleStage(f"{self._stage_tag}j{job.job_id}", bulk)
+            except BaseException:
+                with self._cond:
+                    self._finish_job_locked(job)
+                raise
         opts = {
             "tracing": tracing,
             "faults": faults,
@@ -387,20 +424,29 @@ class WorkerPool:
             "start_time": self._start if start_time is None else start_time,
             "coll_prefix": f"{self._coll_stem}b{base}x{nranks}",
         }
+        stage = None if job.stage is None else job.stage.ref
         for cell_rank in range(nranks):
+            core = job.cores[cell_rank] if job.cores else None
             self._dispatch(
                 base + cell_rank,
-                ("job", job.job_id, base, nranks, cell_rank, fn, args, opts),
+                ("job", job.job_id, base, nranks, cell_rank, core, stage, opts),
+                work,
             )
         return job
 
-    def _dispatch(self, pool_rank: int, item: Tuple[Any, ...]) -> None:
-        """Hand ``item`` to one worker (at most one sender per worker at a
-        time: a worker is leased to one job, and reset/close follow all
-        jobs). A dead worker's pipe is broken; the collector's liveness
-        check is what reports that, so the error is dropped here."""
+    def _dispatch(
+        self, pool_rank: int, item: Tuple[Any, ...], work: Optional[bytes] = None
+    ) -> None:
+        """Hand ``item`` — and, for a job, the pickled ``work`` behind it,
+        as the bytes they are — to one worker (at most one sender per
+        worker at a time: a worker is leased to one job, and reset/close
+        follow all jobs). A dead worker's pipe is broken; the collector's
+        liveness check is what reports that, so the error is dropped here."""
+        conn = self._work_send[pool_rank]
         try:
-            self._work_send[pool_rank].send(item)
+            conn.send(item)
+            if work is not None:
+                conn.send_bytes(work)
         except OSError:
             pass
 
@@ -510,6 +556,9 @@ class WorkerPool:
         block = self._job_blocks.pop(job.job_id, None)
         if block is not None:
             self._release(*block)
+        self._free_cores += job.cores
+        if job.stage is not None:
+            job.stage.unlink()
         self.jobs_run += 1
         self._cond.notify_all()
         job._complete()
@@ -632,9 +681,10 @@ class WorkerPool:
     def _orphans(self) -> List[str]:
         """Segments no worker reported: a worker that died (or had to be
         terminated) never sent the names of the rings it created, and an
-        arena's name is lost only if every rank that mapped it died.
-        Rings carry their creator's pid, arenas this pool's stem."""
-        stems = (self._coll_stem,) + tuple(
+        arena's name is lost only if every rank that mapped it died; a
+        cell that never finished still has its stage. Rings carry their
+        creator's pid, arenas and stages this pool's stem."""
+        stems = (self._coll_stem, segment_name("stage", self._stage_tag)) + tuple(
             segment_name("ring", f"{p.pid}-") for p in self._procs if p.exitcode != 0
         )
         return [name for name in list_live_segments() if name.startswith(stems)]
@@ -644,6 +694,7 @@ class WorkerPool:
         """Destroy segments by name (the parent-scoped unlink)."""
         for name in names:
             unlink_segment(name)
+            unregister_segment(name)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -652,19 +703,16 @@ class WorkerPool:
         self.close()
 
     # -- worker side -----------------------------------------------------------
-    def _worker_loop(self, pool_rank: int, pin_plan: Optional[List[int]]) -> None:
+    def _worker_loop(self, pool_rank: int) -> None:
         """The forked worker: serve cells until told to stop.
 
         Persistent state across cells: the ShmTransport (slot rings) and
         the by-name arena cache.  Everything cell-scoped — context,
-        stashes, trace, RNG — is rebuilt per job, which is what keeps
-        pooled cells bit-identical to cold spawns.
+        stashes, trace, RNG, the affinity mask and whether receives spin
+        — is set per job, which is what keeps pooled cells bit-identical
+        to cold spawns and never leaves a cell the previous one's cores.
         """
-        if pin_plan is not None:
-            try:
-                os.sched_setaffinity(0, {pin_plan[pool_rank % len(pin_plan)]})
-            except OSError:  # pragma: no cover - cgroup/permission quirk
-                pass
+        full_mask = os.sched_getaffinity(0) if self._ncores else None
         for conn in self._work_send:
             conn.close()
         for r, conn in enumerate(self._work_recv):
@@ -717,13 +765,20 @@ class WorkerPool:
                 names = teardown()
                 self._results_q.put(("reset", gen, pool_rank, names))
                 continue
-            _, job_id, base, nranks, cell_rank, fn, args, opts = item
+            _, job_id, base, nranks, cell_rank, core, stage, opts = item
+            work_item = work.recv_bytes()
             if use_shm and transport is None:
                 transport = ShmTransport(
                     pool_rank, self.size, slots=self.shm_slots, timeout=self.timeout,
                 )
                 inbox.stats = transport.stats  # one counter surface per rank
-            args = tuple(self.payload if a is POOL_PAYLOAD else a for a in args)
+            if full_mask is not None:
+                try:
+                    os.sched_setaffinity(0, full_mask if core is None else {core})
+                except OSError:  # pragma: no cover - cgroup/permission quirk
+                    pass
+            if use_shm:
+                inbox.spin = core is not None
             ctx = MpRankContext(
                 cell_rank, nranks, self._inboxes[base:base + nranks],
                 opts["timeout"], opts["faults"], opts["max_retries"],
@@ -733,9 +788,14 @@ class WorkerPool:
                 collective=opts["collective"],
             )
             stats_before = dict(transport.stats) if transport is not None else {}
-            status, payload = run_rank_program(ctx, fn, args)
+            status, payload = run_rank_program(
+                ctx, _run_work, (work_item, stage, self.payload)
+            )
             tstats: Dict[str, int] = {}
             if transport is not None:
+                transport.stats["cell_pinned"] += core is not None
+                if stage is not None and cell_rank == 0:  # copied once, by the parent
+                    transport.stats["stage_bytes_copied"] += stage.nbytes
                 tstats = {
                     k: int(v) - int(stats_before.get(k, 0))
                     for k, v in transport.stats.items()
@@ -746,3 +806,6 @@ class WorkerPool:
             self._results_q.put(
                 ("done", job_id, cell_rank, status, payload, events, records, tstats)
             )
+            # A failure's traceback holds the frames that hold the stage's
+            # views: drop it now, not when the next cell arrives.
+            del payload

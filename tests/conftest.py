@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,25 @@ def mnist_tiny():
 def fast_config():
     """A TrainerConfig tuned for speed in tests."""
     return TrainerConfig(batch_size=16, lr=0.05, rho=2.0, seed=0, eval_every=10, eval_samples=128)
+
+
+@pytest.fixture()
+def nearly_full_dev_shm(monkeypatch):
+    """A context manager under which ``os.statvfs`` reports one free block
+    (in this process only: workers forked earlier keep the real one)."""
+    real = os.statvfs
+
+    def nearly_full(path):
+        vfs = real(path)
+        return os.statvfs_result((*vfs[:4], 1, *vfs[5:]))  # f_bavail
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "statvfs", nearly_full)
+            yield
+
+    return patched
 
 
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:

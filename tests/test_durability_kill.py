@@ -178,8 +178,10 @@ def test_kill_and_resume_chip_partition_processes(tmp_path):
 
 
 #: A persistent pool with live shm fabric (slot rings + a collective
-#: arena), holding it open until killed. The 16 KB allreduce forces the
-#: messages onto real shm rings before the sentinel is written.
+#: arena), killed mid-cell. The 16 KB allreduce forces the messages onto
+#: real shm rings; the second cell's 64 KB argument is staged, and its
+#: rank 0 writes the sentinel from inside the cell, so the kill lands
+#: while the stage segment exists.
 _POOL_HOLD_SCRIPT = """
 import sys, time
 import numpy as np
@@ -189,10 +191,14 @@ def cell(ctx, x):
     v = ctx.allreduce(np.full(4096, float(ctx.rank + x), dtype=np.float32))
     return float(v[0])
 
+def hold(ctx, big, sentinel):
+    if ctx.rank == 0:
+        open(sentinel, "w").write("up")
+    time.sleep(600)
+
 pool = WorkerPool(4, backend="processes")
 pool.run(4, cell, 1.0)
-open(sys.argv[1], "w").write("up")
-time.sleep(600)
+pool.run(4, hold, np.ones(1 << 14, dtype=np.float32), sys.argv[1])
 """
 
 
@@ -235,7 +241,9 @@ def test_sigkilled_pool_leaves_zero_stale_segments(tmp_path):
 
     # The kill must actually strand segments (else this test checks nothing),
     # and a fresh pool's startup reap must sweep every one of them.
-    assert stale_segments(), "SIGKILL left no shm debris to reap"
+    debris = stale_segments()
+    assert debris, "SIGKILL left no shm debris to reap"
+    assert any("-stage-" in name for name in debris), "the kill missed the cell"
     with WorkerPool(1, backend="processes"):
         pass
     assert stale_segments() == [], "pool startup failed to reap killed debris"

@@ -6,7 +6,9 @@ algorithm-level cross-checks live in ``test_backend_equivalence.py``.
 """
 
 import contextlib
+import errno
 import os
+import pickle
 import threading
 import time
 
@@ -22,7 +24,20 @@ from repro.comm.mp_runtime import (
     SharedFlatArray,
 )
 from repro.comm.runtime import DeadlockError, InProcessCommunicator, MultiRankError
-from repro.comm.shm_lifecycle import list_live_segments, registered_segments, segment_name
+from repro.comm.shm_lifecycle import (
+    list_live_segments,
+    registered_segments,
+    segment_name,
+    ShmCapacityError,
+)
+from repro.comm.shm_transport import (
+    CollectiveArena,
+    PickleStage,
+    SeqlockBuffer,
+    ShmInbox,
+    SlotRing,
+    split_pickle,
+)
 from repro.pool import WorkerPool
 
 pytestmark = [
@@ -412,6 +427,39 @@ class TestSharedFlatArray:
             name = seg.name
         with pytest.raises(FileNotFoundError):
             SharedFlatArray.attach(name, 4)
+
+
+def _stage_of(values):
+    return PickleStage("unit", split_pickle(values, min_bytes=0)[1])
+
+
+#: Every creator of a ``repro-*`` segment, by the kind it names.
+SEGMENT_CREATORS = {
+    "ring": lambda: SlotRing(0, 1, 0, slot_nbytes=1 << 16),
+    "inbox": lambda: ShmInbox.create(2),
+    "coll": lambda: CollectiveArena.create_or_attach(segment_name("coll"), 2, 1 << 14),
+    "snap": lambda: SeqlockBuffer.create(1 << 14, shared=True),
+    "flat": lambda: SharedFlatArray.create(1 << 14),
+    "stage": lambda: _stage_of(np.ones(1 << 14, dtype=np.float32)),
+}
+
+
+class TestCreateSegment:
+    @pytest.mark.parametrize("kind", sorted(SEGMENT_CREATORS))
+    def test_full_dev_shm_is_a_typed_error_not_a_sigbus(self, kind, nearly_full_dev_shm):
+        before = set(list_live_segments()) | set(registered_segments())
+        with nearly_full_dev_shm():
+            with pytest.raises(ShmCapacityError, match=repr(kind)) as ei:
+                SEGMENT_CREATORS[kind]()
+        assert ei.value.kind == kind
+        assert ei.value.needed > ei.value.free == os.statvfs("/dev/shm").f_frsize
+        assert isinstance(ei.value, OSError) and ei.value.errno == errno.ENOSPC
+        assert set(list_live_segments()) | set(registered_segments()) == before
+
+    def test_error_survives_the_trip_back_from_a_rank(self):
+        err = pickle.loads(pickle.dumps(ShmCapacityError("ring", 10, 5)))
+        assert (err.kind, err.needed, err.free) == ("ring", 10, 5)
+        assert "10 bytes needed, 5 free" in str(err)
 
 
 class TestBackendSelection:

@@ -12,6 +12,8 @@ Tier 2 (``slow``): most cases fork real worker processes.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import os
 import signal
@@ -22,7 +24,11 @@ import pytest
 from repro.algorithms.base import TrainerConfig
 from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
+from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
+from repro.algorithms.ps_runner import run_mpi_gossip, run_mpi_ps
 from repro.comm.mp_runtime import fork_available, RemoteRankError
+from repro.comm.runtime import MultiRankError
+from repro.comm.shm_lifecycle import registered_segments, ShmCapacityError
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_methods
 from repro.harness.sweeps import grid_sweep
@@ -100,6 +106,171 @@ def test_async_easgd_pooled_matches_cold(inputs, backend):
     assert _digest(cold.center) == _digest(pooled.center)
     assert [_digest(w) for w in cold.worker_weights] == \
         [_digest(w) for w in pooled.worker_weights]
+
+
+#: The five public rank programs a sweep launches (the spine's
+#: ``mlp-ranks-sweep`` set): name -> (launcher, ranks).
+SWEEP_PROGRAMS = {
+    "sync-easgd": (run_mpi_sync_easgd, 2),
+    "sync-sgd-ring": (lambda *a, **k: run_mpi_sync_sgd(*a, collective="ring", **k), 2),
+    "async-easgd": (run_mpi_async_easgd, 3),
+    "downpour": (lambda *a, **k: run_mpi_ps("downpour", *a, **k), 3),
+    "gossip": (run_mpi_gossip, 2),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.mp
+@needs_fork
+@pytest.mark.parametrize("program", sorted(SWEEP_PROGRAMS))
+def test_sweep_program_pooled_matches_cold_and_threads(inputs, program):
+    """One pool of three serves 2- and 3-rank cells whose template and
+    dataset arrive as read-only views of a per-cell stage: same weights as
+    a cold fork (inherited state) and as threads (shared state)."""
+    net, train, _ = inputs
+    run, ranks = SWEEP_PROGRAMS[program]
+
+    def weights(**launch):
+        return _sync_digests(run(net, train, ranks, ITERS, batch_size=BATCH, **launch))
+
+    cold = weights(backend="processes")
+    with WorkerPool(3) as pool:
+        assert weights(backend="processes", pool=pool) == cold
+        assert weights(backend="processes", pool=pool) == cold  # reused fabric
+    assert weights(backend="threads") == cold
+
+
+@pytest.mark.slow
+@pytest.mark.mp
+@needs_fork
+def test_dataset_mutated_between_pooled_launches_is_seen(inputs):
+    """The stage is per cell, not cached: no launch can read a stale copy."""
+    net, train, _ = inputs
+    train = dataclasses.replace(train, images=train.images.copy())
+    kw = dict(ranks=2, iterations=ITERS, batch_size=BATCH, backend="processes")
+    with WorkerPool(2) as pool:
+        first = run_mpi_sync_sgd(net, train, pool=pool, **kw)
+        train.images *= np.float32(0.5)
+        second = run_mpi_sync_sgd(net, train, pool=pool, **kw)
+    assert _digest(first.weights) != _digest(second.weights)
+    assert _digest(second.weights) == _digest(run_mpi_sync_sgd(net, train, **kw).weights)
+
+
+# ---------------------------------------------------------------------------
+# Staging: a launch ships a handle; the bulk is a read-only, per-cell segment
+# ---------------------------------------------------------------------------
+
+def _stages_in_shm():
+    return [n for n in _shm_listing() if "-stage-" in n]
+
+
+def _stage_probe_cell(ctx, *_bulk):
+    return _stages_in_shm()
+
+
+def _scribbling_cell(ctx, big):
+    big[0] = 1.0  # a pooled argument is shared, read-only state
+
+
+@pytest.mark.mp
+@needs_fork
+def test_bulk_is_staged_once_per_cell_and_unlinked_with_it():
+    big = np.ones(1 << 16, dtype=np.float32)
+    with WorkerPool(2) as pool:
+        # Nothing of at least DEFAULT_MIN_BYTES: no segment, nothing counted.
+        job = pool.submit(2, _stage_probe_cell, np.ones(8))
+        assert job.result() == [[], []] and job.stage is None
+        assert job.transport_stats["stage_bytes_copied"] == 0
+        job = pool.submit(2, _stage_probe_cell, big, big[:100])
+        seen = job.result()
+        assert seen[0] == seen[1] and len(seen[0]) == 1  # one segment, both ranks
+        assert job.transport_stats["stage_bytes_copied"] == big.nbytes  # not x ranks
+        assert _stages_in_shm() == []  # gone with the cell, not with the pool
+    assert registered_segments() == []
+
+
+@pytest.mark.mp
+@needs_fork
+def test_write_into_staged_argument_fails_by_rank_name():
+    big = np.zeros(1 << 16, dtype=np.float32)
+    with WorkerPool(2) as pool:
+        with pytest.raises(MultiRankError, match="read-only") as ei:
+            pool.run(2, _scribbling_cell, big)
+        assert set(ei.value.failures) == {0, 1}
+        assert _stages_in_shm() == []  # a failed cell's stage goes too
+        pool.reset()
+        assert pool.run(2, _sum_cell, big) == [0.0, 0.0]
+    assert big[0] == 0.0
+
+
+@pytest.mark.mp
+@needs_fork
+def test_stage_that_does_not_fit_fails_the_cell_not_the_pool(nearly_full_dev_shm):
+    big = np.ones(1 << 16, dtype=np.float32)
+    with WorkerPool(2) as pool:
+        with nearly_full_dev_shm():
+            with pytest.raises(ShmCapacityError, match="'stage'") as ei:
+                pool.run(2, _sum_cell, big)
+        assert ei.value.needed == big.nbytes and ei.value.free < big.nbytes
+        assert pool.run(2, _sum_cell, big) == [float(big.sum())] * 2
+    assert registered_segments() == []
+
+
+# ---------------------------------------------------------------------------
+# A cell owns its cores: pin + spin are decided per cell, at dispatch
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _usable_cores(limit):
+    """Run the body on at most ``limit`` cores (really: forked workers
+    inherit the mask); yields the cores in use."""
+    before = os.sched_getaffinity(0)
+    cores = sorted(before)[:limit]
+    os.sched_setaffinity(0, cores)
+    try:
+        yield cores
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+def _placement_cell(ctx, hold=0.0):
+    import time
+
+    time.sleep(hold)
+    return sorted(os.sched_getaffinity(0)), ctx._inboxes[ctx.rank].spin
+
+
+@pytest.mark.mp
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_pin_and_spin_are_decided_per_cell():
+    with _usable_cores(2) as cores, WorkerPool(3) as pool:
+        full = (cores, False)
+        two, three, after = (pool.run(n, _placement_cell) for n in (2, 3, 1))
+        jobs = [pool.submit(1, _placement_cell, 0.2) for _ in range(3)]
+        concurrent = [job.result()[0] for job in jobs]
+        pinned = pool.submit(2, _placement_cell)
+        pinned.wait()
+    if len(cores) < 2:
+        # One usable core: no cell of several ranks can own cores, every
+        # wait is on the doorbell (a lone 1-rank cell trivially fits).
+        assert two == [full] * 2 and three == [full] * 3
+        assert pinned.transport_stats["cell_pinned"] == 0
+        assert sum(spin for _, spin in concurrent) == 1
+        return
+    # Two ranks fit two cores: a core each, spinning — on a pool of three.
+    assert sorted(two) == [([cores[0]], True), ([cores[1]], True)]
+    assert pinned.transport_stats["cell_pinned"] == 2
+    # Three do not: nobody is pinned, everybody blocks on the doorbell — and
+    # the workers the pinned cell ran on have the full mask back.
+    assert three == [full] * 3
+    # One rank alone fits again.
+    assert after[0][1] and len(after[0][0]) == 1
+    # Three 1-rank cells at once: the first two leases fit and get distinct
+    # cores; the third does not and is left unpinned.
+    owners = [mask[0] for mask, spin in concurrent if spin]
+    assert len(owners) == len(set(owners)) == 2
+    assert concurrent.count(full) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +367,7 @@ def test_reset_empties_every_inbox_ring(inputs):
     assert _sync_digests(cold) == _sync_digests(pooled)
 
 
-def _sum_cell(ctx, big):
+def _sum_cell(ctx, big, _in_band=None):
     return float(big.sum())
 
 
@@ -204,13 +375,15 @@ def _sum_cell(ctx, big):
 @pytest.mark.mp
 @needs_fork
 def test_dispatch_to_dead_worker_fails_the_cell_not_the_caller():
-    """A work item bigger than a pipe buffer, sent to a worker that died
-    while idle, must come back as that rank's failure — not block submit."""
+    """A work item whose in-band pickle is bigger than a pipe buffer (and
+    whose bulk is staged), sent to a worker that died while idle, must come
+    back as that rank's failure — not block submit."""
     with WorkerPool(2, backend="processes", timeout=5.0) as pool:
         os.kill(pool._procs[1].pid, signal.SIGKILL)
-        big = np.ones(1 << 20, dtype=np.float32)  # 4 MB pickled per rank
+        big = np.ones(1 << 20, dtype=np.float32)  # 4 MB, staged for both ranks
         with pytest.raises(RemoteRankError, match="rank 1 process died"):
-            pool.run(2, _sum_cell, big)
+            pool.run(2, _sum_cell, big, list(range(100_000)))
+        assert _stages_in_shm() == []  # the broken cell's stage went with it
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.comm import (
 )
 from repro.comm.mp_runtime import fork_available
 from repro.comm.runtime import _payload_nbytes
+from repro.comm.shm_transport import PickleStage, split_pickle
 from repro.data.loader import BatchSampler
 from repro.data.synthetic import make_mnist_like
 from repro.nn.tensor_ops import col2im, im2col
@@ -238,6 +239,32 @@ class TestShmTransport:
             assert tp.stats["ring_allocs"] == 3
         finally:
             tp.close(unlink=True)
+
+
+class TestPickleStage:
+    def test_readers_view_the_bulk_in_place_and_cannot_write_it(self):
+        payload = ("fn", (np.arange(5000, dtype=np.float32),  # 20000 B: odd cache lines
+                          np.arange(4096, dtype=np.float64), np.ones(3)))
+        meta, bulk = split_pickle(payload)
+        assert len(bulk) == 2 and len(meta) < 1024  # the 24-byte array stays in band
+        stage = PickleStage("unit", bulk)
+        try:
+            assert stage.ref.nbytes == 20000 + 4096 * 8 and stage.ref.meta == b""
+            assert all(off % 64 == 0 for off, _ in stage.ref.buffers)
+            name, (a, b, c) = PickleStage.load(meta, stage.ref)
+        finally:
+            stage.unlink()
+        # The mapping outlives the unlink, for as long as the arrays do.
+        np.testing.assert_array_equal(a, payload[1][0])
+        np.testing.assert_array_equal(b, payload[1][1])
+        assert name == "fn" and not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        assert c.flags.writeable  # in band: an ordinary private array
+
+    def test_nothing_staged_is_a_plain_pickle(self):
+        meta, bulk = split_pickle(("fn", (1, 2)))
+        assert bulk == [] and PickleStage.load(meta, None) == ("fn", (1, 2))
 
 
 class TestTensorOpsOut:
