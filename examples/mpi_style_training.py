@@ -2,7 +2,7 @@
 """Message-passing Sync EASGD with real threads (the artifact's mpi_easgd).
 
 Runs Algorithm 4 over the in-process MPI-style runtime: one thread per
-rank, genuine send/recv through mailboxes, binomial-tree reduce/broadcast
+rank, genuine send/recv through inboxes, binomial-tree reduce/broadcast
 built on point-to-point messages. The same binomial association order as
 the simulator means the trajectory matches the simulated Sync EASGD
 trainer bit for bit — this script verifies that live.

@@ -37,6 +37,7 @@ from repro.comm.runtime import (
     InProcessCommunicator,
     MultiRankError,
     RankContext,
+    RankContextBase,
 )
 from repro.comm.shm_lifecycle import ShmCapacityError
 from repro.comm.shm_transport import (
@@ -74,6 +75,7 @@ __all__ = [
     "DeadlockError",
     "MultiRankError",
     "InProcessCommunicator",
+    "RankContextBase",
     "RankContext",
     "MpRankContext",
     "MultiprocessCommunicator",

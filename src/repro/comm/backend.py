@@ -50,21 +50,26 @@ def make_communicator(size: int, backend: str = "threads", **kwargs: Any):
     through pipes); the thread backend accepts the knob for interface
     parity but always passes payloads by reference. ``collective`` picks
     the allreduce schedule ("tree"/"ring"), honoured identically by
-    either backend. ``shm_slots`` is meaningless for threads and is
-    dropped rather than rejected, so one call site can serve both
-    backends.
+    either backend. ``None`` for ``transport`` or ``pool`` means the
+    backend's own default; a knob the backend lacks is refused by its
+    constructor.
 
     ``pool`` (a :class:`repro.pool.WorkerPool`) attaches the process
     backend to persistent pre-forked workers: ``run`` then dispatches to
     that pool instead of a private one built and closed per call —
-    amortized spin-up, identical numerics. Threads spin up cheaply, so
-    the knob is dropped there.
+    amortized spin-up, identical numerics. A pool of the other backend
+    raises rather than silently running unpooled; a ``threads`` pool holds
+    no workers, so thread ranks are spawned per ``run`` with or without it.
     """
     validate_backend(backend)
     if kwargs.get("transport", "") is None:
         kwargs.pop("transport")  # None = the backend's own default
-    if kwargs.get("pool", "") is None:
-        kwargs.pop("pool")
+    pool = kwargs.pop("pool", None)
+    if pool is not None and pool.backend != backend:
+        raise ValueError(
+            f"backend={backend!r} cannot run on a backend={pool.backend!r} pool; "
+            "pass the pool's backend or leave the pool out"
+        )
     if backend == "processes":
         if not fork_available():  # pragma: no cover - POSIX always has fork
             raise RuntimeError(
@@ -72,7 +77,5 @@ def make_communicator(size: int, backend: str = "threads", **kwargs: Any):
                 "this platform only offers "
                 f"{__import__('multiprocessing').get_all_start_methods()}"
             )
-        return MultiprocessCommunicator(size, **kwargs)
-    kwargs.pop("shm_slots", None)
-    kwargs.pop("pool", None)
-    return InProcessCommunicator(size, **kwargs)
+        return MultiprocessCommunicator(size, pool=pool, **kwargs)
+    return InProcessCommunicator(size, **kwargs)  # a threads pool: no workers to attach

@@ -11,21 +11,25 @@ independent cores with weight replicas in shared physical memory.
 
 Design:
 
-- :class:`MpRankContext` subclasses :class:`repro.comm.runtime.RankContextBase`,
-  so fault-plan sends, selective receives, trace emission, and — critically —
-  the binomial-tree collectives are *the same code* as the thread backend.
+- There is no process-specific rank context: a forked rank runs
+  :class:`repro.comm.runtime.RankContextBase`, so fault-plan sends,
+  selective receives, trace emission, and — critically — the
+  binomial-tree collectives are *the same code* as the thread backend.
   Identical tree association means identical floating-point results:
   ``threads`` and ``processes`` runs of the sync algorithms are bit-equal.
-- The fabric is one inbox per rank: under ``transport="shm"`` a
-  :class:`repro.comm.shm_transport.ShmInbox` — a shared-memory ring per
-  sender, polled without a syscall — and under ``transport="queue"`` a
-  ``multiprocessing.Queue``. Each child drains only its own inbox and
-  keeps a per-``(source, tag)`` stash for selective receive; both
-  inboxes preserve per-sender FIFO, matching the thread backend's
-  mailbox semantics.
-- The in-place allreduce (tree and ring) is :class:`RankContextBase`'s;
-  this module only binds its ``_arena_for`` hook to the shm
-  :class:`~repro.comm.shm_transport.CollectiveArena`.
+- The :class:`repro.pool.WorkerPool` worker hands that context this
+  substrate's fabric as data. One inbox per rank: under
+  ``transport="shm"`` a :class:`repro.comm.shm_transport.ShmInbox` — a
+  shared-memory ring per sender, polled without a syscall — and under
+  ``transport="queue"`` a ``multiprocessing.Queue``; both preserve
+  per-sender FIFO, like the thread backend's ``queue.Queue``. Under
+  ``shm`` also a codec, the worker's
+  :class:`~repro.comm.shm_transport.ShmTransport` (bulk bytes staged in
+  slot rings, descriptors in the inbox, every record materialized the
+  moment it comes off the inbox so a stashed one never pins a slot), and
+  an arena provider over named
+  :class:`~repro.comm.shm_transport.CollectiveArena` segments; under
+  ``queue`` neither, and every byte rides a pickled message.
 - Ranks are **forked**, never spawned, and there is one launch path:
   :meth:`MultiprocessCommunicator.run` always dispatches to a
   :class:`repro.pool.WorkerPool` — the attached one, or a private pool
@@ -56,32 +60,22 @@ the weight storage of the process-backed Hogwild store
 
 from __future__ import annotations
 
-from collections import deque
 import multiprocessing
 from multiprocessing import shared_memory
 import pickle
-import queue as _queue
 import time
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.collectives import validate_collective
 from repro.comm.runtime import (
     _DEFAULT_TIMEOUT,
-    DeadlockError,
+    CellOptions,
     MultiRankError,
     RankContextBase,
 )
 from repro.comm.shm_lifecycle import create_segment, unregister_segment
-from repro.comm.shm_transport import (
-    CollectiveArena,
-    DEFAULT_SLOTS,
-    INBOX_RING_BYTES,
-    RingBackpressureError,
-    ShmSlotRef,
-    validate_transport,
-)
+from repro.comm.shm_transport import DEFAULT_SLOTS, validate_transport
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 
@@ -223,7 +217,7 @@ def _shippable_exception(rank: int, exc: BaseException) -> BaseException:
 
 
 def run_rank_program(
-    ctx: "MpRankContext", fn: Callable[..., Any], args: Tuple[Any, ...]
+    ctx: RankContextBase, fn: Callable[..., Any], args: Tuple[Any, ...]
 ) -> Tuple[str, Any]:
     """Run ``fn(ctx, *args)`` and normalize the outcome for shipping.
 
@@ -248,7 +242,7 @@ def run_rank_program(
     return status, payload
 
 
-def emit_transport_marks(ctx: "MpRankContext", tstats: Dict[str, int]) -> None:
+def emit_transport_marks(ctx: RankContextBase, tstats: Dict[str, int]) -> None:
     """One instant mark per transport counter: bytes-on-wire vs
     bytes-copied become first-class trace facts."""
     if ctx.trace is None:
@@ -258,177 +252,10 @@ def emit_transport_marks(ctx: "MpRankContext", tstats: Dict[str, int]) -> None:
         ctx.trace.span("mark", ctx.rank, now, now, op=f"transport/{key}", value=float(val))
 
 
-class MpRankContext(RankContextBase):
-    """One rank's view of the multiprocess communicator.
-
-    Lives entirely inside the forked child. Unlike the thread backend's
-    shared communicator state, the fault log and trace are child-local —
-    the parent merges them after the run — so no cross-process locking
-    exists anywhere on the message path.
-
-    ``transport`` (a :class:`repro.comm.shm_transport.ShmTransport` over
-    :class:`~repro.comm.shm_transport.ShmInbox` inboxes, or None for
-    ``multiprocessing.Queue`` inboxes that pickle every payload whole)
-    intercepts the fabric at exactly two points: ``_deliver`` serializes
-    the payload once, stages its bulk into a shared-memory slot ring and
-    writes only the descriptor to the destination's inbox ring; ``_poll``
-    decodes descriptors the moment they come off the inbox — including
-    ones stashed for other channels, so an unconsumed stash entry can
-    never hold a ring slot hostage and backpressure a foreign channel.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        inboxes: List[Any],
-        timeout: float,
-        faults: Optional[FaultPlan],
-        max_retries: int,
-        retry_backoff: float,
-        start_time: float,
-        tracing: bool,
-        coll_prefix: str,
-        arena_cache: Dict[str, CollectiveArena],
-        transport: Optional[Any] = None,
-        collective: str = "tree",
-    ) -> None:
-        self.size = size
-        self.timeout = timeout
-        self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.collective = collective
-        self.fault_log = FaultLog()
-        self.trace: Optional[Trace] = Trace() if tracing else None
-        self._inboxes = inboxes
-        self._start = start_time
-        self._transport = transport
-        #: Arena names derive from this prefix, identical on every rank
-        #: of the cell, so the first arrival creates and the rest attach.
-        self._coll_prefix = coll_prefix
-        #: Collective arenas by segment name, created lazily on the first
-        #: ring allreduce of that shape. The dict belongs to the pool
-        #: worker and outlives this context, so consecutive cells recycle
-        #: one mapping; the worker reports the names for the parent to
-        #: unlink when the pool shuts down.
-        self._arenas = arena_cache
-        # Zero-copy receive plumbing for the in-place reduce fold.
-        self._view_ok = False
-        self._pending_release: Optional[Callable[[], None]] = None
-        # Selective receive: messages for channels nobody asked about yet.
-        self._stash: Dict[Tuple[int, int], Deque[Any]] = {}
-        self._init_rank_state(rank)
-
-    # -- fabric hooks -----------------------------------------------------------
-    def _deliver(self, dest: int, tag: int, payload: Any) -> None:
-        transport = self._transport
-        if transport is None:
-            self._inboxes[dest].put((self.rank, tag, payload))
-            return
-        try:
-            self._inboxes[dest].put((self.rank, tag, transport.pack(dest, tag, payload)))
-        except _queue.Full:
-            raise RingBackpressureError(
-                self.rank, dest, tag, self._inboxes[dest].timeout, INBOX_RING_BYTES
-            ) from None
-
-    def _decode(self, payload: Any, view: bool = False) -> Any:
-        """Materialize an inbox record back into its payload.
-
-        On the shm transport a record is a pickle: the payload's own, or
-        a slot-ring descriptor's. ``view=True`` (only ever set for the
-        channel actually being polled, never for stashed foreign
-        messages) defers a descriptor's private copy: the payload's
-        arrays view slot memory and the slot stays claimed until the
-        stored ``_pending_release`` runs.
-        """
-        transport = self._transport
-        if transport is None:
-            return payload
-        payload = pickle.loads(payload)
-        if isinstance(payload, ShmSlotRef):
-            if view:
-                payload, self._pending_release = transport.decode_view(payload)
-            else:
-                payload = transport.decode(payload)
-        return payload
-
-    def _recv_add(self, acc: np.ndarray, source: int, tag: int) -> None:
-        """In-place fold with the receive-side copy eliminated.
-
-        Over the shm transport the incoming buffer is read *directly from
-        the ring slot* into ``np.add`` — the reduce-only consumer never
-        materializes a private copy of the operand. The slot is handed
-        back to the sender only after the fold completes.
-        """
-        if self._transport is None:
-            super()._recv_add(acc, source, tag)
-            return
-        self._view_ok = True
-        try:
-            np.add(acc, self.recv(source, tag), out=acc)
-        finally:
-            self._view_ok = False
-            release, self._pending_release = self._pending_release, None
-            if release is not None:
-                release()
-
-    def _elapsed(self) -> float:
-        # CLOCK_MONOTONIC is system-wide on Linux, so child timestamps are
-        # directly comparable with the parent's (and each other's).
-        return time.monotonic() - self._start
-
-    def _poll(
-        self, source: int, tag: int, on_retry: Optional[Callable[[int], None]]
-    ) -> Any:
-        wanted = (source, tag)
-        stashed = self._stash.get(wanted)
-        if stashed:
-            return stashed.popleft()
-        inbox = self._inboxes[self.rank]
-        deadline = time.monotonic() + self.timeout
-        wait = min(0.05, self.timeout)
-        attempt = 0
-        while True:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining <= 0:
-                    # Final drain: anything already at the wire still wins.
-                    src, t, payload = inbox.get_nowait()
-                else:
-                    src, t, payload = inbox.get(timeout=min(wait, remaining))
-            except _queue.Empty:
-                if remaining <= 0:
-                    raise DeadlockError(self.rank, source, tag, self.timeout) from None
-                attempt += 1
-                if on_retry is not None:
-                    on_retry(attempt)
-                wait = min(wait * 2.0, 2.0)
-                continue
-            if (src, t) == wanted:
-                return self._decode(payload, view=self._view_ok)
-            # Decode *before* stashing: a descriptor parked here would pin
-            # its ring slot and could backpressure-deadlock the sender.
-            self._stash.setdefault((src, t), deque()).append(self._decode(payload))
-
-    # -- arena hooks (the schedules themselves live in RankContextBase) ----------
-    def _arena_for(self, tag: int, elems: int) -> Optional[CollectiveArena]:
-        if self._transport is None:
-            return None  # queue transport: every byte rides a message
-        name = f"{self._coll_prefix}-t{tag}-n{elems}"
-        arena = self._arenas.get(name)
-        if arena is None:
-            arena = self._arenas[name] = CollectiveArena.create_or_attach(
-                name, self.size, elems, timeout=self.timeout
-            )
-        return arena
-
-    def _count(self, key: str, n: int) -> None:
-        self._transport.stats[key] += n
+MpRankContext = RankContextBase  # the name this substrate's context used to have
 
 
-def _run_inherited(ctx: MpRankContext, payload: Tuple[Any, ...]) -> Any:
+def _run_inherited(ctx: RankContextBase, payload: Tuple[Any, ...]) -> Any:
     """Rank program of a cold run: unpack the fork-inherited ``(fn, args)``."""
     fn, args = payload
     return fn(ctx, *args)
@@ -462,14 +289,9 @@ class MultiprocessCommunicator:
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
+        #: The knobs of every cell this communicator runs, validated here.
+        self.options = CellOptions(timeout, faults, max_retries, retry_backoff, collective)
         validate_transport(transport)
-        validate_collective(collective)
         if shm_slots <= 0:
             raise ValueError("shm_slots must be positive")
         if not fork_available():
@@ -478,12 +300,6 @@ class MultiprocessCommunicator:
                 "use backend='threads' on this platform"
             )
         self.size = size
-        self.timeout = timeout
-        self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: Allreduce schedule ("tree"/"ring") — see RankContextBase.
-        self.collective = collective
         #: Message transport: "shm" (default) stages large array payloads
         #: through zero-copy slot rings; "queue" pickles every payload
         #: through the inbox pipes (the pre-transport behaviour). Numerics
@@ -509,8 +325,8 @@ class MultiprocessCommunicator:
         #: its forked workers, slot rings and collective arenas alive
         #: across ``run`` calls; without one every ``run`` builds and
         #: closes a private pool. Numerics are identical either way —
-        #: both are the same workers running the same
-        #: :class:`MpRankContext` code over the same fabric.
+        #: both are the same workers running the same rank context over
+        #: the same fabric.
         self._pool = pool
         if pool is not None:
             if size > pool.size:
@@ -519,11 +335,7 @@ class MultiprocessCommunicator:
                 )
             if pool.backend != "processes":
                 raise ValueError("MultiprocessCommunicator requires a processes pool")
-        self._start = time.monotonic()
-
-    def _elapsed(self) -> float:
-        """Wall seconds since the communicator was created."""
-        return time.monotonic() - self._start
+        self._start = time.monotonic()  # epoch of trace and log timestamps
 
     def close(self) -> None:
         """Release fabric resources (a cold run's pool is per-call and an
@@ -558,7 +370,7 @@ class MultiprocessCommunicator:
             # A cold run is a pool of one call, with (fn, args) as the
             # fork-inherited payload.
             pool = WorkerPool(
-                self.size, timeout=self.timeout, transport=self.transport,
+                self.size, timeout=self.options.timeout, transport=self.transport,
                 shm_slots=self.shm_slots, payload=(fn, args),
             )
             fn, args = _run_inherited, (POOL_PAYLOAD,)
@@ -566,13 +378,9 @@ class MultiprocessCommunicator:
             job = pool.submit(
                 self.size, fn, *args,
                 tracing=self.trace is not None,
-                faults=self.faults,
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
                 transport=self.transport,
-                collective=self.collective,
                 start_time=self._start,
+                **vars(self.options),
             )
             job.wait()
         finally:

@@ -1,11 +1,11 @@
-"""In-process MPI-style runtime: threads as ranks, queues as the fabric.
+"""In-process MPI-style runtime: one rank context, threads as ranks.
 
 The paper's artifact runs its distributed algorithms over MPI ("We use MPI
 for distributed processing on the KNL cluster / multi-GPU multi-node
 system"). This module is the offline substitute: an
 :class:`InProcessCommunicator` spawns one Python thread per rank and gives
-each a :class:`RankContext` with the familiar API — ``send``/``recv`` with
-source+tag matching, and collectives (``bcast``, ``reduce``,
+each a :class:`RankContextBase` with the familiar API — ``send``/``recv``
+with source+tag matching, and collectives (``bcast``, ``reduce``,
 ``allreduce``, ``barrier``) built *on top of* point-to-point messages with
 the same binomial-tree schedules as :mod:`repro.comm.collectives`, so the
 floating-point association (and hence bit-level results) matches the
@@ -16,19 +16,35 @@ cross thread boundaries, and a bug in the schedule deadlocks exactly as it
 would under MPI — surfacing as a :class:`DeadlockError` that names the
 waiting rank, the expected source, and the tag.
 
-The rank-side behaviour (fault-aware sends, selective receives, the tree
-collectives, trace emission) lives in :class:`RankContextBase`, which is
-fabric-independent: this module's :class:`RankContext` runs it over
-per-thread mailboxes, and :class:`repro.comm.mp_runtime.MpRankContext`
-runs the *same* code over real OS processes — the two backends therefore
-share one association order and one tag discipline by construction.
+:class:`RankContextBase` is the only rank context, on threads and on
+processes alike. A fabric is not a subclass but three constructor
+arguments:
+
+- ``inboxes``, one per rank: anything with ``put(record)``,
+  ``get(timeout)`` and ``get_nowait()`` that raises :class:`queue.Empty`
+  and keeps per-sender FIFO order — ``queue.Queue`` here,
+  ``multiprocessing.Queue`` or ``ShmInbox`` between processes. A record
+  is ``(source, tag, payload)``; a rank drains only its own inbox and
+  stashes what it was not asked for yet (:meth:`RankContextBase._poll`,
+  the one selective-receive loop).
+- ``codec``: ``None`` when payloads cross the inbox as they are (by
+  reference here, pickled whole by a ``multiprocessing.Queue``), else an
+  object whose ``pack``/``unpack`` turn a payload into the bytes a record
+  carries and back (the shm transport).
+- ``arenas``: ``None``, or a callable ``(tag, elems)`` returning the shared
+  float32 rows an allreduce folds in place — heap rows here, a named shm
+  segment between processes.
+
+Everything above those three exists once, so every substrate shares one
+association order and one tag discipline by construction. The per-cell
+knobs are one validated record, :class:`CellOptions`.
 
 Collective tag space
 --------------------
 Every collective's internal phases derive their wire tags from the user
 tag by adding multiples of :data:`COLLECTIVE_TAG_STRIDE`, so no two
 collectives (or a collective phase and a user point-to-point tag) can
-ever share a mailbox channel. Historically ``allreduce(tag=103)`` ran its
+ever share a channel. Historically ``allreduce(tag=103)`` ran its
 broadcast phase on ``tag + 1 = 104`` — exactly ``barrier``'s default
 reduce tag — so interleaved ``allreduce()`` + ``barrier()`` calls on one
 communicator could cross-match messages. The partition makes that
@@ -48,10 +64,12 @@ to the communicator's :class:`repro.faults.FaultLog`.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +80,7 @@ from repro.trace.events import Trace
 __all__ = [
     "COLLECTIVE_TAG_STRIDE",
     "collective_wire_tags",
+    "CellOptions",
     "RankContextBase",
     "RankContext",
     "InProcessCommunicator",
@@ -233,114 +252,170 @@ def _rebuild_multi_rank_error(failures: List[Tuple[int, BaseException]]) -> "Mul
     return MultiRankError.aggregate(failures)
 
 
-class _Mailbox:
-    """Per-rank mailbox with (source, tag) selective receive."""
+@dataclass(frozen=True)
+class CellOptions:
+    """The per-cell knobs of a rank program, checked in this one place.
 
-    def __init__(self) -> None:
-        self._queues: Dict[Tuple[int, int], "queue.Queue[Any]"] = {}
-        self._lock = threading.Lock()
+    ``timeout`` is the per-``recv`` deadlock budget, ``faults`` makes the
+    links unreliable per the plan, ``max_retries`` and ``retry_backoff``
+    govern the sender's retransmissions, ``collective`` picks the
+    allreduce schedule. Both communicators and
+    :meth:`repro.pool.WorkerPool.submit` build one from their arguments.
+    """
 
-    def _queue_for(self, source: int, tag: int) -> "queue.Queue[Any]":
-        with self._lock:
-            key = (source, tag)
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.Queue()
-            return q
+    timeout: float = _DEFAULT_TIMEOUT
+    faults: Optional[FaultPlan] = None
+    max_retries: int = 8
+    retry_backoff: float = 0.001
+    collective: str = "tree"
 
-    def put(self, source: int, tag: int, payload: Any) -> None:
-        self._queue_for(source, tag).put(payload)
-
-    def get(
-        self,
-        rank: int,
-        source: int,
-        tag: int,
-        timeout: float,
-        on_retry: Optional[Callable[[int], None]] = None,
-    ) -> Any:
-        """Blocking selective receive with exponential-backoff polling.
-
-        Waits in growing slices (so a transiently dropped-and-retransmitted
-        message is picked up shortly after redelivery); raises
-        :class:`DeadlockError` naming ``(rank, source, tag)`` once the
-        total ``timeout`` budget is spent — never a bare
-        :class:`queue.Empty`, which used to leak the internal queue
-        abstraction to callers racing collectives under fault plans.
-        A message that lands exactly as the budget expires is still
-        drained by a final non-blocking poll before the error is raised,
-        so a delivery racing the deadline wins instead of deadlocking.
-        ``on_retry`` is invoked with the attempt number after each empty
-        slice — the hook the communicator uses for fault logging.
-        """
-        q = self._queue_for(source, tag)
-        deadline = time.monotonic() + timeout
-        wait = min(0.05, timeout)
-        attempt = 0
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                try:
-                    return q.get_nowait()  # the race: delivered at the wire
-                except queue.Empty:
-                    raise DeadlockError(rank, source, tag, timeout) from None
-            try:
-                return q.get(timeout=min(wait, remaining))
-            except queue.Empty:
-                attempt += 1
-                if on_retry is not None:
-                    on_retry(attempt)
-                wait = min(wait * 2.0, 2.0)
+    def __post_init__(self) -> None:
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if self.retry_backoff <= 0:
+            raise ValueError("retry_backoff must be positive")
+        validate_collective(self.collective)
 
 
 class RankContextBase:
-    """One rank's view of a communicator, independent of the fabric.
+    """One rank's view of a communicator, over any fabric.
 
-    Subclasses bind the fabric by implementing three hooks —
-    ``_deliver(dest, tag, payload)`` (enqueue at the destination),
-    ``_poll(source, tag, on_retry)`` (blocking selective receive that
-    raises :class:`DeadlockError` on budget exhaustion), and
-    ``_elapsed()`` (seconds on the communicator's clock) — and by
-    exposing the knobs ``size``, ``timeout``, ``faults``, ``fault_log``,
-    ``max_retries``, ``retry_backoff``, and ``trace`` as attributes or
-    properties. Everything above those hooks (fault-plan sends, trace
-    emission, and the binomial-tree collectives with their association
-    order) is shared, which is what keeps the ``threads`` and
-    ``processes`` backends bit-identical.
+    ``inboxes`` (one per rank of the cell), ``codec`` and ``arenas`` are
+    the fabric (see the module docstring); an arena is an object with
+    ``rows[P]`` and ``result``, float32. Everything else — fault-plan
+    sends, selective receive, trace emission, the tree and ring schedules
+    and their arena variants — is this class, which is what keeps the
+    ``threads`` and ``processes`` backends bit-identical.
 
-    Two optional hooks bind the in-place allreduce: ``_arena_for(tag,
-    elems)`` returns the fabric's shared rows for that channel (an object
-    with ``rows[P]`` and ``result``, float32) or ``None`` when the fabric
-    has none, and ``_count(key, n)`` feeds the fabric's transport counters.
-    Both arena schedules — tree and ring — live here, once.
+    ``fault_log`` and ``trace`` are where this rank records: the
+    communicator's own between threads, rank-local ones in a forked rank
+    (the parent merges them after the run), so nothing on the message
+    path takes a cross-process lock. ``start`` is the epoch of
+    :meth:`_elapsed`.
+
+    ``collective`` is "tree" (binomial, log P full-buffer rounds) or
+    "ring" (reduce-scatter + allgather, 2(P-1) rounds of n/P shards).
+    Both produce bitwise-identical sums; see ``allreduce`` for when the
+    ring dispatch falls back to the tree.
     """
 
-    rank: int
-    size: int
-
-    #: Allreduce schedule: "tree" (binomial, log P full-buffer rounds) or
-    #: "ring" (reduce-scatter + allgather, 2(P-1) rounds of n/P shards).
-    #: Both produce bitwise-identical sums; see ``allreduce`` for when the
-    #: ring dispatch falls back to the tree.
-    collective: str = "tree"
-
-    def _init_rank_state(self, rank: int) -> None:
+    def __init__(
+        self,
+        rank: int,
+        inboxes: List[Any],
+        options: CellOptions,
+        *,
+        fault_log: FaultLog,
+        trace: Optional[Trace],
+        start: float,
+        codec: Optional[Any] = None,
+        arenas: Optional[Callable[[int, int], Any]] = None,
+    ) -> None:
         self.rank = rank
+        self.size = len(inboxes)
+        self.timeout = options.timeout
+        self.faults = options.faults
+        self.max_retries = options.max_retries
+        self.retry_backoff = options.retry_backoff
+        self.collective = options.collective
+        self.fault_log = fault_log
+        self.trace = trace
+        self._inboxes = inboxes
+        self._codec = codec
+        self._arenas = arenas
+        self._start = start
+        # Selective receive: messages for channels nobody asked about yet.
+        self._stash: Dict[Tuple[int, int], Deque[Any]] = {}
+        # Zero-copy receive plumbing for the in-place reduce fold.
+        self._view_ok = False
+        self._pending_release: Optional[Callable[[], None]] = None
         self._send_seq: Dict[Tuple[int, int], int] = {}
         #: Rank programs may set this so trace events carry iteration ids.
         self.trace_iteration = -1
         self._trace_op = ""  # label for p2p events inside a collective
         self._trace_round = -1
 
-    # -- fabric hooks (subclass responsibility) --------------------------------
+    # -- the fabric: deliver, poll, clock ---------------------------------------
     def _deliver(self, dest: int, tag: int, payload: Any) -> None:
-        raise NotImplementedError
+        """Enqueue at ``dest``. A codec serializes the payload once, stages
+        its bulk out of band and leaves only the descriptor for the inbox."""
+        codec = self._codec
+        if codec is None:
+            self._inboxes[dest].put((self.rank, tag, payload))
+            return
+        try:
+            self._inboxes[dest].put((self.rank, tag, codec.pack(dest, tag, payload)))
+        except queue.Full:  # only a bounded inbox fills
+            raise codec.backpressure(self.rank, dest, tag) from None
+
+    def _decode(self, record: Any, view: bool = False) -> Any:
+        """Materialize an inbox record back into its payload.
+
+        ``view=True`` (only ever set for the channel actually being
+        polled, never for stashed foreign messages) lets the codec defer
+        its private copy: the payload's arrays then view fabric memory,
+        which stays claimed until the stored ``_pending_release`` runs.
+        """
+        codec = self._codec
+        if codec is None:
+            return record
+        payload, release = codec.unpack(record, view)
+        if release is not None:
+            self._pending_release = release
+        return payload
 
     def _poll(self, source: int, tag: int, on_retry: Optional[Callable[[int], None]]) -> Any:
-        raise NotImplementedError
+        """Blocking selective receive with exponential-backoff polling.
+
+        Drains this rank's inbox, stashing what belongs to other
+        ``(source, tag)`` channels, until the wanted message arrives.
+        Waits in growing slices (so a transiently dropped-and-retransmitted
+        message is picked up shortly after redelivery); raises
+        :class:`DeadlockError` naming ``(rank, source, tag)`` once the
+        total ``timeout`` budget is spent — never a bare
+        :class:`queue.Empty`, which would leak the inbox abstraction to
+        callers racing collectives under fault plans. A message that
+        lands exactly as the budget expires is still drained by a final
+        non-blocking poll before the error is raised, so a delivery
+        racing the deadline wins instead of deadlocking. ``on_retry`` is
+        invoked with the attempt number after each empty slice — the
+        hook ``recv`` uses for fault logging.
+        """
+        wanted = (source, tag)
+        stashed = self._stash.get(wanted)
+        if stashed:
+            return stashed.popleft()
+        inbox = self._inboxes[self.rank]
+        deadline = time.monotonic() + self.timeout
+        wait = min(0.05, self.timeout)
+        attempt = 0
+        while True:
+            remaining = deadline - time.monotonic()
+            try:
+                if remaining <= 0:
+                    src, t, record = inbox.get_nowait()  # the race: delivered at the wire
+                else:
+                    src, t, record = inbox.get(timeout=min(wait, remaining))
+            except queue.Empty:
+                if remaining <= 0:
+                    raise DeadlockError(self.rank, source, tag, self.timeout) from None
+                attempt += 1
+                if on_retry is not None:
+                    on_retry(attempt)
+                wait = min(wait * 2.0, 2.0)
+                continue
+            if (src, t) == wanted:
+                return self._decode(record, view=self._view_ok)
+            # Decode *before* stashing: a descriptor parked here would pin
+            # its ring slot and could backpressure-deadlock the sender.
+            self._stash.setdefault((src, t), deque()).append(self._decode(record))
 
     def _elapsed(self) -> float:
-        raise NotImplementedError
+        # CLOCK_MONOTONIC is system-wide on Linux, so timestamps from rank
+        # processes are directly comparable with the parent's (and each other's).
+        return time.monotonic() - self._start
 
     # -- point to point --------------------------------------------------------
     def _next_seq(self, dest: int, tag: int) -> int:
@@ -458,14 +533,21 @@ class RankContextBase:
         """Receive an array and fold it into ``acc`` in place.
 
         ``np.add(acc, x, out=acc)`` is the same ufunc as ``acc + x`` — the
-        association (and hence the bits) is unchanged — but the fold no
-        longer materializes a fresh sum array per edge. Fabrics override
-        this to also skip the receive-side private copy: the thread
-        backend already adds straight from the sender's buffer, and the
-        shm transport adds straight from the slot bytes
-        (:meth:`repro.comm.mp_runtime.MpRankContext._recv_add`).
+        association (and hence the bits) is unchanged — but the fold
+        materializes no fresh sum array per edge, and no receive-side
+        private copy of the operand either: between threads it is the
+        sender's own buffer, and a codec may hand out a view of fabric
+        memory (the shm transport: the ring slot itself), which goes back
+        to the sender only after the fold completes.
         """
-        np.add(acc, self.recv(source, tag), out=acc)
+        self._view_ok = True
+        try:
+            np.add(acc, self.recv(source, tag), out=acc)
+        finally:
+            self._view_ok = False
+            release, self._pending_release = self._pending_release, None
+            if release is not None:
+                release()
 
     def bcast(self, payload: Any, root: int = 0, tag: int = 101) -> Any:
         """Broadcast from ``root``; every rank returns the payload."""
@@ -618,15 +700,11 @@ class RankContextBase:
         return out.reshape(arr.shape)
 
     # -- arena allreduce: folds in place in shared rows, tokens on the fabric ----
-    def _arena_for(self, tag: int, elems: int) -> Optional[Any]:
-        """Fabric hook: the shared rows behind ``allreduce(tag)`` of
-        ``elems`` float32 — ``rows[q]`` per rank plus ``result`` — or
-        ``None`` on a fabric without shared collective storage."""
-        return None
-
     def _count(self, key: str, n: int) -> None:
-        """Fabric hook: add ``n`` to transport counter ``key`` (a fabric
-        that keeps no counters ignores it)."""
+        """Add ``n`` to the codec's transport counter ``key`` (a fabric
+        without a codec keeps no counters)."""
+        if self._codec is not None:
+            self._codec.stats[key] += n
 
     def _collective_arena(
         self, tag: int, elems: int, dtype: Any = np.float32, contiguous: bool = True
@@ -644,7 +722,7 @@ class RankContextBase:
         reach the same verdict, so (as under MPI) all ranks pass buffers
         of one size, dtype and layout.
         """
-        if self.size == 1 or self.faults is not None:
+        if self._arenas is None or self.size == 1 or self.faults is not None:
             return None
         if dtype != np.float32 or not contiguous:
             return None
@@ -653,7 +731,7 @@ class RankContextBase:
                 return None
         elif 4 * elems < DEFAULT_MIN_BYTES:
             return None
-        return self._arena_for(tag, int(elems))
+        return self._arenas(tag, int(elems))
 
     def _token_out(self, dest: int, tag: int, nbytes: int, rnd: int) -> None:
         """Send one arena token and trace the *logical* message it stands for.
@@ -840,57 +918,7 @@ class RankContextBase:
         self.allreduce(np.zeros(1, dtype=np.float32), tag=tag + 3 * COLLECTIVE_TAG_STRIDE)
 
 
-class RankContext(RankContextBase):
-    """One rank's view of the in-process (threaded) communicator."""
-
-    def __init__(self, comm: "InProcessCommunicator", rank: int) -> None:
-        self.comm = comm
-        self.size = comm.size
-        self._init_rank_state(rank)
-
-    # -- knobs delegated to the shared communicator ------------------------------
-    @property
-    def faults(self) -> Optional[FaultPlan]:
-        return self.comm.faults
-
-    @property
-    def fault_log(self) -> FaultLog:
-        return self.comm.fault_log
-
-    @property
-    def trace(self) -> Optional[Trace]:
-        return self.comm.trace
-
-    @property
-    def timeout(self) -> float:
-        return self.comm.timeout
-
-    @property
-    def max_retries(self) -> int:
-        return self.comm.max_retries
-
-    @property
-    def retry_backoff(self) -> float:
-        return self.comm.retry_backoff
-
-    @property
-    def collective(self) -> str:
-        return self.comm.collective
-
-    # -- fabric hooks -----------------------------------------------------------
-    def _deliver(self, dest: int, tag: int, payload: Any) -> None:
-        self.comm._mailboxes[dest].put(self.rank, tag, payload)
-
-    def _poll(self, source: int, tag: int, on_retry: Optional[Callable[[int], None]]) -> Any:
-        return self.comm._mailboxes[self.rank].get(
-            self.rank, source, tag, self.comm.timeout, on_retry
-        )
-
-    def _elapsed(self) -> float:
-        return self.comm._elapsed()
-
-    def _arena_for(self, tag: int, elems: int) -> "_HeapArena":
-        return self.comm._arena(tag, elems)
+RankContext = RankContextBase  # the name the thread substrate's context used to have
 
 
 class _HeapArena:
@@ -907,10 +935,11 @@ class _HeapArena:
 class InProcessCommunicator:
     """Spawn ``size`` rank threads and run a function on each.
 
-    ``timeout`` is the per-``recv`` deadlock budget (configurable per
-    communicator instead of the old hardcoded module constant). ``faults``
-    makes the fabric unreliable per the plan; ``max_retries`` and
-    ``retry_backoff`` govern the sender's retransmission policy.
+    The thread substrate of :class:`RankContextBase`: a ``queue.Queue``
+    inbox per rank (payloads cross by reference — already zero-copy, so
+    no codec) and heap arena rows. ``timeout``, ``faults``,
+    ``max_retries``, ``retry_backoff`` and ``collective`` are the
+    :class:`CellOptions` of every ``run``.
     """
 
     backend = "threads"
@@ -928,28 +957,16 @@ class InProcessCommunicator:
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
+        self.options = CellOptions(timeout, faults, max_retries, retry_backoff, collective)
         if transport is not None:
             # Late import: shm_transport depends on this module.
             from repro.comm.shm_transport import validate_transport
 
             validate_transport(transport)
-        validate_collective(collective)
-        # Thread mailboxes pass payloads by reference — already zero-copy —
-        # so "shm" is accepted for interface parity but coerced: there is
-        # exactly one (optimal) transport on this backend.
+        # By-reference inboxes are the one (optimal) transport on this
+        # backend: "shm" is accepted for interface parity but coerced.
         self.transport = "queue"
         self.size = size
-        self.timeout = timeout
-        self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.collective = collective
         #: When set, every send/recv/collective records a TraceEvent here
         #: (wall-clock spans). None = tracing off, zero overhead.
         self.trace = trace
@@ -960,17 +977,15 @@ class InProcessCommunicator:
             trace.meta.setdefault("collective", collective)
         #: Drops, retransmissions, delays, and lost messages land here.
         self.fault_log = FaultLog()
-        self._mailboxes = [_Mailbox() for _ in range(size)]
+        #: The inboxes are the communicator's, not a run's: a message no
+        #: rank received is still there for the next ``run``.
+        self._inboxes: List["queue.Queue[Any]"] = [queue.Queue() for _ in range(size)]
         #: Arena rows by ``(tag, elems)``, built on first use and kept for
         #: the communicator's life: their pages are faulted in once, not
         #: per allreduce.
         self._arenas: Dict[Tuple[int, int], _HeapArena] = {}
         self._arena_lock = threading.Lock()
-        self._start = time.monotonic()
-
-    def _elapsed(self) -> float:
-        """Wall seconds since the communicator was created (log timestamps)."""
-        return time.monotonic() - self._start
+        self._start = time.monotonic()  # epoch of trace and log timestamps
 
     def _arena(self, tag: int, elems: int) -> _HeapArena:
         arena = self._arenas.get((tag, elems))
@@ -998,7 +1013,11 @@ class InProcessCommunicator:
 
         def runner(rank: int) -> None:
             try:
-                results[rank] = fn(RankContext(self, rank), *args)
+                ctx = RankContextBase(
+                    rank, self._inboxes, self.options, fault_log=self.fault_log,
+                    trace=self.trace, start=self._start, arenas=self._arena,
+                )
+                results[rank] = fn(ctx, *args)
             except BaseException as exc:
                 errors.append((rank, exc))
 

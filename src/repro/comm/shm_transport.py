@@ -428,9 +428,10 @@ class ShmTransport:
     One instance lives in each rank process. :meth:`pack` serializes a
     payload once into the bytes its inbox record carries — the payload's
     own pickle when it is small, else a pickled :class:`ShmSlotRef` naming
-    the slot its bulk bytes were staged into; :meth:`decode` (or
-    :meth:`decode_view`) reconstructs a payload from a descriptor popped
-    off the inbox. ``stats`` counts both paths so traces can report
+    the slot its bulk bytes were staged into; :meth:`unpack` turns a record
+    popped off the inbox back into the payload, through :meth:`decode` (or
+    :meth:`decode_view`) when it is a descriptor. That pair is the ``codec``
+    of a rank context. ``stats`` counts both paths so traces can report
     bytes-on-wire (descriptor pickles) versus bytes-copied (slot memcpys);
     the rank's :class:`ShmInbox` and the arena collectives count into the
     same dict.
@@ -605,6 +606,26 @@ class ShmTransport:
 
         return payload, release
 
+    def unpack(
+        self, record: bytes, view: bool = False
+    ) -> Tuple[Any, Optional[Callable[[], None]]]:
+        """The inverse of :meth:`pack`: ``(payload, release)`` of an inbox
+        record. A descriptor goes through :meth:`decode`, or with
+        ``view=True`` through :meth:`decode_view`, whose ``release`` is
+        handed on; otherwise ``release`` is None and nothing of the
+        payload aliases ring memory."""
+        payload = pickle.loads(record)
+        if not isinstance(payload, ShmSlotRef):
+            return payload, None
+        if view:
+            return self.decode_view(payload)
+        return self.decode(payload), None
+
+    def backpressure(self, rank: int, dest: int, tag: int) -> RingBackpressureError:
+        """The error of cell rank ``rank``'s send that found its ring in
+        ``dest``'s :class:`ShmInbox` full for this transport's timeout."""
+        return RingBackpressureError(rank, dest, tag, self.timeout, INBOX_RING_BYTES)
+
     # -- lifecycle -------------------------------------------------------------
     def ring_names(self) -> List[str]:
         """Names of every segment this rank created (for parent cleanup)."""
@@ -625,7 +646,7 @@ class ShmTransport:
 class ShmInbox:
     """One rank's message inbox: a byte ring per source in one shm segment.
 
-    What ``multiprocessing.Queue`` was to :class:`MpRankContext` — ``put``,
+    What ``multiprocessing.Queue`` is to a rank context — ``put``,
     ``get(timeout)``, ``get_nowait`` — without the pickle-to-a-feeder-thread,
     the pipe, the reader lock and the two ``poll`` syscalls per message.
     The pool parent creates one per rank before forking; children inherit

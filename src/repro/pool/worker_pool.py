@@ -36,8 +36,10 @@ Design:
   spin before they block; otherwise its ranks run on the full mask and
   block on the doorbell. The verdict is per cell, so a two-rank cell on
   a three-worker pool on two cores is pinned and spinning.
-- Each cell gets a **fresh** :class:`~repro.comm.mp_runtime.MpRankContext`
-  (fresh stashes, sequence counters, RNG-free) over the recycled fabric,
+- Each cell gets a **fresh** :class:`~repro.comm.runtime.RankContextBase`
+  (fresh stashes, sequence counters, RNG-free) over the recycled fabric —
+  the cell's inboxes, the worker's transport as its codec, and a by-name
+  arena provider over the worker's arena cache —
   so numerics derive only from the cell's arguments and seeds: a pooled
   cell is bit-identical to a cold-spawn run of the same program.
 - :meth:`reset` is the explicit hygiene barrier: workers drain their
@@ -71,6 +73,7 @@ scheduler's code path).
 
 from __future__ import annotations
 
+from functools import partial
 import multiprocessing
 import os
 import queue as _queue
@@ -80,13 +83,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import uuid
 
 from repro.comm.mp_runtime import (
-    MpRankContext,
     RemoteRankError,
     emit_transport_marks,
     fork_available,
     run_rank_program,
 )
-from repro.comm.runtime import _DEFAULT_TIMEOUT, InProcessCommunicator, MultiRankError
+from repro.comm.runtime import (
+    _DEFAULT_TIMEOUT,
+    CellOptions,
+    InProcessCommunicator,
+    MultiRankError,
+    RankContextBase,
+)
 from repro.comm.shm_lifecycle import (
     adopt_owner_pid,
     list_live_segments,
@@ -105,7 +113,7 @@ from repro.comm.shm_transport import (
     split_pickle,
     validate_transport,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 
 __all__ = ["POOL_PAYLOAD", "PoolJob", "WorkerPool"]
@@ -140,13 +148,33 @@ POOL_PAYLOAD = _PayloadSentinel()
 
 
 def _run_work(
-    ctx: MpRankContext, work: bytes, stage: Optional[ShmSlotRef], payload: Any
+    ctx: RankContextBase, work: bytes, stage: Optional[ShmSlotRef], payload: Any
 ) -> Any:
     """What every pooled rank runs: unpickle the dispatch's one work item —
     its bulk viewing the cell's stage — and call it. Inside the rank
     program, so a work item that will not load fails its rank by name."""
     fn, args = PickleStage.load(work, stage)
     return fn(ctx, *(payload if a is POOL_PAYLOAD else a for a in args))
+
+
+def _cell_arena(
+    cache: Dict[str, CollectiveArena], prefix: str, nranks: int, timeout: float,
+    tag: int, elems: int,
+) -> CollectiveArena:
+    """The arena behind a cell's ``allreduce(tag)`` of ``elems`` float32.
+
+    Every rank of the cell derives the same name, so the first arrival
+    creates and the rest attach. ``cache`` is the worker's and outlives the
+    cell: consecutive cells recycle one mapping, and the worker reports
+    the names for the parent to unlink when the pool shuts down.
+    """
+    name = f"{prefix}-t{tag}-n{elems}"
+    arena = cache.get(name)
+    if arena is None:
+        arena = cache[name] = CollectiveArena.create_or_attach(
+            name, nranks, elems, timeout=timeout
+        )
+    return arena
 
 
 class PoolJob:
@@ -225,6 +253,10 @@ class WorkerPool:
         if backend not in ("threads", "processes"):
             raise ValueError(f"unknown backend {backend!r}")
         validate_transport(transport)
+        if shm_slots <= 0:
+            # Here, not in the worker's ShmTransport: a constructor that
+            # raises inside the worker loop kills every leased worker.
+            raise ValueError("shm_slots must be positive")
         self.size = size
         self.backend = backend
         self.timeout = timeout
@@ -339,6 +371,17 @@ class WorkerPool:
         for j in range(base, base + nranks):
             self._free[j] = True
 
+    def _lease_locked(self, nranks: int) -> PoolJob:
+        """Wait for a free block of ``nranks`` workers and lease it to a new job."""
+        self._check_usable()
+        base = self._allocate(nranks)
+        while base < 0:
+            self._cond.wait()
+            self._check_usable()
+            base = self._allocate(nranks)
+        self._next_job += 1
+        return PoolJob(self._next_job, base, nranks)
+
     def _check_usable(self) -> None:
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -368,13 +411,13 @@ class WorkerPool:
         """
         if not 0 < nranks <= self.size:
             raise ValueError(f"cell needs 1..{self.size} ranks, got {nranks}")
-        timeout = self.timeout if timeout is None else timeout
+        # Validated before a worker is leased: a bad knob must not cost a cell.
+        options = CellOptions(
+            self.timeout if timeout is None else timeout,
+            faults, max_retries, retry_backoff, collective,
+        )
         if self.backend == "threads":
-            return self._submit_threads(
-                nranks, fn, args, tracing=tracing, faults=faults, timeout=timeout,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                collective=collective,
-            )
+            return self._submit_threads(nranks, fn, args, tracing, options)
         if transport not in (None, self.transport):
             # The inboxes were built before the workers forked.
             raise ValueError(
@@ -392,15 +435,9 @@ class WorkerPool:
                 f"picklable args; use POOL_PAYLOAD for inherited state): {exc}"
             ) from None
         with self._cond:
-            self._check_usable()
-            base = self._allocate(nranks)
-            while base < 0:
-                self._cond.wait()
-                self._check_usable()
-                base = self._allocate(nranks)
-            self._next_job += 1
-            job = PoolJob(self._next_job, base, nranks)
-            job.patience = timeout + _COLLECT_GRACE
+            job = self._lease_locked(nranks)
+            base = job.base
+            job.patience = options.timeout + _COLLECT_GRACE
             if self._free.count(False) <= self._ncores:
                 job.cores = [self._free_cores.pop(0) for _ in range(nranks)]
             self._jobs[job.job_id] = job
@@ -414,22 +451,14 @@ class WorkerPool:
                 with self._cond:
                     self._finish_job_locked(job)
                 raise
-        opts = {
-            "tracing": tracing,
-            "faults": faults,
-            "timeout": timeout,
-            "max_retries": max_retries,
-            "retry_backoff": retry_backoff,
-            "collective": collective,
-            "start_time": self._start if start_time is None else start_time,
-            "coll_prefix": f"{self._coll_stem}b{base}x{nranks}",
-        }
+        start = self._start if start_time is None else start_time
         stage = None if job.stage is None else job.stage.ref
         for cell_rank in range(nranks):
             core = job.cores[cell_rank] if job.cores else None
             self._dispatch(
                 base + cell_rank,
-                ("job", job.job_id, base, nranks, cell_rank, core, stage, opts),
+                ("job", job.job_id, base, nranks, cell_rank, core, stage,
+                 tracing, options, start),
                 work,
             )
         return job
@@ -455,9 +484,8 @@ class WorkerPool:
         return self.submit(nranks, fn, *args, **opts).result()
 
     def _submit_threads(
-        self, nranks: int, fn: Callable[..., Any], args: Tuple[Any, ...], *,
-        tracing: bool, faults: Optional[FaultPlan], timeout: float,
-        max_retries: int, retry_backoff: float, collective: str,
+        self, nranks: int, fn: Callable[..., Any], args: Tuple[Any, ...],
+        tracing: bool, options: CellOptions,
     ) -> PoolJob:
         """Thread-backend cell: an InProcessCommunicator on a driver thread.
 
@@ -465,23 +493,13 @@ class WorkerPool:
         ``P_max`` ranks and present the same handle/packing surface.
         """
         with self._cond:
-            self._check_usable()
-            base = self._allocate(nranks)
-            while base < 0:
-                self._cond.wait()
-                self._check_usable()
-                base = self._allocate(nranks)
-            self._next_job += 1
-            job = PoolJob(self._next_job, base, nranks)
+            job = self._lease_locked(nranks)
             self._jobs[job.job_id] = job
         cell_args = tuple(self.payload if a is POOL_PAYLOAD else a for a in args)
         trace = Trace() if tracing else None
 
         def drive() -> None:
-            comm = InProcessCommunicator(
-                nranks, timeout=timeout, faults=faults, max_retries=max_retries,
-                retry_backoff=retry_backoff, trace=trace, collective=collective,
-            )
+            comm = InProcessCommunicator(nranks, trace=trace, **vars(options))
             try:
                 job.results = comm.run(fn, *cell_args)
             except BaseException as exc:
@@ -490,7 +508,7 @@ class WorkerPool:
                 job.events = list(trace.events)
             job.records = list(comm.fault_log.records)
             with self._cond:
-                self._release(base, nranks)
+                self._release(job.base, nranks)
                 self._jobs.pop(job.job_id, None)
                 self.jobs_run += 1
                 self._cond.notify_all()
@@ -765,7 +783,7 @@ class WorkerPool:
                 names = teardown()
                 self._results_q.put(("reset", gen, pool_rank, names))
                 continue
-            _, job_id, base, nranks, cell_rank, core, stage, opts = item
+            _, job_id, base, nranks, cell_rank, core, stage, tracing, options, start = item
             work_item = work.recv_bytes()
             if use_shm and transport is None:
                 transport = ShmTransport(
@@ -779,13 +797,17 @@ class WorkerPool:
                     pass
             if use_shm:
                 inbox.spin = core is not None
-            ctx = MpRankContext(
-                cell_rank, nranks, self._inboxes[base:base + nranks],
-                opts["timeout"], opts["faults"], opts["max_retries"],
-                opts["retry_backoff"], opts["start_time"], opts["tracing"],
-                opts["coll_prefix"], arenas,
-                transport=transport,
-                collective=opts["collective"],
+            # The fabric as data: this cell's inboxes, and on shm the
+            # worker's transport as codec plus arenas by name (cells on the
+            # same block derive the same names, so they reuse one).
+            ctx = RankContextBase(
+                cell_rank, self._inboxes[base:base + nranks], options,
+                fault_log=FaultLog(), trace=Trace() if tracing else None,
+                start=start, codec=transport,
+                arenas=partial(
+                    _cell_arena, arenas, f"{self._coll_stem}b{base}x{nranks}",
+                    nranks, options.timeout,
+                ) if use_shm else None,
             )
             stats_before = dict(transport.stats) if transport is not None else {}
             status, payload = run_rank_program(
