@@ -1,11 +1,14 @@
 """Shared fixtures for the paper-reproduction benchmarks.
 
 Every ``bench_*`` file regenerates one table or figure of the paper's
-evaluation section. The experiments run real training on synthetic data
-with mini models while charging the simulated clock for the paper-scale
-models (see DESIGN.md section 5 and EXPERIMENTS.md); the assertions check
-the *shape* of each result — who wins, by roughly what factor — not the
-absolute seconds.
+evaluation section, with two exceptions that time this host instead:
+``bench_serving.py`` (the serving tier, which the spine has no cell for)
+and ``bench_micro_substrate.py`` (substrate micro-benchmarks, Hogwild
+included); every other host measurement is ``benchmarks/spine/``. The
+experiments run real training on synthetic data with mini models while
+charging the simulated clock for the paper-scale models (see DESIGN.md
+section 5 and EXPERIMENTS.md); the assertions check the *shape* of each
+result — who wins, by roughly what factor — not the absolute seconds.
 
 Run with::
 
@@ -24,19 +27,6 @@ from repro.data import make_cifar_like, make_mnist_like
 from repro.harness import ExperimentSpec
 from repro.nn.models import build_alexnet_mini, build_lenet
 from repro.nn.spec import ALEXNET, LENET
-
-#: Benchmarks that archive Chrome traces need the exporters; if the trace
-#: package is unavailable (e.g. a trimmed vendored copy), those benchmarks
-#: skip instead of erroring at import time.
-try:
-    from repro.trace import export as _trace_export  # noqa: F401
-    HAVE_TRACE_EXPORT = True
-except ImportError:  # pragma: no cover - only in trimmed installs
-    HAVE_TRACE_EXPORT = False
-
-requires_trace_export = pytest.mark.skipif(
-    not HAVE_TRACE_EXPORT, reason="repro.trace exporters unavailable"
-)
 
 #: The paper trains MNIST/LeNet to 98.8%; on our synthetic MNIST-like set
 #: the comparable "hard but reachable" target is 95%.

@@ -25,7 +25,6 @@ __all__ = [
     "pipelined_hops_cost",
     "optimal_chunks",
     "pipelined_tree_bcast_cost",
-    "pipelined_ring_allreduce_cost",
 ]
 
 
@@ -60,19 +59,3 @@ def pipelined_tree_bcast_cost(link: LinkModel, nbytes: int, p: int) -> float:
         return 0.0
     chunks = optimal_chunks(link, nbytes, depth)
     return pipelined_hops_cost(link, nbytes, depth, chunks)
-
-
-def pipelined_ring_allreduce_cost(link: LinkModel, nbytes: int, p: int, chunks: int = 1) -> float:
-    """Sharded ring allreduce, optionally sub-chunking each n/P shard.
-
-    The base schedule is already chunked at granularity n/P — 2(P-1)
-    steps of shard-sized messages (``ring_allreduce_cost``). Splitting
-    each shard into ``chunks`` sub-chunks deepens the pipeline to
-    ``2(P-1) + chunks - 1`` steps of n/(P*chunks)-byte messages, trading
-    alpha terms for overlap exactly like the tree pipeline.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if p == 1:
-        return 0.0
-    return pipelined_hops_cost(link, nbytes / p, 2 * (p - 1), chunks)

@@ -19,35 +19,7 @@ __all__ = [
     "GpuNodeTopology",
     "KnlClusterTopology",
     "gossip_pairs",
-    "ring_neighbors",
-    "ring_edges",
 ]
-
-
-def ring_neighbors(rank: int, p: int) -> Tuple[int, int]:
-    """``(predecessor, successor)`` of ``rank`` on the logical P-ring.
-
-    The neighbour map of the ring collective's step-1 edges; the sharded
-    schedule also uses the longer chords (rank -> rank+k), but locality
-    analyses and the trace checks reason in terms of this base ring.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if not 0 <= rank < p:
-        raise ValueError(f"rank {rank} out of range for size {p}")
-    return ((rank - 1) % p, (rank + 1) % p)
-
-
-def ring_edges(p: int) -> List[Tuple[int, int]]:
-    """The P directed edges of the logical ring, in rank order.
-
-    Degenerates to an empty list for P=1 (a self-loop carries no traffic).
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if p == 1:
-        return []
-    return [(r, (r + 1) % p) for r in range(p)]
 
 
 def gossip_pairs(round_index: int, p: int) -> List[Tuple[int, int]]:

@@ -4,7 +4,8 @@
 cells, recycling slot rings and collective arenas instead of rebuilding
 them per run; ``SweepScheduler`` multiplexes a queue of cells over the
 pool with smallest-first packing and checkpointable done-markers.  See
-``docs/performance.md`` ("Pool reuse") and ``benchmarks/bench_sweep_pool.py``.
+``docs/performance.md`` ("Persistent worker pool"); the spine's ``mlp-ranks-sweep``
+workload (``benchmarks/spine/``) measures it.
 """
 
 from repro.pool.scheduler import CellOutcome, SweepCell, SweepScheduler

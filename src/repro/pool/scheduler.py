@@ -6,14 +6,9 @@ The companion of :class:`repro.pool.WorkerPool`: a
 the pool smallest-first, and returns per-cell :class:`CellOutcome`\\ s
 with the wall/spin-up split that makes the amortization visible.
 
-Two execution modes share one surface:
-
-- **pooled** (``pool`` given): cells are dispatched to the persistent
-  workers; several cells run concurrently on disjoint rank blocks, and
-  fork/shm spin-up is paid once for the whole sweep.
-- **cold** (``pool=None``): every cell gets a freshly constructed
-  communicator (fork per cell under ``backend="processes"``) — the
-  baseline the pool is measured against, with identical numerics.
+Cells are dispatched to the pool's persistent workers; several cells run
+concurrently on disjoint rank blocks, and fork/shm spin-up is paid once
+for the whole sweep.
 
 Preemption (PR 6 checkpointing) composes at two levels: cells configure
 their own ``checkpoint_every``/``checkpoint_dir`` (so a killed sweep
@@ -32,9 +27,8 @@ import re
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.comm.backend import make_communicator
 from repro.comm.runtime import _DEFAULT_TIMEOUT
-from repro.pool.worker_pool import POOL_PAYLOAD, WorkerPool
+from repro.pool.worker_pool import WorkerPool
 
 __all__ = ["SweepCell", "CellOutcome", "SweepScheduler"]
 
@@ -68,7 +62,6 @@ class CellOutcome:
     #: Seconds from submit until every rank entered the cell body — the
     #: fork/dispatch/attach cost the pool amortizes away.
     spinup_time: float = 0.0
-    pooled: bool = False
     #: True when the outcome was loaded from a done-marker (a previous
     #: run of this sweep already finished the cell).
     resumed: bool = False
@@ -96,25 +89,17 @@ def _marker_slug(key: str) -> str:
 
 
 class SweepScheduler:
-    """Run a queue of cells over a shared pool (or cold, for baselines)."""
+    """Run a queue of cells over a shared pool."""
 
     def __init__(
         self,
-        pool: Optional[WorkerPool] = None,
-        backend: str = "processes",
+        pool: WorkerPool,
         timeout: float = _DEFAULT_TIMEOUT,
         checkpoint_root: Optional[str] = None,
-        payload: Any = None,
-        comm_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.pool = pool
-        self.backend = pool.backend if pool is not None else backend
         self.timeout = timeout
         self.checkpoint_root = checkpoint_root
-        #: Cold-mode stand-in for the pool's fork-inherited payload:
-        #: POOL_PAYLOAD args are substituted parent-side before the run.
-        self.payload = payload if pool is None else pool.payload
-        self.comm_kwargs = dict(comm_kwargs or {})
 
     # -- done-markers ----------------------------------------------------------
     def _marker_path(self, key: str) -> Optional[str]:
@@ -136,7 +121,7 @@ class SweepScheduler:
         return CellOutcome(
             key=cell.key, ranks=cell.ranks, results=saved["results"],
             wall_time=saved["wall_time"], spinup_time=saved["spinup_time"],
-            pooled=saved["pooled"], resumed=True,
+            resumed=True,
         )
 
     def _write_marker(self, outcome: CellOutcome) -> None:
@@ -147,7 +132,7 @@ class SweepScheduler:
         payload = pickle.dumps({
             "key": outcome.key, "ranks": outcome.ranks,
             "results": outcome.results, "wall_time": outcome.wall_time,
-            "spinup_time": outcome.spinup_time, "pooled": outcome.pooled,
+            "spinup_time": outcome.spinup_time,
         })
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as fh:
@@ -158,13 +143,21 @@ class SweepScheduler:
     def run(self, cells: List[SweepCell]) -> List[CellOutcome]:
         """Run every cell; outcomes come back in the input order.
 
-        Pooled mode packs cells smallest-first onto free rank blocks; a
-        failing cell lets its siblings finish, then the pool is
+        Cells are packed smallest-first onto free rank blocks; a failing
+        cell lets its siblings finish, then the pool is
         :meth:`~repro.pool.WorkerPool.reset` and the failure re-raised.
         """
         keys = [c.key for c in cells]
         if len(set(keys)) != len(keys):
             raise ValueError("cell keys must be unique within a sweep")
+        # Before anything is dispatched: a cell the pool refuses mid-loop
+        # would orphan the narrower cells already submitted.
+        for cell in cells:
+            if not 0 < cell.ranks <= self.pool.size:
+                raise ValueError(
+                    f"cell {cell.key!r} needs {cell.ranks} ranks; "
+                    f"the pool has {self.pool.size}"
+                )
         outcomes: Dict[str, CellOutcome] = {}
         to_run: List[SweepCell] = []
         for cell in cells:
@@ -173,38 +166,15 @@ class SweepScheduler:
                 outcomes[cell.key] = loaded
             else:
                 to_run.append(cell)
-        if self.pool is not None:
-            self._run_on_pool(to_run, outcomes)
-        else:
-            self._run_cold(to_run, outcomes)
-        return [outcomes[c.key] for c in cells]
-
-    def _finish(
-        self, cell: SweepCell, stamped: List[Tuple[float, Any]],
-        t_submit: float, wall: float, pooled: bool,
-    ) -> CellOutcome:
-        entered = max(t for t, _ in stamped)
-        outcome = CellOutcome(
-            key=cell.key, ranks=cell.ranks,
-            results=[value for _, value in stamped],
-            wall_time=wall, spinup_time=max(0.0, entered - t_submit),
-            pooled=pooled,
-        )
-        self._write_marker(outcome)
-        return outcome
-
-    def _run_on_pool(
-        self, cells: List[SweepCell], outcomes: Dict[str, CellOutcome]
-    ) -> None:
         # Smallest-first: narrow cells fill the gaps wide cells leave, so
         # a P_max pool rarely idles while work remains.
-        order = sorted(range(len(cells)), key=lambda i: (cells[i].ranks, i))
-        jobs = []
-        for i in order:
-            cell = cells[i]
-            jobs.append((cell, self.pool.submit(
+        to_run.sort(key=lambda cell: cell.ranks)
+        jobs = [
+            (cell, self.pool.submit(
                 cell.ranks, _timed_cell, cell.fn, *cell.args, timeout=self.timeout,
-            )))
+            ))
+            for cell in to_run
+        ]
         first_error: Optional[BaseException] = None
         for cell, job in jobs:
             try:
@@ -213,9 +183,15 @@ class SweepScheduler:
                 if first_error is None:
                     first_error = exc
                 continue
-            outcomes[cell.key] = self._finish(
-                cell, stamped, job.t_submit, job.wall_time, pooled=True
+            entered = max(t for t, _ in stamped)
+            outcome = CellOutcome(
+                key=cell.key, ranks=cell.ranks,
+                results=[value for _, value in stamped],
+                wall_time=job.wall_time,
+                spinup_time=max(0.0, entered - job.t_submit),
             )
+            self._write_marker(outcome)
+            outcomes[cell.key] = outcome
         if first_error is not None:
             # Recover a provably clean fabric before anyone reuses the pool.
             try:
@@ -223,23 +199,4 @@ class SweepScheduler:
             except Exception:  # pragma: no cover - pool already broken
                 pass
             raise first_error
-
-    def _run_cold(
-        self, cells: List[SweepCell], outcomes: Dict[str, CellOutcome]
-    ) -> None:
-        # The baseline discipline: one freshly spun-up communicator per
-        # cell, sequentially — exactly what every harness sweep paid
-        # before the pool existed.
-        for cell in cells:
-            args = tuple(self.payload if a is POOL_PAYLOAD else a for a in cell.args)
-            t_submit = time.monotonic()
-            comm = make_communicator(
-                cell.ranks, backend=self.backend, timeout=self.timeout,
-                **self.comm_kwargs,
-            )
-            try:
-                stamped = comm.run(_timed_cell, cell.fn, *args)
-            finally:
-                comm.close()
-            wall = time.monotonic() - t_submit
-            outcomes[cell.key] = self._finish(cell, stamped, t_submit, wall, pooled=False)
+        return [outcomes[c.key] for c in cells]

@@ -269,7 +269,6 @@ class WorkerPool:
         self._cond = threading.Condition(self._lock)
         self._free = [True] * size
         self._jobs: Dict[int, PoolJob] = {}
-        self._job_blocks: Dict[int, Tuple[int, int]] = {}
         self._next_job = 0
         self._closed = False
         self._broken: Optional[str] = None
@@ -441,7 +440,6 @@ class WorkerPool:
             if self._free.count(False) <= self._ncores:
                 job.cores = [self._free_cores.pop(0) for _ in range(nranks)]
             self._jobs[job.job_id] = job
-            self._job_blocks[job.job_id] = (base, nranks)
         if bulk:
             # After the lease, so submitters queued for workers hold no
             # copy of their bulk while they wait.
@@ -571,9 +569,7 @@ class WorkerPool:
 
     def _finish_job_locked(self, job: PoolJob) -> None:
         self._jobs.pop(job.job_id, None)
-        block = self._job_blocks.pop(job.job_id, None)
-        if block is not None:
-            self._release(*block)
+        self._release(job.base, job.nranks)
         self._free_cores += job.cores
         if job.stage is not None:
             job.stage.unlink()

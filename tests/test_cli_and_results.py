@@ -1,6 +1,8 @@
 """CLI and JSON result archiving."""
 
 import json
+from pathlib import Path
+import re
 
 import pytest
 
@@ -161,3 +163,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert flag in err and repr(method) in err
 
+
+def test_docs_name_only_benchmarks_that_exist():
+    """Every ``benchmarks/*.py`` and root ``BENCH_*.json`` that a doc, the
+    CI workflow or the verify skill names is in the tree (CHANGES.md and
+    ROADMAP.md are history and may name retired ones)."""
+    root = Path(__file__).resolve().parent.parent
+    sources = [
+        root / "README.md", root / "EXPERIMENTS.md", root / "DESIGN.md",
+        *sorted((root / "docs").glob("*.md")),
+        root / ".github" / "workflows" / "ci.yml",
+        root / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
+    missing = []
+    for source in sources:
+        text = source.read_text()
+        named = set(re.findall(r"benchmarks/[\w/]+\.py", text))
+        named |= {f"benchmarks/{n}" for n in re.findall(r"(?<![\w/])bench_\w+\.py", text)}
+        named |= set(re.findall(r"(?<![\w/])BENCH_\w+\.json", text))
+        missing += [
+            f"{source.relative_to(root)}: {name}"
+            for name in sorted(named) if not (root / name).exists()
+        ]
+    assert not missing, missing

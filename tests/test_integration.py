@@ -42,6 +42,11 @@ class TestEveryMethodLearns:
             "hogwild-easgd",
             "sync-easgd3",
             "sync-sgd",
+            "downpour",
+            "adag",
+            "eamsgd",
+            "gossip-sgd",
+            "bounded-async-easgd",
         ],
     )
     def test_method_learns(self, spec, method, request):

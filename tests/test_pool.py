@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import hashlib
 import os
+import pickle
 import signal
 
 import numpy as np
@@ -406,7 +407,7 @@ def test_scheduler_packs_sub_blocks():
     assert [o.key for o in outcomes] == [c.key for c in cells]
     for cell, o in zip(cells, outcomes):
         assert len(o.results) == cell.ranks
-        assert o.pooled and o.wall_time > 0 and o.spinup_time >= 0
+        assert o.wall_time > 0 and o.spinup_time >= 0
         assert [r[2] for r in o.results] == [int(cell.key[1:])] * cell.ranks
 
 
@@ -416,15 +417,21 @@ def _double(ctx, k):
 
 def test_done_markers_resume(tmp_path):
     cells = [SweepCell(key=f"cell-{k}", fn=_double, args=(k,)) for k in range(3)]
-    first = SweepScheduler(backend="threads", checkpoint_root=str(tmp_path)).run(cells)
-    assert [o.resumed for o in first] == [False] * 3
-    second = SweepScheduler(backend="threads", checkpoint_root=str(tmp_path)).run(cells)
-    assert [o.resumed for o in second] == [True] * 3
-    assert [o.result for o in second] == [0, 2, 4]
-    # A torn marker is ignored, not fatal: the cell just recomputes.
-    marker = next(tmp_path.glob("cell-1.done.pkl"))
-    marker.write_bytes(b"\x80garbage")
-    third = SweepScheduler(backend="threads", checkpoint_root=str(tmp_path)).run(cells)
+    with WorkerPool(2, backend="threads") as pool:
+        sched = SweepScheduler(pool, checkpoint_root=str(tmp_path))
+        first = sched.run(cells)
+        assert [o.resumed for o in first] == [False] * 3
+        second = sched.run(cells)
+        assert [o.resumed for o in second] == [True] * 3
+        assert [o.result for o in second] == [0, 2, 4]
+        assert pool.jobs_run == 3
+        # A torn marker is ignored, not fatal: the cell just recomputes.
+        marker = next(tmp_path.glob("cell-1.done.pkl"))
+        marker.write_bytes(b"\x80garbage")
+        # A marker written while outcomes still had a ``pooled`` field loads.
+        old = tmp_path / "cell-2.done.pkl"
+        old.write_bytes(pickle.dumps({**pickle.loads(old.read_bytes()), "pooled": True}))
+        third = sched.run(cells)
     assert [o.resumed for o in third] == [True, False, True]
     assert [o.result for o in third] == [0, 2, 4]
 
@@ -432,8 +439,21 @@ def test_done_markers_resume(tmp_path):
 def test_duplicate_cell_keys_rejected():
     cells = [SweepCell(key="same", fn=_double, args=(1,)),
              SweepCell(key="same", fn=_double, args=(2,))]
-    with pytest.raises(ValueError, match="unique"):
-        SweepScheduler(backend="threads").run(cells)
+    with WorkerPool(1, backend="threads") as pool:
+        with pytest.raises(ValueError, match="unique"):
+            SweepScheduler(pool).run(cells)
+
+
+def test_too_wide_cell_is_refused_before_any_dispatch(tmp_path):
+    """Smallest-first order submits the too-wide cell last: refused only
+    there, the narrower cells already run behind the caller's back."""
+    cells = [SweepCell(key="wide", fn=_double, args=(1,), ranks=3),
+             SweepCell(key="narrow", fn=_double, args=(2,))]
+    with WorkerPool(2, backend="threads") as pool:
+        with pytest.raises(ValueError, match="'wide'"):
+            SweepScheduler(pool, checkpoint_root=str(tmp_path)).run(cells)
+        assert pool.jobs_run == 0
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,9 @@ class TestZooTraces:
         # More local batches per exchange means more simulated compute.
         assert slow.sim_time > fast.sim_time
         assert slow.trace.meta["local_steps"] == 8
+        # ...so at its default segment a Downpour step costs more simulated
+        # time than a step of the Async EASGD baseline.
+        assert _run("downpour", mnist_tiny).sim_time > _run("async-easgd", mnist_tiny).sim_time
 
 
 # ---------------------------------------------------------------------------

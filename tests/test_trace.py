@@ -351,8 +351,12 @@ class TestTrainerIntegration:
         res = SyncEASGDTrainer(
             build_mlp(seed=0), train, test, GpuPlatform(num_gpus=4, seed=0), cfg,
             CostModel.from_spec(LENET), variant=3,
-        ).train(5)
+        ).train(10)
         assert res.trace is None
+        # Tracing observes the run; it never moves it.
+        traced = _trace_for("sync", mnist_tiny, variant=3)
+        assert len(traced.trace) > 0
+        assert len(res.records) > 1 and res.records == traced.records
 
     def test_easgd3_overlaps_and_serial_variants_do_not(self, mnist_tiny):
         v3 = _trace_for("sync", mnist_tiny, variant=3).trace

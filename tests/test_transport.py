@@ -428,7 +428,9 @@ class TestTransportStats:
         assert stats["bytes_inplace"] == (ranks - 1) * ARRAY_ELEMS * 4 * steps
         per_step = 2 * (ranks - 1) * (ranks if collective == "ring" else 1)
         assert stats["arena_tokens"] == stats["inbox_messages"] == per_step * steps
+        # Only tokens cross the fabric: nothing staged, no in-band bytes.
         assert stats["shm_messages"] == stats["inbox_spills"] == 0
+        assert stats["bytes_on_wire"] == 0
 
     def test_private_input_and_result_copies_are_counted(self):
         comm = MultiprocessCommunicator(2, transport="shm", timeout=30.0)
