@@ -5,30 +5,23 @@ A message-passing run is a *rank program* — a module-level function
 steps around it: validate, build the communicator, run, close, unpack.
 Those steps live here once. Every rank program hands back a
 :class:`RankOutcome`; :func:`launch` folds the ranks' outcomes into one
-:class:`MpiResult`.
+:class:`MpiResult`; :func:`launch_sync` runs a synchronous family's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.comm.backend import make_communicator
+from repro.data.dataset import Dataset
+from repro.engine.rank_loop import RankOutcome, sync_rank_program
+from repro.nn.network import Network
 from repro.trace.events import Trace
 
-__all__ = ["RankOutcome", "MpiResult", "launch"]
-
-
-class RankOutcome(NamedTuple):
-    """What one rank returns to the launcher."""
-
-    local: Optional[np.ndarray]  # this rank's final replica (None: a pure server)
-    center: Optional[np.ndarray] = None  # rank 0: the center / the shared weights
-    history: Sequence[np.ndarray] = ()  # rank 0: center snapshot per round
-    losses: Sequence[float] = ()  # per-round batch loss, from the ranks that report one
-    extras: Optional[Dict[str, float]] = None  # rank 0: method-specific scalars
+__all__ = ["RankOutcome", "MpiResult", "launch", "launch_sync"]
 
 
 @dataclass
@@ -91,4 +84,25 @@ def launch(
         center_history=list(root.history),
         mean_losses=mean_losses,
         extras=dict(root.extras or {}),
+    )
+
+
+def launch_sync(make_rule: Callable[[], Any], lr: float, network: Network,
+                train_set: Dataset, ranks: int, iterations: int, batch_size: int,
+                seed: int, *, record_history: bool = False, min_ranks: int = 1,
+                **launch_kwargs: Any) -> MpiResult:
+    """Run :func:`repro.engine.rank_loop.sync_rank_program` on ``ranks``
+    ranks, each building its own rule with ``make_rule()`` (picklable).
+    What a rank would trip over is refused here, before any rank starts;
+    ``launch_kwargs`` go to :func:`launch`."""
+    if lr <= 0:
+        raise ValueError("lr must be positive")
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    if batch_size > len(train_set):
+        raise ValueError(f"batch_size {batch_size} exceeds dataset size {len(train_set)}")
+    return launch(
+        sync_rank_program,
+        (make_rule, network, train_set, iterations, batch_size, seed, record_history),
+        ranks, iterations, min_ranks=min_ranks, **launch_kwargs,
     )

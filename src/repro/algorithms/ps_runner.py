@@ -19,25 +19,26 @@ by reference, because the server consumes the request *before* replying
 and the worker cannot touch its state until the reply arrives. The
 server's reply is always a detached array — the worker keeps it.
 
-Gossip has no server: all P ranks are peers that pair up each round by
-the tournament schedule (:func:`repro.comm.topology.gossip_pairs`) and
-average pairwise (lower rank sends first, higher rank receives first —
-deadlock-free under any buffering).
+Gossip has no server — peers average pairwise over a tournament schedule —
+so :func:`run_mpi_gossip` runs the simulator's synchronous
+:class:`~repro.engine.strategy.GossipUpdate` on
+:func:`repro.engine.rank_loop.sync_rank_program` instead.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.algorithms.launch import launch, MpiResult, RankOutcome
+from repro.algorithms.launch import launch, launch_sync, MpiResult, RankOutcome
 from repro.comm.runtime import RankContextBase
-from repro.comm.topology import gossip_pairs
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
 from repro.engine.ps import CenterStore, PS_FAMILIES, PsFamily, StalenessBound
 from repro.engine.rank_loop import rank_steps
+from repro.engine.strategy import GossipUpdate
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper
@@ -46,7 +47,6 @@ from repro.trace.events import Trace
 __all__ = [
     "PS_RUNNER_METHODS",
     "ps_rank_program",
-    "gossip_rank_program",
     "run_mpi_ps",
     "run_mpi_async_easgd",
     "run_mpi_gossip",
@@ -55,7 +55,6 @@ __all__ = [
 #: Wire tags for the request/reply pair (clear of the collective strides).
 TAG_REQ = 11  # worker -> server: (batch loss, family payload)
 TAG_REP = 12  # server -> worker: (verdict, family reply)
-TAG_GOSSIP = 13  # peer <-> peer pairwise exchange
 
 #: Families with a rank-program twin: the rows whose service discipline a
 #: round-robin server reproduces (the lock-free rows have no real-message
@@ -234,35 +233,6 @@ def run_mpi_async_easgd(
     )
 
 
-def gossip_rank_program(ctx: RankContextBase, template: Network,
-                        train_set: Dataset, iterations: int, batch_size: int,
-                        lr: float, seed: int) -> RankOutcome:
-    """All ranks are peers: local SGD step, then tournament-pair averaging."""
-    net = template.clone(name=f"gossip-rank{ctx.rank}")
-    local = template.get_params()
-    sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
-    loss = SoftmaxCrossEntropy()
-    losses: List[float] = []
-
-    for t in rank_steps(ctx, iterations):
-        images, labels = sampler.next_batch()
-        net.set_params(local)
-        losses.append(float(net.gradient(images, labels, loss)))
-        local -= lr * net.grads
-
-        for a, b in gossip_pairs(t, ctx.size):
-            if ctx.rank == a:  # lower rank sends first: deadlock-free
-                ctx.send(local.copy(), dest=b, tag=TAG_GOSSIP)
-                peer_w = ctx.recv(source=b, tag=TAG_GOSSIP)
-            elif ctx.rank == b:
-                peer_w = ctx.recv(source=a, tag=TAG_GOSSIP)
-                ctx.send(local.copy(), dest=a, tag=TAG_GOSSIP)
-            else:
-                continue
-            local[...] = 0.5 * (local + peer_w)
-    return RankOutcome(local, losses=losses)
-
-
 def run_mpi_gossip(
     network: Network,
     train_set: Dataset,
@@ -282,10 +252,10 @@ def run_mpi_gossip(
     final replicas. The tournament pairing schedule is deterministic, so
     the result is bit-identical across backends and transports.
     """
-    result = launch(
-        gossip_rank_program, (network, train_set, iterations, batch_size, lr, seed),
-        ranks, iterations, backend=backend, timeout=timeout, transport=transport,
-        pool=pool,
+    result = launch_sync(
+        partial(GossipUpdate, lr), lr, network, train_set, ranks, iterations,
+        batch_size, seed, min_ranks=2, backend=backend, timeout=timeout,
+        transport=transport, pool=pool,
     )
     result.center = np.mean(np.stack(result.worker_weights, axis=0), axis=0)
     return result

@@ -37,9 +37,9 @@ The engine vocabulary:
   interactions are the rows of :data:`PS_FAMILIES`).
 - :class:`SyncFaultTracker` is the shared crash/rejoin/tree-rebuild
   bookkeeping of the synchronous families.
-- :func:`rank_steps` sequences the message-passing rank programs and the
-  Hogwild workers, which run one loop per rank rather than one loop per
-  run.
+- :func:`rank_steps` sequences the rank programs (one loop per rank, not
+  per run); :func:`~repro.engine.rank_loop.sync_rank_program` runs every
+  synchronous family's :class:`UpdateRule` on real ranks.
 """
 
 from repro.engine.compute import gather_gradients, jittered_fwdbwd

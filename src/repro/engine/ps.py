@@ -226,9 +226,14 @@ class GossipStore(CenterStore):
         self.replicas = list(replicas)
         return self
 
+    @staticmethod
+    def average(mine: np.ndarray, peer: np.ndarray) -> np.ndarray:
+        """The pairwise average both peers adopt (same bits on either side)."""
+        return 0.5 * (mine + peer)
+
     def mix(self, a: int, b: int) -> None:
         """One gossip exchange: both peers adopt the pairwise average."""
-        avg = 0.5 * (self.replicas[a] + self.replicas[b])
+        avg = self.average(self.replicas[a], self.replicas[b])
         self.replicas[a][...] = avg
         self.replicas[b][...] = avg
 

@@ -18,7 +18,7 @@ one signature, on the one :class:`repro.engine.sync.SyncStep`:
 The update rules are expressed through the parameter-server protocol
 layer (:mod:`repro.engine.ps`): a :class:`~repro.engine.ps.CenterStore`
 holds the server-side fold, a :class:`~repro.engine.ps.WorkerRule` the
-worker-side mathematics.
+worker-side mathematics. A rule's per-rank face runs it on real ranks.
 """
 
 from __future__ import annotations
@@ -239,6 +239,27 @@ class UpdateRule:
     def load_meta(self, meta: Dict[str, object]) -> None:
         """Restore what :meth:`meta` captured."""
 
+    # -- the per-rank face: one rank of :func:`repro.engine.rank_loop
+    # .sync_rank_program` holds ``init_state(w0, 1)`` -------------------------
+
+    #: How ranks combine what they :meth:`contribute`: ``"allreduce"``
+    #: sums every rank's; ``"gossip"`` swaps with the round's tournament
+    #: peer. None: the rule has no rank twin.
+    rank_exchange: Optional[str] = None
+
+    def contribute(self, state, grad: np.ndarray) -> np.ndarray:
+        """What this rank puts into the exchange after its pass."""
+        raise NotImplementedError(f"{type(self).__name__} has no rank twin")
+
+    def fold(self, state, grad: np.ndarray, received: np.ndarray, ranks: int) -> None:
+        """Apply what the exchange brought back: the sum of ``ranks``
+        contributions, or the gossip peer's."""
+        raise NotImplementedError(f"{type(self).__name__} has no rank twin")
+
+    def rank_center(self, state) -> Optional[np.ndarray]:
+        """The center a rank holds (None: the family has none)."""
+        return self.eval_params(state)
+
 
 class _ReplicaState(UpdateRule):
     """State shared by the rules that keep one replica per worker beside
@@ -269,7 +290,12 @@ class SyncElasticUpdate(_ReplicaState):
     Expressed through the PS layer: an :class:`ElasticWorkerRule` applies
     Eq 1 per live worker against the pre-update center, then an
     :class:`ElasticCenterStore` folds the tree-reduced sum (Eq 2).
+
+    Eq 2 needs only the replicas' sum, so every real rank holds the center
+    and, after one allreduce of the replicas, applies Eq 1 and Eq 2 itself.
     """
+
+    rank_exchange = "allreduce"
 
     def __init__(self, hyper: EASGDHyper) -> None:
         self.hyper = hyper
@@ -286,6 +312,14 @@ class SyncElasticUpdate(_ReplicaState):
         # step 5: Eq 2 — in place, reading the pre-update value once.
         self.store.bind(center).fold_sum(sum_w, len(active))
         return losses[-1]
+
+    def contribute(self, state, grad):
+        return state["worker-0"]
+
+    def fold(self, state, grad, received, ranks):
+        center = state["center"]
+        self.rule.apply({"w": state["worker-0"]}, grad, center, self.hyper)
+        self.store.bind(center).fold_sum(received, ranks)
 
 
 class RoundRobinElasticUpdate(_ReplicaState):
@@ -328,6 +362,7 @@ class MeanGradientUpdate(UpdateRule):
     """
 
     rejoin_note = "re-entered allreduce group"
+    rank_exchange = "allreduce"
 
     def __init__(self, lr: float, quantize_bits: Optional[int] = None,
                  quant_rng: Optional[np.random.Generator] = None) -> None:
@@ -344,8 +379,14 @@ class MeanGradientUpdate(UpdateRule):
                 quantize_gradient(grad, self.quantize_bits, self.quant_rng)[0]
                 for grad in grads
             ]
-        state["weights"] -= self.lr * (tree_reduce(grads) / len(active))
+        self.fold(state, None, tree_reduce(grads), len(active))
         return float(np.mean(losses))
+
+    def contribute(self, state, grad):
+        return grad
+
+    def fold(self, state, grad, received, ranks):
+        state["weights"] -= self.lr * (received / ranks)  # the mean-gradient step
 
     def eval_params(self, state):
         return state["weights"]
@@ -376,6 +417,7 @@ class GossipUpdate(_ReplicaState):
 
     center_name, replica_stem = "consensus", "replica"
     rejoin_note = "re-pulled consensus mean"
+    rank_exchange = "gossip"
 
     def __init__(self, lr: float) -> None:
         self.lr = lr
@@ -395,3 +437,14 @@ class GossipUpdate(_ReplicaState):
             self.store.mix(a, b)
         self.store.consensus_into(state["consensus"], live)
         return float(np.mean(losses))
+
+    def rank_center(self, state):
+        return None  # a rank sees two replicas, never the consensus
+
+    def contribute(self, state, grad):
+        self.keep(state, 0, grad)
+        return state["replica-0"]
+
+    def fold(self, state, grad, received, ranks):
+        replica = state["replica-0"]
+        replica[...] = self.store.average(replica, received)

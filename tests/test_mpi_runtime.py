@@ -11,8 +11,11 @@ from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.cluster import CostModel, GpuPlatform
 from repro.comm.collectives import tree_reduce
 from repro.comm.runtime import InProcessCommunicator
+from repro.engine import StepPipeline
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
+from repro.trace import Trace
+from repro.trace.check import check_all
 
 
 class TestPointToPoint:
@@ -168,26 +171,45 @@ class TestMpiEasgd:
             GpuPlatform(num_gpus=4, seed=0), cfg, CostModel.from_spec(LENET), variant=3,
         )
         iterations = 12
-        sim.train(iterations)
+        pipeline = StepPipeline(sim, sim.make_step())
+        pipeline.run(iterations)
+        state = pipeline.strategy.state
 
         mpi = run_mpi_sync_easgd(
             build_mlp(seed=4), train, ranks=4, iterations=iterations,
             batch_size=16, lr=0.05, rho=2.0, seed=0, record_history=True,
         )
-        # Rebuild the simulated run's final center by re-running (train()
-        # has no history hook) — instead compare via a fresh short run of
-        # both with history: simulate manually here.
-        sim2 = SyncEASGDTrainer(
-            build_mlp(seed=4), train, test,
-            GpuPlatform(num_gpus=4, seed=0), cfg, CostModel.from_spec(LENET), variant=3,
-        )
-        res = sim2.train(iterations)
-        # The simulated trainer's evaluate snapshots come from its center;
-        # recompute the MPI center's accuracy at the same iterations.
-        eval_net = build_mlp(seed=4)
-        eval_net.set_params(mpi.center_history[-1])
-        mpi_final_acc = eval_net.evaluate(sim2._eval_images, sim2._eval_labels)
-        assert mpi_final_acc == res.records[-1].test_accuracy
+        assert mpi.center.tobytes() == state["center"].tobytes()
+        assert mpi.center_history[-1].tobytes() == state["center"].tobytes()
+        assert [w.tobytes() for w in mpi.worker_weights] == \
+            [state[f"worker-{j}"].tobytes() for j in range(4)]
+
+    def test_variant_is_only_a_label(self, mnist_tiny):
+        """Variants 1-3 share one set of update equations: same bits,
+        same per-round losses, whatever the label."""
+        train, _ = mnist_tiny
+
+        def run(variant):
+            out = run_mpi_sync_easgd(build_mlp(seed=4), train, ranks=3, iterations=6,
+                                     batch_size=16, variant=variant, record_history=True)
+            arrays = [out.center, *out.worker_weights, *out.center_history]
+            return [a.tobytes() for a in arrays], out.mean_losses
+
+        runs = [run(variant) for variant in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][1]) == 6  # the batch loss rides the allreduce
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    def test_traced_variant_passes_the_tree_invariants(self, mnist_tiny, variant):
+        train, _ = mnist_tiny
+        trace = Trace()
+        run_mpi_sync_easgd(build_mlp(seed=4), train, ranks=4, iterations=4,
+                           batch_size=16, variant=variant, trace=trace)
+        # The label rides under its own key: "variant" would dispatch the
+        # simulator's overlap invariants.
+        assert trace.meta["easgd_variant"] == variant and "variant" not in trace.meta
+        assert check_all(trace) == ["message-conservation", "tree-message-bound",
+                                    "tree-round-bound", "packed-single-message"]
 
     def test_all_ranks_return_weights(self, mnist_tiny):
         train, _ = mnist_tiny

@@ -2,7 +2,7 @@
 
 Every clock-driven family — round-robin EASGD, tree EASGD 1/2/3, allreduce
 SGD, the KNL and GPU-cluster trainers, gossip — is an update rule paired
-with a communication model on one shared step. Three things pin that
+with a communication model on one shared step. Four things pin that
 pairing from outside:
 
 - a **clock golden** (``tests/golden/sync_clock.json``): the simulated
@@ -17,7 +17,12 @@ pairing from outside:
   (restoring the tracker must re-cost the rebuilt collective), and for
   4-bit sync SGD (the quantization RNG is checkpoint state);
 - a **numerics oracle**: a dozen-line reference loop over the public
-  pieces reproduces the final elastic center bit for bit.
+  pieces reproduces the final elastic center bit for bit;
+- **sim == ranks**: every rank twin (sync SGD on the tree and the ring,
+  Sync EASGD, gossip) at P = 2, 3, 4 on threads, processes/shm,
+  processes/queue and a worker pool ends on the simulated trainer's
+  center and replicas byte for byte, and refuses a bad hyperparameter
+  before any rank starts.
 
 To bless a new clock golden after an intentional change::
 
@@ -34,11 +39,15 @@ import pytest
 from test_durability import run_signature
 
 from repro.algorithms import ALGORITHM_INFO, ALGORITHMS, TrainerConfig, make_trainer
+from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
+from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
 from repro.algorithms.multinode import ClusterSyncEASGDTrainer
+from repro.algorithms.ps_runner import run_mpi_gossip
 from repro.cluster import CostModel, GpuPlatform
 from repro.cluster.multinode import GpuClusterPlatform
 from repro.cluster.platform import KnlPlatform
 from repro.comm.collectives import tree_reduce
+from repro.comm.mp_runtime import fork_available
 from repro.data import make_mnist_like, standardize, standardize_like
 from repro.data.loader import BatchSampler
 from repro.engine import StepPipeline
@@ -48,6 +57,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 from repro.optim.easgd import EASGDHyper, elastic_center_update, elastic_worker_update
+from repro.pool import WorkerPool
 
 pytestmark = pytest.mark.algorithms
 
@@ -272,6 +282,98 @@ ORACLE_TRAINERS = {
 def test_final_center_matches_reference_loop(family):
     label, build = ORACLE_TRAINERS[family]
     np.testing.assert_array_equal(_final_center(build()), _reference_center(label))
+
+
+# ---------------------------------------------------------------------------
+# (iv) sim == ranks: every rank twin lands on the simulator's bits
+# ---------------------------------------------------------------------------
+TWIN_STEPS = 6
+
+#: family -> (registry name, trainer kwargs, rank twin with the same knobs).
+RANK_TWINS = {
+    "sync-sgd tree": ("sync-sgd", {},
+                      lambda *a, **k: run_mpi_sync_sgd(*a, collective="tree", **k)),
+    "sync-sgd ring": ("sync-sgd", {"collective": "ring"},
+                      lambda *a, **k: run_mpi_sync_sgd(*a, collective="ring", **k)),
+    "sync-easgd": ("sync-easgd", {}, run_mpi_sync_easgd),
+    "gossip-sgd": ("gossip-sgd", {}, run_mpi_gossip),
+}
+
+#: substrate -> launch options; "pool" cells get the module's WorkerPool.
+SUBSTRATES = {
+    "threads": {"backend": "threads"},
+    "processes/shm": {"backend": "processes", "transport": "shm"},
+    "processes/queue": {"backend": "processes", "transport": "queue"},
+    "pool": {"backend": "processes"},
+}
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@lru_cache(maxsize=None)
+def _simulated_bits(family, ranks):
+    """The simulated trainer's final center and every worker's replica (a
+    rule without replicas computes every worker at the center)."""
+    method, kwargs, _ = RANK_TWINS[family]
+    trainer = _trainer(method, ranks, **kwargs)
+    pipeline = StepPipeline(trainer, trainer.make_step())
+    pipeline.run(TWIN_STEPS)
+    step = pipeline.strategy
+    center = step.eval_params()
+    replicas = step.rule.replicas(step.state) or [center] * ranks
+    return _bits([center]), _bits(replicas)
+
+
+@pytest.fixture(scope="module")
+def twin_pool():
+    with WorkerPool(4) as pool:
+        yield pool
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+@pytest.mark.parametrize("ranks", [2, 3, 4])
+@pytest.mark.parametrize("family", sorted(RANK_TWINS))
+def test_rank_twin_matches_simulated_trainer(request, family, ranks, substrate):
+    launch = dict(SUBSTRATES[substrate])
+    if launch["backend"] == "processes" and not fork_available():
+        pytest.skip("needs the fork start method")
+    if substrate == "pool":
+        launch["pool"] = request.getfixturevalue("twin_pool")
+    _, _, twin = RANK_TWINS[family]
+    train, _ = _data()
+    result = twin(build_mlp(seed=0), train, ranks, TWIN_STEPS, batch_size=16, lr=0.05,
+                  seed=0, **launch)
+    center, replicas = _simulated_bits(family, ranks)
+    assert _bits([result.center]) == center
+    assert _bits(result.worker_weights) == replicas
+
+
+BAD_HYPERPARAMETERS = {
+    "lr=0": {"lr": 0.0},
+    "lr<0": {"lr": -0.05},
+    "batch_size=0": {"batch_size": 0},
+    "batch_size>dataset": {"batch_size": 10_000},
+    "iterations=0": {"iterations": 0},
+    "ranks=0": {"ranks": 0},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_HYPERPARAMETERS))
+@pytest.mark.parametrize("family", sorted(RANK_TWINS))
+def test_rank_twin_refuses_bad_hyperparameters_before_any_rank_starts(
+        monkeypatch, family, bad):
+    def no_launch(*args, **kwargs):
+        raise AssertionError("a rank launched")
+
+    monkeypatch.setattr("repro.algorithms.launch.make_communicator", no_launch)
+    _, _, twin = RANK_TWINS[family]
+    run = {"ranks": 4, "iterations": 2, "batch_size": 16, "lr": 0.05,
+           **BAD_HYPERPARAMETERS[bad]}
+    with pytest.raises(ValueError):
+        twin(build_mlp(seed=0), _data()[0], seed=0, backend="processes", **run)
 
 
 def regenerate() -> None:
