@@ -54,11 +54,12 @@ def launch(
     """Run ``program(ctx, *args)`` on ``ranks`` threads or processes.
 
     ``comm`` goes to :func:`repro.comm.backend.make_communicator`:
-    ``backend``, ``timeout``, ``transport`` (the process backend's byte
-    path, ``"shm"``/``"queue"``, ``None`` = its default), ``pool`` (a
-    persistent :class:`repro.pool.WorkerPool` instead of a fork per call)
-    and ``collective`` — all of which change how bytes travel, never
-    their values. ``trace_meta`` stamps defaults on a caller's trace.
+    ``backend``, ``timeout``, ``pool`` (a persistent
+    :class:`repro.pool.WorkerPool` instead of a fork per call) and
+    ``collective`` — all of which change how bytes travel, never their
+    values — plus ``transport``, a compatibility argument that accepts
+    only ``None`` or ``"shm"`` (shared memory is the one process fabric).
+    ``trace_meta`` stamps defaults on a caller's trace.
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")

@@ -40,44 +40,30 @@ def run_mpi_sync_easgd(
     timeout: float = 120.0,
     trace: Optional[Trace] = None,
     backend: str = "threads",
-    variant: int = 3,
     transport: Optional[str] = None,
     pool: Optional[Any] = None,
 ) -> MpiResult:
     """Run Sync EASGD across ``ranks`` real threads or processes.
 
     Both backends run the identical rank program over identical binomial
-    trees, so the returned weights are bit-equal across ``backend``,
-    ``transport`` and ``pool`` (see :func:`repro.algorithms.launch.launch`).
-
-    ``variant`` labels which Sync EASGD flavour (1, 2, or 3) this run
-    stands in for. The paper's variants differ in *system* behaviour
-    (per-layer vs packed messages, overlap) but share one set of update
-    equations — the simulated trainers' weight trajectories are already
-    variant-independent, so one message-passing schedule serves all
-    three; the stamp rides on the trace metadata.
+    trees, so the returned weights are bit-equal across ``backend`` and
+    ``pool`` (``transport``/``pool``: see
+    :func:`repro.algorithms.launch.launch`). The paper's Sync EASGD1/2/3
+    differ in *system* behaviour (per-layer vs packed messages, overlap)
+    but share one set of update equations, so this one schedule stands in
+    for all three.
 
     Pass a :class:`repro.trace.Trace` to record every point-to-point
     message the runtime actually moves (wall-clock spans, per-round
     stamps) — the trace the structural invariants in
     :mod:`repro.trace.check` verify against the simulator's claims.
     """
-    if variant not in (1, 2, 3):
-        raise ValueError(f"variant must be 1, 2, or 3, got {variant}")
     hyper = EASGDHyper(lr=lr, rho=rho)
     hyper.validate_sync(ranks)
     return launch_sync(
         partial(SyncElasticUpdate, hyper), lr, network, train_set, ranks, iterations,
         batch_size, seed, record_history=record_history, backend=backend,
         timeout=timeout, transport=transport, pool=pool, trace=trace,
-        trace_meta={
-            "method": f"MPI Sync EASGD{variant}",
-            # NOT "variant": that key dispatches the simulator's overlap
-            # invariants, which need compute spans the runtime doesn't
-            # emit. The variant label is informational here.
-            "easgd_variant": variant,
-            "pattern": "tree",
-            "packed": True,
-            "messages_per_exchange": 1,
-        },
+        trace_meta={"method": "MPI Sync EASGD", "pattern": "tree", "packed": True,
+                    "messages_per_exchange": 1},
     )

@@ -43,8 +43,8 @@ def run_mpi_sync_sgd(
     """Run synchronous data-parallel SGD across ``ranks`` real workers.
 
     ``collective`` picks the allreduce schedule (``"tree"`` or ``"ring"``);
-    like ``transport`` and ``pool`` (see :func:`repro.algorithms.launch
-    .launch`) it is wall-clock only — the weights are bit-identical.
+    like ``pool`` it is wall-clock only — the weights are bit-identical
+    (``transport``/``pool``: see :func:`repro.algorithms.launch.launch`).
     """
     return launch_sync(
         partial(MeanGradientUpdate, lr), lr, network, train_set, ranks, iterations,

@@ -7,8 +7,8 @@ the server holding the center through the row's store; ranks 1..P-1 are
 workers whose arrays, local steps, payload and reply fold all come from
 the row's rule. The server serves workers in round-robin order, so the
 final weights are bit-identical across backends (``threads`` vs
-``processes``) and transports (``queue`` vs ``shm``) — determinism bought
-with the wall-clock freedom of a first-come-first-served master, whose
+``processes``) and pooled or cold launches — determinism bought with the
+wall-clock freedom of a first-come-first-served master, whose
 contention behaviour the simulated trainer covers. A bounded row threads
 its :class:`~repro.engine.ps.StalenessBound` through the server with real
 master versions; a rejected worker resyncs from the center.
@@ -190,10 +190,10 @@ def run_mpi_ps(
 
     ``ranks`` counts the server: ``ranks - 1`` workers train. The server's
     round-robin service makes the schedule deterministic, so the returned
-    weights are bit-identical across backends and transports for a fixed
-    seed. ``local_steps`` and ``tau`` default to the family's own values;
-    a family that cannot honour a passed one raises a ``ValueError``
-    naming it. ``transport``/``pool``: see :func:`repro.algorithms.launch.launch`.
+    weights are bit-identical across backends for a fixed seed.
+    ``local_steps`` and ``tau`` default to the family's own values; a
+    family that cannot honour a passed one raises a ``ValueError`` naming
+    it. ``transport``/``pool``: see :func:`repro.algorithms.launch.launch`.
     """
     return _run_family(
         method, network, train_set, ranks, iterations, batch_size, local_steps,
@@ -250,7 +250,7 @@ def run_mpi_gossip(
 
     All ranks train; the returned center is the consensus mean of the
     final replicas. The tournament pairing schedule is deterministic, so
-    the result is bit-identical across backends and transports.
+    the result is bit-identical across backends.
     """
     result = launch_sync(
         partial(GossipUpdate, lr), lr, network, train_set, ranks, iterations,

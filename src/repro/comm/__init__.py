@@ -45,8 +45,7 @@ from repro.comm.shm_transport import (
     ShmSlotRef,
     ShmTransport,
     SlotRing,
-    TRANSPORTS,
-    validate_transport,
+    UnsupportedMemoryModelError,
 )
 from repro.comm.topology import GpuNodeTopology, KnlClusterTopology
 
@@ -83,16 +82,15 @@ __all__ = [
     "SharedFlatArray",
     "fork_available",
     "BACKENDS",
-    "TRANSPORTS",
     "BufferArena",
     "RingBackpressureError",
     "ShmCapacityError",
     "ShmSlotRef",
     "ShmTransport",
     "SlotRing",
+    "UnsupportedMemoryModelError",
     "make_communicator",
     "validate_backend",
-    "validate_transport",
     "ring_allreduce",
     "ring_allreduce_cost",
 ]

@@ -6,24 +6,23 @@ the KNL chip-partition trainer, the Hogwild runner, the CLI). Both
 communicators expose the same surface and, because their rank contexts
 share :class:`repro.comm.runtime.RankContextBase`, the same collective
 association order: switching backends changes wall-clock behaviour, never
-numerics.
+numerics. Each backend has exactly one fabric: thread ranks pass payloads
+by reference through ``queue.Queue`` inboxes, process ranks move bytes
+through shared memory (:mod:`repro.comm.shm_transport`).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.comm.collectives import COLLECTIVES, validate_collective
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.comm.runtime import InProcessCommunicator
-from repro.comm.shm_transport import TRANSPORTS, validate_transport
 
 __all__ = [
     "BACKENDS",
-    "TRANSPORTS",
     "COLLECTIVES",
     "validate_backend",
-    "validate_transport",
     "validate_collective",
     "make_communicator",
 ]
@@ -39,20 +38,21 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def make_communicator(size: int, backend: str = "threads", **kwargs: Any):
+def make_communicator(
+    size: int, backend: str = "threads", transport: Optional[str] = None, **kwargs: Any
+):
     """Build the communicator for ``backend`` with uniform kwargs.
 
     ``kwargs`` are the common knobs (``timeout``, ``faults``,
-    ``max_retries``, ``retry_backoff``, ``trace``, ``transport``,
-    ``collective``) plus the process-backend ring depth ``shm_slots``.
-    ``transport`` selects how the process backend moves message bytes —
-    ``"shm"`` (zero-copy slot rings, the default) or ``"queue"`` (pickle
-    through pipes); the thread backend accepts the knob for interface
-    parity but always passes payloads by reference. ``collective`` picks
-    the allreduce schedule ("tree"/"ring"), honoured identically by
-    either backend. ``None`` for ``transport`` or ``pool`` means the
-    backend's own default; a knob the backend lacks is refused by its
-    constructor.
+    ``max_retries``, ``retry_backoff``, ``trace``, ``collective``) plus
+    the process-backend ring depth ``shm_slots``. ``collective`` picks the
+    allreduce schedule ("tree"/"ring"), honoured identically by either
+    backend; a knob the backend lacks is refused by its constructor.
+
+    ``transport`` is a compatibility argument and selects nothing: the
+    queue transport was removed, so ``None`` and ``"shm"`` (the one
+    process fabric) are accepted and anything else raises a ValueError.
+    The five ``run_mpi_*`` entry points forward theirs here.
 
     ``pool`` (a :class:`repro.pool.WorkerPool`) attaches the process
     backend to persistent pre-forked workers: ``run`` then dispatches to
@@ -62,8 +62,11 @@ def make_communicator(size: int, backend: str = "threads", **kwargs: Any):
     no workers, so thread ranks are spawned per ``run`` with or without it.
     """
     validate_backend(backend)
-    if kwargs.get("transport", "") is None:
-        kwargs.pop("transport")  # None = the backend's own default
+    if transport not in (None, "shm"):
+        raise ValueError(
+            f"transport={transport!r}: the queue transport was removed and shared "
+            "memory is the only process fabric; pass transport=None (or 'shm')"
+        )
     pool = kwargs.pop("pool", None)
     if pool is not None and pool.backend != backend:
         raise ValueError(

@@ -18,18 +18,15 @@ Design:
   Identical tree association means identical floating-point results:
   ``threads`` and ``processes`` runs of the sync algorithms are bit-equal.
 - The :class:`repro.pool.WorkerPool` worker hands that context this
-  substrate's fabric as data. One inbox per rank: under
-  ``transport="shm"`` a :class:`repro.comm.shm_transport.ShmInbox` — a
-  shared-memory ring per sender, polled without a syscall — and under
-  ``transport="queue"`` a ``multiprocessing.Queue``; both preserve
-  per-sender FIFO, like the thread backend's ``queue.Queue``. Under
-  ``shm`` also a codec, the worker's
+  substrate's one fabric, shared memory, as data: one
+  :class:`repro.comm.shm_transport.ShmInbox` per rank — a shared-memory
+  ring per sender, polled without a syscall, per-sender FIFO like the
+  thread backend's ``queue.Queue``; a codec, the worker's
   :class:`~repro.comm.shm_transport.ShmTransport` (bulk bytes staged in
   slot rings, descriptors in the inbox, every record materialized the
-  moment it comes off the inbox so a stashed one never pins a slot), and
+  moment it comes off the inbox so a stashed one never pins a slot); and
   an arena provider over named
-  :class:`~repro.comm.shm_transport.CollectiveArena` segments; under
-  ``queue`` neither, and every byte rides a pickled message.
+  :class:`~repro.comm.shm_transport.CollectiveArena` segments.
 - Ranks are **forked**, never spawned, and there is one launch path:
   :meth:`MultiprocessCommunicator.run` always dispatches to a
   :class:`repro.pool.WorkerPool` — the attached one, or a private pool
@@ -39,16 +36,17 @@ Design:
   inherited :class:`SharedFlatArray` mappings need no reattachment.
   ``CLOCK_MONOTONIC`` is system-wide on Linux, so child timestamps are
   coherent with the parent's.
-- Results, trace events, and fault records travel back on a result queue:
-  :class:`repro.trace.events.TraceEvent` and
+- Results, trace events, and fault records travel back on each worker's
+  result pipe: :class:`repro.trace.events.TraceEvent` and
   :class:`repro.faults.log.FaultRecord` are frozen picklable dataclasses,
   so the parent can merge per-rank logs into its own ``trace`` /
   ``fault_log`` and every existing :mod:`repro.trace.check` invariant
   applies unchanged.
 - A child exception is shipped back pickled when possible, else as a
   :class:`RemoteRankError` carrying its repr; a child that dies without
-  reporting (crash, ``os._exit``) is detected by the pool's liveness
-  check and named in a :class:`RemoteRankError`. Multiple
+  reporting (crash, ``os._exit``) is seen by the pool the moment it
+  exits (its process sentinel) and named in a :class:`RemoteRankError`.
+  Multiple
   failures aggregate through :meth:`MultiRankError.aggregate`, exactly as
   in the thread backend.
 
@@ -75,7 +73,7 @@ from repro.comm.runtime import (
     RankContextBase,
 )
 from repro.comm.shm_lifecycle import create_segment, unregister_segment
-from repro.comm.shm_transport import DEFAULT_SLOTS, validate_transport
+from repro.comm.shm_transport import DEFAULT_SLOTS
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 
@@ -222,8 +220,9 @@ def run_rank_program(
     """Run ``fn(ctx, *args)`` and normalize the outcome for shipping.
 
     Returns ``("ok", result)`` or ``("err", exception)`` where the
-    exception is guaranteed to survive the queue back to the parent. Called
-    once per cell rank by the :class:`repro.pool.WorkerPool` dispatch loop.
+    exception is guaranteed to survive the result pipe back to the parent.
+    Called once per cell rank by the :class:`repro.pool.WorkerPool`
+    dispatch loop.
     """
     status: str = "ok"
     payload: Any = None
@@ -232,8 +231,8 @@ def run_rank_program(
         try:
             pickle.dumps(payload)
         except Exception as exc:
-            # A silently-dying queue feeder thread would otherwise turn
-            # an unpicklable result into a phantom crash.
+            # The report would otherwise fail to pickle in the worker and
+            # turn an unpicklable result into a phantom crash.
             status, payload = "err", RemoteRankError(
                 ctx.rank, f"rank {ctx.rank} returned an unpicklable result: {exc}"
             )
@@ -282,7 +281,6 @@ class MultiprocessCommunicator:
         max_retries: int = 8,
         retry_backoff: float = 0.001,
         trace: Optional[Trace] = None,
-        transport: str = "shm",
         shm_slots: int = DEFAULT_SLOTS,
         collective: str = "tree",
         pool: Optional[Any] = None,
@@ -291,7 +289,6 @@ class MultiprocessCommunicator:
             raise ValueError("size must be positive")
         #: The knobs of every cell this communicator runs, validated here.
         self.options = CellOptions(timeout, faults, max_retries, retry_backoff, collective)
-        validate_transport(transport)
         if shm_slots <= 0:
             raise ValueError("shm_slots must be positive")
         if not fork_available():
@@ -300,25 +297,19 @@ class MultiprocessCommunicator:
                 "use backend='threads' on this platform"
             )
         self.size = size
-        #: Message transport: "shm" (default) stages large array payloads
-        #: through zero-copy slot rings; "queue" pickles every payload
-        #: through the inbox pipes (the pre-transport behaviour). Numerics
-        #: are transport-invariant by construction — only bytes move
-        #: differently.
-        self.transport = transport
         #: Slot-ring depth of a cold run's private pool (an attached pool
         #: keeps the depth it was built with).
         self.shm_slots = shm_slots
         #: Per-run transport counters summed over ranks (shm_messages,
-        #: queue_messages, bytes_copied_in/out, bytes_on_wire, ring_allocs);
-        #: empty until a run completes under transport="shm".
+        #: queue_messages, bytes_copied_in/out, bytes_on_wire, ring_allocs,
+        #: ...); empty until a run completes.
         self.transport_stats: Dict[str, int] = {}
         self.trace = trace
         if trace is not None:
             trace.meta.setdefault("ranks", size)
             trace.meta.setdefault("clock", "wall")
             trace.meta.setdefault("backend", "processes")
-            trace.meta.setdefault("transport", transport)
+            trace.meta.setdefault("transport", "shm")
             trace.meta.setdefault("collective", collective)
         self.fault_log = FaultLog()
         #: The reuse path: an attached :class:`repro.pool.WorkerPool` keeps
@@ -370,7 +361,7 @@ class MultiprocessCommunicator:
             # A cold run is a pool of one call, with (fn, args) as the
             # fork-inherited payload.
             pool = WorkerPool(
-                self.size, timeout=self.options.timeout, transport=self.transport,
+                self.size, timeout=self.options.timeout,
                 shm_slots=self.shm_slots, payload=(fn, args),
             )
             fn, args = _run_inherited, (POOL_PAYLOAD,)
@@ -378,7 +369,6 @@ class MultiprocessCommunicator:
             job = pool.submit(
                 self.size, fn, *args,
                 tracing=self.trace is not None,
-                transport=self.transport,
                 start_time=self._start,
                 **vars(self.options),
             )

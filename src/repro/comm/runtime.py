@@ -22,15 +22,13 @@ arguments:
 
 - ``inboxes``, one per rank: anything with ``put(record)``,
   ``get(timeout)`` and ``get_nowait()`` that raises :class:`queue.Empty`
-  and keeps per-sender FIFO order — ``queue.Queue`` here,
-  ``multiprocessing.Queue`` or ``ShmInbox`` between processes. A record
-  is ``(source, tag, payload)``; a rank drains only its own inbox and
-  stashes what it was not asked for yet (:meth:`RankContextBase._poll`,
-  the one selective-receive loop).
+  and keeps per-sender FIFO order — ``queue.Queue`` here, ``ShmInbox``
+  between processes. A record is ``(source, tag, payload)``; a rank
+  drains only its own inbox and stashes what it was not asked for yet
+  (:meth:`RankContextBase._poll`, the one selective-receive loop).
 - ``codec``: ``None`` when payloads cross the inbox as they are (by
-  reference here, pickled whole by a ``multiprocessing.Queue``), else an
-  object whose ``pack``/``unpack`` turn a payload into the bytes a record
-  carries and back (the shm transport).
+  reference, here), else an object whose ``pack``/``unpack`` turn a
+  payload into the bytes a record carries and back (the shm transport).
 - ``arenas``: ``None``, or a callable ``(tag, elems)`` returning the shared
   float32 rows an allreduce folds in place — heap rows here, a named shm
   segment between processes.
@@ -659,7 +657,7 @@ class RankContextBase:
         sends 2(P-1) messages of ~n/P elements — Theta(1) total bytes in
         n per rank versus the tree's Theta(log P).
 
-        The schedule for buffers no arena takes (the ``queue`` transport,
+        The schedule for buffers no arena takes (a run under a fault plan,
         non-float32 or non-contiguous input); it works over any fabric
         and makes exactly one private copy of the input, mirroring
         ``reduce``'s copy discipline so slice sends are safe under
@@ -952,20 +950,11 @@ class InProcessCommunicator:
         max_retries: int = 8,
         retry_backoff: float = 0.001,
         trace: Optional[Trace] = None,
-        transport: Optional[str] = None,
         collective: str = "tree",
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
         self.options = CellOptions(timeout, faults, max_retries, retry_backoff, collective)
-        if transport is not None:
-            # Late import: shm_transport depends on this module.
-            from repro.comm.shm_transport import validate_transport
-
-            validate_transport(transport)
-        # By-reference inboxes are the one (optimal) transport on this
-        # backend: "shm" is accepted for interface parity but coerced.
-        self.transport = "queue"
         self.size = size
         #: When set, every send/recv/collective records a TraceEvent here
         #: (wall-clock spans). None = tracing off, zero overhead.
@@ -973,7 +962,6 @@ class InProcessCommunicator:
         if trace is not None:
             trace.meta.setdefault("ranks", size)
             trace.meta.setdefault("clock", "wall")
-            trace.meta.setdefault("transport", self.transport)
             trace.meta.setdefault("collective", collective)
         #: Drops, retransmissions, delays, and lost messages land here.
         self.fault_log = FaultLog()

@@ -1,12 +1,13 @@
-"""Zero-copy shared-memory transport for the multiprocess rank runtime.
+"""Zero-copy shared-memory transport: the one process fabric.
 
 A ``multiprocessing.Queue`` fabric (pickle -> feeder thread -> pipe ->
-reader lock -> ``poll``) charges every message twice: Θ(|W|) serialization
-for each packed weight/gradient buffer the Θ(log P) tree moves — exactly
-the parameter-movement tax the paper's codesign removes (Section 5.2's
-packed single-buffer messages) — and a cross-core *blocking* wake of
-50-100 us for every hop, however small. This module is the substrate that
-pays neither: bulk bytes cross process boundaries through **slot rings**
+reader lock -> ``poll``) would charge every message twice: Θ(|W|)
+serialization for each packed weight/gradient buffer the Θ(log P) tree
+moves — exactly the parameter-movement tax the paper's codesign removes
+(Section 5.2's packed single-buffer messages) — and a cross-core
+*blocking* wake of 50-100 us for every hop, however small. This module is
+the substrate that pays neither, and the only way bytes move between rank
+processes: bulk bytes cross process boundaries through **slot rings**
 in named POSIX shared memory, the descriptors (and everything small)
 through a per-rank **inbox ring** the receiver spins on before it blocks,
 and an allreduce's bytes do not cross at all — they are folded in place
@@ -60,9 +61,11 @@ Design
   size, and "a sender may run ``slots`` messages ahead of its receiver"
   stays the one buffering rule. Correctness never depends on which path
   a payload takes.
-- ``transport="queue"`` keeps ``multiprocessing.Queue`` inboxes: it is
-  the reference the bit-identity tests compare against, and its
-  megabyte pickles need the queue's unbounded feeder buffer.
+- **Memory model.** The rings, the inboxes and :class:`SeqlockBuffer`
+  publish with plain aligned stores and no barriers (CPython has none),
+  which is correct only where stores become visible in program order:
+  x86-TSO. :func:`require_tso` refuses any other host before a fork or a
+  segment, with :class:`UnsupportedMemoryModelError`.
 
 Lifecycle: each rank process owns the rings it sends on and closes its
 mappings on exit; the *parent* unlinks the segments by name after the run
@@ -79,6 +82,7 @@ from dataclasses import dataclass
 import multiprocessing
 import os
 import pickle
+import platform
 import queue
 import struct
 import time
@@ -91,8 +95,9 @@ from repro.comm.runtime import _DEFAULT_TIMEOUT, DEFAULT_MIN_BYTES, DeadlockErro
 from repro.comm.shm_lifecycle import create_segment, unregister_segment
 
 __all__ = [
-    "TRANSPORTS",
-    "validate_transport",
+    "TSO_MACHINES",
+    "UnsupportedMemoryModelError",
+    "require_tso",
     "RingBackpressureError",
     "split_pickle",
     "PickleStage",
@@ -107,10 +112,9 @@ __all__ = [
     "DEFAULT_MIN_BYTES",
 ]
 
-#: The recognised message transports for the process backend.
-#: ``queue``: every payload pickles through the inbox queue (PR 3 behaviour).
-#: ``shm``: large array payloads stage through shared-memory slot rings.
-TRANSPORTS = ("queue", "shm")
+#: ``platform.machine()`` values (lower-cased) of the x86 family, whose
+#: TSO store ordering every lock-free protocol in this module relies on.
+TSO_MACHINES = frozenset({"x86_64", "amd64", "i386", "i486", "i586", "i686", "x86"})
 
 #: Ring capacity: 2 slots = double buffering (sender may run one full
 #: message ahead of the receiver — the overlap window Sync EASGD3 needs).
@@ -145,13 +149,28 @@ INLINE_LIMIT = 1 << 11
 INBOX_RING_BYTES = 1 << 16
 
 
-def validate_transport(transport: str) -> str:
-    """Return ``transport`` or raise a ValueError naming the valid choices."""
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
+class UnsupportedMemoryModelError(RuntimeError):
+    """This host's CPU is not known to keep stores in program order.
+
+    :class:`SlotRing`, :class:`ShmInbox` and :class:`SeqlockBuffer` publish
+    a head, a tail or a sequence word with a plain store after the bytes it
+    guards, which another process reads in that order only under x86-TSO.
+    On a weaker memory model a reader could see the word before the bytes
+    and act on torn data, so these are refused instead of run.
+    """
+
+
+def require_tso(what: str) -> None:
+    """Raise :class:`UnsupportedMemoryModelError` unless ``platform.machine()``
+    is on :data:`TSO_MACHINES`. ``what`` names the refused request; callers
+    check before they fork or create a segment."""
+    machine = platform.machine()
+    if machine.lower() not in TSO_MACHINES:
+        raise UnsupportedMemoryModelError(
+            f"{what} needs shared-memory rings, which assume x86-TSO store "
+            f"ordering; this host's machine is {machine!r}, not known to be TSO. "
+            "Use backend='threads': its ranks share one process and need no rings."
         )
-    return transport
 
 
 def _close_segment(shm: Any, unlink: bool) -> None:
@@ -646,9 +665,10 @@ class ShmTransport:
 class ShmInbox:
     """One rank's message inbox: a byte ring per source in one shm segment.
 
-    What ``multiprocessing.Queue`` is to a rank context — ``put``,
-    ``get(timeout)``, ``get_nowait`` — without the pickle-to-a-feeder-thread,
-    the pipe, the reader lock and the two ``poll`` syscalls per message.
+    What ``queue.Queue`` is to a thread rank's context — ``put``,
+    ``get(timeout)``, ``get_nowait`` — across processes, without the
+    pickle-to-a-feeder-thread, the pipe, the reader lock and the two
+    ``poll`` syscalls per message a ``multiprocessing.Queue`` would cost.
     The pool parent creates one per rank before forking; children inherit
     the mapping and the doorbell.
 
@@ -958,7 +978,8 @@ class SeqlockBuffer:
 
     Word-ordering caveat: CPython offers no memory barriers, so this
     leans on the same x86-TSO store-ordering assumption the slot-ring
-    head/tail protocol above already makes.
+    head/tail protocol above already makes, so ``shared=True`` on any
+    other host raises :class:`UnsupportedMemoryModelError`.
     """
 
     _HEADER_WORDS = 8  # seq, active, step, elems, train_step, 3 reserved
@@ -1000,6 +1021,7 @@ class SeqlockBuffer:
             raise ValueError("elems must be positive")
         total = cls._total_bytes(elems)
         if shared:
+            require_tso("SeqlockBuffer.create(shared=True)")
             shm = create_segment("snap", total)
             return cls(shm, shm.buf, elems, owner=True)
         return cls(None, np.zeros(total, dtype=np.uint8).data, elems, owner=True)

@@ -66,17 +66,25 @@ class EASGDHyper:
         return self.lr * self.rho
 
     def validate_sync(self, num_workers: int) -> None:
-        """Reject hyperparameters that make the synchronous Eq 2 diverge.
+        """Reject hyperparameters that make synchronous EASGD diverge.
 
-        See :func:`elastic_center_update`: P * alpha >= 2 oscillates with
-        growing amplitude no matter the gradients.
+        On a quadratic of curvature h, Eq 1 and Eq 2 (both reading the
+        pre-update center) move the workers' mean and the center by a
+        2 x 2 linear map (Zhang et al.'s stability analysis). One of its
+        stability conditions is ``(2 - eta*h) * (2 - P*alpha) > 2*alpha``;
+        along the flat directions every network has (``eta*h -> 0``) they
+        all reduce to ``(P + 1) * alpha < 2``. The center's own recurrence
+        alone would only need ``P * alpha < 2``: the looser bound admits
+        ``2/(P+1) <= alpha < 2/P``, where the coupled pair oscillates with
+        growing amplitude (``tests/test_optim.py``).
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        if num_workers * self.alpha >= 2.0:
+        if (num_workers + 1) * self.alpha >= 2.0:
             raise ValueError(
-                f"unstable synchronous EASGD: P*alpha = {num_workers * self.alpha:.3f}"
-                " >= 2; reduce lr or rho"
+                "unstable synchronous EASGD: (P+1)*alpha = "
+                f"{(num_workers + 1) * self.alpha:.3f} >= 2 at P = {num_workers}; "
+                "reduce lr or rho"
             )
 
 
@@ -96,18 +104,14 @@ def elastic_center_update(
 ) -> None:
     """Equation 2, in place on ``center``: fold in all workers at once.
 
-    Stability: the synchronous center iteration is
-    ``center <- (1 - P*alpha) * center + alpha * sum``, which diverges when
-    ``P * alpha >= 2`` (the paper's Eq 2 is silent on this; the bound falls
-    out of the linear recurrence). We reject that regime outright.
+    Stability: beside Eq 1 this iteration diverges unless
+    ``(P + 1) * alpha < 2`` (the paper's Eq 2 is silent on this;
+    :meth:`EASGDHyper.validate_sync` derives the bound). We reject the
+    unstable regime outright.
     """
     if not worker_weights:
         raise ValueError("need at least one worker weight vector")
-    if len(worker_weights) * hyper.alpha >= 2.0:
-        raise ValueError(
-            f"unstable center update: P*alpha = {len(worker_weights) * hyper.alpha:.3f} "
-            ">= 2; reduce lr or rho"
-        )
+    hyper.validate_sync(len(worker_weights))
     total = np.zeros_like(center)
     for w in worker_weights:
         total += w

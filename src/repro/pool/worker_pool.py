@@ -17,11 +17,9 @@ Design:
   killed runs is cleared and every segment the pool tree creates carries
   the pool parent's pid).  Each worker owns a persistent message inbox
   (the fabric: a :class:`~repro.comm.shm_transport.ShmInbox` segment the
-  parent creates before forking and unlinks in :meth:`close`, or a
-  ``multiprocessing.Queue`` under ``transport="queue"`` — a pool runs
-  cells of its own transport only), a persistent
-  :class:`~repro.comm.shm_transport.ShmTransport` (slot rings are
-  recycled across cells), and a by-name
+  parent creates before forking and unlinks in :meth:`close`), a
+  persistent :class:`~repro.comm.shm_transport.ShmTransport` (slot rings
+  are recycled across cells), and a by-name
   :class:`~repro.comm.shm_transport.CollectiveArena` cache (arenas are
   sized once per shape and reused).
 - A **cell** is one ``fn(ctx, *args)`` rank program over ``n <= P_max``
@@ -30,6 +28,12 @@ Design:
   message fabric, so dispatch never interleaves with rank traffic), and
   returns a :class:`PoolJob` handle.  Cells on disjoint blocks run
   concurrently — the scheduler packs them.
+- Each worker **reports** on a result pipe of its own, the mirror of its
+  dispatch pipe. One collector thread blocks in
+  ``multiprocessing.connection.wait`` on every result pipe and every
+  worker's process sentinel, so a worker that dies is seen when it exits,
+  and it wakes on a timer only while a failed cell's collection deadline
+  is pending. No process of the pool runs a queue feeder thread.
 - A cell **owns its cores** when there are cores to own: if the ranks
   leased pool-wide, this cell's included, fit the usable cores, each of
   its ranks is pinned to a core no running cell holds and its receives
@@ -75,8 +79,8 @@ from __future__ import annotations
 
 from functools import partial
 import multiprocessing
+from multiprocessing.connection import wait as wait_ready
 import os
-import queue as _queue
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -110,8 +114,8 @@ from repro.comm.shm_transport import (
     ShmInbox,
     ShmSlotRef,
     ShmTransport,
+    require_tso,
     split_pickle,
-    validate_transport,
 )
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
@@ -242,7 +246,6 @@ class WorkerPool:
         size: int,
         backend: str = "processes",
         timeout: float = _DEFAULT_TIMEOUT,
-        transport: str = "shm",
         shm_slots: int = DEFAULT_SLOTS,
         payload: Any = None,
     ) -> None:
@@ -252,7 +255,6 @@ class WorkerPool:
             raise ValueError("timeout must be positive")
         if backend not in ("threads", "processes"):
             raise ValueError(f"unknown backend {backend!r}")
-        validate_transport(transport)
         if shm_slots <= 0:
             # Here, not in the worker's ShmTransport: a constructor that
             # raises inside the worker loop kills every leased worker.
@@ -260,7 +262,6 @@ class WorkerPool:
         self.size = size
         self.backend = backend
         self.timeout = timeout
-        self.transport = transport
         self.shm_slots = shm_slots
         self.payload = payload
         #: Completed-cell counter (amortization evidence for benchmarks).
@@ -276,25 +277,24 @@ class WorkerPool:
         self._reset_acks = 0
         self._reset_names: List[str] = []
         self._stop_names: List[str] = []
-        self._stopped = 0
 
         if backend == "threads":
             self._start = time.monotonic()
             return
 
+        require_tso("WorkerPool(backend='processes')")
         if not fork_available():
             raise RuntimeError(
                 "the processes pool requires the 'fork' start method; "
                 "use backend='threads' on this platform"
             )
-        if transport == "shm":
-            # Spawn the resource tracker *before* forking: workers then
-            # inherit one shared tracker, so their ring registrations are
-            # cleared by this parent's unlink instead of each worker's
-            # private tracker warning about "leaked" segments at exit.
-            from multiprocessing import resource_tracker
+        # Spawn the resource tracker *before* forking: workers then inherit
+        # one shared tracker, so their ring registrations are cleared by
+        # this parent's unlink instead of each worker's private tracker
+        # warning about "leaked" segments at exit.
+        from multiprocessing import resource_tracker
 
-            resource_tracker.ensure_running()
+        resource_tracker.ensure_running()
         # Satellite of the lifecycle contract: clear debris from runs that
         # died by signal, then stamp the pool parent's pid into every
         # segment the whole worker tree will ever create.
@@ -310,27 +310,23 @@ class WorkerPool:
             sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
         )
         self._ncores = len(self._free_cores)
-        #: Persistent message fabric: one inbox per pool rank; cells see
-        #: the slice ``inboxes[base:base+n]`` so a context's own-rank
-        #: indexing works unchanged on any block. ``shm``: a shared-memory
-        #: ring per (source, owner) pair, whose owner sets ``spin`` per
-        #: cell. ``queue``: the reference fabric, whose megabyte pickles
-        #: need a queue's unbounded feeder buffer.
-        if transport == "shm":
-            self._inboxes: List[Any] = [
-                ShmInbox.create(size, timeout) for _ in range(size)
-            ]
-        else:
-            self._inboxes = [self._mp.Queue() for _ in range(size)]
-        self._results_q = self._mp.Queue()
-        #: One dispatch pipe per worker, apart from the message fabric so
-        #: dispatch never interleaves with rank traffic. Pipes this process
-        #: writes itself rather than Queues: ``Queue.put`` starts a feeder
-        #: thread per queue, memory freed in a thread's malloc arena stays
-        #: resident, and every later fork inherits it as RSS.
+        #: Persistent message fabric: one inbox per pool rank, a
+        #: shared-memory ring per (source, owner) pair whose owner sets
+        #: ``spin`` per cell; cells see the slice ``inboxes[base:base+n]``
+        #: so a context's own-rank indexing works unchanged on any block.
+        self._inboxes = [ShmInbox.create(size, timeout) for _ in range(size)]
+        #: One dispatch pipe and one result pipe per worker, apart from the
+        #: message fabric so neither interleaves with rank traffic. Pipes
+        #: their writer writes itself rather than Queues: ``Queue.put``
+        #: starts a feeder thread per queue, memory freed in a thread's
+        #: malloc arena stays resident, and every later fork inherits it
+        #: as RSS.
         work = [self._mp.Pipe(duplex=False) for _ in range(size)]
         self._work_recv = [recv for recv, _ in work]
         self._work_send = [send for _, send in work]
+        results = [self._mp.Pipe(duplex=False) for _ in range(size)]
+        self._result_recv = [recv for recv, _ in results]
+        self._result_send = [send for _, send in results]
         #: Stable per-pool stems. Arenas: cells on the same block derive
         #: the same names, so consecutive cells reuse one. Stages: one
         #: segment per cell that has bulk, named by job.
@@ -343,10 +339,10 @@ class WorkerPool:
         ]
         for p in self._procs:
             p.start()
-        # Worker r alone holds the read end of pipe r, so dispatching to a
-        # dead worker raises BrokenPipeError instead of blocking on a
-        # pipe nobody drains.
-        for conn in self._work_recv:
+        # Worker r alone holds the read end of its work pipe, so dispatching
+        # to a dead worker raises BrokenPipeError instead of blocking on a
+        # pipe nobody drains, and the write end of its result pipe.
+        for conn in self._work_recv + self._result_send:
             conn.close()
         self._collector = threading.Thread(
             target=self._collect_loop, name="pool-collector", daemon=True
@@ -397,7 +393,6 @@ class WorkerPool:
         timeout: Optional[float] = None,
         max_retries: int = 8,
         retry_backoff: float = 0.001,
-        transport: Optional[str] = None,
         collective: str = "tree",
         start_time: Optional[float] = None,
     ) -> PoolJob:
@@ -417,12 +412,6 @@ class WorkerPool:
         )
         if self.backend == "threads":
             return self._submit_threads(nranks, fn, args, tracing, options)
-        if transport not in (None, self.transport):
-            # The inboxes were built before the workers forked.
-            raise ValueError(
-                f"the pool's fabric was built for transport={self.transport!r}; "
-                f"it cannot run a transport={transport!r} cell"
-            )
         # The one pickle of the dispatch. It fails fast on unpicklable
         # work (a bad item would otherwise die on its way to the worker
         # and strand the job), and it is what every rank receives.
@@ -467,8 +456,9 @@ class WorkerPool:
         """Hand ``item`` — and, for a job, the pickled ``work`` behind it,
         as the bytes they are — to one worker (at most one sender per
         worker at a time: a worker is leased to one job, and reset/close
-        follow all jobs). A dead worker's pipe is broken; the collector's
-        liveness check is what reports that, so the error is dropped here."""
+        follow all jobs). A dead worker's pipe is broken; the collector sees
+        the death on the worker's sentinel and reports it, so the error is
+        dropped here."""
         conn = self._work_send[pool_rank]
         try:
             conn.send(item)
@@ -516,56 +506,66 @@ class WorkerPool:
         return job
 
     def _collect_loop(self) -> None:
-        """Route worker reports to job handles; watch worker liveness."""
-        while True:
-            try:
-                report = self._results_q.get(timeout=0.2)
-            except _queue.Empty:
-                with self._cond:
-                    if self._closed and self._stopped >= self._live_workers():
-                        return
-                    self._check_health_locked()
-                continue
-            kind = report[0]
+        """Route worker reports to job handles; see deaths as they happen.
+
+        Blocks on every open result pipe and every worker's sentinel at
+        once — with a timeout only while a failed cell's deadline is
+        pending — and returns once every worker has exited. A worker that
+        exited is reaped and its pipe drained before the health check, so
+        a report it sent before dying still counts.
+        """
+        pipes = set(self._result_recv)
+        sentinels = {p.sentinel: r for r, p in enumerate(self._procs)}
+        while sentinels:
+            ready = wait_ready([*pipes, *sentinels], self._until_deadline())
+            exited = [sentinels.pop(s) for s in ready if s in sentinels]
+            for r in exited:
+                self._procs[r].join()  # its exit code, which trails the sentinel
+            for conn in [c for c in ready if c in pipes] + [self._result_recv[r] for r in exited]:
+                while conn in pipes and conn.poll():
+                    try:
+                        self._route(conn.recv())
+                    except EOFError:  # the worker is gone and so is every write end
+                        pipes.discard(conn)
+            with self._cond:
+                self._check_health_locked()
+
+    def _until_deadline(self) -> Optional[float]:
+        """Seconds to the nearest failed cell's collection deadline (None: none)."""
+        with self._cond:
+            deadlines = [j.deadline for j in self._jobs.values() if j.deadline is not None]
+        return None if not deadlines else max(0.0, min(deadlines) - time.monotonic())
+
+    def _route(self, report: Tuple[Any, ...]) -> None:
+        """Apply one worker report to its job, reset barrier or shutdown."""
+        kind = report[0]
+        with self._cond:
             if kind == "done":
                 _, job_id, cell_rank, status, payload, events, records, tstats = report
-                with self._cond:
-                    job = self._jobs.get(job_id)
-                    if job is None:
-                        continue
-                    job.events.extend(events)
-                    job.records.extend(records)
-                    for key, val in tstats.items():
-                        job.transport_stats[key] = (
-                            job.transport_stats.get(key, 0) + int(val)
-                        )
-                    if status == "ok":
-                        job.results[cell_rank] = payload
-                    else:
-                        job.failures.append((cell_rank, payload))
-                        if job.deadline is None:
-                            job.deadline = time.monotonic() + job.patience
-                    job._pending.discard(cell_rank)
-                    if not job._pending:
-                        self._finish_job_locked(job)
+                job = self._jobs.get(job_id)
+                if job is None:
+                    return
+                job.events.extend(events)
+                job.records.extend(records)
+                for key, val in tstats.items():
+                    job.transport_stats[key] = job.transport_stats.get(key, 0) + int(val)
+                if status == "ok":
+                    job.results[cell_rank] = payload
+                else:
+                    job.failures.append((cell_rank, payload))
+                    if job.deadline is None:
+                        job.deadline = time.monotonic() + job.patience
+                job._pending.discard(cell_rank)
+                if not job._pending:
+                    self._finish_job_locked(job)
             elif kind == "reset":
                 _, gen, _rank, names = report
-                with self._cond:
-                    if gen == self._reset_gen:
-                        self._reset_acks += 1
-                        self._reset_names.extend(names)
-                        self._cond.notify_all()
-            elif kind == "stop":
-                _, _rank, names = report
-                with self._cond:
-                    self._stopped += 1
-                    self._stop_names.extend(names)
+                if gen == self._reset_gen:
+                    self._reset_acks += 1
+                    self._reset_names.extend(names)
                     self._cond.notify_all()
-                    if self._closed and self._stopped >= self._live_workers():
-                        return
-
-    def _live_workers(self) -> int:
-        return sum(1 for p in self._procs if p.exitcode is None or p.exitcode == 0)
+            else:  # "stop"
+                self._stop_names.extend(report[2])
 
     def _finish_job_locked(self, job: PoolJob) -> None:
         self._jobs.pop(job.job_id, None)
@@ -676,21 +676,15 @@ class WorkerPool:
             if p.is_alive():  # pragma: no cover - hung-worker cleanup
                 p.terminate()
                 p.join(timeout=5.0)
+        self._collector.join(timeout=5.0)  # every sentinel has fired now
         with self._cond:
             names = list(self._stop_names)
             self._stop_names = []
         self._unlink(names + self._orphans())
-        for conn in self._work_send:
+        for conn in self._work_send + self._result_recv:
             conn.close()
-        queues = [self._results_q]
-        if self.transport == "shm":
-            for inbox in self._inboxes:
-                inbox.close(unlink=True)
-        else:
-            queues += self._inboxes
-        for q in queues:
-            q.cancel_join_thread()
-            q.close()
+        for inbox in self._inboxes:
+            inbox.close(unlink=True)
 
     def _orphans(self) -> List[str]:
         """Segments no worker reported: a worker that died (or had to be
@@ -727,16 +721,24 @@ class WorkerPool:
         to cold spawns and never leaves a cell the previous one's cores.
         """
         full_mask = os.sched_getaffinity(0) if self._ncores else None
-        for conn in self._work_send:
+        for conn in self._work_send + self._result_recv:
             conn.close()
-        for r, conn in enumerate(self._work_recv):
+        for r in range(self.size):
             if r != pool_rank:
-                conn.close()
-        work = self._work_recv[pool_rank]
-        use_shm = self.transport == "shm"
+                self._work_recv[r].close()
+                self._result_send[r].close()
+        work, results = self._work_recv[pool_rank], self._result_send[pool_rank]
         inbox = self._inboxes[pool_rank]
         transport: Optional[ShmTransport] = None
         arenas: Dict[str, CollectiveArena] = {}
+
+        def report(*msg: Any) -> bool:
+            """Send ``msg`` to the collector; False once the parent is gone."""
+            try:
+                results.send(msg)
+            except OSError:
+                return False
+            return True
 
         def teardown() -> List[str]:
             nonlocal transport
@@ -765,23 +767,19 @@ class WorkerPool:
                 return
             kind = item[0]
             if kind == "stop":
-                self._results_q.put(("stop", pool_rank, teardown()))
+                report("stop", pool_rank, teardown())
                 return
             if kind == "reset":
-                gen = item[1]
                 # Drain stranded fabric traffic (a failed cell may have
                 # left messages — and ring descriptors — in flight).
-                while True:
-                    try:
-                        inbox.get_nowait()
-                    except _queue.Empty:
-                        break
-                names = teardown()
-                self._results_q.put(("reset", gen, pool_rank, names))
+                while not inbox.empty():
+                    inbox.get_nowait()
+                if not report("reset", item[1], pool_rank, teardown()):
+                    return
                 continue
             _, job_id, base, nranks, cell_rank, core, stage, tracing, options, start = item
             work_item = work.recv_bytes()
-            if use_shm and transport is None:
+            if transport is None:
                 transport = ShmTransport(
                     pool_rank, self.size, slots=self.shm_slots, timeout=self.timeout,
                 )
@@ -791,11 +789,10 @@ class WorkerPool:
                     os.sched_setaffinity(0, full_mask if core is None else {core})
                 except OSError:  # pragma: no cover - cgroup/permission quirk
                     pass
-            if use_shm:
-                inbox.spin = core is not None
-            # The fabric as data: this cell's inboxes, and on shm the
-            # worker's transport as codec plus arenas by name (cells on the
-            # same block derive the same names, so they reuse one).
+            inbox.spin = core is not None
+            # The fabric as data: this cell's inboxes, the worker's
+            # transport as codec, and arenas by name (cells on the same
+            # block derive the same names, so they reuse one).
             ctx = RankContextBase(
                 cell_rank, self._inboxes[base:base + nranks], options,
                 fault_log=FaultLog(), trace=Trace() if tracing else None,
@@ -803,27 +800,22 @@ class WorkerPool:
                 arenas=partial(
                     _cell_arena, arenas, f"{self._coll_stem}b{base}x{nranks}",
                     nranks, options.timeout,
-                ) if use_shm else None,
+                ),
             )
-            stats_before = dict(transport.stats) if transport is not None else {}
+            stats_before = dict(transport.stats)
             status, payload = run_rank_program(
                 ctx, _run_work, (work_item, stage, self.payload)
             )
-            tstats: Dict[str, int] = {}
-            if transport is not None:
-                transport.stats["cell_pinned"] += core is not None
-                if stage is not None and cell_rank == 0:  # copied once, by the parent
-                    transport.stats["stage_bytes_copied"] += stage.nbytes
-                tstats = {
-                    k: int(v) - int(stats_before.get(k, 0))
-                    for k, v in transport.stats.items()
-                }
-                emit_transport_marks(ctx, tstats)
+            transport.stats["cell_pinned"] += core is not None
+            if stage is not None and cell_rank == 0:  # copied once, by the parent
+                transport.stats["stage_bytes_copied"] += stage.nbytes
+            tstats = {k: int(v) - int(stats_before[k]) for k, v in transport.stats.items()}
+            emit_transport_marks(ctx, tstats)
             events = list(ctx.trace.events) if ctx.trace is not None else []
             records = list(ctx.fault_log.records)
-            self._results_q.put(
-                ("done", job_id, cell_rank, status, payload, events, records, tstats)
-            )
+            sent = report("done", job_id, cell_rank, status, payload, events, records, tstats)
             # A failure's traceback holds the frames that hold the stage's
             # views: drop it now, not when the next cell arrives.
             del payload
+            if not sent:
+                return

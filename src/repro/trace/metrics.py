@@ -181,9 +181,10 @@ def transport_stats(trace: Trace) -> Dict[str, float]:
 
     The shm transport emits one ``mark`` event per rank per counter with
     ``op="transport/<counter>"`` (messages routed through slot rings vs
-    the pickle queue, bytes memcpy'd in/out, descriptor bytes on the
-    wire, ring allocations). This sums them across ranks and stamps which
-    transport the run used (``meta["transport"]``; 0 = queue, 1 = shm).
+    wholly in band, bytes memcpy'd in/out, descriptor bytes on the wire,
+    ring allocations). This sums them across ranks and stamps whether the
+    run moved its bytes through shared memory (``meta["transport"]``:
+    1 = shm, the process backend; 0 = threads or the simulated clock).
     Untraced or thread-backend runs yield all-zero counters.
     """
     totals: Dict[str, float] = {}

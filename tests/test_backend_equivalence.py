@@ -3,7 +3,7 @@
 The acceptance bar for the multiprocess backend: running the identical
 rank program on forked processes instead of threads must change *nothing*
 observable about the algorithm — final weights bit-identical at P = 4 for
-sync-easgd1, sync-easgd3, and sync-sgd, and the communication traces the
+sync-easgd and sync-sgd, and the communication traces the
 process backend records must satisfy the same structural invariants
 (message conservation, tree message/round bounds) the thread backend's
 golden traces do.
@@ -13,10 +13,11 @@ the serial path but per-replica streams through rank programs, so bitwise
 claims are scoped to deterministic networks (see ``mpi_sgd`` docstring).
 
 The collective matrix extends the same bar across schedules: every
-backend x transport x collective cell (threads/processes, queue/shm,
-tree/ring) must land on ONE weight digest at P = 2 and P = 4 — the ring's
-shard-wise folds reproduce the tree's association bit for bit, on either
-substrate, over either byte path.
+backend x collective cell (threads/processes-over-shm, tree/ring) must
+land on ONE weight digest at P = 2 and P = 4 — the ring's shard-wise
+folds reproduce the tree's association bit for bit, on either substrate.
+Process cells pass ``transport="shm"``, the compatibility argument the
+public entry points still accept.
 """
 
 import hashlib
@@ -51,14 +52,13 @@ def _template(mnist_tiny):
 
 
 class TestEasgdEquivalence:
-    @pytest.mark.parametrize("variant", [1, 3])
-    @pytest.mark.parametrize("transport", ["queue", "shm"])
-    def test_bit_identical_final_weights(self, mnist_tiny, variant, transport):
+    @pytest.mark.parametrize("transport", ["shm"])
+    def test_bit_identical_final_weights(self, mnist_tiny, transport):
         net, train = _template(mnist_tiny)
         runs = {
             backend: run_mpi_sync_easgd(
                 net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
-                seed=0, backend=backend, variant=variant, transport=transport,
+                seed=0, backend=backend, transport=transport,
             )
             for backend in ("threads", "processes")
         }
@@ -84,7 +84,7 @@ class TestEasgdEquivalence:
 
 
 class TestSyncSgdEquivalence:
-    @pytest.mark.parametrize("transport", ["queue", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_bit_identical_weights_and_losses(self, mnist_tiny, transport):
         net, train = _template(mnist_tiny)
         runs = {
@@ -188,15 +188,13 @@ def _comm_cell(ranks, backend, transport, collective, **kw):
 
 
 class TestCollectiveMatrix:
-    """backend x transport x collective -> one digest."""
+    """backend x collective -> one digest."""
 
-    #: Every cell of the equivalence matrix. Threads ignore the transport
-    #: knob (payloads pass by reference), so one thread cell per collective.
+    #: Every cell of the equivalence matrix: one fabric per backend (thread
+    #: payloads pass by reference, process bytes move through shm).
     CELLS = [
         ("threads", None, "tree"),
         ("threads", None, "ring"),
-        ("processes", "queue", "tree"),
-        ("processes", "queue", "ring"),
         ("processes", "shm", "tree"),
         ("processes", "shm", "ring"),
     ]
@@ -294,12 +292,10 @@ class TestCollectiveMatrix:
 
     def test_tree_schedule_is_transport_invariant(self, mnist_tiny):
         """Same send/recv counts and byte totals whether the tree's buffers
-        ride thread mailboxes, pickles, or never leave the shm arena."""
+        fold in heap rows shared by threads or never leave the shm arena."""
         net, train = _template(mnist_tiny)
         counts = {}
-        for backend, transport in [
-            ("threads", None), ("processes", "queue"), ("processes", "shm"),
-        ]:
+        for backend, transport in [("threads", None), ("processes", "shm")]:
             trace = Trace()
             run_mpi_sync_sgd(
                 net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
@@ -315,10 +311,10 @@ class TestCollectiveMatrix:
             )
         assert len(set(counts.values())) == 1, counts
 
-    @pytest.mark.parametrize("transport", ["queue", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_ring_trace_invariants(self, mnist_tiny, transport):
-        """Both ring data planes (generic messages, shm arena) emit traces
-        that satisfy the ring structural bounds."""
+        """The shm arena ring emits traces that satisfy the ring
+        structural bounds."""
         net, train = _template(mnist_tiny)
         trace = Trace()
         run_mpi_sync_sgd(
@@ -336,12 +332,10 @@ class TestCollectiveMatrix:
     def test_ring_schedule_is_transport_invariant(self, mnist_tiny):
         """The shm arena moves its bulk bytes out-of-band, but its trace
         must still record the exact message structure of the generic ring:
-        same send/recv counts, same byte totals, per transport and backend."""
+        same send/recv counts, same byte totals, on either backend."""
         net, train = _template(mnist_tiny)
         counts = {}
-        for backend, transport in [
-            ("threads", None), ("processes", "queue"), ("processes", "shm"),
-        ]:
+        for backend, transport in [("threads", None), ("processes", "shm")]:
             trace = Trace()
             run_mpi_sync_sgd(
                 net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,

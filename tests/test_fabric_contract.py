@@ -1,11 +1,11 @@
-"""One rank context over three fabrics, and one place a cell's options are checked.
+"""One rank context over both fabrics, and one place a cell's options are checked.
 
 ``RankContextBase`` is the only rank context: a fabric is its three
 constructor arguments (inboxes, codec, arena provider), so the
 selective-receive loop exists once. The first half of this module runs
 that loop's contract over every fabric — ``threads`` (``queue.Queue``
-inboxes), ``processes/queue`` (``multiprocessing.Queue``) and
-``processes/shm`` (``ShmInbox`` + ``ShmTransport`` codec): a wedged
+inboxes) and ``processes/shm`` (``ShmInbox`` + ``ShmTransport`` codec,
+launched with the ``transport="shm"`` compatibility argument): a wedged
 receive names its edge, a message landing inside the budget wins, a fault
 plan logs every empty poll, and a message for a channel nobody asked
 about yet is stashed and handed out later in per-sender order.
@@ -14,21 +14,24 @@ The second half pins the option handling that rides on the same
 constructor: ``CellOptions`` refuses the same values with the same words
 whether they arrive through either communicator or through
 ``WorkerPool.submit``, and a pool or communicator argument that cannot be
-honoured raises where it is given.
+honoured raises where it is given — a host whose stores are not known to
+stay in order (x86-TSO) included: the shm fabric refuses to start there.
 """
 
 import multiprocessing
+import platform
 import queue
 import time
 
 import numpy as np
 import pytest
 
-from repro.comm import MpRankContext, RankContext, RankContextBase
+from repro.comm import MpRankContext, RankContext, RankContextBase, UnsupportedMemoryModelError
 from repro.comm.backend import make_communicator
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.comm.runtime import CellOptions, DeadlockError, InProcessCommunicator
 from repro.comm.shm_lifecycle import list_live_segments, registered_segments
+from repro.comm.shm_transport import SeqlockBuffer
 from repro.faults import FaultLog, FaultPlan
 from repro.pool import WorkerPool
 
@@ -40,7 +43,6 @@ _forks = [
 
 FABRICS = [
     pytest.param(("threads", None), id="threads"),
-    pytest.param(("processes", "queue"), id="processes/queue", marks=_forks),
     pytest.param(("processes", "shm"), id="processes/shm", marks=_forks),
 ]
 
@@ -262,4 +264,25 @@ def test_a_pool_of_the_other_backend_is_refused_not_dropped(mnist_tiny):
 def test_a_knob_the_backend_lacks_is_refused_not_dropped():
     with pytest.raises(TypeError, match="shm_slots"):
         make_communicator(2, backend="threads", shm_slots=4)
-    assert make_communicator(2, backend="threads", transport=None, pool=None).transport == "queue"
+    assert make_communicator(2, backend="threads", transport=None, pool=None).backend == "threads"
+
+
+def test_a_host_that_is_not_tso_is_refused_before_any_fork_or_segment(monkeypatch):
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    children = multiprocessing.active_children()
+    segments = list_live_segments()
+    for start in (
+        lambda: WorkerPool(2),
+        lambda: MultiprocessCommunicator(2).run(_echo_collective),
+        lambda: SeqlockBuffer.create(64, shared=True),
+    ):
+        with pytest.raises(UnsupportedMemoryModelError) as err:
+            start()
+        words = str(err.value)
+        assert "'aarch64'" in words and "x86-TSO" in words and "backend='threads'" in words
+    assert multiprocessing.active_children() == children  # nothing was forked
+    assert list_live_segments() == segments and registered_segments() == []
+    # The way out works on the same host: one process, no rings.
+    with WorkerPool(2, backend="threads") as pool:
+        assert pool.run(2, _echo_collective) == [("tree", 2.0)] * 2
+    SeqlockBuffer.create(64).close()

@@ -193,13 +193,14 @@ class TestMpFailures:
 # run borrows a long-lived one. Same failures, same cleanup, either way.
 # ---------------------------------------------------------------------------
 
-RING_ELEMS = 1 << 14  # 64 KiB of float32: rides a slot ring under transport="shm"
+RING_ELEMS = 1 << 14  # 64 KiB of float32: rides a slot ring
 
 
 @contextlib.contextmanager
 def _launched(launch, transport, size, timeout):
-    """A processes communicator launched cold or over a pool it closes."""
-    pool = WorkerPool(size, transport=transport, timeout=timeout) if launch == "pooled" else None
+    """A processes communicator launched cold or over a pool it closes;
+    ``transport`` is the compatibility argument, passed as the spine does."""
+    pool = WorkerPool(size, timeout=timeout) if launch == "pooled" else None
     comm = make_communicator(
         size, backend="processes", timeout=timeout, transport=transport, pool=pool
     )
@@ -274,7 +275,7 @@ def no_segment_left_behind():
 
 
 @pytest.mark.usefixtures("no_segment_left_behind")
-@pytest.mark.parametrize("transport", ["shm", "queue"])
+@pytest.mark.parametrize("transport", ["shm"])
 class TestLaunchPath:
     @pytest.mark.parametrize("launch", ["cold", "pooled"])
     def test_rank_that_exits_is_named_not_waited_for(self, launch, transport):

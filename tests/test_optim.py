@@ -1,10 +1,14 @@
 """Update rules: SGD, momentum, the EASGD equations, schedules, quantization."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from repro.engine.ps import ElasticCenterStore, ElasticWorkerRule
+from repro.engine.strategy import SyncElasticUpdate
 from repro.optim import (
     ConstantLR,
     EASGDHyper,
@@ -127,7 +131,7 @@ class TestElasticUpdates:
             elastic_center_update(np.zeros(2), [], EASGDHyper(lr=0.1, rho=1.0))
 
     def test_center_update_rejects_unstable_alpha(self):
-        # 8 workers at alpha=0.5 -> P*alpha = 4 >= 2: guaranteed divergence.
+        # 8 workers at alpha=0.5 -> (P+1)*alpha = 4.5 >= 2: guaranteed divergence.
         h = EASGDHyper(lr=0.25, rho=2.0)
         workers = [np.ones(2, dtype=np.float32)] * 8
         with pytest.raises(ValueError, match="unstable"):
@@ -141,8 +145,8 @@ class TestElasticUpdates:
         """With zero gradients, workers and center converge to consensus.
 
         Monotone contraction needs P*alpha <= 1 (4 workers here); the
-        library additionally rejects P*alpha >= 2 outright — covered by
-        test_center_update_rejects_unstable_alpha.
+        library additionally rejects (P+1)*alpha >= 2 outright — covered by
+        test_center_update_rejects_unstable_alpha and TestStabilityRegion.
         """
         if not 0 < 4 * lr * rho <= 1:
             return
@@ -162,6 +166,95 @@ class TestElasticUpdates:
         assert spread <= spread0 + 1e-5
         if h.alpha >= 0.01:
             assert spread < spread0 * 0.5 + 1e-5
+
+
+# ---------------------------------------------------------------------------
+# The eta*rho stability region on a quadratic (Zhang et al.'s analysis)
+# ---------------------------------------------------------------------------
+
+#: f(w) = CURVATURE * w**2 / 2 at eta*h = 1e-3: the flat directions that set
+#: the elastic bound, where only the worker-center coupling can diverge.
+CURVATURE, LR, STEPS = 1.0, 1e-3, 3000
+
+
+def _unchecked(alpha):
+    """The two fields the rules read, unvalidated: a point outside the
+    admitted region still runs."""
+    return SimpleNamespace(lr=LR, alpha=alpha)
+
+
+def _start(j):
+    """Worker j starts 0.1 * (j + 1) away from the center at 1.0."""
+    return np.array([1.0 + 0.1 * (j + 1)])
+
+
+def _sync_peak(workers, alpha):
+    """Largest |w| over a run of the synchronous rule (Eq 1 + Eq 2)."""
+    rule = SyncElasticUpdate(_unchecked(alpha))
+    state = rule.init_state(np.array([1.0]), workers)
+    replicas = rule.replicas(state)
+    for j, w in enumerate(replicas):
+        w[...] = _start(j)
+    everyone = list(range(workers))
+    peak = 0.0
+    for t in range(STEPS):
+        grads = [CURVATURE * w for w in replicas]
+        rule.apply(state, grads, [0.0] * workers, everyone, everyone, t)
+        peak = max(peak, float(np.abs([state["center"], *replicas]).max()))
+        if peak > 1e6:
+            break
+    return peak
+
+
+def _async_peak(workers, alpha):
+    """Largest |w| over an asynchronous run: workers served round-robin,
+    each exchange replying the pre-fold center (ElasticCenterStore) to the
+    worker's Eq 1 (ElasticWorkerRule)."""
+    hyper = _unchecked(alpha)
+    store = ElasticCenterStore(hyper).bind(np.array([1.0]))
+    rule = ElasticWorkerRule()
+    states = [rule.init_state(_start(j)) for j in range(workers)]
+    peak = 0.0
+    for t in range(STEPS):
+        state = states[t % workers]
+        grad = CURVATURE * state["w"]
+        rule.apply(state, grad, store.serve(rule.payload(state, grad)), hyper)
+        peak = max(peak, float(np.abs([store.weights, *(s["w"] for s in states)]).max()))
+        if peak > 1e6:
+            break
+    return peak
+
+
+class TestStabilityRegion:
+    """What ``EASGDHyper`` and ``validate_sync`` admit never diverges on a
+    quadratic, and a point 2% past the edge does: the bounds are exact."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_sync_region_holds_and_its_edge_is_sharp(self, workers):
+        edge = 2.0 / (workers + 1)
+        for alpha in (0.25 * edge, 0.5 * edge, 0.9 * edge, 0.98 * edge):
+            EASGDHyper(lr=LR, rho=alpha / LR).validate_sync(workers)
+            assert _sync_peak(workers, alpha) <= 1.0 + 0.1 * workers
+        outside = 1.02 * edge
+        with pytest.raises(ValueError, match="unstable|elastic step"):
+            EASGDHyper(lr=LR, rho=outside / LR).validate_sync(workers)
+        assert _sync_peak(workers, outside) > 1e6
+
+    def test_p_alpha_below_two_is_not_enough(self):
+        # P*alpha = 1.8 < 2 satisfies the center's own recurrence, but the
+        # center and the workers' mean together oscillate with |lambda| 1.25.
+        with pytest.raises(ValueError, match=r"\(P\+1\)\*alpha = 2\.250"):
+            EASGDHyper(lr=0.05, rho=9.0).validate_sync(4)
+        assert _sync_peak(4, 0.45) > 1e6
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_async_region_holds_and_its_edge_is_sharp(self, workers):
+        for alpha in (0.25, 0.5, 0.9, 0.98):
+            EASGDHyper(lr=LR, rho=alpha / LR)
+            assert _async_peak(workers, alpha) <= 1.0 + 0.1 * workers
+        with pytest.raises(ValueError, match="elastic step"):
+            EASGDHyper(lr=LR, rho=1.02 / LR)
+        assert _async_peak(workers, 1.02) > 1e6
 
 
 class TestSchedules:

@@ -16,8 +16,11 @@ import contextlib
 import dataclasses
 import hashlib
 import os
+from pathlib import Path
 import pickle
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_methods
 from repro.harness.sweeps import grid_sweep
 from repro.nn.models import build_mlp
+import repro.pool
 from repro.pool import POOL_PAYLOAD, SweepCell, SweepScheduler, WorkerPool
 
 pytestmark = pytest.mark.pool
@@ -376,15 +380,51 @@ def _sum_cell(ctx, big, _in_band=None):
 @pytest.mark.mp
 @needs_fork
 def test_dispatch_to_dead_worker_fails_the_cell_not_the_caller():
-    """A work item whose in-band pickle is bigger than a pipe buffer (and
-    whose bulk is staged), sent to a worker that died while idle, must come
-    back as that rank's failure — not block submit."""
+    """A worker that died while idle is seen when it exits, so a cell whose
+    in-band pickle is bigger than a pipe buffer (and whose bulk would be
+    staged) is refused at its lease — nothing staged, nothing sent — instead
+    of blocking submit; a dispatch racing such a death drops the broken
+    pipe instead of blocking on it."""
     with WorkerPool(2, backend="processes", timeout=5.0) as pool:
         os.kill(pool._procs[1].pid, signal.SIGKILL)
-        big = np.ones(1 << 20, dtype=np.float32)  # 4 MB, staged for both ranks
-        with pytest.raises(RemoteRankError, match="rank 1 process died"):
-            pool.run(2, _sum_cell, big, list(range(100_000)))
-        assert _stages_in_shm() == []  # the broken cell's stage went with it
+        with pool._cond:
+            assert pool._cond.wait_for(lambda: pool._broken is not None, timeout=5.0)
+        big = np.ones(1 << 20, dtype=np.float32)  # 4 MB, would be staged
+        in_band = list(range(100_000))
+        with pytest.raises(RuntimeError, match=r"worker\(s\) \[1\] died"):
+            pool.run(2, _sum_cell, big, in_band)
+        assert _stages_in_shm() == []
+        pool._dispatch(1, ("job",), pickle.dumps(in_band))  # returns: pipe is broken
+
+
+def _exits_mid_cell(ctx):
+    if ctx.rank == 1:
+        os._exit(7)
+    return ctx.recv(source=1, tag=1)  # waits on a rank that is gone
+
+
+def _python_threads(ctx):
+    return threading.active_count()
+
+
+@pytest.mark.mp
+@needs_fork
+def test_worker_death_mid_cell_fails_its_cell_through_its_sentinel():
+    """Workers report on their own pipes (no queue, so no feeder thread in
+    any worker) and the collector blocks on those pipes plus the workers'
+    sentinels: a rank that dies fails its cell when it exits, not at the
+    next poll and not after its peer's 60 s receive timeout."""
+    with WorkerPool(2, timeout=60.0) as pool:
+        assert pool.run(2, _python_threads) == pool.run(2, _python_threads) == [1, 1]
+        t0 = time.monotonic()
+        with pytest.raises(RemoteRankError) as ei:
+            pool.run(2, _exits_mid_cell)
+        failed_after = time.monotonic() - t0
+    assert "rank 1 process died without reporting (exitcode 7)" in str(ei.value.failures[1])
+    assert "abandoned" in str(ei.value.failures[0])
+    assert failed_after < 10.0
+    pool_src = "".join(f.read_text() for f in Path(repro.pool.__file__).parent.glob("*.py"))
+    assert "timeout=0.2" not in pool_src
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +573,10 @@ def test_pool_rejects_unpicklable_work():
 def test_rank_processes_are_launched_in_one_place():
     """docs/architecture.md calls ``pool/`` the one place rank processes
     are launched. Under ``src/repro``, ``multiprocessing``'s
-    ``get_context``, ``Process``, ``Queue`` and ``Pipe`` are called (or
-    imported by name) in ``pool/worker_pool.py`` only; the inbox
-    doorbell — ``get_context("fork").Semaphore(0)`` in
+    ``get_context``, ``Process`` and ``Pipe`` are called (or imported by
+    name) in ``pool/worker_pool.py`` only, and its ``Queue`` nowhere:
+    shared memory carries rank traffic, pipes carry dispatch and results.
+    The inbox doorbell — ``get_context("fork").Semaphore(0)`` in
     ``comm/shm_transport.py`` — is the one named exception."""
     import ast
     from pathlib import Path
@@ -570,6 +611,6 @@ def test_rank_processes_are_launched_in_one_place():
             if names:
                 found.setdefault(path.relative_to(root).as_posix(), set()).update(names)
     assert found == {
-        "pool/worker_pool.py": launchers,
+        "pool/worker_pool.py": launchers - {"Queue"},
         "comm/shm_transport.py": {"doorbell"},
     }

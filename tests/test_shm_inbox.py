@@ -223,7 +223,7 @@ def _flood_program(ctx, count):
 
 class TestEndToEnd:
     def test_oversized_in_band_pickle_takes_the_spill_path(self):
-        comm = MultiprocessCommunicator(2, transport="shm", timeout=20.0)
+        comm = MultiprocessCommunicator(2, timeout=20.0)
         try:
             assert comm.run(_spill_program) == [True, True]
         finally:
@@ -264,7 +264,7 @@ class TestEndToEnd:
 
     def test_flooded_inbox_raises_ring_backpressure(self):
         # 32 bytes a record: the 64 KiB ring holds 2048 unreceived ints.
-        comm = MultiprocessCommunicator(2, transport="shm", timeout=0.5)
+        comm = MultiprocessCommunicator(2, timeout=0.5)
         try:
             with pytest.raises(RingBackpressureError) as exc_info:
                 comm.run(_flood_program, INBOX_RING_BYTES // 32 + 1)

@@ -19,8 +19,8 @@ pairing from outside:
 - a **numerics oracle**: a dozen-line reference loop over the public
   pieces reproduces the final elastic center bit for bit;
 - **sim == ranks**: every rank twin (sync SGD on the tree and the ring,
-  Sync EASGD, gossip) at P = 2, 3, 4 on threads, processes/shm,
-  processes/queue and a worker pool ends on the simulated trainer's
+  Sync EASGD, gossip) at P = 2, 3, 4 on threads, processes/shm and a
+  worker pool ends on the simulated trainer's
   center and replicas byte for byte, and refuses a bad hyperparameter
   before any rank starts.
 
@@ -303,7 +303,6 @@ RANK_TWINS = {
 SUBSTRATES = {
     "threads": {"backend": "threads"},
     "processes/shm": {"backend": "processes", "transport": "shm"},
-    "processes/queue": {"backend": "processes", "transport": "queue"},
     "pool": {"backend": "processes"},
 }
 

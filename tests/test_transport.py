@@ -2,34 +2,39 @@
 
 Three layers of coverage:
 
-1. Fast units (tier-1): slot-ring protocol (wraparound, backpressure),
-   transport encode/decode with its queue-path fallbacks, the buffer
-   arena, the ``out=`` forms of im2col/col2im and ``next_batch_into``,
-   and the ``_payload_nbytes`` fix for tuple/list payloads.
+1. Fast units (tier-1): the ``transport=`` compatibility argument (only
+   ``None`` and ``"shm"`` pass), slot-ring protocol (wraparound,
+   backpressure), transport encode/decode with its in-band fallbacks, the
+   buffer arena, the ``out=`` forms of im2col/col2im and
+   ``next_batch_into``, and the ``_payload_nbytes`` fix for tuple/list
+   payloads.
 2. Process-backed integration (mp): backpressure through a real
    communicator — a sender blocked on a full ring recovers when the
    receiver drains, and raises a :class:`DeadlockError` subclass when it
-   never does.
-3. Equivalence (mp + slow): sync-sgd, sync-easgd1/3, and async EASGD
-   produce bit-identical weights with ``transport="queue"`` and
-   ``transport="shm"`` at P = 4.
+   never does — and the spine's exact call shapes.
+3. Equivalence (mp + slow): async EASGD over shm lands on the thread
+   backend's bits at P = 4.
 """
 
+import hashlib
+import multiprocessing
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.algorithms import run_mpi_async_easgd, run_mpi_sync_easgd, run_mpi_sync_sgd
+from repro.algorithms.ps_runner import run_mpi_gossip, run_mpi_ps
 from repro.comm import (
     BufferArena,
     DeadlockError,
+    make_communicator,
     MultiprocessCommunicator,
     RingBackpressureError,
     ShmSlotRef,
     ShmTransport,
     SlotRing,
-    validate_transport,
 )
 from repro.comm.mp_runtime import fork_available
 from repro.comm.runtime import _payload_nbytes
@@ -41,14 +46,59 @@ from repro.nn.tensor_ops import col2im, im2col
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 
 
-class TestValidateTransport:
-    def test_accepts_known(self):
-        assert validate_transport("queue") == "queue"
-        assert validate_transport("shm") == "shm"
+#: The five public rank entry points as the spine calls them: name ->
+#: (launcher, ranks).
+RUN_MPI = {
+    "sync-easgd": (run_mpi_sync_easgd, 2),
+    "sync-sgd-ring": (lambda *a, **k: run_mpi_sync_sgd(*a, collective="ring", **k), 2),
+    "async-easgd": (run_mpi_async_easgd, 3),
+    "downpour": (lambda *a, **k: run_mpi_ps("downpour", *a, **k), 3),
+    "gossip": (run_mpi_gossip, 2),
+}
 
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            validate_transport("rdma")
+
+class TestValidateTransport:
+    """``transport=`` survives only as a compatibility argument: the
+    spine's ``None`` and ``"shm"`` pass, anything else is refused with the
+    removal named, before a rank starts."""
+
+    def test_accepts_known(self):
+        for transport in (None, "shm"):
+            threads = make_communicator(2, backend="threads", transport=transport)
+            assert threads.backend == "threads"
+            procs = make_communicator(2, backend="processes", transport=transport)
+            assert isinstance(procs, MultiprocessCommunicator)  # nothing forked yet
+            procs.close()
+
+    def test_rejects_unknown(self, tiny_problem):
+        net, train = tiny_problem
+        children = multiprocessing.active_children()
+        for transport in ("queue", "rdma"):
+            for backend in ("threads", "processes"):
+                with pytest.raises(ValueError, match="queue transport was removed"):
+                    make_communicator(2, backend=backend, transport=transport)
+            for name, (run, ranks) in RUN_MPI.items():
+                with pytest.raises(ValueError, match="queue transport was removed"):
+                    run(net, train, ranks, 2, batch_size=16, backend="processes",
+                        transport=transport)
+        assert multiprocessing.active_children() == children
+
+    @needs_fork
+    @pytest.mark.mp
+    def test_spine_call_shapes_run(self, tiny_problem):
+        """``backend="processes", transport="shm"`` (and threads without a
+        transport) still runs every entry point, on the same bits."""
+        net, train = tiny_problem
+
+        def digest(result):
+            arrays = [result.center, *result.worker_weights]
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        for name, (run, ranks) in RUN_MPI.items():
+            shm = run(net, train, ranks, 2, batch_size=16, backend="processes",
+                      transport="shm")
+            threads = run(net, train, ranks, 2, batch_size=16, backend="threads")
+            assert digest(shm) == digest(threads), name
 
 
 class TestBufferArena:
@@ -352,7 +402,7 @@ def _absent_consumer(ctx, n_messages):
 @pytest.mark.mp
 class TestRingBackpressureEndToEnd:
     def test_blocked_sender_recovers_when_receiver_drains(self):
-        comm = MultiprocessCommunicator(2, transport="shm", shm_slots=1, timeout=20.0)
+        comm = MultiprocessCommunicator(2, shm_slots=1, timeout=20.0)
         try:
             results = comm.run(_slow_consumer, 4)
         finally:
@@ -363,7 +413,7 @@ class TestRingBackpressureEndToEnd:
     def test_never_draining_receiver_raises_deadlock(self):
         # Only the sender fails, so the error arrives unwrapped — and it
         # must survive the pickle trip back from the forked rank intact.
-        comm = MultiprocessCommunicator(2, transport="shm", shm_slots=1, timeout=1.0)
+        comm = MultiprocessCommunicator(2, shm_slots=1, timeout=1.0)
         try:
             with pytest.raises(DeadlockError) as exc_info:
                 comm.run(_absent_consumer, 3)
@@ -401,7 +451,7 @@ def _allreduce_private(ctx):
 @pytest.mark.mp
 class TestTransportStats:
     def test_counters_reported_to_parent(self):
-        comm = MultiprocessCommunicator(2, transport="shm", timeout=30.0)
+        comm = MultiprocessCommunicator(2, timeout=30.0)
         try:
             comm.run(_echo_stats)
         finally:
@@ -415,7 +465,7 @@ class TestTransportStats:
     @pytest.mark.parametrize("collective", ["tree", "ring"])
     def test_arena_traffic_is_counted(self, collective):
         ranks, steps = 4, 5
-        comm = MultiprocessCommunicator(ranks, transport="shm", timeout=30.0,
+        comm = MultiprocessCommunicator(ranks, timeout=30.0,
                                         collective=collective)
         try:
             comm.run(_allreduce_only, steps)
@@ -433,7 +483,7 @@ class TestTransportStats:
         assert stats["bytes_on_wire"] == 0
 
     def test_private_input_and_result_copies_are_counted(self):
-        comm = MultiprocessCommunicator(2, transport="shm", timeout=30.0)
+        comm = MultiprocessCommunicator(2, timeout=30.0)
         try:
             comm.run(_allreduce_private)
         finally:
@@ -441,17 +491,9 @@ class TestTransportStats:
         stats = comm.transport_stats
         assert stats["bytes_copied_in"] == stats["bytes_copied_out"] == 2 * ARRAY_ELEMS * 4
 
-    def test_queue_transport_reports_no_shm_traffic(self):
-        comm = MultiprocessCommunicator(2, transport="queue", timeout=30.0)
-        try:
-            comm.run(_echo_stats)
-        finally:
-            comm.close()
-        assert comm.transport_stats == {}
-
 
 # ---------------------------------------------------------------------------
-# Transport equivalence: queue vs shm must be bit-identical (mp + slow).
+# Transport equivalence: shm bytes, the thread backend's bits (mp + slow).
 # ---------------------------------------------------------------------------
 
 RANKS = 4
@@ -475,55 +517,7 @@ def tiny_problem():
 @pytest.mark.mp
 @pytest.mark.slow
 class TestTransportEquivalence:
-    @pytest.mark.parametrize("variant", [1, 3])
-    def test_sync_easgd(self, tiny_problem, variant):
-        from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
-
-        net, train = tiny_problem
-        runs = {
-            transport: run_mpi_sync_easgd(
-                net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
-                seed=0, backend="processes", variant=variant, transport=transport,
-            )
-            for transport in ("queue", "shm")
-        }
-        np.testing.assert_array_equal(runs["queue"].center, runs["shm"].center)
-        for wq, ws in zip(runs["queue"].worker_weights, runs["shm"].worker_weights):
-            np.testing.assert_array_equal(wq, ws)
-
-    def test_sync_sgd(self, tiny_problem):
-        from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
-
-        net, train = tiny_problem
-        runs = {
-            transport: run_mpi_sync_sgd(
-                net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
-                seed=0, backend="processes", transport=transport,
-            )
-            for transport in ("queue", "shm")
-        }
-        np.testing.assert_array_equal(runs["queue"].weights, runs["shm"].weights)
-        assert runs["queue"].mean_losses == runs["shm"].mean_losses
-
-    def test_async_easgd(self, tiny_problem):
-        from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
-
-        net, train = tiny_problem
-        runs = {
-            transport: run_mpi_async_easgd(
-                net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
-                seed=0, backend="processes", transport=transport,
-            )
-            for transport in ("queue", "shm")
-        }
-        np.testing.assert_array_equal(runs["queue"].center, runs["shm"].center)
-        for wq, ws in zip(runs["queue"].worker_weights, runs["shm"].worker_weights):
-            np.testing.assert_array_equal(wq, ws)
-        assert runs["queue"].mean_losses == runs["shm"].mean_losses
-
     def test_async_easgd_matches_threads(self, tiny_problem):
-        from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
-
         net, train = tiny_problem
         threaded = run_mpi_async_easgd(
             net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
