@@ -24,7 +24,6 @@ from repro.comm.collectives import (
 from repro.comm.collectives import ring_allreduce, ring_allreduce_cost
 from repro.comm.mp_runtime import (
     fork_available,
-    MpRankContext,
     MultiprocessCommunicator,
     RemoteRankError,
     SharedFlatArray,
@@ -36,7 +35,6 @@ from repro.comm.runtime import (
     DeadlockError,
     InProcessCommunicator,
     MultiRankError,
-    RankContext,
     RankContextBase,
 )
 from repro.comm.shm_lifecycle import ShmCapacityError
@@ -75,8 +73,6 @@ __all__ = [
     "MultiRankError",
     "InProcessCommunicator",
     "RankContextBase",
-    "RankContext",
-    "MpRankContext",
     "MultiprocessCommunicator",
     "RemoteRankError",
     "SharedFlatArray",

@@ -81,7 +81,6 @@ __all__ = [
     "fork_available",
     "SharedFlatArray",
     "RemoteRankError",
-    "MpRankContext",
     "MultiprocessCommunicator",
     "run_rank_program",
     "emit_transport_marks",
@@ -251,9 +250,6 @@ def emit_transport_marks(ctx: RankContextBase, tstats: Dict[str, int]) -> None:
         ctx.trace.span("mark", ctx.rank, now, now, op=f"transport/{key}", value=float(val))
 
 
-MpRankContext = RankContextBase  # the name this substrate's context used to have
-
-
 def _run_inherited(ctx: RankContextBase, payload: Tuple[Any, ...]) -> Any:
     """Rank program of a cold run: unpack the fork-inherited ``(fn, args)``."""
     fn, args = payload
@@ -301,8 +297,9 @@ class MultiprocessCommunicator:
         #: keeps the depth it was built with).
         self.shm_slots = shm_slots
         #: Per-run transport counters summed over ranks (shm_messages,
-        #: queue_messages, bytes_copied_in/out, bytes_on_wire, ring_allocs,
-        #: ...); empty until a run completes.
+        #: inband_messages, bytes_copied_in/out, bytes_inplace,
+        #: bytes_on_wire, ring_allocs, arena_tokens, ...; the table is in
+        #: docs/observability.md); empty until a run completes.
         self.transport_stats: Dict[str, int] = {}
         self.trace = trace
         if trace is not None:

@@ -9,7 +9,10 @@ with source+tag matching, and collectives (``bcast``, ``reduce``,
 ``allreduce``, ``barrier``) built *on top of* point-to-point messages with
 the same binomial-tree schedules as :mod:`repro.comm.collectives`, so the
 floating-point association (and hence bit-level results) matches the
-simulated trainers.
+simulated trainers. A float32 allreduce folds in place in shared rows
+(the fabric's arena) and sends only ready/done tokens, which are ordinary
+messages to the fault plan and the trace; every other dtype reduces on
+the message tree.
 
 This is real concurrency: NumPy kernels release the GIL, messages really
 cross thread boundaries, and a bug in the schedule deadlocks exactly as it
@@ -49,7 +52,8 @@ communicator could cross-match messages. The partition makes that
 impossible; :func:`collective_wire_tags` exposes the mapping for tests.
 
 Fault injection: pass ``faults=FaultPlan(...).drop_rate(p)`` and every
-send becomes an unreliable-link transmission — each delivery attempt is
+send — an arena token included — becomes an unreliable-link
+transmission: each delivery attempt is
 dropped with probability ``p`` (a pure function of the plan seed and the
 message identity, so runs are reproducible), the sender retransmits with
 exponential backoff up to ``max_retries`` times, and the receiver's
@@ -80,7 +84,6 @@ __all__ = [
     "collective_wire_tags",
     "CellOptions",
     "RankContextBase",
-    "RankContext",
     "InProcessCommunicator",
     "DeadlockError",
     "MultiRankError",
@@ -106,13 +109,6 @@ def _payload_nbytes(payload: Any) -> int:
 
 _DEFAULT_TIMEOUT = 60.0  # seconds before a recv declares a deadlock
 
-#: Buffers below this stay on the message path: a tree allreduce of fewer
-#: bytes does not take an arena (``barrier``'s one element never does),
-#: and the shm transport pickles smaller arrays in band instead of staging
-#: them through a slot ring — below ~16 KiB the shared-segment machinery
-#: costs more than the copy it saves.
-DEFAULT_MIN_BYTES = 1 << 14
-
 #: Width of the user tag block. Collective phases add multiples of this
 #: stride to the user tag, so as long as user tags stay below the stride
 #: each phase occupies its own disjoint tag range:
@@ -121,8 +117,8 @@ DEFAULT_MIN_BYTES = 1 << 14
 #:   block 1: ``allreduce`` reduce phase
 #:   block 2: ``allreduce`` bcast phase
 #:   blocks 4-5: ``barrier`` (its internal allreduce, shifted by block 3)
-#:   block 6: ring allreduce reduce-scatter phase
-#:   block 7: ring allreduce allgather phase
+#:   block 6: ring allreduce reduce-scatter tokens
+#:   block 7: ring allreduce allgather tokens
 COLLECTIVE_TAG_STRIDE = 1 << 16
 
 #: Default user tags of the four collectives (kept from the original API).
@@ -295,8 +291,8 @@ class RankContextBase:
 
     ``collective`` is "tree" (binomial, log P full-buffer rounds) or
     "ring" (reduce-scatter + allgather, 2(P-1) rounds of n/P shards).
-    Both produce bitwise-identical sums; see ``allreduce`` for when the
-    ring dispatch falls back to the tree.
+    Both produce bitwise-identical sums; see ``allreduce`` for which
+    buffers take which path.
     """
 
     def __init__(
@@ -326,9 +322,6 @@ class RankContextBase:
         self._start = start
         # Selective receive: messages for channels nobody asked about yet.
         self._stash: Dict[Tuple[int, int], Deque[Any]] = {}
-        # Zero-copy receive plumbing for the in-place reduce fold.
-        self._view_ok = False
-        self._pending_release: Optional[Callable[[], None]] = None
         self._send_seq: Dict[Tuple[int, int], int] = {}
         #: Rank programs may set this so trace events carry iteration ids.
         self.trace_iteration = -1
@@ -347,22 +340,6 @@ class RankContextBase:
             self._inboxes[dest].put((self.rank, tag, codec.pack(dest, tag, payload)))
         except queue.Full:  # only a bounded inbox fills
             raise codec.backpressure(self.rank, dest, tag) from None
-
-    def _decode(self, record: Any, view: bool = False) -> Any:
-        """Materialize an inbox record back into its payload.
-
-        ``view=True`` (only ever set for the channel actually being
-        polled, never for stashed foreign messages) lets the codec defer
-        its private copy: the payload's arrays then view fabric memory,
-        which stays claimed until the stored ``_pending_release`` runs.
-        """
-        codec = self._codec
-        if codec is None:
-            return record
-        payload, release = codec.unpack(record, view)
-        if release is not None:
-            self._pending_release = release
-        return payload
 
     def _poll(self, source: int, tag: int, on_retry: Optional[Callable[[int], None]]) -> Any:
         """Blocking selective receive with exponential-backoff polling.
@@ -386,6 +363,7 @@ class RankContextBase:
         if stashed:
             return stashed.popleft()
         inbox = self._inboxes[self.rank]
+        codec = self._codec
         deadline = time.monotonic() + self.timeout
         wait = min(0.05, self.timeout)
         attempt = 0
@@ -404,11 +382,13 @@ class RankContextBase:
                     on_retry(attempt)
                 wait = min(wait * 2.0, 2.0)
                 continue
+            # Decode every record at once, the wanted one or not: a
+            # descriptor parked in the stash would pin its ring slot and
+            # could backpressure-deadlock the sender.
+            payload = record if codec is None else codec.unpack(record)
             if (src, t) == wanted:
-                return self._decode(record, view=self._view_ok)
-            # Decode *before* stashing: a descriptor parked here would pin
-            # its ring slot and could backpressure-deadlock the sender.
-            self._stash.setdefault((src, t), deque()).append(self._decode(record))
+                return payload
+            self._stash.setdefault((src, t), deque()).append(payload)
 
     def _elapsed(self) -> float:
         # CLOCK_MONOTONIC is system-wide on Linux, so timestamps from rank
@@ -433,19 +413,26 @@ class RankContextBase:
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range for size {self.size}")
-        plan = self.faults
-        trace = self.trace
-        if plan is None and trace is None:
+        if self.faults is None and self.trace is None:
             self._deliver(dest, tag, payload)
             return
+        self._send(payload, dest, tag, None)
 
+    def _send(self, payload: Any, dest: int, tag: int, nbytes: Optional[int]) -> None:
+        """:meth:`send` under a fault plan or a trace. ``nbytes`` is the
+        size the trace records: ``None`` measures the payload, an arena
+        token passes the buffer or shard it stands for."""
+        plan = self.faults
+        trace = self.trace
         seq = self._next_seq(dest, tag)
         if trace is not None:
+            if nbytes is None:
+                nbytes = _payload_nbytes(payload)
             payload = (seq, payload)  # carry the identity to the recv side
         if plan is None:
             t0 = self._elapsed()
             self._deliver(dest, tag, payload)
-            self._trace_send(seq, dest, tag, payload[1], t0)
+            self._trace_send(seq, dest, tag, nbytes, t0)
             return
         edge = f"rank {self.rank} -> {dest} tag {tag}"
         if plan.is_lost(self.rank, dest, tag):
@@ -469,7 +456,7 @@ class RankContextBase:
                 )
             t0 = self._elapsed()
             self._deliver(dest, tag, payload)
-            self._trace_send(seq, dest, tag, payload[1] if trace is not None else payload, t0)
+            self._trace_send(seq, dest, tag, nbytes, t0)
             return
         self.fault_log.record(
             self._elapsed(), "lost", edge,
@@ -478,12 +465,12 @@ class RankContextBase:
         self._trace_fault("lost", dest, tag, seq)
 
     # -- trace plumbing (no-ops unless the communicator carries a Trace) ----------
-    def _trace_send(self, seq: int, dest: int, tag: int, payload: Any, t0: float) -> None:
+    def _trace_send(self, seq: int, dest: int, tag: int, nbytes: Optional[int], t0: float) -> None:
         trace = self.trace
         if trace is None:
             return
         trace.send(self.rank, dest, t0, self._elapsed(), tag=tag,
-                   nbytes=_payload_nbytes(payload), seq=seq, op=self._trace_op,
+                   nbytes=nbytes, seq=seq, op=self._trace_op,
                    round=self._trace_round, iteration=self.trace_iteration)
 
     def _trace_fault(self, op: str, dest: int, tag: int, seq: int) -> None:
@@ -501,6 +488,10 @@ class RankContextBase:
         """
         if not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range for size {self.size}")
+        return self._recv(source, tag, None)
+
+    def _recv(self, source: int, tag: int, nbytes: Optional[int]) -> Any:
+        """:meth:`recv` past the range check; ``nbytes`` as in :meth:`_send`."""
         on_retry = None
         if self.faults is not None:
             fault_log = self.fault_log
@@ -515,8 +506,10 @@ class RankContextBase:
         if trace is None:
             return payload
         seq, payload = payload
+        if nbytes is None:
+            nbytes = _payload_nbytes(payload)
         trace.recv(self.rank, source, t0, self._elapsed(), tag=tag,
-                   nbytes=_payload_nbytes(payload), seq=seq, op=self._trace_op,
+                   nbytes=nbytes, seq=seq, op=self._trace_op,
                    round=self._trace_round, iteration=self.trace_iteration)
         return payload
 
@@ -526,26 +519,6 @@ class RankContextBase:
         if trace is not None:
             trace.span("collective", self.rank, t0, self._elapsed(), op=op,
                        iteration=self.trace_iteration)
-
-    def _recv_add(self, acc: np.ndarray, source: int, tag: int) -> None:
-        """Receive an array and fold it into ``acc`` in place.
-
-        ``np.add(acc, x, out=acc)`` is the same ufunc as ``acc + x`` — the
-        association (and hence the bits) is unchanged — but the fold
-        materializes no fresh sum array per edge, and no receive-side
-        private copy of the operand either: between threads it is the
-        sender's own buffer, and a codec may hand out a view of fabric
-        memory (the shm transport: the ring slot itself), which goes back
-        to the sender only after the fold completes.
-        """
-        self._view_ok = True
-        try:
-            np.add(acc, self.recv(source, tag), out=acc)
-        finally:
-            self._view_ok = False
-            release, self._pending_release = self._pending_release, None
-            if release is not None:
-                release()
 
     def bcast(self, payload: Any, root: int = 0, tag: int = 101) -> Any:
         """Broadcast from ``root``; every rank returns the payload."""
@@ -579,7 +552,9 @@ class RankContextBase:
         """Tree-sum arrays to ``root`` with the same association order as
         :func:`repro.comm.collectives.tree_reduce`. Returns the sum at the
         root, ``None`` elsewhere. Each tree edge moves the buffer as one
-        packed message.
+        packed message, which the receiver folds into its private
+        accumulator in place (``np.add(acc, x, out=acc)``: the same ufunc
+        as ``acc + x``, so the same bits, and no fresh sum per edge).
         """
         t0 = self._elapsed()
         prev_op = self._trace_op
@@ -593,7 +568,7 @@ class RankContextBase:
             if rel % (2 * stride) == 0:
                 partner = rel + stride
                 if partner < self.size:
-                    self._recv_add(acc, (partner + root) % self.size, tag)
+                    np.add(acc, self.recv((partner + root) % self.size, tag), out=acc)
             elif rel % (2 * stride) == stride:
                 self.send(acc, (rel - stride + root) % self.size, tag)
                 break  # sent upstream; this rank is done
@@ -607,18 +582,16 @@ class RankContextBase:
     def allreduce(self, array: np.ndarray, tag: int = 103, *, view: bool = False) -> np.ndarray:
         """Sum across ranks; every rank returns the total.
 
-        The schedule follows ``self.collective``: the binomial tree
-        (reduce to rank 0 + bcast) or the sharded ring (reduce-scatter +
-        allgather, Theta(1) bytes per rank in the buffer size). Both
-        produce bitwise-identical results. When :meth:`_collective_arena`
-        grants one, either schedule folds in place in the fabric's shared
-        rows and only tokens cross the message fabric
-        (:meth:`_arena_allreduce`); otherwise the buffers travel as
-        messages. The ring falls back to the tree when a fault plan is
-        active (its shard bookkeeping assumes reliable links), when the
-        buffer is smaller than the rank count, or at size 1 —
-        ``barrier``'s one-element allreduce therefore always runs on the
-        message tree.
+        A float32 buffer of a multi-rank cell folds in place in the
+        fabric's shared rows and only tokens cross the message fabric
+        (:meth:`_arena_allreduce`), whatever its size or layout and under
+        a fault plan too. Its schedule follows ``self.collective``: the
+        binomial tree (reduce to rank 0 + bcast) or the sharded ring
+        (reduce-scatter + allgather, Theta(1) bytes per rank in the
+        buffer size); a buffer of fewer elements than ranks — ``barrier``'s
+        one element — takes the tree. A lone rank, and any other dtype,
+        reduce on the message tree in their own dtype. Every path
+        produces bitwise-identical results.
 
         Each phase runs on tags derived from ``tag`` in reserved blocks
         (see :func:`collective_wire_tags`) so no phase can ever collide
@@ -630,72 +603,11 @@ class RankContextBase:
         total (default: always a private array).
         """
         arr = np.asarray(array)
-        arena = self._collective_arena(tag, arr.size, arr.dtype, arr.flags.c_contiguous)
+        arena = self._collective_arena(tag, arr.size) if arr.dtype == np.float32 else None
         if arena is not None:
             return self._arena_allreduce(arena, arr, tag, view)
-        if (
-            self.collective == "ring"
-            and self.size > 1
-            and self.faults is None
-            and arr.size >= self.size
-        ):
-            return self._ring_allreduce(arr, tag)
-        total = self.reduce(array, root=0, tag=tag + COLLECTIVE_TAG_STRIDE)
+        total = self.reduce(arr, root=0, tag=tag + COLLECTIVE_TAG_STRIDE)
         return self.bcast(total, root=0, tag=tag + 2 * COLLECTIVE_TAG_STRIDE)
-
-    def _ring_allreduce(self, arr: np.ndarray, tag: int) -> np.ndarray:
-        """Sharded ring allreduce over point-to-point messages.
-
-        The buffer splits into P owner shards (:func:`shard_bounds`).
-        Phase 1 (reduce-scatter, tag block 6): in step k, rank r hands
-        shard ``(r+k) % P``'s chunk to its owner and collects rank
-        ``(r-k) % P``'s version of its own shard; the owner then folds
-        the P versions *in rank order with the binomial-tree association*
-        (:func:`tree_reduce_into`), which is what makes the result
-        bitwise equal to the tree schedule. Phase 2 (allgather, tag
-        block 7): every owner circulates its reduced shard. Each rank
-        sends 2(P-1) messages of ~n/P elements — Theta(1) total bytes in
-        n per rank versus the tree's Theta(log P).
-
-        The schedule for buffers no arena takes (a run under a fault plan,
-        non-float32 or non-contiguous input); it works over any fabric
-        and makes exactly one private copy of the input, mirroring
-        ``reduce``'s copy discipline so slice sends are safe under
-        by-reference delivery.
-        """
-        t0 = self._elapsed()
-        prev_op = self._trace_op
-        p, r = self.size, self.rank
-        rs_tag = tag + 6 * COLLECTIVE_TAG_STRIDE
-        ag_tag = tag + 7 * COLLECTIVE_TAG_STRIDE
-        flat = np.array(arr, copy=True).reshape(-1)
-        bounds = shard_bounds(flat.size, p)
-        lo, hi = bounds[r], bounds[r + 1]
-
-        # Phase 1: reduce-scatter. Sends are asynchronous, so the
-        # send-then-recv step order cannot deadlock.
-        self._trace_op = "ring-reduce-scatter"
-        versions: List[Optional[np.ndarray]] = [None] * p
-        versions[r] = flat[lo:hi]
-        for k in range(1, p):
-            dest, src = (r + k) % p, (r - k) % p
-            self._trace_round = k - 1
-            self.send(flat[bounds[dest] : bounds[dest + 1]], dest, rs_tag)
-            versions[src] = self.recv(src, rs_tag)
-        out = np.empty(flat.size, dtype=flat.dtype)
-        if hi > lo:
-            tree_reduce_into(versions, out[lo:hi])  # type: ignore[arg-type]
-
-        # Phase 2: allgather the reduced owner shards.
-        self._trace_op = "ring-allgather"
-        for k in range(1, p):
-            dest, src = (r + k) % p, (r - k) % p
-            self._trace_round = k - 1
-            self.send(out[lo:hi], dest, ag_tag)
-            out[bounds[src] : bounds[src + 1]] = self.recv(src, ag_tag)
-        self._trace_op, self._trace_round = prev_op, -1
-        self._collective_span("ring-allreduce", t0)
-        return out.reshape(arr.shape)
 
     # -- arena allreduce: folds in place in shared rows, tokens on the fabric ----
     def _count(self, key: str, n: int) -> None:
@@ -704,62 +616,45 @@ class RankContextBase:
         if self._codec is not None:
             self._codec.stats[key] += n
 
-    def _collective_arena(
-        self, tag: int, elems: int, dtype: Any = np.float32, contiguous: bool = True
-    ) -> Optional[Any]:
-        """The arena ``allreduce(tag)`` of such a buffer folds in, or None
-        when it travels as messages — the one eligibility rule, shared by
-        :meth:`allreduce` and :meth:`collective_buffer`.
-
-        Decided only from what the call can observe: more than one rank,
-        no fault plan (tokens assume reliable links), a C-contiguous
-        float32 buffer (the rows' own layout — anything else would be
-        cast or reordered on the way in), big enough for the schedule —
-        :data:`DEFAULT_MIN_BYTES` for the tree, one element per rank for
-        the ring — and a fabric that has arenas at all. Every rank must
-        reach the same verdict, so (as under MPI) all ranks pass buffers
-        of one size, dtype and layout.
+    def _collective_arena(self, tag: int, elems: int) -> Optional[Any]:
+        """The arena a float32 ``allreduce(tag)`` of ``elems`` folds in, or
+        None on a fabric without arenas, on a lone rank, or for an empty
+        buffer (nothing to fold) — the one rule, shared by
+        :meth:`allreduce` and :meth:`collective_buffer`. Every rank
+        reaches the same verdict because (as under MPI) all ranks pass
+        buffers of one size and dtype.
         """
-        if self._arenas is None or self.size == 1 or self.faults is not None:
-            return None
-        if dtype != np.float32 or not contiguous:
-            return None
-        if self.collective == "ring":
-            if elems < self.size:
-                return None
-        elif 4 * elems < DEFAULT_MIN_BYTES:
+        if self._arenas is None or self.size == 1 or not elems:
             return None
         return self._arenas(tag, int(elems))
 
     def _token_out(self, dest: int, tag: int, nbytes: int, rnd: int) -> None:
-        """Send one arena token and trace the *logical* message it stands for.
+        """Send one arena token: a row is ready, or a fold is done.
 
-        The arena moves bulk bytes through shared rows, not through
-        ``send``/``recv``, so the events that keep the schedule's
-        structure checkable (one message per edge, buffer- or shard-sized
-        ``nbytes``, per-channel ``seq``) are emitted by hand; the token
-        carries the ``seq`` so the receiver's event names the same
-        channel however arena and message collectives interleave on it.
+        The bulk bytes move through shared rows, so the token stands for
+        the ``nbytes`` of buffer or shard a message would have carried in
+        round ``rnd``, and that logical message is what the trace records
+        — the schedule's structure stays checkable (one message per edge,
+        per-channel ``seq``). With neither a fault plan nor a trace a
+        token is one bare :meth:`_deliver`; otherwise it is an ordinary
+        :meth:`_send`, which the plan may drop, delay, retransmit or lose.
         """
-        trace = self.trace
-        seq = self._next_seq(dest, tag) if trace is not None else 0
-        self._deliver(dest, tag, seq)
+        if self.faults is None and self.trace is None:
+            self._deliver(dest, tag, None)
+        else:
+            self._trace_round = rnd
+            self._send(None, dest, tag, nbytes)
         self._count("arena_tokens", 1)
-        if trace is not None:
-            now = self._elapsed()
-            trace.send(self.rank, dest, now, now, tag=tag, nbytes=nbytes, seq=seq,
-                       op=self._trace_op, round=rnd, iteration=self.trace_iteration)
 
     def _token_in(self, source: int, tag: int, nbytes: int, rnd: int) -> None:
         """Wait for one arena token (raises :class:`DeadlockError` like any
-        receive) and trace the logical message's arrival."""
-        trace = self.trace
-        t0 = self._elapsed() if trace is not None else 0.0
-        seq = self._poll(source, tag, None)
-        if trace is not None:
-            trace.recv(self.rank, source, t0, self._elapsed(), tag=tag, nbytes=nbytes,
-                       seq=seq, op=self._trace_op, round=rnd,
-                       iteration=self.trace_iteration)
+        receive): one bare :meth:`_poll`, or :meth:`_recv` under a fault
+        plan or a trace."""
+        if self.faults is None and self.trace is None:
+            self._poll(source, tag, None)
+        else:
+            self._trace_round = rnd
+            self._recv(source, tag, nbytes)
 
     def _arena_allreduce(self, arena: Any, arr: np.ndarray, tag: int, view: bool) -> np.ndarray:
         """Allreduce with the bulk bytes never leaving the arena.
@@ -768,10 +663,11 @@ class RankContextBase:
            caller computed into :meth:`collective_buffer`. A buffer that
            is not the row is *copied*, never folded into: the caller's
            array is left untouched.
-        2. Run the schedule (:meth:`_arena_tree` or :meth:`_arena_ring`)
-           on tokens; every fold is ``np.add`` in :func:`tree_reduce`'s
-           stride-doubling order, so the bits are the message
-           collectives' by construction.
+        2. Run the schedule (:meth:`_arena_tree`, or :meth:`_arena_ring`
+           when the ring has at least one element per rank) on tokens;
+           every fold is ``np.add`` in :func:`tree_reduce`'s
+           stride-doubling order, so the bits are the message tree's by
+           construction.
         3. Hand out ``result`` — never a contribution row, which the tree
            clobbers with partial sums: the read-only window itself under
            ``view=True``, else a private copy.
@@ -782,11 +678,11 @@ class RankContextBase:
             np.copyto(row, flat)
             self._count("bytes_copied_in", row.nbytes)
         prev_op = self._trace_op
-        if self.collective == "ring":
+        if self.collective == "ring" and flat.size >= self.size:
             self._arena_ring(arena, tag)
         else:
             self._arena_tree(arena, tag)
-        self._trace_op = prev_op
+        self._trace_op, self._trace_round = prev_op, -1
         if view:
             result = arena.result.view()
             result.flags.writeable = False
@@ -851,11 +747,16 @@ class RankContextBase:
     def _arena_ring(self, arena: Any, tag: int) -> None:
         """Sharded ring allreduce over arena rows.
 
-        Same logical schedule (and bit-identical association) as
-        :meth:`_ring_allreduce`: *reduce-scatter* — a ready token to every
-        peer, theirs collected, then the P row slices of our owner shard
-        tree-reduced straight into ``result``; *allgather* — a done token
-        to every peer, theirs collected, and ``result`` is complete.
+        The buffer splits into P owner shards (:func:`shard_bounds`).
+        *Reduce-scatter* (tag block 6): a ready token to every peer,
+        theirs collected, then the P row slices of our owner shard
+        tree-reduced straight into ``result`` — in rank order with the
+        binomial-tree association (:func:`tree_reduce_into`), which is
+        what makes the sum bitwise equal to the tree's. *Allgather* (tag
+        block 7): a done token to every peer, theirs collected, and
+        ``result`` is complete. Logically each rank sends 2(P-1) messages
+        of ~n/P elements — Theta(1) bytes in n per rank versus the tree's
+        Theta(log P) — and that is what the trace records.
 
         Reuse safety (single-generation rows): a rank re-enters (and may
         overwrite its row) only after collecting *all* P-1 done tokens,
@@ -914,9 +815,6 @@ class RankContextBase:
     def barrier(self, tag: int = 104) -> None:
         """Synchronize all ranks (zero-byte allreduce on a reserved tag block)."""
         self.allreduce(np.zeros(1, dtype=np.float32), tag=tag + 3 * COLLECTIVE_TAG_STRIDE)
-
-
-RankContext = RankContextBase  # the name the thread substrate's context used to have
 
 
 class _HeapArena:

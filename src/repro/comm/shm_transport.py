@@ -86,12 +86,12 @@ import platform
 import queue
 import struct
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 import uuid
 
 import numpy as np
 
-from repro.comm.runtime import _DEFAULT_TIMEOUT, DEFAULT_MIN_BYTES, DeadlockError
+from repro.comm.runtime import _DEFAULT_TIMEOUT, DeadlockError
 from repro.comm.shm_lifecycle import create_segment, unregister_segment
 
 __all__ = [
@@ -119,6 +119,11 @@ TSO_MACHINES = frozenset({"x86_64", "amd64", "i386", "i486", "i586", "i686", "x8
 #: Ring capacity: 2 slots = double buffering (sender may run one full
 #: message ahead of the receiver — the overlap window Sync EASGD3 needs).
 DEFAULT_SLOTS = 2
+
+#: Buffers below this pickle in band instead of being staged through a
+#: slot ring or a dispatch stage: below ~16 KiB the shared-segment
+#: machinery costs more than the copy it saves.
+DEFAULT_MIN_BYTES = 1 << 14
 
 #: Segment header: one cache line. Word 0 is the receiver-written consumed
 #: count; the rest is reserved padding so slot 0 starts cache-aligned.
@@ -283,8 +288,8 @@ def split_pickle(
     Every contiguous buffer of at least ``min_bytes`` stays out of band,
     in pickle-5 buffer order, for the caller to place in shared memory;
     smaller ones, and non-contiguous arrays, pickle in band (below
-    ~16 KiB the shm machinery costs more than the copy, and barrier
-    tokens should not allocate segments). The one split behind both a
+    :data:`DEFAULT_MIN_BYTES` the shm machinery costs more than the copy,
+    and a small message should not allocate a segment). The one split behind both a
     rank's messages (:meth:`ShmTransport.pack`) and a pool's dispatch
     (:class:`PickleStage`).
     """
@@ -448,12 +453,11 @@ class ShmTransport:
     payload once into the bytes its inbox record carries — the payload's
     own pickle when it is small, else a pickled :class:`ShmSlotRef` naming
     the slot its bulk bytes were staged into; :meth:`unpack` turns a record
-    popped off the inbox back into the payload, through :meth:`decode` (or
-    :meth:`decode_view`) when it is a descriptor. That pair is the ``codec``
-    of a rank context. ``stats`` counts both paths so traces can report
-    bytes-on-wire (descriptor pickles) versus bytes-copied (slot memcpys);
-    the rank's :class:`ShmInbox` and the arena collectives count into the
-    same dict.
+    popped off the inbox back into the payload, through :meth:`decode`
+    when it is a descriptor. That pair is the ``codec`` of a rank context.
+    ``stats`` counts both paths so traces can report bytes-on-wire
+    (descriptor pickles) versus bytes-copied (slot memcpys); the rank's
+    :class:`ShmInbox` and the arena collectives count into the same dict.
     """
 
     def __init__(
@@ -478,10 +482,10 @@ class ShmTransport:
         self._attached: Dict[str, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self.stats: Dict[str, int] = {
             "shm_messages": 0,  # staged through a slot ring
-            "queue_messages": 0,  # wholly in-band
+            "inband_messages": 0,  # wholly in the inbox record
             "bytes_copied_in": 0,  # memcpys into slots and arena rows
             "bytes_copied_out": 0,  # memcpys out of slots and arena results
-            "bytes_inplace": 0,  # read in place from slots / peers' arena rows
+            "bytes_inplace": 0,  # peers' arena rows folded where they lie
             "bytes_on_wire": 0,  # in-band bytes of staged messages
             "ring_allocs": 0,
             "inbox_messages": 0,  # records written to inbox rings
@@ -494,23 +498,24 @@ class ShmTransport:
         }
 
     # -- sender side -----------------------------------------------------------
-    def _stage(
-        self, dest: int, tag: int, payload: Any, inline_limit: Optional[int]
-    ) -> Union[ShmSlotRef, bytes]:
-        """Pickle ``payload`` once; stage its bulk through the channel ring.
+    def pack(self, dest: int, tag: int, payload: Any) -> bytes:
+        """The bytes ``payload``'s inbox record carries.
 
-        Protocol 5 keeps every contiguous buffer of at least ``min_bytes``
-        out of band (smaller ones, and non-contiguous arrays, pickle in
-        band: below ~16 KiB the slot machinery costs more than the copy,
-        and barrier tokens should not allocate rings). Returns the
-        complete pickle when nothing needs a slot, else the descriptor of
-        the one slot that now holds the buffers — and the in-band stream
-        too, when it is longer than ``inline_limit``.
+        The payload is pickled once (:func:`split_pickle`: every
+        contiguous buffer of at least ``min_bytes`` stays out of band).
+        With nothing out of band and an in-band stream of at most
+        :data:`INLINE_LIMIT`, that stream is the record. Otherwise the
+        buffers — and a longer in-band stream too — are memcpy'd into the
+        one slot of the ``(dest, tag)`` ring, and the record is the
+        pickled :class:`ShmSlotRef` naming it. So "a sender may run
+        ``slots`` messages ahead of its receiver" is the one buffering
+        rule for everything too big for the control ring.
         """
+        self.stats["inbox_messages"] += 1
         meta, buffers = split_pickle(payload, self.min_bytes)
-        spill = inline_limit is not None and len(meta) > inline_limit
+        spill = len(meta) > INLINE_LIMIT
         if not buffers and not spill:
-            self.stats["queue_messages"] += 1
+            self.stats["inband_messages"] += 1
             return meta
         bodies = [np.frombuffer(buf.raw(), dtype=np.uint8) for buf in buffers]
         if spill:
@@ -539,7 +544,7 @@ class ShmTransport:
         self.stats["shm_messages"] += 1
         self.stats["bytes_copied_in"] += total
         self.stats["bytes_on_wire"] += len(meta)
-        return ShmSlotRef(
+        ref = ShmSlotRef(
             segment=ring.name,
             segment_bytes=ring.total_bytes,
             slot_offset=offset,
@@ -547,23 +552,7 @@ class ShmTransport:
             meta=meta,
             nbytes=total,
         )
-
-    def encode(self, dest: int, tag: int, payload: Any) -> Optional[ShmSlotRef]:
-        """Stage ``payload``'s large buffers for ``(dest, tag)``; None when it
-        has none (the payload then travels in band, whatever its size)."""
-        staged = self._stage(dest, tag, payload, None)
-        return staged if isinstance(staged, ShmSlotRef) else None
-
-    def pack(self, dest: int, tag: int, payload: Any) -> bytes:
-        """The bytes ``payload``'s inbox record carries: its own pickle, or
-        a pickled :class:`ShmSlotRef` when large buffers — or an in-band
-        stream above :data:`INLINE_LIMIT` — were staged through the slot
-        ring. Either way the payload is serialized exactly once, and "a
-        sender may run ``slots`` messages ahead of its receiver" is the one
-        buffering rule for everything too big for the control ring."""
-        staged = self._stage(dest, tag, payload, INLINE_LIMIT)
-        self.stats["inbox_messages"] += 1
-        return staged if isinstance(staged, bytes) else pickle.dumps(staged, protocol=5)
+        return pickle.dumps(ref, protocol=5)
 
     # -- receiver side ---------------------------------------------------------
     def _attach(self, segment: str) -> Tuple[Any, np.ndarray, np.ndarray]:
@@ -578,67 +567,31 @@ class ShmTransport:
             entry = self._attached[segment] = (shm, tail, data)
         return entry
 
-    @staticmethod
-    def _bodies(ref: ShmSlotRef, data: np.ndarray) -> Tuple[Any, List[np.ndarray]]:
-        """``(meta, slot views of the out-of-band buffers)`` of a message;
-        a spilled in-band stream is the slot's last body."""
-        views = [
-            data[ref.slot_offset + off : ref.slot_offset + off + nbytes]
-            for off, nbytes in ref.buffers
-        ]
-        return (ref.meta or views.pop().tobytes()), views
-
     def decode(self, ref: ShmSlotRef) -> Any:
         """Reconstruct the payload and release its slot back to the sender.
 
         The slot bytes are copied into private storage *before* the tail
         advances, so the returned arrays are ordinary writable NumPy arrays
         that never alias ring memory — a sender overwriting the slot later
-        cannot corrupt them.
+        cannot corrupt them. A spilled in-band stream is the slot's last
+        body.
         """
         _, tail, data = self._attach(ref.segment)
-        meta, views = self._bodies(ref, data)
+        base = ref.slot_offset
+        views = [data[base + off : base + off + nbytes] for off, nbytes in ref.buffers]
+        meta = ref.meta or views.pop().tobytes()
         privates = [view.copy() for view in views]
         del views
         tail[0] += 1  # slot is free for the sender again
         self.stats["bytes_copied_out"] += ref.nbytes
         return pickle.loads(meta, buffers=privates)
 
-    def decode_view(self, ref: ShmSlotRef) -> Tuple[Any, Any]:
-        """Reconstruct the payload with arrays *viewing* slot memory.
-
-        The zero-copy receive for consume-once readers (the in-place
-        reduce fold): no private copy is made and the tail does **not**
-        advance yet — the slot stays claimed while the caller reads the
-        views. Returns ``(payload, release)``; the caller must drop every
-        reference into the payload and then call ``release()`` exactly
-        once to hand the slot back to the sender. Holding the payload past
-        ``release()`` would race the sender's next overwrite.
-        """
-        _, tail, data = self._attach(ref.segment)
-        meta, views = self._bodies(ref, data)
-        payload = pickle.loads(meta, buffers=[view.data for view in views])
-        self.stats["bytes_inplace"] += ref.nbytes
-
-        def release() -> None:
-            tail[0] += 1
-
-        return payload, release
-
-    def unpack(
-        self, record: bytes, view: bool = False
-    ) -> Tuple[Any, Optional[Callable[[], None]]]:
-        """The inverse of :meth:`pack`: ``(payload, release)`` of an inbox
-        record. A descriptor goes through :meth:`decode`, or with
-        ``view=True`` through :meth:`decode_view`, whose ``release`` is
-        handed on; otherwise ``release`` is None and nothing of the
-        payload aliases ring memory."""
+    def unpack(self, record: bytes) -> Any:
+        """The inverse of :meth:`pack`: the payload of an inbox record, a
+        descriptor's through :meth:`decode` — nothing of it aliases ring
+        memory."""
         payload = pickle.loads(record)
-        if not isinstance(payload, ShmSlotRef):
-            return payload, None
-        if view:
-            return self.decode_view(payload)
-        return self.decode(payload), None
+        return self.decode(payload) if isinstance(payload, ShmSlotRef) else payload
 
     def backpressure(self, rank: int, dest: int, tag: int) -> RingBackpressureError:
         """The error of cell rank ``rank``'s send that found its ring in

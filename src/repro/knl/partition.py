@@ -183,9 +183,9 @@ def _group_round(ctx, tr, weights: np.ndarray, buf: np.ndarray,
     net.set_params(weights)
     loss = net.gradient(images, labels, tr.loss)
     buf[:] = net.grads
-    # The arena tree and (below 16 KiB) the message tree both fold in
-    # tree_reduce's stride-doubling association, so this is the serial
-    # path's update expression bit for bit.
+    # The arena folds in tree_reduce's stride-doubling association at any
+    # buffer size, so this is the serial path's update expression bit for
+    # bit.
     weights -= tr.config.lr * (ctx.allreduce(buf, view=True) / ctx.size)
     return loss
 

@@ -94,9 +94,10 @@ def emit_ring_allreduce(
 ) -> None:
     """Record one sharded ring allreduce: reduce-scatter then allgather.
 
-    Mirrors the runtime schedule of :meth:`repro.comm.runtime
-    .RankContextBase._ring_allreduce` without importing it (trace/ must
-    stay import-free of comm/): the buffer splits into P nearly-equal
+    Mirrors the logical schedule of the runtime's ring,
+    :meth:`repro.comm.runtime.RankContextBase._arena_ring`, without
+    importing it (trace/ must stay import-free of comm/): the buffer
+    splits into P nearly-equal
     shards at byte bounds ``(nbytes * s) // P``; in reduce-scatter round
     k every rank sends its version of shard ``(i + k) % P`` to that
     shard's owner, and in allgather round k every owner forwards its

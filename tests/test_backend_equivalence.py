@@ -123,8 +123,10 @@ def _digest(arr: np.ndarray) -> str:
 
 
 #: Direct-allreduce buffer sizes (float32 elements; P-1 is added per run):
-#: the ring's one-element-per-rank floor and both sides of the tree's
-#: 16 KiB arena threshold, plus the MLP's packed buffer.
+#: below the ring's one-element-per-rank floor (P-1, the arena tree) and
+#: at it, both sides of 16 KiB (where the transport stops pickling a
+#: message in band; the arena takes every size), plus the MLP's packed
+#: buffer.
 ALLREDUCE_SIZES = (1, 4095, 4096, 4097, 50_891)
 
 
@@ -148,13 +150,16 @@ def _allreduce_sizes_program(ctx, sizes):
 
 
 def _odd_inputs(rank: int):
-    """Buffers no arena may take: wrong dtype (small, and past the 16 KiB
-    threshold) and a float32 view that is big enough but not contiguous."""
+    """Buffers off the common path: other dtypes (small, and past 16 KiB),
+    which the message tree reduces in their own dtype, a float32 view
+    that is not contiguous, which the arena stages by copy, and an empty
+    float32 buffer, which has nothing to fold and takes no arena."""
     return {
         "float64-small": np.full(8, 1.0 + 1e-12 * (rank + 1), dtype=np.float64),
         "float64-big": np.full(4096, 1.0 + 1e-12 * (rank + 1), dtype=np.float64),
         "int64": np.arange(8, dtype=np.int64) * (rank + 1),
         "float32-strided": _contribution(rank, 2 * 5000)[::2],
+        "float32-empty": np.zeros(0, dtype=np.float32),
     }
 
 
@@ -217,7 +222,7 @@ class TestCollectiveMatrix:
 
     @pytest.mark.parametrize("ranks", [2, 4, 5])
     def test_direct_allreduce_one_digest_per_size(self, ranks):
-        """Messages or arena, private copy or shared view: one sum, and it
+        """Arena tree or ring, private copy or shared view: one sum, and it
         is ``tree_reduce``'s; the caller's own array is never folded into."""
         sizes = tuple(sorted({ranks - 1, *ALLREDUCE_SIZES}))
         runs = {}
@@ -238,8 +243,9 @@ class TestCollectiveMatrix:
 
     def test_non_float32_and_strided_buffers_keep_dtype_and_bits(self):
         """Regression: processes/shm/ring cast a float64 buffer into its
-        float32 arena rows. Only C-contiguous float32 takes an arena; the
-        rest travels as messages — one dtype, one digest, in every cell."""
+        float32 arena rows. Only float32 takes an arena (a strided view is
+        copied into its row); other dtypes travel as messages — one dtype,
+        one digest, in every cell."""
         ranks = 2
         want = {
             name: (str(total.dtype), _digest(total))

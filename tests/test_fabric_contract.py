@@ -8,7 +8,10 @@ inboxes) and ``processes/shm`` (``ShmInbox`` + ``ShmTransport`` codec,
 launched with the ``transport="shm"`` compatibility argument): a wedged
 receive names its edge, a message landing inside the budget wins, a fault
 plan logs every empty poll, and a message for a channel nobody asked
-about yet is stashed and handed out later in per-sender order.
+about yet is stashed and handed out later in per-sender order. Then the
+arena under a fault plan, over the same fabrics: a float32 allreduce
+folds in the arena and its tokens are ordinary messages, so the plan
+drops, delays and loses them exactly as it would the message tree's.
 
 The second half pins the option handling that rides on the same
 constructor: ``CellOptions`` refuses the same values with the same words
@@ -26,14 +29,22 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm import MpRankContext, RankContext, RankContextBase, UnsupportedMemoryModelError
+from repro.comm import RankContextBase, UnsupportedMemoryModelError
 from repro.comm.backend import make_communicator
+from repro.comm.collectives import tree_reduce
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
-from repro.comm.runtime import CellOptions, DeadlockError, InProcessCommunicator
+from repro.comm.runtime import (
+    CellOptions,
+    collective_wire_tags,
+    DeadlockError,
+    InProcessCommunicator,
+)
 from repro.comm.shm_lifecycle import list_live_segments, registered_segments
 from repro.comm.shm_transport import SeqlockBuffer
 from repro.faults import FaultLog, FaultPlan
 from repro.pool import WorkerPool
+from repro.trace import Trace
+from repro.trace.check import check_message_conservation
 
 _forks = [
     pytest.mark.mp,
@@ -86,7 +97,8 @@ def _one_message(ctx):
     return ctx.recv(source=0, tag=9)
 
 
-#: 32 KiB of float32: above DEFAULT_MIN_BYTES, so it rides a slot ring on shm.
+#: 32 KiB of float32: above the transport's DEFAULT_MIN_BYTES, so it rides
+#: a slot ring on shm.
 _BULK = 8192
 
 
@@ -176,8 +188,90 @@ def test_a_message_landing_at_the_deadline_wins():
         ctx.recv(source=0, tag=4)
 
 
-def test_there_is_one_rank_context():
-    assert RankContext is MpRankContext is RankContextBase
+# ---------------------------------------------------------------------------
+# The arena under a fault plan: tokens are messages like any other
+# ---------------------------------------------------------------------------
+
+#: 64 KiB of float32.
+_PLAN_ELEMS = 1 << 14
+
+
+def _plan(seed=3):
+    """Drops and delays, no loss: every token gets through eventually."""
+    return FaultPlan(seed=seed).drop_rate(0.3).delay(0.3, 0.002)
+
+
+def _contribution(rank, dtype=np.float32):
+    # Magnitudes six decades apart: any association drift flips bits.
+    rng = np.random.default_rng(rank)
+    values = rng.standard_normal(_PLAN_ELEMS) * rng.choice([1e-3, 1.0, 1e3], size=_PLAN_ELEMS)
+    return values.astype(dtype)
+
+
+def _buffer_allreduce(ctx):
+    """Compute into the collective buffer, allreduce, read the view."""
+    buf = ctx.collective_buffer(_PLAN_ELEMS)
+    buf[:] = _contribution(ctx.rank)
+    total = ctx.allreduce(buf, view=True)
+    return total.tobytes(), total.flags.writeable
+
+
+def _allreduce_of(ctx, dtype):
+    return ctx.allreduce(_contribution(ctx.rank, dtype), view=True).flags.writeable
+
+
+def _records(fault_log):
+    """The plan's decisions, without times and the receivers' empty polls."""
+    return sorted(
+        (r.kind, r.subject, r.detail) for r in fault_log.records if r.kind != "recv-retry"
+    )
+
+
+@pytest.mark.parametrize("fabric", FABRICS)
+class TestArenaUnderAFaultPlan:
+    @pytest.mark.parametrize("collective", ["tree", "ring"])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_the_arena_folds_under_drops_and_delays(self, fabric, collective, size):
+        trace = Trace()
+        results, comm = _run(fabric, size, _buffer_allreduce, timeout=20.0, faults=_plan(),
+                             collective=collective, trace=trace)
+        want = tree_reduce([_contribution(r) for r in range(size)]).tobytes()
+        # tree_reduce's bits, read through the arena's read-only window.
+        assert results == [(want, False)] * size
+        if fabric[0] == "processes":
+            assert comm.transport_stats["arena_tokens"] > 0
+        assert comm.fault_log.count("drop") > 0 and comm.fault_log.count("retransmit") > 0
+        assert comm.fault_log.count("lost") == 0
+        check_message_conservation(trace)
+        ops = {e.op for e in trace.sends()}
+        assert ops == ({"ring-reduce-scatter", "ring-allgather"} if collective == "ring"
+                       else {"tree-reduce", "tree-bcast"})
+
+    def test_the_plan_decides_alike_on_the_arena_and_the_message_tree(self, fabric):
+        # float32 folds in the arena, float64 reduces on the message tree:
+        # the same edges, tags and sequence numbers, so the same decisions.
+        logs = {}
+        for dtype, on_arena in ((np.float32, True), (np.float64, False)):
+            results, comm = _run(fabric, 4, _allreduce_of, dtype, timeout=20.0, faults=_plan())
+            assert results == [not on_arena] * 4  # only the arena hands out its window
+            logs[dtype] = _records(comm.fault_log)
+        assert logs[np.float32] == logs[np.float64]
+        assert {kind for kind, _, _ in logs[np.float32]} >= {"drop", "retransmit", "delay"}
+
+    def test_a_lost_token_names_its_edge(self, fabric):
+        # Rank 1's reduce-scatter token to rank 0 never arrives: rank 0
+        # waits for it, and the others wait for rank 0's allgather token.
+        rs_tag, _ = collective_wire_tags("allreduce", collective="ring")
+        plan = FaultPlan(seed=0).lose_message(1, 0, rs_tag)
+        comm = make_communicator(3, backend=fabric[0], transport=fabric[1], timeout=0.5,
+                                 faults=plan, collective="ring")
+        try:
+            with pytest.raises(DeadlockError) as err:
+                comm.run(_buffer_allreduce)
+        finally:
+            comm.close()
+        assert (err.value.rank, err.value.source, err.value.tag) == (0, 1, rs_tag)
+        assert comm.fault_log.count("lost") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -268,29 +268,48 @@ class TestChipPartitionProcesses:
         b.train(8)
         np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
 
-    #: One model per allreduce path: the conv net packs ~4.5 KB of
-    #: gradient (the message tree), the MLP ~790 KB (the arena tree).
+    #: Two gradient sizes: the conv net packs ~4.5 KB (small enough to
+    #: pickle in band as a message), the MLP ~790 KB.
     _NETS = {
-        "message-tree": lambda: Network(
+        "tiny-conv": lambda: Network(
             [Conv2D(2, 5), ReLU(), MaxPool2D(4), Flatten(), Dense(10)],
             (3, 32, 32), seed=4, name="tiny-conv"),
-        "arena-tree": lambda: build_mlp(input_shape=(3, 32, 32), seed=4),
+        "mlp": lambda: build_mlp(input_shape=(3, 32, 32), seed=4),
     }
 
     @pytest.mark.parametrize("parts", [2, 4])
-    @pytest.mark.parametrize("path", sorted(_NETS))
-    def test_both_allreduce_paths_match_serial(self, cifar_tiny, path, parts):
-        from repro.comm.runtime import DEFAULT_MIN_BYTES
+    @pytest.mark.parametrize("path", ["arena-tree", "message-tree"])
+    def test_both_allreduce_paths_match_serial(self, cifar_tiny, monkeypatch, path, parts):
+        """Both models' float32 gradients fold in the arena at any size.
+        The message tree — what a lone rank or another dtype takes — is
+        driven here by a fabric that offers no arena. Either path, either
+        model: the serial trajectory bit for bit."""
+        from repro.comm.runtime import RankContextBase
+        from repro.comm.shm_transport import DEFAULT_MIN_BYTES
+        from repro.knl import partition
 
-        build = self._NETS[path]
-        assert (4 * build().num_params < DEFAULT_MIN_BYTES) == (path == "message-tree")
-        a = self._trainer(cifar_tiny, "threads", parts=parts, net=build())
-        b = self._trainer(cifar_tiny, "processes", parts=parts, net=build())
-        serial, procs = a.train(10), b.train(10)
-        assert procs.records == serial.records
-        assert procs.sim_time == serial.sim_time
-        assert procs.final_accuracy == serial.final_accuracy
-        np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
+        if path == "message-tree":
+            monkeypatch.setattr(RankContextBase, "_collective_arena",
+                                lambda self, tag, elems: None)
+        comms, build_comm = [], partition.make_communicator
+
+        def recording(*args, **kwargs):
+            comms.append(build_comm(*args, **kwargs))
+            return comms[-1]
+
+        monkeypatch.setattr(partition, "make_communicator", recording)
+        # One arena allreduce a round: 2(P-1) tokens on the tree.
+        tokens = 10 * 2 * (parts - 1) if path == "arena-tree" else 0
+        for model, build in self._NETS.items():
+            assert (4 * build().num_params < DEFAULT_MIN_BYTES) == (model == "tiny-conv")
+            a = self._trainer(cifar_tiny, "threads", parts=parts, net=build())
+            b = self._trainer(cifar_tiny, "processes", parts=parts, net=build())
+            serial, procs = a.train(10), b.train(10)
+            assert comms[-1].transport_stats["arena_tokens"] == tokens, model
+            assert procs.records == serial.records, model
+            assert procs.sim_time == serial.sim_time, model
+            assert procs.final_accuracy == serial.final_accuracy, model
+            np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
 
     def test_early_stop_releases_the_groups(self, cifar_tiny):
         # Rank 0 leaves the loop at the first record that meets the target;

@@ -258,7 +258,7 @@ class TestEndToEnd:
             assert len(body) <= INLINE_LIMIT
             tag, loss, arr = pickle.loads(body)
             np.testing.assert_array_equal(arr, small)
-            assert tp.stats["queue_messages"] == 1 and tp.stats["ring_allocs"] == 0
+            assert tp.stats["inband_messages"] == 1 and tp.stats["ring_allocs"] == 0
         finally:
             tp.close(unlink=True)
 

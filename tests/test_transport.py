@@ -4,7 +4,7 @@ Three layers of coverage:
 
 1. Fast units (tier-1): the ``transport=`` compatibility argument (only
    ``None`` and ``"shm"`` pass), slot-ring protocol (wraparound,
-   backpressure), transport encode/decode with its in-band fallbacks, the
+   backpressure), transport pack/decode with its in-band fallbacks, the
    buffer arena, the ``out=`` forms of im2col/col2im and
    ``next_batch_into``, and the ``_payload_nbytes`` fix for tuple/list
    payloads.
@@ -18,6 +18,7 @@ Three layers of coverage:
 
 import hashlib
 import multiprocessing
+import pickle
 import threading
 import time
 
@@ -220,10 +221,15 @@ class TestSlotRing:
 
 
 class TestShmTransport:
-    def _roundtrip(self, transport, payload, dest=1, tag=0):
-        ref = transport.encode(dest, tag, payload)
+    @staticmethod
+    def _staged(transport, payload, dest=1, tag=0):
+        """The descriptor of ``payload``'s inbox record."""
+        ref = pickle.loads(transport.pack(dest, tag, payload))
         assert isinstance(ref, ShmSlotRef)
-        return transport.decode(ref)
+        return ref
+
+    def _roundtrip(self, transport, payload, dest=1, tag=0):
+        return transport.decode(self._staged(transport, payload, dest, tag))
 
     def test_large_array_roundtrip(self):
         tp = ShmTransport(rank=0, size=2, min_bytes=1024)
@@ -255,14 +261,18 @@ class TestShmTransport:
     def test_small_and_arrayfree_payloads_fall_back(self):
         tp = ShmTransport(rank=0, size=2, min_bytes=1 << 14)
         try:
-            assert tp.encode(1, 0, "token") is None
-            assert tp.encode(1, 0, np.zeros(4, dtype=np.float32)) is None
-            # Non-contiguous arrays pickle in-band -> no out-of-band bytes.
-            big = np.zeros((256, 256), dtype=np.float32)
-            assert tp.encode(1, 0, big[::2, ::2]) is None
-            assert tp.stats["queue_messages"] == 3
-            assert tp.stats["shm_messages"] == 0
-            assert tp.stats["ring_allocs"] == 0
+            assert pickle.loads(tp.pack(1, 0, "token")) == "token"
+            small = pickle.loads(tp.pack(1, 0, np.zeros(4, dtype=np.float32)))
+            np.testing.assert_array_equal(small, np.zeros(4, dtype=np.float32))
+            assert tp.stats["inband_messages"] == 2
+            assert tp.stats["shm_messages"] == tp.stats["ring_allocs"] == 0
+            # Non-contiguous arrays pickle in band -> no out-of-band array
+            # body; the 64 KiB stream itself then spills through the slot.
+            big = np.arange(256 * 256, dtype=np.float32).reshape(256, 256)
+            ref = self._staged(tp, big[::2, ::2])
+            assert ref.meta == b"" and len(ref.buffers) == 1
+            assert tp.stats["inbox_spills"] == 1 and tp.stats["inband_messages"] == 2
+            np.testing.assert_array_equal(tp.decode(ref), big[::2, ::2])
         finally:
             tp.close(unlink=True)
 
@@ -271,8 +281,8 @@ class TestShmTransport:
         try:
             small = np.arange(8192, dtype=np.float32)
             big = np.arange(32768, dtype=np.float32)
-            ref_small = tp.encode(1, 0, small)
-            ref_big = tp.encode(1, 0, big)  # outgrows the ring: new generation
+            ref_small = self._staged(tp, small)
+            ref_big = self._staged(tp, big)  # outgrows the ring: new generation
             assert tp.stats["ring_allocs"] == 2
             assert ref_small.segment != ref_big.segment
             np.testing.assert_array_equal(tp.decode(ref_big), big)
@@ -284,7 +294,7 @@ class TestShmTransport:
         tp = ShmTransport(rank=0, size=4, min_bytes=1024)
         try:
             arr = np.arange(8192, dtype=np.float32)
-            refs = [tp.encode(d, t, arr) for d, t in ((1, 0), (2, 0), (1, 5))]
+            refs = [self._staged(tp, arr, d, t) for d, t in ((1, 0), (2, 0), (1, 5))]
             assert len({r.segment for r in refs}) == 3  # one ring per (dest, tag)
             assert tp.stats["ring_allocs"] == 3
         finally:
@@ -377,7 +387,7 @@ class TestNextBatchInto:
 # Process-backed integration: backpressure through a real communicator.
 # ---------------------------------------------------------------------------
 
-ARRAY_ELEMS = 16384  # 64 KiB float32 >> DEFAULT_MIN_BYTES
+ARRAY_ELEMS = 16384  # 64 KiB float32 >> the transport's DEFAULT_MIN_BYTES
 
 
 def _slow_consumer(ctx, n_messages):
