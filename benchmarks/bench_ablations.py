@@ -161,6 +161,7 @@ def bench_ablation_fault_tolerance(benchmark, mnist_spec):
     """The cloud motivation: async EASGD keeps training through a
     fail-stop worker loss; the survivors' throughput carries the run."""
     from repro.algorithms import AsyncEASGDTrainer
+    from repro.faults import FaultPlan
 
     def experiment():
         healthy = make_trainer(
@@ -179,7 +180,8 @@ def bench_ablation_fault_tolerance(benchmark, mnist_spec):
             mnist_spec.make_platform(),
             mnist_spec.config,
             mnist_spec.cost_model,
-            failures={3: 0.02},  # one of four workers dies almost immediately
+            # One of four workers dies almost immediately.
+            faults=FaultPlan(seed=mnist_spec.config.seed).crash(3, 0.02),
         )
         degraded = degraded_trainer.train(300)
         return healthy, degraded

@@ -462,7 +462,6 @@ class AsyncPSTrainer(BaseTrainer):
         platform: GpuPlatform,
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
-        failures: Optional[Dict[int, float]] = None,
         faults: Optional[FaultPlan] = None,
         heartbeat_timeout: Optional[float] = None,
         max_send_retries: int = 20,
@@ -479,34 +478,10 @@ class AsyncPSTrainer(BaseTrainer):
         to ~25 worker cycles), and let crashed workers rejoin by re-pulling
         the elastic center.
 
-        ``failures`` is the legacy fail-stop shorthand: a map from worker
-        index to the simulated instant it dies. It is converted to a
-        crash-only :class:`FaultPlan`; passing both is an error.
-
         ``local_steps`` (batches per exchange), ``tau`` and
         ``staleness_policy`` (the staleness bound) default to the row's
         values; a row that cannot honour one raises
         :class:`~repro.engine.ps.UnsupportedOptionError`."""
-        self.failures: Dict[int, float] = dict(failures or {})
-        if self.failures:
-            if faults is not None:
-                raise ValueError("pass either failures= (legacy) or faults=, not both")
-            plan = FaultPlan(seed=config.seed)
-            for worker, when in self.failures.items():
-                if not isinstance(worker, int) or isinstance(worker, bool) or not (
-                    0 <= worker < platform.num_gpus
-                ):
-                    raise ValueError(
-                        f"failures[{worker!r}]: worker index must be in "
-                        f"[0, {platform.num_gpus})"
-                    )
-                if when <= 0:
-                    raise ValueError(
-                        f"failures[{worker}] = {when!r}: failure time must be a "
-                        "positive simulated instant"
-                    )
-                plan.crash(worker, when)
-            faults = plan
         if faults is not None:
             faults.validate(platform.num_gpus)
         super().__init__(network, train_set, test_set, config, cost_model, faults=faults)

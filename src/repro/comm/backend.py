@@ -43,11 +43,10 @@ def make_communicator(
 ):
     """Build the communicator for ``backend`` with uniform kwargs.
 
-    ``kwargs`` are the common knobs (``timeout``, ``faults``,
-    ``max_retries``, ``retry_backoff``, ``trace``, ``collective``) plus
-    the process-backend ring depth ``shm_slots``. ``collective`` picks the
-    allreduce schedule ("tree"/"ring"), honoured identically by either
-    backend; a knob the backend lacks is refused by its constructor.
+    ``kwargs`` are the common knobs (``timeout``, ``faults``, ``trace``,
+    ``collective``). ``collective`` picks the allreduce schedule
+    ("tree"/"ring"), honoured identically by either backend; a knob the
+    backend lacks is refused by its constructor.
 
     ``transport`` is a compatibility argument and selects nothing: the
     queue transport was removed, so ``None`` and ``"shm"`` (the one
@@ -57,9 +56,9 @@ def make_communicator(
     ``pool`` (a :class:`repro.pool.WorkerPool`) attaches the process
     backend to persistent pre-forked workers: ``run`` then dispatches to
     that pool instead of a private one built and closed per call —
-    amortized spin-up, identical numerics. A pool of the other backend
-    raises rather than silently running unpooled; a ``threads`` pool holds
-    no workers, so thread ranks are spawned per ``run`` with or without it.
+    amortized spin-up, identical numerics. A pool's workers are processes,
+    so ``backend="threads"`` with a pool raises rather than silently
+    running unpooled.
     """
     validate_backend(backend)
     if transport not in (None, "shm"):
@@ -68,10 +67,10 @@ def make_communicator(
             "memory is the only process fabric; pass transport=None (or 'shm')"
         )
     pool = kwargs.pop("pool", None)
-    if pool is not None and pool.backend != backend:
+    if pool is not None and backend != "processes":
         raise ValueError(
-            f"backend={backend!r} cannot run on a backend={pool.backend!r} pool; "
-            "pass the pool's backend or leave the pool out"
+            f"backend={backend!r} cannot run on a WorkerPool, whose ranks are "
+            "'processes'; pass backend='processes' or leave the pool out"
         )
     if backend == "processes":
         if not fork_available():  # pragma: no cover - POSIX always has fork
@@ -81,4 +80,4 @@ def make_communicator(
                 f"{__import__('multiprocessing').get_all_start_methods()}"
             )
         return MultiprocessCommunicator(size, pool=pool, **kwargs)
-    return InProcessCommunicator(size, **kwargs)  # a threads pool: no workers to attach
+    return InProcessCommunicator(size, **kwargs)

@@ -34,10 +34,6 @@ __all__ = [
     "shard_bounds",
     "ring_allreduce",
     "ring_allreduce_cost",
-    "tree_gather",
-    "scatter_shards",
-    "tree_gather_cost",
-    "scatter_cost",
 ]
 
 #: The recognised allreduce schedules for the rank runtimes.
@@ -241,42 +237,3 @@ def ring_allreduce_cost(link: LinkModel, nbytes: int, p: int) -> float:
         return 0.0
     return 2 * (p - 1) * link.cost(nbytes / p)
 
-
-def tree_gather(vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Gather all ranks' vectors to rank 0 in binomial-tree order.
-
-    Returns the list in rank order — the concatenation the root would hold
-    after a tree gather (each hop forwards its accumulated block upward).
-    """
-    if not vectors:
-        raise ValueError("need at least one vector")
-    return [np.array(v, copy=True) for v in vectors]
-
-
-def scatter_shards(data: np.ndarray, p: int) -> List[np.ndarray]:
-    """Root-side scatter: split ``data`` into ``p`` near-equal row shards.
-
-    The distribution step of data parallelism (Figure 4.1: "the dataset is
-    partitioned into P parts and each machine only gets one part").
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if len(data) < p:
-        raise ValueError(f"cannot scatter {len(data)} rows to {p} ranks")
-    return [np.array(shard, copy=True) for shard in np.array_split(data, p)]
-
-
-def tree_gather_cost(link: LinkModel, nbytes_per_rank: int, p: int) -> float:
-    """Binomial-tree gather: round k moves blocks of 2^k ranks' data.
-
-    Total: sum_k (alpha + 2^k * n * beta) = logP * alpha + (P-1) * n * beta.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    rounds = tree_rounds(p)
-    return rounds * link.alpha + (p - 1) * nbytes_per_rank * link.beta
-
-
-def scatter_cost(link: LinkModel, nbytes_per_rank: int, p: int) -> float:
-    """Tree scatter mirrors the gather under alpha-beta."""
-    return tree_gather_cost(link, nbytes_per_rank, p)

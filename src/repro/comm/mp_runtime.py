@@ -73,7 +73,6 @@ from repro.comm.runtime import (
     RankContextBase,
 )
 from repro.comm.shm_lifecycle import create_segment, unregister_segment
-from repro.comm.shm_transport import DEFAULT_SLOTS
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 
@@ -274,28 +273,20 @@ class MultiprocessCommunicator:
         size: int,
         timeout: float = _DEFAULT_TIMEOUT,
         faults: Optional[FaultPlan] = None,
-        max_retries: int = 8,
-        retry_backoff: float = 0.001,
         trace: Optional[Trace] = None,
-        shm_slots: int = DEFAULT_SLOTS,
         collective: str = "tree",
         pool: Optional[Any] = None,
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
         #: The knobs of every cell this communicator runs, validated here.
-        self.options = CellOptions(timeout, faults, max_retries, retry_backoff, collective)
-        if shm_slots <= 0:
-            raise ValueError("shm_slots must be positive")
+        self.options = CellOptions(timeout, faults, collective)
         if not fork_available():
             raise RuntimeError(
                 "the processes backend requires the 'fork' start method; "
                 "use backend='threads' on this platform"
             )
         self.size = size
-        #: Slot-ring depth of a cold run's private pool (an attached pool
-        #: keeps the depth it was built with).
-        self.shm_slots = shm_slots
         #: Per-run transport counters summed over ranks (shm_messages,
         #: inband_messages, bytes_copied_in/out, bytes_inplace,
         #: bytes_on_wire, ring_allocs, arena_tokens, ...; the table is in
@@ -316,13 +307,10 @@ class MultiprocessCommunicator:
         #: both are the same workers running the same rank context over
         #: the same fabric.
         self._pool = pool
-        if pool is not None:
-            if size > pool.size:
-                raise ValueError(
-                    f"cell needs {size} ranks but the pool holds only {pool.size}"
-                )
-            if pool.backend != "processes":
-                raise ValueError("MultiprocessCommunicator requires a processes pool")
+        if pool is not None and size > pool.size:
+            raise ValueError(
+                f"cell needs {size} ranks but the pool holds only {pool.size}"
+            )
         self._start = time.monotonic()  # epoch of trace and log timestamps
 
     def close(self) -> None:
@@ -357,10 +345,7 @@ class MultiprocessCommunicator:
         if pool is None:
             # A cold run is a pool of one call, with (fn, args) as the
             # fork-inherited payload.
-            pool = WorkerPool(
-                self.size, timeout=self.options.timeout,
-                shm_slots=self.shm_slots, payload=(fn, args),
-            )
+            pool = WorkerPool(self.size, timeout=self.options.timeout, payload=(fn, args))
             fn, args = _run_inherited, (POOL_PAYLOAD,)
         try:
             job = pool.submit(

@@ -56,7 +56,7 @@ send — an arena token included — becomes an unreliable-link
 transmission: each delivery attempt is
 dropped with probability ``p`` (a pure function of the plan seed and the
 message identity, so runs are reproducible), the sender retransmits with
-exponential backoff up to ``max_retries`` times, and the receiver's
+exponential backoff up to :data:`MAX_RETRIES` times, and the receiver's
 ``recv`` polls in exponentially growing slices. A schedule bug or a
 message the plan marks lost-forever therefore fails *deterministically and
 fast* (a :class:`DeadlockError` at the configured timeout) instead of
@@ -108,6 +108,11 @@ def _payload_nbytes(payload: Any) -> int:
     return 0
 
 _DEFAULT_TIMEOUT = 60.0  # seconds before a recv declares a deadlock
+
+#: Retransmissions a sender attempts for a message the fault plan drops,
+#: and the first backoff between attempts (doubling, capped at 64x).
+MAX_RETRIES = 8
+RETRY_BACKOFF = 0.001
 
 #: Width of the user tag block. Collective phases add multiples of this
 #: stride to the user tag, so as long as user tags stay below the stride
@@ -251,25 +256,19 @@ class CellOptions:
     """The per-cell knobs of a rank program, checked in this one place.
 
     ``timeout`` is the per-``recv`` deadlock budget, ``faults`` makes the
-    links unreliable per the plan, ``max_retries`` and ``retry_backoff``
-    govern the sender's retransmissions, ``collective`` picks the
-    allreduce schedule. Both communicators and
+    links unreliable per the plan (retransmissions follow
+    :data:`MAX_RETRIES` and :data:`RETRY_BACKOFF`), ``collective`` picks
+    the allreduce schedule. Both communicators and
     :meth:`repro.pool.WorkerPool.submit` build one from their arguments.
     """
 
     timeout: float = _DEFAULT_TIMEOUT
     faults: Optional[FaultPlan] = None
-    max_retries: int = 8
-    retry_backoff: float = 0.001
     collective: str = "tree"
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
         validate_collective(self.collective)
 
 
@@ -311,8 +310,6 @@ class RankContextBase:
         self.size = len(inboxes)
         self.timeout = options.timeout
         self.faults = options.faults
-        self.max_retries = options.max_retries
-        self.retry_backoff = options.retry_backoff
         self.collective = options.collective
         self.fault_log = fault_log
         self.trace = trace
@@ -407,7 +404,7 @@ class RankContextBase:
 
         Under a fault plan the link is unreliable: each delivery attempt may
         be dropped, in which case the sender backs off exponentially and
-        retransmits (up to ``max_retries`` retries). A channel the plan
+        retransmits (up to :data:`MAX_RETRIES` retries). A channel the plan
         marks lost-forever silently never delivers — the receiving rank's
         ``recv`` then raises :class:`DeadlockError`.
         """
@@ -444,11 +441,11 @@ class RankContextBase:
             self.fault_log.record(self._elapsed(), "delay", edge, f"+{lag:.4g}s seq={seq}")
             self._trace_fault("delay", dest, tag, seq)
             time.sleep(lag)
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if plan.should_drop(self.rank, dest, tag, seq, attempt):
                 self.fault_log.record(self._elapsed(), "drop", edge, f"seq={seq} attempt={attempt}")
                 self._trace_fault("drop", dest, tag, seq)
-                time.sleep(self.retry_backoff * (2 ** min(attempt, 6)))
+                time.sleep(RETRY_BACKOFF * (2 ** min(attempt, 6)))
                 continue
             if attempt > 0:
                 self.fault_log.record(
@@ -460,7 +457,7 @@ class RankContextBase:
             return
         self.fault_log.record(
             self._elapsed(), "lost", edge,
-            f"seq={seq}: dropped on all {self.max_retries + 1} attempts",
+            f"seq={seq}: dropped on all {MAX_RETRIES + 1} attempts",
         )
         self._trace_fault("lost", dest, tag, seq)
 
@@ -833,9 +830,8 @@ class InProcessCommunicator:
 
     The thread substrate of :class:`RankContextBase`: a ``queue.Queue``
     inbox per rank (payloads cross by reference — already zero-copy, so
-    no codec) and heap arena rows. ``timeout``, ``faults``,
-    ``max_retries``, ``retry_backoff`` and ``collective`` are the
-    :class:`CellOptions` of every ``run``.
+    no codec) and heap arena rows. ``timeout``, ``faults`` and
+    ``collective`` are the :class:`CellOptions` of every ``run``.
     """
 
     backend = "threads"
@@ -845,14 +841,12 @@ class InProcessCommunicator:
         size: int,
         timeout: float = _DEFAULT_TIMEOUT,
         faults: Optional[FaultPlan] = None,
-        max_retries: int = 8,
-        retry_backoff: float = 0.001,
         trace: Optional[Trace] = None,
         collective: str = "tree",
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
-        self.options = CellOptions(timeout, faults, max_retries, retry_backoff, collective)
+        self.options = CellOptions(timeout, faults, collective)
         self.size = size
         #: When set, every send/recv/collective records a TraceEvent here
         #: (wall-clock spans). None = tracing off, zero overhead.

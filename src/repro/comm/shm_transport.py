@@ -174,7 +174,8 @@ def require_tso(what: str) -> None:
         raise UnsupportedMemoryModelError(
             f"{what} needs shared-memory rings, which assume x86-TSO store "
             f"ordering; this host's machine is {machine!r}, not known to be TSO. "
-            "Use backend='threads': its ranks share one process and need no rings."
+            "Use backend='threads' (its ranks share one process and need no "
+            "rings), and run sweeps without pool_size (inline, in this process)."
         )
 
 

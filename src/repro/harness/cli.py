@@ -18,7 +18,7 @@ Commands
     Train one method while a serving front-end answers inference traffic
     from the freshest published center weights (see ``docs/serving.md``).
 ``sweep``
-    Run one method over a hyperparameter grid, optionally multiplexed
+    Run one method over a hyperparameter grid, inline or multiplexed
     over a persistent worker pool (``--pool``/``--pool-size``) so fork
     and shm spin-up is paid once per worker instead of once per cell.
 """
@@ -43,6 +43,7 @@ from repro.faults import FaultError, FaultPlan
 from repro.harness.breakdown import breakdown_row, render_table3
 from repro.harness.experiment import ExperimentSpec, run_method
 from repro.harness.results import results_to_json
+from repro.harness.sweeps import _check_axis, best_point, grid_sweep
 from repro.harness.tables import render_table1, render_table2, render_table4
 from repro.nn.models import (
     build_alexnet_mini,
@@ -281,8 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid", required=True, metavar="SPEC",
                        help="grid axes over TrainerConfig fields, e.g. "
                             "'lr=0.01,0.03;rho=1.5,3.0'")
-    sweep.add_argument("--backend", default="processes", choices=BACKENDS,
-                       help="pool worker substrate (only used with --pool)")
     sweep.add_argument("--pool", action="store_true",
                        help="multiplex the cells over a persistent worker "
                             "pool instead of running them inline — same "
@@ -657,8 +656,7 @@ def _parse_grid(spec_text: str, config: TrainerConfig):
             grid[name] = [cast(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise ValueError(f"grid axis {name!r}: could not parse {values!r}")
-        if not grid[name]:
-            raise ValueError(f"grid axis {name!r} has no values")
+        _check_axis(name, grid[name])
     if not grid:
         raise ValueError("empty grid")
     return grid
@@ -666,8 +664,6 @@ def _parse_grid(spec_text: str, config: TrainerConfig):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
-
-    from repro.harness.sweeps import best_point, grid_sweep
 
     spec = _build_spec(args)
     try:
@@ -688,8 +684,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
     points = grid_sweep(
         spec, args.method, grid, args.iterations,
-        pool_size=pool_size, backend=args.backend,
-        checkpoint_root=args.checkpoint_root,
+        pool_size=pool_size, checkpoint_root=args.checkpoint_root,
     )
 
     axes = sorted(grid)
@@ -707,6 +702,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     total_wall = sum(p.wall_time for p in points)
     total_spin = sum(p.spinup_time for p in points)
     mode = f"pooled over {pool_size} workers" if pooled else "inline"
+    resumed = sum(p.resumed for p in points)
+    if resumed:
+        mode += f", {resumed} loaded from done-markers"
     print(f"\n{n_cells} cells ({mode}): {total_wall:.2f} s wall, "
           f"{total_spin:.2f} s spin-up")
     best = best_point(points, target=args.target)

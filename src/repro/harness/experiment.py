@@ -110,7 +110,7 @@ def _method_cell_main(
     target_accuracy: Optional[float],
     max_iterations: int,
 ) -> RunResult:
-    """One method comparison as a 1-rank pool cell (``ctx`` unused: the
+    """One method comparison as a sweep cell (``ctx`` unused: the
     registered trainers are engine-driven, not message-passing)."""
     return run_method(spec, method, iterations, target_accuracy, max_iterations)
 
@@ -121,33 +121,24 @@ def run_methods(
     iterations: Optional[int] = None,
     target_accuracy: Optional[float] = None,
     max_iterations: int = 20_000,
-    pool=None,
+    pool_size: Optional[int] = None,
 ) -> Dict[str, RunResult]:
     """Run several methods under identical conditions; keyed by method name.
 
-    ``pool`` (a :class:`repro.pool.WorkerPool`) runs the methods as
-    concurrent 1-rank cells over the shared workers instead of
-    sequentially — same per-method numerics (each cell builds its own
-    trainer from the frozen spec), sweep-level wall-clock only. Create
-    the pool with ``payload=spec`` *after* ``spec.normalize()`` so the
-    datasets ride fork inheritance instead of the dispatch pipe.
+    ``pool_size`` runs the methods as concurrent 1-rank cells on a pool of
+    that many workers instead of sequentially — same per-method numerics
+    (each cell builds its own trainer from the frozen spec), sweep-level
+    wall-clock only. Call ``spec.normalize()`` first: the pool's workers
+    inherit the spec as it is when they fork. This is the sweep runner of
+    :mod:`repro.harness.sweeps`, so a failing method lets the others
+    finish before its error is raised.
     """
-    methods = list(methods)
-    if pool is None:
-        return {
-            m: run_method(spec, m, iterations, target_accuracy, max_iterations)
-            for m in methods
-        }
-    from repro.pool import POOL_PAYLOAD, SweepCell, SweepScheduler
+    from repro.harness.sweeps import _run_cells  # sweeps imports this module
 
-    spec_ref = POOL_PAYLOAD if pool.payload is spec else spec
-    cells = [
-        SweepCell(
-            key=f"method-{m}",
-            fn=_method_cell_main,
-            args=(spec_ref, m, iterations, target_accuracy, max_iterations),
-        )
-        for m in methods
-    ]
-    outcomes = SweepScheduler(pool).run(cells)
-    return {m: outcome.result for m, outcome in zip(methods, outcomes)}
+    methods = list(methods)
+    runs = _run_cells(
+        spec, _method_cell_main,
+        [(m, iterations, target_accuracy, max_iterations) for m in methods],
+        pool_size,
+    )
+    return {m: result for m, (result, _, _) in zip(methods, runs)}

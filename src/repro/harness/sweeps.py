@@ -6,15 +6,21 @@ is extremely time-consuming" (Section 1) — that is exactly why the
 configurations through one method under the fair-comparison protocol and
 ranks the outcomes.
 
-Two execution disciplines share one entry point:
+Every sweep — :func:`grid_sweep` and
+:func:`repro.harness.experiment.run_methods` — runs its cells through one
+runner, :func:`_run_cells`:
 
-- **inline** (the default): every grid cell builds and trains its
-  trainer in this process, sequentially — the cold baseline.
-- **pooled** (``pool=`` or ``pool_size=``): cells become 1-rank
-  :class:`repro.pool.SweepCell` units multiplexed over a persistent
-  :class:`repro.pool.WorkerPool` by a :class:`repro.pool.SweepScheduler`
-  — spin-up (fork, shm arenas, trainer construction) is paid once per
-  worker instead of once per cell, with bit-identical per-cell results.
+- **inline** (the default): every cell builds and trains its trainer in
+  this process, sequentially — the cold baseline.
+- **pooled** (``pool_size=P``): every cell is a 1-rank job on a
+  :class:`repro.pool.WorkerPool` of ``P`` workers that the runner builds
+  around the spec (fork-inherited) and closes — spin-up (fork, shm
+  arenas) is paid once per worker instead of once per cell, with
+  bit-identical per-cell results.
+
+Either way a failing cell lets the others finish before its error is
+raised, and ``grid_sweep(checkpoint_root=)`` resumes finished cells from
+their done-markers.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import itertools
 import os
+import pickle
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import RunResult
 from repro.harness.experiment import ExperimentSpec, build_trainer
@@ -42,6 +49,9 @@ class SweepPoint:
     #: Seconds of pure spin-up inside ``wall_time``: dispatch/fork latency
     #: plus trainer construction — the share a persistent pool amortizes.
     spinup_time: float = 0.0
+    #: True when the point was loaded from a done-marker a previous run of
+    #: the same sweep left under ``checkpoint_root``.
+    resumed: bool = False
 
     @property
     def final_accuracy(self) -> float:
@@ -77,7 +87,7 @@ def _sweep_cell_main(
     iterations: int,
     checkpoint_root: Optional[str],
 ) -> Tuple[float, RunResult]:
-    """One grid cell as a 1-rank pool program: build, maybe resume, train.
+    """One grid cell as a sweep cell: build, maybe resume, train.
 
     Returns ``(build_seconds, result)`` so the driver can fold trainer
     construction into the cell's spin-up share. ``checkpoint_root``
@@ -102,115 +112,163 @@ def _sweep_cell_main(
     return build_s, trainer.train(iterations, resume=resume)
 
 
+def _timed_cell(ctx: Any, fn: Callable[..., Any], *args: Any) -> Tuple[float, Any]:
+    """Stamp the instant the cell body starts, then run it. CLOCK_MONOTONIC
+    is system-wide, so a pool worker's stamp is coherent with the parent's
+    submit stamp."""
+    return time.monotonic(), fn(ctx, *args)
+
+
+#: One finished cell: (value, wall seconds, seconds from submit to entry).
+_CellRun = Tuple[Any, float, float]
+
+
+def _run_cells(
+    spec: ExperimentSpec,
+    fn: Callable[..., Any],
+    cells: Sequence[Tuple[Any, ...]],
+    pool_size: Optional[int] = None,
+    on_done: Optional[Callable[[int, _CellRun], None]] = None,
+) -> List[_CellRun]:
+    """Run ``fn(ctx, spec, *args)`` once per ``args`` in ``cells``.
+
+    Without ``pool_size`` each cell runs here, in order, with ``ctx``
+    None. With it, each is a 1-rank job on a ``WorkerPool(pool_size,
+    payload=spec)`` built and closed here, so the spec rides the fork and
+    never the dispatch pipe. Returns one ``(value, wall, spinup)`` per
+    cell, in input order. A failing cell lets the others finish —
+    ``on_done(i, run)`` is called as each one does — and the first error
+    is raised.
+    """
+    runs: List[Optional[_CellRun]] = [None] * len(cells)
+    errors: List[Exception] = []
+
+    def settle(i: int, t_submit: float, stamped: Tuple[float, Any], t_done: float) -> None:
+        entered, value = stamped
+        runs[i] = (value, t_done - t_submit, max(0.0, entered - t_submit))
+        if on_done is not None:
+            on_done(i, runs[i])
+
+    if pool_size is None:
+        for i, args in enumerate(cells):
+            t_submit = time.monotonic()
+            try:
+                stamped = _timed_cell(None, fn, spec, *args)
+            except Exception as exc:
+                errors.append(exc)
+                continue
+            settle(i, t_submit, stamped, time.monotonic())
+    elif cells:  # a fully resumed sweep forks nothing
+        from repro.pool import POOL_PAYLOAD, WorkerPool
+
+        with WorkerPool(pool_size, payload=spec) as pool:
+            jobs = [pool.submit(1, _timed_cell, fn, POOL_PAYLOAD, *args) for args in cells]
+            for i, job in enumerate(jobs):
+                try:
+                    (stamped,) = job.result()
+                except Exception as exc:
+                    errors.append(exc)
+                    continue
+                settle(i, job.t_submit, stamped, job.t_done)
+    if errors:
+        raise errors[0]
+    return runs  # type: ignore[return-value]
+
+
 def grid_sweep(
     spec: ExperimentSpec,
     method: str,
     grid: Dict[str, Sequence[float]],
     iterations: int,
     *,
-    pool: Optional[Any] = None,
     pool_size: Optional[int] = None,
-    backend: str = "processes",
     checkpoint_root: Optional[str] = None,
-    timeout: Optional[float] = None,
 ) -> List[SweepPoint]:
     """Run ``method`` at every point of the cartesian ``grid``.
 
     ``grid`` keys must be :class:`TrainerConfig` fields (``lr``, ``rho``,
-    ``mu``, ``batch_size``, ...). Each point gets a fresh model and
-    platform (identical seeds), so only the swept values differ.
+    ``mu``, ``batch_size``, ...), each with distinct values. Each point
+    gets a fresh model and platform (identical seeds), so only the swept
+    values differ.
 
-    ``pool`` multiplexes the cells over an existing
-    :class:`repro.pool.WorkerPool`; ``pool_size`` creates (and closes) a
-    dedicated pool of that many ``backend`` workers for this call. Either
-    way the per-cell numerics are bit-identical to the inline path — the
-    pool only changes who pays spin-up. ``checkpoint_root`` makes the
-    sweep preemptible: finished cells leave done-markers and running
-    cells checkpoint under ``<root>/cells/<key>``, so a killed sweep
-    resumes instead of recomputing.
+    ``pool_size`` runs the cells on a dedicated pool of that many workers
+    (see :func:`_run_cells`); the per-cell numerics are bit-identical to
+    the inline path — the pool only changes who pays spin-up.
+    ``checkpoint_root`` makes the sweep preemptible on either path: a
+    finished cell leaves ``<root>/<key>.done.pkl`` and a running one
+    checkpoints under ``<root>/cells/<key>``, so a re-run loads finished
+    cells, resumes interrupted ones and recomputes a cell whose marker is
+    torn.
     """
     if not grid:
         raise ValueError("grid must contain at least one axis")
-    for key in grid:
+    for key, values in grid.items():
         if not hasattr(spec.config, key):
             raise KeyError(f"unknown TrainerConfig field {key!r}")
-    if any(len(values) == 0 for values in grid.values()):
-        raise ValueError("every grid axis needs at least one value")
-    if pool is not None and pool_size is not None:
-        raise ValueError("pass pool or pool_size, not both")
+        _check_axis(key, values)
 
     keys = sorted(grid)
     cells_params = [
         dict(zip(keys, combo))
         for combo in itertools.product(*(grid[k] for k in keys))
     ]
-    if pool is not None or pool_size is not None:
-        return _grid_sweep_pooled(
-            spec, method, cells_params, iterations,
-            pool=pool, pool_size=pool_size, backend=backend,
-            checkpoint_root=checkpoint_root, timeout=timeout,
-        )
+    points: List[Optional[SweepPoint]] = [
+        _load_marker(checkpoint_root, params) for params in cells_params
+    ]
+    todo = [i for i, point in enumerate(points) if point is None]
 
-    points: List[SweepPoint] = []
-    for params in cells_params:
-        t_submit = time.monotonic()
-        build_s, result = _sweep_cell_main(
-            None, spec, method, params, iterations, checkpoint_root
-        )
-        wall = time.monotonic() - t_submit
-        points.append(SweepPoint(
-            params=params, result=result, wall_time=wall, spinup_time=build_s,
-        ))
-    return points
+    def done(k: int, run: _CellRun) -> None:
+        (build_s, result), wall, spinup = run
+        i = todo[k]
+        points[i] = SweepPoint(cells_params[i], result, wall, spinup + build_s)
+        _write_marker(checkpoint_root, points[i])
 
-
-def _grid_sweep_pooled(
-    spec: ExperimentSpec,
-    method: str,
-    cells_params: List[Dict[str, Any]],
-    iterations: int,
-    pool: Optional[Any],
-    pool_size: Optional[int],
-    backend: str,
-    checkpoint_root: Optional[str],
-    timeout: Optional[float],
-) -> List[SweepPoint]:
-    from repro.comm.runtime import _DEFAULT_TIMEOUT
-    from repro.pool import POOL_PAYLOAD, SweepCell, SweepScheduler, WorkerPool
-
-    owned = pool is None
-    pool_obj = pool if pool is not None else WorkerPool(
-        pool_size, backend=backend, payload=spec
+    _run_cells(
+        spec, _sweep_cell_main,
+        [(method, cells_params[i], iterations, checkpoint_root) for i in todo],
+        pool_size, done,
     )
+    return points  # type: ignore[return-value]
+
+
+def _check_axis(name: str, values: Sequence[Any]) -> None:
+    """Refuse an empty grid axis or one that lists a value twice (its
+    cells would run twice under one key)."""
+    if len(values) == 0:
+        raise ValueError(f"grid axis {name!r} needs at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"grid axis {name!r} lists {value!r} more than once")
+
+
+def _marker_path(root: str, params: Dict[str, Any]) -> str:
+    return os.path.join(root, f"{_cell_key(params)}.done.pkl")
+
+
+def _load_marker(root: Optional[str], params: Dict[str, Any]) -> Optional[SweepPoint]:
+    """The point a previous run left for this cell, or None: no root, no
+    marker, or a marker that will not load (recompute the cell)."""
+    if root is None:
+        return None
     try:
-        # Ship the (large) spec through fork inheritance when the pool
-        # was built around it; over the dispatch pipe otherwise.
-        spec_ref = POOL_PAYLOAD if pool_obj.payload is spec else spec
-        sched = SweepScheduler(
-            pool_obj,
-            timeout=timeout if timeout is not None else _DEFAULT_TIMEOUT,
-            checkpoint_root=checkpoint_root,
-        )
-        cells = [
-            SweepCell(
-                key=_cell_key(params),
-                fn=_sweep_cell_main,
-                args=(spec_ref, method, params, iterations, checkpoint_root),
-            )
-            for params in cells_params
-        ]
-        outcomes = sched.run(cells)
-    finally:
-        if owned:
-            pool_obj.close()
-    points: List[SweepPoint] = []
-    for params, outcome in zip(cells_params, outcomes):
-        build_s, result = outcome.result
-        points.append(SweepPoint(
-            params=params, result=result, wall_time=outcome.wall_time,
-            spinup_time=outcome.spinup_time + build_s,
-        ))
-    return points
+        with open(_marker_path(root, params), "rb") as fh:
+            point = pickle.load(fh)
+    except Exception:
+        return None
+    if not isinstance(point, SweepPoint) or point.params != params:
+        return None
+    return replace(point, resumed=True)
+
+
+def _write_marker(root: Optional[str], point: SweepPoint) -> None:
+    if root is None:
+        return
+    path = _marker_path(root, point.params)
+    os.makedirs(root, exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        pickle.dump(point, fh)
+    os.replace(tmp, path)  # atomic: a killed sweep never leaves a torn marker
 
 
 def best_point(

@@ -27,7 +27,7 @@ Design:
   ships the work item to each over a dispatch pipe (distinct from the
   message fabric, so dispatch never interleaves with rank traffic), and
   returns a :class:`PoolJob` handle.  Cells on disjoint blocks run
-  concurrently — the scheduler packs them.
+  concurrently — concurrent submitters pack them.
 - Each worker **reports** on a result pipe of its own, the mirror of its
   dispatch pipe. One collector thread blocks in
   ``multiprocessing.connection.wait`` on every result pipe and every
@@ -68,11 +68,6 @@ Design:
   attached pool uses exactly this: it builds a pool for one ``run``
   with ``(fn, args)`` as the payload, so this module is the only place
   rank processes are launched.
-
-``backend="threads"`` keeps the identical surface over
-:class:`~repro.comm.runtime.InProcessCommunicator` cells (thread spin-up
-is already cheap; the pool then only bounds concurrency and unifies the
-scheduler's code path).
 """
 
 from __future__ import annotations
@@ -95,7 +90,6 @@ from repro.comm.mp_runtime import (
 from repro.comm.runtime import (
     _DEFAULT_TIMEOUT,
     CellOptions,
-    InProcessCommunicator,
     MultiRankError,
     RankContextBase,
 )
@@ -109,7 +103,6 @@ from repro.comm.shm_lifecycle import (
 )
 from repro.comm.shm_transport import (
     CollectiveArena,
-    DEFAULT_SLOTS,
     PickleStage,
     ShmInbox,
     ShmSlotRef,
@@ -196,7 +189,6 @@ class PoolJob:
         #: Dispatch instant (monotonic) and completion instant.
         self.t_submit = time.monotonic()
         self.t_done: Optional[float] = None
-        self._error: Optional[BaseException] = None
         self._pending = set(range(nranks))
         self._done = threading.Event()
         #: Seconds a failed cell's other ranks get to report (set at
@@ -207,11 +199,6 @@ class PoolJob:
         #: the segment holding its work item's bulk (None: all in band).
         self.cores: List[int] = []
         self.stage: Optional[PickleStage] = None
-
-    @property
-    def wall_time(self) -> float:
-        """Submit-to-completion wall seconds (0.0 while running)."""
-        return 0.0 if self.t_done is None else self.t_done - self.t_submit
 
     def _complete(self) -> None:
         self.t_done = time.monotonic()
@@ -225,8 +212,6 @@ class PoolJob:
     def result(self, timeout: Optional[float] = None) -> List[Any]:
         """Per-rank results; raises exactly like ``Communicator.run``."""
         self.wait(timeout)
-        if self._error is not None:
-            raise self._error
         if self.failures:
             raise MultiRankError.aggregate(sorted(self.failures, key=lambda f: f[0]))
         return list(self.results)
@@ -242,27 +227,14 @@ class WorkerPool:
     """
 
     def __init__(
-        self,
-        size: int,
-        backend: str = "processes",
-        timeout: float = _DEFAULT_TIMEOUT,
-        shm_slots: int = DEFAULT_SLOTS,
-        payload: Any = None,
+        self, size: int, timeout: float = _DEFAULT_TIMEOUT, payload: Any = None
     ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
         if timeout <= 0:
             raise ValueError("timeout must be positive")
-        if backend not in ("threads", "processes"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if shm_slots <= 0:
-            # Here, not in the worker's ShmTransport: a constructor that
-            # raises inside the worker loop kills every leased worker.
-            raise ValueError("shm_slots must be positive")
         self.size = size
-        self.backend = backend
         self.timeout = timeout
-        self.shm_slots = shm_slots
         self.payload = payload
         #: Completed-cell counter (amortization evidence for benchmarks).
         self.jobs_run = 0
@@ -278,15 +250,11 @@ class WorkerPool:
         self._reset_names: List[str] = []
         self._stop_names: List[str] = []
 
-        if backend == "threads":
-            self._start = time.monotonic()
-            return
-
-        require_tso("WorkerPool(backend='processes')")
+        require_tso("WorkerPool")
         if not fork_available():
             raise RuntimeError(
-                "the processes pool requires the 'fork' start method; "
-                "use backend='threads' on this platform"
+                "WorkerPool requires the 'fork' start method; run a sweep "
+                "without pool_size, or rank programs with backend='threads'"
             )
         # Spawn the resource tracker *before* forking: workers then inherit
         # one shared tracker, so their ring registrations are cleared by
@@ -391,8 +359,6 @@ class WorkerPool:
         tracing: bool = False,
         faults: Optional[FaultPlan] = None,
         timeout: Optional[float] = None,
-        max_retries: int = 8,
-        retry_backoff: float = 0.001,
         collective: str = "tree",
         start_time: Optional[float] = None,
     ) -> PoolJob:
@@ -406,12 +372,7 @@ class WorkerPool:
         if not 0 < nranks <= self.size:
             raise ValueError(f"cell needs 1..{self.size} ranks, got {nranks}")
         # Validated before a worker is leased: a bad knob must not cost a cell.
-        options = CellOptions(
-            self.timeout if timeout is None else timeout,
-            faults, max_retries, retry_backoff, collective,
-        )
-        if self.backend == "threads":
-            return self._submit_threads(nranks, fn, args, tracing, options)
+        options = CellOptions(self.timeout if timeout is None else timeout, faults, collective)
         # The one pickle of the dispatch. It fails fast on unpicklable
         # work (a bad item would otherwise die on its way to the worker
         # and strand the job), and it is what every rank receives.
@@ -470,40 +431,6 @@ class WorkerPool:
     def run(self, nranks: int, fn: Callable[..., Any], *args: Any, **opts: Any) -> List[Any]:
         """Synchronous convenience: ``submit(...).result()``."""
         return self.submit(nranks, fn, *args, **opts).result()
-
-    def _submit_threads(
-        self, nranks: int, fn: Callable[..., Any], args: Tuple[Any, ...],
-        tracing: bool, options: CellOptions,
-    ) -> PoolJob:
-        """Thread-backend cell: an InProcessCommunicator on a driver thread.
-
-        Spin-up is cheap here; the pool's job is to bound concurrency to
-        ``P_max`` ranks and present the same handle/packing surface.
-        """
-        with self._cond:
-            job = self._lease_locked(nranks)
-            self._jobs[job.job_id] = job
-        cell_args = tuple(self.payload if a is POOL_PAYLOAD else a for a in args)
-        trace = Trace() if tracing else None
-
-        def drive() -> None:
-            comm = InProcessCommunicator(nranks, trace=trace, **vars(options))
-            try:
-                job.results = comm.run(fn, *cell_args)
-            except BaseException as exc:
-                job._error = exc
-            if trace is not None:
-                job.events = list(trace.events)
-            job.records = list(comm.fault_log.records)
-            with self._cond:
-                self._release(job.base, nranks)
-                self._jobs.pop(job.job_id, None)
-                self.jobs_run += 1
-                self._cond.notify_all()
-            job._complete()
-
-        threading.Thread(target=drive, name=f"pool-cell-{job.job_id}", daemon=True).start()
-        return job
 
     def _collect_loop(self) -> None:
         """Route worker reports to job handles; see deaths as they happen.
@@ -620,11 +547,6 @@ class WorkerPool:
         its messages and always overwrites reused rows before reading).
         Call it after a failed cell before dispatching the next one.
         """
-        if self.backend == "threads":
-            with self._cond:
-                while self._jobs:
-                    self._cond.wait()
-            return
         with self._cond:
             self._check_usable()
             while self._jobs:
@@ -648,13 +570,6 @@ class WorkerPool:
 
     def close(self) -> None:
         """Stop every worker, then unlink all recycled shm segments."""
-        if self.backend == "threads":
-            with self._cond:
-                self._closed = True
-                while self._jobs:
-                    self._cond.wait()
-                self._cond.notify_all()
-            return
         with self._cond:
             if self._closed:
                 return
@@ -780,9 +695,7 @@ class WorkerPool:
             _, job_id, base, nranks, cell_rank, core, stage, tracing, options, start = item
             work_item = work.recv_bytes()
             if transport is None:
-                transport = ShmTransport(
-                    pool_rank, self.size, slots=self.shm_slots, timeout=self.timeout,
-                )
+                transport = ShmTransport(pool_rank, self.size, timeout=self.timeout)
                 inbox.stats = transport.stats  # one counter surface per rank
             if full_mask is not None:
                 try:

@@ -1,18 +1,10 @@
-"""Trajectory analytics, ASCII plots, staleness metrics, scatter/gather,
-MCDRAM modes, dataset IO."""
+"""Trajectory analytics, ASCII plots, staleness metrics, MCDRAM modes,
+dataset IO."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms.base import RunResult, TimeBreakdown, TrainRecord
-from repro.comm.alphabeta import CRAY_ARIES
-from repro.comm.collectives import (
-    scatter_cost,
-    scatter_shards,
-    tree_gather,
-    tree_gather_cost,
-    tree_rounds,
-)
 from repro.data.io import load_dataset, save_dataset
 from repro.data.synthetic import make_synthetic
 from repro.harness.analysis import (
@@ -118,32 +110,6 @@ class TestAsciiPlot:
             ascii_plot({})
         with pytest.raises(ValueError):
             ascii_plot({"a": ([0], [0])}, width=4)
-
-
-class TestScatterGather:
-    def test_gather_preserves_rank_order(self):
-        vecs = [np.full(3, r, dtype=np.float32) for r in range(5)]
-        out = tree_gather(vecs)
-        for r, v in enumerate(out):
-            np.testing.assert_array_equal(v, r)
-
-    def test_scatter_covers_data(self):
-        data = np.arange(103).reshape(103, 1)
-        shards = scatter_shards(data, 4)
-        assert sum(len(s) for s in shards) == 103
-        np.testing.assert_array_equal(np.concatenate(shards), data)
-
-    def test_scatter_validation(self):
-        with pytest.raises(ValueError):
-            scatter_shards(np.zeros((2, 1)), 5)
-
-    def test_gather_cost_formula(self):
-        n, p = 10**6, 8
-        expected = tree_rounds(p) * CRAY_ARIES.alpha + (p - 1) * n * CRAY_ARIES.beta
-        assert tree_gather_cost(CRAY_ARIES, n, p) == pytest.approx(expected)
-
-    def test_scatter_cost_mirrors_gather(self):
-        assert scatter_cost(CRAY_ARIES, 1000, 8) == tree_gather_cost(CRAY_ARIES, 1000, 8)
 
 
 class TestMcdramModes:

@@ -130,9 +130,12 @@ class TestCli:
         ["run", "--method", "sync-easgd", "--transport", "queue"],
         ["run", "--method", "sync-easgd", "--wire-dtype", "float16"],
         ["knl", "--transport", "queue"],
+        ["sweep", "--method", "sync-easgd3", "--grid", "lr=0.05", "--backend", "threads"],
     ])
     def test_removed_comm_flags_exit_2(self, argv, capsys):
-        # These used to parse, validate, and then change nothing.
+        # The first three used to parse, validate, and then change nothing;
+        # `sweep --backend threads` chose a threads pool, which is gone (a
+        # sweep without --pool runs inline, in this process).
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 2
@@ -140,13 +143,48 @@ class TestCli:
 
     def test_run_backend_flag_exits_2(self, capsys):
         # No registry trainer reads TrainerConfig.backend: `run --backend`
-        # parsed, validated, and changed nothing (`knl` and `sweep` honour
-        # theirs and keep it).
+        # parsed, validated, and changed nothing (`knl` honours its own and
+        # keeps it).
         with pytest.raises(SystemExit) as ei:
             main(["run", "--method", "sync-easgd", "--backend", "processes"])
         assert ei.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "--backend" in err
+
+    SWEEP = ["sweep", "--method", "sync-easgd3", "--iterations", "4",
+             "--train-samples", "256", "--batch-size", "16"]
+
+    def test_sweep_inline_prints_table_and_best_point(self, capsys):
+        assert main(self.SWEEP + ["--grid", "lr=0.01,0.05"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^lr\s+accuracy\s+wall s\s+spinup s$", out, re.M)
+        assert re.search(r"^0\.01\s+\d\.\d{3}", out, re.M)
+        assert re.search(r"^0\.05\s+\d\.\d{3}", out, re.M)
+        assert "2 cells (inline)" in out
+        assert re.search(r"^best: lr=0\.0[15] \(accuracy \d\.\d{3}\)$", out, re.M)
+
+    def test_sweep_duplicate_grid_value_exits_2(self, capsys):
+        assert main(self.SWEEP + ["--grid", "lr=0.01,0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid --grid spec" in err and "'lr' lists 0.01 more than once" in err
+
+    def test_sweep_rerun_loads_every_cell_from_its_marker(self, capsys, tmp_path, monkeypatch):
+        argv = self.SWEEP + ["--grid", "lr=0.01,0.05;rho=2.0", "--checkpoint-root", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "2 cells (inline):" in first
+        assert sorted(p.name for p in tmp_path.glob("*.done.pkl")) == [
+            "lr=0.01,rho=2.0.done.pkl", "lr=0.05,rho=2.0.done.pkl"]
+
+        def no_cell(*_):
+            raise AssertionError("a finished cell ran again")
+
+        monkeypatch.setattr("repro.harness.sweeps._sweep_cell_main", no_cell)
+        assert main(argv) == 0
+        again = capsys.readouterr().out
+        assert "2 cells (inline, 2 loaded from done-markers):" in again
+        table = lambda out: out.split("\n\n")[0]
+        assert table(again) == table(first)  # the markers' wall and spin-up times too
 
     @pytest.mark.parametrize("method,flag,value", [
         ("async-easgd", "--local-steps", "4"),

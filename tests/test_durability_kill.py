@@ -196,7 +196,7 @@ def hold(ctx, big, sentinel):
         open(sentinel, "w").write("up")
     time.sleep(600)
 
-pool = WorkerPool(4, backend="processes")
+pool = WorkerPool(4)
 pool.run(4, cell, 1.0)
 pool.run(4, hold, np.ones(1 << 14, dtype=np.float32), sys.argv[1])
 """
@@ -244,6 +244,6 @@ def test_sigkilled_pool_leaves_zero_stale_segments(tmp_path):
     debris = stale_segments()
     assert debris, "SIGKILL left no shm debris to reap"
     assert any("-stage-" in name for name in debris), "the kill missed the cell"
-    with WorkerPool(1, backend="processes"):
+    with WorkerPool(1):
         pass
     assert stale_segments() == [], "pool startup failed to reap killed debris"

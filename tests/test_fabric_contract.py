@@ -29,6 +29,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.algorithms import TrainerConfig
 from repro.comm import RankContextBase, UnsupportedMemoryModelError
 from repro.comm.backend import make_communicator
 from repro.comm.collectives import tree_reduce
@@ -42,6 +43,8 @@ from repro.comm.runtime import (
 from repro.comm.shm_lifecycle import list_live_segments, registered_segments
 from repro.comm.shm_transport import SeqlockBuffer
 from repro.faults import FaultLog, FaultPlan
+from repro.harness import ExperimentSpec, grid_sweep
+from repro.nn.models import build_mlp
 from repro.pool import WorkerPool
 from repro.trace import Trace
 from repro.trace.check import check_message_conservation
@@ -283,25 +286,26 @@ def _echo_collective(ctx):
 
 
 BAD_OPTIONS = [
-    ({"collective": "rnig"}, "rnig"),
-    ({"timeout": 0.0}, "timeout must be positive"),
-    ({"max_retries": -1}, "max_retries must be non-negative"),
-    ({"retry_backoff": 0.0}, "retry_backoff must be positive"),
+    ({"collective": "rnig"}, ValueError, "rnig"),
+    ({"timeout": 0.0}, ValueError, "timeout must be positive"),
+    # Retransmission is comm.runtime's MAX_RETRIES / RETRY_BACKOFF, not a
+    # per-cell knob: asking for one is refused by name, never dropped.
+    ({"max_retries": -1}, TypeError, "max_retries"),
+    ({"retry_backoff": 0.0}, TypeError, "retry_backoff"),
 ]
 
 
-@pytest.mark.parametrize("bad, words", BAD_OPTIONS, ids=[next(iter(b)) for b, _ in BAD_OPTIONS])
-def test_bad_cell_options_are_refused_alike_everywhere(bad, words):
-    with pytest.raises(ValueError, match=words) as record:
+@pytest.mark.parametrize("bad, error, words", BAD_OPTIONS,
+                         ids=[next(iter(b)) for b, _, _ in BAD_OPTIONS])
+def test_bad_cell_options_are_refused_alike_everywhere(bad, error, words):
+    # WorkerPool.submit: test_pool_refuses_bad_cell_options_before_leasing_a_worker.
+    with pytest.raises(error, match=words) as record:
         CellOptions(**bad)
     for build in (InProcessCommunicator, MultiprocessCommunicator):
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(error, match=words) as err:
             build(2, **bad)
-        assert str(err.value) == str(record.value)
-    with WorkerPool(2, backend="threads") as pool:
-        with pytest.raises(ValueError) as err:
-            pool.submit(2, _echo_collective, **bad)
-        assert str(err.value) == str(record.value)
+        if error is ValueError:  # checked in one place, so worded alike
+            assert str(err.value) == str(record.value)
 
 
 @pytest.mark.pool
@@ -312,8 +316,8 @@ def test_pool_refuses_bad_cell_options_before_leasing_a_worker():
     # On the parent commit the unknown collective silently ran the tree:
     # [('rnig', 2.0), ('rnig', 2.0)].
     with WorkerPool(2) as pool:
-        for bad, words in BAD_OPTIONS:
-            with pytest.raises(ValueError, match=words):
+        for bad, error, words in BAD_OPTIONS:
+            with pytest.raises(error, match=words):
                 pool.submit(2, _echo_collective, **bad)
         assert pool.jobs_run == 0 and all(pool._free)
         assert pool.run(2, _echo_collective, collective="ring") == [("ring", 2.0)] * 2
@@ -322,13 +326,14 @@ def test_pool_refuses_bad_cell_options_before_leasing_a_worker():
 @pytest.mark.pool
 @pytest.mark.parametrize("slots", [0, -1])
 def test_pool_refuses_nonpositive_shm_slots_at_construction(slots):
-    # On the parent commit this constructed, then killed every leased worker
-    # at the first dispatch (the ShmTransport constructor raised inside the
-    # worker loop) and left the pool broken.
+    # A bad ring depth once constructed, then killed every leased worker at
+    # the first dispatch. The depth is now DEFAULT_SLOTS, not a knob: asking
+    # for one is refused by name before anything forks or maps a segment.
     children = multiprocessing.active_children()
     segments = list_live_segments()
-    with pytest.raises(ValueError, match="shm_slots must be positive"):
-        WorkerPool(2, shm_slots=slots)
+    for build in (WorkerPool, MultiprocessCommunicator):
+        with pytest.raises(TypeError, match="shm_slots"):
+            build(2, shm_slots=slots)
     assert multiprocessing.active_children() == children  # nothing was forked
     assert list_live_segments() == segments and registered_segments() == []
 
@@ -336,18 +341,12 @@ def test_pool_refuses_nonpositive_shm_slots_at_construction(slots):
 @pytest.mark.pool
 def test_a_pool_of_the_other_backend_is_refused_not_dropped(mnist_tiny):
     from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
-    from repro.nn.models import build_mlp
 
-    train, _ = mnist_tiny
-    with WorkerPool(2, backend="threads") as threads_pool:
-        with pytest.raises(ValueError, match="'processes'.*'threads'"):
-            make_communicator(2, backend="processes", pool=threads_pool)
-        # The pool's own backend is fine: thread ranks are spawned per run.
-        assert make_communicator(2, backend="threads", pool=threads_pool).backend == "threads"
     if not fork_available():
         return
+    train, _ = mnist_tiny
     with WorkerPool(2) as pool:
-        # On the parent commit both of these silently ran unpooled.
+        # Both of these once ran unpooled without a word.
         with pytest.raises(ValueError, match="'threads'.*'processes'"):
             make_communicator(2, backend="threads", pool=pool)
         with pytest.raises(ValueError, match="'threads'.*'processes'"):
@@ -361,7 +360,7 @@ def test_a_knob_the_backend_lacks_is_refused_not_dropped():
     assert make_communicator(2, backend="threads", transport=None, pool=None).backend == "threads"
 
 
-def test_a_host_that_is_not_tso_is_refused_before_any_fork_or_segment(monkeypatch):
+def test_a_host_that_is_not_tso_is_refused_before_any_fork_or_segment(monkeypatch, mnist_tiny):
     monkeypatch.setattr(platform, "machine", lambda: "aarch64")
     children = multiprocessing.active_children()
     segments = list_live_segments()
@@ -373,10 +372,15 @@ def test_a_host_that_is_not_tso_is_refused_before_any_fork_or_segment(monkeypatc
         with pytest.raises(UnsupportedMemoryModelError) as err:
             start()
         words = str(err.value)
-        assert "'aarch64'" in words and "x86-TSO" in words and "backend='threads'" in words
+        assert "'aarch64'" in words and "x86-TSO" in words
+        assert "backend='threads'" in words and "without pool_size" in words
     assert multiprocessing.active_children() == children  # nothing was forked
     assert list_live_segments() == segments and registered_segments() == []
-    # The way out works on the same host: one process, no rings.
-    with WorkerPool(2, backend="threads") as pool:
-        assert pool.run(2, _echo_collective) == [("tree", 2.0)] * 2
+    # The ways out work on the same host: one process, no rings.
+    assert make_communicator(2, backend="threads").run(_echo_collective) == [("tree", 2.0)] * 2
+    train, test = mnist_tiny
+    spec = ExperimentSpec(train_set=train, test_set=test, model_builder=lambda: build_mlp(seed=0),
+                          config=TrainerConfig(batch_size=16), normalized=True)
+    (point,) = grid_sweep(spec, "sync-easgd3", {"lr": [0.05]}, 2)
+    assert point.result.iterations == 2
     SeqlockBuffer.create(64).close()

@@ -158,28 +158,27 @@ class TestFaultLog:
 
 
 class TestLegacyFailuresDict:
-    def test_zero_time_rejected_with_key(self, mnist_tiny):
-        with pytest.raises(ValueError, match=r"failures\[1\] = 0\.0"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, failures={1: 0.0})
+    """The checks of the old ``failures={worker: time}`` shorthand, which
+    ``FaultPlan.crash`` and the trainer's ``validate`` make on their own."""
 
-    def test_negative_time_rejected_with_key(self, mnist_tiny):
-        with pytest.raises(ValueError, match=r"failures\[2\]"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, failures={2: -0.5})
+    def test_zero_time_rejected_with_key(self):
+        with pytest.raises(ValueError, match=r"crash\(worker=1\): time must be positive, got 0\.0"):
+            FaultPlan(seed=0).crash(1, 0.0)
+
+    def test_negative_time_rejected_with_key(self):
+        with pytest.raises(ValueError, match=r"crash\(worker=2\)"):
+            FaultPlan(seed=0).crash(2, -0.5)
 
     def test_out_of_range_worker_rejected_with_key(self, mnist_tiny):
         # worker index == num_workers (4) must not be accepted silently
-        with pytest.raises(ValueError, match=r"failures\[4\]"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, failures={4: 1.0})
-
-    def test_failures_and_faults_mutually_exclusive(self, mnist_tiny):
-        with pytest.raises(ValueError, match="not both"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan(),
-                     failures={1: 1.0})
+        with pytest.raises(ValueError, match="targets worker 4"):
+            _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan(seed=0).crash(4, 1.0))
 
     def test_legacy_dict_becomes_fault_plan(self, mnist_tiny):
-        trainer = _trainer(AsyncEASGDTrainer, mnist_tiny, failures={1: 0.5})
-        assert trainer.faults is not None
+        trainer = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan(seed=0).crash(1, 0.5))
         assert trainer.faults.crash_time(1) == 0.5
+        with pytest.raises(TypeError, match="failures"):
+            _trainer(AsyncEASGDTrainer, mnist_tiny, failures={1: 0.5})
 
 
 class TestAsyncFaults:
@@ -371,7 +370,7 @@ class TestRuntimeFaults:
         """Acceptance: bcast + allreduce under a 5% drop plan completes via
         sender retransmission + receiver backoff, bit-identical result."""
         plan = FaultPlan(seed=42).drop_rate(0.05)
-        comm = InProcessCommunicator(4, timeout=10.0, faults=plan, retry_backoff=0.0005)
+        comm = InProcessCommunicator(4, timeout=10.0, faults=plan)
         vecs = [np.full(8, float(r)) for r in range(4)]
 
         def prog(ctx):
@@ -387,7 +386,7 @@ class TestRuntimeFaults:
 
     def test_heavy_drop_logs_retransmissions(self):
         plan = FaultPlan(seed=1).drop_rate(0.35)
-        comm = InProcessCommunicator(4, timeout=10.0, faults=plan, retry_backoff=0.0005)
+        comm = InProcessCommunicator(4, timeout=10.0, faults=plan)
         vecs = [np.ones(4) * r for r in range(4)]
         results = comm.run(lambda ctx: ctx.allreduce(vecs[ctx.rank]))
         expected = tree_reduce(vecs)
@@ -424,9 +423,9 @@ class TestRuntimeFaults:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            InProcessCommunicator(2, max_retries=-1)
+            InProcessCommunicator(2, timeout=0.0)
         with pytest.raises(ValueError):
-            InProcessCommunicator(2, retry_backoff=0.0)
+            InProcessCommunicator(2, collective="rnig")
 
 
 class TestAnalysisAndSerialization:

@@ -12,6 +12,7 @@ from repro.cluster import CostModel, GpuPlatform
 from repro.comm.alphabeta import LinkModel, PCIE_SWITCH_P2P
 from repro.comm.collectives import tree_bcast_cost
 from repro.comm.pipelining import optimal_chunks, pipelined_hops_cost, pipelined_tree_bcast_cost
+from repro.faults import FaultPlan
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweeps import best_point, grid_sweep
 from repro.nn.models import build_mlp
@@ -177,9 +178,13 @@ class TestSweeps:
 
 
 class TestFaultInjection:
-    def _trainer(self, mnist_tiny, failures):
+    def _trainer(self, mnist_tiny, crashes):
+        """``crashes`` maps a worker to the simulated instant it fail-stops."""
         train, test = mnist_tiny
         cfg = TrainerConfig(batch_size=16, lr=0.02, rho=2.0, eval_every=20, eval_samples=128)
+        plan = FaultPlan(seed=cfg.seed) if crashes else None
+        for worker, when in crashes.items():
+            plan.crash(worker, when)
         return AsyncEASGDTrainer(
             build_mlp(seed=1),
             train,
@@ -187,7 +192,7 @@ class TestFaultInjection:
             GpuPlatform(num_gpus=4, seed=0),
             cfg,
             CostModel.from_spec(LENET),
-            failures=failures,
+            faults=plan,
         )
 
     def test_survives_one_dead_worker(self, mnist_tiny):
@@ -208,10 +213,10 @@ class TestFaultInjection:
             self._trainer(mnist_tiny, {j: 1e-9 for j in range(4)}).train(100)
 
     def test_validation(self, mnist_tiny):
-        with pytest.raises(ValueError, match=r"failures\[9\]"):
+        with pytest.raises(ValueError, match="targets worker 9"):
             self._trainer(mnist_tiny, {9: 1.0})
-        with pytest.raises(ValueError, match=r"failures\[0\]"):
+        with pytest.raises(ValueError, match=r"crash\(worker=0\)"):
             self._trainer(mnist_tiny, {0: -1.0})
         # A failure time of exactly 0.0 used to be accepted silently.
-        with pytest.raises(ValueError, match=r"failures\[1\]"):
+        with pytest.raises(ValueError, match=r"crash\(worker=1\)"):
             self._trainer(mnist_tiny, {1: 0.0})

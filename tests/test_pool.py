@@ -1,11 +1,11 @@
-"""Persistent worker pool + sweep scheduler: reuse without drift.
+"""Persistent worker pool + the sweeps on it: reuse without drift.
 
 The pool's whole contract is "wall-clock only": long-lived forked workers
 and recycled shm fabric (slot rings, collective-arena rows) must produce
 **bit-identical** weights to a cold per-cell spawn, cell after cell. The
-tests here pin that contract for both rank substrates and both dispatch
-styles, plus the scheduler conveniences built on top (timing split,
-smallest-first packing over rank blocks, done-marker resume).
+tests here pin that contract for the rank programs and for both dispatch
+styles, plus what sweeps build on top (concurrent cells on disjoint rank
+blocks, inline ≡ pooled sweeps, done-marker resume).
 
 Tier 2 (``slow``): most cases fork real worker processes.
 """
@@ -35,10 +35,11 @@ from repro.comm.runtime import MultiRankError
 from repro.comm.shm_lifecycle import registered_segments, ShmCapacityError
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_methods
+from repro.harness import sweeps
 from repro.harness.sweeps import grid_sweep
 from repro.nn.models import build_mlp
 import repro.pool
-from repro.pool import POOL_PAYLOAD, SweepCell, SweepScheduler, WorkerPool
+from repro.pool import POOL_PAYLOAD, WorkerPool
 
 pytestmark = pytest.mark.pool
 
@@ -57,6 +58,16 @@ def inputs():
     return build_mlp(seed=0), train, test
 
 
+@pytest.fixture(scope="module")
+def sweep_spec():
+    """A spec of its own: ``normalize`` standardizes the datasets in place."""
+    train, test = make_mnist_like(n_train=256, n_test=64, seed=0, difficulty=1.0)
+    return ExperimentSpec(
+        train_set=train, test_set=test, model_builder=lambda: build_mlp(seed=0),
+        config=TrainerConfig(batch_size=BATCH, seed=0),
+    ).normalize()
+
+
 def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
@@ -66,20 +77,20 @@ def _sync_digests(result) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: pooled dispatch vs cold spawn, both algorithms, both backends
+# Bit-identity: pooled dispatch vs cold spawn, both algorithms
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
 @pytest.mark.mp
 @needs_fork
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 def test_sync_easgd_pooled_matches_cold(inputs, backend):
     net, train, _ = inputs
     cold = run_mpi_sync_easgd(
         net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
         backend=backend,
     )
-    with WorkerPool(RANKS, backend=backend) as pool:
+    with WorkerPool(RANKS) as pool:
         pooled = run_mpi_sync_easgd(
             net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
             backend=backend, pool=pool,
@@ -96,14 +107,14 @@ def test_sync_easgd_pooled_matches_cold(inputs, backend):
 @pytest.mark.slow
 @pytest.mark.mp
 @needs_fork
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 def test_async_easgd_pooled_matches_cold(inputs, backend):
     net, train, _ = inputs
     cold = run_mpi_async_easgd(
         net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
         backend=backend,
     )
-    with WorkerPool(RANKS, backend=backend) as pool:
+    with WorkerPool(RANKS) as pool:
         pooled = run_mpi_async_easgd(
             net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
             backend=backend, pool=pool,
@@ -301,7 +312,7 @@ def _shm_listing():
 @pytest.mark.parametrize("collective", ["tree", "ring"])
 def test_consecutive_cells_reuse_one_arena(collective):
     """Regression: cell 2 must attach cell 1's rings/arena, not grow new ones."""
-    with WorkerPool(RANKS, backend="processes") as pool:
+    with WorkerPool(RANKS) as pool:
         r1 = pool.run(RANKS, _ring_cell, 1.0, collective=collective)
         segs1 = _shm_listing()
         r2 = pool.run(RANKS, _ring_cell, 1.0, collective=collective)
@@ -317,7 +328,7 @@ def test_consecutive_cells_reuse_one_arena(collective):
 @pytest.mark.mp
 @needs_fork
 def test_reset_rebuilds_clean_fabric():
-    with WorkerPool(RANKS, backend="processes") as pool:
+    with WorkerPool(RANKS) as pool:
         r1 = pool.run(RANKS, _ring_cell, 1.0)
         pool.reset()
         r2 = pool.run(RANKS, _ring_cell, 1.0)
@@ -334,7 +345,7 @@ def _boom_cell(ctx, x):
 @pytest.mark.mp
 @needs_fork
 def test_failed_cell_then_reset_recovers():
-    with WorkerPool(RANKS, backend="processes") as pool:
+    with WorkerPool(RANKS) as pool:
         # One failing rank re-raises its own error (aggregate unwraps
         # singletons, same as Communicator.run).
         with pytest.raises(RuntimeError, match="boom"):
@@ -361,7 +372,7 @@ def test_reset_empties_every_inbox_ring(inputs):
     net, train, _ = inputs
     cold = run_mpi_sync_easgd(net, train, ranks=RANKS, iterations=ITERS,
                               batch_size=BATCH, backend="processes")
-    with WorkerPool(RANKS, backend="processes") as pool:
+    with WorkerPool(RANKS) as pool:
         with pytest.raises(RuntimeError, match="boom"):
             pool.run(RANKS, _stranding_cell)
         assert not pool._inboxes[1].empty()
@@ -385,7 +396,7 @@ def test_dispatch_to_dead_worker_fails_the_cell_not_the_caller():
     staged) is refused at its lease — nothing staged, nothing sent — instead
     of blocking submit; a dispatch racing such a death drops the broken
     pipe instead of blocking on it."""
-    with WorkerPool(2, backend="processes", timeout=5.0) as pool:
+    with WorkerPool(2, timeout=5.0) as pool:
         os.kill(pool._procs[1].pid, signal.SIGKILL)
         with pool._cond:
             assert pool._cond.wait_for(lambda: pool._broken is not None, timeout=5.0)
@@ -428,10 +439,11 @@ def test_worker_death_mid_cell_fails_its_cell_through_its_sentinel():
 
 
 # ---------------------------------------------------------------------------
-# Scheduler: packing, timing split, done-marker resume
+# Concurrent cells, and the sweeps over the pool: inline ≡ pooled, resume
 # ---------------------------------------------------------------------------
 
-def _pid_cell(ctx, k):
+def _pid_cell(ctx, k, hold):
+    time.sleep(hold)
     return (os.getpid(), ctx.rank, k)
 
 
@@ -439,103 +451,84 @@ def _pid_cell(ctx, k):
 @pytest.mark.mp
 @needs_fork
 def test_scheduler_packs_sub_blocks():
-    """1- and 2-rank cells share a 4-worker pool on disjoint rank blocks."""
-    cells = [SweepCell(key=f"c{k}", fn=_pid_cell, args=(k,), ranks=1 + k % 2)
-             for k in range(6)]
-    with WorkerPool(RANKS, backend="processes") as pool:
-        outcomes = SweepScheduler(pool).run(cells)
-    assert [o.key for o in outcomes] == [c.key for c in cells]
-    for cell, o in zip(cells, outcomes):
-        assert len(o.results) == cell.ranks
-        assert o.wall_time > 0 and o.spinup_time >= 0
-        assert [r[2] for r in o.results] == [int(cell.key[1:])] * cell.ranks
+    """1- and 2-rank cells submitted at once share a 4-worker pool on
+    disjoint rank blocks; the next cell reuses the same workers."""
+    with WorkerPool(RANKS) as pool:
+        jobs = [pool.submit(n, _pid_cell, k, 0.3) for k, n in enumerate((2, 1, 1))]
+        blocks = [set(range(job.base, job.base + job.nranks)) for job in jobs]
+        results = [job.result() for job in jobs]
+        later = pool.run(2, _pid_cell, 3, 0.0)
+    assert max(job.t_submit for job in jobs) < min(job.t_done for job in jobs)  # all at once
+    assert set.union(*blocks) == set(range(RANKS)) and sum(map(len, blocks)) == RANKS
+    pids = {pid for res in results for pid, _, _ in res}
+    assert len(pids) == RANKS
+    for k, res in enumerate(results):
+        assert [(rank, kk) for _, rank, kk in res] == [(r, k) for r in range(len(res))]
+    assert {pid for pid, _, _ in later} <= pids
 
 
-def _double(ctx, k):
-    return k * 2
+def _points(points):
+    return [(p.params, p.final_accuracy, p.result.sim_time, p.result.records) for p in points]
 
 
-def test_done_markers_resume(tmp_path):
-    cells = [SweepCell(key=f"cell-{k}", fn=_double, args=(k,)) for k in range(3)]
-    with WorkerPool(2, backend="threads") as pool:
-        sched = SweepScheduler(pool, checkpoint_root=str(tmp_path))
-        first = sched.run(cells)
-        assert [o.resumed for o in first] == [False] * 3
-        second = sched.run(cells)
-        assert [o.resumed for o in second] == [True] * 3
-        assert [o.result for o in second] == [0, 2, 4]
-        assert pool.jobs_run == 3
-        # A torn marker is ignored, not fatal: the cell just recomputes.
-        marker = next(tmp_path.glob("cell-1.done.pkl"))
-        marker.write_bytes(b"\x80garbage")
-        # A marker written while outcomes still had a ``pooled`` field loads.
-        old = tmp_path / "cell-2.done.pkl"
-        old.write_bytes(pickle.dumps({**pickle.loads(old.read_bytes()), "pooled": True}))
-        third = sched.run(cells)
-    assert [o.resumed for o in third] == [True, False, True]
-    assert [o.result for o in third] == [0, 2, 4]
+def test_done_markers_resume(sweep_spec, tmp_path):
+    grid, root = {"lr": [0.01, 0.03, 0.05]}, str(tmp_path)
+    first = grid_sweep(sweep_spec, "sync-easgd3", grid, ITERS, checkpoint_root=root)
+    assert [p.resumed for p in first] == [False] * 3
+    second = grid_sweep(sweep_spec, "sync-easgd3", grid, ITERS, checkpoint_root=root)
+    assert [p.resumed for p in second] == [True] * 3
+    assert _points(second) == _points(first)
+    assert [p.wall_time for p in second] == [p.wall_time for p in first]
+    # A torn marker is ignored, not fatal: that cell alone recomputes.
+    (tmp_path / "lr=0.03.done.pkl").write_bytes(b"\x80garbage")
+    third = grid_sweep(sweep_spec, "sync-easgd3", grid, ITERS, checkpoint_root=root)
+    assert [p.resumed for p in third] == [True, False, True]
+    assert _points(third) == _points(first)
+    assert not list(tmp_path.glob("*.tmp.*"))
 
 
-def test_duplicate_cell_keys_rejected():
-    cells = [SweepCell(key="same", fn=_double, args=(1,)),
-             SweepCell(key="same", fn=_double, args=(2,))]
-    with WorkerPool(1, backend="threads") as pool:
-        with pytest.raises(ValueError, match="unique"):
-            SweepScheduler(pool).run(cells)
+def test_duplicate_cell_keys_rejected(sweep_spec, monkeypatch):
+    """A grid value listed twice is refused by name before any cell runs,
+    inline and pooled alike (inline used to run that cell twice)."""
+    def no_cell(*_):
+        raise AssertionError("a cell ran")
 
+    monkeypatch.setattr(sweeps, "_sweep_cell_main", no_cell)
+    for pool_size in (None, 2):
+        with pytest.raises(ValueError, match=r"'lr' lists 0\.01 more than once"):
+            grid_sweep(sweep_spec, "sync-easgd3", {"lr": [0.01, 0.03, 0.01]}, ITERS,
+                       pool_size=pool_size)
 
-def test_too_wide_cell_is_refused_before_any_dispatch(tmp_path):
-    """Smallest-first order submits the too-wide cell last: refused only
-    there, the narrower cells already run behind the caller's back."""
-    cells = [SweepCell(key="wide", fn=_double, args=(1,), ranks=3),
-             SweepCell(key="narrow", fn=_double, args=(2,))]
-    with WorkerPool(2, backend="threads") as pool:
-        with pytest.raises(ValueError, match="'wide'"):
-            SweepScheduler(pool, checkpoint_root=str(tmp_path)).run(cells)
-        assert pool.jobs_run == 0
-    assert not list(tmp_path.iterdir())
-
-
-# ---------------------------------------------------------------------------
-# Harness integration: grid_sweep and run_methods over the pool
-# ---------------------------------------------------------------------------
 
 @pytest.mark.slow
 @pytest.mark.mp
 @needs_fork
-def test_grid_sweep_pooled_matches_inline(inputs):
-    net, train, test = inputs
-    spec = ExperimentSpec(
-        train_set=train, test_set=test, model_builder=lambda: build_mlp(seed=0),
-        config=TrainerConfig(batch_size=BATCH, seed=0),
-    ).normalize()
+def test_grid_sweep_pooled_matches_inline(sweep_spec, tmp_path):
     grid = {"lr": [0.01, 0.03], "rho": [1.5, 3.0]}
-    inline = grid_sweep(spec, "sync-easgd3", grid, iterations=ITERS)
-    pooled = grid_sweep(spec, "sync-easgd3", grid, iterations=ITERS, pool_size=2)
+    inline = grid_sweep(sweep_spec, "sync-easgd3", grid, iterations=ITERS)
+    pooled = grid_sweep(sweep_spec, "sync-easgd3", grid, iterations=ITERS, pool_size=2,
+                        checkpoint_root=str(tmp_path))
     assert len(inline) == len(pooled) == 4
-    for a, b in zip(inline, pooled):
-        assert a.params == b.params
-        assert a.final_accuracy == b.final_accuracy
-        assert a.result.sim_time == b.result.sim_time
-        assert b.wall_time > 0 and b.spinup_time >= 0
+    assert _points(pooled) == _points(inline)
+    assert all(p.wall_time > 0 and p.spinup_time >= 0 for p in pooled)
+    # The pooled path writes done-markers too; a re-run loads every cell.
+    again = grid_sweep(sweep_spec, "sync-easgd3", grid, iterations=ITERS, pool_size=2,
+                       checkpoint_root=str(tmp_path))
+    assert [p.resumed for p in again] == [True] * 4
+    assert _points(again) == _points(inline)
 
 
 @pytest.mark.slow
 @pytest.mark.mp
 @needs_fork
-def test_run_methods_pooled_matches_cold(inputs):
-    net, train, test = inputs
-    spec = ExperimentSpec(
-        train_set=train, test_set=test, model_builder=lambda: build_mlp(seed=0),
-        config=TrainerConfig(batch_size=BATCH, seed=0),
-    ).normalize()
+def test_run_methods_pooled_matches_cold(sweep_spec):
     methods = ["sync-easgd3", "async-easgd"]
-    cold = run_methods(spec, methods, iterations=ITERS)
-    with WorkerPool(2, backend="processes", payload=spec) as pool:
-        pooled = run_methods(spec, methods, iterations=ITERS, pool=pool)
+    cold = run_methods(sweep_spec, methods, iterations=ITERS)
+    pooled = run_methods(sweep_spec, methods, iterations=ITERS, pool_size=2)
     for m in methods:
         assert cold[m].final_accuracy == pooled[m].final_accuracy
         assert cold[m].sim_time == pooled[m].sim_time
+        assert cold[m].records == pooled[m].records
 
 
 def _payload_cell(ctx, payload, scale):
@@ -549,20 +542,29 @@ def _payload_cell(ctx, payload, scale):
 def test_payload_rides_fork_not_pipe(inputs):
     """POOL_PAYLOAD args resolve to the fork-inherited payload worker-side."""
     net, train, _ = inputs
-    with WorkerPool(1, backend="processes", payload=(net, train)) as pool:
+    with WorkerPool(1, payload=(net, train)) as pool:
         got = pool.run(1, _payload_cell, POOL_PAYLOAD, 2.0)
     assert got == [float(net.get_params()[0]) * 2.0]
 
 
+@needs_fork
 def test_pool_rejects_oversized_cells():
-    with WorkerPool(2, backend="threads") as pool:
+    with WorkerPool(2) as pool:
         with pytest.raises(ValueError, match="ranks"):
-            pool.run(3, _double, 1)
+            pool.run(3, _pid_cell, 1, 0.0)
+        assert pool.jobs_run == 0
+
+
+def test_a_threads_pool_is_refused():
+    # Thread ranks need no pool: make_communicator(backend="threads") spawns
+    # them per run, and a sweep without pool_size runs inline.
+    with pytest.raises(TypeError, match="backend"):
+        WorkerPool(2, backend="threads")
 
 
 @needs_fork
 def test_pool_rejects_unpicklable_work():
-    with WorkerPool(1, backend="processes") as pool:
+    with WorkerPool(1) as pool:
         with pytest.raises(ValueError, match="pickl"):
             pool.submit(1, lambda ctx: None)
 

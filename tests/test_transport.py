@@ -39,7 +39,7 @@ from repro.comm import (
 )
 from repro.comm.mp_runtime import fork_available
 from repro.comm.runtime import _payload_nbytes
-from repro.comm.shm_transport import PickleStage, split_pickle
+from repro.comm.shm_transport import DEFAULT_SLOTS, PickleStage, split_pickle
 from repro.data.loader import BatchSampler
 from repro.data.synthetic import make_mnist_like
 from repro.nn.tensor_ops import col2im, im2col
@@ -411,27 +411,30 @@ def _absent_consumer(ctx, n_messages):
 @needs_fork
 @pytest.mark.mp
 class TestRingBackpressureEndToEnd:
+    # The ring holds DEFAULT_SLOTS messages; the sender runs that far ahead
+    # of its receiver and blocks on the next one.
     def test_blocked_sender_recovers_when_receiver_drains(self):
-        comm = MultiprocessCommunicator(2, shm_slots=1, timeout=20.0)
+        n = DEFAULT_SLOTS + 3
+        comm = MultiprocessCommunicator(2, timeout=20.0)
         try:
-            results = comm.run(_slow_consumer, 4)
+            results = comm.run(_slow_consumer, n)
         finally:
             comm.close()
         assert results[0] == "sent"
-        assert results[1] == [0.0, ARRAY_ELEMS * 1.0, ARRAY_ELEMS * 2.0, ARRAY_ELEMS * 3.0]
+        assert results[1] == [ARRAY_ELEMS * float(i) for i in range(n)]
 
     def test_never_draining_receiver_raises_deadlock(self):
         # Only the sender fails, so the error arrives unwrapped — and it
         # must survive the pickle trip back from the forked rank intact.
-        comm = MultiprocessCommunicator(2, shm_slots=1, timeout=1.0)
+        comm = MultiprocessCommunicator(2, timeout=1.0)
         try:
             with pytest.raises(DeadlockError) as exc_info:
-                comm.run(_absent_consumer, 3)
+                comm.run(_absent_consumer, DEFAULT_SLOTS + 2)
         finally:
             comm.close()
         err = exc_info.value
         assert isinstance(err, RingBackpressureError)
-        assert err.rank == 0 and err.capacity == 1
+        assert err.rank == 0 and err.capacity == DEFAULT_SLOTS
 
 
 def _echo_stats(ctx):
