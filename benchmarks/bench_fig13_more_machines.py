@@ -18,6 +18,7 @@ from conftest import run_once
 from repro.algorithms import TrainerConfig
 from repro.cluster import CostModel, KnlPlatform
 from repro.data import make_cifar_like, standardize, standardize_like
+from repro.harness.analysis import accuracy_at_time
 from repro.knl import KnlSyncEASGDTrainer
 from repro.nn.models import build_alexnet_mini
 from repro.nn.spec import ALEXNET
@@ -56,20 +57,13 @@ def bench_fig13_more_machines(benchmark):
     # Vertical-line reading: accuracy at the earliest common finish time.
     t_cut = min(res.sim_time for res in runs.values())
 
-    def acc_at(res, t):
-        best = 0.0
-        for rec in res.records:
-            if rec.sim_time <= t:
-                best = max(best, rec.test_accuracy)
-        return best
-
     print("\n=== Figure 13: benefits of more machines and more data ===")
     for k, res in runs.items():
         t = res.time_to_accuracy(TARGET)
         print(
             f"  {k} node(s): time-to-{TARGET}="
             f"{'%8.2fs' % t if t is not None else '   (not reached)'}  "
-            f"acc@{t_cut:.1f}s={acc_at(res, t_cut):.3f}  final={res.final_accuracy:.3f}"
+            f"acc@{t_cut:.1f}s={accuracy_at_time(res, t_cut):.3f}  final={res.final_accuracy:.3f}"
         )
 
     # Horizontal line: 8 nodes reach the hard target no later than 1 node.
@@ -79,4 +73,4 @@ def bench_fig13_more_machines(benchmark):
     if t1 is not None:
         assert t8 <= t1
     # Vertical line: at the common cut, 8 nodes are at least as accurate.
-    assert acc_at(runs[8], t_cut) >= acc_at(runs[1], t_cut)
+    assert accuracy_at_time(runs[8], t_cut) >= accuracy_at_time(runs[1], t_cut)

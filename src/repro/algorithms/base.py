@@ -70,16 +70,17 @@ class TrainerConfig:
     trace: bool = False
     #: Execution substrate ("threads" or "processes"). Read by exactly one
     #: trainer — :class:`repro.knl.ChipPartitionTrainer` (``knl --backend``:
-    #: "processes" runs the groups as real ranks) — and by none of the
-    #: registry's simulated trainers; the message-passing ports
+    #: "processes" runs the groups as real ranks); every registry entry is
+    #: simulated and refuses "processes" by name. The message-passing ports
     #: (``run_mpi_*``), :class:`repro.hogwild.HogwildRunner` and the sweep
     #: pool take their own ``backend=`` argument instead. Numerics are
     #: backend-invariant by construction.
     backend: str = "threads"
-    #: Allreduce schedule for the collective runners and the simulated
-    #: cost models: "tree" (binomial, Theta(log P) latency) or "ring"
+    #: Allreduce schedule of :class:`repro.algorithms.SyncSGDTrainer`'s
+    #: cost model: "tree" (binomial, Theta(log P) latency) or "ring"
     #: (sharded reduce-scatter + allgather, Theta(1) per-rank bandwidth).
-    #: Both schedules are bit-identical by design.
+    #: Both schedules are bit-identical by design; every other registry
+    #: entry refuses "ring" by name.
     collective: str = "tree"
     #: Durable runs (repro.durability): save a crash-safe checkpoint of the
     #: full pipeline state every N completed steps (0 = off). Requires

@@ -158,6 +158,8 @@ PS_OPTIONS = ("local_steps", "tau", "staleness_policy")
 #: Families with no re-costing story for a group that shrinks (the fabric
 #: tree, the hierarchical allreduce): they refuse a fault plan by name.
 NO_FAULT_PLAN = ("knl-sync-easgd", "cluster-sync-easgd")
+#: The only entries that read ``TrainerConfig.collective`` (SyncSGDTrainer).
+COLLECTIVE_READERS = ("sync-sgd", "sync-sgd-unpacked")
 
 
 def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
@@ -165,13 +167,22 @@ def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
 
     Raises :class:`UnsupportedOptionError` when ``kwargs`` carries a
     parameter-server option (``local_steps``, ``tau``,
-    ``staleness_policy``) or a ``faults`` plan the method cannot honour.
+    ``staleness_policy``) or a ``faults`` plan the method cannot honour,
+    or when the config asks for a non-tree ``collective`` the method
+    never reads or a ``backend`` other than ``"threads"`` (every entry
+    is a simulated trainer).
     """
     try:
         factory = ALGORITHMS[name]
     except KeyError:
         known = ", ".join(sorted(ALGORITHMS))
         raise KeyError(f"unknown algorithm {name!r}; known: {known}") from None
+    config = args[4] if len(args) > 4 else kwargs.get("config")
+    if config is not None:
+        if config.collective != "tree" and name not in COLLECTIVE_READERS:
+            raise UnsupportedOptionError(name, "collective")
+        if config.backend != "threads":
+            raise UnsupportedOptionError(name, "backend")
     if name not in PS_FAMILIES:  # the rows check their own options
         for option in PS_OPTIONS:
             if option in kwargs:

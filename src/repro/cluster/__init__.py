@@ -5,7 +5,7 @@ from repro.cluster.cost import BWD_FLOPS_FACTOR, CostModel
 from repro.cluster.devices import ComputeJitter, DeviceModel, K80_HALF, KNL_7250, M40, XEON_E5_HOST
 from repro.cluster.multinode import GpuClusterPlatform
 from repro.cluster.platform import GpuPlatform, KnlPlatform
-from repro.cluster.simclock import Event, EventQueue, SimClock
+from repro.cluster.simclock import Event, EventQueue
 
 __all__ = [
     "DeviceModel",
@@ -14,7 +14,6 @@ __all__ = [
     "KNL_7250",
     "XEON_E5_HOST",
     "ComputeJitter",
-    "SimClock",
     "EventQueue",
     "Event",
     "GpuPlatform",

@@ -1,4 +1,4 @@
-"""Simulated time: a monotonic clock and a deterministic event queue.
+"""Simulated time: a deterministic event queue.
 
 The asynchronous trainers are discrete-event simulations: each "worker
 finished its pass" is an event; the master's service discipline (FCFS with a
@@ -14,30 +14,7 @@ from dataclasses import dataclass, field
 import heapq
 from typing import Any, List, Optional
 
-__all__ = ["SimClock", "Event", "EventQueue"]
-
-
-class SimClock:
-    """A simulated clock that can only move forward."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        """Move the clock to absolute time ``t`` (must not go backward)."""
-        if t < self._now:
-            raise ValueError(f"clock cannot go backward: {t} < {self._now}")
-        self._now = t
-
-    def advance_by(self, dt: float) -> None:
-        """Move the clock forward by ``dt`` seconds."""
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        self._now += dt
+__all__ = ["Event", "EventQueue"]
 
 
 @dataclass(frozen=True, order=True)

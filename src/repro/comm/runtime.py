@@ -49,7 +49,8 @@ ever share a channel. Historically ``allreduce(tag=103)`` ran its
 broadcast phase on ``tag + 1 = 104`` — exactly ``barrier``'s default
 reduce tag — so interleaved ``allreduce()`` + ``barrier()`` calls on one
 communicator could cross-match messages. The partition makes that
-impossible; :func:`collective_wire_tags` exposes the mapping for tests.
+impossible; :func:`collective_wire_tags` is the mapping, and ``allreduce``
+reads its phase tags from it.
 
 Fault injection: pass ``faults=FaultPlan(...).drop_rate(p)`` and every
 send — an arena token included — becomes an unreliable-link
@@ -603,8 +604,8 @@ class RankContextBase:
         arena = self._collective_arena(tag, arr.size) if arr.dtype == np.float32 else None
         if arena is not None:
             return self._arena_allreduce(arena, arr, tag, view)
-        total = self.reduce(arr, root=0, tag=tag + COLLECTIVE_TAG_STRIDE)
-        return self.bcast(total, root=0, tag=tag + 2 * COLLECTIVE_TAG_STRIDE)
+        red_tag, bc_tag = collective_wire_tags("allreduce", tag)
+        return self.bcast(self.reduce(arr, root=0, tag=red_tag), root=0, tag=bc_tag)
 
     # -- arena allreduce: folds in place in shared rows, tokens on the fabric ----
     def _count(self, key: str, n: int) -> None:
@@ -707,8 +708,7 @@ class RankContextBase:
         """
         p, r = self.size, self.rank
         rows, nbytes = arena.rows, arena.result.nbytes
-        red_tag = tag + COLLECTIVE_TAG_STRIDE
-        bc_tag = tag + 2 * COLLECTIVE_TAG_STRIDE
+        red_tag, bc_tag = collective_wire_tags("allreduce", tag)
 
         t0 = self._elapsed()
         self._trace_op = "tree-reduce"
@@ -765,8 +765,7 @@ class RankContextBase:
         """
         t0 = self._elapsed()
         p, r = self.size, self.rank
-        rs_tag = tag + 6 * COLLECTIVE_TAG_STRIDE
-        ag_tag = tag + 7 * COLLECTIVE_TAG_STRIDE
+        rs_tag, ag_tag = collective_wire_tags("allreduce", tag, "ring")
         rows = arena.rows
         bounds = shard_bounds(rows[r].size, p)
         shard_nbytes = [(bounds[s + 1] - bounds[s]) * rows[r].itemsize for s in range(p)]

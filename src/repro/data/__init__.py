@@ -9,10 +9,8 @@ comparisons between training algorithms remain meaningful because every
 algorithm consumes the same sample stream through the same model.
 """
 
-from repro.data.augment import AugmentingSampler, random_horizontal_flip, random_shift_crop
 from repro.data.dataset import Dataset
-from repro.data.io import load_dataset, save_dataset
-from repro.data.loader import BatchSampler, partition_dataset, replicate_dataset
+from repro.data.loader import BatchSampler
 from repro.data.normalize import standardize, standardize_like
 from repro.data.synthetic import (
     DATASET_GEOMETRY,
@@ -30,11 +28,4 @@ __all__ = [
     "standardize",
     "standardize_like",
     "BatchSampler",
-    "partition_dataset",
-    "replicate_dataset",
-    "AugmentingSampler",
-    "random_horizontal_flip",
-    "random_shift_crop",
-    "save_dataset",
-    "load_dataset",
 ]

@@ -1,23 +1,22 @@
-"""Batch sampling and data-parallel partitioning.
+"""Batch sampling.
 
 The paper's algorithms "randomly pick b samples" each iteration (Algorithms
 1-4, line 8/10). :class:`BatchSampler` reproduces that with an independent
-seeded stream per consumer. ``partition_dataset`` implements the data-
-parallel split of Section 2.3; ``replicate_dataset`` implements the weak-
-scaling protocol of Section 7.1 where *each node holds a full copy* of the
-dataset and total data grows with the node count.
+seeded stream per consumer: every worker samples the full dataset through
+its own stream, which is also the weak-scaling protocol of Section 7.1
+where *each node holds a full copy* of the dataset.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.util.rng import spawn_rng
 
-__all__ = ["BatchSampler", "partition_dataset", "replicate_dataset"]
+__all__ = ["BatchSampler"]
 
 
 class BatchSampler:
@@ -80,42 +79,3 @@ class BatchSampler:
         while True:
             yield self.next_batch()
 
-
-def partition_dataset(dataset: Dataset, parts: int, seed: int = 0) -> List[Dataset]:
-    """Shuffle and split a dataset into ``parts`` near-equal shards.
-
-    This is classic data parallelism (Figure 4.1): the dataset is partitioned
-    into P parts and each machine gets one part.
-    """
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if parts > len(dataset):
-        raise ValueError(f"cannot split {len(dataset)} samples into {parts} parts")
-    rng = spawn_rng(seed, "partition")
-    order = rng.permutation(len(dataset))
-    shards = np.array_split(order, parts)
-    return [
-        dataset.subset(shard, name=f"{dataset.name}[shard {i}/{parts}]")
-        for i, shard in enumerate(shards)
-    ]
-
-
-def replicate_dataset(dataset: Dataset, copies: int) -> List[Dataset]:
-    """Weak-scaling replication: every node gets the whole dataset.
-
-    Section 7.1: "Each node processes one copy of Cifar dataset... we
-    increase the total data size as we increase the number of machines."
-    The returned datasets share the underlying arrays (views, not copies).
-    """
-    if copies <= 0:
-        raise ValueError("copies must be positive")
-    return [
-        Dataset(
-            name=f"{dataset.name}[replica {i}/{copies}]",
-            images=dataset.images,
-            labels=dataset.labels,
-            num_classes=dataset.num_classes,
-            meta=dict(dataset.meta),
-        )
-        for i in range(copies)
-    ]

@@ -35,11 +35,10 @@ class CheckpointCorruptionError(CheckpointError):
 class CheckpointMismatchError(CheckpointError, ValueError):
     """A (valid) checkpoint belongs to a different architecture or run.
 
-    Subclasses :class:`ValueError` so call sites that guarded the old
-    ``load_checkpoint`` behaviour keep working. Unlike corruption this
-    never falls back — silently training a different model than the one
-    checkpointed is exactly the failure mode the structure fingerprint
-    exists to prevent.
+    Subclasses :class:`ValueError`: like any bad argument, it is the
+    caller's mistake. Unlike corruption this never falls back — silently
+    training a different model than the one checkpointed is exactly the
+    failure mode the structure fingerprint exists to prevent.
     """
 
 

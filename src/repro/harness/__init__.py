@@ -1,20 +1,8 @@
 """Experiment harness: standardized runners for every table and figure."""
 
-from repro.harness.analysis import (
-    accuracy_at_time,
-    crossover_time,
-    speedup_at_accuracy,
-    time_to_accuracy_interp,
-    trajectory_auc,
-)
+from repro.harness.analysis import accuracy_at_time
 from repro.harness.breakdown import breakdown_row, render_table3, Table3Row
 from repro.harness.experiment import ExperimentSpec, run_method, run_methods
-from repro.harness.figures import (
-    fig10_packed_series,
-    fig13_scaling_series,
-    fig6_pairwise_series,
-    fig8_overall_series,
-)
 from repro.harness.plots import ascii_plot
 from repro.harness.results import result_to_dict, results_from_json, results_to_json
 from repro.harness.sweeps import best_point, grid_sweep, SweepPoint
@@ -27,10 +15,6 @@ __all__ = [
     "Table3Row",
     "breakdown_row",
     "render_table3",
-    "fig6_pairwise_series",
-    "fig8_overall_series",
-    "fig10_packed_series",
-    "fig13_scaling_series",
     "render_table1",
     "render_table2",
     "render_table4",
@@ -42,8 +26,4 @@ __all__ = [
     "best_point",
     "ascii_plot",
     "accuracy_at_time",
-    "time_to_accuracy_interp",
-    "speedup_at_accuracy",
-    "crossover_time",
-    "trajectory_auc",
 ]

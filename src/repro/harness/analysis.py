@@ -1,30 +1,19 @@
 """Trajectory analytics: the quantities EXPERIMENTS.md reports.
 
-Run trajectories are step functions of simulated time; these helpers
-interpolate them, compute speedups at matched accuracy, and locate
-crossovers between two methods — the "who wins, where" questions the
-reproduction bands care about.
+Run trajectories are step functions of simulated time; these helpers read
+the best accuracy reached by a given time (Figure 13's fixed-time cut) and
+the accuracy-vs-fault-rate curve of the fault-tolerance benchmark.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import RunResult
 
-__all__ = [
-    "accuracy_at_time",
-    "time_to_accuracy_interp",
-    "speedup_at_accuracy",
-    "crossover_time",
-    "trajectory_auc",
-    "fault_rate_curve",
-    "fault_degradation",
-    "trace_digest",
-    "comm_ratio_from_trace",
-]
+__all__ = ["accuracy_at_time", "fault_rate_curve"]
 
 
 def _series(result: RunResult) -> Tuple[np.ndarray, np.ndarray]:
@@ -44,67 +33,6 @@ def accuracy_at_time(result: RunResult, t: float) -> float:
     return float(np.maximum.accumulate(accs)[mask][-1])
 
 
-def time_to_accuracy_interp(result: RunResult, target: float) -> Optional[float]:
-    """Linearly interpolated first time the trajectory crosses ``target``.
-
-    Finer than :meth:`RunResult.time_to_accuracy` (which snaps to record
-    boundaries); returns ``None`` if the run never got there.
-    """
-    times, accs = _series(result)
-    best = np.maximum.accumulate(accs)
-    idx = np.argmax(best >= target)
-    if best[idx] < target:
-        return None
-    if idx == 0 or best[idx - 1] >= target:
-        return float(times[idx])
-    a0, a1 = best[idx - 1], best[idx]
-    t0, t1 = times[idx - 1], times[idx]
-    frac = (target - a0) / (a1 - a0)
-    return float(t0 + frac * (t1 - t0))
-
-
-def speedup_at_accuracy(fast: RunResult, slow: RunResult, target: float) -> Optional[float]:
-    """``slow``'s time-to-target divided by ``fast``'s (None if either
-    never reaches it)."""
-    tf = time_to_accuracy_interp(fast, target)
-    ts = time_to_accuracy_interp(slow, target)
-    if tf is None or ts is None or tf <= 0:
-        return None
-    return ts / tf
-
-
-def crossover_time(a: RunResult, b: RunResult, samples: int = 200) -> Optional[float]:
-    """First simulated time after which ``a``'s accuracy stays >= ``b``'s.
-
-    Returns ``None`` if ``a`` never overtakes; ``0.0`` if it leads
-    throughout.
-    """
-    t_hi = min(a.records[-1].sim_time, b.records[-1].sim_time)
-    grid = np.linspace(0.0, t_hi, samples)
-    lead = np.array(
-        [accuracy_at_time(a, t) >= accuracy_at_time(b, t) for t in grid]
-    )
-    if not lead[-1]:
-        return None
-    # last index where a was behind; crossover just after it
-    behind = np.where(~lead)[0]
-    if behind.size == 0:
-        return 0.0
-    return float(grid[behind[-1] + 1])
-
-
-def trajectory_auc(result: RunResult, t_max: Optional[float] = None, samples: int = 200) -> float:
-    """Area under the accuracy-vs-time curve up to ``t_max`` (default: the
-    run's end), normalized to [0, 1]. Rewards reaching accuracy *early*."""
-    end = t_max if t_max is not None else result.records[-1].sim_time
-    if end <= 0:
-        raise ValueError("t_max must be positive")
-    grid = np.linspace(0.0, end, samples)
-    values = np.array([accuracy_at_time(result, t) for t in grid])
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x rename
-    return float(trapezoid(values, grid) / end)
-
-
 def fault_rate_curve(
     results_by_rate: Mapping[float, RunResult],
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -120,41 +48,3 @@ def fault_rate_curve(
     rates = np.array(sorted(results_by_rate), dtype=float)
     accs = np.array([results_by_rate[r].final_accuracy for r in rates])
     return rates, accs
-
-
-def fault_degradation(faulty: RunResult, baseline: RunResult) -> float:
-    """How many accuracy points the faulty run lost vs the healthy baseline
-    (positive = degradation; the acceptance band is <= 0.05)."""
-    return baseline.final_accuracy - faulty.final_accuracy
-
-
-def trace_digest(result: RunResult) -> Mapping[str, float]:
-    """The trace's numeric summary (message counts, overlap, critical path).
-
-    Requires the run to have been made with ``TrainerConfig(trace=True)``.
-    """
-    if result.trace is None:
-        raise ValueError(
-            f"run {result.method!r} carries no trace; rerun with TrainerConfig(trace=True)"
-        )
-    from repro.trace.metrics import summarize
-
-    return summarize(result.trace)
-
-
-def comm_ratio_from_trace(result: RunResult) -> float:
-    """The 87% -> 14% figure measured from the trace's span unions.
-
-    An independent cross-check of ``result.breakdown.comm_ratio``: the
-    accumulator sums *visible* per-part seconds, while this measures the
-    union of actual communication spans against all activity — the two
-    agree in shape (Original EASGD high, Sync EASGD low) but not identically,
-    since overlapped communication counts here and is invisible there.
-    """
-    if result.trace is None:
-        raise ValueError(
-            f"run {result.method!r} carries no trace; rerun with TrainerConfig(trace=True)"
-        )
-    from repro.trace.metrics import comm_compute_ratio
-
-    return comm_compute_ratio(result.trace)

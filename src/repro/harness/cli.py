@@ -181,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--target", type=float, default=None,
                      help="train to this test accuracy instead of a fixed length")
     run.add_argument("--collective", default="tree", choices=COLLECTIVES,
-                     help="allreduce schedule: 'tree' (binomial, log-P "
-                          "latency) or 'ring' (sharded reduce-scatter + "
+                     help="sync-sgd's allreduce schedule: 'tree' (binomial, "
+                          "log-P latency) or 'ring' (sharded reduce-scatter + "
                           "allgather, constant per-rank bandwidth); the "
                           "results are bit-identical")
     run.add_argument("--paper-scale-cost", action="store_true",

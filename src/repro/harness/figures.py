@@ -1,31 +1,18 @@
-"""Per-figure data-series builders.
+"""Shared figure constants for the ``benchmarks/bench_fig*.py`` regenerators.
 
-Each function reproduces the data behind one figure of the paper's
-evaluation as ``{label: (times, values)}`` dictionaries ready for printing
-or plotting. All of them run real training under an
-:class:`repro.harness.experiment.ExperimentSpec`.
+Each figure bench runs its own training loop through
+:func:`repro.harness.experiment.run_method`; this module holds what they
+share: Figure 6's method pairs, Figure 8's lineup, and Figure 8's
+log10-error y-axis.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import RunResult
-from repro.cluster.platform import KnlPlatform
-from repro.harness.experiment import ExperimentSpec, run_method
-from repro.knl.trainer import KnlSyncEASGDTrainer
-
-__all__ = [
-    "FIG6_PAIRS",
-    "FIG8_METHODS",
-    "fig6_pairwise_series",
-    "fig8_overall_series",
-    "fig10_packed_series",
-    "fig13_scaling_series",
-    "log10_error_series",
-]
+__all__ = ["FIG6_PAIRS", "FIG8_METHODS", "log10_error_series"]
 
 #: Figure 6's four panels: (our method, existing counterpart).
 FIG6_PAIRS = (
@@ -48,38 +35,6 @@ FIG8_METHODS = (
 )
 
 
-def _series(result: RunResult) -> Tuple[np.ndarray, np.ndarray]:
-    return result.series()
-
-
-def fig6_pairwise_series(
-    spec: ExperimentSpec,
-    iterations: int,
-    pairs: Sequence[Tuple[str, str]] = FIG6_PAIRS,
-) -> Dict[str, Dict[str, Tuple[np.ndarray, np.ndarray]]]:
-    """Figure 6: accuracy-vs-time for each (ours, existing) pair.
-
-    Returns ``{"panel-i": {method: (times, accuracies)}}`` with both methods
-    of a panel run under identical conditions.
-    """
-    panels: Dict[str, Dict[str, Tuple[np.ndarray, np.ndarray]]] = {}
-    for i, (ours, theirs) in enumerate(pairs, start=1):
-        panels[f"6.{i}"] = {
-            ours: _series(run_method(spec, ours, iterations=iterations)),
-            theirs: _series(run_method(spec, theirs, iterations=iterations)),
-        }
-    return panels
-
-
-def fig8_overall_series(
-    spec: ExperimentSpec,
-    iterations: int,
-    methods: Iterable[str] = FIG8_METHODS,
-) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Figure 8: every method's (times, accuracies) under one spec."""
-    return {m: _series(run_method(spec, m, iterations=iterations)) for m in methods}
-
-
 def log10_error_series(
     series: Dict[str, Tuple[np.ndarray, np.ndarray]], floor: float = 1e-3
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
@@ -88,38 +43,4 @@ def log10_error_series(
     for name, (times, accs) in series.items():
         err = np.maximum(1.0 - accs, floor)
         out[name] = (times, np.log10(err))
-    return out
-
-
-def fig10_packed_series(
-    spec: ExperimentSpec, iterations: int
-) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Figure 10: Sync SGD with packed vs per-layer communication."""
-    return {
-        "packed": _series(run_method(spec, "sync-sgd", iterations=iterations)),
-        "per-layer": _series(run_method(spec, "sync-sgd-unpacked", iterations=iterations)),
-    }
-
-
-def fig13_scaling_series(
-    spec: ExperimentSpec,
-    iterations: int,
-    node_counts: Sequence[int] = (1, 2, 4, 8),
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Figure 13: loss/accuracy vs time as node count grows (weak scaling).
-
-    Each node holds a full copy of the dataset (Section 7.1); the trainer is
-    Algorithm 4 (KNL Sync EASGD). Returns ``{nodes: (times, accuracies)}``.
-    """
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for k in node_counts:
-        trainer = KnlSyncEASGDTrainer(
-            spec.model_builder(),
-            spec.train_set,
-            spec.test_set,
-            KnlPlatform(num_nodes=k, seed=spec.config.seed),
-            spec.config,
-            spec.cost_model,
-        )
-        out[k] = _series(trainer.train(iterations))
     return out

@@ -25,7 +25,7 @@ from repro.nn.models import (
 )
 from repro.nn.network import Network, ParamSegment
 from repro.nn.regularization import BatchNorm, Dropout, LocalResponseNorm
-from repro.nn.serialize import load_checkpoint, save_checkpoint, structure_fingerprint
+from repro.nn.serialize import structure_fingerprint
 from repro.nn.spec import ALEXNET, GOOGLENET, LayerSpec, LENET, ModelSpec, VGG19
 
 __all__ = [
@@ -59,7 +59,5 @@ __all__ = [
     "ALEXNET",
     "VGG19",
     "GOOGLENET",
-    "save_checkpoint",
-    "load_checkpoint",
     "structure_fingerprint",
 ]

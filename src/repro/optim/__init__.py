@@ -1,6 +1,5 @@
 """Update rules: plain SGD, momentum SGD, and the EASGD family (Eqs 1-6)."""
 
-from repro.optim.clip import clip_gradient_norm
 from repro.optim.easgd import (
     EASGDHyper,
     elastic_center_update,
@@ -9,7 +8,6 @@ from repro.optim.easgd import (
     elastic_worker_update,
 )
 from repro.optim.quantize import quantize_gradient
-from repro.optim.schedules import ConstantLR, InverseScalingLR, StepDecayLR
 from repro.optim.sgd import MomentumRule, SGDRule
 
 __all__ = [
@@ -20,9 +18,5 @@ __all__ = [
     "elastic_center_update_single",
     "elastic_momentum_worker_update",
     "EASGDHyper",
-    "ConstantLR",
-    "StepDecayLR",
-    "InverseScalingLR",
     "quantize_gradient",
-    "clip_gradient_norm",
 ]

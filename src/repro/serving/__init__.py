@@ -6,10 +6,8 @@ this package answers inference traffic from the freshest center weights:
 - :mod:`repro.serving.snapshot` — :class:`ModelSnapshotter` publishes
   packed center weights into a seqlock-guarded double buffer;
   :class:`SnapshotReader` pulls torn-free, staleness-tagged copies.
-- :mod:`repro.serving.microbatch` — the adaptive micro-batching policy,
-  in pure deterministic form.
-- :mod:`repro.serving.frontend` — the threaded request front-end with
-  staleness-bounded weight refresh.
+- :mod:`repro.serving.frontend` — the threaded request front-end: adaptive
+  micro-batching and staleness-bounded weight refresh.
 - :mod:`repro.serving.loadgen` — Poisson and on/off-bursty arrival
   processes with open- and closed-loop drivers.
 
@@ -23,12 +21,6 @@ from repro.serving.loadgen import (
     onoff_arrivals,
     poisson_arrivals,
 )
-from repro.serving.microbatch import (
-    PlannedBatch,
-    linear_service_time,
-    plan_batches,
-    plan_latencies,
-)
 from repro.serving.snapshot import ModelSnapshotter, SnapshotReader
 
 __all__ = [
@@ -37,10 +29,6 @@ __all__ = [
     "ServingFrontend",
     "ServedRequest",
     "ServeStats",
-    "PlannedBatch",
-    "plan_batches",
-    "plan_latencies",
-    "linear_service_time",
     "poisson_arrivals",
     "onoff_arrivals",
     "OpenLoopLoadGen",

@@ -2,10 +2,10 @@
 
 One server thread owns the model replica.  Clients :meth:`submit`
 requests from any thread; the server coalesces whatever has queued into
-one packed forward pass under the adaptive policy of
-:mod:`repro.serving.microbatch` (grow toward ``batch_cap`` while the
-queue is dense, start no later than the oldest request's ``max_wait``
-deadline).  Before each batch it settles which weights to serve:
+one packed forward pass under an adaptive admission rule (grow toward
+``batch_cap`` while the queue is dense, start no later than the oldest
+request's ``max_wait`` deadline).  Before each batch it settles which
+weights to serve:
 
 - ``refresh_policy="fresh"`` — reload whenever a newer snapshot exists;
   staleness is then bounded by the snapshotter's publish cadence.

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "spawn_rng", "RngStream"]
+__all__ = ["derive_seed", "spawn_rng"]
 
 
 def derive_seed(root_seed: int, *names: object) -> int:
@@ -31,50 +31,3 @@ def spawn_rng(root_seed: int, *names: object) -> np.random.Generator:
     """Create an independent ``numpy.random.Generator`` for a named component."""
     return np.random.default_rng(derive_seed(root_seed, *names))
 
-
-class RngStream:
-    """A hierarchical RNG: ``stream.child("worker", 3)`` is an independent
-    generator that is a pure function of (root seed, path).
-
-    This gives each simulated worker/master/dataset its own stream, so
-    reordering the construction of components does not perturb any of them.
-    """
-
-    def __init__(self, root_seed: int, *path: object) -> None:
-        self.root_seed = int(root_seed)
-        self.path = tuple(path)
-        self.generator = spawn_rng(self.root_seed, *self.path)
-
-    def child(self, *names: object) -> "RngStream":
-        """Return an independent child stream at ``path + names``."""
-        return RngStream(self.root_seed, *(self.path + names))
-
-    def getstate(self) -> dict:
-        """Snapshot the stream as a plain picklable dict.
-
-        Captures identity (root seed + path) and the exact bit-generator
-        position, so a restored stream emits the identical tail sequence.
-        """
-        return {
-            "root_seed": self.root_seed,
-            "path": [str(p) for p in self.path],
-            "bit_generator": self.generator.bit_generator.state,
-        }
-
-    def setstate(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`getstate`.
-
-        The stream's identity must match: restoring a different stream's
-        position would silently entangle two supposedly independent
-        streams, so it raises ``ValueError`` instead.
-        """
-        ours = [str(p) for p in self.path]
-        if state["root_seed"] != self.root_seed or state["path"] != ours:
-            raise ValueError(
-                f"RNG state belongs to stream (seed={state['root_seed']}, "
-                f"path={state['path']}), not (seed={self.root_seed}, path={ours})"
-            )
-        self.generator.bit_generator.state = state["bit_generator"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(seed={self.root_seed}, path={self.path!r})"

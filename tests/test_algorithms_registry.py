@@ -1,5 +1,6 @@
 """Registry: every advertised method constructs and runs."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,31 @@ class TestRegistry:
                 faults=FaultPlan().crash(1, at=0.01),
             )
         assert (ei.value.method, ei.value.option) == (name, "faults")
+
+    @pytest.mark.parametrize(
+        "name", sorted(EXPECTED_METHODS - {"sync-sgd", "sync-sgd-unpacked"}))
+    def test_ring_collective_refused_where_never_read(self, name, mnist_tiny, fast_config):
+        # Only SyncSGDTrainer reads TrainerConfig.collective: anywhere else
+        # "ring" would run the tree and report success.
+        train, test = mnist_tiny
+        with pytest.raises(UnsupportedOptionError) as ei:
+            make_trainer(
+                name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
+                replace(fast_config, collective="ring"), CostModel.from_spec(LENET),
+            )
+        assert (ei.value.method, ei.value.option) == (name, "collective")
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_METHODS))
+    def test_processes_backend_refused(self, name, mnist_tiny, fast_config):
+        # Every registry entry is simulated: "processes" would run the
+        # simulation anyway and leave result.backend None.
+        train, test = mnist_tiny
+        with pytest.raises(UnsupportedOptionError) as ei:
+            make_trainer(
+                name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
+                replace(fast_config, backend="processes"), CostModel.from_spec(LENET),
+            )
+        assert (ei.value.method, ei.value.option) == (name, "backend")
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_METHODS))
     def test_constructs_and_runs_one_iteration(self, name, mnist_tiny, fast_config):

@@ -1,19 +1,9 @@
-"""Trajectory analytics, ASCII plots, staleness metrics, MCDRAM modes,
-dataset IO."""
+"""Trajectory analytics, ASCII plots, staleness metrics, MCDRAM modes."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms.base import RunResult, TimeBreakdown, TrainRecord
-from repro.data.io import load_dataset, save_dataset
-from repro.data.synthetic import make_synthetic
-from repro.harness.analysis import (
-    accuracy_at_time,
-    crossover_time,
-    speedup_at_accuracy,
-    time_to_accuracy_interp,
-    trajectory_auc,
-)
+from repro.harness.analysis import accuracy_at_time
 from repro.harness.plots import ascii_plot
 from repro.knl.chip import KnlChip, McdramMode
 
@@ -39,55 +29,6 @@ class TestAnalysis:
         assert accuracy_at_time(r, 0.5) == 0.0
         assert accuracy_at_time(r, 2.5) == 0.5
         assert accuracy_at_time(r, 10) == 0.9
-
-    def test_time_to_accuracy_interpolates(self):
-        r = _run([1, 2], [0.0, 1.0])
-        assert time_to_accuracy_interp(r, 0.5) == pytest.approx(1.5)
-
-    def test_time_to_accuracy_unreachable(self):
-        r = _run([1, 2], [0.1, 0.2])
-        assert time_to_accuracy_interp(r, 0.9) is None
-
-    def test_time_to_accuracy_monotone_envelope(self):
-        # dips in the raw trajectory don't un-reach the target
-        r = _run([1, 2, 3], [0.8, 0.3, 0.9])
-        assert time_to_accuracy_interp(r, 0.7) == pytest.approx(1.0)
-
-    def test_speedup(self):
-        fast = _run([1, 2], [0.0, 1.0])
-        slow = _run([2, 4], [0.0, 1.0])
-        assert speedup_at_accuracy(fast, slow, 0.5) == pytest.approx(2.0)
-
-    def test_speedup_none_when_unreached(self):
-        fast = _run([1, 2], [0.0, 1.0])
-        stuck = _run([1, 2], [0.0, 0.1])
-        assert speedup_at_accuracy(fast, stuck, 0.5) is None
-
-    def test_crossover(self):
-        late_bloomer = _run([1, 5, 10], [0.1, 0.5, 1.0])
-        early = _run([1, 5, 10], [0.4, 0.45, 0.5])
-        t = crossover_time(late_bloomer, early)
-        assert t is not None and 1 < t < 10
-
-    def test_crossover_never(self):
-        worse = _run([1, 10], [0.1, 0.2])
-        better = _run([1, 10], [0.5, 0.9])
-        assert crossover_time(worse, better) is None
-
-    def test_crossover_leads_throughout(self):
-        a = _run([1, 10], [0.5, 0.9])
-        b = _run([1, 10], [0.1, 0.2])
-        assert crossover_time(a, b) == 0.0
-
-    def test_auc_bounds(self):
-        r = _run([1, 2, 3], [0.5, 0.7, 0.9])
-        auc = trajectory_auc(r)
-        assert 0.0 < auc < 0.9
-
-    def test_auc_rewards_early_convergence(self):
-        early = _run([1, 10], [0.9, 0.9])
-        late = _run([9, 10], [0.0, 0.9])
-        assert trajectory_auc(early, t_max=10) > trajectory_auc(late, t_max=10)
 
 
 class TestAsciiPlot:
@@ -138,32 +79,6 @@ class TestMcdramModes:
         cache = KnlChip(mcdram_mode=McdramMode.CACHE).working_set_bandwidth(n)
         hybrid = KnlChip(mcdram_mode=McdramMode.HYBRID).working_set_bandwidth(n)
         assert flat < hybrid < cache
-
-
-class TestDatasetIO:
-    def test_roundtrip(self, tmp_path):
-        ds = make_synthetic("io-test", 32, num_classes=3, channels=1, height=6, width=6, seed=5)
-        path = tmp_path / "ds.npz"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.name == "io-test"
-        assert back.num_classes == 3
-        np.testing.assert_array_equal(back.images, ds.images)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.meta["seed"] == 5
-
-    def test_bad_format_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.npz"
-        np.savez(
-            path,
-            images=np.zeros((2, 1, 2, 2), dtype=np.float32),
-            labels=np.zeros(2, dtype=np.int64),
-            meta=np.frombuffer(json.dumps({"format": 99}).encode(), dtype=np.uint8),
-        )
-        with pytest.raises(ValueError, match="format"):
-            load_dataset(path)
 
 
 class TestStalenessMetrics:

@@ -1,4 +1,4 @@
-"""Cluster simulation: devices, clock, event queue, cost models, platforms."""
+"""Cluster simulation: devices, event queue, cost models, platforms."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +8,7 @@ import pytest
 from repro.cluster.cost import BWD_FLOPS_FACTOR, CostModel
 from repro.cluster.devices import ComputeJitter, DeviceModel, K80_HALF, KNL_7250, M40, XEON_E5_HOST
 from repro.cluster.platform import GpuPlatform, KnlPlatform
-from repro.cluster.simclock import Event, EventQueue, SimClock
+from repro.cluster.simclock import EventQueue
 from repro.nn.models import build_lenet
 from repro.nn.spec import LENET
 
@@ -60,21 +60,6 @@ class TestJitter:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             ComputeJitter(0, 0, -0.1)
-
-
-class TestSimClock:
-    def test_advance(self):
-        c = SimClock()
-        c.advance_by(1.5)
-        c.advance_to(3.0)
-        assert c.now == 3.0
-
-    def test_cannot_go_backward(self):
-        c = SimClock(5.0)
-        with pytest.raises(ValueError):
-            c.advance_to(1.0)
-        with pytest.raises(ValueError):
-            c.advance_by(-1.0)
 
 
 class TestEventQueue:

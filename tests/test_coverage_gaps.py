@@ -6,7 +6,6 @@ import pytest
 from repro.algorithms import TrainerConfig
 from repro.algorithms.sync_sgd import SyncSGDTrainer
 from repro.cluster import CostModel, GpuClusterPlatform, GpuPlatform, KnlPlatform
-from repro.harness.figures import fig6_pairwise_series
 from repro.knl import ChipPartitionTrainer, KnlChip, KnlSyncEASGDTrainer, McdramMode
 from repro.knl.partition import CIFAR_COPY_BYTES
 from repro.nn.models import build_mlp
@@ -92,27 +91,6 @@ class TestClusterPlatformPieces:
         cost = CostModel.from_spec(LENET)
         plat = GpuClusterPlatform(num_nodes=2, gpus_per_node=2, jitter_sigma=0.0)
         assert plat.fwdbwd_time(cost, 32, worker=0) == plat.fwdbwd_time(cost, 32, worker=1)
-
-
-class TestFig6Builder:
-    def test_builds_all_panels(self, mnist_tiny, fast_config):
-        from repro.harness.experiment import ExperimentSpec
-
-        train, test = mnist_tiny
-        spec = ExperimentSpec(
-            train_set=train,
-            test_set=test,
-            model_builder=lambda: build_mlp(seed=2),
-            num_gpus=2,
-            config=fast_config,
-            cost_model=CostModel.from_spec(LENET),
-            normalized=True,
-        )
-        panels = fig6_pairwise_series(spec, iterations=10, pairs=(("async-easgd", "async-sgd"),))
-        assert set(panels) == {"6.1"}
-        assert set(panels["6.1"]) == {"async-easgd", "async-sgd"}
-        for times, accs in panels["6.1"].values():
-            assert len(times) == len(accs) > 0
 
 
 class TestPartitionWithCacheMode:
@@ -205,19 +183,24 @@ class TestQuantizeEdgeCases:
 
 
 class TestCheckpointRoundTrips:
-    """Round-trip coverage for repro.nn.serialize beyond the happy path."""
+    """Round-trip coverage for packed weights in repro.durability's store
+    beyond the happy path."""
 
     def test_values_and_dtype_survive(self, tmp_path):
-        from repro.nn.serialize import load_checkpoint, save_checkpoint
+        from repro.durability import load_latest_valid, write_version
+        from repro.nn.serialize import structure_fingerprint
 
         net = build_mlp(seed=8)
         rng = np.random.default_rng(8)
         net.set_params(rng.normal(size=net.params.size).astype(net.params.dtype))
         before = net.get_params().copy()
-        save_checkpoint(net, tmp_path / "ck.npz", iteration=7)
+        write_version(tmp_path, 7, {"params": net.params}, {},
+                      fingerprint=structure_fingerprint(net))
 
         other = build_mlp(seed=99)  # different init, same architecture
-        assert load_checkpoint(other, tmp_path / "ck.npz") == 7
+        data = load_latest_valid(tmp_path, fingerprint=structure_fingerprint(other))
+        assert data.step == 7
+        other.set_params(data.arrays["params"])
         restored = other.get_params()
         np.testing.assert_array_equal(restored, before)
         assert restored.dtype == before.dtype
@@ -230,20 +213,17 @@ class TestCheckpointRoundTrips:
         b.set_params(np.zeros_like(b.params))
         assert structure_fingerprint(a) == structure_fingerprint(b)
 
-    def test_default_iteration_is_zero(self, tmp_path):
-        from repro.nn.serialize import load_checkpoint, save_checkpoint
-
-        net = build_mlp(seed=8)
-        save_checkpoint(net, tmp_path / "ck.npz")
-        assert load_checkpoint(build_mlp(seed=8), tmp_path / "ck.npz") == 0
-
     def test_mismatched_architecture_refused_without_mutation(self, tmp_path):
+        from repro.durability import CheckpointMismatchError, load_latest_valid, write_version
         from repro.nn.models import build_lenet
-        from repro.nn.serialize import load_checkpoint, save_checkpoint
+        from repro.nn.serialize import structure_fingerprint
 
-        save_checkpoint(build_lenet(seed=1), tmp_path / "ck.npz")
+        lenet = build_lenet(seed=1)
+        write_version(tmp_path, 0, {"params": lenet.params}, {},
+                      fingerprint=structure_fingerprint(lenet))
         target = build_mlp(seed=3)
         before = target.get_params().copy()
-        with pytest.raises(ValueError, match="structure mismatch"):
-            load_checkpoint(target, tmp_path / "ck.npz")
+        with pytest.raises(CheckpointMismatchError, match="was written for structure"):
+            data = load_latest_valid(tmp_path, fingerprint=structure_fingerprint(target))
+            target.set_params(data.arrays["params"])
         np.testing.assert_array_equal(target.get_params(), before)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.data.loader import BatchSampler, partition_dataset, replicate_dataset
+from repro.data.loader import BatchSampler
 from repro.data.normalize import standardize, standardize_like
 from repro.data.synthetic import (
     DATASET_GEOMETRY,
@@ -181,32 +181,3 @@ class TestBatchSampler:
         assert x.shape[0] == 2
 
 
-class TestPartitionReplicate:
-    def test_partition_covers_everything_once(self):
-        ds = _tiny(n=30)
-        shards = partition_dataset(ds, 4, seed=0)
-        total = sum(len(s) for s in shards)
-        assert total == 30
-        all_labels = np.concatenate([s.labels for s in shards])
-        assert sorted(all_labels.tolist()) == sorted(ds.labels.tolist())
-
-    def test_partition_near_equal(self):
-        shards = partition_dataset(_tiny(n=30), 4, seed=0)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            partition_dataset(_tiny(n=4), 0)
-        with pytest.raises(ValueError):
-            partition_dataset(_tiny(n=4), 10)
-
-    def test_replicate_shares_memory(self):
-        ds = _tiny()
-        copies = replicate_dataset(ds, 3)
-        assert len(copies) == 3
-        assert all(c.images is ds.images for c in copies)
-
-    def test_replicate_validation(self):
-        with pytest.raises(ValueError):
-            replicate_dataset(_tiny(), 0)

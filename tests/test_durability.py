@@ -43,10 +43,10 @@ from repro.durability import (
     write_version,
 )
 from repro.nn.models import build_lenet, build_mlp
-from repro.nn.serialize import load_checkpoint, save_checkpoint
+from repro.nn.serialize import structure_fingerprint
 from repro.nn.spec import LENET
 from repro.trace import to_jsonl
-from repro.util.rng import RngStream
+from repro.util.rng import spawn_rng
 
 pytestmark = pytest.mark.durability
 
@@ -186,53 +186,60 @@ class TestCorruptionFallback:
 
 
 # ---------------------------------------------------------------------------
-# serialize.py: architecture mismatch is a typed, early failure
+# the structure fingerprint: architecture mismatch is a typed, early failure
 # ---------------------------------------------------------------------------
+def _write_weights(directory, net, step=0):
+    """One version holding ``net``'s packed weights under its fingerprint."""
+    path, _ = write_version(directory, step, {"params": net.params}, {},
+                            fingerprint=structure_fingerprint(net))
+    return path
+
+
 class TestWeightCheckpointMismatch:
     def test_round_trip_same_structure(self, tmp_path, mnist_tiny):
         train, _ = mnist_tiny
         net = build_mlp(seed=1)
         net.forward(train.images[:1])
-        path = tmp_path / "weights.npz"
-        save_checkpoint(net, path, iteration=7)
+        _write_weights(tmp_path, net, step=7)
 
         other = build_mlp(seed=2)
         other.forward(train.images[:1])
-        assert load_checkpoint(other, path) == 7
+        data = load_latest_valid(tmp_path, fingerprint=structure_fingerprint(other))
+        assert data.step == 7
+        other.set_params(data.arrays["params"])
         np.testing.assert_array_equal(other.params, net.params)
 
     def test_architecture_mismatch_raises_typed_error(self, tmp_path, mnist_tiny):
         train, _ = mnist_tiny
         mlp = build_mlp(seed=0)
         mlp.forward(train.images[:1])
-        path = tmp_path / "weights.npz"
-        save_checkpoint(mlp, path)
+        _write_weights(tmp_path, mlp)
 
         lenet = build_lenet(seed=0)
         lenet.forward(train.images[:1])
         with pytest.raises(CheckpointMismatchError):
-            load_checkpoint(lenet, path)
-        # Old call sites catch ValueError; the typed error must still be one.
+            load_latest_valid(tmp_path, fingerprint=structure_fingerprint(lenet))
+        # A mismatch is a caller error: the typed error is a ValueError too.
         with pytest.raises(ValueError):
-            load_checkpoint(lenet, path)
+            load_latest_valid(tmp_path, fingerprint=structure_fingerprint(lenet))
 
     def test_unreadable_file_raises_corruption(self, tmp_path, mnist_tiny):
         train, _ = mnist_tiny
         net = build_mlp(seed=0)
         net.forward(train.images[:1])
-        path = tmp_path / "weights.npz"
-        path.write_bytes(b"not a zip archive")
+        path = _write_weights(tmp_path, net)
+        (path / "arrays.npz").write_bytes(b"not a zip archive")
         with pytest.raises(CheckpointCorruptionError):
-            load_checkpoint(net, path)
+            read_version(path)
 
     def test_missing_entry_raises_corruption(self, tmp_path, mnist_tiny):
         train, _ = mnist_tiny
         net = build_mlp(seed=0)
         net.forward(train.images[:1])
-        path = tmp_path / "weights.npz"
-        np.savez(path, params=net.params)  # no fingerprint/iteration
+        path = _write_weights(tmp_path, net)
+        np.savez(path / "arrays.npz", other=net.params)  # no "params" entry
         with pytest.raises(CheckpointCorruptionError):
-            load_checkpoint(net, path)
+            read_version(path)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +253,14 @@ class TestRngStreamState:
         draws=st.integers(min_value=1, max_value=32),
     )
     def test_round_trip_resumes_identical_tail(self, seed, burn, draws):
-        stream = RngStream(seed, "unit", 3)
-        stream.generator.random(burn)
-        snapshot = pickle.loads(pickle.dumps(stream.getstate(), protocol=4))
-        expected = stream.generator.random(draws)
+        stream = spawn_rng(seed, "unit", 3)
+        stream.random(burn)
+        snapshot = pickle.loads(pickle.dumps(stream.bit_generator.state, protocol=4))
+        expected = stream.random(draws)
 
-        fresh = RngStream(seed, "unit", 3)
-        fresh.setstate(snapshot)
-        np.testing.assert_array_equal(fresh.generator.random(draws), expected)
-
-    def test_setstate_rejects_foreign_identity(self):
-        state = RngStream(0, "worker", 1).getstate()
-        with pytest.raises(ValueError):
-            RngStream(0, "worker", 2).setstate(state)
-        with pytest.raises(ValueError):
-            RngStream(1, "worker", 1).setstate(state)
+        fresh = spawn_rng(seed, "unit", 3)
+        fresh.bit_generator.state = snapshot
+        np.testing.assert_array_equal(fresh.random(draws), expected)
 
     def test_sampler_cursor_round_trip(self, mnist_tiny):
         train, _ = mnist_tiny

@@ -18,13 +18,7 @@ from repro.harness import (
     Table3Row,
 )
 from repro.harness.breakdown import speedup_over
-from repro.harness.figures import (
-    fig10_packed_series,
-    fig13_scaling_series,
-    FIG6_PAIRS,
-    FIG8_METHODS,
-    log10_error_series,
-)
+from repro.harness.figures import FIG6_PAIRS, FIG8_METHODS, log10_error_series
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 from repro.scaling import weak_scaling_sweep
@@ -138,19 +132,6 @@ class TestFigureBuilders:
 
     def test_fig8_lineup_has_eight_methods(self):
         assert len(FIG8_METHODS) == 8
-
-    def test_fig10_series(self, spec):
-        out = fig10_packed_series(spec, iterations=8)
-        assert set(out) == {"packed", "per-layer"}
-        t_packed, _ = out["packed"]
-        t_unpacked, _ = out["per-layer"]
-        assert t_unpacked[-1] > t_packed[-1]
-
-    def test_fig13_series_nodes(self, spec):
-        out = fig13_scaling_series(spec, iterations=8, node_counts=(1, 2))
-        assert set(out) == {1, 2}
-        for times, accs in out.values():
-            assert len(times) == len(accs) > 0
 
     def test_log10_error_series(self):
         series = {"m": (np.array([1.0, 2.0]), np.array([0.9, 0.999]))}

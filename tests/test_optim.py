@@ -1,4 +1,4 @@
-"""Update rules: SGD, momentum, the EASGD equations, schedules, quantization."""
+"""Update rules: SGD, momentum, the EASGD equations, quantization."""
 
 from types import SimpleNamespace
 
@@ -10,17 +10,14 @@ import pytest
 from repro.engine.ps import ElasticCenterStore, ElasticWorkerRule
 from repro.engine.strategy import SyncElasticUpdate
 from repro.optim import (
-    ConstantLR,
     EASGDHyper,
     elastic_center_update,
     elastic_center_update_single,
     elastic_momentum_worker_update,
     elastic_worker_update,
-    InverseScalingLR,
     MomentumRule,
     quantize_gradient,
     SGDRule,
-    StepDecayLR,
 )
 
 
@@ -255,28 +252,6 @@ class TestStabilityRegion:
         with pytest.raises(ValueError, match="elastic step"):
             EASGDHyper(lr=LR, rho=1.02 / LR)
         assert _async_peak(workers, 1.02) > 1e6
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.1)(999) == 0.1
-
-    def test_step_decay(self):
-        s = StepDecayLR(1.0, step_size=10, gamma=0.1)
-        assert s(0) == 1.0
-        assert s(10) == pytest.approx(0.1)
-        assert s(25) == pytest.approx(0.01)
-
-    def test_inverse_scaling_monotone(self):
-        s = InverseScalingLR(1.0, gamma=0.01, power=0.5)
-        values = [s(i) for i in range(0, 1000, 100)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConstantLR(0)
-        with pytest.raises(ValueError):
-            StepDecayLR(0.1, step_size=0)
 
 
 class TestQuantize:

@@ -17,7 +17,7 @@ from repro.harness.experiment import ExperimentSpec
 from repro.harness.sweeps import best_point, grid_sweep
 from repro.nn.models import build_mlp
 from repro.nn.spec import ALEXNET, LENET
-from repro.optim import clip_gradient_norm, MomentumRule, SGDRule
+from repro.optim import MomentumRule, SGDRule
 
 
 class TestWeightDecay:
@@ -58,29 +58,6 @@ class TestNesterov:
         MomentumRule(lr=0.1, mu=0.0, nesterov=True).apply(p1, g)
         SGDRule(lr=0.1).apply(p2, g)
         np.testing.assert_allclose(p1, p2, rtol=1e-6)
-
-
-class TestClipping:
-    def test_large_gradient_scaled_to_max(self):
-        g = np.full(4, 10.0, dtype=np.float32)
-        norm = clip_gradient_norm(g, max_norm=1.0)
-        assert norm == pytest.approx(20.0)
-        assert np.linalg.norm(g) == pytest.approx(1.0, rel=1e-5)
-
-    def test_small_gradient_untouched(self):
-        g = np.full(4, 0.1, dtype=np.float32)
-        before = g.copy()
-        clip_gradient_norm(g, max_norm=10.0)
-        np.testing.assert_array_equal(g, before)
-
-    def test_direction_preserved(self):
-        g = np.array([3.0, 4.0], dtype=np.float32)
-        clip_gradient_norm(g, max_norm=1.0)
-        np.testing.assert_allclose(g, [0.6, 0.8], rtol=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_gradient_norm(np.ones(2), 0.0)
 
 
 class TestPipelining:

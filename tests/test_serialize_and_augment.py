@@ -1,36 +1,10 @@
-"""Checkpointing and data augmentation."""
+"""The structure fingerprint every checkpoint version is stamped with."""
 
-import numpy as np
-import pytest
-
-from repro.data.augment import AugmentingSampler, random_horizontal_flip, random_shift_crop
-from repro.data.synthetic import make_synthetic
 from repro.nn.models import build_lenet, build_mlp
-from repro.nn.serialize import load_checkpoint, save_checkpoint, structure_fingerprint
-from repro.util.rng import spawn_rng
+from repro.nn.serialize import structure_fingerprint
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        net = build_lenet(seed=1)
-        net.params[...] = np.arange(net.num_params, dtype=np.float32) % 7
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(net, path, iteration=123)
-
-        other = build_lenet(seed=99)  # different init, same structure
-        assert not np.allclose(other.params, net.params)
-        iteration = load_checkpoint(other, path)
-        assert iteration == 123
-        np.testing.assert_array_equal(other.params, net.params)
-
-    def test_structure_mismatch_rejected(self, tmp_path):
-        lenet = build_lenet(seed=1)
-        mlp = build_mlp(seed=1)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(lenet, path)
-        with pytest.raises(ValueError, match="structure mismatch"):
-            load_checkpoint(mlp, path)
-
     def test_fingerprint_stability(self):
         assert structure_fingerprint(build_lenet(seed=1)) == structure_fingerprint(
             build_lenet(seed=2)
@@ -39,109 +13,4 @@ class TestCheckpoint:
     def test_fingerprint_distinguishes_architectures(self):
         assert structure_fingerprint(build_lenet()) != structure_fingerprint(build_mlp())
 
-    def test_training_resume_equivalence(self, tmp_path, mnist_tiny):
-        """Train 10, checkpoint, train 10 more == train 20 straight."""
-        train, _ = mnist_tiny
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, len(train), 16)
-        x, y = train.images[idx], train.labels[idx]
 
-        straight = build_mlp(seed=5)
-        for _ in range(20):
-            straight.gradient(x, y)
-            straight.params -= 0.05 * straight.grads
-
-        first = build_mlp(seed=5)
-        for _ in range(10):
-            first.gradient(x, y)
-            first.params -= 0.05 * first.grads
-        path = tmp_path / "mid.npz"
-        save_checkpoint(first, path, iteration=10)
-
-        resumed = build_mlp(seed=5)
-        assert load_checkpoint(resumed, path) == 10
-        for _ in range(10):
-            resumed.gradient(x, y)
-            resumed.params -= 0.05 * resumed.grads
-
-        np.testing.assert_array_equal(resumed.params, straight.params)
-
-
-class TestAugment:
-    def _images(self, n=8, seed=0):
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(n, 3, 8, 8)).astype(np.float32)
-
-    def test_flip_mirrors_width(self):
-        rng = spawn_rng(0, "t")
-        x = self._images()
-        out = random_horizontal_flip(x, rng, prob=1.0)
-        np.testing.assert_array_equal(out, x[:, :, :, ::-1])
-
-    def test_flip_prob_zero_identity(self):
-        rng = spawn_rng(0, "t")
-        x = self._images()
-        np.testing.assert_array_equal(random_horizontal_flip(x, rng, prob=0.0), x)
-
-    def test_flip_preserves_content(self):
-        rng = spawn_rng(1, "t")
-        x = self._images()
-        out = random_horizontal_flip(x, rng)
-        np.testing.assert_allclose(np.sort(out.ravel()), np.sort(x.ravel()))
-
-    def test_shift_shape_preserved(self):
-        rng = spawn_rng(2, "t")
-        x = self._images()
-        assert random_shift_crop(x, rng, max_shift=2).shape == x.shape
-
-    def test_shift_zero_identity(self):
-        rng = spawn_rng(3, "t")
-        x = self._images()
-        np.testing.assert_array_equal(random_shift_crop(x, rng, 0), x)
-
-    def test_shift_moves_pixels(self):
-        rng = spawn_rng(4, "t")
-        x = self._images()
-        out = random_shift_crop(x, rng, max_shift=2)
-        assert not np.array_equal(out, x)
-
-    def test_validation(self):
-        rng = spawn_rng(5, "t")
-        with pytest.raises(ValueError):
-            random_horizontal_flip(self._images(), rng, prob=1.5)
-        with pytest.raises(ValueError):
-            random_shift_crop(self._images(), rng, max_shift=-1)
-
-
-class TestAugmentingSampler:
-    def _dataset(self):
-        return make_synthetic("a", 64, num_classes=4, channels=3, height=8, width=8, seed=9)
-
-    def test_batch_shapes(self):
-        s = AugmentingSampler(self._dataset(), 8, seed=0)
-        x, y = s.next_batch()
-        assert x.shape == (8, 3, 8, 8) and y.shape == (8,)
-
-    def test_deterministic(self):
-        a = AugmentingSampler(self._dataset(), 8, seed=1)
-        b = AugmentingSampler(self._dataset(), 8, seed=1)
-        xa, ya = a.next_batch()
-        xb, yb = b.next_batch()
-        np.testing.assert_array_equal(xa, xb)
-        np.testing.assert_array_equal(ya, yb)
-
-    def test_labels_untouched(self):
-        ds = self._dataset()
-        plain = AugmentingSampler(ds, 8, seed=2, flip_prob=0.0, max_shift=0)
-        from repro.data.loader import BatchSampler
-
-        ref = BatchSampler(ds, 8, seed=2, name="augment")
-        _, y_aug = plain.next_batch()
-        _, y_ref = ref.next_batch()
-        np.testing.assert_array_equal(y_aug, y_ref)
-
-    def test_counts_batches(self):
-        s = AugmentingSampler(self._dataset(), 4, seed=0)
-        s.next_batch()
-        s.next_batch()
-        assert s.batches_drawn == 2

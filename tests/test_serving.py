@@ -1,7 +1,7 @@
 """Serving-tier correctness: seqlock snapshots, shm lifecycle, adaptive
 micro-batching, staleness bounds, serving trace invariants, and the
 bit-identity contract (training trajectories are unchanged by an attached
-serving tier, threads and processes backends alike).
+serving tier, in one process and across processes alike).
 """
 
 from __future__ import annotations
@@ -19,17 +19,14 @@ from repro.comm.mp_runtime import SharedFlatArray, fork_available
 from repro.comm.shm_transport import SeqlockBuffer, TornReadError
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_method
+from repro.knl import ChipPartitionTrainer
 from repro.nn.models import build_mlp
 from repro.serving import (
     ClosedLoopLoadGen,
     ModelSnapshotter,
     OpenLoopLoadGen,
     ServingFrontend,
-    SnapshotReader,
-    linear_service_time,
     onoff_arrivals,
-    plan_batches,
-    plan_latencies,
     poisson_arrivals,
 )
 from repro.trace.check import (
@@ -276,60 +273,6 @@ class TestSnapshotter:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher: determinism, adaptivity, latency deadline
-# ---------------------------------------------------------------------------
-
-
-class TestMicroBatcher:
-    CAP = 8
-    WAIT = 0.005
-    COST = staticmethod(linear_service_time(0.002, 0.0005))
-
-    def test_deterministic_under_seeded_arrivals(self):
-        for seed in (0, 1, 7):
-            arr = poisson_arrivals(200, rate=400.0, seed=seed)
-            p1 = plan_batches(arr, self.CAP, self.WAIT, self.COST)
-            p2 = plan_batches(arr, self.CAP, self.WAIT, self.COST)
-            assert p1 == p2
-            served = sorted(i for b in p1 for i in b.indices)
-            assert served == list(range(200))  # every request exactly once
-
-    def test_batches_respect_cap_and_never_overlap(self):
-        arr = onoff_arrivals(300, rate_on=2000.0, on_mean=0.02, off_mean=0.05, seed=3)
-        plan = plan_batches(arr, self.CAP, self.WAIT, self.COST)
-        assert all(1 <= b.size <= self.CAP for b in plan)
-        for prev, cur in zip(plan, plan[1:]):
-            assert cur.start >= prev.finish - 1e-12
-
-    def test_latency_deadline_drain(self):
-        """A batch starts no later than its oldest request's deadline
-        unless the server was still busy (backlog)."""
-        arr = poisson_arrivals(150, rate=300.0, seed=5)
-        plan = plan_batches(arr, self.CAP, self.WAIT, self.COST)
-        free = 0.0
-        for b in plan:
-            oldest = arr[b.indices[0]]
-            assert b.start <= max(free, oldest + self.WAIT) + 1e-12
-            free = b.finish
-
-    def test_batch_grows_under_load_and_shrinks_when_idle(self):
-        dense = np.zeros(4 * self.CAP)  # all requests queued at t=0
-        plan = plan_batches(dense, self.CAP, self.WAIT, self.COST)
-        assert [b.size for b in plan] == [self.CAP] * 4
-        sparse = np.arange(10) * 1.0  # 1s apart: no coalescing possible
-        plan = plan_batches(sparse, self.CAP, self.WAIT, self.COST)
-        assert [b.size for b in plan] == [1] * 10
-        lats = plan_latencies(sparse, plan)
-        # Idle-path latency = the drain wait plus one single-item service.
-        expected = self.WAIT + self.COST(1)
-        assert all(abs(lat - expected) < 1e-9 for lat in lats)
-
-    def test_rejects_unsorted_arrivals(self):
-        with pytest.raises(ValueError, match="sorted"):
-            plan_batches([1.0, 0.5], self.CAP, self.WAIT, self.COST)
-
-
-# ---------------------------------------------------------------------------
 # Load generation
 # ---------------------------------------------------------------------------
 
@@ -508,18 +451,25 @@ def _trajectory(result):
             for r in result.records]
 
 
-def _train_with_live_serving(backend, method="sync-easgd3", iterations=8):
-    """Train with a snapshotter attached AND a front-end actively serving
-    micro-batched traffic (closed loop) for the whole run."""
-    spec = _spec(backend)
+def _chip_trainer():
+    """A 2-group ChipPartitionTrainer whose groups run as forked ranks."""
+    spec = _spec("processes")
+    return ChipPartitionTrainer(build_mlp(seed=3), spec.train_set, spec.test_set,
+                                spec.config, parts=2)
+
+
+def _train_with_live_serving(train, shared=False):
+    """Run ``train(snapshotter)`` with a front-end actively serving
+    micro-batched traffic (closed loop) from that snapshotter for the
+    whole run."""
+    spec = _spec()
     replica = build_mlp(seed=99)  # the serving tier's own weight copy
-    snap = ModelSnapshotter(replica.num_params)
+    snap = ModelSnapshotter(replica.num_params, shared=shared)
     outcome = {}
 
     def train_main():
         try:
-            outcome["result"] = run_method(spec, method, iterations=iterations,
-                                           snapshotter=snap)
+            outcome["result"] = train(snap)
         except BaseException as exc:  # pragma: no cover - ferried to assert
             outcome["error"] = exc
 
@@ -540,25 +490,32 @@ def _train_with_live_serving(backend, method="sync-easgd3", iterations=8):
     th.join()
     if "error" in outcome:
         raise outcome["error"]
-    snap.close()
+    snap.close(unlink=shared)
     return outcome["result"], served
 
 
 class TestBitIdentity:
     def test_threads_backend_trajectory_unchanged(self):
-        baseline = run_method(_spec("threads"), "sync-easgd3", iterations=8)
-        result, served = _train_with_live_serving("threads")
+        spec = _spec()
+        baseline = run_method(spec, "sync-easgd3", iterations=8)
+        result, served = _train_with_live_serving(
+            lambda snap: run_method(spec, "sync-easgd3", iterations=8, snapshotter=snap))
         assert served > 0
         assert _trajectory(result) == _trajectory(baseline)
 
     @pytest.mark.mp
     def test_processes_backend_trajectory_unchanged(self):
+        """Training and serving in different processes: a forked group of
+        ChipPartitionTrainer publishes into shared memory while the
+        parent's front-end serves from it."""
         if not fork_available():
             pytest.skip("needs the fork start method")
-        baseline = run_method(_spec("processes"), "sync-easgd3", iterations=6)
-        result, served = _train_with_live_serving("processes", iterations=6)
+        detached = _chip_trainer().train(6)
+        result, served = _train_with_live_serving(
+            lambda snap: _chip_trainer().train(6, snapshotter=snap), shared=True)
         assert served > 0
-        assert _trajectory(result) == _trajectory(baseline)
+        assert result.backend == detached.backend == "processes"
+        assert result.records == detached.records
 
     def test_eval_path_reads_through_the_guard(self):
         """With a snapshotter attached, the eval path reads the seqlock

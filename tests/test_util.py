@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.util.format import format_bytes, format_percent, format_seconds
-from repro.util.rng import derive_seed, RngStream, spawn_rng
+from repro.util.rng import derive_seed, spawn_rng
 from repro.util.tables import TextTable
 
 
@@ -24,14 +24,13 @@ class TestRng:
         assert not np.allclose(a, b)
 
     def test_stream_child(self):
-        root = RngStream(5)
-        c1 = root.child("worker", 0)
-        c2 = root.child("worker", 1)
-        assert c1.generator.random() != c2.generator.random()
+        c1 = spawn_rng(5, "worker", 0)
+        c2 = spawn_rng(5, "worker", 1)
+        assert c1.random() != c2.random()
 
     def test_stream_reconstructible(self):
-        a = RngStream(7, "w", 3).generator.random(10)
-        b = RngStream(7, "w", 3).generator.random(10)
+        a = spawn_rng(7, "w", 3).random(10)
+        b = spawn_rng(7, "w", 3).random(10)
         np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=30, deadline=None)
