@@ -76,8 +76,8 @@ def bench_hogwild_threads(benchmark):
 
     def run():
         return HogwildRunner(
-            net, train, num_workers=4, steps_per_worker=10, rule="easgd",
-            use_lock=False, batch_size=16,
+            net, train, num_workers=4, steps_per_worker=10, method="hogwild-easgd",
+            batch_size=16,
         ).run()
 
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)

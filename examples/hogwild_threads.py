@@ -2,12 +2,13 @@
 """Real lock-free Hogwild EASGD on shared memory (Section 5.1 / 3.2).
 
 Unlike the simulated trainers, this example runs genuine Python threads
-racing on one shared NumPy weight vector (NumPy kernels release the GIL).
-It compares three configurations at equal update counts:
+racing on one shared center (NumPy kernels release the GIL), each running
+the same registry row the simulator reads. It compares three rows at
+equal update counts:
 
-- locked master, EASGD rule (the classic parameter server);
-- lock-free master, EASGD rule (the paper's Hogwild EASGD);
-- lock-free master, SGD rule (classic Hogwild).
+- ``async-easgd``: locked master, EASGD rule (the classic parameter server);
+- ``hogwild-easgd``: lock-free master, EASGD rule (the paper's Hogwild EASGD);
+- ``hogwild-sgd``: lock-free master, SGD rule (classic Hogwild).
 
 The point the paper proves for the convex case: removing the lock does not
 break convergence, and it removes the master's serialization.
@@ -29,32 +30,25 @@ def main() -> None:
     mean, std = standardize(train)
     standardize_like(test, mean, std)
 
-    configs = [
-        ("EASGD + lock", "easgd", True),
-        ("Hogwild EASGD (lock-free)", "easgd", False),
-        ("Hogwild SGD (lock-free)", "sgd", False),
-    ]
-
-    table = TextTable(["configuration", "updates", "wall time", "test accuracy"])
-    for label, rule, use_lock in configs:
+    table = TextTable(["method", "updates", "wall time", "test accuracy"])
+    for method in ("async-easgd", "hogwild-easgd", "hogwild-sgd"):
         net = build_mlp(seed=11)
         runner = HogwildRunner(
             net,
             train,
             num_workers=WORKERS,
             steps_per_worker=STEPS,
-            rule=rule,
-            use_lock=use_lock,
+            method=method,
             batch_size=32,
-            lr=0.03 if rule == "sgd" else 0.05,
+            lr=0.03 if method == "hogwild-sgd" else 0.05,
             rho=2.0,
             seed=0,
         )
         result = runner.run()
         net.set_params(result.final_weights)
         acc = net.evaluate(test.images, test.labels)
-        table.add_row([label, result.total_steps, f"{result.wall_seconds:.2f}s", f"{acc:.3f}"])
-        print(f"ran {label}: {result.total_steps} updates "
+        table.add_row([method, result.total_steps, f"{result.wall_seconds:.2f}s", f"{acc:.3f}"])
+        print(f"ran {method}: {result.total_steps} updates "
               f"in {result.wall_seconds:.2f}s wall, accuracy {acc:.3f}")
 
     print("\nsummary:")

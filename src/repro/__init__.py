@@ -19,7 +19,7 @@ Subpackages
 ``repro.knl``
     KNL chip model, Section 6.2 chip partitioning, Algorithm 4 trainer.
 ``repro.hogwild``
-    Real threaded lock-free training on shared NumPy weights.
+    Real lock-free training (threads or processes) on a shared center.
 ``repro.faults``
     Deterministic fault schedules (crash/straggler/drop) + recovery.
 ``repro.durability``

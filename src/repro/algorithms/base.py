@@ -72,9 +72,10 @@ class TrainerConfig:
     #: trainer — :class:`repro.knl.ChipPartitionTrainer` (``knl --backend``:
     #: "processes" runs the groups as real ranks); every registry entry is
     #: simulated and refuses "processes" by name. The message-passing ports
-    #: (``run_mpi_*``), :class:`repro.hogwild.HogwildRunner` and the sweep
-    #: pool take their own ``backend=`` argument instead. Numerics are
-    #: backend-invariant by construction.
+    #: (``run_mpi_*``) and :class:`repro.hogwild.HogwildRunner` (a registry
+    #: row on a shared center) take their own ``backend=`` argument instead;
+    #: the sweep pool always forks. Numerics are backend-invariant by
+    #: construction.
     backend: str = "threads"
     #: Allreduce schedule of :class:`repro.algorithms.SyncSGDTrainer`'s
     #: cost model: "tree" (binomial, Theta(log P) latency) or "ring"

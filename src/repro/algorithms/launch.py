@@ -6,6 +6,8 @@ steps around it: validate, build the communicator, run, close, unpack.
 Those steps live here once. Every rank program hands back a
 :class:`RankOutcome`; :func:`launch` folds the ranks' outcomes into one
 :class:`MpiResult`; :func:`launch_sync` runs a synchronous family's rule.
+What every rank would trip over is refused by
+:func:`validate_hyperparameters`, before any rank starts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.engine.rank_loop import RankOutcome, sync_rank_program
 from repro.nn.network import Network
 from repro.trace.events import Trace
 
-__all__ = ["RankOutcome", "MpiResult", "launch", "launch_sync"]
+__all__ = ["RankOutcome", "MpiResult", "launch", "launch_sync", "validate_hyperparameters"]
 
 
 @dataclass
@@ -88,20 +90,25 @@ def launch(
     )
 
 
-def launch_sync(make_rule: Callable[[], Any], lr: float, network: Network,
-                train_set: Dataset, ranks: int, iterations: int, batch_size: int,
-                seed: int, *, record_history: bool = False, min_ranks: int = 1,
-                **launch_kwargs: Any) -> MpiResult:
-    """Run :func:`repro.engine.rank_loop.sync_rank_program` on ``ranks``
-    ranks, each building its own rule with ``make_rule()`` (picklable).
-    What a rank would trip over is refused here, before any rank starts;
-    ``launch_kwargs`` go to :func:`launch`."""
+def validate_hyperparameters(lr: float, batch_size: int, train_set: Dataset) -> None:
+    """Refuse a step size or batch every rank would trip over, in the
+    caller, before any rank starts (a rank's failure costs a launch)."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     if batch_size > len(train_set):
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {len(train_set)}")
+
+
+def launch_sync(make_rule: Callable[[], Any], lr: float, network: Network,
+                train_set: Dataset, ranks: int, iterations: int, batch_size: int,
+                seed: int, *, record_history: bool = False, min_ranks: int = 1,
+                **launch_kwargs: Any) -> MpiResult:
+    """Run :func:`repro.engine.rank_loop.sync_rank_program` on ``ranks``
+    ranks, each building its own rule with ``make_rule()`` (picklable).
+    ``launch_kwargs`` go to :func:`launch`."""
+    validate_hyperparameters(lr, batch_size, train_set)
     return launch(
         sync_rank_program,
         (make_rule, network, train_set, iterations, batch_size, seed, record_history),

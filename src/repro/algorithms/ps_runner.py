@@ -32,7 +32,13 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.algorithms.launch import launch, launch_sync, MpiResult, RankOutcome
+from repro.algorithms.launch import (
+    launch,
+    launch_sync,
+    MpiResult,
+    RankOutcome,
+    validate_hyperparameters,
+)
 from repro.comm.runtime import RankContextBase
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
@@ -57,9 +63,12 @@ TAG_REQ = 11  # worker -> server: (batch loss, family payload)
 TAG_REP = 12  # server -> worker: (verdict, family reply)
 
 #: Families with a rank-program twin: the rows whose service discipline a
-#: round-robin server reproduces (the lock-free rows have no real-message
-#: analogue; the gradient-push rows are covered by ``run_mpi_sync_sgd``).
-PS_RUNNER_METHODS = ("async-easgd", "downpour", "adag", "eamsgd", "bounded-async-easgd")
+#: round-robin server reproduces. The lock-free rows and ``async-sgd`` have
+#: theirs in :class:`repro.hogwild.HogwildRunner`, whose workers share the
+#: center instead of messaging it. ``async-msgd`` has none: its server
+#: velocity is a second store array beside the center.
+PS_RUNNER_METHODS = ("async-easgd", "async-measgd", "downpour", "adag", "eamsgd",
+                     "bounded-async-easgd")
 
 
 def _server_main(ctx: RankContextBase, store: CenterStore,
@@ -154,6 +163,7 @@ def _run_family(method: str, network: Network, train_set: Dataset, ranks: int,
         raise ValueError(f"method must be one of {PS_RUNNER_METHODS}, got {method!r}")
     if ranks < 2:
         raise ValueError("need at least 2 ranks (one server, one worker)")
+    validate_hyperparameters(hyper.lr, batch_size, train_set)
     row = PS_FAMILIES[method]
     local_steps, bound = row.options(ranks - 1, local_steps, tau)
     return launch(

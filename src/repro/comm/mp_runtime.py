@@ -52,8 +52,8 @@ Design:
 
 Shared memory: :class:`SharedFlatArray` wraps a named
 ``multiprocessing.shared_memory`` segment as a flat float32 NumPy array —
-the weight storage of the process-backed Hogwild store
-(:class:`repro.hogwild.SharedWeights`).
+the center that :class:`repro.hogwild.HogwildRunner`'s forked workers
+share on ``processes``.
 """
 
 from __future__ import annotations

@@ -1,41 +1,52 @@
-"""Hogwild training on a shared weight vector (threads or processes).
+"""Hogwild training on a shared-memory center (threads or processes).
 
-Each worker owns a private network replica and batch sampler; the master
-weights live in a :class:`repro.hogwild.shared.SharedWeights`. Two update
-rules:
+:class:`HogwildRunner` runs one :data:`repro.engine.ps.PS_FAMILIES` row
+on workers that share the center itself instead of messaging a server.
+Each worker runs the row's local pass, serves its payload to the row's
+store bound to the shared center, and folds the reply with the row's
+rule: the sequence the simulated trainer and the rank program
+(:mod:`repro.algorithms.ps_runner`) run, so the row's mathematics exists
+once for every plane. With one worker nothing races, and the final
+center is byte-equal to the simulated row's.
 
-- ``"sgd"``: workers push gradient steps straight into the shared weights
-  (Hogwild SGD, Recht et al.).
-- ``"easgd"``: workers keep local weights, exchange elastically with the
-  shared center (Hogwild EASGD, the paper's method).
-
-This is wall-clock-real concurrency, not simulation: with ``use_lock=False``
-the workers race on the shared buffer exactly as the paper's lock-free
-master does. ``backend="threads"`` races Python threads on a heap array;
-``backend="processes"`` forks real OS processes racing on a named
-shared-memory segment — the same physical-memory picture as the paper's
-multi-core masters, with no GIL serializing the ``+=``.
+The row decides the lock. A lock-free row (``hogwild-sgd``,
+``hogwild-easgd``) serves without one, so the workers' ``+=`` race on the
+center exactly as the paper's lock-free master does; its locked twin
+(``async-sgd``, ``async-easgd``) holds one around each serve.
+``backend="threads"`` races Python threads on a heap copy of the center
+(NumPy ufuncs release the GIL); ``backend="processes"`` forks real OS
+processes racing on a named shared-memory segment — the same
+physical-memory picture as the paper's multi-core masters, with no GIL
+serializing the ``+=``.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+import multiprocessing
+import threading
 import time
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.comm.arena import BufferArena
+from repro.algorithms.launch import validate_hyperparameters
 from repro.comm.backend import make_communicator, validate_backend
+from repro.comm.mp_runtime import SharedFlatArray
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
+from repro.engine.ps import CenterStore, PS_FAMILIES
 from repro.engine.rank_loop import rank_steps
-from repro.hogwild.shared import SharedWeights
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Network
-from repro.optim.easgd import EASGDHyper, elastic_worker_update
+from repro.optim import EASGDHyper
 
-__all__ = ["HogwildResult", "HogwildRunner"]
+__all__ = ["HOGWILD_METHODS", "HogwildResult", "HogwildRunner"]
+
+#: The rows a shared center runs: SGD and EASGD, each lock-free and
+#: behind the master's lock — the paper's Hogwild comparison.
+HOGWILD_METHODS = ("hogwild-sgd", "hogwild-easgd", "async-sgd", "async-easgd")
 
 
 @dataclass
@@ -55,7 +66,8 @@ class HogwildResult:
 
 
 class HogwildRunner:
-    """Run ``num_workers`` workers for ``steps_per_worker`` updates each."""
+    """Run ``num_workers`` workers of family ``method`` (one of
+    :data:`HOGWILD_METHODS`) for ``steps_per_worker`` exchanges each."""
 
     def __init__(
         self,
@@ -63,58 +75,49 @@ class HogwildRunner:
         train_set: Dataset,
         num_workers: int,
         steps_per_worker: int,
-        rule: str = "easgd",
-        use_lock: bool = False,
+        method: str = "hogwild-easgd",
         batch_size: int = 32,
         lr: float = 0.05,
         rho: float = 2.0,
         seed: int = 0,
         backend: str = "threads",
     ) -> None:
+        if method not in HOGWILD_METHODS:
+            raise ValueError(f"method must be one of {HOGWILD_METHODS}, got {method!r}")
         if num_workers <= 0 or steps_per_worker <= 0:
             raise ValueError("workers and steps must be positive")
-        if rule not in ("sgd", "easgd"):
-            raise ValueError("rule must be 'sgd' or 'easgd'")
+        validate_hyperparameters(lr, batch_size, train_set)
         validate_backend(backend)
         self.template = network
         self.train_set = train_set
         self.num_workers = num_workers
         self.steps_per_worker = steps_per_worker
-        self.rule = rule
-        self.use_lock = use_lock
+        self.row = PS_FAMILIES[method]
         self.batch_size = batch_size
         self.hyper = EASGDHyper(lr=lr, rho=rho)
         self.seed = seed
         self.backend = backend
 
-    def _worker_body(self, ctx, shared: SharedWeights) -> Tuple[int, float]:
+    def _worker_body(self, ctx, store: CenterStore, lock) -> Tuple[int, float]:
         """One worker's full run; returns (steps completed, last batch loss)."""
+        row = self.row
         net = self.template.clone(name=f"hogwild-w{ctx.rank}")
-        local = shared.snapshot()
+        rule = row.rule()
+        state = rule.init_state(net.params)
         sampler = BatchSampler(
-            self.train_set, self.batch_size, self.seed, name=("hogwild", ctx.rank)
+            self.train_set, self.batch_size, self.seed, name=("worker", ctx.rank)
         )
         loss = SoftmaxCrossEntropy()
-        # Per-worker scratch (scaled gradient, pulled center) reused every
-        # step — the hot loop allocates nothing for the master exchange.
-        arena = BufferArena()
         steps = 0
         last_loss = float("nan")
         for _ in rank_steps(ctx, self.steps_per_worker):
-            images, labels = sampler.next_batch()
-            net.set_params(local)
-            last_loss = net.gradient(images, labels, loss)
-            if self.rule == "sgd":
-                scaled = arena.get("scaled-grad", net.grads.shape, net.grads.dtype)
-                np.multiply(net.grads, self.hyper.lr, out=scaled)
-                shared.sgd_update(scaled)
-                shared.snapshot_into(local)
-            else:
-                center = shared.elastic_interaction(
-                    local, self.hyper,
-                    out=arena.get("center", local.shape, local.dtype),
-                )
-                elastic_worker_update(local, net.grads, center, self.hyper)
+            last_loss = row.local_passes(rule, state, net, sampler, loss, self.hyper, 1)
+            grad = net.grads
+            with lock:
+                reply = store.serve(rule.payload(state, grad))
+                if reply is store.weights:
+                    reply = store.pull()  # read the live center under the lock
+            rule.apply(state, grad, reply, self.hyper)
             steps += 1
         return steps, last_loss
 
@@ -122,26 +125,31 @@ class HogwildRunner:
         """Race the workers as the ranks of one communicator cell.
 
         The store is built *before* the launch: on ``processes`` the
-        forked ranks inherit the :class:`SharedWeights` object whose
-        buffer is a named shared-memory mapping (with its
-        ``multiprocessing.Lock`` and counter), so their lock-free ``+=``
-        really interleave in physical memory and nothing is pickled on
-        the way in. Launch, pinning, failure aggregation and the
-        died-without-reporting check are the communicator's.
+        forked ranks inherit it bound to a named shared-memory segment
+        (and, for a locked row, a ``multiprocessing.Lock``), so their
+        lock-free ``+=`` really interleave in physical memory and nothing
+        is pickled on the way in. Launch, pinning, failure aggregation
+        and the died-without-reporting check are the communicator's.
         """
         start = time.perf_counter()
         comm = make_communicator(self.num_workers, backend=self.backend)
-        shared = SharedWeights(
-            self.template.get_params(), use_lock=self.use_lock,
-            storage="shared" if self.backend == "processes" else "local",
-        )
+        init = self.template.get_params()
+        segment = SharedFlatArray.from_array(init) if self.backend == "processes" else None
+        store = self.row.store(self.hyper, self.num_workers).bind(
+            init if segment is None else segment.array)
+        if self.row.lock_free:
+            lock = nullcontext()
+        else:
+            lock = threading.Lock() if segment is None else multiprocessing.Lock()
         try:
-            outcomes = comm.run(self._worker_body, shared)
+            outcomes = comm.run(self._worker_body, store, lock)
             wall = time.perf_counter() - start
-            final = shared.snapshot()
         finally:
             comm.close()
-            shared.close()
+            final = store.pull()
+            store.weights = None  # the last view of the segment goes first
+            if segment is not None:
+                segment.unlink()
         return HogwildResult(
             final_weights=final,
             wall_seconds=wall,

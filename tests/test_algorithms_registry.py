@@ -12,10 +12,12 @@ from repro.algorithms import (
     UnsupportedOptionError,
 )
 from repro.algorithms.base import BaseTrainer
+from repro.algorithms.ps_runner import PS_RUNNER_METHODS
 from repro.cluster import CostModel, GpuPlatform
 from repro.engine.ps import PS_FAMILIES
 from repro.faults import FaultPlan
 from repro.harness.cli import main
+from repro.hogwild import HOGWILD_METHODS
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 
@@ -166,14 +168,28 @@ class TestRegistry:
 
     def test_docs_async_rows_match_the_family_table(self):
         """docs/algorithms.md's pattern and staleness columns for the async
-        rows are generated text: ``row.pattern`` and the registry staleness."""
+        rows are generated text: ``row.pattern`` and the registry staleness;
+        the rank-twin cell names the runners whose tuple holds the row."""
         doc = Path(__file__).parent.parent / "docs" / "algorithms.md"
-        cells = {}
+        tables, cells = {}, None
         for line in doc.read_text().splitlines():
-            if line.startswith("| `"):
-                cols = [c.strip() for c in line.strip("|").split("|")]
+            cols = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| method"):
+                cells = tables.setdefault(tuple(cols), {})
+            elif line.startswith("| `"):
                 cells[cols[0].strip("`")] = cols
+        families = tables[("method", "update scheme", "communication pattern",
+                           "staleness bound", "reference")]
+        twins = tables[("method", "rank twin")]
+        runners = (("run_mpi_ps", "PS_RUNNER_METHODS", PS_RUNNER_METHODS),
+                   ("HogwildRunner", "HOGWILD_METHODS", HOGWILD_METHODS))
         for key, row in PS_FAMILIES.items():
-            assert cells[key][2] == row.pattern, key
-            assert cells[key][3] == ALGORITHM_INFO[key].staleness, key
+            assert families[key][2] == row.pattern, key
+            assert families[key][3] == ALGORITHM_INFO[key].staleness, key
+            derived = "; ".join(f"`{runner}` (`{name}`)"
+                                for runner, name, keys in runners if key in keys)
+            if derived:
+                assert twins[key][1] == derived, key
+            else:  # no twin: the cell says why
+                assert twins[key][1].startswith("— ("), key
 

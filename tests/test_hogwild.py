@@ -1,4 +1,8 @@
-"""Real-threads Hogwild: shared store semantics and lock-free convergence."""
+"""Real shared-memory Hogwild: a ``PS_FAMILIES`` row on a shared center.
+
+One worker is the simulated row byte for byte; the center's two master
+updates are the row's stores; lock-free workers still converge.
+"""
 
 import os
 import time
@@ -6,47 +10,88 @@ import time
 import numpy as np
 import pytest
 
-from repro.hogwild import HogwildRunner, SharedWeights
+from repro.algorithms import TrainerConfig
+from repro.comm.shm_lifecycle import registered_segments
+from repro.engine.ps import ElasticCenterStore, SgdServerStore
+from repro.harness.experiment import ExperimentSpec, build_trainer
+from repro.hogwild import HOGWILD_METHODS, HogwildRunner
 from repro.nn.models import build_mlp
 from repro.optim.easgd import EASGDHyper
 
 
-class TestSharedWeights:
-    def test_snapshot_is_copy(self):
-        s = SharedWeights(np.ones(4, dtype=np.float32), use_lock=True)
-        snap = s.snapshot()
+def _no_segment_left():
+    mine = f"repro-{os.getpid()}-"
+    assert registered_segments() == []
+    assert [n for n in os.listdir("/dev/shm") if n.startswith(mine)] == []
+
+
+class TestCenterStore:
+    """The shared center's master updates are the row's stores."""
+
+    def test_pull_is_copy(self):
+        s = ElasticCenterStore(EASGDHyper(lr=0.05, rho=2.0)).bind(
+            np.ones(4, dtype=np.float32))
+        snap = s.pull()
         snap[...] = 9.0
-        np.testing.assert_array_equal(s.snapshot(), 1.0)
+        np.testing.assert_array_equal(s.weights, 1.0)
 
     def test_sgd_update(self):
-        s = SharedWeights(np.ones(4, dtype=np.float32), use_lock=True)
-        s.sgd_update(np.full(4, 0.25, dtype=np.float32))
-        np.testing.assert_allclose(s.snapshot(), 0.75)
-        assert s.update_count == 1
+        s = SgdServerStore(0.5).bind(np.ones(4, dtype=np.float32))
+        reply = s.serve(np.full(4, 0.5, dtype=np.float32))
+        np.testing.assert_allclose(s.weights, 0.75)
+        assert reply is s.weights  # live: the runner pulls it under the lock
 
-    def test_elastic_interaction_returns_pre_update_center(self):
-        s = SharedWeights(np.zeros(2, dtype=np.float32), use_lock=True)
+    def test_elastic_serve_returns_pre_update_center(self):
         h = EASGDHyper(lr=0.05, rho=2.0)
-        w = np.ones(2, dtype=np.float32)
-        returned = s.elastic_interaction(w, h)
+        s = ElasticCenterStore(h).bind(np.zeros(2, dtype=np.float32))
+        returned = s.serve(np.ones(2, dtype=np.float32))
         np.testing.assert_array_equal(returned, 0.0)
-        np.testing.assert_allclose(s.snapshot(), h.alpha)
+        np.testing.assert_allclose(s.weights, h.alpha)
 
-    def test_lock_free_mode_constructs(self):
-        s = SharedWeights(np.zeros(2, dtype=np.float32), use_lock=False)
-        s.sgd_update(np.zeros(2, dtype=np.float32))
-        assert s.update_count == 1
+
+ONE_WORKER_STEPS = 30
+
+
+def _simulated_center(mnist_tiny, method, steps):
+    """The simulated row's center after ``steps`` exchanges of one worker."""
+    train, test = mnist_tiny
+    config = TrainerConfig(batch_size=16, lr=0.05, rho=2.0, seed=0, eval_every=steps)
+    spec = ExperimentSpec(train, test, lambda: build_mlp(seed=7), num_gpus=1,
+                          config=config)
+    trainer = build_trainer(spec, method)
+    trainer.train(steps)
+    return trainer.step.store.weights
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("method", HOGWILD_METHODS)
+def test_one_worker_is_the_simulated_row(mnist_tiny, method, backend):
+    """With nothing to race, the shared center runs the row's sequence
+    (local pass, serve, apply) on the simulator's sampler: same bits."""
+    res = HogwildRunner(
+        build_mlp(seed=7), mnist_tiny[0], num_workers=1,
+        steps_per_worker=ONE_WORKER_STEPS, method=method, batch_size=16,
+        lr=0.05, rho=2.0, seed=0, backend=backend,
+    ).run()
+    center = _simulated_center(mnist_tiny, method, ONE_WORKER_STEPS)
+    assert res.final_weights.tobytes() == center.tobytes()
 
 
 class TestHogwildRunner:
     def _runner(self, mnist_tiny, **kw):
         train, _ = mnist_tiny
         defaults = dict(
-            num_workers=4, steps_per_worker=15, rule="easgd", use_lock=False,
-            batch_size=16, lr=0.05, rho=2.0, seed=0,
+            num_workers=4, steps_per_worker=15, batch_size=16, lr=0.05, rho=2.0,
+            seed=0,
         )
         defaults.update(kw)
         return HogwildRunner(build_mlp(seed=7), train, **defaults)
+
+    def _accuracy(self, mnist_tiny, res):
+        net = build_mlp(seed=7)
+        net.set_params(res.final_weights)
+        return net.evaluate(mnist_tiny[1].images, mnist_tiny[1].labels)
 
     def test_all_workers_complete(self, mnist_tiny):
         res = self._runner(mnist_tiny).run()
@@ -56,26 +101,17 @@ class TestHogwildRunner:
     def test_lockfree_easgd_converges(self, mnist_tiny):
         """The paper's Hogwild EASGD claim: lock-free elastic averaging still
         trains — verified with genuine racing threads."""
-        train, test = mnist_tiny
-        runner = self._runner(mnist_tiny, steps_per_worker=40)
-        res = runner.run()
-        net = build_mlp(seed=7)
-        net.set_params(res.final_weights)
-        assert net.evaluate(test.images, test.labels) > 0.6
+        res = self._runner(mnist_tiny, method="hogwild-easgd", steps_per_worker=40).run()
+        assert self._accuracy(mnist_tiny, res) > 0.6
 
     def test_lockfree_sgd_converges(self, mnist_tiny):
-        train, test = mnist_tiny
-        res = self._runner(mnist_tiny, rule="sgd", lr=0.02, steps_per_worker=40).run()
-        net = build_mlp(seed=7)
-        net.set_params(res.final_weights)
-        assert net.evaluate(test.images, test.labels) > 0.6
+        res = self._runner(mnist_tiny, method="hogwild-sgd", lr=0.02,
+                           steps_per_worker=40).run()
+        assert self._accuracy(mnist_tiny, res) > 0.6
 
     def test_locked_matches_quality(self, mnist_tiny):
-        train, test = mnist_tiny
-        res = self._runner(mnist_tiny, use_lock=True, steps_per_worker=40).run()
-        net = build_mlp(seed=7)
-        net.set_params(res.final_weights)
-        assert net.evaluate(test.images, test.labels) > 0.6
+        res = self._runner(mnist_tiny, method="async-easgd", steps_per_worker=40).run()
+        assert self._accuracy(mnist_tiny, res) > 0.6
 
     def test_wall_time_recorded(self, mnist_tiny):
         assert self._runner(mnist_tiny, steps_per_worker=2).run().wall_seconds > 0
@@ -84,52 +120,25 @@ class TestHogwildRunner:
         train, _ = mnist_tiny
         with pytest.raises(ValueError):
             HogwildRunner(build_mlp(), train, num_workers=0, steps_per_worker=1)
-        with pytest.raises(ValueError):
-            HogwildRunner(build_mlp(), train, num_workers=1, steps_per_worker=1, rule="nope")
+        with pytest.raises(ValueError, match="'nope'"):
+            HogwildRunner(build_mlp(), train, num_workers=1, steps_per_worker=1,
+                          method="nope")
 
+    @pytest.mark.parametrize("option", [{"rule": "sgd"}, {"use_lock": True}])
+    def test_rule_and_lock_are_not_options(self, mnist_tiny, option):
+        """The row decides both: the update rule and whether the lock is held."""
+        with pytest.raises(TypeError):
+            self._runner(mnist_tiny, **option)
 
-class TestSharedWeightsShm:
-    """storage='shared': same semantics, buffer in named shared memory."""
+    @pytest.mark.parametrize("method", ["async-msgd", "downpour", "sync-easgd"])
+    def test_unsupported_method_refused_before_any_rank_starts(
+            self, mnist_tiny, monkeypatch, method):
+        def no_launch(*args, **kwargs):
+            raise AssertionError("a rank launched")
 
-    def test_shared_storage_semantics_match_local(self):
-        s = SharedWeights(np.ones(4, dtype=np.float32), use_lock=True, storage="shared")
-        try:
-            assert s.segment_name is not None
-            s.sgd_update(np.full(4, 0.25, dtype=np.float32))
-            np.testing.assert_allclose(s.snapshot(), 0.75)
-            assert s.update_count == 1
-            snap = s.snapshot()
-            snap[...] = 9.0
-            np.testing.assert_allclose(s.snapshot(), 0.75)
-        finally:
-            s.close()
-
-    def test_elastic_interaction_in_shared_storage(self):
-        s = SharedWeights(np.zeros(2, dtype=np.float32), use_lock=False, storage="shared")
-        try:
-            h = EASGDHyper(lr=0.05, rho=2.0)
-            returned = s.elastic_interaction(np.ones(2, dtype=np.float32), h)
-            np.testing.assert_array_equal(returned, 0.0)
-            np.testing.assert_allclose(s.snapshot(), h.alpha)
-            assert s.update_count == 1
-        finally:
-            s.close()
-
-    def test_close_releases_segment_and_keeps_snapshot(self):
-        s = SharedWeights(np.full(3, 2.0, dtype=np.float32), use_lock=True, storage="shared")
-        s.close()
-        np.testing.assert_array_equal(s.snapshot(), 2.0)  # local copy survives
-        assert s.segment_name is None
-        s.close()  # idempotent
-
-    def test_invalid_storage_rejected(self):
-        with pytest.raises(ValueError, match="storage"):
-            SharedWeights(np.zeros(2, dtype=np.float32), use_lock=True, storage="mmap")
-
-    def test_local_storage_has_no_segment(self):
-        s = SharedWeights(np.zeros(2, dtype=np.float32), use_lock=True)
-        assert s.storage == "local"
-        assert s.segment_name is None
+        monkeypatch.setattr("repro.hogwild.threads.make_communicator", no_launch)
+        with pytest.raises(ValueError, match=f"'{method}'"):
+            self._runner(mnist_tiny, method=method, backend="processes").run()
 
 
 @pytest.mark.mp
@@ -140,7 +149,7 @@ class TestHogwildProcesses:
         train, _ = mnist_tiny
         runner = HogwildRunner(
             build_mlp(seed=7), train, num_workers=3, steps_per_worker=5,
-            rule="easgd", use_lock=True, batch_size=16, backend="processes",
+            method="async-easgd", batch_size=16, backend="processes",
         )
         start = runner.template.get_params().copy()
         res = runner.run()
@@ -150,12 +159,20 @@ class TestHogwildProcesses:
         assert all(np.isfinite(l) for l in res.final_losses)
         assert not np.array_equal(res.final_weights, start)
 
+    @pytest.mark.parametrize("method", HOGWILD_METHODS)
+    def test_run_leaves_no_segment(self, mnist_tiny, method):
+        HogwildRunner(
+            build_mlp(seed=7), mnist_tiny[0], num_workers=2, steps_per_worker=3,
+            method=method, batch_size=16, backend="processes",
+        ).run()
+        _no_segment_left()
+
     @pytest.mark.slow
     def test_lockfree_easgd_converges_across_processes(self, mnist_tiny):
         train, test = mnist_tiny
         res = HogwildRunner(
             build_mlp(seed=7), train, num_workers=4, steps_per_worker=40,
-            rule="easgd", use_lock=False, batch_size=16, backend="processes",
+            method="hogwild-easgd", batch_size=16, backend="processes",
         ).run()
         net = build_mlp(seed=7)
         net.set_params(res.final_weights)
@@ -197,7 +214,6 @@ class TestHogwildFailures:
 
     def test_worker_that_dies_hard_is_named_at_once(self, mnist_tiny, monkeypatch):
         from repro.comm.mp_runtime import RemoteRankError
-        from repro.comm.shm_lifecycle import registered_segments
 
         _failing_gradient(monkeypatch, {"hogwild-w1"}, lambda: os._exit(3))
         t0 = time.monotonic()
@@ -206,9 +222,7 @@ class TestHogwildFailures:
         assert time.monotonic() - t0 < 10.0
         failures = getattr(ei.value, "failures", {ei.value.rank: ei.value})
         assert "rank 1" in str(failures[1]) and "exitcode 3" in str(failures[1])
-        assert registered_segments() == []
-        mine = f"repro-{os.getpid()}-"
-        assert [n for n in os.listdir("/dev/shm") if n.startswith(mine)] == []
+        _no_segment_left()
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     @pytest.mark.parametrize("failing", [(1,), (0, 2)])

@@ -29,7 +29,7 @@ To bless a new clock golden after an intentional change::
     PYTHONPATH=src python tests/test_sync_families.py --regenerate
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 import json
 from pathlib import Path
 import sys
@@ -42,7 +42,7 @@ from repro.algorithms import ALGORITHM_INFO, ALGORITHMS, TrainerConfig, make_tra
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
 from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
 from repro.algorithms.multinode import ClusterSyncEASGDTrainer
-from repro.algorithms.ps_runner import run_mpi_gossip
+from repro.algorithms.ps_runner import run_mpi_async_easgd, run_mpi_gossip, run_mpi_ps
 from repro.cluster import CostModel, GpuPlatform
 from repro.cluster.multinode import GpuClusterPlatform
 from repro.cluster.platform import KnlPlatform
@@ -52,6 +52,7 @@ from repro.data import make_mnist_like, standardize, standardize_like
 from repro.data.loader import BatchSampler
 from repro.engine import StepPipeline
 from repro.faults import FaultPlan
+from repro.hogwild import HogwildRunner
 from repro.knl.trainer import KnlSyncEASGDTrainer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
@@ -360,15 +361,30 @@ BAD_HYPERPARAMETERS = {
 }
 
 
+def _hogwild(network, train_set, ranks, iterations, **kwargs):
+    """HogwildRunner in a rank twin's shape: its workers are the ranks."""
+    return HogwildRunner(network, train_set, ranks, iterations, **kwargs).run()
+
+
+#: Every rank launcher, sync and async: each refuses in the caller.
+REFUSING_TWINS = {
+    **{family: twin for family, (_, _, twin) in RANK_TWINS.items()},
+    "run_mpi_ps": partial(run_mpi_ps, "async-easgd"),
+    "run_mpi_async_easgd": run_mpi_async_easgd,
+    "HogwildRunner": _hogwild,
+}
+
+
 @pytest.mark.parametrize("bad", sorted(BAD_HYPERPARAMETERS))
-@pytest.mark.parametrize("family", sorted(RANK_TWINS))
+@pytest.mark.parametrize("family", sorted(REFUSING_TWINS))
 def test_rank_twin_refuses_bad_hyperparameters_before_any_rank_starts(
         monkeypatch, family, bad):
     def no_launch(*args, **kwargs):
         raise AssertionError("a rank launched")
 
     monkeypatch.setattr("repro.algorithms.launch.make_communicator", no_launch)
-    _, _, twin = RANK_TWINS[family]
+    monkeypatch.setattr("repro.hogwild.threads.make_communicator", no_launch)
+    twin = REFUSING_TWINS[family]
     run = {"ranks": 4, "iterations": 2, "batch_size": 16, "lr": 0.05,
            **BAD_HYPERPARAMETERS[bad]}
     with pytest.raises(ValueError):
