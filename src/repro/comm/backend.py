@@ -7,7 +7,7 @@ communicators expose the same surface and, because their rank contexts
 share :class:`repro.comm.runtime.RankContextBase`, the same collective
 association order: switching backends changes wall-clock behaviour, never
 numerics. Each backend has exactly one fabric: thread ranks pass payloads
-by reference through ``queue.Queue`` inboxes, process ranks move bytes
+by reference through ``queue.SimpleQueue`` inboxes, process ranks move bytes
 through shared memory (:mod:`repro.comm.shm_transport`).
 """
 

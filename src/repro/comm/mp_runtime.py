@@ -21,7 +21,7 @@ Design:
   substrate's one fabric, shared memory, as data: one
   :class:`repro.comm.shm_transport.ShmInbox` per rank — a shared-memory
   ring per sender, polled without a syscall, per-sender FIFO like the
-  thread backend's ``queue.Queue``; a codec, the worker's
+  thread backend's ``queue.SimpleQueue``; a codec, the worker's
   :class:`~repro.comm.shm_transport.ShmTransport` (bulk bytes staged in
   slot rings, descriptors in the inbox, every record materialized the
   moment it comes off the inbox so a stashed one never pins a slot); and

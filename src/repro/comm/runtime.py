@@ -25,10 +25,10 @@ arguments:
 
 - ``inboxes``, one per rank: anything with ``put(record)``,
   ``get(timeout)`` and ``get_nowait()`` that raises :class:`queue.Empty`
-  and keeps per-sender FIFO order — ``queue.Queue`` here, ``ShmInbox``
-  between processes. A record is ``(source, tag, payload)``; a rank
-  drains only its own inbox and stashes what it was not asked for yet
-  (:meth:`RankContextBase._poll`, the one selective-receive loop).
+  and keeps per-sender FIFO order — ``queue.SimpleQueue`` here,
+  ``ShmInbox`` between processes. A record is ``(source, tag, payload)``;
+  a rank drains only its own inbox and stashes what it was not asked for
+  yet (:meth:`RankContextBase._poll`, the one selective-receive loop).
 - ``codec``: ``None`` when payloads cross the inbox as they are (by
   reference, here), else an object whose ``pack``/``unpack`` turn a
   payload into the bytes a record carries and back (the shm transport).
@@ -39,6 +39,13 @@ arguments:
 Everything above those three exists once, so every substrate shares one
 association order and one tag discipline by construction. The per-cell
 knobs are one validated record, :class:`CellOptions`.
+
+A message lives as long as its cell: one ``run``, one pool job. As an MPI
+communicator's context id does, the cell id rides in every envelope —
+the upper 32 bits of a record's tag word, above the user tag — and a
+receive drops any record another cell stamped. So a failed cell's
+undelivered messages (a stranded p2p payload, an arena ready token) can
+never be read as the next cell's, on any fabric that outlives a cell.
 
 Collective tag space
 --------------------
@@ -129,6 +136,17 @@ COLLECTIVE_TAG_STRIDE = 1 << 16
 
 #: Default user tags of the four collectives (kept from the original API).
 _DEFAULT_TAGS = {"bcast": 101, "reduce": 102, "allreduce": 103, "barrier": 104}
+
+#: Wire tags live in ``[0, 2**32)``: a record's tag word carries its cell
+#: above them (the whole collective partition tops out near 2**19).
+_CELL_SHIFT = 32
+
+
+def _check_tag(tag: int) -> None:
+    if not 0 <= tag < 1 << _CELL_SHIFT:
+        raise ValueError(
+            f"tag {tag} outside [0, 2**32): a message envelope carries its cell above bit 32"
+        )
 
 
 def collective_wire_tags(
@@ -287,7 +305,10 @@ class RankContextBase:
     communicator's own between threads, rank-local ones in a forked rank
     (the parent merges them after the run), so nothing on the message
     path takes a cross-process lock. ``start`` is the epoch of
-    :meth:`_elapsed`.
+    :meth:`_elapsed`. ``cell`` is the id the fabric gives this cell (a
+    pool's job id, a threads communicator's run count): every record this
+    context sends carries it, and :meth:`_poll` drops records that carry
+    another.
 
     ``collective`` is "tree" (binomial, log P full-buffer rounds) or
     "ring" (reduce-scatter + allgather, 2(P-1) rounds of n/P shards).
@@ -304,10 +325,13 @@ class RankContextBase:
         fault_log: FaultLog,
         trace: Optional[Trace],
         start: float,
+        cell: int,
         codec: Optional[Any] = None,
         arenas: Optional[Callable[[int, int], Any]] = None,
     ) -> None:
         self.rank = rank
+        self._cell = cell
+        self._stamp = cell << _CELL_SHIFT
         self.size = len(inboxes)
         self.timeout = options.timeout
         self.faults = options.faults
@@ -328,14 +352,15 @@ class RankContextBase:
 
     # -- the fabric: deliver, poll, clock ---------------------------------------
     def _deliver(self, dest: int, tag: int, payload: Any) -> None:
-        """Enqueue at ``dest``. A codec serializes the payload once, stages
-        its bulk out of band and leaves only the descriptor for the inbox."""
+        """Enqueue at ``dest``, the tag word stamped with this cell. A codec
+        serializes the payload once, stages its bulk out of band and leaves
+        only the descriptor for the inbox."""
         codec = self._codec
         if codec is None:
-            self._inboxes[dest].put((self.rank, tag, payload))
+            self._inboxes[dest].put((self.rank, self._stamp | tag, payload))
             return
         try:
-            self._inboxes[dest].put((self.rank, tag, codec.pack(dest, tag, payload)))
+            self._inboxes[dest].put((self.rank, self._stamp | tag, codec.pack(dest, tag, payload)))
         except queue.Full:  # only a bounded inbox fills
             raise codec.backpressure(self.rank, dest, tag) from None
 
@@ -343,7 +368,8 @@ class RankContextBase:
         """Blocking selective receive with exponential-backoff polling.
 
         Drains this rank's inbox, stashing what belongs to other
-        ``(source, tag)`` channels, until the wanted message arrives.
+        ``(source, tag)`` channels of this cell and dropping what another
+        cell sent, until the wanted message arrives.
         Waits in growing slices (so a transiently dropped-and-retransmitted
         message is picked up shortly after redelivery); raises
         :class:`DeadlockError` naming ``(rank, source, tag)`` once the
@@ -356,7 +382,7 @@ class RankContextBase:
         invoked with the attempt number after each empty slice — the
         hook ``recv`` uses for fault logging.
         """
-        wanted = (source, tag)
+        wanted = (source, self._stamp | tag)
         stashed = self._stash.get(wanted)
         if stashed:
             return stashed.popleft()
@@ -381,12 +407,13 @@ class RankContextBase:
                 wait = min(wait * 2.0, 2.0)
                 continue
             # Decode every record at once, the wanted one or not: a
-            # descriptor parked in the stash would pin its ring slot and
-            # could backpressure-deadlock the sender.
+            # descriptor parked in the stash (or dropped undecoded) would
+            # pin its ring slot and could backpressure-deadlock the sender.
             payload = record if codec is None else codec.unpack(record)
             if (src, t) == wanted:
                 return payload
-            self._stash.setdefault((src, t), deque()).append(payload)
+            if t >> _CELL_SHIFT == self._cell:  # another cell's record dies here
+                self._stash.setdefault((src, t), deque()).append(payload)
 
     def _elapsed(self) -> float:
         # CLOCK_MONOTONIC is system-wide on Linux, so timestamps from rank
@@ -411,6 +438,7 @@ class RankContextBase:
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range for size {self.size}")
+        _check_tag(tag)
         if self.faults is None and self.trace is None:
             self._deliver(dest, tag, payload)
             return
@@ -486,6 +514,7 @@ class RankContextBase:
         """
         if not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range for size {self.size}")
+        _check_tag(tag)
         return self._recv(source, tag, None)
 
     def _recv(self, source: int, tag: int, nbytes: Optional[int]) -> Any:
@@ -637,6 +666,7 @@ class RankContextBase:
         token is one bare :meth:`_deliver`; otherwise it is an ordinary
         :meth:`_send`, which the plan may drop, delay, retransmit or lose.
         """
+        _check_tag(tag)
         if self.faults is None and self.trace is None:
             self._deliver(dest, tag, None)
         else:
@@ -648,6 +678,7 @@ class RankContextBase:
         """Wait for one arena token (raises :class:`DeadlockError` like any
         receive): one bare :meth:`_poll`, or :meth:`_recv` under a fault
         plan or a trace."""
+        _check_tag(tag)
         if self.faults is None and self.trace is None:
             self._poll(source, tag, None)
         else:
@@ -815,22 +846,26 @@ class RankContextBase:
 
 class _HeapArena:
     """The shape of the shm ``CollectiveArena`` on the process heap: one
-    float32 contribution row per rank plus the result row, which rank
-    threads share by reference."""
+    float32 contribution row per rank plus the result row, each row cache-line
+    aligned, which rank threads share by reference."""
 
     def __init__(self, size: int, elems: int) -> None:
-        block = np.zeros((size + 1, elems), dtype=np.float32)
-        self.rows: List[np.ndarray] = list(block[:size])
-        self.result: np.ndarray = block[size]
+        stride = -(-elems // 16) * 16  # float32s per row, a multiple of 64 bytes
+        raw = np.zeros((size + 1) * stride + 15, dtype=np.float32)
+        first = (-raw.ctypes.data % 64) // 4  # the first 64-byte boundary
+        block = raw[first:first + (size + 1) * stride].reshape(size + 1, stride)
+        self.rows: List[np.ndarray] = [row[:elems] for row in block[:size]]
+        self.result: np.ndarray = block[size, :elems]
 
 
 class InProcessCommunicator:
     """Spawn ``size`` rank threads and run a function on each.
 
-    The thread substrate of :class:`RankContextBase`: a ``queue.Queue``
-    inbox per rank (payloads cross by reference — already zero-copy, so
-    no codec) and heap arena rows. ``timeout``, ``faults`` and
-    ``collective`` are the :class:`CellOptions` of every ``run``.
+    The thread substrate of :class:`RankContextBase`: a
+    ``queue.SimpleQueue`` inbox per rank (payloads cross by reference —
+    already zero-copy, so no codec) and heap arena rows. ``timeout``,
+    ``faults`` and ``collective`` are the :class:`CellOptions` of every
+    ``run``, and each ``run`` is a cell, numbered from 1.
     """
 
     backend = "threads"
@@ -856,9 +891,12 @@ class InProcessCommunicator:
             trace.meta.setdefault("collective", collective)
         #: Drops, retransmissions, delays, and lost messages land here.
         self.fault_log = FaultLog()
-        #: The inboxes are the communicator's, not a run's: a message no
-        #: rank received is still there for the next ``run``.
-        self._inboxes: List["queue.Queue[Any]"] = [queue.Queue() for _ in range(size)]
+        #: The inboxes are the communicator's and outlive a run, but what a
+        #: run leaves in them does not: the next run's receives drop it.
+        self._inboxes: List["queue.SimpleQueue[Any]"] = [
+            queue.SimpleQueue() for _ in range(size)
+        ]
+        self._cells = 0  # runs so far: the next run's cell id is one more
         #: Arena rows by ``(tag, elems)``, built on first use and kept for
         #: the communicator's life: their pages are faulted in once, not
         #: per allreduce.
@@ -889,12 +927,14 @@ class InProcessCommunicator:
         """
         results: List[Any] = [None] * self.size
         errors: List[Tuple[int, BaseException]] = []
+        self._cells += 1
+        cell = self._cells
 
         def runner(rank: int) -> None:
             try:
                 ctx = RankContextBase(
                     rank, self._inboxes, self.options, fault_log=self.fault_log,
-                    trace=self.trace, start=self._start, arenas=self._arena,
+                    trace=self.trace, start=self._start, cell=cell, arenas=self._arena,
                 )
                 results[rank] = fn(ctx, *args)
             except BaseException as exc:

@@ -619,7 +619,7 @@ class ShmTransport:
 class ShmInbox:
     """One rank's message inbox: a byte ring per source in one shm segment.
 
-    What ``queue.Queue`` is to a thread rank's context — ``put``,
+    What ``queue.SimpleQueue`` is to a thread rank's context — ``put``,
     ``get(timeout)``, ``get_nowait`` — across processes, without the
     pickle-to-a-feeder-thread, the pipe, the reader lock and the two
     ``poll`` syscalls per message a ``multiprocessing.Queue`` would cost.

@@ -45,11 +45,9 @@ Design:
   the cell's inboxes, the worker's transport as its codec, and a by-name
   arena provider over the worker's arena cache —
   so numerics derive only from the cell's arguments and seeds: a pooled
-  cell is bit-identical to a cold-spawn run of the same program.
-- :meth:`reset` is the explicit hygiene barrier: workers drain their
-  inboxes, rebuild their transports (old ring segments are unlinked by
-  the parent), and zero every cached arena row — recovering a provably
-  clean fabric after a failed cell.
+  cell is bit-identical to a cold-spawn run of the same program. The
+  context's cell id is the job id, so whatever a failed cell left in the
+  fabric is dropped by the next cell's receives, never read as its own.
 - A work item is pickled **once** per dispatch (the pool forked long
   ago), so ``fn`` must be a module-level function: that one protocol-5
   pickle is the picklability check and is what every rank receives.  Its
@@ -245,9 +243,6 @@ class WorkerPool:
         self._next_job = 0
         self._closed = False
         self._broken: Optional[str] = None
-        self._reset_gen = 0
-        self._reset_acks = 0
-        self._reset_names: List[str] = []
         self._stop_names: List[str] = []
 
         require_tso("WorkerPool")
@@ -416,8 +411,8 @@ class WorkerPool:
     ) -> None:
         """Hand ``item`` — and, for a job, the pickled ``work`` behind it,
         as the bytes they are — to one worker (at most one sender per
-        worker at a time: a worker is leased to one job, and reset/close
-        follow all jobs). A dead worker's pipe is broken; the collector sees
+        worker at a time: a worker is leased to one job, and close follows
+        all jobs). A dead worker's pipe is broken; the collector sees
         the death on the worker's sentinel and reports it, so the error is
         dropped here."""
         conn = self._work_send[pool_rank]
@@ -464,7 +459,7 @@ class WorkerPool:
         return None if not deadlines else max(0.0, min(deadlines) - time.monotonic())
 
     def _route(self, report: Tuple[Any, ...]) -> None:
-        """Apply one worker report to its job, reset barrier or shutdown."""
+        """Apply one worker report to its job or to the shutdown."""
         kind = report[0]
         with self._cond:
             if kind == "done":
@@ -485,12 +480,6 @@ class WorkerPool:
                 job._pending.discard(cell_rank)
                 if not job._pending:
                     self._finish_job_locked(job)
-            elif kind == "reset":
-                _, gen, _rank, names = report
-                if gen == self._reset_gen:
-                    self._reset_acks += 1
-                    self._reset_names.extend(names)
-                    self._cond.notify_all()
             else:  # "stop"
                 self._stop_names.extend(report[2])
 
@@ -537,36 +526,6 @@ class WorkerPool:
         if dead and self._broken is None:
             self._broken = f"pool worker(s) {dead} died"
             self._cond.notify_all()
-
-    def reset(self) -> None:
-        """Hygiene barrier: drain fabric, rebuild transports, zero arenas.
-
-        Returns once every worker acked — the fabric is then provably
-        indistinguishable from a freshly-forked pool (which is also why
-        the happy path never needs this: a *successful* cell consumes all
-        its messages and always overwrites reused rows before reading).
-        Call it after a failed cell before dispatching the next one.
-        """
-        with self._cond:
-            self._check_usable()
-            while self._jobs:
-                self._cond.wait()
-                self._check_usable()
-            self._reset_gen += 1
-            self._reset_acks = 0
-            self._reset_names = []
-            gen = self._reset_gen
-        for r in range(self.size):
-            self._dispatch(r, ("reset", gen))
-        deadline = time.monotonic() + self.timeout + _COLLECT_GRACE
-        with self._cond:
-            while self._reset_acks < self.size:
-                if self._broken is not None:
-                    raise RuntimeError(f"pool is broken: {self._broken}")
-                if not self._cond.wait(timeout=max(0.0, deadline - time.monotonic())):
-                    raise TimeoutError("pool reset barrier timed out")
-            names = list(self._reset_names)
-        self._unlink(names)
 
     def close(self) -> None:
         """Stop every worker, then unlink all recycled shm segments."""
@@ -644,7 +603,8 @@ class WorkerPool:
                 self._result_send[r].close()
         work, results = self._work_recv[pool_rank], self._result_send[pool_rank]
         inbox = self._inboxes[pool_rank]
-        transport: Optional[ShmTransport] = None
+        transport = ShmTransport(pool_rank, self.size, timeout=self.timeout)
+        inbox.stats = transport.stats  # one counter surface per rank
         arenas: Dict[str, CollectiveArena] = {}
 
         def report(*msg: Any) -> bool:
@@ -656,16 +616,11 @@ class WorkerPool:
             return True
 
         def teardown() -> List[str]:
-            nonlocal transport
-            names: List[str] = []
-            if transport is not None:
-                names += transport.ring_names()
-                transport.close()
-                transport = None
+            names = transport.ring_names()
+            transport.close()
             for arena in arenas.values():
                 names.append(arena.name)
                 arena.close()
-            arenas.clear()
             # Reported names become the parent's to unlink — drop them
             # from this worker's registry so its atexit sweep can't
             # destroy segments a sibling may still hold descriptors into.
@@ -680,23 +635,11 @@ class WorkerPool:
                 # Every write end is closed: the parent is gone, and with it
                 # anyone to report to. Its next run reaps our segments.
                 return
-            kind = item[0]
-            if kind == "stop":
+            if item[0] == "stop":
                 report("stop", pool_rank, teardown())
                 return
-            if kind == "reset":
-                # Drain stranded fabric traffic (a failed cell may have
-                # left messages — and ring descriptors — in flight).
-                while not inbox.empty():
-                    inbox.get_nowait()
-                if not report("reset", item[1], pool_rank, teardown()):
-                    return
-                continue
             _, job_id, base, nranks, cell_rank, core, stage, tracing, options, start = item
             work_item = work.recv_bytes()
-            if transport is None:
-                transport = ShmTransport(pool_rank, self.size, timeout=self.timeout)
-                inbox.stats = transport.stats  # one counter surface per rank
             if full_mask is not None:
                 try:
                     os.sched_setaffinity(0, full_mask if core is None else {core})
@@ -709,7 +652,7 @@ class WorkerPool:
             ctx = RankContextBase(
                 cell_rank, self._inboxes[base:base + nranks], options,
                 fault_log=FaultLog(), trace=Trace() if tracing else None,
-                start=start, codec=transport,
+                start=start, cell=job_id, codec=transport,
                 arenas=partial(
                     _cell_arena, arenas, f"{self._coll_stem}b{base}x{nranks}",
                     nranks, options.timeout,

@@ -131,24 +131,17 @@ class SnapshotReader:
             return -1
         return max(0, self.buffer.train_step - self.loaded_step)
 
-    def refresh(self, force: bool = False) -> Tuple[np.ndarray, int, int]:
+    def refresh(self) -> Tuple[np.ndarray, int, int]:
         """Load the newest snapshot if one exists; return the cached one.
 
-        Returns ``(params, step, version)``.  ``force`` re-copies even at
-        the same version (paranoia knob; the copy is torn-free either
-        way).  Raises if nothing has ever been published.
+        Returns ``(params, step, version)``.  Raises if nothing has ever
+        been published.
         """
-        if self.params is None or force or self.has_new():
+        if self.params is None or self.has_new():
             if self.buffer.version == 0:
-                if self.params is None:
-                    raise RuntimeError("no snapshot has been published yet")
-            else:
-                out = self.params if self.params is not None else None
-                params, step, version = self.buffer.read(out=out)
-                self.params = params
-                self.loaded_step = step
-                self.loaded_version = version
-                self.refreshes += 1
+                raise RuntimeError("no snapshot has been published yet")
+            self.params, self.loaded_step, self.loaded_version = self.buffer.read(out=self.params)
+            self.refreshes += 1
         return self.params, self.loaded_step, self.loaded_version
 
     def close(self) -> None:

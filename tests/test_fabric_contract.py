@@ -3,7 +3,7 @@
 ``RankContextBase`` is the only rank context: a fabric is its three
 constructor arguments (inboxes, codec, arena provider), so the
 selective-receive loop exists once. The first half of this module runs
-that loop's contract over every fabric — ``threads`` (``queue.Queue``
+that loop's contract over every fabric — ``threads`` (``queue.SimpleQueue``
 inboxes) and ``processes/shm`` (``ShmInbox`` + ``ShmTransport`` codec,
 launched with the ``transport="shm"`` compatibility argument): a wedged
 receive names its edge, a message landing inside the budget wins, a fault
@@ -12,6 +12,9 @@ about yet is stashed and handed out later in per-sender order. Then the
 arena under a fault plan, over the same fabrics: a float32 allreduce
 folds in the arena and its tokens are ordinary messages, so the plan
 drops, delays and loses them exactly as it would the message tree's.
+And a message lives as long as its cell: what a failed cell strands on a
+reused fabric (a threads communicator, an attached pool) is dropped by the
+next cell's receives, never read as its own.
 
 The second half pins the option handling that rides on the same
 constructor: ``CellOptions`` refuses the same values with the same words
@@ -35,10 +38,13 @@ from repro.comm.backend import make_communicator
 from repro.comm.collectives import tree_reduce
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.comm.runtime import (
+    _HeapArena,
     CellOptions,
+    COLLECTIVE_TAG_STRIDE,
     collective_wire_tags,
     DeadlockError,
     InProcessCommunicator,
+    MultiRankError,
 )
 from repro.comm.shm_lifecycle import list_live_segments, registered_segments
 from repro.comm.shm_transport import SeqlockBuffer
@@ -183,12 +189,97 @@ def test_a_message_landing_at_the_deadline_wins():
     inbox = _DeadlineInbox((0, 4, "photo finish"))
     ctx = RankContextBase(
         1, [None, inbox], CellOptions(timeout=0.12),
-        fault_log=FaultLog(), trace=None, start=time.monotonic(),
+        fault_log=FaultLog(), trace=None, start=time.monotonic(), cell=0,
     )
     assert ctx.recv(source=0, tag=4) == "photo finish"
     assert inbox.timed_gets >= 2  # the whole budget was spent first
     with pytest.raises(DeadlockError):  # and an empty final drain still raises
         ctx.recv(source=0, tag=4)
+
+
+# ---------------------------------------------------------------------------
+# A cell's messages die with the cell
+# ---------------------------------------------------------------------------
+
+def _leaky_cell(ctx):
+    """Rank 1 sends rank 0 a p2p message, a slot-ring payload and a spilled
+    pickle, then enters an allreduce (its ready token goes out); rank 0
+    raises before receiving any of it, so all four strand in its inbox and
+    rank 1 waits out its timeout."""
+    if ctx.rank == 0:
+        raise RuntimeError("boom")
+    ctx.send("stale-from-cell1", dest=0, tag=1)
+    ctx.send(np.zeros(1 << 14, dtype=np.float32), dest=0, tag=2)
+    ctx.send(list(range(-5000, 0)), dest=0, tag=3)
+    ctx.allreduce(np.zeros(2, dtype=np.float32))
+
+
+def _clean_cell(ctx):
+    if ctx.rank == 1:
+        ctx.send("fresh", dest=0, tag=1)
+        ctx.send(np.ones(1 << 14, dtype=np.float32), dest=0, tag=2)
+        ctx.send(list(range(5000)), dest=0, tag=3)
+        got = None
+    else:
+        got = (ctx.recv(1, tag=1), float(ctx.recv(1, tag=2).sum()), sum(ctx.recv(1, tag=3)))
+    total = ctx.allreduce(np.full(2, ctx.rank + 1.0, dtype=np.float32))
+    return got, total.tolist()
+
+
+@pytest.fixture(params=FABRICS)
+def reused_fabric(request):
+    """A communicator whose fabric outlives a ``run``, and that fabric's
+    inboxes: the threads communicator's own, or an attached pool's."""
+    backend, _ = request.param
+    if backend == "threads":
+        comm = InProcessCommunicator(2, timeout=1.0)
+        yield comm, comm._inboxes
+        return
+    with WorkerPool(2) as pool:
+        yield MultiprocessCommunicator(2, timeout=1.0, pool=pool), pool._inboxes
+
+
+def test_a_failed_cell_leaks_nothing_into_the_next(reused_fabric):
+    comm, inboxes = reused_fabric
+    with pytest.raises(MultiRankError) as err:
+        comm.run(_leaky_cell)
+    assert isinstance(err.value.failures[0], RuntimeError)
+    assert isinstance(err.value.failures[1], DeadlockError)
+    assert not inboxes[0].empty()
+    assert comm.run(_clean_cell) == [
+        (("fresh", 16384.0, 12497500), [3.0, 3.0]),
+        (None, [3.0, 3.0]),
+    ]
+    assert all(inbox.empty() for inbox in inboxes)  # the stale records were dropped
+
+
+def _refused_tags(ctx):
+    refused = []
+    for call in (
+        lambda: ctx.send("x", dest=ctx.rank, tag=1 << 32),
+        lambda: ctx.recv(ctx.rank, tag=-1),
+        # The arena's tokens run on wire tags above the user tag.
+        lambda: ctx.allreduce(np.ones(2, dtype=np.float32), tag=(1 << 32) - 1),
+    ):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*32\)") as err:
+            call()
+        refused.append(int(str(err.value).split()[1]))
+    return refused
+
+
+def test_a_tag_the_envelope_cannot_carry_is_refused_by_name():
+    # The envelope's upper 32 bits are the cell's.
+    results = InProcessCommunicator(2, timeout=1.0).run(_refused_tags)
+    assert results == [[1 << 32, -1, (1 << 32) - 1 + COLLECTIVE_TAG_STRIDE]] * 2
+
+
+def test_heap_arena_rows_are_cache_line_aligned():
+    for elems in (1, 5, 1001):
+        arena = _HeapArena(3, elems)
+        rows = [*arena.rows, arena.result]
+        assert all(row.shape == (elems,) and row.flags.c_contiguous for row in rows)
+        assert all(row.ctypes.data % 64 == 0 for row in rows)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1:])
 
 
 # ---------------------------------------------------------------------------
