@@ -53,6 +53,10 @@ __all__ = [
     "HogwildEASGDTrainer",
 ]
 
+#: Retransmissions of one dropped request before its worker goes silent
+#: (and the heartbeat policy evicts it).
+SEND_RETRIES = 20
+
 
 class _AsyncPSStep(EventStepStrategy):
     """The parameter-server discrete-event simulation, one event per advance.
@@ -230,8 +234,7 @@ class _AsyncPSStep(EventStepStrategy):
     def _lost(self, pipeline, plan: FaultPlan, arrival: float, payload) -> bool:
         """Whether the fault plan keeps this request from the master."""
         _, j, compute_done, fwdbwd, seq, attempt = payload
-        tr = self.trainer
-        trace = tr.trace
+        trace = self.trainer.trace
         if plan.is_dead(j, arrival):
             self.dropped += 1  # fail-stop: the message never arrives
             if trace is not None:
@@ -241,14 +244,14 @@ class _AsyncPSStep(EventStepStrategy):
         if not plan.should_drop(j, "master", 0, seq, attempt):
             return False
         # Transient message loss: the worker retransmits with exponential
-        # backoff; after max_send_retries it goes silent (and will be
-        # evicted by the heartbeat policy).
+        # backoff; after SEND_RETRIES it goes silent (and will be evicted
+        # by the heartbeat policy).
         self.msg_dropped += 1
         self.log.record(arrival, "drop", f"worker {j} -> master",
                         f"seq={seq} attempt={attempt}")
         if trace is not None:
             trace.fault(j, arrival, "drop", peer=MASTER, seq=seq)
-        if attempt + 1 > tr.max_send_retries:
+        if attempt + 1 > SEND_RETRIES:
             self.log.record(
                 arrival, "give-up", f"worker {j}",
                 f"seq={seq}: still dropped after {attempt + 1} attempts",
@@ -464,7 +467,6 @@ class AsyncPSTrainer(BaseTrainer):
         cost_model: Optional[CostModel] = None,
         faults: Optional[FaultPlan] = None,
         heartbeat_timeout: Optional[float] = None,
-        max_send_retries: int = 20,
         local_steps: Optional[int] = None,
         tau: Optional[int] = None,
         staleness_policy: Optional[str] = None,
@@ -491,9 +493,6 @@ class AsyncPSTrainer(BaseTrainer):
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
         self.heartbeat_timeout = heartbeat_timeout
-        if max_send_retries < 0:
-            raise ValueError("max_send_retries must be non-negative")
-        self.max_send_retries = max_send_retries
         self.local_steps, self.bound = self.row.options(
             platform.num_gpus, local_steps, tau, staleness_policy
         )

@@ -55,6 +55,13 @@ class TrainerConfig:
     :class:`repro.optim.easgd.EASGDHyper`). ``eval_every``/``eval_samples``
     control how often and on how much of the test set accuracy snapshots are
     taken along the trajectory.
+
+    Only what the shared pipeline reads lives here. A knob one trainer
+    reads is that trainer's constructor argument — e.g.
+    ``SyncSGDTrainer(collective="ring")`` or
+    ``ChipPartitionTrainer(backend="processes")`` — so
+    :func:`repro.algorithms.make_trainer` can refuse it by name anywhere
+    else.
     """
 
     batch_size: int = 64
@@ -68,21 +75,6 @@ class TrainerConfig:
     #: Record a structured communication trace (repro.trace) for the run.
     #: Off by default: the hot path then allocates no TraceEvent at all.
     trace: bool = False
-    #: Execution substrate ("threads" or "processes"). Read by exactly one
-    #: trainer — :class:`repro.knl.ChipPartitionTrainer` (``knl --backend``:
-    #: "processes" runs the groups as real ranks); every registry entry is
-    #: simulated and refuses "processes" by name. The message-passing ports
-    #: (``run_mpi_*``) and :class:`repro.hogwild.HogwildRunner` (a registry
-    #: row on a shared center) take their own ``backend=`` argument instead;
-    #: the sweep pool always forks. Numerics are backend-invariant by
-    #: construction.
-    backend: str = "threads"
-    #: Allreduce schedule of :class:`repro.algorithms.SyncSGDTrainer`'s
-    #: cost model: "tree" (binomial, Theta(log P) latency) or "ring"
-    #: (sharded reduce-scatter + allgather, Theta(1) per-rank bandwidth).
-    #: Both schedules are bit-identical by design; every other registry
-    #: entry refuses "ring" by name.
-    collective: str = "tree"
     #: Durable runs (repro.durability): save a crash-safe checkpoint of the
     #: full pipeline state every N completed steps (0 = off). Requires
     #: ``checkpoint_dir``. Like tracing, this never changes run numerics.
@@ -107,12 +99,6 @@ class TrainerConfig:
             raise ValueError("checkpoint_keep must be at least 1")
         if self.checkpoint_every > 0 and self.checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
-        # Late import: repro.comm.backend imports nothing from algorithms,
-        # but keeping the dependency one-way at module load is cheap.
-        from repro.comm.backend import validate_backend, validate_collective
-
-        validate_backend(self.backend)
-        validate_collective(self.collective)
 
 
 @dataclass(frozen=True)
@@ -310,9 +296,7 @@ class BaseTrainer:
         return run_training(self, iterations, resume=resume,
                             snapshotter=snapshotter)
 
-    def train_to_accuracy(
-        self, target: float, max_iterations: int, chunk: Optional[int] = None
-    ) -> RunResult:
+    def train_to_accuracy(self, target: float, max_iterations: int) -> RunResult:
         """Run until test accuracy >= target (checked at trajectory points).
 
         Training stops at the first evaluation point that meets the target

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict
+import inspect
+from typing import Callable, Dict, FrozenSet
 
 from repro.algorithms.async_ps import (
     AsyncEASGDTrainer,
@@ -48,19 +49,19 @@ __all__ = [
 
 
 def _make_knl_sync_easgd(network, train_set, test_set, platform, config,
-                         cost_model=None, **kwargs) -> BaseTrainer:
+                         cost_model=None, packed=True, overlap=True) -> BaseTrainer:
     """Adapt the harness GpuPlatform into ``num_gpus`` KNL nodes."""
     from repro.cluster.platform import KnlPlatform
     from repro.knl.trainer import KnlSyncEASGDTrainer
 
     knl = KnlPlatform(num_nodes=platform.num_gpus, seed=platform.seed)
-    return KnlSyncEASGDTrainer(
-        network, train_set, test_set, knl, config, cost_model, **kwargs
-    )
+    return KnlSyncEASGDTrainer(network, train_set, test_set, knl, config,
+                               cost_model, packed=packed, overlap=overlap)
 
 
 def _make_cluster_sync_easgd(network, train_set, test_set, platform, config,
-                             cost_model=None, **kwargs) -> BaseTrainer:
+                             cost_model=None, allreduce="tree", packed=True,
+                             overlap=True) -> BaseTrainer:
     """Adapt the harness GpuPlatform into ``num_gpus`` single-GPU nodes."""
     from repro.algorithms.multinode import ClusterSyncEASGDTrainer
     from repro.cluster.multinode import GpuClusterPlatform
@@ -69,7 +70,8 @@ def _make_cluster_sync_easgd(network, train_set, test_set, platform, config,
         num_nodes=platform.num_gpus, gpus_per_node=1, seed=platform.seed
     )
     return ClusterSyncEASGDTrainer(
-        network, train_set, test_set, cluster, config, cost_model, **kwargs
+        network, train_set, test_set, cluster, config, cost_model,
+        allreduce=allreduce, packed=packed, overlap=overlap,
     )
 
 
@@ -152,41 +154,28 @@ ALGORITHM_INFO: Dict[str, AlgorithmInfo] = {
     "bounded-async-easgd": _ps_info("bounded-async-easgd", "bounded-delay EASGD"),
 }
 
-#: Options only (some) asynchronous families honour; everything else
-#: rejects them by name instead of failing on an unexpected keyword.
-PS_OPTIONS = ("local_steps", "tau", "staleness_policy")
-#: Families with no re-costing story for a group that shrinks (the fabric
-#: tree, the hierarchical allreduce): they refuse a fault plan by name.
-NO_FAULT_PLAN = ("knl-sync-easgd", "cluster-sync-easgd")
-#: The only entries that read ``TrainerConfig.collective`` (SyncSGDTrainer).
-COLLECTIVE_READERS = ("sync-sgd", "sync-sgd-unpacked")
+#: The keywords each entry's constructor names; any other is refused.
+_ACCEPTS: Dict[str, FrozenSet[str]] = {
+    name: frozenset(inspect.signature(factory).parameters)
+    for name, factory in ALGORITHMS.items()
+}
 
 
 def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
     """Instantiate a registered trainer by method name.
 
-    Raises :class:`UnsupportedOptionError` when ``kwargs`` carries a
-    parameter-server option (``local_steps``, ``tau``,
-    ``staleness_policy``) or a ``faults`` plan the method cannot honour,
-    or when the config asks for a non-tree ``collective`` the method
-    never reads or a ``backend`` other than ``"threads"`` (every entry
-    is a simulated trainer).
+    A keyword the entry's constructor does not name raises
+    :class:`UnsupportedOptionError` — a knob the method never reads is
+    refused, not ignored. Which *values* an accepted option may take is
+    the constructor's business (a parameter-server row refuses a ``tau``
+    it cannot honour the same way).
     """
     try:
         factory = ALGORITHMS[name]
     except KeyError:
         known = ", ".join(sorted(ALGORITHMS))
         raise KeyError(f"unknown algorithm {name!r}; known: {known}") from None
-    config = args[4] if len(args) > 4 else kwargs.get("config")
-    if config is not None:
-        if config.collective != "tree" and name not in COLLECTIVE_READERS:
-            raise UnsupportedOptionError(name, "collective")
-        if config.backend != "threads":
-            raise UnsupportedOptionError(name, "backend")
-    if name not in PS_FAMILIES:  # the rows check their own options
-        for option in PS_OPTIONS:
-            if option in kwargs:
-                raise UnsupportedOptionError(name, option)
-    if name in NO_FAULT_PLAN and "faults" in kwargs:
-        raise UnsupportedOptionError(name, "faults")
+    for keyword in kwargs:
+        if keyword not in _ACCEPTS[name]:
+            raise UnsupportedOptionError(name, keyword)
     return factory(*args, **kwargs)

@@ -38,6 +38,10 @@ from repro.util.rng import spawn_rng
 
 __all__ = ["SyncSGDTrainer"]
 
+#: The allreduce moves parameters GPU to GPU: Table 3's "gpu-gpu para"
+#: part, and the topology link it is costed on.
+_PARAM_PART = "gpu-gpu para"
+
 
 class _AllreduceComm(CommStrategy):
     """Allreduce cost/trace model: tree or sharded ring, optionally quantized.
@@ -54,10 +58,10 @@ class _AllreduceComm(CommStrategy):
         g = self.ranks = platform.num_gpus
         self.stage_t = platform.stage_batch_time(cost, tr.config.batch_size)
         self.gpu_upd_t = platform.gpu_update_time(cost)
-        self.bcast_t = platform.tree_bcast_time(cost, tr.param_traffic, tr.packed)
-        self.reduce_t = platform.tree_reduce_time(cost, tr.param_traffic, tr.packed)
+        self.bcast_t = platform.tree_bcast_time(cost, _PARAM_PART, tr.packed)
+        self.reduce_t = platform.tree_reduce_time(cost, _PARAM_PART, tr.packed)
         self.plan_msgs = plan = platform.param_plan(cost, tr.packed)
-        self._link = link = platform.topology.link_for(tr.param_traffic)
+        self._link = link = platform.topology.link_for(_PARAM_PART)
         self.wire_bytes = plan.total_bytes
         if tr.quantize_bits is not None:
             # Low-precision wire format: the latency (alpha) terms stay, the
@@ -69,9 +73,6 @@ class _AllreduceComm(CommStrategy):
             self.bcast_t = max(self.bcast_t - saved, hops * link.alpha * plan.num_messages)
             self.reduce_t = max(self.reduce_t - saved, hops * link.alpha * plan.num_messages)
             self.wire_bytes = int(self.wire_bytes * tr.quantize_bits / 32.0)
-        self.comm_part = (
-            "gpu-gpu para" if tr.param_traffic == "gpu-gpu para" else "cpu-gpu para"
-        )
         self.full_bcast_t, self.full_reduce_t = self.bcast_t, self.reduce_t
         self.collective = tr.collective
         self.resize_label = f"allreduce {tr.collective}"
@@ -111,7 +112,7 @@ class _AllreduceComm(CommStrategy):
         iter_time = self.stage_t + fwdbwd_max + comm_t + self.gpu_upd_t
         breakdown = pipeline.breakdown
         breakdown.add("cpu-gpu data", self.stage_t)
-        breakdown.add(self.comm_part, comm_t)
+        breakdown.add(_PARAM_PART, comm_t)
         breakdown.add("for/backward", fwdbwd_max)
         breakdown.add("gpu update", self.gpu_upd_t)
         return iter_time
@@ -147,7 +148,12 @@ class _AllreduceComm(CommStrategy):
 
 
 class SyncSGDTrainer(BaseTrainer):
-    """Tree-allreduce synchronous SGD (the paper's Sync SGD, Figure 10)."""
+    """Tree-allreduce synchronous SGD (the paper's Sync SGD, Figure 10).
+
+    ``collective`` is the allreduce schedule the clock charges: "tree"
+    (binomial, Theta(log P) latency) or "ring" (sharded reduce-scatter +
+    allgather, Theta(1) per-rank bandwidth); the weights are bit-identical.
+    """
 
     def __init__(
         self,
@@ -158,10 +164,9 @@ class SyncSGDTrainer(BaseTrainer):
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
         packed: bool = True,
-        param_traffic: str = "gpu-gpu para",
         quantize_bits: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
-        collective: Optional[str] = None,
+        collective: str = "tree",
     ) -> None:
         if faults is not None:
             faults.validate(platform.num_gpus)
@@ -170,11 +175,8 @@ class SyncSGDTrainer(BaseTrainer):
             raise ValueError("quantize_bits must be in [1, 16]")
         self.platform = platform
         self.packed = packed
-        self.param_traffic = param_traffic
         self.quantize_bits = quantize_bits
-        self.collective = validate_collective(
-            collective if collective is not None else config.collective
-        )
+        self.collective = validate_collective(collective)
         if self.collective == "ring" and not packed:
             raise ValueError("the ring allreduce ships one packed buffer; use packed=True")
         suffix = "packed" if packed else "per-layer"

@@ -2,7 +2,7 @@
 
 One knob — ``backend="threads" | "processes"`` — chooses the execution
 substrate for every rank-program consumer (the message-passing trainers,
-the KNL chip-partition trainer, the Hogwild runner, the CLI). Both
+the KNL chip-partition trainer, the Hogwild runner, ``knl --backend``). Both
 communicators expose the same surface and, because their rank contexts
 share :class:`repro.comm.runtime.RankContextBase`, the same collective
 association order: switching backends changes wall-clock behaviour, never
@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.comm.collectives import COLLECTIVES, validate_collective
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.comm.runtime import InProcessCommunicator
 
 __all__ = [
     "BACKENDS",
-    "COLLECTIVES",
     "validate_backend",
-    "validate_collective",
     "make_communicator",
 ]
 

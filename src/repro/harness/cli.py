@@ -36,7 +36,8 @@ from repro.algorithms import (
     UnsupportedOptionError,
 )
 from repro.cluster import CostModel
-from repro.comm.backend import BACKENDS, COLLECTIVES
+from repro.comm.backend import BACKENDS
+from repro.comm.collectives import COLLECTIVES
 from repro.data import make_cifar_like, make_mnist_like
 from repro.durability.errors import CheckpointError
 from repro.faults import FaultError, FaultPlan
@@ -180,11 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          train_samples=4096, difficulty=1.5)
     run.add_argument("--target", type=float, default=None,
                      help="train to this test accuracy instead of a fixed length")
-    run.add_argument("--collective", default="tree", choices=COLLECTIVES,
+    run.add_argument("--collective", default=None, choices=COLLECTIVES,
                      help="sync-sgd's allreduce schedule: 'tree' (binomial, "
-                          "log-P latency) or 'ring' (sharded reduce-scatter + "
-                          "allgather, constant per-rank bandwidth); the "
-                          "results are bit-identical")
+                          "log-P latency; the default) or 'ring' (sharded "
+                          "reduce-scatter + allgather, constant per-rank "
+                          "bandwidth); the results are bit-identical")
     run.add_argument("--paper-scale-cost", action="store_true",
                      help="charge the clock for the full-scale model (LeNet/AlexNet spec)")
     run.add_argument("--tau", type=int, default=None, metavar="T",
@@ -318,7 +319,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = _build_spec(
             args, cost_model=cost,
-            trace=args.trace is not None, collective=args.collective,
+            trace=args.trace is not None,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_keep=args.checkpoint_keep,
@@ -340,6 +341,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trainer_kwargs["staleness_policy"] = args.staleness_policy
     if args.local_steps is not None:
         trainer_kwargs["local_steps"] = args.local_steps
+    if args.collective is not None:
+        trainer_kwargs["collective"] = args.collective
 
     try:
         if args.target is not None:
@@ -427,7 +430,6 @@ def _cmd_knl(args: argparse.Namespace) -> int:
     try:
         config = TrainerConfig(
             batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-            backend=args.backend,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_keep=args.checkpoint_keep,
@@ -441,6 +443,7 @@ def _cmd_knl(args: argparse.Namespace) -> int:
         test_set=test,
         config=config,
         parts=args.parts,
+        backend=args.backend,
     )
     try:
         result = trainer.train(args.iterations, resume=args.resume)

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.algorithms.base import BaseTrainer, RunResult, TrainerConfig
 from repro.cluster.cost import CostModel
-from repro.comm.backend import make_communicator
+from repro.comm.backend import make_communicator, validate_backend
 from repro.comm.collectives import tree_rounds
 from repro.data.dataset import Dataset
 from repro.engine.pipeline import run_training
@@ -290,6 +290,10 @@ class ChipPartitionTrainer(BaseTrainer):
     each group's compute at the partition's parallel efficiency and the
     reduction/update at the working set's memory bandwidth (MCDRAM while
     the P copies fit, DDR4 after the spill).
+
+    ``backend`` is where the groups run: "threads" is the serial
+    simulation, "processes" the ranks of one forked cell (``knl
+    --backend``); the weights are the same either way.
     """
 
     def __init__(
@@ -302,12 +306,12 @@ class ChipPartitionTrainer(BaseTrainer):
         chip: KnlChip = KNL_7250_CHIP,
         cost_model: Optional[CostModel] = None,
         data_bytes: Optional[int] = None,
-        kernel_efficiency: float = 0.25,
+        backend: str = "threads",
     ) -> None:
         super().__init__(network, train_set, test_set, config, cost_model)
         self.chip = chip
         self.parts = parts
-        self.kernel_efficiency = kernel_efficiency
+        self.backend = validate_backend(backend)
         if config.batch_size % parts != 0:
             raise ValueError(
                 f"batch_size {config.batch_size} must divide evenly into "
@@ -324,7 +328,7 @@ class ChipPartitionTrainer(BaseTrainer):
 
     def _iter_time(self) -> float:
         """Simulated seconds per round (all groups in parallel + reduction)."""
-        group_rate = self.chip.group_flops(self.parts, self.kernel_efficiency)
+        group_rate = self.chip.group_flops(self.parts)
         compute = self.cost.fwdbwd_flops(self.group_batch) / group_rate
         # Conquer step: tree-reduce the packed gradient across groups, then
         # every group streams one update pass — all at working-set bandwidth.
@@ -341,7 +345,7 @@ class ChipPartitionTrainer(BaseTrainer):
         """``backend="processes"`` runs the whole pipeline inside one cold
         P-rank cell (the trainer is fork-inherited, see
         :func:`_partition_cell`); anything else is the serial simulation."""
-        if self.config.backend != "processes":
+        if self.backend != "processes":
             return super().train(iterations, resume=resume, snapshotter=snapshotter)
         if snapshotter is not None and snapshotter.name is None:
             # Rank 0 would publish into its private copy of the heap buffer.

@@ -87,14 +87,11 @@ class OpenLoopLoadGen:
 
     Arrivals are scheduled, not gated on completions — the generator
     never slows down because the server is behind, which is exactly the
-    property that exposes saturation.  ``time_scale`` compresses or
-    stretches the schedule (0.5 → twice as fast).
+    property that exposes saturation.
     """
 
-    def __init__(self, arrivals: np.ndarray, time_scale: float = 1.0) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        self.arrivals = np.asarray(arrivals, dtype=np.float64) * time_scale
+    def __init__(self, arrivals: np.ndarray) -> None:
+        self.arrivals = np.array(arrivals, dtype=np.float64)
 
     def run(self, frontend: Any, make_request: Callable[[int], np.ndarray]) -> List[Any]:
         """Submit every request at its scheduled offset; wait for all."""

@@ -1,6 +1,6 @@
 """Registry: every advertised method constructs and runs."""
 
-from dataclasses import replace
+import inspect
 from pathlib import Path
 
 import pytest
@@ -74,6 +74,28 @@ sync-sgd             allreduce SGD      centered       sync   none (bulk-sync)  
 sync-sgd-unpacked    allreduce SGD      centered       sync   none (bulk-sync)            Sec 5.2, Fig 10
 """
 
+#: The arguments every entry takes positionally, in this order.
+POSITIONAL = ("network", "train_set", "test_set", "platform", "config", "cost_model")
+
+#: Every keyword some entry's constructor names beyond ``POSITIONAL``,
+#: plus the two moved off ``TrainerConfig``, each with a value the entries
+#: that name it can build with.
+KEYWORDS = {
+    "allreduce": "ring",
+    "backend": "processes",
+    "collective": "tree",
+    "faults": FaultPlan().crash(1, at=0.01),
+    "heartbeat_timeout": 1.0,
+    "local_steps": 2,
+    "overlap": False,
+    "overlapped": False,
+    "packed": True,
+    "quantize_bits": 8,
+    "staleness_policy": "clip",
+    "tau": 3,
+    "variant": 2,
+}
+
 
 class TestRegistry:
     def test_all_paper_methods_present(self):
@@ -114,13 +136,13 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "name", sorted(EXPECTED_METHODS - {"sync-sgd", "sync-sgd-unpacked"}))
     def test_ring_collective_refused_where_never_read(self, name, mnist_tiny, fast_config):
-        # Only SyncSGDTrainer reads TrainerConfig.collective: anywhere else
-        # "ring" would run the tree and report success.
+        # Only SyncSGDTrainer reads collective: anywhere else "ring" would
+        # run the tree and report success.
         train, test = mnist_tiny
         with pytest.raises(UnsupportedOptionError) as ei:
             make_trainer(
                 name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
-                replace(fast_config, collective="ring"), CostModel.from_spec(LENET),
+                fast_config, CostModel.from_spec(LENET), collective="ring",
             )
         assert (ei.value.method, ei.value.option) == (name, "collective")
 
@@ -132,9 +154,32 @@ class TestRegistry:
         with pytest.raises(UnsupportedOptionError) as ei:
             make_trainer(
                 name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
-                replace(fast_config, backend="processes"), CostModel.from_spec(LENET),
+                fast_config, CostModel.from_spec(LENET), backend="processes",
             )
         assert (ei.value.method, ei.value.option) == (name, "backend")
+
+    def test_keyword_table_is_every_constructor_keyword(self):
+        named = set()
+        for factory in ALGORITHMS.values():
+            named |= set(inspect.signature(factory).parameters)
+        assert set(KEYWORDS) == named - set(POSITIONAL) | {"backend", "collective"}
+
+    @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+    @pytest.mark.parametrize("name", sorted(EXPECTED_METHODS))
+    def test_every_keyword_is_built_or_refused_by_name(
+            self, name, keyword, mnist_tiny, fast_config):
+        # Never a bare TypeError from inside a constructor: the method
+        # either honours the keyword or names it in a typed refusal.
+        train, test = mnist_tiny
+        try:
+            tr = make_trainer(
+                name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
+                fast_config, CostModel.from_spec(LENET), **{keyword: KEYWORDS[keyword]},
+            )
+        except UnsupportedOptionError as exc:
+            assert (exc.method, exc.option) == (name, keyword)
+        else:
+            assert isinstance(tr, BaseTrainer)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_METHODS))
     def test_constructs_and_runs_one_iteration(self, name, mnist_tiny, fast_config):

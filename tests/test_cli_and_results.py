@@ -3,11 +3,12 @@
 import json
 from pathlib import Path
 import re
+import shlex
 
 import pytest
 
 from repro.algorithms import ALGORITHMS, TrainerConfig
-from repro.harness.cli import main
+from repro.harness.cli import _build_parser, main
 from repro.harness.experiment import ExperimentSpec, run_method
 from repro.harness.results import result_to_dict, results_from_json, results_to_json, SCHEMA_VERSION
 from repro.nn.models import build_mlp
@@ -142,9 +143,9 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_backend_flag_exits_2(self, capsys):
-        # No registry trainer reads TrainerConfig.backend: `run --backend`
-        # parsed, validated, and changed nothing (`knl` honours its own and
-        # keeps it).
+        # No registry trainer takes a backend: `run --backend` parsed,
+        # validated, and changed nothing (`knl` passes its own to
+        # ChipPartitionTrainer and keeps it).
         with pytest.raises(SystemExit) as ei:
             main(["run", "--method", "sync-easgd", "--backend", "processes"])
         assert ei.value.code == 2
@@ -194,6 +195,7 @@ class TestCli:
         ("cluster-sync-easgd", "--faults", "crash:1@0.01"),
         ("sync-easgd", "--collective", "ring"),  # only sync-sgd reads it
         ("async-easgd", "--collective", "ring"),
+        ("sync-easgd", "--collective", "tree"),  # even sync-sgd's default
     ])
     def test_unsupported_ps_option_exits_2(self, method, flag, value, capsys):
         # A knob the method cannot honour is refused by name, not ignored.
@@ -226,3 +228,32 @@ def test_docs_name_only_benchmarks_that_exist():
             for name in sorted(named) if not (root / name).exists()
         ]
     assert not missing, missing
+
+
+def _doc_command_lines():
+    """Every ``python -m repro ...`` line inside a fenced code block of the
+    README, EXPERIMENTS, DESIGN and ``docs/*.md``, backslash continuations
+    joined, a leading ``$ `` or ``PYTHONPATH=src `` and a trailing
+    ``# comment`` stripped."""
+    root = Path(__file__).resolve().parent.parent
+    sources = [root / "README.md", root / "EXPERIMENTS.md", root / "DESIGN.md",
+               *sorted((root / "docs").glob("*.md"))]
+    lines = []
+    for source in sources:
+        fenced = re.findall(r"^```[^\n]*\n(.*?)^```", source.read_text(), re.M | re.S)
+        for block in fenced:
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                line = re.sub(r"^\s*(\$ )?(PYTHONPATH=src )?", "", line)
+                if line.startswith("python -m repro "):
+                    lines.append((source.name, line.split(" #")[0].strip()))
+    return lines
+
+
+def test_docs_quote_command_lines():
+    assert len(_doc_command_lines()) >= 6  # the README's six, at least
+
+
+@pytest.mark.parametrize("source,line", _doc_command_lines())
+def test_docs_command_lines_parse(source, line):
+    """A flag the docs quote still exists: each quoted line parses."""
+    _build_parser().parse_args(shlex.split(line)[3:])

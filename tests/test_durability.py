@@ -301,11 +301,11 @@ class TestRngStreamState:
 # ---------------------------------------------------------------------------
 # bit-identical resume through the pipeline
 # ---------------------------------------------------------------------------
-def _build_trainer(method, mnist_tiny, checkpoint_dir, backend):
+def _build_trainer(method, mnist_tiny, checkpoint_dir):
     train, test = mnist_tiny
     config = TrainerConfig(
         batch_size=16, lr=0.05, rho=2.0, seed=0,
-        eval_every=EVERY, eval_samples=64, trace=True, backend=backend,
+        eval_every=EVERY, eval_samples=64, trace=True,
         checkpoint_every=EVERY, checkpoint_dir=str(checkpoint_dir),
         checkpoint_keep=3,
     )
@@ -340,21 +340,17 @@ def run_signature(result) -> dict:
 
 
 class TestBitIdenticalResume:
-    # The registry trainers are simulated and never read
-    # ``TrainerConfig.backend``; the trainer that does run on real
-    # processes is pinned by ``TestChipPartitionResume`` below.
-    @pytest.mark.parametrize("backend", ["threads"])
+    # The registry trainers are simulated; the trainer that does run on
+    # real processes is pinned by ``TestChipPartitionResume`` below.
     @pytest.mark.parametrize(
         "method", ["sync-easgd3", "async-easgd", "hogwild-easgd"]
     )
-    def test_resume_equals_straight_run(self, tmp_path, mnist_tiny, method, backend):
-        straight = _build_trainer(
-            method, mnist_tiny, tmp_path / "straight", backend
-        ).train(N)
+    def test_resume_equals_straight_run(self, tmp_path, mnist_tiny, method):
+        straight = _build_trainer(method, mnist_tiny, tmp_path / "straight").train(N)
 
-        _build_trainer(method, mnist_tiny, tmp_path / "resumed", backend).train(K)
+        _build_trainer(method, mnist_tiny, tmp_path / "resumed").train(K)
         resumed = _build_trainer(
-            method, mnist_tiny, tmp_path / "resumed", backend
+            method, mnist_tiny, tmp_path / "resumed"
         ).train(N, resume=True)
 
         assert run_signature(resumed) == run_signature(straight)
@@ -383,7 +379,7 @@ class TestBitIdenticalResume:
         assert run_signature(resumed) == run_signature(straight)
 
     def test_resume_against_foreign_architecture_raises(self, tmp_path, mnist_tiny):
-        _build_trainer("sync-easgd3", mnist_tiny, tmp_path, "threads").train(K)
+        _build_trainer("sync-easgd3", mnist_tiny, tmp_path).train(K)
 
         train, test = mnist_tiny
         config = TrainerConfig(
@@ -409,7 +405,7 @@ class TestBitIdenticalResume:
             trainer.train(N, resume=True)
 
     def test_resume_from_empty_directory_raises(self, tmp_path, mnist_tiny):
-        trainer = _build_trainer("sync-easgd3", mnist_tiny, tmp_path, "threads")
+        trainer = _build_trainer("sync-easgd3", mnist_tiny, tmp_path)
         with pytest.raises(NoCheckpointError):
             trainer.train(N, resume=True)
 
@@ -437,10 +433,11 @@ class TestChipPartitionResume:
                 test_set=test,
                 config=TrainerConfig(
                     batch_size=16, lr=0.05, seed=0, eval_every=EVERY,
-                    eval_samples=64, backend=backend,
+                    eval_samples=64,
                     checkpoint_every=EVERY, checkpoint_dir=str(directory),
                 ),
                 parts=4,
+                backend=backend,
             )
 
         straight = build(tmp_path / "straight").train(N)

@@ -232,10 +232,7 @@ class TestChipPartitionProcesses:
         if backend == "processes" and not fork_available():
             pytest.skip("needs the fork start method")
         train, test = cifar_tiny
-        cfg = TrainerConfig(
-            batch_size=batch, lr=0.05, eval_every=5, eval_samples=128,
-            backend=backend,
-        )
+        cfg = TrainerConfig(batch_size=batch, lr=0.05, eval_every=5, eval_samples=128)
         return ChipPartitionTrainer(
             net or build_mlp(input_shape=(3, 32, 32), seed=4),
             train,
@@ -244,6 +241,7 @@ class TestChipPartitionProcesses:
             parts=parts,
             cost_model=CostModel.from_spec(ALEXNET),
             data_bytes=CIFAR_COPY_BYTES,
+            backend=backend,
         )
 
     def test_bit_identical_to_serial(self, cifar_tiny):

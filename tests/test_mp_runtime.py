@@ -484,9 +484,18 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="backend"):
             make_communicator(2, backend="mpi")
 
-    def test_trainer_config_validates_backend(self):
+    def test_chip_partition_trainer_validates_backend(self, mnist_tiny):
         from repro.algorithms import TrainerConfig
+        from repro.knl.partition import ChipPartitionTrainer
+        from repro.nn.models import build_mlp
 
-        assert TrainerConfig(backend="processes").backend == "processes"
+        train, test = mnist_tiny
+        config = TrainerConfig(batch_size=16)
+
+        def build(backend):
+            return ChipPartitionTrainer(build_mlp(seed=0), train, test, config,
+                                        parts=2, backend=backend)
+
+        assert build("processes").backend == "processes"
         with pytest.raises(ValueError, match="backend"):
-            TrainerConfig(backend="greenlets")
+            build("greenlets")

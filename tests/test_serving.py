@@ -437,12 +437,12 @@ class TestServingInvariants:
 # ---------------------------------------------------------------------------
 
 
-def _spec(backend="threads"):
+def _spec():
     train, test = make_mnist_like(n_train=256, n_test=128, seed=31, difficulty=0.8)
     return ExperimentSpec(
         train_set=train, test_set=test,
         model_builder=lambda: build_mlp(seed=3), num_gpus=4,
-        config=TrainerConfig(batch_size=16, seed=0, backend=backend),
+        config=TrainerConfig(batch_size=16, seed=0),
     ).normalize()
 
 
@@ -453,9 +453,9 @@ def _trajectory(result):
 
 def _chip_trainer():
     """A 2-group ChipPartitionTrainer whose groups run as forked ranks."""
-    spec = _spec("processes")
+    spec = _spec()
     return ChipPartitionTrainer(build_mlp(seed=3), spec.train_set, spec.test_set,
-                                spec.config, parts=2)
+                                spec.config, parts=2, backend="processes")
 
 
 def _train_with_live_serving(train, shared=False):
@@ -522,7 +522,7 @@ class TestBitIdentity:
         copy, not the live reference — and gets identical bits."""
         from repro.engine.pipeline import StepPipeline
 
-        spec = _spec("threads")
+        spec = _spec()
         snap = ModelSnapshotter(build_mlp(seed=3).num_params)
         from repro.algorithms.registry import make_trainer
 
@@ -549,7 +549,7 @@ class TestBitIdentity:
 
 class TestEndToEnd:
     def test_open_loop_serving_with_trace_invariants(self):
-        spec = _spec("threads")
+        spec = _spec()
         replica = build_mlp(seed=7)
         trace = Trace(meta={"pattern": "serving", "batch_cap": 4,
                             "max_staleness_steps": None, "publish_every": 1})
