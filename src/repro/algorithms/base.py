@@ -110,11 +110,6 @@ class TrainRecord:
     train_loss: float
     test_accuracy: float
 
-    @property
-    def error_rate(self) -> float:
-        """Figure 8's benchmark: 1 - accuracy."""
-        return 1.0 - self.test_accuracy
-
 
 class TimeBreakdown:
     """Accumulator for Table 3's per-part simulated seconds.

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.cluster.cost import CostModel
 from repro.cluster.devices import ComputeJitter, DeviceModel, K80_HALF, KNL_7250, XEON_E5_HOST
 from repro.comm.alphabeta import LinkModel
-from repro.comm.collectives import flat_sequential_cost, tree_bcast_cost, tree_reduce_cost
+from repro.comm.collectives import tree_bcast_cost, tree_reduce_cost
 from repro.comm.packing import MessagePlan, packed_plan, per_layer_plan
 from repro.comm.topology import GpuNodeTopology, KnlClusterTopology
 
@@ -106,12 +106,6 @@ class GpuPlatform:
         per_hop = self.param_plan(cost, packed).cost(link)
         return tree_reduce_cost(_unit_link(per_hop), 0, ranks or self.num_gpus)
 
-    def flat_exchange_time(self, cost: CostModel, link_traffic: str, packed: bool = True) -> float:
-        """P sequential model exchanges at the root (round-robin pattern)."""
-        link = self.topology.link_for(link_traffic)
-        per_msg = self.param_plan(cost, packed).cost(link)
-        return flat_sequential_cost(_unit_link(per_msg), 0, self.num_gpus)
-
 
 def _unit_link(per_message_cost: float) -> LinkModel:
     """A link whose every message costs exactly ``per_message_cost``.
@@ -171,8 +165,3 @@ class KnlPlatform:
         link = self.topology.link_for("node-node para")
         per_hop = self.param_plan(cost, packed).cost(link)
         return tree_reduce_cost(_unit_link(per_hop), 0, self.num_nodes)
-
-    def flat_exchange_time(self, cost: CostModel, packed: bool = True) -> float:
-        link = self.topology.link_for("node-node para")
-        per_msg = self.param_plan(cost, packed).cost(link)
-        return flat_sequential_cost(_unit_link(per_msg), 0, self.num_nodes)

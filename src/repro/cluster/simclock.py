@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import heapq
-from typing import Any, List, Optional
+from typing import Any, List
 
 __all__ = ["Event", "EventQueue"]
 
@@ -47,9 +47,6 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
         return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Event]:
-        return self._heap[0] if self._heap else None
 
     def getstate(self) -> dict:
         """Snapshot pending events and the tie-break counter position.

@@ -65,35 +65,21 @@ def tree_reduce(vectors: Sequence[np.ndarray]) -> np.ndarray:
     Round k folds rank ``i + 2**k`` into rank ``i`` for every i that is a
     multiple of ``2**(k+1)`` — the textbook recursive halving schedule. The
     association order is a pure function of ``len(vectors)``, which is what
-    makes Sync EASGD runs bit-reproducible.
+    makes Sync EASGD runs bit-reproducible. The sum lands in a fresh array
+    (:func:`tree_reduce_into`); the inputs are only read.
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    shape = vectors[0].shape
-    for v in vectors:
-        if v.shape != shape:
-            raise ValueError("all vectors must have the same shape")
-    acc: List[np.ndarray | None] = [np.array(v, copy=True) for v in vectors]
-    p = len(acc)
-    stride = 1
-    while stride < p:
-        for i in range(0, p - stride, 2 * stride):
-            acc[i] = acc[i] + acc[i + stride]  # type: ignore[operator]
-            acc[i + stride] = None
-        stride *= 2
-    assert acc[0] is not None
-    return acc[0]
+    return tree_reduce_into(vectors, np.empty_like(vectors[0]))
 
 
 def tree_reduce_into(vectors: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """:func:`tree_reduce` without the input copies, accumulating into ``out``.
+    """:func:`tree_reduce`'s stride-doubling sum, accumulated into ``out``.
 
-    Bitwise identical to ``tree_reduce(vectors)``: the association order is
-    the same stride-doubling schedule, and ``np.add(a, b, out=...)`` is the
-    same ufunc as ``a + b``. The inputs are only *read* (they may live in
-    shared memory or belong to other ranks); all intermediate sums land in
-    ``out``, which therefore must not overlap any input. With one vector
-    the result is a plain copy.
+    The inputs are only *read* (they may live in shared memory or belong to
+    other ranks); all intermediate sums land in ``out`` or private scratch,
+    so ``out`` must not overlap any input. With one vector the result is a
+    plain copy.
     """
     if not vectors:
         raise ValueError("need at least one vector")
@@ -107,9 +93,9 @@ def tree_reduce_into(vectors: Sequence[np.ndarray], out: np.ndarray) -> np.ndarr
     if p == 1:
         np.copyto(out, vectors[0])
         return out
-    # Mirror tree_reduce's chain: slot 0's accumulator is ``out`` itself
-    # (seeded by the first fold), other slots get private scratch the
-    # first time they accumulate. Read-only inputs are never written.
+    # Slot 0's accumulator is ``out`` itself (seeded by the first fold),
+    # other slots get private scratch the first time they accumulate.
+    # Read-only inputs are never written.
     acc: List[np.ndarray | None] = list(vectors)
     fresh = [True] * p  # acc[i] still aliases the caller's input
     stride = 1

@@ -59,14 +59,3 @@ class Dataset:
     def nbytes(self) -> int:
         """Total size of the image payload in bytes."""
         return int(self.images.nbytes)
-
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
-        """Return a new dataset restricted to ``indices`` (copies the slices)."""
-        indices = np.asarray(indices)
-        return Dataset(
-            name=name or self.name,
-            images=self.images[indices],
-            labels=self.labels[indices],
-            num_classes=self.num_classes,
-            meta=dict(self.meta),
-        )

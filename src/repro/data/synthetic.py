@@ -116,12 +116,15 @@ def make_synthetic(
     noise_sigma = np.float32(difficulty)
 
     images = np.empty((n, channels, height, width), dtype=np.float32)
-    base = protos[labels]  # (n, C, H, W) gather
-    for i in range(n):
-        img = base[i]
-        if shifts_h[i] or shifts_w[i]:
-            img = np.roll(img, (int(shifts_h[i]), int(shifts_w[i])), axis=(1, 2))
-        images[i] = img * gains[i]
+    # One roll of the prototypes per distinct shift — at most
+    # (2 * max_shift + 1)**2 of them — gathered by label, scaled by gain.
+    side = 2 * max_shift + 1
+    shift_ids = (shifts_h + max_shift) * side + (shifts_w + max_shift)
+    for shift_id in np.unique(shift_ids):
+        rows = np.flatnonzero(shift_ids == shift_id)
+        dh, dw = divmod(int(shift_id), side)
+        rolled = np.roll(protos, (dh - max_shift, dw - max_shift), axis=(2, 3))
+        images[rows] = rolled[labels[rows]] * gains[rows, None, None, None]
     if noise_sigma > 0:
         images += noise_sigma * rng.standard_normal(images.shape).astype(np.float32)
 

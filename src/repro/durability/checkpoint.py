@@ -335,9 +335,9 @@ class CheckpointManager:
     ``stats`` accumulates observable write cost: count, bytes, wall
     seconds (surfaced as ``checkpoint_*`` extras on the RunResult).
 
-    ``save`` writes synchronously; ``save_async`` hands the (already
-    detached) payload to a single background writer thread so the fsync
-    cost overlaps training instead of stalling it. Writes stay strictly
+    ``save_async`` hands the (already detached) payload to a single
+    background writer thread, which runs :meth:`save`, so the fsync cost
+    overlaps training instead of stalling it. Writes stay strictly
     ordered (one queue, one thread), the queue is bounded so memory
     cannot run away at aggressive cadences, and ``drain()`` joins the
     writer — callers drain before trusting ``stats`` or exiting.
@@ -367,15 +367,19 @@ class CheckpointManager:
         return self.every > 0 and step % self.every == 0
 
     def save(self, step: int, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> int:
-        """Write one version, prune old ones; returns bytes written."""
+        """Write one version, prune old ones; returns bytes written.
+
+        The writer thread's one job: callers queue with :meth:`save_async`.
+        """
         t0 = time.perf_counter()
         _, nbytes = write_version(
             self.directory, step, arrays, meta, fingerprint=self.fingerprint
         )
         self._prune()
-        self.stats["writes"] += 1.0
-        self.stats["bytes"] += float(nbytes)
-        self.stats["seconds"] += time.perf_counter() - t0
+        with self._lock:
+            self.stats["writes"] += 1.0
+            self.stats["bytes"] += float(nbytes)
+            self.stats["seconds"] += time.perf_counter() - t0
         return nbytes
 
     def save_async(self, step: int, arrays: Dict[str, np.ndarray],
@@ -419,21 +423,11 @@ class CheckpointManager:
             item = self._queue.get()
             if item is None:
                 return
-            step, arrays, meta = item
-            t0 = time.perf_counter()
             try:
-                _, nbytes = write_version(
-                    self.directory, step, arrays, meta, fingerprint=self.fingerprint
-                )
-                self._prune()
+                self.save(*item)
             except BaseException as exc:
                 with self._lock:
                     self._error = exc
-            else:
-                with self._lock:
-                    self.stats["writes"] += 1.0
-                    self.stats["bytes"] += float(nbytes)
-                    self.stats["seconds"] += time.perf_counter() - t0
 
     def _raise_pending(self) -> None:
         with self._lock:
@@ -445,9 +439,6 @@ class CheckpointManager:
 
     def load_latest(self) -> CheckpointData:
         return load_latest_valid(self.directory, fingerprint=self.fingerprint or None)
-
-    def has_any(self) -> bool:
-        return bool(list_versions(self.directory))
 
     def _prune(self) -> None:
         versions = list_versions(self.directory)

@@ -200,10 +200,6 @@ class FaultPlan:
         return tuple(self._events)
 
     @property
-    def drop_probability(self) -> float:
-        return self._drop_p
-
-    @property
     def has_message_faults(self) -> bool:
         return self._drop_p > 0 or self._delay_p > 0 or bool(self._lost)
 

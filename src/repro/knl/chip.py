@@ -25,11 +25,6 @@ class ClusterMode(Enum):
     SNC2 = "snc-2"
 
     @property
-    def numa_domains(self) -> int:
-        """NUMA nodes the mode exposes to software."""
-        return {"a2a": 1, "quad": 1, "hemi": 1, "snc-4": 4, "snc-2": 2}[self.value]
-
-    @property
     def coherence_overhead(self) -> float:
         """Relative cache-coherence cost of the mode (Section 2.1).
 
@@ -75,10 +70,6 @@ class KnlChip:
             raise ValueError("cores must be positive")
         if self.sync_overhead_per_core < 0:
             raise ValueError("sync_overhead_per_core must be non-negative")
-
-    @property
-    def hardware_threads(self) -> int:
-        return self.cores * self.threads_per_core
 
     def parallel_efficiency(self, cores_in_group: float) -> float:
         """Efficiency of one OpenMP-style group of ``cores_in_group`` cores.

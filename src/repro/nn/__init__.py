@@ -24,7 +24,7 @@ from repro.nn.models import (
     ResidualBlock,
 )
 from repro.nn.network import Network, ParamSegment
-from repro.nn.regularization import BatchNorm, Dropout, LocalResponseNorm
+from repro.nn.regularization import BatchNorm, Dropout
 from repro.nn.serialize import structure_fingerprint
 from repro.nn.spec import ALEXNET, GOOGLENET, LayerSpec, LENET, ModelSpec, VGG19
 
@@ -40,7 +40,6 @@ __all__ = [
     "Sigmoid",
     "Dropout",
     "BatchNorm",
-    "LocalResponseNorm",
     "SoftmaxCrossEntropy",
     "MeanSquaredError",
     "Network",

@@ -188,18 +188,16 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution via im2col + GEMM, with AlexNet-style channel groups.
+    """2-D convolution via im2col + GEMM.
 
-    Input ``(N, C, H, W)``; weight ``(out_channels, C/groups, kh, kw)``;
-    output ``(N, out_channels, H', W')``. ``groups > 1`` splits input and
-    output channels into independent groups (AlexNet's two-GPU legacy
-    layout for conv2/4/5, which the full-scale ModelSpec also uses).
-
-    The unfolded input is one channel-major matrix ``(C*k*k, H'*W'*N)``
-    (:func:`repro.nn.tensor_ops.im2col`); a group is a block of its rows,
-    so every ``groups`` takes the same path:
-    ``y[group] = W_mat[group] @ cols[group rows]`` straight into an
-    ``(out_channels, H', W', N)`` buffer returned as an NCHW view.
+    Input ``(N, C, H, W)``; weight ``(out_channels, C, kh, kw)``; output
+    ``(N, out_channels, H', W')``. The unfolded input is one channel-major
+    matrix ``(C*k*k, H'*W'*N)`` (:func:`repro.nn.tensor_ops.im2col`), so
+    forward is one GEMM, ``y = W_mat @ cols``, straight into an
+    ``(out_channels, H', W', N)`` buffer returned as an NCHW view, and
+    backward two (``dW`` and the unfolded input gradient). AlexNet's
+    two-GPU channel split exists only in the full-scale cost model
+    (:mod:`repro.nn.spec`); the runnable mini nets need none.
     """
 
     #: Samples per unfold at inference: an evaluation batch goes through in
@@ -212,29 +210,21 @@ class Conv2D(Layer):
         kernel_size: int,
         stride: int = 1,
         pad: int = 0,
-        groups: int = 1,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
         if out_channels <= 0 or kernel_size <= 0 or stride <= 0 or pad < 0:
             raise ValueError("invalid Conv2D hyperparameters")
-        if groups <= 0 or out_channels % groups != 0:
-            raise ValueError("groups must be positive and divide out_channels")
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.pad = pad
-        self.groups = groups
         self._cols: Optional[np.ndarray] = None
 
     def build(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 3:
             raise ValueError(f"Conv2D expects (C, H, W) input, got {input_shape}")
         c, h, w = input_shape
-        if c % self.groups != 0:
-            raise ValueError(
-                f"input channels {c} not divisible into {self.groups} groups"
-            )
         out_h = conv_output_size(h, self.kernel_size, self.stride, self.pad)
         out_w = conv_output_size(w, self.kernel_size, self.stride, self.pad)
         self.input_shape = tuple(input_shape)
@@ -245,20 +235,12 @@ class Conv2D(Layer):
     def param_specs(self) -> List[ParamSpec]:
         c, _, _ = self.input_shape
         k = self.kernel_size
-        cg = c // self.groups
-        fan_in = cg * k * k
-        fan_out = (self.out_channels // self.groups) * k * k
+        fan_in = c * k * k
+        fan_out = self.out_channels * k * k
         return [
-            ParamSpec("W", (self.out_channels, cg, k, k), "he", fan_in, fan_out),
+            ParamSpec("W", (self.out_channels, c, k, k), "he", fan_in, fan_out),
             ParamSpec("b", (self.out_channels,), "zeros", fan_in, fan_out),
         ]
-
-    def _groups(self):
-        """Per group: its rows of the unfolded matrix, its output channels."""
-        rows = (self.input_shape[0] // self.groups) * self.kernel_size ** 2
-        og = self.out_channels // self.groups
-        for g in range(self.groups):
-            yield slice(g * rows, (g + 1) * rows), slice(g * og, (g + 1) * og)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n = x.shape[0]
@@ -274,14 +256,12 @@ class Conv2D(Layer):
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             cols = im2col(x[lo:hi], k, k, self.stride, self.pad)
-            # The batch is the innermost axis of y: a slice of it is not a
-            # column block, so it takes one extra copy into place.
-            whole = hi - lo == n
-            part = y.reshape(out_c, -1) if whole else np.empty((out_c, hw * (hi - lo)), y.dtype)
-            for in_rows, outs in self._groups():
-                np.matmul(w_mat[outs], cols[in_rows], out=part[outs])
-            if not whole:
-                y[:, :, lo:hi] = part.reshape(out_c, hw, hi - lo)
+            if hi - lo == n:
+                np.matmul(w_mat, cols, out=y.reshape(out_c, -1))
+            else:
+                # The batch is the innermost axis of y: a slice of it is not
+                # a column block, so it takes one extra copy into place.
+                y[:, :, lo:hi] = (w_mat @ cols).reshape(out_c, hw, hi - lo)
         y += self.params["b"][:, None, None]
 
         self._cols = cols if training else None
@@ -302,23 +282,20 @@ class Conv2D(Layer):
         cols, self._cols = self._cols, None
 
         self.grads["b"] += dy_mat.sum(axis=1)
-        for in_rows, outs in self._groups():
-            # (cols @ dy.T).T, not dy @ cols.T: same product, and the BLAS
-            # here runs it 1.7-2x faster with the long axis contiguous on
-            # both operands (docs/performance.md, "The nn plane").
-            g_mat[outs] += (cols[in_rows] @ dy_mat[outs].T).T
+        # (cols @ dy.T).T, not dy @ cols.T: same product, and the BLAS here
+        # runs it 1.7-2x faster with the long axis contiguous on both
+        # operands (docs/performance.md, "The nn plane").
+        g_mat += (cols @ dy_mat.T).T
         if not input_grad:
             return None
-        dcols = np.empty(cols.shape, dtype=np.result_type(dy.dtype, w_mat.dtype))
-        for in_rows, outs in self._groups():
-            np.matmul(w_mat[outs].T, dy_mat[outs], out=dcols[in_rows])
+        dcols = w_mat.T @ dy_mat
         return col2im(dcols, (n,) + self.input_shape, k, k, self.stride, self.pad)
 
     def flops_per_sample(self) -> int:
         c, _, _ = self.input_shape
         out_c, out_h, out_w = self.output_shape
         k = self.kernel_size
-        return 2 * out_c * out_h * out_w * (c // self.groups) * k * k
+        return 2 * out_c * out_h * out_w * c * k * k
 
 
 class _Pool2D(Layer):

@@ -17,7 +17,7 @@ import numpy as np
 from repro.nn.activations import ReLU
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, Layer, MaxPool2D, ParamSpec
 from repro.nn.network import Network
-from repro.nn.regularization import BatchNorm, Dropout, LocalResponseNorm
+from repro.nn.regularization import BatchNorm, Dropout
 
 __all__ = [
     "InceptionBlock",
@@ -157,19 +157,16 @@ def build_alexnet_mini(
     input_shape: Tuple[int, ...] = (3, 32, 32),
     num_classes: int = 10,
     seed: int = 0,
-    dropout: float = 0.25,
-    use_lrn: bool = False,
 ) -> Network:
     """AlexNet-shaped CNN (5 conv stages compressed to 3, 2 FC) for CIFAR-like.
 
-    ``use_lrn=True`` inserts AlexNet's local response normalization after
-    the first conv stage (architectural-fidelity option; off by default to
-    keep the benchmark trajectories stable).
+    AlexNet's dropout before the first FC layer is kept (rate 0.25); its
+    local response normalization and two-GPU channel groups are not — the
+    groups live in the full-scale cost model (:data:`repro.nn.spec.ALEXNET`).
     """
     layers: List[Layer] = [
         Conv2D(16, 3, pad=1, name="conv1"),
         ReLU(),
-        *([LocalResponseNorm(name="lrn1")] if use_lrn else []),
         MaxPool2D(2),
         Conv2D(32, 3, pad=1, name="conv2"),
         ReLU(),
@@ -178,7 +175,7 @@ def build_alexnet_mini(
         ReLU(),
         MaxPool2D(2),
         Flatten(),
-        Dropout(dropout, seed=seed, name="drop6"),
+        Dropout(0.25, seed=seed, name="drop6"),
         Dense(128, name="fc6"),
         ReLU(),
         Dense(num_classes, name="fc8"),

@@ -120,14 +120,6 @@ class Network:
         """Model size in bytes (float32)."""
         return int(self.params.nbytes)
 
-    def layer_nbytes(self) -> List[Tuple[str, int]]:
-        """Per-layer parameter byte counts — the message sizes of the
-        *unpacked* communication scheme (Figure 10)."""
-        sizes: dict = {}
-        for seg in self.segments:
-            sizes[seg.layer_name] = sizes.get(seg.layer_name, 0) + seg.nbytes
-        return list(sizes.items())
-
     def flops_per_sample(self) -> int:
         """Forward-pass FLOPs per sample, summed over layers."""
         return sum(layer.flops_per_sample() for layer in self.layers)

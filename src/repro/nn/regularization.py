@@ -14,7 +14,7 @@ import numpy as np
 from repro.nn.layers import Layer, ParamSpec
 from repro.util.rng import spawn_rng
 
-__all__ = ["Dropout", "BatchNorm", "LocalResponseNorm"]
+__all__ = ["Dropout", "BatchNorm"]
 
 
 class Dropout(Layer):
@@ -116,62 +116,3 @@ class BatchNorm(Layer):
         sum_dxhat_xhat = (dxhat * x_hat).sum(axis=axes, keepdims=True)
         inv = inv_std.reshape(bshape)
         return (inv / m) * (m * dxhat - sum_dxhat - x_hat * sum_dxhat_xhat)
-
-
-class LocalResponseNorm(Layer):
-    """AlexNet's local response normalization across channels.
-
-    ``y_i = x_i / (k + alpha * sum_{j in N(i)} x_j^2)^beta`` where ``N(i)``
-    is a window of ``size`` adjacent channels centered on i (Krizhevsky et
-    al. 2012 defaults). Parameter-free; present for architectural fidelity
-    of the AlexNet path.
-    """
-
-    def __init__(
-        self,
-        size: int = 5,
-        alpha: float = 1e-4,
-        beta: float = 0.75,
-        k: float = 2.0,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(name)
-        if size <= 0 or size % 2 == 0:
-            raise ValueError("size must be a positive odd integer")
-        if alpha < 0 or beta <= 0 or k <= 0:
-            raise ValueError("invalid LRN constants")
-        self.size = size
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-        self._cache: Optional[tuple] = None
-
-    def build(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        if len(input_shape) != 3:
-            raise ValueError(f"LRN expects (C, H, W) input, got {input_shape}")
-        return super().build(input_shape)
-
-    def _window_sum(self, sq: np.ndarray) -> np.ndarray:
-        """Sliding-window sum over the channel axis via padded cumsum."""
-        half = self.size // 2
-        c = sq.shape[1]
-        padded = np.pad(sq, ((0, 0), (half, half), (0, 0), (0, 0)))
-        csum = np.cumsum(padded, axis=1)
-        csum = np.pad(csum, ((0, 0), (1, 0), (0, 0), (0, 0)))
-        return csum[:, self.size : self.size + c] - csum[:, :c]
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        denom = self.k + self.alpha * self._window_sum(x * x)
-        scale = denom ** (-self.beta)
-        y = x * scale
-        self._cache = (x, denom, scale) if training else None
-        return y
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training-mode forward")
-        x, denom, scale = self._cache
-        # dx_m = dy_m * scale_m
-        #      - 2 alpha beta x_m * window_sum(dy * x * denom^(-beta-1))_m
-        inner = dy * x * denom ** (-self.beta - 1.0)
-        return dy * scale - 2.0 * self.alpha * self.beta * x * self._window_sum(inner)

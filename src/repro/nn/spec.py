@@ -84,10 +84,6 @@ class ModelSpec:
         """Per-blob weight byte counts (the unpacked message plan)."""
         return [size for l in self.layers for size in l.blob_sizes]
 
-    @property
-    def num_weight_layers(self) -> int:
-        return len(self.layer_messages())
-
 
 def _conv(name: str, cin: int, cout: int, k: int, out_hw: int, groups: int = 1) -> LayerSpec:
     w = cout * (cin // groups) * k * k

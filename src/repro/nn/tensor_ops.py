@@ -38,37 +38,12 @@ def conv_output_size(size: int, field: int, stride: int, pad: int) -> int:
     return out
 
 
-def _check_out(out: np.ndarray, shape: tuple, dtype) -> None:
-    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be C-contiguous {shape} of {dtype}, got "
-            f"{out.shape} of {out.dtype}"
-        )
-
-
-def im2col(
-    x: np.ndarray,
-    field_h: int,
-    field_w: int,
-    stride: int,
-    pad: int,
-    out: np.ndarray = None,
-) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into ``(C * field_h * field_w, out_h * out_w * N)``.
-
-    ``out``, if given, receives the columns in place (must be C-contiguous
-    with the exact result shape and ``x``'s dtype) and is returned. Every
-    element of it is overwritten, so its previous contents never matter:
-    bit-for-bit identical to the allocating form.
-    """
+def im2col(x: np.ndarray, field_h: int, field_w: int, stride: int, pad: int) -> np.ndarray:
+    """Unfold ``(N, C, H, W)`` into ``(C * field_h * field_w, out_h * out_w * N)``."""
     n, c, h, w = x.shape
     out_h = conv_output_size(h, field_h, stride, pad)
     out_w = conv_output_size(w, field_w, stride, pad)
-    shape = (c * field_h * field_w, out_h * out_w * n)
-    if out is None:
-        out = np.empty(shape, dtype=x.dtype)
-    else:
-        _check_out(out, shape, x.dtype)
+    out = np.empty((c * field_h * field_w, out_h * out_w * n), dtype=x.dtype)
 
     # Bring x to the columns' memory order once — a copy only when it is
     # not there already (the network's input images; a padded input) — so
@@ -90,13 +65,7 @@ def im2col(
 
 
 def col2im(
-    cols: np.ndarray,
-    x_shape: tuple,
-    field_h: int,
-    field_w: int,
-    stride: int,
-    pad: int,
-    out: np.ndarray = None,
+    cols: np.ndarray, x_shape: tuple, field_h: int, field_w: int, stride: int, pad: int
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
@@ -104,24 +73,13 @@ def col2im(
     returns an ``x_shape`` = ``(N, C, H, W)`` *view* of a channel-major,
     batch-innermost accumulator. Overlapping windows accumulate, which is
     exactly the gradient of the unfolding.
-
-    ``out``, if given, is that **padded** accumulator, of shape
-    ``(C, H + 2*pad, W + 2*pad, N)`` (``cols``'s dtype, C-contiguous). It is
-    zeroed here, so its previous contents never matter — but the returned
-    array *aliases* it, so it is valid only until ``out`` is written again.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, field_h, stride, pad)
     out_w = conv_output_size(w, field_w, stride, pad)
     cols6 = cols.reshape(c, field_h, field_w, out_h, out_w, n)
 
-    padded_shape = (c, h + 2 * pad, w + 2 * pad, n)
-    if out is None:
-        padded = np.zeros(padded_shape, dtype=cols.dtype)
-    else:
-        _check_out(out, padded_shape, cols.dtype)
-        padded = out
-        padded.fill(0)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     # One strided accumulation per in-window offset: field_h * field_w
     # passes instead of N * out_h * out_w.
     for i in range(field_h):

@@ -35,10 +35,6 @@ class SGDRule:
         else:
             params -= self.lr * grads
 
-    def bytes_touched(self, num_params: int) -> int:
-        """Bytes read+written per step (used by the simulated clock)."""
-        return 3 * 4 * num_params  # read params, read grads, write params
-
 
 class MomentumRule:
     """Momentum SGD (Equations 3-4), per-replica velocity state.
@@ -76,6 +72,3 @@ class MomentumRule:
             params += self.mu * v - self.lr * grads
         else:
             params += v
-
-    def bytes_touched(self, num_params: int) -> int:
-        return 5 * 4 * num_params  # read v/grads/params, write v/params

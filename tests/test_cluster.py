@@ -9,6 +9,8 @@ from repro.cluster.cost import BWD_FLOPS_FACTOR, CostModel
 from repro.cluster.devices import ComputeJitter, DeviceModel, K80_HALF, KNL_7250, M40, XEON_E5_HOST
 from repro.cluster.platform import GpuPlatform, KnlPlatform
 from repro.cluster.simclock import EventQueue
+from repro.comm.alphabeta import LinkModel
+from repro.comm.collectives import flat_sequential_cost
 from repro.nn.models import build_lenet
 from repro.nn.spec import LENET
 
@@ -82,9 +84,10 @@ class TestEventQueue:
 
     def test_peek_and_len(self):
         q = EventQueue()
-        assert q.peek() is None and len(q) == 0 and not q
+        assert len(q) == 0 and not q
         q.push(1.0, "x")
-        assert q.peek().payload == "x" and len(q) == 1 and q
+        assert len(q) == 1 and q
+        assert q.pop().payload == "x" and not q
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -162,9 +165,9 @@ class TestGpuPlatform:
     def test_tree_cheaper_than_flat(self):
         plat = GpuPlatform(num_gpus=8)
         cost = CostModel.from_spec(LENET)
-        assert plat.tree_reduce_time(cost, "gpu-gpu para") < plat.flat_exchange_time(
-            cost, "gpu-gpu para"
-        )
+        link = plat.topology.link_for("gpu-gpu para")
+        per_msg = LinkModel("msg", alpha=plat.param_plan(cost).cost(link), beta=0.0)
+        assert plat.tree_reduce_time(cost, "gpu-gpu para") < flat_sequential_cost(per_msg, 0, 8)
 
     def test_gpu_update_faster_than_cpu_update(self):
         plat = GpuPlatform(num_gpus=4)

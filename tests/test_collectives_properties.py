@@ -9,8 +9,10 @@ contract:
 * ``ring_allreduce`` is *bitwise* equal to ``tree_reduce`` for every P
   and every length — the ring is a reorganisation of the same
   stride-doubling association, not a numerically different reduction.
-* ``tree_reduce_into`` equals ``tree_reduce`` while writing into a
-  caller-owned output and leaving the inputs untouched.
+* ``tree_reduce`` and ``tree_reduce_into`` equal the copying reference
+  kept in this file (every input copied, a new array per fold), the
+  latter while writing into a caller-owned output and leaving the inputs
+  untouched.
 * ``shard_bounds`` tiles the buffer exactly: monotone, gap-free,
   max shard size ceil(n / P).
 * The threaded communicator's ring and tree allreduce paths both land
@@ -51,6 +53,19 @@ def _vectors(p: int, n: int, seed: int):
         (rng.normal(size=n) * scale[i]).astype(np.float32).reshape(n)
         for i in range(p)
     ]
+
+
+def _tree_reduce_reference(vectors):
+    """The copying binomial-tree sum ``tree_reduce`` used to be."""
+    acc = [np.array(v, copy=True) for v in vectors]
+    p = len(acc)
+    stride = 1
+    while stride < p:
+        for i in range(0, p - stride, 2 * stride):
+            acc[i] = acc[i] + acc[i + stride]
+            acc[i + stride] = None
+        stride *= 2
+    return acc[0]
 
 
 class TestShardBounds:
@@ -115,9 +130,18 @@ class TestTreeReduceInto:
         vectors = _vectors(p, n, seed)
         out = np.empty(n, dtype=np.float32)
         tree_reduce_into(vectors, out)
-        np.testing.assert_array_equal(out, tree_reduce(vectors))
+        np.testing.assert_array_equal(out, _tree_reduce_reference(vectors))
         for v, o in zip(vectors, _vectors(p, n, seed)):
             np.testing.assert_array_equal(v, o)
+
+    @pytest.mark.parametrize("n", [1, 7, 50_891])
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_tree_reduce_is_byte_equal_to_the_copying_reference(self, p, n):
+        vectors = _vectors(p, n, seed=p * 1000 + n)
+        got = tree_reduce(vectors)
+        want = _tree_reduce_reference(vectors)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert all(got is not v for v in vectors)
 
 
 class TestThreadedCommAllreduce:

@@ -66,8 +66,10 @@ class TestPlatformOrderings:
     @given(cost=cost_model_strategy(), gpus=st.integers(2, 16))
     def test_tree_never_slower_than_flat_any_cost_model(self, cost, gpus):
         plat = GpuPlatform(num_gpus=gpus, jitter_sigma=0.0)
-        assert plat.tree_reduce_time(cost, "gpu-gpu para") <= plat.flat_exchange_time(
-            cost, "gpu-gpu para"
+        link = plat.topology.link_for("gpu-gpu para")
+        per_msg = LinkModel("msg", alpha=plat.param_plan(cost).cost(link), beta=0.0)
+        assert plat.tree_reduce_time(cost, "gpu-gpu para") <= flat_sequential_cost(
+            per_msg, 0, gpus
         )
 
     @settings(max_examples=25, deadline=None)

@@ -11,10 +11,12 @@ from repro.data.normalize import standardize, standardize_like
 from repro.data.synthetic import (
     DATASET_GEOMETRY,
     make_cifar_like,
+    make_class_prototypes,
     make_imagenet_like,
     make_mnist_like,
     make_synthetic,
 )
+from repro.util.rng import spawn_rng
 
 
 def _tiny(n=32, seed=0):
@@ -42,12 +44,6 @@ class TestDataset:
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError):
             Dataset("x", np.zeros((2, 1, 2, 2)), np.array([0, 5]), 2)
-
-    def test_subset(self):
-        ds = _tiny()
-        sub = ds.subset(np.array([0, 5, 7]))
-        assert len(sub) == 3
-        np.testing.assert_array_equal(sub.labels, ds.labels[[0, 5, 7]])
 
 
 class TestGenerators:
@@ -112,6 +108,39 @@ class TestGenerators:
         ds = make_synthetic("p", 256, num_classes=4, channels=1, height=4, width=4, seed=seed)
         assert set(np.unique(ds.labels)) == {0, 1, 2, 3}
 
+
+def _synthetic_reference(n, num_classes, channels, height, width, seed, difficulty, max_shift):
+    """The per-sample generator ``make_synthetic`` replaced: one roll per sample."""
+    protos = make_class_prototypes(num_classes, channels, height, width, seed)
+    protos = protos * np.sqrt(channels * height * width).astype(np.float32)
+    rng = spawn_rng(seed, "samples", "train")
+    labels = rng.integers(0, num_classes, size=n)
+    shifts_h = rng.integers(-max_shift, max_shift + 1, size=n)
+    shifts_w = rng.integers(-max_shift, max_shift + 1, size=n)
+    gains = (1.0 + 0.1 * rng.standard_normal(n)).astype(np.float32)
+    images = np.empty((n, channels, height, width), dtype=np.float32)
+    base = protos[labels]
+    for i in range(n):
+        img = base[i]
+        if shifts_h[i] or shifts_w[i]:
+            img = np.roll(img, (int(shifts_h[i]), int(shifts_w[i])), axis=(1, 2))
+        images[i] = img * gains[i]
+    if difficulty > 0:
+        images += np.float32(difficulty) * rng.standard_normal(images.shape).astype(np.float32)
+    return images, labels
+
+
+class TestSyntheticAgainstThePerSampleLoop:
+    @pytest.mark.parametrize("max_shift", [0, 2])
+    @pytest.mark.parametrize("geometry", [(1, 28, 28), (3, 32, 32), (3, 64, 64)],
+                             ids=lambda g: "x".join(map(str, g)))
+    def test_byte_equal(self, geometry, max_shift):
+        c, h, w = geometry
+        ds = make_synthetic("t", 300, num_classes=10, channels=c, height=h, width=w,
+                            seed=7, difficulty=0.8, max_shift=max_shift)
+        images, labels = _synthetic_reference(300, 10, c, h, w, 7, 0.8, max_shift)
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
 
 class TestNormalize:
     def test_standardize_in_place(self):

@@ -96,7 +96,8 @@ class TestVersionStore:
     def test_retention_prunes_to_keep_newest(self, tmp_path):
         manager = CheckpointManager(tmp_path, every=1, keep=2)
         for step in range(1, 6):
-            manager.save(step, {"w": np.full(3, float(step))}, {"step": step})
+            manager.save_async(step, {"w": np.full(3, float(step))}, {"step": step})
+        manager.drain()
         assert [s for s, _ in list_versions(tmp_path)] == [4, 5]
         assert manager.stats["writes"] == 5.0
         assert manager.stats["bytes"] > 0.0
@@ -289,7 +290,7 @@ class TestRngStreamState:
         clone = EventQueue()
         clone.setstate(snapshot)
         drained = []
-        while clone.peek() is not None:
+        while clone:
             drained.append(clone.pop().payload)
         assert drained == ["b", "a", "c"]  # ties stay insertion-ordered
         # The counter position survives: new pushes keep strictly newer seqs.

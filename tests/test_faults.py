@@ -120,7 +120,7 @@ class TestFaultPlanBuilders:
         assert plan.seed == 9
         assert plan.crash_time(1) == 0.5 and plan.rejoin_time(1) == 2.0
         assert plan.slowdown(2, 0.5) == 1.0 and plan.slowdown(2, 1.5) == 3.0
-        assert plan.drop_probability == 0.05
+        assert plan.to_dict()["drop_p"] == 0.05
         stall = FaultPlan.from_spec("stall:0@1.0+0.25")
         assert stall.slowdown(0, 1.1) > 1.0
         delay = FaultPlan.from_spec("delay:1.0@0.5")

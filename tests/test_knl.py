@@ -42,13 +42,6 @@ class TestChip:
         assert chip.mcdram_bytes == 16 * 1024**3
         assert chip.mcdram_bandwidth == pytest.approx(475e9)
         assert chip.ddr4_bandwidth == pytest.approx(90e9)
-        assert chip.hardware_threads == 272
-
-    def test_cluster_modes_numa_domains(self):
-        assert ClusterMode.ALL_TO_ALL.numa_domains == 1
-        assert ClusterMode.QUADRANT.numa_domains == 1
-        assert ClusterMode.SNC4.numa_domains == 4
-        assert ClusterMode.SNC2.numa_domains == 2
 
     def test_mcdram_modes_exist(self):
         assert {m.value for m in McdramMode} == {"cache", "flat", "hybrid"}

@@ -1,101 +1,14 @@
-"""Extended nn features: grouped conv, LRN, residual blocks, ResNet mini."""
+"""Extended nn features: residual blocks, ResNet mini."""
 
-from conftest import check_network_gradients
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2D
-from repro.nn.models import build_alexnet_mini, build_resnet_mini, ResidualBlock
+from repro.nn.models import build_resnet_mini, ResidualBlock
 from repro.nn.network import Network
-from repro.nn.regularization import LocalResponseNorm
 
 
 def _data(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
-
-
-class TestGroupedConv:
-    def test_param_count_halved_by_two_groups(self):
-        full = Network([Conv2D(8, 3)], input_shape=(4, 6, 6), seed=0)
-        grouped = Network([Conv2D(8, 3, groups=2)], input_shape=(4, 6, 6), seed=0)
-        # weight tensors: (8,4,3,3) vs (8,2,3,3)
-        assert grouped.num_params < full.num_params
-        assert grouped.layers[0].params["W"].shape == (8, 2, 3, 3)
-
-    def test_groups_isolate_channels(self):
-        """Group 0's output depends only on the first half of input channels."""
-        net = Network([Conv2D(4, 1, groups=2)], input_shape=(4, 3, 3), seed=1)
-        x = _data((1, 4, 3, 3), seed=2)
-        y0 = net.forward(x)
-        x2 = x.copy()
-        x2[:, 2:] += 5.0  # perturb the second group's input only
-        y1 = net.forward(x2)
-        np.testing.assert_allclose(y0[:, :2], y1[:, :2], rtol=1e-6)
-        assert not np.allclose(y0[:, 2:], y1[:, 2:])
-
-    def test_gradcheck(self):
-        net = Network([Conv2D(4, 3, pad=1, groups=2)], input_shape=(4, 4, 4), seed=3)
-        check_network_gradients(net, _data((2, 4, 4, 4), 4), _data((2, 4, 4, 4), 5))
-
-    def test_groups_one_matches_previous_behaviour(self):
-        a = Network([Conv2D(3, 3, pad=1)], input_shape=(2, 4, 4), seed=6)
-        b = Network([Conv2D(3, 3, pad=1, groups=1)], input_shape=(2, 4, 4), seed=6)
-        x = _data((2, 2, 4, 4), seed=7)
-        np.testing.assert_array_equal(a.forward(x), b.forward(x))
-
-    def test_flops_scale_inverse_with_groups(self):
-        full = Network([Conv2D(8, 3)], input_shape=(4, 6, 6), seed=0)
-        grouped = Network([Conv2D(8, 3, groups=2)], input_shape=(4, 6, 6), seed=0)
-        assert grouped.layers[0].flops_per_sample() * 2 == full.layers[0].flops_per_sample()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Conv2D(8, 3, groups=3)  # does not divide out_channels
-        with pytest.raises(ValueError):
-            Network([Conv2D(4, 3, groups=2)], input_shape=(3, 5, 5), seed=0)  # C=3
-
-
-class TestLocalResponseNorm:
-    def test_shape_preserved(self):
-        net = Network([LocalResponseNorm()], input_shape=(8, 5, 5), seed=0)
-        x = _data((2, 8, 5, 5))
-        assert net.forward(x).shape == x.shape
-
-    def test_suppresses_high_activity_neighbourhoods(self):
-        lrn = LocalResponseNorm(size=3, alpha=1.0, beta=0.75, k=1.0)
-        net = Network([lrn], input_shape=(3, 1, 1), seed=0)
-        quiet = np.zeros((1, 3, 1, 1), dtype=np.float32)
-        quiet[0, 1] = 1.0
-        busy = np.full((1, 3, 1, 1), 1.0, dtype=np.float32)
-        y_quiet = net.forward(quiet)[0, 1, 0, 0]
-        y_busy = net.forward(busy)[0, 1, 0, 0]
-        assert y_busy < y_quiet  # same unit output shrinks amid active neighbours
-
-    def test_window_sum_matches_naive(self):
-        lrn = LocalResponseNorm(size=5)
-        Network([lrn], input_shape=(7, 2, 2), seed=0)
-        x = _data((3, 7, 2, 2), seed=8)
-        fast = lrn._window_sum(x)
-        naive = np.zeros_like(x)
-        for i in range(7):
-            lo, hi = max(0, i - 2), min(7, i + 3)
-            naive[:, i] = x[:, lo:hi].sum(axis=1)
-        np.testing.assert_allclose(fast, naive, rtol=1e-5, atol=1e-6)
-
-    def test_gradcheck(self):
-        net = Network([LocalResponseNorm(size=3)], input_shape=(4, 3, 3), seed=9)
-        check_network_gradients(net, _data((2, 4, 3, 3), 10), _data((2, 4, 3, 3), 11))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalResponseNorm(size=4)  # even
-        with pytest.raises(ValueError):
-            LocalResponseNorm(beta=0.0)
-
-    def test_alexnet_lrn_option(self):
-        plain = build_alexnet_mini(seed=1)
-        with_lrn = build_alexnet_mini(seed=1, use_lrn=True)
-        assert len(with_lrn.layers) == len(plain.layers) + 1
 
 
 class TestResidualBlock:

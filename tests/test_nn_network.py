@@ -58,7 +58,7 @@ class TestPackedBuffer:
 
     def test_layer_nbytes_sums_to_total(self):
         net = _net()
-        assert sum(n for _, n in net.layer_nbytes()) == net.nbytes
+        assert sum(seg.nbytes for seg in net.segments) == net.nbytes
 
 
 class TestWeightTransport:

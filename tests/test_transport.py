@@ -5,9 +5,8 @@ Three layers of coverage:
 1. Fast units (tier-1): the ``transport=`` compatibility argument (only
    ``None`` and ``"shm"`` pass), slot-ring protocol (wraparound,
    backpressure), transport pack/decode with its in-band fallbacks, the
-   buffer arena, the ``out=`` forms of im2col/col2im and
-   ``next_batch_into``, and the ``_payload_nbytes`` fix for tuple/list
-   payloads.
+   buffer arena, ``next_batch_into``, and the ``_payload_nbytes`` fix for
+   tuple/list payloads.
 2. Process-backed integration (mp): backpressure through a real
    communicator — a sender blocked on a full ring recovers when the
    receiver drains, and raises a :class:`DeadlockError` subclass when it
@@ -42,7 +41,6 @@ from repro.comm.runtime import _payload_nbytes
 from repro.comm.shm_transport import DEFAULT_SLOTS, PickleStage, split_pickle
 from repro.data.loader import BatchSampler
 from repro.data.synthetic import make_mnist_like
-from repro.nn.tensor_ops import col2im, im2col
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 
@@ -325,47 +323,6 @@ class TestPickleStage:
     def test_nothing_staged_is_a_plain_pickle(self):
         meta, bulk = split_pickle(("fn", (1, 2)))
         assert bulk == [] and PickleStage.load(meta, None) == ("fn", (1, 2))
-
-
-class TestTensorOpsOut:
-    def _setup(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
-        return x, 3, 3, 2, 1  # x, field_h, field_w, stride, pad
-
-    def test_im2col_out_bitwise(self):
-        x, fh, fw, stride, pad = self._setup()
-        ref = im2col(x, fh, fw, stride, pad)
-        out = np.empty_like(ref)
-        got = im2col(x, fh, fw, stride, pad, out=out)
-        assert got is out
-        np.testing.assert_array_equal(got, ref)
-
-    def test_im2col_out_validation(self):
-        x, fh, fw, stride, pad = self._setup()
-        ref = im2col(x, fh, fw, stride, pad)
-        with pytest.raises(ValueError, match="out must be C-contiguous"):
-            im2col(x, fh, fw, stride, pad, out=np.empty((1, 1), dtype=x.dtype))
-        with pytest.raises(ValueError, match="out must be C-contiguous"):
-            im2col(x, fh, fw, stride, pad, out=ref.astype(np.float64))
-
-    def test_col2im_out_bitwise_and_zeroed(self):
-        x, fh, fw, stride, pad = self._setup()
-        cols = im2col(x, fh, fw, stride, pad)
-        ref = col2im(cols, x.shape, fh, fw, stride, pad)
-        n, c, h, w = x.shape
-        scratch = np.full((c, h + 2 * pad, w + 2 * pad, n), 7.0, dtype=cols.dtype)
-        got = col2im(cols, x.shape, fh, fw, stride, pad, out=scratch)
-        np.testing.assert_array_equal(got, ref)  # stale scratch contents zeroed
-        # Second use with the same workspace is still exact.
-        got2 = col2im(cols * 2, x.shape, fh, fw, stride, pad, out=scratch).copy()
-        np.testing.assert_array_equal(got2, ref * 2)
-
-    def test_col2im_out_validation(self):
-        x, fh, fw, stride, pad = self._setup()
-        cols = im2col(x, fh, fw, stride, pad)
-        with pytest.raises(ValueError, match="out must be C-contiguous"):
-            col2im(cols, x.shape, fh, fw, stride, pad, out=np.empty_like(x))
 
 
 class TestNextBatchInto:
