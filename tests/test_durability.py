@@ -475,6 +475,9 @@ class TestConfigValidation:
                 checkpoint_dir=str(tmp_path),
             ),
             cost_model=CostModel.from_spec(LENET),
-        ).normalize()
+            # Already standardized: normalize() would rescale the
+            # session-wide fixture in place under every later test.
+            normalized=True,
+        )
         with pytest.raises(ValueError, match="fixed-length"):
             run_method(spec, "sync-easgd3", target_accuracy=0.9, resume=True)

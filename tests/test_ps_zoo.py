@@ -17,6 +17,8 @@ CenterStore/WorkerRule seam:
   force's conservation of ``sum_i x_i + x~`` for every elastic pairing.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.algorithms import TrainerConfig, make_trainer
 from repro.algorithms.ps_runner import (
     PS_RUNNER_METHODS,
+    run_mpi_async_easgd,
     run_mpi_gossip,
     run_mpi_ps,
 )
@@ -317,6 +320,75 @@ class TestBackendEquivalence:
                          seed=3, tau=1, backend="threads")
         assert res.extras["staleness_rejected"] > 0
         assert res.extras["staleness_max_applied"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# the rank twin's bits, pinned: one sha256 per run
+# ---------------------------------------------------------------------------
+#: case id -> (method, ranks, extra run_mpi_ps keywords); every case runs 4
+#: iterations at batch 16, seed 3, on threads.
+PINNED_RUNS = {
+    **{method: (method, 3, {}) for method in PS_RUNNER_METHODS},
+    "bounded-async-easgd-tau1": ("bounded-async-easgd", 4, {"tau": 1}),
+    "async-easgd-history": ("async-easgd", 3, {"record_history": True}),
+    "downpour-one-worker": ("downpour", 2, {}),
+    "async-easgd-three-workers": ("async-easgd", 4, {}),
+}
+
+#: sha256 of each case's center, workers, mean losses, extras and history.
+PINNED_SHA256 = {
+    "adag": "3db1866671c30dd2385b073f4644bfa72f55353052d81c05f6c9aacdd638f0c5",
+    "async-easgd": "f6f3413507586959f1b23a619a33040e33c560c0b6b592c15405cd99c540c832",
+    "async-easgd-history": "98ab83926b8d6e0bb6712ad364356bd7e2eb318ed4512ce80873d1c0fc3fbf6f",
+    "async-easgd-three-workers": "d48bca9f65f01138db435316adae3f756f3472a57a31186a08cbea5b8fabf7fd",
+    "async-measgd": "d7ea2a0a96dfc9839530165b898ec53ea0ab85c86ecf328f5c862647e8ab188c",
+    "bounded-async-easgd": "d1b6fb7e8545ef6b4d631930716f8ff842f19880c7eea4ffef1db1cd46ed6c08",
+    "bounded-async-easgd-tau1": "f4168398ad35648f435d9c0bec2266a9407b0d50c5530f75050afc3a0899cb81",
+    "downpour": "0760d7930d3397ce520eae2e82bf2953625314b250de366109abed61f216c9c3",
+    "downpour-one-worker": "571ee3898438dfcd01fc391eb446b9b6f28ee2b64be1ff6a4955aaafe3bfe287",
+    "eamsgd": "dc487db2e0fa1e9a3112313a31c5b5f8c6b00fb549316c8ffca4eb61c502285b",
+}
+
+
+def _run_digest(result) -> str:
+    h = hashlib.sha256()
+    for arr in (result.center, *result.worker_weights, *result.center_history):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(np.asarray(result.mean_losses, dtype=np.float64).tobytes())
+    h.update(repr(sorted(result.extras.items())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_rank_twin_bits_are_pinned(case, mnist_tiny):
+    """Center, every worker, the per-round mean loss, the extras and the
+    center history of the PS rank twin, byte for byte, for every
+    ``PS_RUNNER_METHODS`` row plus a rejecting bound, a recorded history,
+    one worker and three. The service order is a round-robin over
+    workers 1..W, whatever carries it, so these bits are the schedule's.
+
+    Like ``test_lenet_gradient_bits_are_pinned``, the constants depend on
+    the BLAS build (a different GEMM blocking moves the last bits): a
+    change to the runner must keep them; a new NumPy/BLAS may re-record
+    them.
+    """
+    method, ranks, kwargs = PINNED_RUNS[case]
+    train, _ = mnist_tiny
+    net = build_mlp(seed=7)
+    net.forward(train.images[:1])  # materialize params before cloning
+    kwargs = dict(kwargs)
+    if kwargs.pop("record_history", False):
+        result = run_mpi_async_easgd(net, train, ranks=ranks, iterations=4,
+                                     batch_size=16, seed=3, record_history=True,
+                                     backend="threads")
+        assert len(result.center_history) == 4
+    else:
+        result = run_mpi_ps(method, net, train, ranks=ranks, iterations=4,
+                            batch_size=16, seed=3, backend="threads", **kwargs)
+    assert len(result.worker_weights) == ranks - 1
+    if case == "bounded-async-easgd-tau1":
+        assert result.extras["staleness_rejected"] > 0
+    assert _run_digest(result) == PINNED_SHA256[case]
 
 
 # ---------------------------------------------------------------------------
