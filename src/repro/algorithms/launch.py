@@ -80,10 +80,10 @@ def launch(
         mean_losses = list(reported[0])
     else:  # peers each report their own: average per round
         mean_losses = [float(np.mean(per_round)) for per_round in zip(*reported)]
-    root = outcomes[0]
+    root = next((o for o in outcomes if o.center is not None), outcomes[0])
     return MpiResult(
         center=root.center,
-        worker_weights=[o.local for o in outcomes if o.local is not None],
+        worker_weights=[o.local for o in outcomes],
         center_history=list(root.history),
         mean_losses=mean_losses,
         extras=dict(root.extras or {}),

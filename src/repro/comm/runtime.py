@@ -655,6 +655,14 @@ class RankContextBase:
             return None
         return self._arenas(tag, int(elems))
 
+    def shared_row(self, tag: int, elems: int) -> Optional[np.ndarray]:
+        """A float32 row of ``elems`` every rank of this cell maps: the
+        result row of the arena channel ``tag`` (no collective may use that
+        tag), or None where :meth:`_collective_arena` gives no arena. A
+        pooled arena outlives the cell: its first contents are stale."""
+        arena = self._collective_arena(tag, elems)
+        return None if arena is None else arena.result
+
     def _token_out(self, dest: int, tag: int, nbytes: int, rnd: int) -> None:
         """Send one arena token: a row is ready, or a fold is done.
 

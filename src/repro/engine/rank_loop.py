@@ -28,11 +28,11 @@ TAG_GOSSIP = 13  # peer <-> peer pairwise exchange (clear of the collective stri
 class RankOutcome(NamedTuple):
     """What one rank returns to the launcher."""
 
-    local: Optional[np.ndarray]  # this rank's final replica (None: a pure server)
-    center: Optional[np.ndarray] = None  # rank 0: the center / the shared weights
-    history: Sequence[np.ndarray] = ()  # rank 0: center snapshot per round
+    local: np.ndarray  # this rank's final replica
+    center: Optional[np.ndarray] = None  # one rank: the center / the shared weights
+    history: Sequence[np.ndarray] = ()  # the center's rank: its snapshot per round
     losses: Sequence[float] = ()  # per-round batch loss, from the ranks that report one
-    extras: Optional[Dict[str, float]] = None  # rank 0: method-specific scalars
+    extras: Optional[Dict[str, float]] = None  # the center's rank: method-specific scalars
 
 
 def rank_steps(ctx, iterations: int) -> Iterator[int]:

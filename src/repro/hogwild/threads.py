@@ -1,12 +1,12 @@
 """Hogwild training on a shared-memory center (threads or processes).
 
 :class:`HogwildRunner` runs one :data:`repro.engine.ps.PS_FAMILIES` row
-on workers that share the center itself instead of messaging a server.
-Each worker runs the row's local pass, serves its payload to the row's
-store bound to the shared center, and folds the reply with the row's
-rule: the sequence the simulated trainer and the rank program
-(:mod:`repro.algorithms.ps_runner`) run, so the row's mathematics exists
-once for every plane. With one worker nothing races, and the final
+on workers that share the center itself, with no turn order. Each worker
+runs the row's local pass, serves its payload to the row's store bound
+to the shared center, and folds the reply with the row's rule: the
+sequence the simulated trainer and the rank program
+(:mod:`repro.algorithms.ps_runner`, whose workers take round-robin
+turns) run, so the row's mathematics exists once for every plane. With one worker nothing races, and the final
 center is byte-equal to the simulated row's.
 
 The row decides the lock. A lock-free row (``hogwild-sgd``,

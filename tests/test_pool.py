@@ -29,7 +29,7 @@ from repro.algorithms.base import TrainerConfig
 from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
 from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
-from repro.algorithms.ps_runner import run_mpi_gossip, run_mpi_ps
+from repro.algorithms.ps_runner import PS_RUNNER_METHODS, run_mpi_gossip, run_mpi_ps
 from repro.comm.mp_runtime import fork_available, RemoteRankError
 from repro.comm.runtime import MultiRankError
 from repro.comm.shm_lifecycle import registered_segments, ShmCapacityError
@@ -107,21 +107,27 @@ def test_sync_easgd_pooled_matches_cold(inputs, backend):
 @pytest.mark.slow
 @pytest.mark.mp
 @needs_fork
-@pytest.mark.parametrize("backend", ["processes"])
-def test_async_easgd_pooled_matches_cold(inputs, backend):
+@pytest.mark.parametrize("method", sorted(PS_RUNNER_METHODS))
+def test_ps_row_pooled_matches_cold_and_threads(inputs, method):
+    """Every PS rank-twin row: pooled cells, whose shared center is an
+    arena the pool keeps (the second cell finds the first's center in
+    it), give a cold fork's bits and the threads' bits, and neither a
+    cold run nor a closed pool leaves a segment behind."""
     net, train, _ = inputs
-    cold = run_mpi_async_easgd(
-        net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
-        backend=backend,
-    )
+    before = set(_shm_listing())
+
+    def run(**launch):
+        result = run_mpi_ps(method, net, train, ranks=RANKS, iterations=ITERS,
+                            batch_size=BATCH, **launch)
+        return _sync_digests(result), result.mean_losses, result.extras
+
+    cold = run(backend="processes")
+    assert set(_shm_listing()) <= before, "a cold run leaked segments"
     with WorkerPool(RANKS) as pool:
-        pooled = run_mpi_async_easgd(
-            net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
-            backend=backend, pool=pool,
-        )
-    assert _digest(cold.center) == _digest(pooled.center)
-    assert [_digest(w) for w in cold.worker_weights] == \
-        [_digest(w) for w in pooled.worker_weights]
+        assert run(backend="processes", pool=pool) == cold
+        assert run(backend="processes", pool=pool) == cold  # reused arena
+    assert set(_shm_listing()) <= before, "pool close leaked segments"
+    assert run(backend="threads") == cold
 
 
 #: The five public rank programs a sweep launches (the spine's

@@ -39,7 +39,7 @@ from repro.faults import FaultPlan
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 from repro.optim.easgd import EASGDHyper
-from repro.trace import check_all, to_jsonl
+from repro.trace import check_all, to_jsonl, Trace
 from repro.trace.metrics import staleness_stats
 
 pytestmark = pytest.mark.algorithms
@@ -389,6 +389,39 @@ def test_rank_twin_bits_are_pinned(case, mnist_tiny):
     if case == "bounded-async-easgd-tau1":
         assert result.extras["staleness_rejected"] > 0
     assert _run_digest(result) == PINNED_SHA256[case]
+
+
+@pytest.mark.parametrize("backend", [
+    "threads",
+    pytest.param("processes", marks=[
+        pytest.mark.mp,
+        pytest.mark.skipif(not fork_available(), reason="needs the fork start method"),
+    ]),
+])
+@pytest.mark.parametrize("method", ["async-easgd", "bounded-async-easgd"])
+def test_traced_rank_twin_serves_round_robin_on_tokens(method, backend, mnist_tiny):
+    """A traced run keeps the trace honest: every invariant of the ``ps``
+    pattern holds (FCFS service, message conservation), each worker is
+    served once per iteration in round-robin order with no two services
+    overlapping, and no message carries the center's bytes — only turn
+    tokens cross the fabric."""
+    train, _ = mnist_tiny
+    net = build_mlp(seed=7)
+    net.forward(train.images[:1])
+    trace, iterations, workers = Trace(), 3, RANKS - 1
+    run_mpi_ps(method, net, train, ranks=RANKS, iterations=iterations,
+               batch_size=16, seed=3, backend=backend, trace=trace)
+    ran = check_all(trace)
+    assert {"message-conservation", "fcfs-service"} <= set(ran)
+    served = sorted(trace.by_kind("service"), key=lambda e: e.t0)
+    assert [(e.iteration, e.rank) for e in served] == [
+        (t, r) for t in range(1, iterations + 1) for r in range(workers)]
+    assert all(e.op == "ps-serve" and e.nbytes == net.params.nbytes for e in served)
+    for prev, cur in zip(served, served[1:]):
+        assert prev.t1 <= cur.t0
+    messages = trace.by_kind("send", "recv")
+    assert len(trace.sends()) == workers * iterations - 1
+    assert messages and all(e.nbytes == 0 for e in messages)
 
 
 # ---------------------------------------------------------------------------
