@@ -93,7 +93,7 @@ def ps_rank_program(ctx: RankContextBase, key: str, template: Network,
     rule = row.rule()
     init = template.get_params()
     state = rule.init_state(init)
-    sampler = BatchSampler(train_set, batch_size, seed, name=("worker", j))
+    sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
     loss = SoftmaxCrossEntropy()
     center = ctx.shared_row(TAG_TURN, init.size)  # None: a lone worker
     store = row.store(hyper, workers).bind(init if center is None else center)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import TrainerConfig
+from repro.algorithms.ps_runner import PS_RUNNER_METHODS, run_mpi_ps
 from repro.comm.shm_lifecycle import registered_segments
 from repro.engine.ps import ElasticCenterStore, SgdServerStore
 from repro.harness.experiment import ExperimentSpec, build_trainer
@@ -65,17 +66,22 @@ def _simulated_center(mnist_tiny, method, steps):
 
 @pytest.mark.mp
 @pytest.mark.parametrize("backend", ["threads", "processes"])
-@pytest.mark.parametrize("method", HOGWILD_METHODS)
+@pytest.mark.parametrize("method", sorted(set(HOGWILD_METHODS) | set(PS_RUNNER_METHODS)))
 def test_one_worker_is_the_simulated_row(mnist_tiny, method, backend):
     """With nothing to race, the shared center runs the row's sequence
     (local pass, serve, apply) on the simulator's sampler: same bits."""
-    res = HogwildRunner(
-        build_mlp(seed=7), mnist_tiny[0], num_workers=1,
-        steps_per_worker=ONE_WORKER_STEPS, method=method, batch_size=16,
-        lr=0.05, rho=2.0, seed=0, backend=backend,
-    ).run()
+    if method in PS_RUNNER_METHODS:
+        final = run_mpi_ps(method, build_mlp(seed=7), mnist_tiny[0], ranks=2,
+                           iterations=ONE_WORKER_STEPS, batch_size=16, lr=0.05,
+                           rho=2.0, seed=0, backend=backend).center
+    else:
+        final = HogwildRunner(
+            build_mlp(seed=7), mnist_tiny[0], num_workers=1,
+            steps_per_worker=ONE_WORKER_STEPS, method=method, batch_size=16,
+            lr=0.05, rho=2.0, seed=0, backend=backend,
+        ).run().final_weights
     center = _simulated_center(mnist_tiny, method, ONE_WORKER_STEPS)
-    assert res.final_weights.tobytes() == center.tobytes()
+    assert final.tobytes() == center.tobytes()
 
 
 class TestHogwildRunner:

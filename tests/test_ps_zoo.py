@@ -337,16 +337,16 @@ PINNED_RUNS = {
 
 #: sha256 of each case's center, workers, mean losses, extras and history.
 PINNED_SHA256 = {
-    "adag": "3db1866671c30dd2385b073f4644bfa72f55353052d81c05f6c9aacdd638f0c5",
-    "async-easgd": "f6f3413507586959f1b23a619a33040e33c560c0b6b592c15405cd99c540c832",
-    "async-easgd-history": "98ab83926b8d6e0bb6712ad364356bd7e2eb318ed4512ce80873d1c0fc3fbf6f",
-    "async-easgd-three-workers": "d48bca9f65f01138db435316adae3f756f3472a57a31186a08cbea5b8fabf7fd",
-    "async-measgd": "d7ea2a0a96dfc9839530165b898ec53ea0ab85c86ecf328f5c862647e8ab188c",
-    "bounded-async-easgd": "d1b6fb7e8545ef6b4d631930716f8ff842f19880c7eea4ffef1db1cd46ed6c08",
-    "bounded-async-easgd-tau1": "f4168398ad35648f435d9c0bec2266a9407b0d50c5530f75050afc3a0899cb81",
-    "downpour": "0760d7930d3397ce520eae2e82bf2953625314b250de366109abed61f216c9c3",
-    "downpour-one-worker": "571ee3898438dfcd01fc391eb446b9b6f28ee2b64be1ff6a4955aaafe3bfe287",
-    "eamsgd": "dc487db2e0fa1e9a3112313a31c5b5f8c6b00fb549316c8ffca4eb61c502285b",
+    "adag": "2ba9e88a85e0050805538d28d28a0f85b068f5bc4342bdf6fa46a658ad552d43",
+    "async-easgd": "a2a6937c00dc719e5eccd959c4dad2bddb9658b6e260bbb43095678f4cf4611d",
+    "async-easgd-history": "f9b1d3adf73438658e21679e1549c6d017ee308b11350fa40bed3160cf16d17f",
+    "async-easgd-three-workers": "95bc22cb4e509de67503eabdaf558d41a6327bed70591f4d8ff53bd4ea76a3e0",
+    "async-measgd": "b8e2ccc9da46ffae43f363e0eb2b36bbaf99f9a4b87e5abb874b3d5267e7a60b",
+    "bounded-async-easgd": "dde57cbfc6e4d2115559f2f8c8cc093173113578acedf4f99c41f44ff73eb54c",
+    "bounded-async-easgd-tau1": "20d4d014f071c4864e7259022b64b3dd6eaed06e964e4392d9cc8119bb232475",
+    "downpour": "1827a891129f5882d177e11e4fd42292d5e16bba143101bf325f65d8b47001f6",
+    "downpour-one-worker": "6f423bde213595dcea747ae81e85d740305b5ee20f0b3b83ef7b9b7c6ee278cc",
+    "eamsgd": "95b0ba2441b6dc3b67cecee0828b6706d1d1a4d9ec4360aba13d66fb1ef723a5",
 }
 
 
