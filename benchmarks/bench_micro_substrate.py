@@ -2,16 +2,16 @@
 
 These time the *simulator itself* (wall clock), not simulated seconds:
 the NumPy conv engine, the deterministic tree reduction, the batch
-sampler, the event queue, and the real-threads Hogwild runner. Useful for
+sampler, the event queue, and real-thread Hogwild EASGD. Useful for
 keeping the reproduction fast enough to iterate on.
 """
 
 import numpy as np
 
+from repro.algorithms.ps_runner import run_mpi_ps
 from repro.cluster.simclock import EventQueue
 from repro.comm.collectives import tree_reduce
 from repro.data import BatchSampler, make_mnist_like
-from repro.hogwild import HogwildRunner
 from repro.nn.models import build_lenet, build_mlp
 
 
@@ -75,10 +75,8 @@ def bench_hogwild_threads(benchmark):
     net = build_mlp(seed=0)
 
     def run():
-        return HogwildRunner(
-            net, train, num_workers=4, steps_per_worker=10, method="hogwild-easgd",
-            batch_size=16,
-        ).run()
+        return run_mpi_ps("hogwild-easgd", net, train, ranks=5, iterations=10,
+                          batch_size=16)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    assert result.total_steps == 40
+    assert len(result.mean_losses) == 10

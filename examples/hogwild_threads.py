@@ -3,10 +3,12 @@
 
 Unlike the simulated trainers, this example runs genuine Python threads
 racing on one shared center (NumPy kernels release the GIL), each running
-the same registry row the simulator reads. It compares three rows at
-equal update counts:
+the same registry row the simulator reads, through the one asynchronous
+rank program (``run_mpi_ps``; its ``ranks`` counts the center's slot). It
+compares three rows at equal update counts:
 
-- ``async-easgd``: locked master, EASGD rule (the classic parameter server);
+- ``async-easgd``: the master's lock, EASGD rule (the classic parameter
+  server; the workers take turns at the center);
 - ``hogwild-easgd``: lock-free master, EASGD rule (the paper's Hogwild EASGD);
 - ``hogwild-sgd``: lock-free master, SGD rule (classic Hogwild).
 
@@ -16,8 +18,10 @@ break convergence, and it removes the master's serialization.
 Run:  python examples/hogwild_threads.py
 """
 
+from time import perf_counter
+
+from repro.algorithms.ps_runner import run_mpi_ps
 from repro.data import make_mnist_like, standardize, standardize_like
-from repro.hogwild import HogwildRunner
 from repro.nn import build_mlp
 from repro.util.tables import TextTable
 
@@ -33,23 +37,24 @@ def main() -> None:
     table = TextTable(["method", "updates", "wall time", "test accuracy"])
     for method in ("async-easgd", "hogwild-easgd", "hogwild-sgd"):
         net = build_mlp(seed=11)
-        runner = HogwildRunner(
+        start = perf_counter()
+        result = run_mpi_ps(
+            method,
             net,
             train,
-            num_workers=WORKERS,
-            steps_per_worker=STEPS,
-            method=method,
+            ranks=WORKERS + 1,
+            iterations=STEPS,
             batch_size=32,
             lr=0.03 if method == "hogwild-sgd" else 0.05,
             rho=2.0,
             seed=0,
         )
-        result = runner.run()
-        net.set_params(result.final_weights)
+        wall = perf_counter() - start
+        net.set_params(result.center)
         acc = net.evaluate(test.images, test.labels)
-        table.add_row([method, result.total_steps, f"{result.wall_seconds:.2f}s", f"{acc:.3f}"])
-        print(f"ran {method}: {result.total_steps} updates "
-              f"in {result.wall_seconds:.2f}s wall, accuracy {acc:.3f}")
+        updates = WORKERS * STEPS
+        table.add_row([method, updates, f"{wall:.2f}s", f"{acc:.3f}"])
+        print(f"ran {method}: {updates} updates in {wall:.2f}s wall, accuracy {acc:.3f}")
 
     print("\nsummary:")
     print(table.render())

@@ -18,8 +18,6 @@ Subpackages
     All nine training algorithms of Sections 3, 5 and 6.
 ``repro.knl``
     KNL chip model, Section 6.2 chip partitioning, Algorithm 4 trainer.
-``repro.hogwild``
-    Real lock-free training (threads or processes) on a shared center.
 ``repro.faults``
     Deterministic fault schedules (crash/straggler/drop) + recovery.
 ``repro.durability``

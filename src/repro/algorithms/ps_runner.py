@@ -1,28 +1,42 @@
 """The asynchronous families over the rank runtimes (threads/processes).
 
 The message-passing twin of :class:`repro.algorithms.async_ps
-.AsyncPSTrainer`: one deterministic rank program that reads the same
+.AsyncPSTrainer`: one rank program that reads the same
 :data:`repro.engine.ps.PS_FAMILIES` row the simulation reads. Every rank
 is a worker whose arrays, local steps, payload and reply fold all come
 from the row's rule; the center has no rank of its own. It lives in the
 cell's shared arena (heap rows between threads, a named segment between
-processes), bound to the row's store, and the workers take turns at it:
-a turn token goes round the ring of workers, and only its holder calls
-``store.serve``. That is Sync EASGD2's placement (the center on the
-device the workers share) with Original EASGD's round-robin master as a
-service *order* instead of a process: worker 1..W each round, so the
-final weights are bit-identical across backends (``threads`` vs
-``processes``) and pooled or cold launches — determinism bought with the
-wall-clock freedom of a first-come-first-served master, whose
-contention behaviour the simulated trainer covers.
+processes), bound to the row's store, and the row decides how the
+workers reach it — the paper's own framing of Hogwild EASGD as Async
+EASGD with the master's lock taken out:
 
-The token carries the master's scalars, so admission is decided exactly
-as a serial server would: the master version, the round's loss sum and,
-for a bounded row, the :class:`~repro.engine.ps.StalenessBound`
-counters; a rejected worker resyncs from the center. No byte of the
-center ever travels in a message. The reply is detached before the
-token moves on (the next holder folds into the center), and the worker
-folds it after passing the token.
+- A **locked** row's workers take turns: a turn token goes round the
+  ring of workers, and only its holder calls ``store.serve``. That is
+  Sync EASGD2's placement (the center on the device the workers share)
+  with Original EASGD's round-robin master as a service *order* instead
+  of a process: worker 0..W-1 each round, one of the orders a
+  first-come-first-served lock allows, so the final weights are
+  bit-identical across backends (``threads`` vs ``processes``) and
+  pooled or cold launches — determinism bought with the wall-clock
+  freedom of an FCFS master, whose contention behaviour the simulated
+  trainer covers. The token carries the master's scalars, so admission
+  is decided exactly as a serial server would: the master version, the
+  round's loss sum and, for a bounded row, the
+  :class:`~repro.engine.ps.StalenessBound` counters; a rejected worker
+  resyncs from the center. The reply is detached before the token moves
+  on (the next holder folds into the center), and the worker folds it
+  after passing the token.
+- A **lock-free** row's workers serve whenever they get there, so their
+  ``+=`` race on the center as the paper's lock-free master does (NumPy
+  ufuncs release the GIL between threads; processes race in physical
+  memory). Worker 0 seeds the center and releases each peer with one
+  0-byte message before anyone serves; the last worker pulls the center
+  after one 0-byte "done" message from each peer. Each worker reports
+  its own per-round loss.
+
+No byte of the center ever travels in a message. With one worker
+nothing races or waits, and the final center is byte-equal to the
+simulated row's.
 
 Gossip has no center — peers average pairwise over a tournament schedule —
 so :func:`run_mpi_gossip` runs the simulator's synchronous
@@ -64,16 +78,16 @@ __all__ = [
     "run_mpi_gossip",
 ]
 
-#: Wire tag of the turn token (clear of the collective strides); the
-#: shared center is the arena channel of the same tag.
+#: Wire tag of the turn token and of the lock-free release and done
+#: messages (clear of the collective strides); the shared center is the
+#: arena channel of the same tag.
 TAG_TURN = 11
 
-#: Families with a rank-program twin: the rows whose service discipline a
-#: round-robin turn at the shared center reproduces. The lock-free rows
-#: and ``async-sgd`` have theirs in :class:`repro.hogwild.HogwildRunner`,
-#: whose workers serve without a turn. ``async-msgd`` has none: its
-#: server velocity is a second store array beside the center.
-PS_RUNNER_METHODS = ("async-easgd", "async-measgd", "downpour", "adag", "eamsgd",
+#: Families with a rank-program twin: every centered row whose master is
+#: the center alone. ``async-msgd`` has none: its server velocity is a
+#: second store array beside the center.
+PS_RUNNER_METHODS = ("async-sgd", "hogwild-sgd", "async-easgd", "async-measgd",
+                     "hogwild-easgd", "downpour", "adag", "eamsgd",
                      "bounded-async-easgd")
 
 
@@ -82,21 +96,25 @@ def ps_rank_program(ctx: RankContextBase, key: str, template: Network,
                     local_steps: int, hyper: EASGDHyper, seed: int,
                     bound: Optional[StalenessBound],
                     record_history: bool) -> RankOutcome:
-    """Worker ``ctx.rank + 1`` of family ``key`` (rows hold factories, so
-    the key travels): local pass(es), a turn at the shared center, then
-    the reply's fold. The last worker reports the center, the per-round
-    mean loss, the history and the extras."""
+    """Worker ``ctx.rank`` of family ``key`` (rows hold factories, so the
+    key travels): local pass(es), a serve at the shared center — on its
+    turn, or whenever it gets there if the row is lock-free — then the
+    reply's fold. The last worker reports the center, the history and the
+    extras; the per-round mean loss is the turn's (locked) or each
+    worker's own (lock-free)."""
     row = PS_FAMILIES[key]
-    workers, j = ctx.size, ctx.rank + 1
-    last = j == workers
-    net = template.clone(name=f"ps-rank{j}")
+    workers, rank = ctx.size, ctx.rank
+    last = rank == workers - 1
+    net = template.clone(name=f"ps-w{rank}")
     rule = row.rule()
     init = template.get_params()
     state = rule.init_state(init)
-    sampler = BatchSampler(train_set, batch_size, seed, name=("worker", ctx.rank))
+    sampler = BatchSampler(train_set, batch_size, seed, name=("worker", rank))
     loss = SoftmaxCrossEntropy()
     center = ctx.shared_row(TAG_TURN, init.size)  # None: a lone worker
     store = row.store(hyper, workers).bind(init if center is None else center)
+    token = center is not None and not row.lock_free
+    race = center is not None and row.lock_free
     bound = copy.copy(bound)  # thread ranks share their arguments
     trace = ctx.trace
     version = worker_version = 0
@@ -104,14 +122,19 @@ def ps_rank_program(ctx: RankContextBase, key: str, template: Network,
     history: List[np.ndarray] = []
     mean_losses: List[float] = []
 
-    if center is not None and j == 1:
+    if center is not None and rank == 0:
         np.copyto(center, init)  # a pooled arena holds the last cell's bits
+        if race:
+            for peer in range(1, workers):
+                ctx.send(None, dest=peer, tag=TAG_TURN)
+    elif race:
+        ctx.recv(source=0, tag=TAG_TURN)  # the center is seeded
 
     for t in rank_steps(ctx, iterations):
         batch_loss = row.local_passes(rule, state, net, sampler, loss, hyper, local_steps)
         grad = net.grads
-        if center is not None and (j > 1 or t > 1):
-            version, loss_sum, counters = ctx.recv(source=(j - 2) % workers, tag=TAG_TURN)
+        if token and (rank > 0 or t > 1):
+            version, loss_sum, counters = ctx.recv(source=(rank - 1) % workers, tag=TAG_TURN)
             if bound is not None:
                 bound.load_state_dict(counters)
         t0 = ctx._elapsed() if trace is not None else 0.0
@@ -123,28 +146,33 @@ def ps_rank_program(ctx: RankContextBase, key: str, template: Network,
         else:
             reply = store.serve(payload)
             if reply is store.weights:
-                reply = store.pull()  # the next turn folds into the center
+                reply = store.pull()  # the next serve folds into the center
             version += 1
         worker_version = version
-        if last:
-            mean_losses.append(loss_sum / workers)
+        if last or row.lock_free:
+            mean_losses.append(loss_sum / (1 if row.lock_free else workers))
             loss_sum = 0.0
-            if record_history:
-                history.append(store.pull())
+        if last and record_history:
+            history.append(store.pull())
         if trace is not None:
-            # value = when the turn began: the FCFS invariant checks
+            # value = when the serve began: the FCFS invariant checks
             # service order against it.
             trace.span("service", ctx.rank, t0, ctx._elapsed(), op="ps-serve",
                        nbytes=payload.nbytes, iteration=t, value=t0)
-        if center is not None and not (last and t == iterations):
+        if token and not (last and t == iterations):
             ctx.send((version, loss_sum, None if bound is None else bound.state_dict()),
-                     dest=j % workers, tag=TAG_TURN)
+                     dest=(rank + 1) % workers, tag=TAG_TURN)
         if verdict == "reject":
             rule.resync(state, reply)  # local progress is discarded
         else:
             rule.apply(state, grad, reply, hyper)
+    if race and last:
+        for peer in range(workers - 1):
+            ctx.recv(source=peer, tag=TAG_TURN)  # its last serve has landed
+    elif race:
+        ctx.send(None, dest=workers - 1, tag=TAG_TURN)
     if not last:
-        return RankOutcome(state["w"])
+        return RankOutcome(state["w"], losses=mean_losses)
     return RankOutcome(state["w"], store.pull(), history, mean_losses,
                        None if bound is None else bound.extras())
 
@@ -167,7 +195,8 @@ def _run_family(method: str, network: Network, train_set: Dataset, ranks: int,
          seed, bound, record_history),
         ranks - 1, iterations, min_ranks=1,
         trace_meta={"method": f"MPI {row.name}", "pattern": "ps",
-                    "service": "round-robin", **row.trace_meta(local_steps, bound)},
+                    "service": "lock-free" if row.lock_free else "round-robin",
+                    **row.trace_meta(local_steps, bound)},
         **launch_kwargs,
     )
 
@@ -194,9 +223,11 @@ def run_mpi_ps(
     """Run one centered family across ``ranks`` real threads/processes.
 
     ``ranks`` counts the center's slot: ``ranks - 1`` workers train, each
-    on a rank of its own, and take round-robin turns at the shared center.
-    The turn order makes the schedule deterministic, so the returned
-    weights are bit-identical across backends for a fixed seed.
+    on a rank of its own, and serve at the shared center. A locked row's
+    workers take round-robin turns, which makes the schedule deterministic:
+    the returned weights are bit-identical across backends for a fixed
+    seed. A lock-free row's workers race (``hogwild-sgd``,
+    ``hogwild-easgd``), and ``mean_losses`` averages their own losses.
     ``local_steps`` and ``tau`` default to the family's own values; a
     family that cannot honour a passed one raises a ``ValueError`` naming
     it. ``transport``/``pool``: see :func:`repro.algorithms.launch.launch`.

@@ -26,10 +26,10 @@ from repro.comm.mp_runtime import (
     fork_available,
     MultiprocessCommunicator,
     RemoteRankError,
-    SharedFlatArray,
 )
 from repro.comm.packing import MessagePlan, packed_plan, per_layer_plan
 from repro.comm.runtime import (
+    CellAborted,
     COLLECTIVE_TAG_STRIDE,
     collective_wire_tags,
     DeadlockError,
@@ -69,13 +69,13 @@ __all__ = [
     "KnlClusterTopology",
     "COLLECTIVE_TAG_STRIDE",
     "collective_wire_tags",
+    "CellAborted",
     "DeadlockError",
     "MultiRankError",
     "InProcessCommunicator",
     "RankContextBase",
     "MultiprocessCommunicator",
     "RemoteRankError",
-    "SharedFlatArray",
     "fork_available",
     "BACKENDS",
     "BufferArena",

@@ -2,7 +2,7 @@
 
 One knob — ``backend="threads" | "processes"`` — chooses the execution
 substrate for every rank-program consumer (the message-passing trainers,
-the KNL chip-partition trainer, the Hogwild runner, ``knl --backend``). Both
+the KNL chip-partition trainer, ``knl --backend``). Both
 communicators expose the same surface and, because their rank contexts
 share :class:`repro.comm.runtime.RankContextBase`, the same collective
 association order: switching backends changes wall-clock behaviour, never

@@ -32,8 +32,7 @@ Design:
   :class:`repro.pool.WorkerPool` — the attached one, or a private pool
   built for that call and closed after it. The private pool carries
   ``(fn, args)`` as its fork-inherited payload, so cold rank programs
-  stay ordinary closures (nothing is pickled on the way in), and
-  inherited :class:`SharedFlatArray` mappings need no reattachment.
+  stay ordinary closures (nothing is pickled on the way in).
   ``CLOCK_MONOTONIC`` is system-wide on Linux, so child timestamps are
   coherent with the parent's.
 - Results, trace events, and fault records travel back on each worker's
@@ -49,22 +48,14 @@ Design:
   Multiple
   failures aggregate through :meth:`MultiRankError.aggregate`, exactly as
   in the thread backend.
-
-Shared memory: :class:`SharedFlatArray` wraps a named
-``multiprocessing.shared_memory`` segment as a flat float32 NumPy array —
-the center that :class:`repro.hogwild.HogwildRunner`'s forked workers
-share on ``processes``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from multiprocessing import shared_memory
 import pickle
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.comm.runtime import (
     _DEFAULT_TIMEOUT,
@@ -72,13 +63,11 @@ from repro.comm.runtime import (
     MultiRankError,
     RankContextBase,
 )
-from repro.comm.shm_lifecycle import create_segment, unregister_segment
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 
 __all__ = [
     "fork_available",
-    "SharedFlatArray",
     "RemoteRankError",
     "MultiprocessCommunicator",
     "run_rank_program",
@@ -89,104 +78,6 @@ __all__ = [
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists (POSIX yes, Windows no)."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-class SharedFlatArray:
-    """A named shared-memory segment viewed as a flat NumPy array.
-
-    A vector in one POSIX shared-memory segment that every process maps
-    to the same physical pages — a worker's in-place update is immediately
-    visible to all others, which is precisely the Hogwild memory model.
-    ``array`` is a zero-copy ``np.frombuffer`` view.
-
-    ``dtype`` defaults to float32 (the packed-parameter convention every
-    existing call site relies on); any fixed-width dtype is accepted.
-
-    Lifecycle: the creating process owns the segment and should call
-    :meth:`unlink` when done (``close`` releases only this mapping).
-    Forked children inherit the mapping and need no attach; unrelated
-    processes can :meth:`attach` by name.
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        size: int,
-        owner: bool,
-        dtype: Any = np.float32,
-    ) -> None:
-        self._shm = shm
-        self.size = int(size)
-        self.owner = owner
-        self.dtype = np.dtype(dtype)
-        self.array: np.ndarray = np.frombuffer(shm.buf, dtype=self.dtype, count=self.size)
-
-    @property
-    def name(self) -> str:
-        """The segment's system-wide name (attachable from any process)."""
-        return self._shm.name
-
-    @classmethod
-    def create(
-        cls, size: int, name: Optional[str] = None, dtype: Any = np.float32
-    ) -> "SharedFlatArray":
-        """Allocate a zero-filled segment of ``size`` ``dtype`` elements."""
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        dtype = np.dtype(dtype)
-        # Lifecycle-tracked unless the caller names it: the pid-stamped name
-        # lets a later run reap this segment if the creator dies before any
-        # unlink path runs.
-        shm = create_segment("flat", dtype.itemsize * size, name=name)
-        arr = cls(shm, size, owner=True, dtype=dtype)
-        arr.array[:] = 0
-        return arr
-
-    @classmethod
-    def from_array(
-        cls,
-        values: np.ndarray,
-        name: Optional[str] = None,
-        dtype: Any = np.float32,
-    ) -> "SharedFlatArray":
-        """Allocate a segment initialized with ``values`` (flattened, cast)."""
-        values = np.asarray(values)
-        arr = cls.create(int(values.size), name=name, dtype=dtype)
-        arr.array[:] = values.reshape(-1).astype(arr.dtype, copy=False)
-        return arr
-
-    @classmethod
-    def attach(cls, name: str, size: int, dtype: Any = np.float32) -> "SharedFlatArray":
-        """Map an existing segment by name (non-owning)."""
-        return cls(shared_memory.SharedMemory(name=name), size, owner=False, dtype=dtype)
-
-    def close(self) -> None:
-        """Release this process's mapping (the NumPy view dies with it)."""
-        arr = self.__dict__.pop("array", None)
-        del arr  # drop the exported buffer before closing the mapping
-        try:
-            self._shm.close()
-        except BufferError:  # another live view pins the buffer; leave the mapping
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment system-wide (owner's responsibility)."""
-        self.close()
-        if self.owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already unlinked elsewhere
-                pass
-            unregister_segment(self._shm.name)
-
-    def __enter__(self) -> "SharedFlatArray":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedFlatArray(name={self.name!r}, size={self.size}, owner={self.owner})"
 
 
 class RemoteRankError(RuntimeError):
@@ -235,6 +126,7 @@ def run_rank_program(
                 ctx.rank, f"rank {ctx.rank} returned an unpicklable result: {exc}"
             )
     except BaseException as exc:
+        ctx._abort(exc)
         status, payload = "err", _shippable_exception(ctx.rank, exc)
     return status, payload
 

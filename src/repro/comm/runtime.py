@@ -24,8 +24,10 @@ processes alike. A fabric is not a subclass but three constructor
 arguments:
 
 - ``inboxes``, one per rank: anything with ``put(record)``,
-  ``get(timeout)`` and ``get_nowait()`` that raises :class:`queue.Empty`
-  and keeps per-sender FIFO order — ``queue.SimpleQueue`` here,
+  ``put_nowait(record)`` (:class:`queue.Full` if a bounded inbox has no
+  room), ``get(timeout)`` and ``get_nowait()`` that raises
+  :class:`queue.Empty` and keeps per-sender FIFO order —
+  ``queue.SimpleQueue`` here,
   ``ShmInbox`` between processes. A record is ``(source, tag, payload)``;
   a rank drains only its own inbox and stashes what it was not asked for
   yet (:meth:`RankContextBase._poll`, the one selective-receive loop).
@@ -46,6 +48,9 @@ the upper 32 bits of a record's tag word, above the user tag — and a
 receive drops any record another cell stamped. So a failed cell's
 undelivered messages (a stranded p2p payload, an arena ready token) can
 never be read as the next cell's, on any fabric that outlives a cell.
+A cell also dies with its first failure: a rank whose program raises
+leaves one abort record in each peer's inbox, and a peer's next wait
+raises :class:`CellAborted` instead of running out its timeout.
 
 Collective tag space
 --------------------
@@ -88,6 +93,7 @@ from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 
 __all__ = [
+    "CellAborted",
     "COLLECTIVE_TAG_STRIDE",
     "collective_wire_tags",
     "CellOptions",
@@ -199,6 +205,26 @@ class DeadlockError(TimeoutError):
         return (DeadlockError, (self.rank, self.source, self.tag, self.timeout))
 
 
+class CellAborted(RuntimeError):
+    """A peer of this cell raised, so no wait of this cell can complete.
+
+    A rank whose program raises delivers one abort record to every peer's
+    inbox before it reports (:meth:`RankContextBase._abort`); the peer's
+    next receive or arena-token wait that drains it raises this, naming
+    the waiting ``rank`` and the ``peer`` that raised, instead of waiting
+    out its timeout. :meth:`MultiRankError.aggregate` drops these beside a
+    real failure, so the caller sees the peer's own exception.
+    """
+
+    def __init__(self, rank: int, peer: int) -> None:
+        self.rank = rank
+        self.peer = peer
+        super().__init__(f"rank {rank}: cell aborted — rank {peer} raised")
+
+    def __reduce__(self):
+        return (CellAborted, (self.rank, self.peer))
+
+
 class MultiRankError(RuntimeError):
     """Several ranks failed in one ``run``; every failure is preserved.
 
@@ -226,14 +252,18 @@ class MultiRankError(RuntimeError):
     def aggregate(failures) -> BaseException:
         """The exception a failed run should raise.
 
-        A lone failure is returned as-is (so ``except RuntimeError`` /
-        ``except TimeoutError`` around single-fault runs keep working).
+        A :class:`CellAborted` is a peer's failure seen second-hand, so
+        beside a real failure it is dropped. A lone failure is returned
+        as-is (so ``except RuntimeError`` / ``except TimeoutError`` around
+        single-fault runs keep working).
         Several failures become one aggregate that *also* inherits the
         most specific exception type common to all of them — an
         all-ranks deadlock is still catchable as :class:`TimeoutError`,
         an all-ranks ``ValueError`` as :class:`ValueError`.
         """
         failures = list(failures)
+        real = [f for f in failures if not isinstance(f[1], CellAborted)]
+        failures = real or failures
         if len(failures) == 1:
             return failures[0][1]
         excs = [exc for _, exc in failures]
@@ -364,12 +394,31 @@ class RankContextBase:
         except queue.Full:  # only a bounded inbox fills
             raise codec.backpressure(self.rank, dest, tag) from None
 
+    def _abort(self, exc: BaseException) -> None:
+        """Deliver this cell's abort record (tag word ``~stamp``, below
+        every cell's tags) to each peer's inbox, once, as the program that
+        raised ``exc`` ends. A :class:`CellAborted` is news every peer
+        already has; a :class:`DeadlockError` is a schedule fact each
+        waiting peer reaches at its own timeout, naming its own edge; and
+        a peer whose inbox is full is not draining it."""
+        if isinstance(exc, (CellAborted, DeadlockError)):
+            return
+        for dest in range(self.size):
+            if dest == self.rank:
+                continue
+            body = None if self._codec is None else self._codec.pack(dest, 0, None)
+            try:
+                self._inboxes[dest].put_nowait((self.rank, ~self._stamp, body))
+            except queue.Full:
+                pass
+
     def _poll(self, source: int, tag: int, on_retry: Optional[Callable[[int], None]]) -> Any:
         """Blocking selective receive with exponential-backoff polling.
 
         Drains this rank's inbox, stashing what belongs to other
         ``(source, tag)`` channels of this cell and dropping what another
-        cell sent, until the wanted message arrives.
+        cell sent, until the wanted message arrives; this cell's abort
+        record raises :class:`CellAborted`.
         Waits in growing slices (so a transiently dropped-and-retransmitted
         message is picked up shortly after redelivery); raises
         :class:`DeadlockError` naming ``(rank, source, tag)`` once the
@@ -414,6 +463,8 @@ class RankContextBase:
                 return payload
             if t >> _CELL_SHIFT == self._cell:  # another cell's record dies here
                 self._stash.setdefault((src, t), deque()).append(payload)
+            elif t == ~self._stamp:
+                raise CellAborted(self.rank, src)
 
     def _elapsed(self) -> float:
         # CLOCK_MONOTONIC is system-wide on Linux, so timestamps from rank
@@ -939,13 +990,14 @@ class InProcessCommunicator:
         cell = self._cells
 
         def runner(rank: int) -> None:
+            ctx = RankContextBase(
+                rank, self._inboxes, self.options, fault_log=self.fault_log,
+                trace=self.trace, start=self._start, cell=cell, arenas=self._arena,
+            )
             try:
-                ctx = RankContextBase(
-                    rank, self._inboxes, self.options, fault_log=self.fault_log,
-                    trace=self.trace, start=self._start, cell=cell, arenas=self._arena,
-                )
                 results[rank] = fn(ctx, *args)
             except BaseException as exc:
+                ctx._abort(exc)
                 errors.append((rank, exc))
 
         threads = [

@@ -106,7 +106,7 @@ def adopt_owner_pid(pid: Optional[int] = None) -> int:
 def segment_name(kind: str, suffix: Optional[str] = None) -> str:
     """A fresh lifecycle-tracked segment name: ``repro-<pid>-<kind>-<sfx>``.
 
-    ``kind`` is a short label ("ring", "coll", "flat", "snap", "stage")
+    ``kind`` is a short label ("inbox", "ring", "coll", "snap", "stage")
     that makes ``ls /dev/shm`` debuggable; ``suffix`` defaults to 8 random hex chars.
     The pid is the adopted owner (see :func:`adopt_owner_pid`) when one is
     set and alive, else the calling process.

@@ -707,11 +707,12 @@ class ShmInbox:
         return self._heads.tolist() == self._tails.tolist()
 
     # -- sender side -----------------------------------------------------------
-    def put(self, item: Tuple[int, int, bytes]) -> None:
+    def put(self, item: Tuple[int, int, bytes], timeout: Optional[float] = None) -> None:
         """Append ``(source, tag, body)`` to the source's ring.
 
         Blocks while the ring lacks room; raises :class:`queue.Full` once
-        the inbox's ``timeout`` is spent with the owner not consuming.
+        ``timeout`` (default: the inbox's) is spent with the owner not
+        consuming.
         """
         src, tag, body = item
         n = len(body)
@@ -721,7 +722,7 @@ class ShmInbox:
         head = int(self._heads[src])
         limit = head + need - INBOX_RING_BYTES  # the tail must reach this
         if self._tails[src] < limit and not _wait_until(
-            lambda: self._tails[src] >= limit, self.timeout
+            lambda: self._tails[src] >= limit, self.timeout if timeout is None else timeout
         ):
             raise queue.Full
         ring = self._base + src * INBOX_RING_BYTES
@@ -735,6 +736,11 @@ class ShmInbox:
         self._heads[src] = head + need  # publish: after the record bytes
         if self._sleeping[0]:
             self._bell.release()
+
+    def put_nowait(self, item: Tuple[int, int, bytes]) -> None:
+        """:meth:`put` that raises :class:`queue.Full` at once if the ring
+        lacks room."""
+        self.put(item, 0.0)
 
     # -- owner side ------------------------------------------------------------
     def _pop(self) -> Optional[Tuple[int, int, bytes]]:

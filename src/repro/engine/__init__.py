@@ -2,8 +2,8 @@
 
 One engine, many strategies. Each training method in this repo — the
 simulated trainers in :mod:`repro.algorithms`, the KNL and multinode
-cluster trainers, the chip-partition trainer, the message-passing rank
-programs, and the Hogwild runner — used to carry its own hand-rolled
+cluster trainers, the chip-partition trainer, and the message-passing
+rank programs (Hogwild included) — used to carry its own hand-rolled
 loop re-wiring batch staging, evaluation snapshots, trace spans, fault
 hooks, and result assembly. EASGD and its siblings differ only in their
 *communication/update rule*, not in their step structure, so the loop now

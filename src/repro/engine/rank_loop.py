@@ -1,7 +1,7 @@
 """Rank programs: step sequencing and the one synchronous program.
 
-The message-passing runners (``run_mpi_*``) and the Hogwild runner do
-not run one loop per *run* — they run one loop per *rank*. The step
+The message-passing runners (``run_mpi_*``, the lock-free Hogwild rows
+included) do not run one loop per *run* — they run one loop per *rank*. The step
 sequencing those loops share (1-based iteration numbering, stamping the
 rank context's ``trace_iteration`` so runtime-emitted events carry the
 loop index, input validation) lives here so the rank programs keep no

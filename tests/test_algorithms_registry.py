@@ -17,7 +17,6 @@ from repro.cluster import CostModel, GpuPlatform
 from repro.engine.ps import PS_FAMILIES
 from repro.faults import FaultPlan
 from repro.harness.cli import main
-from repro.hogwild import HOGWILD_METHODS
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 
@@ -214,7 +213,7 @@ class TestRegistry:
     def test_docs_async_rows_match_the_family_table(self):
         """docs/algorithms.md's pattern and staleness columns for the async
         rows are generated text: ``row.pattern`` and the registry staleness;
-        the rank-twin cell names the runners whose tuple holds the row."""
+        the rank-twin cell names the runner whose tuple holds the row."""
         doc = Path(__file__).parent.parent / "docs" / "algorithms.md"
         tables, cells = {}, None
         for line in doc.read_text().splitlines():
@@ -226,8 +225,7 @@ class TestRegistry:
         families = tables[("method", "update scheme", "communication pattern",
                            "staleness bound", "reference")]
         twins = tables[("method", "rank twin")]
-        runners = (("run_mpi_ps", "PS_RUNNER_METHODS", PS_RUNNER_METHODS),
-                   ("HogwildRunner", "HOGWILD_METHODS", HOGWILD_METHODS))
+        runners = (("run_mpi_ps", "PS_RUNNER_METHODS", PS_RUNNER_METHODS),)
         for key, row in PS_FAMILIES.items():
             assert families[key][2] == row.pattern, key
             assert families[key][3] == ALGORITHM_INFO[key].staleness, key

@@ -25,6 +25,7 @@ stay in order (x86-TSO) included: the shm fabric refuses to start there.
 """
 
 import multiprocessing
+import pickle
 import platform
 import queue
 import time
@@ -39,6 +40,7 @@ from repro.comm.collectives import tree_reduce
 from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.comm.runtime import (
     _HeapArena,
+    CellAborted,
     CellOptions,
     COLLECTIVE_TAG_STRIDE,
     collective_wire_tags,
@@ -205,7 +207,7 @@ def _leaky_cell(ctx):
     """Rank 1 sends rank 0 a p2p message, a slot-ring payload and a spilled
     pickle, then enters an allreduce (its ready token goes out); rank 0
     raises before receiving any of it, so all four strand in its inbox and
-    rank 1 waits out its timeout."""
+    rank 1's wait ends at rank 0's abort record."""
     if ctx.rank == 0:
         raise RuntimeError("boom")
     ctx.send("stale-from-cell1", dest=0, tag=1)
@@ -241,16 +243,51 @@ def reused_fabric(request):
 
 def test_a_failed_cell_leaks_nothing_into_the_next(reused_fabric):
     comm, inboxes = reused_fabric
-    with pytest.raises(MultiRankError) as err:
+    with pytest.raises(RuntimeError, match="boom") as err:
         comm.run(_leaky_cell)
-    assert isinstance(err.value.failures[0], RuntimeError)
-    assert isinstance(err.value.failures[1], DeadlockError)
+    assert not isinstance(err.value, MultiRankError)  # rank 1 was only aborted
     assert not inboxes[0].empty()
     assert comm.run(_clean_cell) == [
         (("fresh", 16384.0, 12497500), [3.0, 3.0]),
         (None, [3.0, 3.0]),
     ]
     assert all(inbox.empty() for inbox in inboxes)  # the stale records were dropped
+
+
+def _raise_amid_waits(ctx, raising):
+    """The ``raising`` ranks raise at once; the others wait on a receive
+    nobody sends (rank 1) or in an allreduce the raisers never join."""
+    if ctx.rank in raising:
+        raise ValueError(f"boom {ctx.rank}")
+    if ctx.rank == 1:
+        ctx.recv(source=0, tag=5)
+    ctx.allreduce(np.ones(4, dtype=np.float32))
+
+
+@pytest.mark.parametrize("raising", [(0,), (0, 2)])
+@pytest.mark.parametrize("fabric", FABRICS)
+def test_a_raising_rank_aborts_its_cell(fabric, raising):
+    """Every peer's wait ends at the raiser's abort record, not at the
+    timeout, and only the ranks that raised are failures: a lone one
+    travels as itself."""
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="boom") as err:
+        _run(fabric, 4, _raise_amid_waits, raising, timeout=30.0)
+    assert time.monotonic() - t0 < 5.0
+    if len(raising) == 1:
+        assert type(err.value) is ValueError
+    else:
+        assert set(err.value.failures) == set(raising)
+        assert {type(e) for e in err.value.failures.values()} == {ValueError}
+
+
+def test_aggregate_keeps_aborted_ranks_only_without_a_real_failure():
+    real = ValueError("boom")
+    assert MultiRankError.aggregate([(0, CellAborted(0, 1)), (1, real)]) is real
+    alone = MultiRankError.aggregate([(0, CellAborted(0, 2)), (1, CellAborted(1, 2))])
+    assert isinstance(alone, CellAborted) and set(alone.failures) == {0, 1}
+    copy = pickle.loads(pickle.dumps(CellAborted(3, 1)))
+    assert (copy.rank, copy.peer) == (3, 1) and "rank 1 raised" in str(copy)
 
 
 def _refused_tags(ctx):

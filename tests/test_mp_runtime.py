@@ -21,7 +21,6 @@ from repro.comm.mp_runtime import (
     fork_available,
     MultiprocessCommunicator,
     RemoteRankError,
-    SharedFlatArray,
 )
 from repro.comm.runtime import DeadlockError, InProcessCommunicator, MultiRankError
 from repro.comm.shm_lifecycle import (
@@ -388,48 +387,6 @@ class TestMpTraceAndFaults:
         assert comm.fault_log.count("lost") == 1
 
 
-class TestSharedFlatArray:
-    def test_visible_across_processes(self):
-        seg = SharedFlatArray.create(8)
-        name = seg.name
-        try:
-            def prog(ctx):
-                view = SharedFlatArray.attach(name, 8)
-                try:
-                    view.array[ctx.rank] = float(ctx.rank + 1)
-                    ctx.barrier()
-                    return float(view.array[:2].sum())
-                finally:
-                    view.close()
-
-            comm = MultiprocessCommunicator(2, timeout=30.0)
-            try:
-                totals = comm.run(prog)
-            finally:
-                comm.close()
-            assert totals == [3.0, 3.0]  # both ranks saw both writes
-            assert seg.array[0] == 1.0 and seg.array[1] == 2.0
-        finally:
-            seg.unlink()
-
-    def test_from_array_copies_values(self):
-        src = np.arange(5, dtype=np.float32)
-        seg = SharedFlatArray.from_array(src)
-        try:
-            np.testing.assert_array_equal(seg.array, src)
-            src[0] = 99.0
-            assert seg.array[0] == 0.0  # segment owns its storage
-        finally:
-            seg.unlink()
-
-    def test_context_manager_closes(self):
-        with SharedFlatArray.create(4) as seg:
-            seg.array[:] = 1.0
-            name = seg.name
-        with pytest.raises(FileNotFoundError):
-            SharedFlatArray.attach(name, 4)
-
-
 def _stage_of(values):
     return PickleStage("unit", split_pickle(values, min_bytes=0)[1])
 
@@ -440,7 +397,6 @@ SEGMENT_CREATORS = {
     "inbox": lambda: ShmInbox.create(2),
     "coll": lambda: CollectiveArena.create_or_attach(segment_name("coll"), 2, 1 << 14),
     "snap": lambda: SeqlockBuffer.create(1 << 14, shared=True),
-    "flat": lambda: SharedFlatArray.create(1 << 14),
     "stage": lambda: _stage_of(np.ones(1 << 14, dtype=np.float32)),
 }
 

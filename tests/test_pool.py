@@ -34,6 +34,7 @@ from repro.comm.mp_runtime import fork_available, RemoteRankError
 from repro.comm.runtime import MultiRankError
 from repro.comm.shm_lifecycle import registered_segments, ShmCapacityError
 from repro.data import make_mnist_like
+from repro.engine.ps import PS_FAMILIES
 from repro.harness.experiment import ExperimentSpec, run_methods
 from repro.harness import sweeps
 from repro.harness.sweeps import grid_sweep
@@ -112,13 +113,17 @@ def test_ps_row_pooled_matches_cold_and_threads(inputs, method):
     """Every PS rank-twin row: pooled cells, whose shared center is an
     arena the pool keeps (the second cell finds the first's center in
     it), give a cold fork's bits and the threads' bits, and neither a
-    cold run nor a closed pool leaves a segment behind."""
+    cold run nor a closed pool leaves a segment behind. A lock-free row's
+    workers race, so its runs are held to a finite center only."""
     net, train, _ = inputs
     before = set(_shm_listing())
 
     def run(**launch):
         result = run_mpi_ps(method, net, train, ranks=RANKS, iterations=ITERS,
                             batch_size=BATCH, **launch)
+        if PS_FAMILIES[method].lock_free:
+            assert np.isfinite(result.center).all()
+            return None
         return _sync_digests(result), result.mean_losses, result.extras
 
     cold = run(backend="processes")

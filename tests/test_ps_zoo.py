@@ -48,6 +48,10 @@ RANKS = 4
 
 ZOO_METHODS = ("downpour", "adag", "eamsgd", "gossip-sgd", "bounded-async-easgd")
 
+#: The rank-twin rows whose workers take turns: their bits are a function
+#: of the seed. A lock-free row's workers race.
+DETERMINISTIC_ROWS = sorted(m for m in PS_RUNNER_METHODS if not PS_FAMILIES[m].lock_free)
+
 
 def _run(method, mnist_tiny, iterations=8, faults=None, **trainer_kwargs):
     train, test = mnist_tiny
@@ -282,7 +286,7 @@ class TestBackendEquivalence:
         net.forward(train.images[:1])  # materialize params before cloning
         return net, train
 
-    @pytest.mark.parametrize("method", sorted(PS_RUNNER_METHODS))
+    @pytest.mark.parametrize("method", DETERMINISTIC_ROWS)
     def test_centered_family_matches_across_backends(self, method, mnist_tiny):
         net, train = self._template(mnist_tiny)
         runs = {
@@ -328,7 +332,7 @@ class TestBackendEquivalence:
 #: case id -> (method, ranks, extra run_mpi_ps keywords); every case runs 4
 #: iterations at batch 16, seed 3, on threads.
 PINNED_RUNS = {
-    **{method: (method, 3, {}) for method in PS_RUNNER_METHODS},
+    **{method: (method, 3, {}) for method in DETERMINISTIC_ROWS},
     "bounded-async-easgd-tau1": ("bounded-async-easgd", 4, {"tau": 1}),
     "async-easgd-history": ("async-easgd", 3, {"record_history": True}),
     "downpour-one-worker": ("downpour", 2, {}),
@@ -338,6 +342,7 @@ PINNED_RUNS = {
 #: sha256 of each case's center, workers, mean losses, extras and history.
 PINNED_SHA256 = {
     "adag": "2ba9e88a85e0050805538d28d28a0f85b068f5bc4342bdf6fa46a658ad552d43",
+    "async-sgd": "99dc663000f873a8789c17c1e3e72d23a29cbf8c22f19debb37623e866b96fda",
     "async-easgd": "a2a6937c00dc719e5eccd959c4dad2bddb9658b6e260bbb43095678f4cf4611d",
     "async-easgd-history": "f9b1d3adf73438658e21679e1549c6d017ee308b11350fa40bed3160cf16d17f",
     "async-easgd-three-workers": "95bc22cb4e509de67503eabdaf558d41a6327bed70591f4d8ff53bd4ea76a3e0",
@@ -422,6 +427,33 @@ def test_traced_rank_twin_serves_round_robin_on_tokens(method, backend, mnist_ti
     messages = trace.by_kind("send", "recv")
     assert len(trace.sends()) == workers * iterations - 1
     assert messages and all(e.nbytes == 0 for e in messages)
+
+
+@pytest.mark.parametrize("backend", [
+    "threads",
+    pytest.param("processes", marks=[
+        pytest.mark.mp,
+        pytest.mark.skipif(not fork_available(), reason="needs the fork start method"),
+    ]),
+])
+def test_traced_lock_free_twin_serves_every_step(backend, mnist_tiny):
+    """A traced lock-free run passes every invariant its trace declares
+    (the FCFS check is not one: its workers race), serves once per
+    (worker, iteration), and sends only the 0-byte release and done
+    messages: one each way between worker 0 or the last and every peer."""
+    train, _ = mnist_tiny
+    net = build_mlp(seed=7)
+    net.forward(train.images[:1])
+    trace, iterations, workers = Trace(), 3, RANKS - 1
+    run_mpi_ps("hogwild-easgd", net, train, ranks=RANKS, iterations=iterations,
+               batch_size=16, seed=3, backend=backend, trace=trace)
+    assert trace.meta["lock_free"] and trace.meta["service"] == "lock-free"
+    assert "message-conservation" in check_all(trace)
+    served = trace.by_kind("service")
+    assert sorted((e.iteration, e.rank) for e in served) == [
+        (t, r) for t in range(1, iterations + 1) for r in range(workers)]
+    assert len(trace.sends()) == 2 * (workers - 1)
+    assert all(e.nbytes == 0 for e in trace.by_kind("send", "recv"))
 
 
 # ---------------------------------------------------------------------------

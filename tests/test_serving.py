@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms.base import TrainerConfig
 from repro.comm import shm_lifecycle as lifecycle
-from repro.comm.mp_runtime import SharedFlatArray, fork_available
+from repro.comm.mp_runtime import fork_available
 from repro.comm.shm_transport import SeqlockBuffer, TornReadError
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_method
@@ -224,15 +224,6 @@ class TestShmLifecycle:
         finally:
             lifecycle.unlink_segment(live)
             lifecycle.unlink_segment(dead)
-
-    def test_shared_flat_array_is_lifecycle_tracked(self):
-        arr = SharedFlatArray.create(32)
-        name = arr.name
-        assert name.startswith("repro-") and "-flat-" in name
-        assert name in lifecycle.registered_segments()
-        arr.unlink()
-        assert name not in lifecycle.registered_segments()
-        assert name not in lifecycle.list_live_segments()
 
 
 # ---------------------------------------------------------------------------

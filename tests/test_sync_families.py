@@ -52,7 +52,6 @@ from repro.data import make_mnist_like, standardize, standardize_like
 from repro.data.loader import BatchSampler
 from repro.engine import StepPipeline
 from repro.faults import FaultPlan
-from repro.hogwild import HogwildRunner
 from repro.knl.trainer import KnlSyncEASGDTrainer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
@@ -361,17 +360,11 @@ BAD_HYPERPARAMETERS = {
 }
 
 
-def _hogwild(network, train_set, ranks, iterations, **kwargs):
-    """HogwildRunner in a rank twin's shape: its workers are the ranks."""
-    return HogwildRunner(network, train_set, ranks, iterations, **kwargs).run()
-
-
 #: Every rank launcher, sync and async: each refuses in the caller.
 REFUSING_TWINS = {
     **{family: twin for family, (_, _, twin) in RANK_TWINS.items()},
     "run_mpi_ps": partial(run_mpi_ps, "async-easgd"),
     "run_mpi_async_easgd": run_mpi_async_easgd,
-    "HogwildRunner": _hogwild,
 }
 
 
@@ -383,7 +376,6 @@ def test_rank_twin_refuses_bad_hyperparameters_before_any_rank_starts(
         raise AssertionError("a rank launched")
 
     monkeypatch.setattr("repro.algorithms.launch.make_communicator", no_launch)
-    monkeypatch.setattr("repro.hogwild.threads.make_communicator", no_launch)
     twin = REFUSING_TWINS[family]
     run = {"ranks": 4, "iterations": 2, "batch_size": 16, "lr": 0.05,
            **BAD_HYPERPARAMETERS[bad]}
