@@ -335,6 +335,29 @@ class TestChipPartitionProcesses:
         finally:
             shm.close(unlink=True)
 
+    @pytest.mark.parametrize("group", [0, 2])
+    def test_a_group_that_raises_aborts_the_cell(self, cifar_tiny, monkeypatch, group):
+        """Rank 0 or a follower raising mid-round: the other groups stop at
+        its abort record instead of sitting out the allreduce's timeout,
+        and the caller sees the group's own exception."""
+        from repro.knl import partition
+
+        group_round, rounds = partition._group_round, []
+
+        def raises_in_group(ctx, *args):  # inherited by the fork
+            rounds.append(ctx.rank)
+            if ctx.rank == group and len(rounds) == 3:
+                raise ValueError(f"group {group} failed")
+            return group_round(ctx, *args)
+
+        monkeypatch.setattr(partition, "_group_round", raises_in_group)
+        trainer = self._trainer(cifar_tiny, "processes")
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match=f"group {group} failed") as ei:
+            trainer.train(20)
+        assert time.monotonic() - t0 < 1.0
+        assert type(ei.value) is ValueError  # the aborted groups are not failures
+
     def test_group_that_dies_hard_is_named_at_once(self, cifar_tiny, monkeypatch):
         from repro.comm.mp_runtime import RemoteRankError
         from repro.comm.shm_lifecycle import registered_segments
