@@ -92,8 +92,9 @@ def test_one_worker_is_the_simulated_row(mnist_tiny, method, backend):
     assert res.center.tobytes() == center.tobytes()
 
 
-class TestLockFreeRanks:
-    """Lock-free rows race on the center; every worker reports its losses."""
+class TestAsyncRankProgram:
+    """Every worker serves at the shared center: a locked row's in turn, a
+    lock-free row's racing."""
 
     def test_all_workers_complete(self, mnist_tiny):
         res = _run(mnist_tiny)
