@@ -160,7 +160,6 @@ def bench_ablation_knl_cluster_modes(benchmark, cifar_spec):
 def bench_ablation_fault_tolerance(benchmark, mnist_spec):
     """The cloud motivation: async EASGD keeps training through a
     fail-stop worker loss; the survivors' throughput carries the run."""
-    from repro.algorithms import AsyncEASGDTrainer
     from repro.faults import FaultPlan
 
     def experiment():
@@ -173,7 +172,8 @@ def bench_ablation_fault_tolerance(benchmark, mnist_spec):
             mnist_spec.config,
             mnist_spec.cost_model,
         ).train(300)
-        degraded_trainer = AsyncEASGDTrainer(
+        degraded_trainer = make_trainer(
+            "async-easgd",
             mnist_spec.model_builder(),
             mnist_spec.train_set,
             mnist_spec.test_set,

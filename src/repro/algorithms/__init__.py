@@ -4,16 +4,11 @@ Existing methods reproduced as baselines: Original EASGD (round-robin,
 Algorithm 1), Async SGD (parameter server), Async MSGD, Hogwild SGD.
 The paper's methods: Async EASGD, Async MEASGD, Hogwild EASGD, and
 Sync EASGD1/2/3 (Algorithms 2-4), plus Sync SGD for the packed-layer study.
+Every asynchronous method is one ``PS_FAMILIES`` row run by the one
+``AsyncPSTrainer``; build any method by name through :data:`ALGORITHMS`
+or :func:`make_trainer`.
 """
 
-from repro.algorithms.async_ps import (
-    AsyncEASGDTrainer,
-    AsyncMEASGDTrainer,
-    AsyncMSGDTrainer,
-    AsyncSGDTrainer,
-    HogwildEASGDTrainer,
-    HogwildSGDTrainer,
-)
 from repro.algorithms.base import RunResult, TimeBreakdown, TrainerConfig, TrainRecord
 from repro.algorithms.launch import MpiResult
 from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
@@ -39,12 +34,6 @@ __all__ = [
     "OriginalEASGDTrainer",
     "SyncEASGDTrainer",
     "SyncSGDTrainer",
-    "AsyncSGDTrainer",
-    "AsyncMSGDTrainer",
-    "HogwildSGDTrainer",
-    "AsyncEASGDTrainer",
-    "AsyncMEASGDTrainer",
-    "HogwildEASGDTrainer",
     "ClusterSyncEASGDTrainer",
     "MpiResult",
     "run_mpi_sync_sgd",

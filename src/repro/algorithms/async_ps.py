@@ -6,8 +6,8 @@ Ten methods share one discrete-event simulation. Each is one row of
 :class:`~repro.engine.ps.WorkerRule` factory (the worker side: its
 arrays, local steps, payload, reply fold) and a few flags (master
 service discipline, overlap, staleness bound). One trainer class and one
-step strategy read the row; the named trainers below, and the zoo in
-:mod:`repro.algorithms.ps_zoo`, are bindings of that class to a row.
+step strategy read the row, picked by its key: the registry entry of
+every asynchronous method is ``partial(AsyncPSTrainer, family=key)``.
 
 Timing structure (the paper's design point in Section 5.1): an SGD worker
 must *wait* for the master's reply before it can compute (its gradient is
@@ -43,15 +43,7 @@ from repro.nn.network import Network
 from repro.optim.easgd import EASGDHyper
 from repro.trace.events import MASTER
 
-__all__ = [
-    "AsyncPSTrainer",
-    "AsyncSGDTrainer",
-    "AsyncMSGDTrainer",
-    "HogwildSGDTrainer",
-    "AsyncEASGDTrainer",
-    "AsyncMEASGDTrainer",
-    "HogwildEASGDTrainer",
-]
+__all__ = ["AsyncPSTrainer"]
 
 #: Retransmissions of one dropped request before its worker goes silent
 #: (and the heartbeat policy evicts it).
@@ -446,15 +438,13 @@ class _AsyncPSStep(EventStepStrategy):
 
 
 class AsyncPSTrainer(BaseTrainer):
-    """The asynchronous parameter-server trainer; ``row`` picks the family.
+    """The asynchronous parameter-server trainer; ``family`` picks the row.
 
     The class itself is family-agnostic: everything that distinguishes
     Async SGD from DOWNPOUR from bounded EASGD is the
-    :class:`~repro.engine.ps.PsFamily` bound as ``row`` by the named
-    subclasses, which carry no code of their own.
+    :class:`~repro.engine.ps.PsFamily` row ``PS_FAMILIES[family]``.
     """
 
-    row: PsFamily
     packed = False  # the async implementations send per-blob
 
     def __init__(
@@ -470,8 +460,13 @@ class AsyncPSTrainer(BaseTrainer):
         local_steps: Optional[int] = None,
         tau: Optional[int] = None,
         staleness_policy: Optional[str] = None,
+        *,
+        family: str,
     ) -> None:
-        """``faults`` is the full fault schedule (crash/rejoin, straggler,
+        """``family`` is the row's key in :data:`~repro.engine.ps.PS_FAMILIES`
+        (rows hold factories, so the key travels, as in the rank program).
+
+        ``faults`` is the full fault schedule (crash/rejoin, straggler,
         stall, message drop/delay — see :class:`repro.faults.FaultPlan`).
         This is the fault model behind the paper's "high fault-tolerance
         requirement on cloud systems" motivation — asynchronous masters
@@ -487,6 +482,7 @@ class AsyncPSTrainer(BaseTrainer):
         if faults is not None:
             faults.validate(platform.num_gpus)
         super().__init__(network, train_set, test_set, config, cost_model, faults=faults)
+        self.row: PsFamily = PS_FAMILIES[family]
         self.name = self.row.name
         self.platform = platform
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
@@ -502,39 +498,3 @@ class AsyncPSTrainer(BaseTrainer):
         #: ``states`` are the run's live arrays.
         self.step = _AsyncPSStep(self)
         return self.step
-
-
-class AsyncSGDTrainer(AsyncPSTrainer):
-    """Parameter server / Async SGD (Dean et al.; paper Section 3.1)."""
-
-    row = PS_FAMILIES["async-sgd"]
-
-
-class AsyncMSGDTrainer(AsyncPSTrainer):
-    """Async SGD with master-side momentum (Equations 3-4)."""
-
-    row = PS_FAMILIES["async-msgd"]
-
-
-class HogwildSGDTrainer(AsyncPSTrainer):
-    """Async SGD without the master lock (Recht et al.; Section 3.2)."""
-
-    row = PS_FAMILIES["hogwild-sgd"]
-
-
-class AsyncEASGDTrainer(AsyncPSTrainer):
-    """The paper's Async EASGD: FCFS parameter server + elastic averaging."""
-
-    row = PS_FAMILIES["async-easgd"]
-
-
-class AsyncMEASGDTrainer(AsyncPSTrainer):
-    """The paper's Async MEASGD: elastic averaging + momentum (Eqs 5-6)."""
-
-    row = PS_FAMILIES["async-measgd"]
-
-
-class HogwildEASGDTrainer(AsyncPSTrainer):
-    """The paper's Hogwild EASGD: elastic averaging, lock-free master."""
-
-    row = PS_FAMILIES["hogwild-easgd"]

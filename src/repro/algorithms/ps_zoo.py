@@ -1,16 +1,15 @@
-"""The classic parameter-server zoo on the engine's PS protocol layer.
+"""Gossip SGD, the one parameter-server-zoo family with code of its own.
 
-Five families beyond the paper's own methods. Four are centered — DOWNPOUR
-SGD (Dean et al., NIPS 2012), ADAG (accumulated-gradient asynchronous
-SGD), EAMSGD (Zhang, Choromanska & LeCun, NIPS 2015) and bounded-async
-EASGD (Async EASGD under a :class:`repro.engine.ps.StalenessBound`) — and
-are nothing but rows of :data:`repro.engine.ps.PS_FAMILIES` bound to the
-one asynchronous trainer; their mathematics is documented on the rows'
-stores and rules.
+The zoo's four centered families — DOWNPOUR SGD (Dean et al., NIPS 2012),
+ADAG (accumulated-gradient asynchronous SGD), EAMSGD (Zhang, Choromanska
+& LeCun, NIPS 2015) and bounded-async EASGD (Async EASGD under a
+:class:`repro.engine.ps.StalenessBound`) — are rows of
+:data:`repro.engine.ps.PS_FAMILIES` run by the one
+:class:`repro.algorithms.async_ps.AsyncPSTrainer`; their mathematics is
+documented on the rows' stores and rules.
 
-The fifth has no center, so it is the one family with code here: **Gossip
-SGD** (Jin et al. / Blot et al. style). Each round every worker takes one
-local SGD step, then deterministic tournament pairs
+**Gossip SGD** (Jin et al. / Blot et al. style) has no center. Each round
+every worker takes one local SGD step, then deterministic tournament pairs
 (:func:`repro.comm.topology.gossip_pairs`) average pairwise — the
 :class:`~repro.engine.GossipUpdate` rule on the shared
 :class:`repro.engine.SyncStep`, costed by the pairwise-exchange model
@@ -21,48 +20,16 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.algorithms.async_ps import AsyncPSTrainer
 from repro.algorithms.base import BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
 from repro.data.dataset import Dataset
-from repro.engine.ps import PS_FAMILIES
 from repro.engine.strategy import CommStrategy, GossipUpdate, live_gossip_pairs
 from repro.engine.sync import SyncStep
 from repro.faults import FaultPlan
 from repro.nn.network import Network
 
-__all__ = [
-    "DownpourTrainer",
-    "AdagTrainer",
-    "EamsgdTrainer",
-    "GossipSGDTrainer",
-    "BoundedAsyncEasgdTrainer",
-]
-
-
-class DownpourTrainer(AsyncPSTrainer):
-    """DOWNPOUR SGD: local SGD bursts, raw weight-delta pushes, fresh pulls."""
-
-    row = PS_FAMILIES["downpour"]
-
-
-class AdagTrainer(AsyncPSTrainer):
-    """ADAG: accumulate gradients while stepping locally; server applies /P."""
-
-    row = PS_FAMILIES["adag"]
-
-
-class EamsgdTrainer(AsyncPSTrainer):
-    """EAMSGD: local momentum SGD between purely-elastic exchanges (Eqs 5-6)."""
-
-    row = PS_FAMILIES["eamsgd"]
-
-
-class BoundedAsyncEasgdTrainer(AsyncPSTrainer):
-    """Async EASGD under a hard staleness bound (reject or clip policy)."""
-
-    row = PS_FAMILIES["bounded-async-easgd"]
+__all__ = ["GossipSGDTrainer"]
 
 
 class _GossipComm(CommStrategy):

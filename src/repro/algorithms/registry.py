@@ -9,6 +9,10 @@ cluster entries adapt it into the platform type their trainer simulates
 
 :data:`ALGORITHM_INFO` carries the presentation metadata (family,
 synchronisation style, paper section) behind ``repro --list-algorithms``.
+Both are read off one table that writes each method name once; an
+asynchronous method is its :data:`repro.engine.ps.PS_FAMILIES` row, so a
+new parameter-server family is that row plus one ``_ps(key, section)``
+line here.
 """
 
 from __future__ import annotations
@@ -16,25 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 import inspect
-from typing import Callable, Dict, FrozenSet
+from typing import Callable, Dict, FrozenSet, Tuple
 
-from repro.algorithms.async_ps import (
-    AsyncEASGDTrainer,
-    AsyncMEASGDTrainer,
-    AsyncMSGDTrainer,
-    AsyncSGDTrainer,
-    HogwildEASGDTrainer,
-    HogwildSGDTrainer,
-)
+from repro.algorithms.async_ps import AsyncPSTrainer
 from repro.algorithms.base import BaseTrainer
 from repro.algorithms.original_easgd import OriginalEASGDTrainer
-from repro.algorithms.ps_zoo import (
-    AdagTrainer,
-    BoundedAsyncEasgdTrainer,
-    DownpourTrainer,
-    EamsgdTrainer,
-    GossipSGDTrainer,
-)
+from repro.algorithms.ps_zoo import GossipSGDTrainer
 from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
 from repro.engine.ps import PS_FAMILIES, UnsupportedOptionError
@@ -75,35 +66,6 @@ def _make_cluster_sync_easgd(network, train_set, test_set, platform, config,
     )
 
 
-ALGORITHMS: Dict[str, Callable[..., BaseTrainer]] = {
-    # existing methods (baselines the paper compares against)
-    "original-easgd": partial(OriginalEASGDTrainer, overlapped=True),
-    "original-easgd*": partial(OriginalEASGDTrainer, overlapped=False),
-    "async-sgd": AsyncSGDTrainer,
-    "async-msgd": AsyncMSGDTrainer,
-    "hogwild-sgd": HogwildSGDTrainer,
-    "sync-sgd": SyncSGDTrainer,
-    "sync-sgd-unpacked": partial(SyncSGDTrainer, packed=False),
-    # the paper's methods
-    "async-easgd": AsyncEASGDTrainer,
-    "async-measgd": AsyncMEASGDTrainer,
-    "hogwild-easgd": HogwildEASGDTrainer,
-    "sync-easgd1": partial(SyncEASGDTrainer, variant=1),
-    "sync-easgd2": partial(SyncEASGDTrainer, variant=2),
-    "sync-easgd3": partial(SyncEASGDTrainer, variant=3),
-    "sync-easgd": partial(SyncEASGDTrainer, variant=3),  # the headline method
-    # cluster-scale trainers (platform adapted from the harness GpuPlatform)
-    "knl-sync-easgd": _make_knl_sync_easgd,
-    "cluster-sync-easgd": _make_cluster_sync_easgd,
-    # the parameter-server zoo (the PS protocol layer's new families)
-    "downpour": DownpourTrainer,
-    "adag": AdagTrainer,
-    "eamsgd": EamsgdTrainer,
-    "gossip-sgd": GossipSGDTrainer,
-    "bounded-async-easgd": BoundedAsyncEasgdTrainer,
-}
-
-
 @dataclass(frozen=True)
 class AlgorithmInfo:
     """Presentation metadata for one registry entry."""
@@ -115,48 +77,69 @@ class AlgorithmInfo:
     staleness: str = "none (bulk-sync)"  # the family's staleness semantics
 
 
-def _ps_info(key: str, section: str) -> AlgorithmInfo:
-    """An asynchronous family's metadata, read off its PS_FAMILIES row."""
+_Entry = Tuple[str, Callable[..., BaseTrainer], AlgorithmInfo]
+
+
+def _sync(name: str, factory: Callable[..., BaseTrainer], family: str,
+          section: str, **info) -> _Entry:
+    """A synchronous entry: its factory and metadata, written out."""
+    return name, factory, AlgorithmInfo(family, "sync", section, **info)
+
+
+def _ps(key: str, section: str) -> _Entry:
+    """An asynchronous entry: the one trainer bound to its PS_FAMILIES row,
+    whose class and staleness are read off the row."""
     row = PS_FAMILIES[key]
-    return AlgorithmInfo(
+    return key, partial(AsyncPSTrainer, family=key), AlgorithmInfo(
         "parameter server", "async", section, family_class=row.kind,
         staleness="bounded: tau (reject/clip)" if row.bounded else "unbounded",
     )
 
 
-ALGORITHM_INFO: Dict[str, AlgorithmInfo] = {
-    "original-easgd": AlgorithmInfo(
-        "round-robin EASGD", "sync", "Alg 1, Table 3"),
-    "original-easgd*": AlgorithmInfo(
-        "round-robin EASGD", "sync", "Alg 1, Table 3"),
-    "async-sgd": _ps_info("async-sgd", "Sec 3.1"),
-    "async-msgd": _ps_info("async-msgd", "Sec 3.1, Eqs 3-4"),
-    "hogwild-sgd": _ps_info("hogwild-sgd", "Sec 3.2"),
-    "sync-sgd": AlgorithmInfo(
-        "allreduce SGD", "sync", "Sec 5.2, Fig 10"),
-    "sync-sgd-unpacked": AlgorithmInfo(
-        "allreduce SGD", "sync", "Sec 5.2, Fig 10"),
-    "async-easgd": _ps_info("async-easgd", "Sec 5.1, Eqs 1-2"),
-    "async-measgd": _ps_info("async-measgd", "Sec 5.1, Eqs 5-6"),
-    "hogwild-easgd": _ps_info("hogwild-easgd", "Sec 5.1"),
-    "sync-easgd1": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 2"),
-    "sync-easgd2": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 3"),
-    "sync-easgd3": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 3+overlap"),
-    "sync-easgd": AlgorithmInfo("tree EASGD", "sync", "Sec 6.1, Alg 3+overlap"),
-    "knl-sync-easgd": AlgorithmInfo("KNL cluster", "sync", "Sec 6.2, Alg 4"),
-    "cluster-sync-easgd": AlgorithmInfo("GPU cluster", "sync", "Sec 7, Table 4"),
-    "downpour": _ps_info("downpour", "Dean et al. 2012"),
-    "adag": _ps_info("adag", "accumulated-gradient ASGD"),
-    "eamsgd": _ps_info("eamsgd", "Zhang et al. 2015, Eqs 5-6"),
-    "gossip-sgd": AlgorithmInfo(
-        "gossip", "sync", "Jin et al. 2016",
-        family_class="decentralized", staleness="none (pairwise)"),
-    "bounded-async-easgd": _ps_info("bounded-async-easgd", "bounded-delay EASGD"),
-}
+_ENTRIES = (
+    # existing methods (baselines the paper compares against)
+    _sync("original-easgd", partial(OriginalEASGDTrainer, overlapped=True),
+          "round-robin EASGD", "Alg 1, Table 3"),
+    _sync("original-easgd*", partial(OriginalEASGDTrainer, overlapped=False),
+          "round-robin EASGD", "Alg 1, Table 3"),
+    _ps("async-sgd", "Sec 3.1"),
+    _ps("async-msgd", "Sec 3.1, Eqs 3-4"),
+    _ps("hogwild-sgd", "Sec 3.2"),
+    _sync("sync-sgd", SyncSGDTrainer, "allreduce SGD", "Sec 5.2, Fig 10"),
+    _sync("sync-sgd-unpacked", partial(SyncSGDTrainer, packed=False),
+          "allreduce SGD", "Sec 5.2, Fig 10"),
+    # the paper's methods
+    _ps("async-easgd", "Sec 5.1, Eqs 1-2"),
+    _ps("async-measgd", "Sec 5.1, Eqs 5-6"),
+    _ps("hogwild-easgd", "Sec 5.1"),
+    _sync("sync-easgd1", partial(SyncEASGDTrainer, variant=1), "tree EASGD", "Sec 6.1, Alg 2"),
+    _sync("sync-easgd2", partial(SyncEASGDTrainer, variant=2), "tree EASGD", "Sec 6.1, Alg 3"),
+    _sync("sync-easgd3", partial(SyncEASGDTrainer, variant=3), "tree EASGD",
+          "Sec 6.1, Alg 3+overlap"),
+    _sync("sync-easgd", partial(SyncEASGDTrainer, variant=3), "tree EASGD",  # the headline
+          "Sec 6.1, Alg 3+overlap"),
+    # cluster-scale trainers (platform adapted from the harness GpuPlatform)
+    _sync("knl-sync-easgd", _make_knl_sync_easgd, "KNL cluster", "Sec 6.2, Alg 4"),
+    _sync("cluster-sync-easgd", _make_cluster_sync_easgd, "GPU cluster",
+          "Sec 7, Table 4"),
+    # the parameter-server zoo (the PS protocol layer's new families)
+    _ps("downpour", "Dean et al. 2012"),
+    _ps("adag", "accumulated-gradient ASGD"),
+    _ps("eamsgd", "Zhang et al. 2015, Eqs 5-6"),
+    _sync("gossip-sgd", GossipSGDTrainer, "gossip", "Jin et al. 2016",
+          family_class="decentralized", staleness="none (pairwise)"),
+    _ps("bounded-async-easgd", "bounded-delay EASGD"),
+)
 
-#: The keywords each entry's constructor names; any other is refused.
+ALGORITHMS: Dict[str, Callable[..., BaseTrainer]] = {
+    name: factory for name, factory, _ in _ENTRIES}
+ALGORITHM_INFO: Dict[str, AlgorithmInfo] = {name: info for name, _, info in _ENTRIES}
+
+#: The keywords each entry's constructor names, less those its ``partial``
+#: binds (the name fixes them); any other is refused.
 _ACCEPTS: Dict[str, FrozenSet[str]] = {
     name: frozenset(inspect.signature(factory).parameters)
+    - set(getattr(factory, "keywords", ()))
     for name, factory in ALGORITHMS.items()
 }
 
@@ -164,11 +147,12 @@ _ACCEPTS: Dict[str, FrozenSet[str]] = {
 def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
     """Instantiate a registered trainer by method name.
 
-    A keyword the entry's constructor does not name raises
-    :class:`UnsupportedOptionError` — a knob the method never reads is
-    refused, not ignored. Which *values* an accepted option may take is
-    the constructor's business (a parameter-server row refuses a ``tau``
-    it cannot honour the same way).
+    A keyword the entry's constructor does not name, or one the entry's
+    name already fixes (``variant`` on ``sync-easgd1``, ``family`` on a
+    parameter-server method), raises :class:`UnsupportedOptionError` — a
+    knob the method never reads is refused, not ignored. Which *values*
+    an accepted option may take is the constructor's business (a
+    parameter-server row refuses a ``tau`` it cannot honour the same way).
     """
     try:
         factory = ALGORITHMS[name]

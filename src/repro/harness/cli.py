@@ -55,6 +55,7 @@ from repro.nn.models import (
     build_vgg_mini,
 )
 from repro.nn.spec import ALEXNET, LENET
+from repro.util.tables import TextTable
 
 _DATASETS = {"mnist": make_mnist_like, "cifar": make_cifar_like}
 _MODELS = {
@@ -69,18 +70,11 @@ _MODELS = {
 
 def _render_algorithm_table() -> str:
     """The registry as an aligned table: name, family, class, staleness, etc."""
-    header = ("method", "family", "class", "mode", "staleness", "paper")
-    rows = [
-        (name, info.family, info.family_class, info.sync, info.staleness,
-         info.section)
-        for name, info in sorted(ALGORITHM_INFO.items())
-    ]
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    table = TextTable(("method", "family", "class", "mode", "staleness", "paper"))
+    for name, info in sorted(ALGORITHM_INFO.items()):
+        table.add_row((name, info.family, info.family_class, info.sync,
+                       info.staleness, info.section))
+    return table.render()
 
 
 class _ListAlgorithmsAction(argparse.Action):
@@ -691,17 +685,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     axes = sorted(grid)
-    header = tuple(axes) + ("accuracy", "wall s", "spinup s")
-    rows = [
-        tuple(f"{p.params[k]:g}" for k in axes)
-        + (f"{p.final_accuracy:.3f}", f"{p.wall_time:.2f}", f"{p.spinup_time:.2f}")
-        for p in points
-    ]
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    table = TextTable(axes + ["accuracy", "wall s", "spinup s"])
+    for p in points:
+        table.add_row([f"{p.params[k]:g}" for k in axes]
+                      + [f"{p.final_accuracy:.3f}", f"{p.wall_time:.2f}",
+                         f"{p.spinup_time:.2f}"])
+    print(table.render())
     total_wall = sum(p.wall_time for p in points)
     total_spin = sum(p.spinup_time for p in points)
     mode = f"pooled over {pool_size} workers" if pooled else "inline"

@@ -1,6 +1,5 @@
 """Registry: every advertised method constructs and runs."""
 
-import inspect
 from pathlib import Path
 
 import pytest
@@ -11,8 +10,10 @@ from repro.algorithms import (
     make_trainer,
     UnsupportedOptionError,
 )
+from repro.algorithms.async_ps import AsyncPSTrainer
 from repro.algorithms.base import BaseTrainer
 from repro.algorithms.ps_runner import PS_RUNNER_METHODS
+from repro.algorithms.registry import _ACCEPTS
 from repro.cluster import CostModel, GpuPlatform
 from repro.engine.ps import PS_FAMILIES
 from repro.faults import FaultPlan
@@ -76,14 +77,16 @@ sync-sgd-unpacked    allreduce SGD      centered       sync   none (bulk-sync)  
 #: The arguments every entry takes positionally, in this order.
 POSITIONAL = ("network", "train_set", "test_set", "platform", "config", "cost_model")
 
-#: Every keyword some entry's constructor names beyond ``POSITIONAL``,
-#: plus the two moved off ``TrainerConfig``, each with a value the entries
-#: that name it can build with.
+#: Every keyword some entry's constructor names beyond ``POSITIONAL``
+#: (accepted, or bound by the entry's ``partial`` and so refused), plus the
+#: two moved off ``TrainerConfig``, each with a value the entries that
+#: accept it can build with.
 KEYWORDS = {
     "allreduce": "ring",
     "backend": "processes",
     "collective": "tree",
     "faults": FaultPlan().crash(1, at=0.01),
+    "family": "async-sgd",
     "heartbeat_timeout": 1.0,
     "local_steps": 2,
     "overlap": False,
@@ -94,6 +97,19 @@ KEYWORDS = {
     "tau": 3,
     "variant": 2,
 }
+
+#: Keywords an entry's name fixes, each with a value that would make it
+#: another method; refused by name, never honoured.
+BOUND = [
+    ("sync-easgd1", "variant", 3),
+    ("sync-easgd2", "variant", 3),
+    ("sync-easgd3", "variant", 1),
+    ("sync-easgd", "variant", 1),
+    ("original-easgd", "overlapped", False),
+    ("original-easgd*", "overlapped", True),
+    ("sync-sgd-unpacked", "packed", True),
+] + [(key, "family", "async-sgd" if key != "async-sgd" else "hogwild-sgd")
+     for key in PS_FAMILIES]
 
 
 class TestRegistry:
@@ -158,10 +174,29 @@ class TestRegistry:
         assert (ei.value.method, ei.value.option) == (name, "backend")
 
     def test_keyword_table_is_every_constructor_keyword(self):
-        named = set()
-        for factory in ALGORITHMS.values():
-            named |= set(inspect.signature(factory).parameters)
-        assert set(KEYWORDS) == named - set(POSITIONAL) | {"backend", "collective"}
+        # Every keyword some entry accepts, plus every keyword an entry's
+        # name binds (refused by name, so still a cell of the matrix).
+        accepted = set().union(*_ACCEPTS.values())
+        bound = {keyword for _, keyword, _ in BOUND}
+        assert set(KEYWORDS) == accepted - set(POSITIONAL) | bound | {"backend", "collective"}
+
+    @pytest.mark.parametrize(
+        "name, keyword, value", BOUND, ids=[f"{n}-{k}" for n, k, _ in BOUND])
+    def test_bound_keyword_refused(self, name, keyword, value, mnist_tiny, fast_config):
+        # A keyword the entry's name fixes would quietly turn the entry
+        # into another method ("sync-easgd1" running Sync EASGD3).
+        train, test = mnist_tiny
+        with pytest.raises(UnsupportedOptionError) as ei:
+            make_trainer(
+                name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
+                fast_config, CostModel.from_spec(LENET), **{keyword: value},
+            )
+        assert (ei.value.method, ei.value.option) == (name, keyword)
+
+    def test_bound_keywords_are_the_partials(self):
+        bound = {(name, keyword) for name, factory in ALGORITHMS.items()
+                 for keyword in getattr(factory, "keywords", ())}
+        assert bound == {(name, keyword) for name, keyword, _ in BOUND}
 
     @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
     @pytest.mark.parametrize("name", sorted(EXPECTED_METHODS))
@@ -205,7 +240,8 @@ class TestRegistry:
 
     def test_async_entries_are_the_family_table(self):
         for key, row in PS_FAMILIES.items():
-            assert ALGORITHMS[key].row is row
+            factory = ALGORITHMS[key]
+            assert (factory.func, factory.keywords) == (AsyncPSTrainer, {"family": key})
             info = ALGORITHM_INFO[key]
             assert (info.sync, info.family_class) == ("async", row.kind)
             assert info.staleness.startswith("bounded") == row.bounded

@@ -83,14 +83,14 @@ class TestMcdramModes:
 
 class TestStalenessMetrics:
     def test_async_reports_staleness(self, mnist_tiny, fast_config):
-        from repro.algorithms.async_ps import AsyncSGDTrainer
+        from repro.algorithms import make_trainer
         from repro.cluster import CostModel, GpuPlatform
         from repro.nn.models import build_mlp
         from repro.nn.spec import LENET
 
         train, test = mnist_tiny
-        tr = AsyncSGDTrainer(
-            build_mlp(seed=1), train, test, GpuPlatform(num_gpus=4, seed=0),
+        tr = make_trainer(
+            "async-sgd", build_mlp(seed=1), train, test, GpuPlatform(num_gpus=4, seed=0),
             fast_config, CostModel.from_spec(LENET),
         )
         res = tr.train(80)
@@ -100,14 +100,14 @@ class TestStalenessMetrics:
         assert res.extras["max_staleness"] >= res.extras["mean_staleness"]
 
     def test_single_worker_has_no_staleness(self, mnist_tiny, fast_config):
-        from repro.algorithms.async_ps import AsyncSGDTrainer
+        from repro.algorithms import make_trainer
         from repro.cluster import CostModel, GpuPlatform
         from repro.nn.models import build_mlp
         from repro.nn.spec import LENET
 
         train, test = mnist_tiny
-        tr = AsyncSGDTrainer(
-            build_mlp(seed=1), train, test, GpuPlatform(num_gpus=1, seed=0),
+        tr = make_trainer(
+            "async-sgd", build_mlp(seed=1), train, test, GpuPlatform(num_gpus=1, seed=0),
             fast_config, CostModel.from_spec(LENET),
         )
         res = tr.train(30)

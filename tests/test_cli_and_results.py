@@ -205,6 +205,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"method {method!r} does not support {flag}" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--iterations", "0", "--iterations must be >= 1"),
+        ("--requests", "0", "--requests must be >= 1"),
+        ("--clients", "0", "--clients must be >= 1"),
+        ("--batch-cap", "0", "--batch-cap must be >= 1"),
+        ("--publish-every", "0", "--publish-every must be >= 1"),
+        ("--max-wait", "-0.001", "--max-wait must be >= 0"),
+        ("--think", "-0.001", "--think must be >= 0"),
+        ("--rate", "0", "--rate must be positive"),
+        ("--max-staleness-steps", "-1", "--max-staleness-steps must be >= 0"),
+    ])
+    def test_serve_bad_knob_exits_2_before_training(self, flag, value, message,
+                                                     capsys, monkeypatch):
+        def no_training(*_, **__):
+            raise AssertionError("training started before the knobs were checked")
+
+        monkeypatch.setattr("repro.harness.cli.run_method", no_training)
+        assert main(["serve", "--model", "mlp", f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_serve_closed_loop_serves_every_request(self, capsys, tmp_path):
+        path = tmp_path / "serve.json"
+        code = main(["serve", "--model", "mlp", "--iterations", "5",
+                     "--train-samples", "256", "--requests", "16", "--loop", "closed",
+                     "--clients", "2", "--json", str(path)])
+        assert code == 0
+        assert re.search(r"^invariants\s+: .+ ok$", capsys.readouterr().out, re.M)
+        doc = json.loads(path.read_text())
+        # Two closed-loop clients issue 16 // 2 requests each.
+        assert doc["serve"]["served"] == 16
+        assert (doc["iterations"], doc["knobs"]["loop"]) == (5, "closed")
+
 
 def test_docs_name_only_benchmarks_that_exist():
     """Every ``benchmarks/*.py`` and root ``BENCH_*.json`` that a doc, the

@@ -9,8 +9,7 @@ the in-process runtime's retrying fabric + ``DeadlockError``.
 import numpy as np
 import pytest
 
-from repro.algorithms import TrainerConfig
-from repro.algorithms.async_ps import AsyncEASGDTrainer, AsyncSGDTrainer
+from repro.algorithms import ALGORITHMS, TrainerConfig
 from repro.algorithms.original_easgd import OriginalEASGDTrainer
 from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
@@ -24,6 +23,8 @@ from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 
 pytestmark = pytest.mark.faults
+
+ASYNC_EASGD = ALGORITHMS["async-easgd"]
 
 
 def _trainer(cls, data, faults=None, seed=0, **kwargs):
@@ -46,7 +47,7 @@ def _trainer(cls, data, faults=None, seed=0, **kwargs):
 @pytest.fixture(scope="module")
 def async_baseline(mnist_tiny):
     """A healthy Async EASGD run — the yardstick for degradation checks."""
-    return _trainer(AsyncEASGDTrainer, mnist_tiny).train(150)
+    return _trainer(ASYNC_EASGD, mnist_tiny).train(150)
 
 
 @pytest.fixture(scope="module")
@@ -172,19 +173,19 @@ class TestLegacyFailuresDict:
     def test_out_of_range_worker_rejected_with_key(self, mnist_tiny):
         # worker index == num_workers (4) must not be accepted silently
         with pytest.raises(ValueError, match="targets worker 4"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan(seed=0).crash(4, 1.0))
+            _trainer(ASYNC_EASGD, mnist_tiny, faults=FaultPlan(seed=0).crash(4, 1.0))
 
     def test_legacy_dict_becomes_fault_plan(self, mnist_tiny):
-        trainer = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan(seed=0).crash(1, 0.5))
+        trainer = _trainer(ASYNC_EASGD, mnist_tiny, faults=FaultPlan(seed=0).crash(1, 0.5))
         assert trainer.faults.crash_time(1) == 0.5
         with pytest.raises(TypeError, match="failures"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, failures={1: 0.5})
+            _trainer(ASYNC_EASGD, mnist_tiny, failures={1: 0.5})
 
 
 class TestAsyncFaults:
     def test_crash_before_first_update(self, mnist_tiny, async_baseline):
         plan = FaultPlan(seed=1).crash(0, at=async_baseline.sim_time * 1e-6)
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(150)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(150)
         assert res.fault_log.count("crash") == 1
         assert res.final_accuracy > 0.7  # survivors carry the run
 
@@ -193,14 +194,14 @@ class TestAsyncFaults:
         for j in range(4):
             plan.crash(j, at=1e-9)
         with pytest.raises(AllWorkersCrashedError, match="all 4 workers"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(100)
+            _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(100)
         assert issubclass(AllWorkersCrashedError, FaultError)
 
     def test_midrun_crash_degrades_gracefully(self, mnist_tiny, async_baseline):
         """Acceptance: a mid-run crash completes without hanging and lands
         within 5 accuracy points of the healthy run."""
         plan = FaultPlan(seed=2).crash(2, at=async_baseline.sim_time / 3)
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(150)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(150)
         assert res.iterations == 150  # no silent worker-loss truncation
         assert async_baseline.final_accuracy - res.final_accuracy <= 0.05
         assert res.fault_log.count("crash") == 1
@@ -213,7 +214,7 @@ class TestAsyncFaults:
         # the master's service queue (sim_time stays identical). 10x is
         # slow enough that compute dominates the worker's cycle.
         plan = FaultPlan(seed=3).straggler(1, factor=10.0)
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(150)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(150)
         # Stragglers perturb only the schedule, not the update math: the
         # run converges to the same neighborhood, just later.
         assert abs(res.final_accuracy - async_baseline.final_accuracy) <= 0.05
@@ -222,7 +223,7 @@ class TestAsyncFaults:
     def test_crashed_worker_rejoins_from_center(self, mnist_tiny, async_baseline):
         t_total = async_baseline.sim_time
         plan = FaultPlan(seed=4).crash(1, at=t_total / 4, rejoin_at=t_total / 2)
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(150)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(150)
         assert res.fault_log.count("rejoin") == 1
         assert res.extras["workers_rejoined"] == 1.0
         assert res.final_accuracy > 0.7
@@ -230,7 +231,7 @@ class TestAsyncFaults:
     def test_heartbeat_eviction(self, mnist_tiny, async_baseline):
         plan = FaultPlan(seed=5).crash(3, at=async_baseline.sim_time / 4)
         res = _trainer(
-            AsyncEASGDTrainer, mnist_tiny, faults=plan,
+            ASYNC_EASGD, mnist_tiny, faults=plan,
             heartbeat_timeout=async_baseline.sim_time / 20,
         ).train(150)
         assert res.fault_log.count("evict") == 1
@@ -238,7 +239,7 @@ class TestAsyncFaults:
 
     def test_message_drops_are_retried(self, mnist_tiny):
         plan = FaultPlan(seed=6).drop_rate(0.2)
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(150)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(150)
         assert res.iterations == 150  # every interaction eventually lands
         assert res.fault_log.count("drop") >= 1
         assert res.extras["messages_dropped"] >= 1.0
@@ -248,7 +249,7 @@ class TestAsyncFaults:
 
         def run():
             plan = FaultPlan(seed=9).crash(1, at=0.05).drop_rate(0.1).straggler(0, 2.0)
-            return _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(120)
+            return _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(120)
 
         a, b = run(), run()
         assert a.records == b.records
@@ -258,13 +259,13 @@ class TestAsyncFaults:
 
     def test_async_sgd_supports_faults_too(self, mnist_tiny):
         plan = FaultPlan(seed=7).crash(0, at=1e-6)
-        res = _trainer(AsyncSGDTrainer, mnist_tiny, faults=plan).train(100)
+        res = _trainer(ALGORITHMS["async-sgd"], mnist_tiny, faults=plan).train(100)
         assert res.fault_log.count("crash") == 1
         assert res.iterations == 100
 
     def test_plan_validated_against_worker_count(self, mnist_tiny):
         with pytest.raises(ValueError, match="worker 11"):
-            _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan().crash(11, at=1.0))
+            _trainer(ASYNC_EASGD, mnist_tiny, faults=FaultPlan().crash(11, at=1.0))
 
 
 class TestSyncFaults:
@@ -431,7 +432,7 @@ class TestRuntimeFaults:
 class TestAnalysisAndSerialization:
     def test_fault_rate_curve(self, mnist_tiny):
         runs = {
-            p: _trainer(AsyncEASGDTrainer, mnist_tiny, faults=FaultPlan(seed=1).drop_rate(p)).train(60)
+            p: _trainer(ASYNC_EASGD, mnist_tiny, faults=FaultPlan(seed=1).drop_rate(p)).train(60)
             for p in (0.0, 0.1)
         }
         rates, accs = fault_rate_curve(runs)
@@ -442,7 +443,7 @@ class TestAnalysisAndSerialization:
 
     def test_result_serializes_fault_log(self, mnist_tiny, tmp_path):
         plan = FaultPlan(seed=2).crash(1, at=0.05)
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny, faults=plan).train(60)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(60)
         d = result_to_dict(res)
         assert d["fault_log"] and d["fault_log"][0]["kind"] == "crash"
         assert "degraded_rounds" in d
@@ -452,5 +453,5 @@ class TestAnalysisAndSerialization:
         assert loaded["fault_log"] == d["fault_log"]
 
     def test_healthy_result_omits_fault_log(self, mnist_tiny):
-        res = _trainer(AsyncEASGDTrainer, mnist_tiny).train(30)
+        res = _trainer(ASYNC_EASGD, mnist_tiny).train(30)
         assert "fault_log" not in result_to_dict(res)

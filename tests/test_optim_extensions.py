@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from repro.algorithms import TrainerConfig
-from repro.algorithms.async_ps import AsyncEASGDTrainer
+from repro.algorithms import make_trainer, TrainerConfig
 from repro.cluster import CostModel, GpuPlatform
 from repro.comm.alphabeta import LinkModel, PCIE_SWITCH_P2P
 from repro.comm.collectives import tree_bcast_cost
@@ -162,7 +161,8 @@ class TestFaultInjection:
         plan = FaultPlan(seed=cfg.seed) if crashes else None
         for worker, when in crashes.items():
             plan.crash(worker, when)
-        return AsyncEASGDTrainer(
+        return make_trainer(
+            "async-easgd",
             build_mlp(seed=1),
             train,
             test,

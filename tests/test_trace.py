@@ -10,8 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.algorithms import TrainerConfig
-from repro.algorithms.async_ps import AsyncEASGDTrainer, HogwildSGDTrainer
+from repro.algorithms import ALGORITHMS, TrainerConfig
 from repro.algorithms.original_easgd import OriginalEASGDTrainer
 from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
@@ -58,8 +57,8 @@ def _trace_for(method, mnist_tiny, iterations=10, **kw):
         "original": OriginalEASGDTrainer,
         "sync": SyncEASGDTrainer,
         "sgd": SyncSGDTrainer,
-        "async": AsyncEASGDTrainer,
-        "hogwild": HogwildSGDTrainer,
+        "async": ALGORITHMS["async-easgd"],
+        "hogwild": ALGORITHMS["hogwild-sgd"],
     }[method]
     result = cls(build_mlp(seed=0), train, test, plat, cfg, cost, **kw).train(iterations)
     assert result.trace is not None

@@ -16,16 +16,9 @@ import sys
 
 import pytest
 
-from repro.algorithms import TrainerConfig
-from repro.algorithms.async_ps import AsyncEASGDTrainer
+from repro.algorithms import ALGORITHMS, TrainerConfig
 from repro.algorithms.original_easgd import OriginalEASGDTrainer
-from repro.algorithms.ps_zoo import (
-    AdagTrainer,
-    BoundedAsyncEasgdTrainer,
-    DownpourTrainer,
-    EamsgdTrainer,
-    GossipSGDTrainer,
-)
+from repro.algorithms.ps_zoo import GossipSGDTrainer
 from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
 from repro.cluster import CostModel, GpuPlatform
@@ -41,20 +34,20 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 ITERATIONS = 8
 RANKS = 4
 
-#: method name -> (trainer class, extra ctor kwargs)
+#: method name -> (trainer factory, extra ctor kwargs)
 METHODS = {
     "original-easgd": (OriginalEASGDTrainer, {}),
     "sync-easgd1": (SyncEASGDTrainer, {"variant": 1}),
     "sync-easgd3": (SyncEASGDTrainer, {"variant": 3}),
     "sync-sgd": (SyncSGDTrainer, {}),
     "sync-sgd-ring": (SyncSGDTrainer, {"collective": "ring"}),
-    "async-easgd": (AsyncEASGDTrainer, {}),
+    "async-easgd": (ALGORITHMS["async-easgd"], {}),
     # the parameter-server zoo (PS protocol layer families)
-    "downpour": (DownpourTrainer, {}),
-    "adag": (AdagTrainer, {}),
-    "eamsgd": (EamsgdTrainer, {}),
+    "downpour": (ALGORITHMS["downpour"], {}),
+    "adag": (ALGORITHMS["adag"], {}),
+    "eamsgd": (ALGORITHMS["eamsgd"], {}),
     "gossip-sgd": (GossipSGDTrainer, {}),
-    "bounded-async-easgd": (BoundedAsyncEasgdTrainer, {}),
+    "bounded-async-easgd": (ALGORITHMS["bounded-async-easgd"], {}),
 }
 
 
