@@ -145,9 +145,8 @@ def _serve_cell(
             arrivals = poisson_arrivals(requests, OPEN_RATE, seed=seed)
             OpenLoopLoadGen(arrivals).run(frontend, make_request)
         else:
-            per_client = max(requests // CLIENTS, 1)
             ClosedLoopLoadGen(
-                CLIENTS, per_client, think_mean=0.0005, seed=seed
+                CLIENTS, requests, think_mean=0.0005, seed=seed
             ).run(frontend, make_request)
     finally:
         frontend.stop()
@@ -162,16 +161,15 @@ def _serve_cell(
         f"batch of {stats.max_batch} exceeded cap {batch_cap}"
     )
     assert stats.p50_latency <= stats.p99_latency
-    expected = (requests // CLIENTS) * CLIENTS if loop == "closed" else requests
-    assert stats.served == expected, (
-        f"{loop} loop answered {stats.served}/{expected} requests"
+    assert stats.served == requests, (
+        f"{loop} loop answered {stats.served}/{requests} requests"
     )
     cell = {
         "loop": loop,
         "batch_cap": batch_cap,
         "refresh_policy": refresh_policy,
         "max_staleness_steps": max_staleness_steps,
-        "requests": expected,
+        "requests": requests,
         "arrival": "poisson",
         "open_rate_rps": OPEN_RATE if loop == "open" else None,
         "clients": CLIENTS if loop == "closed" else None,

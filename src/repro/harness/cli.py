@@ -567,8 +567,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                           seed=args.seed)
             OpenLoopLoadGen(arrivals).run(frontend, make_request)
         else:
-            per_client = max(args.requests // args.clients, 1)
-            ClosedLoopLoadGen(args.clients, per_client, think_mean=args.think,
+            ClosedLoopLoadGen(args.clients, args.requests, think_mean=args.think,
                               seed=args.seed).run(frontend, make_request)
     finally:
         frontend.stop()

@@ -110,24 +110,27 @@ class OpenLoopLoadGen:
 class ClosedLoopLoadGen:
     """``clients`` synchronous users in a submit → wait → think loop.
 
-    Each client thread issues ``requests_per_client`` requests; think
-    times are exponential with mean ``think_mean`` (0 disables thinking,
-    giving the classic latency-limited closed loop).
+    The clients issue ``requests`` requests between them, each request
+    index ``0..requests-1`` once: every client takes ``requests //
+    clients`` consecutive indices and the first ``requests % clients``
+    clients one more.  Think times are exponential with mean
+    ``think_mean`` (0 disables thinking, giving the classic
+    latency-limited closed loop).
     """
 
     def __init__(
         self,
         clients: int,
-        requests_per_client: int,
+        requests: int,
         think_mean: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if clients < 1 or requests_per_client < 1:
-            raise ValueError("clients and requests_per_client must be >= 1")
+        if clients < 1 or requests < 1:
+            raise ValueError("clients and requests must be >= 1")
         if think_mean < 0:
             raise ValueError("think_mean must be >= 0")
         self.clients = clients
-        self.requests_per_client = requests_per_client
+        self.requests = requests
         self.think_mean = think_mean
         self.seed = seed
 
@@ -136,12 +139,14 @@ class ClosedLoopLoadGen:
         done: List[Any] = []
         done_lock = threading.Lock()
         errors: List[BaseException] = []
+        share, extra = divmod(self.requests, self.clients)
 
         def client(cid: int) -> None:
             rng = np.random.default_rng(self.seed + cid)
+            first = cid * share + min(cid, extra)
             try:
-                for j in range(self.requests_per_client):
-                    req = frontend.submit(make_request(cid * self.requests_per_client + j))
+                for i in range(first, first + share + (cid < extra)):
+                    req = frontend.submit(make_request(i))
                     req.wait()
                     with done_lock:
                         done.append(req)

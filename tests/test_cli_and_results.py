@@ -233,9 +233,19 @@ class TestCli:
         assert code == 0
         assert re.search(r"^invariants\s+: .+ ok$", capsys.readouterr().out, re.M)
         doc = json.loads(path.read_text())
-        # Two closed-loop clients issue 16 // 2 requests each.
         assert doc["serve"]["served"] == 16
         assert (doc["iterations"], doc["knobs"]["loop"]) == (5, "closed")
+
+    @pytest.mark.parametrize("requests,clients", [("15", "2"), ("1", "4")])
+    def test_serve_closed_loop_issues_exactly_requests(self, requests, clients,
+                                                       capsys):
+        # --requests is the total, whether or not --clients divides it.
+        code = main(["serve", "--model", "mlp", "--iterations", "5",
+                     "--train-samples", "256", "--loop", "closed",
+                     "--requests", requests, "--clients", clients])
+        assert code == 0
+        served = re.search(r"^served\s+: (\d+) requests", capsys.readouterr().out, re.M)
+        assert served.group(1) == requests
 
 
 def test_docs_name_only_benchmarks_that_exist():

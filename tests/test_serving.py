@@ -285,6 +285,21 @@ class TestLoadGen:
         # in-burst interarrival by an order of magnitude.
         assert gaps.max() > 10 * np.median(gaps)
 
+    @pytest.mark.parametrize("requests,clients", [(15, 2), (1, 4), (16, 2), (7, 7)])
+    def test_closed_loop_issues_each_request_index_once(self, requests, clients):
+        snap = ModelSnapshotter(4)
+        snap.on_step(np.ones(4, dtype=np.float32), step=1)
+        fe = _make_frontend(snap, batch_cap=4, max_wait=0.0).start()
+        issued = []
+        try:
+            done = ClosedLoopLoadGen(clients, requests).run(
+                fe, lambda i: issued.append(i) or np.ones(4, dtype=np.float32))
+        finally:
+            fe.stop()
+            snap.close()
+        assert len(done) == requests
+        assert sorted(issued) == list(range(requests))
+
 
 # ---------------------------------------------------------------------------
 # Front-end: staleness bound enforcement and refresh policies
@@ -472,7 +487,7 @@ def _train_with_live_serving(train, shared=False):
     if snap.buffer.version > 0:
         fe = ServingFrontend.for_network(replica, snap.reader(),
                                          batch_cap=4, max_wait=0.001).start()
-        gen = ClosedLoopLoadGen(clients=2, requests_per_client=10,
+        gen = ClosedLoopLoadGen(clients=2, requests=20,
                                 think_mean=0.0005, seed=1)
         x = spec.test_set.images
         done = gen.run(fe, lambda i: x[i % len(x)])
