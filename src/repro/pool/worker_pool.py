@@ -39,7 +39,10 @@ Design:
   its ranks is pinned to a core no running cell holds and its receives
   spin before they block; otherwise its ranks run on the full mask and
   block on the doorbell. The verdict is per cell, so a two-rank cell on
-  a three-worker pool on two cores is pinned and spinning.
+  a three-worker pool on two cores is pinned and spinning. It sets the
+  rank's BLAS thread budget too (:mod:`repro.util.blas`): one thread on
+  an owned core, else ``usable_cores // ranks``, never more than the
+  worker forked with.
 - Each cell gets a **fresh** :class:`~repro.comm.runtime.RankContextBase`
   (fresh stashes, sequence counters, RNG-free) over the recycled fabric —
   the cell's inboxes, the worker's transport as its codec, and a by-name
@@ -110,6 +113,7 @@ from repro.comm.shm_transport import (
 )
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
+from repro.util.blas import blas_threads, set_blas_threads
 
 __all__ = ["POOL_PAYLOAD", "PoolJob", "WorkerPool"]
 
@@ -590,11 +594,16 @@ class WorkerPool:
 
         Persistent state across cells: the ShmTransport (slot rings) and
         the by-name arena cache.  Everything cell-scoped — context,
-        stashes, trace, RNG, the affinity mask and whether receives spin
-        — is set per job, which is what keeps pooled cells bit-identical
-        to cold spawns and never leaves a cell the previous one's cores.
+        stashes, trace, RNG, the affinity mask, whether receives spin and
+        the BLAS thread budget — is set per job, which is what keeps
+        pooled cells bit-identical to cold spawns and never leaves a cell
+        the previous one's cores.
         """
         full_mask = os.sched_getaffinity(0) if self._ncores else None
+        # The BLAS threads this worker forked with: a cell's budget never
+        # exceeds them, so an exported OPENBLAS_NUM_THREADS=1 stays 1.
+        forked_blas = blas_threads()
+        usable = self._ncores or os.cpu_count() or 1
         for conn in self._work_send + self._result_recv:
             conn.close()
         for r in range(self.size):
@@ -646,6 +655,10 @@ class WorkerPool:
                 except OSError:  # pragma: no cover - cgroup/permission quirk
                     pass
             inbox.spin = core is not None
+            if forked_blas is not None:
+                # One thread on an owned core; else a share of the cores.
+                set_blas_threads(1 if core is not None
+                                 else min(forked_blas, usable // nranks))
             # The fabric as data: this cell's inboxes, the worker's
             # transport as codec, and arenas by name (cells on the same
             # block derive the same names, so they reuse one).

@@ -299,6 +299,56 @@ def test_pin_and_spin_are_decided_per_cell():
     assert concurrent.count(full) == 1
 
 
+#: Run in a fresh interpreter with no BLAS variable exported, so its BLAS
+#: loads at the machine's default count. At most two usable cores keep the
+#: oversubscribed cell small: three ranks do not fit two cores.
+_BLAS_BUDGET_SCRIPT = """
+import json, os
+from repro.comm.backend import make_communicator
+from repro.pool import WorkerPool
+from repro.util.blas import blas_threads
+
+def budget_cell(ctx):
+    return blas_threads()
+
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+usable = len(os.sched_getaffinity(0))
+forked = blas_threads()
+with WorkerPool(usable + 1) as pool:
+    pinned = pool.run(1, budget_cell)
+    shared = pool.run(usable + 1, budget_cell)
+cold = make_communicator(usable + 1, "processes").run(budget_cell)
+print(json.dumps(dict(usable=usable, forked=forked, parent=blas_threads(),
+                      pinned=pinned, shared=shared, cold=cold)))
+"""
+
+
+@pytest.mark.mp
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_rank_runs_on_its_blas_budget():
+    """With no BLAS variable exported, a rank's BLAS runs one thread on a
+    pinned core and a share of the usable cores otherwise, never more than
+    it forked with; the parent keeps its own count."""
+    import json
+    import subprocess
+    import sys
+
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", _BLAS_BUDGET_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(out.stdout)
+    if got["forked"] is None:
+        pytest.skip("the loaded BLAS exports no known thread setter")
+    usable, forked = got["usable"], got["forked"]
+    share = min(forked, max(1, usable // (usable + 1)))
+    assert got["parent"] == forked
+    assert got["pinned"] == [1]
+    assert got["shared"] == got["cold"] == [share] * (usable + 1)
+
+
 # ---------------------------------------------------------------------------
 # Fabric reuse: consecutive cells share one set of shm segments
 # ---------------------------------------------------------------------------
