@@ -17,7 +17,6 @@ from repro.comm.collectives import (
     allreduce_cost,
     flat_sequential_cost,
     tree_bcast_cost,
-    tree_bcast_order,
     tree_reduce,
     tree_reduce_cost,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "packed_plan",
     "per_layer_plan",
     "tree_reduce",
-    "tree_bcast_order",
     "tree_reduce_cost",
     "tree_bcast_cost",
     "flat_sequential_cost",

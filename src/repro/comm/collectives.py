@@ -14,7 +14,7 @@ Theta(P). Two faces are provided:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "tree_rounds",
     "tree_reduce",
     "tree_reduce_into",
-    "tree_bcast_order",
     "tree_reduce_cost",
     "tree_bcast_cost",
     "flat_sequential_cost",
@@ -112,23 +111,6 @@ def tree_reduce_into(vectors: Sequence[np.ndarray], out: np.ndarray) -> np.ndarr
         stride *= 2
     assert acc[0] is out
     return out
-
-
-def tree_bcast_order(p: int) -> List[Tuple[int, int]]:
-    """Binomial-tree broadcast edge list as (source, destination) pairs.
-
-    Round k has every rank i < 2**k forward to i + 2**k (if it exists), so
-    after ceil(log2 p) rounds all ranks hold the root's value.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    edges: List[Tuple[int, int]] = []
-    have = 1
-    while have < p:
-        for src in range(min(have, p - have)):
-            edges.append((src, src + have))
-        have *= 2
-    return edges
 
 
 def tree_reduce_cost(link: LinkModel, nbytes: int, p: int) -> float:

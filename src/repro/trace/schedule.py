@@ -22,9 +22,9 @@ __all__ = ["tree_edge_rounds", "emit_tree_phase", "emit_ring_allreduce", "emit_p
 def tree_edge_rounds(p: int) -> List[List[Tuple[int, int]]]:
     """Binomial-tree broadcast edges grouped by round.
 
-    Round k has every relative rank ``i < 2**k`` forward to ``i + 2**k``
-    — the grouping behind :func:`repro.comm.collectives.tree_bcast_order`,
-    kept per-round here because the trace records round indices.
+    Round k has every relative rank ``i < 2**k`` forward to ``i + 2**k``,
+    so after ``ceil(log2 p)`` rounds all ranks hold the root's value;
+    grouped per round because the trace records round indices.
     """
     if p <= 0:
         raise ValueError("p must be positive")

@@ -17,13 +17,13 @@ from repro.comm.collectives import (
     allreduce_cost,
     flat_sequential_cost,
     tree_bcast_cost,
-    tree_bcast_order,
     tree_reduce,
     tree_reduce_cost,
     tree_rounds,
 )
 from repro.comm.packing import MessagePlan, packed_plan, per_layer_plan
 from repro.comm.topology import GpuNodeTopology, KnlClusterTopology
+from repro.trace.schedule import tree_edge_rounds
 
 
 class TestAlphaBeta:
@@ -145,7 +145,7 @@ class TestTreeReduce:
 class TestTreeBcast:
     def test_order_reaches_everyone(self):
         for p in (1, 2, 3, 7, 8, 16):
-            edges = tree_bcast_order(p)
+            edges = [e for r in tree_edge_rounds(p) for e in r]
             have = {0}
             for src, dst in edges:
                 assert src in have, "source must already hold the value"
@@ -153,7 +153,7 @@ class TestTreeBcast:
             assert have == set(range(p))
 
     def test_edge_count(self):
-        assert len(tree_bcast_order(8)) == 7  # P-1 edges total
+        assert sum(len(r) for r in tree_edge_rounds(8)) == 7  # P-1 edges total
 
     def test_round_depth_is_log(self):
         # edges can be grouped into ceil(log2 P) doubling rounds
