@@ -47,8 +47,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 import sys
-import threading
-import time
 
 from repro.algorithms import TrainerConfig
 from repro.data import make_mnist_like
@@ -60,6 +58,7 @@ from repro.serving import (
     OpenLoopLoadGen,
     ServingFrontend,
     poisson_arrivals,
+    serve_while_training,
 )
 from repro.trace import check_all
 from repro.trace.events import Trace
@@ -118,42 +117,22 @@ def _serve_cell(
         "loop": loop, "arrival": "poisson",
     })
     snapshotter = ModelSnapshotter(replica.num_params, trace=trace)
-    outcome: dict = {}
-
-    def train_main() -> None:
-        try:
-            outcome["result"] = run_method(
-                spec, METHOD, iterations=iterations, snapshotter=snapshotter
-            )
-        except BaseException as exc:  # pragma: no cover - ferried below
-            outcome["error"] = exc
-
-    trainer = threading.Thread(target=train_main, name="training")
-    trainer.start()
-    while snapshotter.buffer.version == 0 and trainer.is_alive():
-        time.sleep(0.001)
-
     frontend = ServingFrontend.for_network(
         replica, snapshotter.reader(), batch_cap=batch_cap, max_wait=MAX_WAIT,
         max_staleness_steps=max_staleness_steps,
         refresh_policy=refresh_policy, trace=trace,
-    ).start()
+    )
+    if loop == "open":
+        load = OpenLoopLoadGen(poisson_arrivals(requests, OPEN_RATE, seed=seed))
+    else:
+        load = ClosedLoopLoadGen(CLIENTS, requests, think_mean=0.0005, seed=seed)
     test_images = spec.test_set.images
-    make_request = lambda i: test_images[i % len(test_images)]  # noqa: E731
-    try:
-        if loop == "open":
-            arrivals = poisson_arrivals(requests, OPEN_RATE, seed=seed)
-            OpenLoopLoadGen(arrivals).run(frontend, make_request)
-        else:
-            ClosedLoopLoadGen(
-                CLIENTS, requests, think_mean=0.0005, seed=seed
-            ).run(frontend, make_request)
-    finally:
-        frontend.stop()
-        trainer.join()
+    result, _ = serve_while_training(
+        lambda snap: run_method(spec, METHOD, iterations=iterations, snapshotter=snap),
+        snapshotter, frontend,
+        lambda fe: load.run(fe, lambda i: test_images[i % len(test_images)]),
+    )
     snapshotter.close()
-    if "error" in outcome:
-        raise outcome["error"]
 
     check_all(trace)  # no overlap, cap, monotone publish, staleness bound
     stats = frontend.stats()
@@ -174,9 +153,9 @@ def _serve_cell(
         "open_rate_rps": OPEN_RATE if loop == "open" else None,
         "clients": CLIENTS if loop == "closed" else None,
         "method": METHOD,
-        "train_iterations": outcome["result"].iterations,
+        "train_iterations": result.iterations,
         "publishes": snapshotter.publishes,
-        "final_accuracy": float(outcome["result"].final_accuracy),
+        "final_accuracy": float(result.final_accuracy),
     }
     cell.update(stats.to_dict())
     return cell

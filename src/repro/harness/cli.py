@@ -26,6 +26,8 @@ Commands
 from __future__ import annotations
 
 import argparse
+from functools import partial
+import math
 import sys
 from typing import List, Optional
 
@@ -68,17 +70,19 @@ _MODELS = {
 }
 
 
-def _render_algorithm_table() -> str:
-    """The registry as an aligned table: name, family, class, staleness, etc."""
-    table = TextTable(("method", "family", "class", "mode", "staleness", "paper"))
-    for name, info in sorted(ALGORITHM_INFO.items()):
-        table.add_row((name, info.family, info.family_class, info.sync,
-                       info.staleness, info.section))
-    return table.render()
+class _Exit(Exception):
+    """A command's refusal or failure: :func:`main` prints the message to
+    stderr and returns ``code`` (2 bad input, 3 the run failed, 4 a trace
+    invariant violated)."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class _ListAlgorithmsAction(argparse.Action):
-    """``--list-algorithms``: print the registry table and exit.
+    """``--list-algorithms``: print the registry as an aligned table (name,
+    family, class, staleness, ...) and exit.
 
     A top-level flag (not a subcommand) so it works without naming one —
     the subparser itself is ``required``.
@@ -88,7 +92,11 @@ class _ListAlgorithmsAction(argparse.Action):
         super().__init__(option_strings, dest, nargs=0, **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        print(_render_algorithm_table())
+        table = TextTable(("method", "family", "class", "mode", "staleness", "paper"))
+        for name, info in sorted(ALGORITHM_INFO.items()):
+            table.add_row((name, info.family, info.family_class, info.sync,
+                           info.staleness, info.section))
+        print(table.render())
         parser.exit(0)
 
 
@@ -128,6 +136,16 @@ def _add_experiment_args(
     parser.add_argument("--difficulty", type=float, default=difficulty)
 
 
+def _datasets(args: argparse.Namespace, dataset: str):
+    """The (train, test) pair of ``dataset`` the sample flags describe."""
+    return _DATASETS[dataset](
+        n_train=args.train_samples,
+        n_test=max(args.train_samples // 4, 256),
+        seed=args.seed,
+        difficulty=args.difficulty,
+    )
+
+
 def _build_spec(args: argparse.Namespace, cost_model: Optional[CostModel] = None,
                 **config_fields) -> ExperimentSpec:
     """The normalized :class:`ExperimentSpec` those flags describe;
@@ -136,12 +154,7 @@ def _build_spec(args: argparse.Namespace, cost_model: Optional[CostModel] = None
     generated)."""
     config = TrainerConfig(batch_size=args.batch_size, lr=args.lr, rho=args.rho,
                            seed=args.seed, **config_fields)
-    train, test = _DATASETS[args.dataset](
-        n_train=args.train_samples,
-        n_test=max(args.train_samples // 4, 256),
-        seed=args.seed,
-        difficulty=args.difficulty,
-    )
+    train, test = _datasets(args, args.dataset)
     shape = {}
     if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
         shape["input_shape"] = (3, 32, 32)
@@ -297,7 +310,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _with_checkpoints(args: argparse.Namespace, build):
+    """``build(**fields)`` with the checkpoint :class:`TrainerConfig` fields
+    of ``_add_durability_args``' flags, which are checked first."""
+    if args.resume and args.checkpoint_dir is None:
+        raise _Exit(2, "--resume requires --checkpoint-dir")
+    try:
+        return build(checkpoint_every=args.checkpoint_every,
+                     checkpoint_dir=args.checkpoint_dir,
+                     checkpoint_keep=args.checkpoint_keep)
+    except ValueError as exc:
+        raise _Exit(2, f"invalid checkpoint options: {exc}")
+
+
+def _write_trace(trace, path: str) -> None:
+    """``.jsonl`` -> the archive format; anything else -> Chrome/Perfetto JSON."""
+    from repro.trace import to_chrome, to_jsonl
+
+    (to_jsonl if path.endswith(".jsonl") else to_chrome)(trace, path)
+
+
+def _write_json(payload: dict, path: str) -> None:
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(ALGORITHMS):
         print(name)
     return 0
@@ -307,63 +347,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cost = None
     if args.paper_scale_cost:
         cost = CostModel.from_spec(LENET if args.dataset == "mnist" else ALEXNET)
-    if args.resume and args.checkpoint_dir is None:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    try:
-        spec = _build_spec(
-            args, cost_model=cost,
-            trace=args.trace is not None,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_keep=args.checkpoint_keep,
-        )
-    except ValueError as exc:
-        print(f"invalid checkpoint options: {exc}", file=sys.stderr)
-        return 2
-
-    trainer_kwargs = {}
+    spec = _with_checkpoints(args, partial(_build_spec, args, cost_model=cost,
+                                           trace=args.trace is not None))
+    trainer_kwargs = {name: getattr(args, name)
+                      for name in ("tau", "staleness_policy", "local_steps", "collective")
+                      if getattr(args, name) is not None}
     if args.faults:
         try:
             trainer_kwargs["faults"] = FaultPlan.from_spec(args.faults, seed=args.seed)
         except ValueError as exc:
-            print(f"invalid --faults spec: {exc}", file=sys.stderr)
-            return 2
-    if args.tau is not None:
-        trainer_kwargs["tau"] = args.tau
-    if args.staleness_policy is not None:
-        trainer_kwargs["staleness_policy"] = args.staleness_policy
-    if args.local_steps is not None:
-        trainer_kwargs["local_steps"] = args.local_steps
-    if args.collective is not None:
-        trainer_kwargs["collective"] = args.collective
+            raise _Exit(2, f"invalid --faults spec: {exc}")
+    if args.target is None:
+        length = {"iterations": args.iterations, "resume": args.resume}
+    elif args.resume:
+        raise _Exit(2, "--resume is only supported with fixed-length runs (drop --target)")
+    else:
+        length = {"target_accuracy": args.target, "max_iterations": args.iterations}
 
     try:
-        if args.target is not None:
-            if args.resume:
-                print("--resume is only supported with fixed-length runs "
-                      "(drop --target)", file=sys.stderr)
-                return 2
-            result = run_method(spec, args.method, target_accuracy=args.target,
-                                max_iterations=args.iterations, **trainer_kwargs)
-        else:
-            result = run_method(spec, args.method, iterations=args.iterations,
-                                resume=args.resume, **trainer_kwargs)
+        result = run_method(spec, args.method, **length, **trainer_kwargs)
     except CheckpointError as exc:
-        print(f"resume failed: {exc}", file=sys.stderr)
-        return 3
+        raise _Exit(3, f"resume failed: {exc}")
     except UnsupportedOptionError as exc:
         flag = "--" + exc.option.replace("_", "-")
-        print(f"method {exc.method!r} does not support {flag}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"method {exc.method!r} does not support {flag}")
     except ValueError as exc:
         if args.faults:  # e.g. the plan targets a worker the platform lacks
-            print(f"invalid --faults spec: {exc}", file=sys.stderr)
-            return 2
+            raise _Exit(2, f"invalid --faults spec: {exc}")
         raise
     except FaultError as exc:
-        print(f"run failed under the fault plan: {exc}", file=sys.stderr)
-        return 3
+        raise _Exit(3, f"run failed under the fault plan: {exc}")
 
     print(f"method          : {result.method}")
     print(f"iterations      : {result.iterations}")
@@ -382,14 +395,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\ntrajectory written to {args.json}")
     if args.trace:
         if result.trace is None:
-            print(f"method {args.method!r} does not record traces", file=sys.stderr)
-            return 2
-        from repro.trace import InvariantViolation, check_all, summarize, to_chrome, to_jsonl
+            raise _Exit(2, f"method {args.method!r} does not record traces")
+        from repro.trace import InvariantViolation, check_all, summarize
 
-        if args.trace.endswith(".jsonl"):
-            to_jsonl(result.trace, args.trace)
-        else:
-            to_chrome(result.trace, args.trace)
+        _write_trace(result.trace, args.trace)
         digest = summarize(result.trace)
         print(f"\ntrace written to {args.trace} "
               f"({int(digest['events'])} events, {int(digest['messages'])} messages, "
@@ -397,8 +406,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             ran = check_all(result.trace)
         except InvariantViolation as exc:
-            print(f"trace invariant VIOLATED: {exc}", file=sys.stderr)
-            return 4
+            raise _Exit(4, f"trace invariant VIOLATED: {exc}")
         print(f"trace invariants OK: {', '.join(ran)}")
     return 0
 
@@ -406,31 +414,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_knl(args: argparse.Namespace) -> int:
     from repro.knl.partition import ChipPartitionTrainer
 
-    train, test = make_mnist_like(
-        n_train=args.train_samples,
-        n_test=max(args.train_samples // 4, 256),
-        seed=args.seed,
-        difficulty=args.difficulty,
-    )
     if args.batch_size % args.parts != 0:
-        print(f"--batch-size {args.batch_size} must divide evenly into "
-              f"--parts {args.parts} groups", file=sys.stderr)
-        return 2
-    if args.resume and args.checkpoint_dir is None:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"--batch-size {args.batch_size} must divide evenly into "
+                       f"--parts {args.parts} groups")
+    config = _with_checkpoints(args, partial(TrainerConfig, batch_size=args.batch_size,
+                                             lr=args.lr, seed=args.seed))
+    train, test = _datasets(args, "mnist")
     net = build_lenet(seed=args.seed)
     net.forward(train.images[:1])  # materialize params before forking replicas
-    try:
-        config = TrainerConfig(
-            batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_keep=args.checkpoint_keep,
-        )
-    except ValueError as exc:
-        print(f"invalid checkpoint options: {exc}", file=sys.stderr)
-        return 2
     trainer = ChipPartitionTrainer(
         network=net,
         train_set=train,
@@ -442,8 +433,7 @@ def _cmd_knl(args: argparse.Namespace) -> int:
     try:
         result = trainer.train(args.iterations, resume=args.resume)
     except CheckpointError as exc:
-        print(f"resume failed: {exc}", file=sys.stderr)
-        return 3
+        raise _Exit(3, f"resume failed: {exc}")
 
     print(f"method          : {result.method}")
     print(f"backend         : {result.backend or 'serial (simulated)'}")
@@ -486,19 +476,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("--publish-every", args.publish_every, 1),
         ("--max-wait", args.max_wait, 0),
         ("--think", args.think, 0),
+        ("--max-staleness-steps", args.max_staleness_steps or 0, 0),  # unset: no bound
     ):
         if value < bound:
-            print(f"{knob} must be >= {bound}", file=sys.stderr)
-            return 2
+            raise _Exit(2, f"{knob} must be >= {bound}")
     if args.rate <= 0:
-        print("--rate must be positive", file=sys.stderr)
-        return 2
-    if args.max_staleness_steps is not None and args.max_staleness_steps < 0:
-        print("--max-staleness-steps must be >= 0", file=sys.stderr)
-        return 2
-
-    import threading
-    import time
+        raise _Exit(2, "--rate must be positive")
 
     from repro.serving import (
         ClosedLoopLoadGen,
@@ -507,76 +490,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServingFrontend,
         onoff_arrivals,
         poisson_arrivals,
+        serve_while_training,
     )
+    from repro.trace import InvariantViolation, check_all
     from repro.trace.events import Trace
 
     spec = _build_spec(args)
-    test = spec.test_set
-
     replica = spec.model_builder()  # the serving tier's own weights copy
-    trace = Trace(meta={
-        "pattern": "serving", "method": args.method,
-        "batch_cap": args.batch_cap,
-        "max_staleness_steps": args.max_staleness_steps,
-        "publish_every": args.publish_every,
-        "loop": args.loop, "arrival": args.arrival,
-    })
+    trace = Trace(meta={"pattern": "serving", "method": args.method, **{
+        k: getattr(args, k)
+        for k in ("batch_cap", "max_staleness_steps", "publish_every", "loop", "arrival")}})
     snapshotter = ModelSnapshotter(
         replica.num_params, publish_every=args.publish_every, trace=trace,
     )
-
-    outcome: dict = {}
-
-    def train_main() -> None:
-        try:
-            outcome["result"] = run_method(
-                spec, args.method, iterations=args.iterations,
-                snapshotter=snapshotter,
-            )
-        except BaseException as exc:  # ferried to the foreground
-            outcome["error"] = exc
-
-    trainer_thread = threading.Thread(target=train_main, name="training")
-    trainer_thread.start()
-    # Serve only from published weights: wait for the first snapshot.
-    while snapshotter.buffer.version == 0:
-        if not trainer_thread.is_alive():
-            break
-        time.sleep(0.001)
-    if "error" in outcome:
-        trainer_thread.join()
-        print(f"training failed before serving began: {outcome['error']}",
-              file=sys.stderr)
-        return 3
-
     frontend = ServingFrontend.for_network(
         replica, snapshotter.reader(),
         batch_cap=args.batch_cap, max_wait=args.max_wait,
         max_staleness_steps=args.max_staleness_steps,
         refresh_policy=args.refresh_policy, trace=trace,
-    ).start()
-    make_request = lambda i: test.images[i % len(test.images)]  # noqa: E731
+    )
+    if args.loop == "closed":
+        load = ClosedLoopLoadGen(args.clients, args.requests, think_mean=args.think,
+                                 seed=args.seed)
+    elif args.arrival == "poisson":
+        load = OpenLoopLoadGen(poisson_arrivals(args.requests, args.rate, seed=args.seed))
+    else:
+        burst = max(2.0 / args.rate, 0.01)
+        load = OpenLoopLoadGen(onoff_arrivals(args.requests, args.rate, on_mean=burst,
+                                              off_mean=burst, seed=args.seed))
+    images = spec.test_set.images
     try:
-        if args.loop == "open":
-            if args.arrival == "poisson":
-                arrivals = poisson_arrivals(args.requests, args.rate, seed=args.seed)
-            else:
-                burst = max(2.0 / args.rate, 0.01)
-                arrivals = onoff_arrivals(args.requests, args.rate,
-                                          on_mean=burst, off_mean=burst,
-                                          seed=args.seed)
-            OpenLoopLoadGen(arrivals).run(frontend, make_request)
-        else:
-            ClosedLoopLoadGen(args.clients, args.requests, think_mean=args.think,
-                              seed=args.seed).run(frontend, make_request)
-    finally:
-        frontend.stop()
-        trainer_thread.join()
-    if "error" in outcome:
-        print(f"training failed while serving: {outcome['error']}", file=sys.stderr)
-        return 3
+        result, _ = serve_while_training(
+            lambda snap: run_method(spec, args.method, iterations=args.iterations,
+                                    snapshotter=snap),
+            snapshotter, frontend,
+            lambda fe: load.run(fe, lambda i: images[i % len(images)]),
+        )
+    except Exception as exc:
+        raise _Exit(3, f"training failed: {type(exc).__name__}: {exc}")
 
-    result = outcome["result"]
     stats = frontend.stats()
     print(f"method          : {result.method}")
     print(f"iterations      : {result.iterations}")
@@ -590,40 +542,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"weight refreshes: {stats.refreshes}")
     print(f"staleness       : max {stats.max_staleness} steps, "
           f"mean {stats.mean_staleness:.2f}")
-
-    from repro.trace import InvariantViolation, check_all, to_chrome, to_jsonl
-
     try:
         ran = check_all(trace)
-        print(f"invariants      : {', '.join(ran)} ok")
     except InvariantViolation as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 3
+        raise _Exit(3, f"invariant violated: {exc}")
+    print(f"invariants      : {', '.join(ran)} ok")
     if args.trace:
-        if args.trace.endswith(".jsonl"):
-            to_jsonl(trace, args.trace)
-        else:
-            to_chrome(trace, args.trace)
+        _write_trace(trace, args.trace)
         print(f"trace written to {args.trace} ({len(trace)} events)")
     if args.json:
-        import json
-
-        payload = {
+        _write_json({
             "method": result.method,
             "iterations": result.iterations,
             "final_accuracy": result.final_accuracy,
             "publishes": snapshotter.publishes,
             "serve": stats.to_dict(),
-            "knobs": {
-                "loop": args.loop, "arrival": args.arrival,
-                "batch_cap": args.batch_cap, "max_wait": args.max_wait,
-                "max_staleness_steps": args.max_staleness_steps,
-                "refresh_policy": args.refresh_policy,
-                "publish_every": args.publish_every,
-            },
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            "knobs": {k: getattr(args, k) for k in (
+                "loop", "arrival", "batch_cap", "max_wait", "max_staleness_steps",
+                "refresh_policy", "publish_every")},
+        }, args.json)
         print(f"stats written to {args.json}")
     snapshotter.close()
     return 0
@@ -665,19 +602,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         grid = _parse_grid(args.grid, spec.config)
     except ValueError as exc:
-        print(f"invalid --grid spec: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"invalid --grid spec: {exc}")
 
-    n_cells = 1
-    for values in grid.values():
-        n_cells *= len(values)
+    n_cells = math.prod(len(values) for values in grid.values())
     pooled = args.pool or args.pool_size is not None
     pool_size = None
     if pooled:
         pool_size = args.pool_size or min(n_cells, os.cpu_count() or 4, 8)
         if pool_size < 1:
-            print("--pool-size must be >= 1", file=sys.stderr)
-            return 2
+            raise _Exit(2, "--pool-size must be >= 1")
     points = grid_sweep(
         spec, args.method, grid, args.iterations,
         pool_size=pool_size, checkpoint_root=args.checkpoint_root,
@@ -708,9 +641,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(f"best: {label} (accuracy {best.final_accuracy:.3f})")
     if args.json:
-        import json
-
-        payload = {
+        _write_json({
             "method": args.method, "iterations": args.iterations,
             "grid": {k: list(v) for k, v in grid.items()},
             "pooled": pooled, "pool_size": pool_size,
@@ -721,11 +652,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 }
                 for p in points
             ],
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        }, args.json)
         print(f"sweep written to {args.json}")
     return 0
+
+
+_COMMANDS = {"list": _cmd_list, "run": _cmd_run, "table": _cmd_table,
+             "knl": _cmd_knl, "serve": _cmd_serve, "sweep": _cmd_sweep}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -738,21 +671,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     reap_stale_segments()
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "knl":
-            return _cmd_knl(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        return _COMMANDS[args.command](args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BrokenPipeError:  # e.g. `repro list | head` — not an error
         return 0
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,9 @@ this package answers inference traffic from the freshest center weights:
   micro-batching and staleness-bounded weight refresh.
 - :mod:`repro.serving.loadgen` — Poisson and on/off-bursty arrival
   processes with open- and closed-loop drivers.
+- :mod:`repro.serving.session` — :func:`serve_while_training`, the one
+  protocol that trains in a thread while a front-end serves load from
+  the snapshots it publishes.
 
 See ``docs/serving.md`` for the architecture and staleness semantics.
 """
@@ -21,6 +24,7 @@ from repro.serving.loadgen import (
     onoff_arrivals,
     poisson_arrivals,
 )
+from repro.serving.session import serve_while_training
 from repro.serving.snapshot import ModelSnapshotter, SnapshotReader
 
 __all__ = [
@@ -33,4 +37,5 @@ __all__ = [
     "onoff_arrivals",
     "OpenLoopLoadGen",
     "ClosedLoopLoadGen",
+    "serve_while_training",
 ]

@@ -39,9 +39,9 @@ class ModelSnapshotter:
     so readers can measure how far behind a cached snapshot is even
     between publishes.
 
-    ``shared=True`` backs the buffer with named POSIX shm so serving
-    processes in a different address space can attach by :attr:`name`;
-    the default keeps it on the heap for in-process (thread) serving.
+    ``shared=True`` backs the buffer with named POSIX shm so training
+    ranks in forked processes publish into it; the default keeps it on
+    the heap for in-process (thread) training.
     """
 
     def __init__(
@@ -60,7 +60,7 @@ class ModelSnapshotter:
 
     @property
     def name(self) -> Optional[str]:
-        """Shm segment name for cross-process :meth:`SnapshotReader.attach`."""
+        """Shm segment name (None for a heap buffer)."""
         return self.buffer.name
 
     @property
@@ -108,14 +108,6 @@ class SnapshotReader:
         self.loaded_step = -1
         self.loaded_version = 0
         self.refreshes = 0
-        self._owns_mapping = False
-
-    @classmethod
-    def attach(cls, name: str, elems: int) -> "SnapshotReader":
-        """Attach to a shared snapshotter buffer from another process."""
-        reader = cls(SeqlockBuffer.attach(name, elems))
-        reader._owns_mapping = True
-        return reader
 
     def has_new(self) -> bool:
         """Whether a newer snapshot than the cached one has been published."""
@@ -143,8 +135,3 @@ class SnapshotReader:
             self.params, self.loaded_step, self.loaded_version = self.buffer.read(out=self.params)
             self.refreshes += 1
         return self.params, self.loaded_step, self.loaded_version
-
-    def close(self) -> None:
-        """Release the buffer mapping if this reader attached it."""
-        if self._owns_mapping:
-            self.buffer.close()

@@ -5,6 +5,7 @@ from pathlib import Path
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHMS, TrainerConfig
@@ -226,26 +227,33 @@ class TestCli:
         assert capsys.readouterr().err.strip() == message
 
     def test_serve_closed_loop_serves_every_request(self, capsys, tmp_path):
-        path = tmp_path / "serve.json"
-        code = main(["serve", "--model", "mlp", "--iterations", "5",
-                     "--train-samples", "256", "--requests", "16", "--loop", "closed",
-                     "--clients", "2", "--json", str(path)])
-        assert code == 0
-        assert re.search(r"^invariants\s+: .+ ok$", capsys.readouterr().out, re.M)
-        doc = json.loads(path.read_text())
-        assert doc["serve"]["served"] == 16
-        assert (doc["iterations"], doc["knobs"]["loop"]) == (5, "closed")
-
-    @pytest.mark.parametrize("requests,clients", [("15", "2"), ("1", "4")])
-    def test_serve_closed_loop_issues_exactly_requests(self, requests, clients,
-                                                       capsys):
         # --requests is the total, whether or not --clients divides it.
-        code = main(["serve", "--model", "mlp", "--iterations", "5",
-                     "--train-samples", "256", "--loop", "closed",
-                     "--requests", requests, "--clients", clients])
-        assert code == 0
-        served = re.search(r"^served\s+: (\d+) requests", capsys.readouterr().out, re.M)
-        assert served.group(1) == requests
+        path = tmp_path / "serve.json"
+        for requests, clients in ((16, 2), (15, 2), (1, 4)):
+            code = main(["serve", "--model", "mlp", "--iterations", "5",
+                         "--train-samples", "256", "--requests", str(requests),
+                         "--loop", "closed", "--clients", str(clients),
+                         "--json", str(path)])
+            assert code == 0
+            assert re.search(r"^invariants\s+: .+ ok$", capsys.readouterr().out, re.M)
+            doc = json.loads(path.read_text())
+            assert doc["serve"]["served"] == requests, (requests, clients)
+            assert (doc["iterations"], doc["knobs"]["loop"]) == (5, "closed")
+
+    @pytest.mark.parametrize("publishes", [0, 1])
+    def test_serve_training_failure_exits_3_naming_it(self, publishes, capsys,
+                                                      monkeypatch):
+        # Before the first publish (the front-end never starts) or after.
+        def failing(spec, method, iterations, snapshotter):
+            for step in range(1, publishes + 1):
+                snapshotter.publish(np.zeros(snapshotter.elems, np.float32), step)
+            raise FloatingPointError("loss diverged")
+
+        monkeypatch.setattr("repro.harness.cli.run_method", failing)
+        assert main(["serve", "--model", "mlp", "--train-samples", "256",
+                     "--requests", "4"]) == 3
+        assert (capsys.readouterr().err.strip()
+                == "training failed: FloatingPointError: loss diverged")
 
 
 def test_docs_name_only_benchmarks_that_exist():

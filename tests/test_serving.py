@@ -28,6 +28,7 @@ from repro.serving import (
     ServingFrontend,
     onoff_arrivals,
     poisson_arrivals,
+    serve_while_training,
 )
 from repro.trace.check import (
     InvariantViolation,
@@ -471,33 +472,15 @@ def _train_with_live_serving(train, shared=False):
     spec = _spec()
     replica = build_mlp(seed=99)  # the serving tier's own weight copy
     snap = ModelSnapshotter(replica.num_params, shared=shared)
-    outcome = {}
-
-    def train_main():
-        try:
-            outcome["result"] = train(snap)
-        except BaseException as exc:  # pragma: no cover - ferried to assert
-            outcome["error"] = exc
-
-    th = threading.Thread(target=train_main)
-    th.start()
-    while snap.buffer.version == 0 and th.is_alive():
-        time.sleep(0.001)
-    served = 0
-    if snap.buffer.version > 0:
-        fe = ServingFrontend.for_network(replica, snap.reader(),
-                                         batch_cap=4, max_wait=0.001).start()
-        gen = ClosedLoopLoadGen(clients=2, requests=20,
-                                think_mean=0.0005, seed=1)
-        x = spec.test_set.images
-        done = gen.run(fe, lambda i: x[i % len(x)])
-        fe.stop()
-        served = len(done)
-    th.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    snap.close(unlink=shared)
-    return outcome["result"], served
+    fe = ServingFrontend.for_network(replica, snap.reader(), batch_cap=4, max_wait=0.001)
+    gen = ClosedLoopLoadGen(clients=2, requests=20, think_mean=0.0005, seed=1)
+    x = spec.test_set.images
+    try:
+        result, done = serve_while_training(
+            train, snap, fe, lambda fe: gen.run(fe, lambda i: x[i % len(x)]))
+    finally:
+        snap.close(unlink=shared)
+    return result, len(done)
 
 
 class TestBitIdentity:
@@ -560,28 +543,95 @@ class TestEndToEnd:
         trace = Trace(meta={"pattern": "serving", "batch_cap": 4,
                             "max_staleness_steps": None, "publish_every": 1})
         snap = ModelSnapshotter(replica.num_params, trace=trace)
-        outcome = {}
-
-        def train_main():
-            outcome["result"] = run_method(spec, "sync-easgd3", iterations=8,
-                                           snapshotter=snap)
-
-        th = threading.Thread(target=train_main)
-        th.start()
-        while snap.buffer.version == 0 and th.is_alive():
-            time.sleep(0.001)
         fe = ServingFrontend.for_network(replica, snap.reader(), batch_cap=4,
-                                         max_wait=0.001, trace=trace).start()
+                                         max_wait=0.001, trace=trace)
         arrivals = poisson_arrivals(30, rate=2000.0, seed=2)
-        reqs = OpenLoopLoadGen(arrivals).run(
-            fe, lambda i: spec.test_set.images[i % len(spec.test_set.images)]
+        _, reqs = serve_while_training(
+            lambda snap: run_method(spec, "sync-easgd3", iterations=8, snapshotter=snap),
+            snap, fe,
+            lambda fe: OpenLoopLoadGen(arrivals).run(
+                fe, lambda i: spec.test_set.images[i % len(spec.test_set.images)]),
         )
-        th.join()
-        fe.stop()
         assert all(r.done and r.result is not None for r in reqs)
         assert all(r.step >= 1 for r in reqs)
         ran = check_all(trace)
         assert "serving-no-overlap" in ran and "serving-batch-cap" in ran
         stats = fe.stats()
         assert stats.served == 30 and stats.p99_latency >= stats.p50_latency
+        snap.close()
+
+
+# ---------------------------------------------------------------------------
+# The session: failures in training surface, and nothing is left running
+# ---------------------------------------------------------------------------
+
+
+class _RecordingFrontend:
+    """Stands in for a front-end that must never be started."""
+
+    def __init__(self):
+        self.calls = []
+
+    def start(self):
+        self.calls.append("start")
+        return self
+
+    def stop(self):
+        self.calls.append("stop")
+
+
+class TestSession:
+    def test_failure_before_the_first_publish_never_starts_the_frontend(self):
+        threads = threading.active_count()
+        snap = ModelSnapshotter(4)
+        fe = _RecordingFrontend()
+
+        def train(_snap):
+            raise ValueError("diverged at step 0")
+
+        with pytest.raises(ValueError, match="diverged at step 0"):
+            serve_while_training(train, snap, fe, lambda fe: [])
+        assert fe.calls == []
+        assert threading.active_count() == threads
+        snap.close()
+
+    def test_training_that_never_publishes_is_an_error(self):
+        snap = ModelSnapshotter(4)
+        fe = _RecordingFrontend()
+        with pytest.raises(RuntimeError, match="before its first snapshot publish"):
+            serve_while_training(lambda snap: "done", snap, fe, lambda fe: [])
+        assert fe.calls == []
+        snap.close()
+
+    def test_failure_mid_serve_stops_the_frontend_and_is_raised(self):
+        threads = threading.active_count()
+        snap = ModelSnapshotter(4)
+        fe = _make_frontend(snap, batch_cap=4, max_wait=0.0)
+        served, raised = threading.Event(), threading.Event()
+
+        def train(snap):
+            snap.on_step(np.ones(4, dtype=np.float32), step=1)
+            assert served.wait(timeout=30)
+            try:
+                raise ValueError("diverged at step 2")
+            finally:
+                raised.set()
+
+        def load(fe):
+            first = fe.submit(np.ones(4, dtype=np.float32))
+            assert first.wait(timeout=30)
+            served.set()
+            assert raised.wait(timeout=30)
+            # Training has failed; the front-end still serves its last
+            # snapshot until the load ends.
+            second = fe.submit(np.ones(4, dtype=np.float32))
+            assert second.wait(timeout=30)
+            return [first, second]
+
+        with pytest.raises(ValueError, match="diverged at step 2"):
+            serve_while_training(train, snap, fe, load)
+        with pytest.raises(RuntimeError, match="stopped"):
+            fe.submit(np.ones(4, dtype=np.float32))
+        assert fe.stats().served == 2
+        assert threading.active_count() == threads
         snap.close()

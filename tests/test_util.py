@@ -1,10 +1,11 @@
-"""Utilities: RNG streams, formatting, tables."""
+"""Utilities: RNG streams, formatting, tables, the BLAS thread budget."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from repro.util import blas
 from repro.util.format import format_bytes, format_percent, format_seconds
 from repro.util.rng import derive_seed, spawn_rng
 from repro.util.tables import TextTable
@@ -80,3 +81,21 @@ class TestTextTable:
         t = TextTable(["x"])
         t.add_row([1])
         assert str(t) == t.render()
+
+
+class TestBlasThreads:
+    def test_unknown_blas_is_a_reported_no_op(self, monkeypatch):
+        monkeypatch.setattr(blas, "_blas", lambda: None)
+        assert blas.blas_threads() is None
+        assert blas.set_blas_threads(3) is None
+
+    def test_set_reads_back_and_restores(self):
+        before = blas.blas_threads()
+        if before is None:
+            pytest.skip("the loaded BLAS exports no known thread setter")
+        try:
+            assert blas.set_blas_threads(1) == blas.blas_threads() == 1
+            assert blas.set_blas_threads(0) == 1  # the budget is at least one
+        finally:
+            blas.set_blas_threads(before)
+        assert blas.blas_threads() == before
