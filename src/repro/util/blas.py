@@ -47,9 +47,12 @@ def _blas() -> Optional[Tuple[Any, Any]]:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for setter, getter in _SYMBOLS:
-            if hasattr(lib, setter) and hasattr(lib, getter):
-                return getattr(lib, setter), getattr(lib, getter)
+        for set_name, get_name in _SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
     return None
 
 
