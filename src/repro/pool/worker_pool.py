@@ -277,6 +277,11 @@ class WorkerPool:
             sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
         )
         self._ncores = len(self._free_cores)
+        #: The BLAS threads every worker forks with (None: an unknown BLAS).
+        #: A cell's budget never exceeds them, so an exported
+        #: OPENBLAS_NUM_THREADS=1 stays 1; looked up once, here, the
+        #: workers inherit the library handle.
+        self._forked_blas = blas_threads()
         #: Persistent message fabric: one inbox per pool rank, a
         #: shared-memory ring per (source, owner) pair whose owner sets
         #: ``spin`` per cell; cells see the slice ``inboxes[base:base+n]``
@@ -600,9 +605,6 @@ class WorkerPool:
         the previous one's cores.
         """
         full_mask = os.sched_getaffinity(0) if self._ncores else None
-        # The BLAS threads this worker forked with: a cell's budget never
-        # exceeds them, so an exported OPENBLAS_NUM_THREADS=1 stays 1.
-        forked_blas = blas_threads()
         usable = self._ncores or os.cpu_count() or 1
         for conn in self._work_send + self._result_recv:
             conn.close()
@@ -655,10 +657,10 @@ class WorkerPool:
                 except OSError:  # pragma: no cover - cgroup/permission quirk
                     pass
             inbox.spin = core is not None
-            if forked_blas is not None:
+            if self._forked_blas is not None:
                 # One thread on an owned core; else a share of the cores.
                 set_blas_threads(1 if core is not None
-                                 else min(forked_blas, usable // nranks))
+                                 else min(self._forked_blas, usable // nranks))
             # The fabric as data: this cell's inboxes, the worker's
             # transport as codec, and arenas by name (cells on the same
             # block derive the same names, so they reuse one).

@@ -65,9 +65,11 @@ def blas_threads() -> Optional[int]:
 def set_blas_threads(n: int) -> Optional[int]:
     """Set the BLAS's thread count to ``n`` (at least 1); returns the
     count now in force, or None — having done nothing — for an unknown
-    BLAS."""
+    BLAS.  A count already in force is left untouched."""
     blas = _blas()
     if blas is None:
         return None
-    blas[0](max(1, int(n)))
+    n = max(1, int(n))
+    if blas[1]() != n:
+        blas[0](n)
     return int(blas[1]())
