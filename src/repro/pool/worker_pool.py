@@ -278,9 +278,9 @@ class WorkerPool:
         )
         self._ncores = len(self._free_cores)
         #: The BLAS threads every worker forks with (None: an unknown BLAS).
-        #: A cell's budget never exceeds them, so an exported
-        #: OPENBLAS_NUM_THREADS=1 stays 1; looked up once, here, the
-        #: workers inherit the library handle.
+        #: A cell's budget never exceeds them, so with an exported
+        #: OPENBLAS_NUM_THREADS=1 a worker sets nothing; looked up once,
+        #: here, the workers inherit the library handle.
         self._forked_blas = blas_threads()
         #: Persistent message fabric: one inbox per pool rank, a
         #: shared-memory ring per (source, owner) pair whose owner sets
@@ -657,7 +657,7 @@ class WorkerPool:
                 except OSError:  # pragma: no cover - cgroup/permission quirk
                     pass
             inbox.spin = core is not None
-            if self._forked_blas is not None:
+            if (self._forked_blas or 1) > 1:  # else every budget is 1 already
                 # One thread on an owned core; else a share of the cores.
                 set_blas_threads(1 if core is not None
                                  else min(self._forked_blas, usable // nranks))

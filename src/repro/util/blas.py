@@ -65,11 +65,9 @@ def blas_threads() -> Optional[int]:
 def set_blas_threads(n: int) -> Optional[int]:
     """Set the BLAS's thread count to ``n`` (at least 1); returns the
     count now in force, or None — having done nothing — for an unknown
-    BLAS.  A count already in force is left untouched."""
+    BLAS."""
     blas = _blas()
     if blas is None:
         return None
-    n = max(1, int(n))
-    if blas[1]() != n:
-        blas[0](n)
+    blas[0](max(1, int(n)))
     return int(blas[1]())
