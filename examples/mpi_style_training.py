@@ -2,10 +2,11 @@
 """Message-passing Sync EASGD with real threads (the artifact's mpi_easgd).
 
 Runs Algorithm 4 over the in-process MPI-style runtime: one thread per
-rank, genuine send/recv through inboxes, binomial-tree reduce/broadcast
-built on point-to-point messages. The same binomial association order as
-the simulator means the trajectory matches the simulated Sync EASGD
-trainer bit for bit — this script verifies that live.
+rank, and each round's packed buffer allreduced by folding it in place
+in shared rows, with only ready/done tokens sent through the ranks'
+inboxes. The same binomial association order as the simulator means the
+trajectory matches the simulated Sync EASGD trainer bit for bit — this
+script verifies that live.
 
 Run:  python examples/mpi_style_training.py
 """

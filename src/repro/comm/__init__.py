@@ -38,10 +38,8 @@ from repro.comm.runtime import (
 )
 from repro.comm.shm_lifecycle import ShmCapacityError
 from repro.comm.shm_transport import (
+    RecordTooLargeError,
     RingBackpressureError,
-    ShmSlotRef,
-    ShmTransport,
-    SlotRing,
     UnsupportedMemoryModelError,
 )
 from repro.comm.topology import GpuNodeTopology, KnlClusterTopology
@@ -77,11 +75,9 @@ __all__ = [
     "fork_available",
     "BACKENDS",
     "BufferArena",
+    "RecordTooLargeError",
     "RingBackpressureError",
     "ShmCapacityError",
-    "ShmSlotRef",
-    "ShmTransport",
-    "SlotRing",
     "UnsupportedMemoryModelError",
     "make_communicator",
     "validate_backend",

@@ -22,11 +22,12 @@ Design:
   :class:`repro.comm.shm_transport.ShmInbox` per rank — a shared-memory
   ring per sender, polled without a syscall, per-sender FIFO like the
   thread backend's ``queue.SimpleQueue``; a codec, the worker's
-  :class:`~repro.comm.shm_transport.ShmTransport` (bulk bytes staged in
-  slot rings, descriptors in the inbox, every record materialized the
-  moment it comes off the inbox so a stashed one never pins a slot); and
-  an arena provider over named
-  :class:`~repro.comm.shm_transport.CollectiveArena` segments.
+  :class:`~repro.comm.shm_transport.ShmTransport` (a message is one
+  pickled record, refused past
+  :data:`~repro.comm.shm_transport.INLINE_LIMIT`); and an arena provider
+  over named :class:`~repro.comm.shm_transport.CollectiveArena`
+  segments, where every bulk byte lives — an allreduce folds in them, an
+  ``exchange`` swaps through them, a ``shared_row`` is one.
 - Ranks are **forked**, never spawned, and there is one launch path:
   :meth:`MultiprocessCommunicator.run` always dispatches to a
   :class:`repro.pool.WorkerPool` — the attached one, or a private pool
@@ -179,10 +180,9 @@ class MultiprocessCommunicator:
                 "use backend='threads' on this platform"
             )
         self.size = size
-        #: Per-run transport counters summed over ranks (shm_messages,
-        #: inband_messages, bytes_copied_in/out, bytes_inplace,
-        #: bytes_on_wire, ring_allocs, arena_tokens, ...; the table is in
-        #: docs/observability.md); empty until a run completes.
+        #: Per-run transport counters summed over ranks (inbox_messages,
+        #: bytes_copied_in/out, bytes_inplace, arena_tokens, ...; the
+        #: table is in docs/observability.md); empty until a run completes.
         self.transport_stats: Dict[str, int] = {}
         self.trace = trace
         if trace is not None:
@@ -193,7 +193,7 @@ class MultiprocessCommunicator:
             trace.meta.setdefault("collective", collective)
         self.fault_log = FaultLog()
         #: The reuse path: an attached :class:`repro.pool.WorkerPool` keeps
-        #: its forked workers, slot rings and collective arenas alive
+        #: its forked workers, inboxes and collective arenas alive
         #: across ``run`` calls; without one every ``run`` builds and
         #: closes a private pool. Numerics are identical either way —
         #: both are the same workers running the same rank context over

@@ -33,10 +33,11 @@ arguments:
   yet (:meth:`RankContextBase._poll`, the one selective-receive loop).
 - ``codec``: ``None`` when payloads cross the inbox as they are (by
   reference, here), else an object whose ``pack``/``unpack`` turn a
-  payload into the bytes a record carries and back (the shm transport).
+  payload into the one record it travels as and back (the shm
+  transport, which refuses a record too long for its inbox).
 - ``arenas``: ``None``, or a callable ``(tag, elems)`` returning the shared
-  float32 rows an allreduce folds in place — heap rows here, a named shm
-  segment between processes.
+  float32 rows an allreduce folds in place and a pairwise ``exchange``
+  swaps through — heap rows here, a named shm segment between processes.
 
 Everything above those three exists once, so every substrate shares one
 association order and one tag discipline by construction. The per-cell
@@ -138,6 +139,7 @@ RETRY_BACKOFF = 0.001
 #:   blocks 4-5: ``barrier`` (its internal allreduce, shifted by block 3)
 #:   block 6: ring allreduce reduce-scatter tokens
 #:   block 7: ring allreduce allgather tokens
+#:   block 8: ``exchange`` ready and done tokens
 COLLECTIVE_TAG_STRIDE = 1 << 16
 
 #: Default user tags of the four collectives (kept from the original API).
@@ -383,14 +385,14 @@ class RankContextBase:
     # -- the fabric: deliver, poll, clock ---------------------------------------
     def _deliver(self, dest: int, tag: int, payload: Any) -> None:
         """Enqueue at ``dest``, the tag word stamped with this cell. A codec
-        serializes the payload once, stages its bulk out of band and leaves
-        only the descriptor for the inbox."""
+        serializes the payload once into the record the inbox carries."""
         codec = self._codec
         if codec is None:
             self._inboxes[dest].put((self.rank, self._stamp | tag, payload))
             return
+        record = codec.pack(self.rank, dest, tag, payload)
         try:
-            self._inboxes[dest].put((self.rank, self._stamp | tag, codec.pack(dest, tag, payload)))
+            self._inboxes[dest].put((self.rank, self._stamp | tag, record))
         except queue.Full:  # only a bounded inbox fills
             raise codec.backpressure(self.rank, dest, tag) from None
 
@@ -406,7 +408,7 @@ class RankContextBase:
         for dest in range(self.size):
             if dest == self.rank:
                 continue
-            body = None if self._codec is None else self._codec.pack(dest, 0, None)
+            body = None if self._codec is None else self._codec.pack(self.rank, dest, 0, None)
             try:
                 self._inboxes[dest].put_nowait((self.rank, ~self._stamp, body))
             except queue.Full:
@@ -455,9 +457,6 @@ class RankContextBase:
                     on_retry(attempt)
                 wait = min(wait * 2.0, 2.0)
                 continue
-            # Decode every record at once, the wanted one or not: a
-            # descriptor parked in the stash (or dropped undecoded) would
-            # pin its ring slot and could backpressure-deadlock the sender.
             payload = record if codec is None else codec.unpack(record)
             if (src, t) == wanted:
                 return payload
@@ -878,6 +877,45 @@ class RankContextBase:
         for k in range(1, p):
             self._token_in((r - k) % p, ag_tag, shard_nbytes[(r - k) % p], k - 1)
         self._collective_span("ring-allreduce", t0)
+
+    def exchange(self, array: np.ndarray, peer: int, tag: int) -> np.ndarray:
+        """Swap a float32 ``array`` with ``peer``, which makes the same call
+        with its own array of the same size; returns a private copy of the
+        peer's.
+
+        The bulk bytes never leave the arena of channel ``tag``: each rank
+        copies its array into its own row, sends a ready token and waits
+        for the peer's, copies the peer's row out, then sends a done token
+        and waits for the peer's. The tokens (tag block 8) are ordinary
+        :meth:`_token_out`/:meth:`_token_in` messages: a fault plan may
+        drop, delay or lose them, and a trace records the ready token as
+        the one message each way that stands for the array.
+
+        Reuse safety: a rank's row is read only by its peer, after the
+        ready token and before the peer's done token, and the rank returns
+        only after that done token — so it may rewrite its row, in an
+        exchange with any peer, as soon as it returns.
+        """
+        arr = np.asarray(array)
+        if not 0 <= peer < self.size or peer == self.rank:
+            raise ValueError(f"peer {peer} is not another rank of this {self.size}-rank cell")
+        arena = self._collective_arena(tag, arr.size) if arr.dtype == np.float32 else None
+        if arena is None:
+            raise ValueError("exchange swaps a non-empty float32 array through the cell's arena")
+        row = arena.rows[self.rank]
+        np.copyto(row, arr.reshape(-1))
+        self._count("bytes_copied_in", row.nbytes)
+        wire = tag + 8 * COLLECTIVE_TAG_STRIDE
+        prev_op = self._trace_op
+        self._trace_op = "exchange"
+        self._token_out(peer, wire, row.nbytes, 0)
+        self._token_in(peer, wire, row.nbytes, 0)
+        theirs = arena.rows[peer].reshape(arr.shape).copy()
+        self._count("bytes_copied_out", row.nbytes)
+        self._token_out(peer, wire, 0, 1)
+        self._token_in(peer, wire, 0, 1)
+        self._trace_op, self._trace_round = prev_op, -1
+        return theirs
 
     def collective_buffer(self, elems: int, tag: int = 103) -> np.ndarray:
         """A zeroed float32 staging buffer for ``allreduce(..., tag=tag)``.

@@ -2,7 +2,7 @@
 
 POSIX shared memory outlives the processes that created it: a SIGKILLed
 run (exactly what ``tests/test_durability_kill.py`` inflicts) leaves its
-slot rings, collective arenas, and weight segments as ``/dev/shm`` files
+inboxes, collective arenas, and weight segments as ``/dev/shm`` files
 nobody will ever unlink.  Before this module, cleanup relied entirely on
 the parent communicator's happy-path ``finally`` block — robust against
 exceptions, helpless against signals.
@@ -88,8 +88,8 @@ _owner_pid: Optional[int] = None
 def adopt_owner_pid(pid: Optional[int] = None) -> int:
     """Stamp subsequent segment names with ``pid`` (default: this process).
 
-    A multiprocess run is *parent-scoped*: rank children create ring and
-    arena segments but the parent unlinks them after the run, so a rank
+    A multiprocess run is *parent-scoped*: rank children create arena
+    segments but the parent unlinks them after the run, so a rank
     may exit while its segments are still legitimately mapped elsewhere.
     Stamping the top-level pid keeps the reaper honest — it fires only
     when the whole run is dead, never on a finished rank of a live run.
@@ -106,7 +106,7 @@ def adopt_owner_pid(pid: Optional[int] = None) -> int:
 def segment_name(kind: str, suffix: Optional[str] = None) -> str:
     """A fresh lifecycle-tracked segment name: ``repro-<pid>-<kind>-<sfx>``.
 
-    ``kind`` is a short label ("inbox", "ring", "coll", "snap", "stage")
+    ``kind`` is a short label ("inbox", "coll", "snap", "stage")
     that makes ``ls /dev/shm`` debuggable; ``suffix`` defaults to 8 random hex chars.
     The pid is the adopted owner (see :func:`adopt_owner_pid`) when one is
     set and alive, else the calling process.

@@ -1,79 +1,57 @@
-"""Zero-copy shared-memory transport: the one process fabric.
+"""Shared-memory fabric between rank processes: inbox records and arenas.
 
 A ``multiprocessing.Queue`` fabric (pickle -> feeder thread -> pipe ->
 reader lock -> ``poll``) would charge every message twice: Θ(|W|)
-serialization for each packed weight/gradient buffer the Θ(log P) tree
-moves — exactly the parameter-movement tax the paper's codesign removes
-(Section 5.2's packed single-buffer messages) — and a cross-core
-*blocking* wake of 50-100 us for every hop, however small. This module is
-the substrate that pays neither, and the only way bytes move between rank
-processes: bulk bytes cross process boundaries through **slot rings**
-in named POSIX shared memory, the descriptors (and everything small)
-through a per-rank **inbox ring** the receiver spins on before it blocks,
-and an allreduce's bytes do not cross at all — they are folded in place
-in a :class:`CollectiveArena`. No syscall and no copy on the hot path.
+serialization for each packed weight/gradient buffer — exactly the
+parameter-movement tax the paper's codesign removes (Section 5.2's packed
+single-buffer messages) — and a cross-core *blocking* wake of 50-100 us
+for every hop, however small. This module is the substrate that pays
+neither, and the only way bytes move between rank processes. It has two
+lanes and no third: bulk bytes never travel as messages — an allreduce,
+a pairwise exchange and a shared row all live in a
+:class:`CollectiveArena` every rank of the cell maps, and are folded or
+read where they lie — and a message is exactly one record in the
+receiver's **inbox ring**, which it spins on before it blocks. No
+syscall and no copy of bulk bytes on the hot path.
 
 Design
 ------
-- **Control path.** One :class:`ShmInbox` per rank, created by the pool
+- **Messages.** One :class:`ShmInbox` per rank, created by the pool
   parent before it forks: a byte ring of length-prefixed records per
   (source, owner) pair, head written only by that source, tail only by
-  the owner. A record body is a pickle — the payload's own when it is
-  small, else a :class:`ShmSlotRef`'s. Receive is *spin-then-doorbell*:
-  poll the heads for :data:`_SPIN_SECONDS`, then set a ``sleeping`` word
-  and block on a fork-inherited semaphore that senders post only when
-  they see the word set. Spinning is on for exactly the cells whose
-  ranks the pool pinned to cores of their own (decided per cell, at
-  dispatch); it is not an option. A full ring is backpressure.
-- **Bulk path.** One :class:`SlotRing` per ``(src, dst, tag)`` channel,
-  created lazily by the *sender* on first large payload and sized to it
-  (a later, larger payload retires the ring and allocates a new
-  generation; in-flight descriptors keep naming the old segment, which
-  stays mapped until the run ends). Default capacity 2 — double
-  buffering, the paper's overlap primitive.
-- Slot-ring layout: a 64-byte header whose first int64 is the **consumed
-  count (tail)**, written only by the receiver, followed by
-  ``capacity × slot_nbytes`` payload bytes. The sender keeps its produced
-  count (head) locally, so each channel is single-producer/single-consumer
-  and plain aligned int64 loads/stores are the whole protocol — no locks
-  anywhere on the message path.
-- **Backpressure**: a send with ``head - tail >= capacity`` (or into an
-  inbox ring without room) blocks until the receiver consumes; past the
-  timeout it raises :class:`RingBackpressureError` — a
-  :class:`DeadlockError`, so the failure surface matches a wedged
-  ``recv`` on the other side. Every such wait in this module is
-  :func:`_wait_until`.
-- Serialization is pickle protocol 5, once per message
-  (:func:`split_pickle`): the *structure* of the payload (tuples,
-  scalars, dtypes, shapes — including the ``(seq, payload)`` wrapping the
-  tracing path adds) travels in a small in-band pickle, while every
-  contiguous buffer of at least ``min_bytes`` is memcpy'd into the slot.
-  A pool dispatch is the same split with one writer and many readers:
-  its bulk goes once into a per-cell :class:`PickleStage`, which the
-  cell's ranks map read-only.
-  ``decode`` copies slot bytes into private storage before
-  reconstructing, so received arrays are ordinary writable NumPy arrays
-  with no aliasing of ring memory.
-- **The spill rule.** Smaller buffers, array-free payloads and
-  non-contiguous arrays pickle in band. An in-band stream longer than
-  :data:`INLINE_LIMIT` rides the slot as one more body, so the inbox
-  ring carries descriptors and scalars only, no payload can fail for its
-  size, and "a sender may run ``slots`` messages ahead of its receiver"
-  stays the one buffering rule. Correctness never depends on which path
-  a payload takes.
-- **Memory model.** The rings, the inboxes and :class:`SeqlockBuffer`
-  publish with plain aligned stores and no barriers (CPython has none),
-  which is correct only where stores become visible in program order:
-  x86-TSO. :func:`require_tso` refuses any other host before a fork or a
-  segment, with :class:`UnsupportedMemoryModelError`.
+  the owner. A record body is the payload pickled once
+  (:class:`ShmTransport`); one longer than :data:`INLINE_LIMIT` is
+  refused with :class:`RecordTooLargeError`, naming the rank, dest, tag
+  and size. Receive is *spin-then-doorbell*: poll the heads for
+  :data:`_SPIN_SECONDS`, then set a ``sleeping`` word and block on a
+  fork-inherited semaphore that senders post only when they see the word
+  set. Spinning is on for exactly the cells whose ranks the pool pinned
+  to cores of their own (decided per cell, at dispatch); it is not an
+  option.
+- **Bulk.** :class:`CollectiveArena` rows, one per rank plus a result
+  row; only ready/done tokens (inbox records) cross the message fabric.
+  The protocols and their reuse-safety arguments are the rank context's
+  (:mod:`repro.comm.runtime`).
+- **Backpressure**: a send into an inbox ring without room blocks until
+  the receiver consumes; past the timeout it raises
+  :class:`RingBackpressureError` — a :class:`DeadlockError`, so the
+  failure surface matches a wedged ``recv`` on the other side. Every
+  such wait in this module is :func:`_wait_until`.
+- **Dispatch.** A pool dispatch is pickled once (:func:`split_pickle`):
+  its structure travels in a small in-band pickle, and every contiguous
+  buffer of at least :data:`DEFAULT_MIN_BYTES` goes once into a per-cell
+  :class:`PickleStage`, which the cell's ranks map read-only.
+- **Memory model.** The inboxes and :class:`SeqlockBuffer` publish with
+  plain aligned stores and no barriers (CPython has none), which is
+  correct only where stores become visible in program order: x86-TSO.
+  :func:`require_tso` refuses any other host before a fork or a segment,
+  with :class:`UnsupportedMemoryModelError`.
 
-Lifecycle: each rank process owns the rings it sends on and closes its
-mappings on exit; the *parent* unlinks the segments by name after the run
-(children report their ring and arena names), so a descriptor that is
-still in flight when its sender finishes remains attachable. Inboxes are
-the pool parent's own: created before the fork, unlinked in its
-``close``, reaped by the next run like any ``repro-<pid>-`` segment if it
-is killed.
+Lifecycle: the *parent* unlinks arenas by name after the run (ranks
+report their names), so a rank that finishes early never pulls a
+segment from under a peer. Inboxes are the pool parent's own: created
+before the fork, unlinked in its ``close``, reaped by the next run like
+any ``repro-<pid>-`` segment if it is killed.
 """
 
 from __future__ import annotations
@@ -87,7 +65,6 @@ import queue
 import struct
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
-import uuid
 
 import numpy as np
 
@@ -99,35 +76,27 @@ __all__ = [
     "UnsupportedMemoryModelError",
     "require_tso",
     "RingBackpressureError",
+    "RecordTooLargeError",
     "split_pickle",
     "PickleStage",
     "ShmSlotRef",
-    "SlotRing",
     "ShmTransport",
     "ShmInbox",
     "CollectiveArena",
     "SeqlockBuffer",
     "TornReadError",
-    "DEFAULT_SLOTS",
     "DEFAULT_MIN_BYTES",
+    "INLINE_LIMIT",
 ]
 
 #: ``platform.machine()`` values (lower-cased) of the x86 family, whose
 #: TSO store ordering every lock-free protocol in this module relies on.
 TSO_MACHINES = frozenset({"x86_64", "amd64", "i386", "i486", "i586", "i686", "x86"})
 
-#: Ring capacity: 2 slots = double buffering (sender may run one full
-#: message ahead of the receiver — the overlap window Sync EASGD3 needs).
-DEFAULT_SLOTS = 2
-
-#: Buffers below this pickle in band instead of being staged through a
-#: slot ring or a dispatch stage: below ~16 KiB the shared-segment
-#: machinery costs more than the copy it saves.
+#: A dispatch's buffers below this pickle in band instead of being staged
+#: in its :class:`PickleStage`: below ~16 KiB the shared-segment machinery
+#: costs more than the copy it saves.
 DEFAULT_MIN_BYTES = 1 << 14
-
-#: Segment header: one cache line. Word 0 is the receiver-written consumed
-#: count; the rest is reserved padding so slot 0 starts cache-aligned.
-_HEADER_BYTES = 64
 
 #: How long a receive busy-polls the shared heads before it blocks on the
 #: doorbell, when the rank owns its core (a cross-core blocking wake costs
@@ -136,8 +105,8 @@ _HEADER_BYTES = 64
 #: 50 us to 1 ms all read 0.061 (docs/performance.md, "Message transport").
 _SPIN_SECONDS = 200e-6
 
-#: Longest nap of a polled wait (full ring, arena attach): a freed slot is
-#: noticed within a millisecond however long the wait has lasted.
+#: Longest nap of a polled wait (full inbox ring, arena attach): freed room
+#: is noticed within a millisecond however long the wait has lasted.
 _SLEEP_CAP = 1e-3
 
 #: Longest doorbell wait before a blocked receiver re-scans unprompted. A
@@ -146,8 +115,8 @@ _SLEEP_CAP = 1e-3
 #: can be missed; it then costs one slice, never a hang.
 _DOORBELL_SLICE = 4e-3
 
-#: In-band pickles above this ride a slot ring like an array body instead
-#: of the inbox ring: the control ring carries descriptors and scalars.
+#: The longest record a rank may send: scalars, tokens and control
+#: tuples fit; bulk bytes belong in an arena.
 INLINE_LIMIT = 1 << 11
 
 #: Bytes of inbox ring per (source, owner) pair.
@@ -157,7 +126,7 @@ INBOX_RING_BYTES = 1 << 16
 class UnsupportedMemoryModelError(RuntimeError):
     """This host's CPU is not known to keep stores in program order.
 
-    :class:`SlotRing`, :class:`ShmInbox` and :class:`SeqlockBuffer` publish
+    :class:`ShmInbox` and :class:`SeqlockBuffer` publish
     a head, a tail or a sequence word with a plain store after the bytes it
     guards, which another process reads in that order only under x86-TSO.
     On a weaker memory model a reader could see the word before the bytes
@@ -235,15 +204,13 @@ def _wait_until(
 
 
 class RingBackpressureError(DeadlockError):
-    """A send blocked on a full slot ring until the timeout expired.
+    """A send blocked on a full :class:`ShmInbox` ring until the timeout.
 
-    The sender-side mirror of a receive deadlock: every slot of the
-    ``(rank → dest, tag)`` channel stayed occupied for the whole budget,
-    meaning the receiver stopped consuming (died, wedged, or the schedule
-    never receives this message). ``source`` carries the *destination*
-    rank — the peer whose consumption was awaited. The same error ends a
-    send blocked on a full :class:`ShmInbox` ring, whose ``capacity``
-    counts bytes.
+    The sender-side mirror of a receive deadlock: the ``rank → dest`` ring
+    stayed full for the whole budget, meaning the receiver stopped
+    consuming (died, wedged, or the schedule never receives these
+    messages). ``source`` carries the *destination* rank — the peer whose
+    consumption was awaited — and ``capacity`` the ring's bytes.
     """
 
     def __init__(self, rank: int, dest: int, tag: int, timeout: float, capacity: int) -> None:
@@ -251,7 +218,7 @@ class RingBackpressureError(DeadlockError):
         self.capacity = capacity
         self.args = (
             f"rank {rank}: send(dest={dest}, tag={tag}) blocked for {timeout}s "
-            f"with all {capacity} ring slots full — receiver not consuming",
+            f"with its {capacity}-byte inbox ring full — receiver not consuming",
         )
 
     def __reduce__(self):
@@ -263,22 +230,18 @@ class RingBackpressureError(DeadlockError):
 
 @dataclass(frozen=True)
 class ShmSlotRef:
-    """The small descriptor that replaces a staged payload on the queue.
+    """The descriptor of a :class:`PickleStage`: what a pool dispatch
+    ships in place of its bulk.
 
-    ``buffers`` lists ``(offset_in_slot, nbytes)`` for each out-of-band
-    array body, in pickle-5 buffer order; ``meta`` is the in-band pickle
-    stream carrying the payload's structure — or empty when that stream
-    was itself too long for the inbox ring and rides the slot as the last
-    entry of ``buffers``. Everything here is cheap to pickle — the whole
-    point.
+    ``buffers`` lists ``(offset, nbytes)`` for each out-of-band buffer,
+    in pickle-5 buffer order. Everything here is cheap to pickle — the
+    whole point.
     """
 
     segment: str  # shared-memory name, attachable from any process
     segment_bytes: int  # total segment size (attach needs it for the view)
-    slot_offset: int  # absolute byte offset of this message's slot
     buffers: Tuple[Tuple[int, int], ...]
-    meta: bytes
-    nbytes: int  # total out-of-band bytes (== bytes memcpy'd per side)
+    nbytes: int  # total out-of-band bytes (copied once, by the creator)
 
 
 def split_pickle(
@@ -289,10 +252,8 @@ def split_pickle(
     Every contiguous buffer of at least ``min_bytes`` stays out of band,
     in pickle-5 buffer order, for the caller to place in shared memory;
     smaller ones, and non-contiguous arrays, pickle in band (below
-    :data:`DEFAULT_MIN_BYTES` the shm machinery costs more than the copy,
-    and a small message should not allocate a segment). The one split behind both a
-    rank's messages (:meth:`ShmTransport.pack`) and a pool's dispatch
-    (:class:`PickleStage`).
+    :data:`DEFAULT_MIN_BYTES` the shm machinery costs more than the copy).
+    A pool's dispatch splits this way (:class:`PickleStage`).
     """
     buffers: List[pickle.PickleBuffer] = []
 
@@ -308,13 +269,11 @@ def split_pickle(
 class PickleStage:
     """A write-once segment holding the bulk of one :func:`split_pickle`.
 
-    The counterpart of a slot for one writer and many readers: the
-    creator copies the out-of-band buffers in once, cache-line aligned,
-    and drops its mapping; every reader views them in place
-    (:meth:`load`); nobody consumes a tail. ``ref`` is the descriptor
-    readers need — the in-band stream travels apart from it, so its
-    ``meta`` is empty. :meth:`unlink` is the creator's; readers' mappings
-    outlive it.
+    One writer, many readers: the creator copies the out-of-band buffers
+    in once, cache-line aligned, and drops its mapping; every reader views
+    them in place (:meth:`load`). ``ref`` is the descriptor readers need —
+    the in-band stream travels apart from it. :meth:`unlink` is the
+    creator's; readers' mappings outlive it.
     """
 
     def __init__(self, suffix: str, buffers: List[pickle.PickleBuffer]) -> None:
@@ -333,8 +292,8 @@ class PickleStage:
             buf.release()
         _close_segment(self._shm, unlink=False)
         self.ref = ShmSlotRef(
-            segment=self._shm.name, segment_bytes=total, slot_offset=0,
-            buffers=tuple(descs), meta=b"", nbytes=sum(n for _, n in descs),
+            segment=self._shm.name, segment_bytes=total,
+            buffers=tuple(descs), nbytes=sum(n for _, n in descs),
         )
 
     def unlink(self) -> None:
@@ -364,133 +323,50 @@ class PickleStage:
         return pickle.loads(meta, buffers=[view[off : off + n] for off, n in ref.buffers])
 
 
-class SlotRing:
-    """Sender-owned SPSC ring of fixed-size slots in one shm segment."""
+class RecordTooLargeError(ValueError):
+    """A rank sent a payload whose record exceeds :data:`INLINE_LIMIT`.
 
-    def __init__(
-        self,
-        rank: int,
-        dest: int,
-        tag: int,
-        slot_nbytes: int,
-        capacity: int = DEFAULT_SLOTS,
-    ) -> None:
-        if slot_nbytes <= 0:
-            raise ValueError("slot_nbytes must be positive")
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    A process-fabric message is one inbox record and nothing else: bulk
+    bytes live in the cell's arena (``allreduce``, ``exchange``,
+    ``shared_row``), never on the message path. Names the sending cell
+    ``rank``, the ``dest``, the ``tag`` and the record's ``nbytes``. A
+    ``ValueError``, not a deadlock, so the rank's peers are aborted at once.
+    """
+
+    def __init__(self, rank: int, dest: int, tag: int, nbytes: int) -> None:
         self.rank = rank
         self.dest = dest
         self.tag = tag
-        # Round each slot up to a cache line so slots never share one.
-        self.slot_nbytes = -(-slot_nbytes // 64) * 64
-        self.capacity = capacity
-        self.total_bytes = _HEADER_BYTES + self.capacity * self.slot_nbytes
-        # Lifecycle-tracked name: the pid-stamped prefix lets a later run
-        # reap this segment if the whole run dies before any unlink path
-        # executes; the creating rank's own pid lets the pool parent find
-        # the rings of a rank that died without reporting them.
-        self._shm = create_segment(
-            "ring", self.total_bytes, f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        self.nbytes = nbytes
+        super().__init__(
+            f"rank {rank}: send(dest={dest}, tag={tag}) of a {nbytes}-byte record "
+            f"exceeds the {INLINE_LIMIT}-byte inbox record; bulk bytes go through "
+            "the cell's arena (allreduce, exchange, shared_row)"
         )
-        self._tail = np.frombuffer(self._shm.buf, dtype=np.int64, count=1)
-        self._tail[0] = 0
-        self._data = np.frombuffer(self._shm.buf, dtype=np.uint8)
-        self.head = 0  # produced count; sender-local, no sharing needed
 
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def in_flight(self) -> int:
-        """Messages produced but not yet consumed (0..capacity)."""
-        return self.head - int(self._tail[0])
-
-    def acquire(self, timeout: float = _DEFAULT_TIMEOUT) -> int:
-        """Claim the next slot; returns its absolute byte offset.
-
-        Blocks while the ring is full (receiver owes consumption of the
-        oldest slot), polling the shared tail (:func:`_wait_until`: a
-        freed slot is noticed within a millisecond); raises
-        :class:`RingBackpressureError` once ``timeout`` is spent. On
-        return the slot is the caller's to fill, and ``head`` has been
-        advanced — the message **must** then be delivered.
-        """
-        if self.in_flight >= self.capacity and not _wait_until(
-            lambda: self.in_flight < self.capacity, timeout
-        ):
-            raise RingBackpressureError(
-                self.rank, self.dest, self.tag, timeout, self.capacity
-            )
-        slot = self.head % self.capacity
-        self.head += 1
-        return _HEADER_BYTES + slot * self.slot_nbytes
-
-    def write(self, offset: int, data: np.ndarray) -> None:
-        """memcpy ``data`` (flat uint8) into the slot starting at ``offset``."""
-        self._data[offset : offset + data.size] = data
-
-    def close(self, unlink: bool = False) -> None:
-        """Drop this process's views and mapping; ``unlink`` destroys the
-        segment system-wide (owner-side convenience for unit tests — the
-        communicator instead unlinks by name from the parent)."""
-        # The NumPy views pin the exported buffer; drop them before close.
-        self._tail = None
-        self._data = None
-        _close_segment(self._shm, unlink)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SlotRing({self.rank}->{self.dest} tag={self.tag}, "
-            f"slots={self.capacity}x{self.slot_nbytes}B, head={self.head})"
-        )
+    def __reduce__(self):
+        return (RecordTooLargeError, (self.rank, self.dest, self.tag, self.nbytes))
 
 
 class ShmTransport:
-    """Per-rank encode/decode endpoint over shared-memory slot rings.
+    """Per-rank codec of the process fabric: a message is one inbox record.
 
-    One instance lives in each rank process. :meth:`pack` serializes a
-    payload once into the bytes its inbox record carries — the payload's
-    own pickle when it is small, else a pickled :class:`ShmSlotRef` naming
-    the slot its bulk bytes were staged into; :meth:`unpack` turns a record
-    popped off the inbox back into the payload, through :meth:`decode`
-    when it is a descriptor. That pair is the ``codec`` of a rank context.
-    ``stats`` counts both paths so traces can report bytes-on-wire
-    (descriptor pickles) versus bytes-copied (slot memcpys); the rank's
-    :class:`ShmInbox` and the arena collectives count into the same dict.
+    One instance lives in each rank process. :meth:`pack` pickles a
+    payload once into the bytes its record carries and refuses one longer
+    than :data:`INLINE_LIMIT`; :meth:`unpack` is ``pickle.loads``. That
+    pair is the ``codec`` of a rank context. ``stats`` is the rank's one
+    counter surface: the :class:`ShmInbox`, the arena collectives and the
+    pool count into it too.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        slots: int = DEFAULT_SLOTS,
-        min_bytes: int = DEFAULT_MIN_BYTES,
-        timeout: float = _DEFAULT_TIMEOUT,
-    ) -> None:
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        if min_bytes < 0:
-            raise ValueError("min_bytes must be non-negative")
-        self.rank = rank
-        self.size = size
-        self.slots = slots
-        self.min_bytes = min_bytes
+    def __init__(self, timeout: float = _DEFAULT_TIMEOUT) -> None:
         self.timeout = timeout
-        self._rings: Dict[Tuple[int, int], SlotRing] = {}
-        self._retired: List[SlotRing] = []  # outgrown generations, kept mapped
-        self._attached: Dict[str, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self.stats: Dict[str, int] = {
-            "shm_messages": 0,  # staged through a slot ring
-            "inband_messages": 0,  # wholly in the inbox record
-            "bytes_copied_in": 0,  # memcpys into slots and arena rows
-            "bytes_copied_out": 0,  # memcpys out of slots and arena results
+            "bytes_copied_in": 0,  # memcpys into arena rows
+            "bytes_copied_out": 0,  # memcpys out of arena rows and results
             "bytes_inplace": 0,  # peers' arena rows folded where they lie
-            "bytes_on_wire": 0,  # in-band bytes of staged messages
-            "ring_allocs": 0,
+            "bytes_on_wire": 0,  # bulk bytes on the message path: always 0
             "inbox_messages": 0,  # records written to inbox rings
-            "inbox_spills": 0,  # in-band pickles staged through a slot ring
             "doorbell_waits": 0,  # receives that had to block
             "arena_tokens": 0,  # ready/done tokens of arena collectives
             # The pool's, per cell, on the same surface:
@@ -498,122 +374,22 @@ class ShmTransport:
             "stage_bytes_copied": 0,  # dispatch bulk staged once (counted on rank 0)
         }
 
-    # -- sender side -----------------------------------------------------------
-    def pack(self, dest: int, tag: int, payload: Any) -> bytes:
-        """The bytes ``payload``'s inbox record carries.
-
-        The payload is pickled once (:func:`split_pickle`: every
-        contiguous buffer of at least ``min_bytes`` stays out of band).
-        With nothing out of band and an in-band stream of at most
-        :data:`INLINE_LIMIT`, that stream is the record. Otherwise the
-        buffers — and a longer in-band stream too — are memcpy'd into the
-        one slot of the ``(dest, tag)`` ring, and the record is the
-        pickled :class:`ShmSlotRef` naming it. So "a sender may run
-        ``slots`` messages ahead of its receiver" is the one buffering
-        rule for everything too big for the control ring.
-        """
+    def pack(self, rank: int, dest: int, tag: int, payload: Any) -> bytes:
+        """The record cell rank ``rank`` sends ``dest`` on ``tag``: the
+        payload pickled once, or :class:`RecordTooLargeError` if that is
+        longer than :data:`INLINE_LIMIT`."""
+        record = pickle.dumps(payload, protocol=5)
+        if len(record) > INLINE_LIMIT:
+            raise RecordTooLargeError(rank, dest, tag, len(record))
         self.stats["inbox_messages"] += 1
-        meta, buffers = split_pickle(payload, self.min_bytes)
-        spill = len(meta) > INLINE_LIMIT
-        if not buffers and not spill:
-            self.stats["inband_messages"] += 1
-            return meta
-        bodies = [np.frombuffer(buf.raw(), dtype=np.uint8) for buf in buffers]
-        if spill:
-            bodies.append(np.frombuffer(meta, dtype=np.uint8))
-            self.stats["inbox_spills"] += 1
-            meta = b""
-        total = sum(body.size for body in bodies)
+        return record
 
-        ring = self._rings.get((dest, tag))
-        if ring is None or ring.slot_nbytes < total:
-            if ring is not None:
-                self._retired.append(ring)  # in-flight refs may still name it
-            ring = SlotRing(self.rank, dest, tag, total, capacity=self.slots)
-            self._rings[(dest, tag)] = ring
-            self.stats["ring_allocs"] += 1
-
-        offset = ring.acquire(self.timeout)
-        descs: List[Tuple[int, int]] = []
-        cursor = 0
-        for body in bodies:
-            ring.write(offset + cursor, body)
-            descs.append((cursor, body.size))
-            cursor += body.size
-        for buf in buffers:
-            buf.release()
-        self.stats["shm_messages"] += 1
-        self.stats["bytes_copied_in"] += total
-        self.stats["bytes_on_wire"] += len(meta)
-        ref = ShmSlotRef(
-            segment=ring.name,
-            segment_bytes=ring.total_bytes,
-            slot_offset=offset,
-            buffers=tuple(descs),
-            meta=meta,
-            nbytes=total,
-        )
-        return pickle.dumps(ref, protocol=5)
-
-    # -- receiver side ---------------------------------------------------------
-    def _attach(self, segment: str) -> Tuple[Any, np.ndarray, np.ndarray]:
-        """Map (and cache) a sender's segment; returns (shm, tail, data)."""
-        entry = self._attached.get(segment)
-        if entry is None:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(name=segment)
-            tail = np.frombuffer(shm.buf, dtype=np.int64, count=1)
-            data = np.frombuffer(shm.buf, dtype=np.uint8)
-            entry = self._attached[segment] = (shm, tail, data)
-        return entry
-
-    def decode(self, ref: ShmSlotRef) -> Any:
-        """Reconstruct the payload and release its slot back to the sender.
-
-        The slot bytes are copied into private storage *before* the tail
-        advances, so the returned arrays are ordinary writable NumPy arrays
-        that never alias ring memory — a sender overwriting the slot later
-        cannot corrupt them. A spilled in-band stream is the slot's last
-        body.
-        """
-        _, tail, data = self._attach(ref.segment)
-        base = ref.slot_offset
-        views = [data[base + off : base + off + nbytes] for off, nbytes in ref.buffers]
-        meta = ref.meta or views.pop().tobytes()
-        privates = [view.copy() for view in views]
-        del views
-        tail[0] += 1  # slot is free for the sender again
-        self.stats["bytes_copied_out"] += ref.nbytes
-        return pickle.loads(meta, buffers=privates)
-
-    def unpack(self, record: bytes) -> Any:
-        """The inverse of :meth:`pack`: the payload of an inbox record, a
-        descriptor's through :meth:`decode` — nothing of it aliases ring
-        memory."""
-        payload = pickle.loads(record)
-        return self.decode(payload) if isinstance(payload, ShmSlotRef) else payload
+    unpack = staticmethod(pickle.loads)
 
     def backpressure(self, rank: int, dest: int, tag: int) -> RingBackpressureError:
         """The error of cell rank ``rank``'s send that found its ring in
         ``dest``'s :class:`ShmInbox` full for this transport's timeout."""
         return RingBackpressureError(rank, dest, tag, self.timeout, INBOX_RING_BYTES)
-
-    # -- lifecycle -------------------------------------------------------------
-    def ring_names(self) -> List[str]:
-        """Names of every segment this rank created (for parent cleanup)."""
-        return [r.name for r in [*self._rings.values(), *self._retired]]
-
-    def close(self, unlink: bool = False) -> None:
-        """Release all mappings; ``unlink`` also destroys owned segments."""
-        for ring in [*self._rings.values(), *self._retired]:
-            ring.close(unlink=unlink)
-        self._rings.clear()
-        self._retired.clear()
-        for name in list(self._attached):
-            shm, tail, data = self._attached.pop(name)
-            tail = data = None  # noqa: F841 - drop the views pinning the buffer
-            _close_segment(shm, unlink=False)
 
 
 class ShmInbox:
@@ -632,8 +408,8 @@ class ShmInbox:
     and only grow. A record is a 16-byte ``(tag, nbytes)`` header plus the
     body, padded to 16 bytes so a header never wraps (a body may). Every
     ring is single-producer/single-consumer — source ``s`` of the running
-    cell is the only writer of ring ``s`` — so, as in :class:`SlotRing`,
-    plain aligned int64 loads and stores are the whole protocol: the head
+    cell is the only writer of ring ``s`` — so plain aligned int64 loads
+    and stores are the whole protocol: the head
     is published after the record bytes and the tail after they are
     copied out, under the same x86-TSO store-ordering assumption. A writer
     that dies mid-``put`` never published its head, so it cannot wedge
@@ -821,7 +597,7 @@ class CollectiveArena:
     All ranks of a run map the same segment: the first caller of
     :meth:`create_or_attach` creates it, the rest attach by name (retrying
     while the creator's ftruncate is still in flight). The parent
-    communicator unlinks by name after the run, exactly like slot rings.
+    pool parent unlinks it by name when the pool closes.
     """
 
     def __init__(self, shm: Any, size: int, elems: int) -> None:
@@ -937,12 +713,13 @@ class SeqlockBuffer:
     for thread readers, nothing to unlink).
 
     Word-ordering caveat: CPython offers no memory barriers, so this
-    leans on the same x86-TSO store-ordering assumption the slot-ring
+    leans on the same x86-TSO store-ordering assumption the inbox's
     head/tail protocol above already makes, so ``shared=True`` on any
     other host raises :class:`UnsupportedMemoryModelError`.
     """
 
-    _HEADER_WORDS = 8  # seq, active, step, elems, train_step, 3 reserved
+    _HEADER_WORDS = 8  # seq, active, step, elems, train_step, 3 reserved: one cache line
+    _HEADER_BYTES = 8 * _HEADER_WORDS
     _W_SEQ, _W_ACTIVE, _W_STEP, _W_ELEMS, _W_TRAIN = 0, 1, 2, 3, 4
 
     def __init__(self, shm: Optional[Any], buf: Any, elems: int, owner: bool) -> None:
@@ -953,16 +730,16 @@ class SeqlockBuffer:
         self._header = np.frombuffer(buf, dtype=np.int64, count=self._HEADER_WORDS)
         self._slots = [
             np.frombuffer(buf, dtype=np.float32, count=self.elems,
-                          offset=_HEADER_BYTES + s * self.slot_nbytes)
+                          offset=self._HEADER_BYTES + s * self.slot_nbytes)
             for s in (0, 1)
         ]
         if owner:
             self._header[:] = 0
             self._header[self._W_ELEMS] = self.elems
 
-    @staticmethod
-    def _total_bytes(elems: int) -> int:
-        return _HEADER_BYTES + 2 * (-(-elems * 4 // 64) * 64)
+    @classmethod
+    def _total_bytes(cls, elems: int) -> int:
+        return cls._HEADER_BYTES + 2 * (-(-elems * 4 // 64) * 64)
 
     @property
     def name(self) -> Optional[str]:

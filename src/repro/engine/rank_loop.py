@@ -7,7 +7,9 @@ rank context's ``trace_iteration`` so runtime-emitted events carry the
 loop index, input validation) lives here so the rank programs keep no
 private loop machinery of their own. So does every synchronous family's
 rank twin, :func:`sync_rank_program`, which runs the simulator's own
-:class:`~repro.engine.strategy.UpdateRule` through its per-rank face.
+:class:`~repro.engine.strategy.UpdateRule` through its per-rank face;
+its exchanges, an allreduce or gossip's pairwise swap, move their bulk
+through the cell's arena rows and send only tokens.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 
 __all__ = ["RankOutcome", "rank_steps", "sync_rank_program"]
 
-TAG_GOSSIP = 13  # peer <-> peer pairwise exchange (clear of the collective strides)
+TAG_GOSSIP = 13  # the arena channel of the pairwise exchange
 
 
 class RankOutcome(NamedTuple):
@@ -49,16 +51,11 @@ def rank_steps(ctx, iterations: int) -> Iterator[int]:
 
 
 def _gossip_swap(ctx, t: int, mine: np.ndarray) -> Optional[np.ndarray]:
-    """Swap ``mine`` with this rank's round-``t`` peer (None: a bye). The
-    lower rank sends first: deadlock-free under any buffering."""
+    """Swap ``mine`` with this rank's round-``t`` peer through the cell's
+    arena (None: a bye)."""
     for a, b in gossip_pairs(t, ctx.size):
-        if ctx.rank == a:
-            ctx.send(mine.copy(), dest=b, tag=TAG_GOSSIP)
-            return ctx.recv(source=b, tag=TAG_GOSSIP)
-        if ctx.rank == b:
-            peer = ctx.recv(source=a, tag=TAG_GOSSIP)
-            ctx.send(mine.copy(), dest=a, tag=TAG_GOSSIP)
-            return peer
+        if ctx.rank in (a, b):
+            return ctx.exchange(mine, a + b - ctx.rank, TAG_GOSSIP)
     return None
 
 
@@ -71,7 +68,9 @@ def sync_rank_program(ctx, make_rule: Callable, template, train_set, iterations:
     the batch loss as one packed buffer, computed into the fabric's
     :meth:`~repro.comm.runtime.RankContextBase.collective_buffer`; rank 0
     reports the mean loss. A ``"gossip"`` exchange swaps with the round's
-    peer; every rank reports its own loss.
+    peer through arena rows too
+    (:meth:`~repro.comm.runtime.RankContextBase.exchange`); every rank
+    reports its own loss.
 
     The next batch is staged as soon as the gradient pass is done, before
     the exchange blocks (Sync EASGD3's overlap); ``next_batch_into``

@@ -29,7 +29,7 @@ import argparse
 from functools import partial
 import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.algorithms import (
     ALGORITHM_INFO,
@@ -337,6 +337,14 @@ def _write_json(payload: dict, path: str) -> None:
         json.dump(payload, fh, indent=2)
 
 
+def _check_bounds(*bounds: Tuple[str, float, float]) -> None:
+    """Refuse the first ``(flag, value, bound)`` whose value is below its
+    bound: exit 2 naming the flag, before anything runs."""
+    for flag, value, bound in bounds:
+        if value < bound:
+            raise _Exit(2, f"{flag} must be >= {bound}")
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(ALGORITHMS):
         print(name)
@@ -344,6 +352,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_bounds(("--iterations", args.iterations, 1), ("--gpus", args.gpus, 1))
     cost = None
     if args.paper_scale_cost:
         cost = CostModel.from_spec(LENET if args.dataset == "mnist" else ALEXNET)
@@ -414,6 +423,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_knl(args: argparse.Namespace) -> int:
     from repro.knl.partition import ChipPartitionTrainer
 
+    _check_bounds(("--parts", args.parts, 1), ("--iterations", args.iterations, 1))
     if args.batch_size % args.parts != 0:
         raise _Exit(2, f"--batch-size {args.batch_size} must divide evenly into "
                        f"--parts {args.parts} groups")
@@ -468,8 +478,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Validate the serving knobs before the training thread starts: a
     # late ValueError would leave a half-finished run behind the error.
-    for knob, value, bound in (
+    _check_bounds(
         ("--iterations", args.iterations, 1),
+        ("--gpus", args.gpus, 1),
         ("--requests", args.requests, 1),
         ("--clients", args.clients, 1),
         ("--batch-cap", args.batch_cap, 1),
@@ -477,9 +488,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("--max-wait", args.max_wait, 0),
         ("--think", args.think, 0),
         ("--max-staleness-steps", args.max_staleness_steps or 0, 0),  # unset: no bound
-    ):
-        if value < bound:
-            raise _Exit(2, f"{knob} must be >= {bound}")
+    )
     if args.rate <= 0:
         raise _Exit(2, "--rate must be positive")
 
@@ -598,6 +607,8 @@ def _parse_grid(spec_text: str, config: TrainerConfig):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
+    _check_bounds(("--iterations", args.iterations, 1), ("--gpus", args.gpus, 1),
+                  ("--pool-size", 1 if args.pool_size is None else args.pool_size, 1))
     spec = _build_spec(args)
     try:
         grid = _parse_grid(args.grid, spec.config)
@@ -609,8 +620,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     pool_size = None
     if pooled:
         pool_size = args.pool_size or min(n_cells, os.cpu_count() or 4, 8)
-        if pool_size < 1:
-            raise _Exit(2, "--pool-size must be >= 1")
     points = grid_sweep(
         spec, args.method, grid, args.iterations,
         pool_size=pool_size, checkpoint_root=args.checkpoint_root,

@@ -26,7 +26,10 @@ Both execution backends (serial simulation and real forked groups, the
 ranks of one :func:`repro.comm.backend.make_communicator` cell) are clock
 step strategies over the shared :class:`repro.engine.StepPipeline`; they
 differ in where gradients are computed, never in the numbers they
-produce.
+produce. On forked groups no bulk byte is a message, as in the paper's
+codesign: every group draws the global batch itself and keeps its slice,
+the gradients fold in the cell's arena, and restored weights travel in a
+shared row; rank 0 sends only small control records.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from repro.knl.chip import KNL_7250_CHIP, KnlChip
 from repro.nn.network import Network
 
 __all__ = ["PartitionPlan", "plan_partition", "ChipPartitionTrainer"]
+
+#: The arena channel of rank 0's restored weights (no collective uses it).
+TAG_WEIGHTS = 17
 
 #: One CIFAR-10 copy as the paper counts it ("one Cifar data copy is 687 MB").
 CIFAR_COPY_BYTES = int(687e6)
@@ -191,32 +197,38 @@ def _group_round(ctx, tr, weights: np.ndarray, buf: np.ndarray,
 
 
 def _follow(ctx, tr: "ChipPartitionTrainer") -> None:
-    """Ranks 1..P-1: a group's weight replica, driven by rank 0's messages —
-    ``("round", images, labels)`` (a batch slice), ``("weights", w)``
-    (restored from a checkpoint) or ``None`` (the run is over, however it
-    ended)."""
+    """Ranks 1..P-1: a group's weight replica, driven by rank 0's control
+    records — ``("round",)`` (draw the global batch from this group's own
+    ``"global-batch"`` sampler, the same stream as rank 0's, and keep this
+    group's slice), ``("weights", sampler_state)`` (restored from a
+    checkpoint: the weights are in rank 0's shared row) or ``None`` (the
+    run is over, however it ended)."""
     weights = tr.net.get_params()
     buf = ctx.collective_buffer(weights.size)
+    sampler = tr.make_sampler("global-batch")
+    lo, hi = ctx.rank * tr.group_batch, (ctx.rank + 1) * tr.group_batch
     while True:
         msg = ctx.recv(0)
         if msg is None:
             return
-        kind, *payload = msg
-        if kind == "weights":
-            weights[:] = payload[0]
+        if msg[0] == "weights":
+            weights[:] = ctx.shared_row(TAG_WEIGHTS, weights.size)
+            sampler.set_state(msg[1])
         else:
-            ctx.send(_group_round(ctx, tr, weights, buf, *payload), 0)
+            images, labels = sampler.next_batch()
+            ctx.send(_group_round(ctx, tr, weights, buf, images[lo:hi], labels[lo:hi]), 0)
 
 
 class _PartitionRootStep(_PartitionStepBase):
     """The Figure 12 experiment on real cores: rank 0 of a P-rank cell.
 
     Every rank is a forked group holding a weight replica (its copy of
-    the network). Rank 0 draws the global batch from the one
-    ``"global-batch"`` sampler, sends group j its ``b/P`` slice, computes
-    slice 0 itself and joins the allreduce **in the same group order and
-    association as the serial path**, so for deterministic (dropout-free)
-    models the weight trajectory is bit-identical to
+    the network) and a ``"global-batch"`` sampler on the trainer's seed.
+    Each round rank 0 tells the groups to go; every group draws the same
+    global batch, computes the gradient of its ``b/P`` slice and joins the
+    allreduce **in the same group order and association as the serial
+    path**, so for deterministic (dropout-free) models the weight
+    trajectory is bit-identical to
     ``backend="threads"`` / the serial simulation. (Models with
     stochastic layers diverge: the serial path threads ONE RNG through
     all groups, replicas cannot.)
@@ -240,15 +252,19 @@ class _PartitionRootStep(_PartitionStepBase):
             self.ctx.send(msg, j)
 
     def _publish_weights(self) -> None:
-        # The other groups hold replicas of their own, not self.weights.
-        self._tell_groups(("weights", self.weights))
+        # The other groups hold replicas of their own, not self.weights,
+        # and samplers of their own. The row is written once, on restore
+        # and before any round: each group reads it before it joins the
+        # next allreduce, so it is never rewritten under a reader.
+        if self.ctx.size > 1:
+            self.ctx.shared_row(TAG_WEIGHTS, self.weights.size)[:] = self.weights
+            self._tell_groups(("weights", self.sampler.get_state()))
 
     def step(self, pipeline, t: int) -> float:
         tr, ctx = self.trainer, self.ctx
         b = tr.group_batch
+        self._tell_groups(("round",))
         images, labels = self.sampler.next_batch()
-        for j in range(1, ctx.size):
-            ctx.send(("round", images[j * b:(j + 1) * b], labels[j * b:(j + 1) * b]), j)
         losses = [_group_round(ctx, tr, self.weights, self.buf, images[:b], labels[:b])]
         # Python floats, gathered in group order: riding the float32
         # buffer instead would change train_loss in the records.

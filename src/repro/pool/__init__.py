@@ -1,7 +1,7 @@
 """Persistent worker pool (spin-up amortization).
 
 ``WorkerPool`` keeps ``P_max`` forked ranks alive across experiment
-cells, recycling slot rings and collective arenas instead of rebuilding
+cells, recycling inboxes and collective arenas instead of rebuilding
 them per run; concurrent ``submit`` calls pack cells onto disjoint rank
 blocks. Sweeps reach it through ``grid_sweep(..., pool_size=P)`` and
 ``run_methods(..., pool_size=P)``. See ``docs/performance.md``

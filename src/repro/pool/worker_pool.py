@@ -1,9 +1,9 @@
 """Persistent worker pool: fork once, run many experiment cells.
 
 Every sweep the harness runs today pays the full process spin-up bill per
-cell: fork ``P`` ranks, build queues, create shm slot rings and
-collective arenas, tear it all down, repeat.  For the paper's headline
-workloads — Table 4 weak scaling, Fig 6 pairwise comparisons, the
+cell: fork ``P`` ranks, build inboxes, create collective arenas, tear
+it all down, repeat.  For the paper's headline workloads — Table 4 weak
+scaling, Fig 6 pairwise comparisons, the
 Sec 7.2 batch-size study — the per-cell compute is small enough that
 spin-up dominates CI wall-clock.  :class:`WorkerPool` is the same
 amortization idea as the paper's packed single-buffer codesign: pay setup
@@ -18,10 +18,11 @@ Design:
   the pool parent's pid).  Each worker owns a persistent message inbox
   (the fabric: a :class:`~repro.comm.shm_transport.ShmInbox` segment the
   parent creates before forking and unlinks in :meth:`close`), a
-  persistent :class:`~repro.comm.shm_transport.ShmTransport` (slot rings
-  are recycled across cells), and a by-name
+  persistent :class:`~repro.comm.shm_transport.ShmTransport` (its codec
+  and counters), and a by-name
   :class:`~repro.comm.shm_transport.CollectiveArena` cache (arenas are
-  sized once per shape and reused).
+  sized once per shape and reused; every bulk byte a rank moves lives in
+  one).
 - A **cell** is one ``fn(ctx, *args)`` rank program over ``n <= P_max``
   ranks.  :meth:`submit` leases a contiguous block of free workers,
   ships the work item to each over a dispatch pipe (distinct from the
@@ -55,9 +56,8 @@ Design:
   ago), so ``fn`` must be a module-level function: that one protocol-5
   pickle is the picklability check and is what every rank receives.  Its
   bulk — every contiguous buffer of at least
-  :data:`~repro.comm.shm_transport.DEFAULT_MIN_BYTES`, the same split a
-  rank's messages take — is copied once into a
-  :class:`~repro.comm.shm_transport.PickleStage` that lives as long as
+  :data:`~repro.comm.shm_transport.DEFAULT_MIN_BYTES` — is copied once
+  into a :class:`~repro.comm.shm_transport.PickleStage` that lives as long as
   the cell, and each rank unpickles with read-only views of it: a
   launch ships a handle, not the dataset, and a rank program that
   writes into a pooled argument raises instead of diverging silently.
@@ -223,8 +223,8 @@ class WorkerPool:
     """``P_max`` long-lived ranks shared by many experiment cells.
 
     ``payload`` is arbitrary fork-inherited state workers substitute for
-    :data:`POOL_PAYLOAD` in cell args.  ``timeout`` bounds shm ring
-    acquisition and is the default rank timeout for cells that don't
+    :data:`POOL_PAYLOAD` in cell args.  ``timeout`` bounds a send into a
+    full inbox ring and is the default rank timeout for cells that don't
     override it per job.
     """
 
@@ -256,7 +256,7 @@ class WorkerPool:
                 "without pool_size, or rank programs with backend='threads'"
             )
         # Spawn the resource tracker *before* forking: workers then inherit
-        # one shared tracker, so their ring registrations are cleared by
+        # one shared tracker, so their arena registrations are cleared by
         # this parent's unlink instead of each worker's private tracker
         # warning about "leaked" segments at exit.
         from multiprocessing import resource_tracker
@@ -456,7 +456,9 @@ class WorkerPool:
                 while conn in pipes and conn.poll():
                     try:
                         self._route(conn.recv())
-                    except EOFError:  # the worker is gone and so is every write end
+                    except (EOFError, OSError):
+                        # The worker is gone and so is every write end; closing
+                        # a broken pool may have killed it mid-report.
                         pipes.discard(conn)
             with self._cond:
                 self._check_health_locked()
@@ -549,7 +551,7 @@ class WorkerPool:
             # The failed cell's survivors wait in a receive nobody will
             # answer, and their reports are already discarded: end them now
             # rather than sit out their rank timeout (``_orphans`` sweeps
-            # the rings they never got to name).
+            # the arenas they never got to name).
             for p in self._procs:
                 p.terminate()
         self._collector.join(timeout=self.timeout + _COLLECT_GRACE)
@@ -570,14 +572,11 @@ class WorkerPool:
             inbox.close(unlink=True)
 
     def _orphans(self) -> List[str]:
-        """Segments no worker reported: a worker that died (or had to be
-        terminated) never sent the names of the rings it created, and an
-        arena's name is lost only if every rank that mapped it died; a
-        cell that never finished still has its stage. Rings carry their
-        creator's pid, arenas and stages this pool's stem."""
-        stems = (self._coll_stem, segment_name("stage", self._stage_tag)) + tuple(
-            segment_name("ring", f"{p.pid}-") for p in self._procs if p.exitcode != 0
-        )
+        """Segments no worker reported: an arena's name is lost if every
+        rank that mapped it died (or had to be terminated), and a cell
+        that never finished still has its stage. Both carry this pool's
+        stem."""
+        stems = (self._coll_stem, segment_name("stage", self._stage_tag))
         return [name for name in list_live_segments() if name.startswith(stems)]
 
     @staticmethod
@@ -597,9 +596,9 @@ class WorkerPool:
     def _worker_loop(self, pool_rank: int) -> None:
         """The forked worker: serve cells until told to stop.
 
-        Persistent state across cells: the ShmTransport (slot rings) and
-        the by-name arena cache.  Everything cell-scoped — context,
-        stashes, trace, RNG, the affinity mask, whether receives spin and
+        Persistent state across cells: the ShmTransport (codec and
+        counters) and the by-name arena cache.  Everything cell-scoped —
+        context, stashes, trace, RNG, the affinity mask, whether receives spin and
         the BLAS thread budget — is set per job, which is what keeps
         pooled cells bit-identical to cold spawns and never leaves a cell
         the previous one's cores.
@@ -614,7 +613,7 @@ class WorkerPool:
                 self._result_send[r].close()
         work, results = self._work_recv[pool_rank], self._result_send[pool_rank]
         inbox = self._inboxes[pool_rank]
-        transport = ShmTransport(pool_rank, self.size, timeout=self.timeout)
+        transport = ShmTransport(timeout=self.timeout)
         inbox.stats = transport.stats  # one counter surface per rank
         arenas: Dict[str, CollectiveArena] = {}
 
@@ -627,10 +626,8 @@ class WorkerPool:
             return True
 
         def teardown() -> List[str]:
-            names = transport.ring_names()
-            transport.close()
+            names = [arena.name for arena in arenas.values()]
             for arena in arenas.values():
-                names.append(arena.name)
                 arena.close()
             # Reported names become the parent's to unlink — drop them
             # from this worker's registry so its atexit sweep can't

@@ -200,9 +200,13 @@ class ServingFrontend:
             ))
 
     # -- threaded operation ------------------------------------------------
-    def submit(self, x: np.ndarray) -> ServedRequest:
-        """Enqueue one request; returns its future immediately."""
-        req = ServedRequest(np.asarray(x), time.monotonic() - self._t0)
+    def submit(self, x: np.ndarray, due: Optional[float] = None) -> ServedRequest:
+        """Enqueue one request; returns its future immediately. Its
+        arrival is ``due`` (a ``time.monotonic()`` instant: when an open
+        loop scheduled it, so its latency includes the generator's own
+        lateness), else now."""
+        arrival = time.monotonic() if due is None else due
+        req = ServedRequest(np.asarray(x), arrival - self._t0)
         with self._cond:
             if self._stop:
                 raise RuntimeError("frontend is stopped")

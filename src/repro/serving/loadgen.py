@@ -94,14 +94,20 @@ class OpenLoopLoadGen:
         self.arrivals = np.array(arrivals, dtype=np.float64)
 
     def run(self, frontend: Any, make_request: Callable[[int], np.ndarray]) -> List[Any]:
-        """Submit every request at its scheduled offset; wait for all."""
+        """Submit every request at its scheduled offset; wait for all.
+
+        A request arrives when it was due, not when the generator got to
+        it: a late submit (a slow ``make_request``, a descheduled thread)
+        counts toward its latency instead of hiding from the tail.
+        """
         start = time.monotonic()
         pending = []
         for i, at in enumerate(self.arrivals):
-            delay = start + float(at) - time.monotonic()
+            due = start + float(at)
+            delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            pending.append(frontend.submit(make_request(i)))
+            pending.append(frontend.submit(make_request(i), due=due))
         for p in pending:
             p.wait()
         return pending

@@ -180,10 +180,10 @@ def transport_stats(trace: Trace) -> Dict[str, float]:
     """Aggregate the transport counters the process backend marks.
 
     The shm transport emits one ``mark`` event per rank per counter with
-    ``op="transport/<counter>"`` (messages routed through slot rings vs
-    wholly in band, bytes memcpy'd in/out, descriptor bytes on the wire,
-    ring allocations). This sums them across ranks and stamps whether the
-    run moved its bytes through shared memory (``meta["transport"]``:
+    ``op="transport/<counter>"`` (inbox records, arena tokens, bytes
+    memcpy'd in/out of arena rows, bytes folded in place). This sums them
+    across ranks and stamps whether the run moved its bytes through
+    shared memory (``meta["transport"]``:
     1 = shm, the process backend; 0 = threads or the simulated clock).
     Untraced or thread-backend runs yield all-zero counters.
     """

@@ -150,13 +150,13 @@ def _allreduce_sizes_program(ctx, sizes):
 
 
 def _odd_inputs(rank: int):
-    """Buffers off the common path: other dtypes (small, and past 16 KiB),
-    which the message tree reduces in their own dtype, a float32 view
+    """Buffers off the common path: other dtypes, which the message tree
+    reduces in their own dtype (a message is one inbox record, so
+    they are small), a float32 view
     that is not contiguous, which the arena stages by copy, and an empty
     float32 buffer, which has nothing to fold and takes no arena."""
     return {
         "float64-small": np.full(8, 1.0 + 1e-12 * (rank + 1), dtype=np.float64),
-        "float64-big": np.full(4096, 1.0 + 1e-12 * (rank + 1), dtype=np.float64),
         "int64": np.arange(8, dtype=np.int64) * (rank + 1),
         "float32-strided": _contribution(rank, 2 * 5000)[::2],
         "float32-empty": np.zeros(0, dtype=np.float32),
@@ -291,7 +291,7 @@ class TestCollectiveMatrix:
         reduce_sends = [e for e in trace.sends() if e.op == "tree-reduce"]
         assert len(reduce_sends) == (RANKS - 1) * ITERATIONS
         assert {e.nbytes for e in reduce_sends} == {4 * (net.get_params().size + 1)}
-        if transport == "shm":  # it really was the arena: tokens, no slot copies
+        if transport == "shm":  # it really was the arena: tokens, no copies
             marks = {e.op: e.value for e in trace.by_kind("mark") if e.rank == 0}
             assert marks["transport/arena_tokens"] > 0
             assert marks["transport/bytes_copied_in"] == 0

@@ -226,6 +226,27 @@ class TestCli:
         assert main(["serve", "--model", "mlp", f"{flag}={value}"]) == 2
         assert capsys.readouterr().err.strip() == message
 
+    @pytest.mark.parametrize("line,message", [
+        ('sweep --method sync-easgd3 --grid "lr=0.01,0.03" --iterations 3 '
+         "--train-samples 256 --pool-size 0", "--pool-size must be >= 1"),
+        ("knl --parts 0", "--parts must be >= 1"),
+        ("knl --parts -2", "--parts must be >= 1"),
+        ("knl --iterations 0", "--iterations must be >= 1"),
+        ("run --method sync-sgd --iterations 0", "--iterations must be >= 1"),
+        ('sweep --method sync-sgd --grid "lr=0.01" --iterations 0',
+         "--iterations must be >= 1"),
+        ("serve --model mlp --gpus 0", "--gpus must be >= 1"),
+    ])
+    def test_a_bad_count_exits_2_by_name_on_every_command(self, line, message, capsys,
+                                                          monkeypatch):
+        def no_training(*_, **__):
+            raise AssertionError("a run started before the counts were checked")
+
+        monkeypatch.setattr("repro.harness.cli.run_method", no_training)
+        monkeypatch.setattr("repro.harness.cli.grid_sweep", no_training)
+        assert main(shlex.split(line)) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_serve_closed_loop_serves_every_request(self, capsys, tmp_path):
         # --requests is the total, whether or not --clients divides it.
         path = tmp_path / "serve.json"

@@ -177,9 +177,9 @@ def test_kill_and_resume_chip_partition_processes(tmp_path):
             == _newest_manifest(straight_dir)["arrays"])
 
 
-#: A persistent pool with live shm fabric (slot rings + a collective
-#: arena), killed mid-cell. The 16 KB allreduce forces the messages onto
-#: real shm rings; the second cell's 64 KB argument is staged, and its
+#: A persistent pool with live shm fabric (inboxes + a collective
+#: arena), killed mid-cell. The 16 KB allreduce folds in a real shm
+#: arena; the second cell's 64 KB argument is staged, and its
 #: rank 0 writes the sentinel from inside the cell, so the kill lands
 #: while the stage segment exists.
 _POOL_HOLD_SCRIPT = """

@@ -108,13 +108,12 @@ def _one_message(ctx):
     return ctx.recv(source=0, tag=9)
 
 
-#: 32 KiB of float32: above the transport's DEFAULT_MIN_BYTES, so it rides
-#: a slot ring on shm.
-_BULK = 8192
+#: An array that fits one inbox record on shm.
+_BULK = 64
 
 
 def _interleaved_channels(ctx):
-    """Rank 0 sends three bulk messages on tag 1, then one on tag 2; rank 2
+    """Rank 0 sends three array messages on tag 1, then one on tag 2; rank 2
     sends two on tag 1. Rank 1 asks for the *last* one first, so everything
     else crosses its inbox before it and must wait in the stash."""
     if ctx.rank == 0:
@@ -161,8 +160,6 @@ class TestReceiveLoop:
         assert [r.detail for r in retries] == [f"poll {i + 1}" for i in range(len(retries))]
 
     def test_foreign_channels_are_stashed_in_per_sender_order(self, fabric):
-        # On shm the tag-1 ring holds two slots: the third bulk send
-        # completes only because a stashed message gave its slot back.
         results, _ = _run(fabric, 3, _interleaved_channels, timeout=20.0)
         assert results[1] == ["marker", 0.0, 1.0, 2.0, 10, 11]
 
@@ -204,23 +201,23 @@ def test_a_message_landing_at_the_deadline_wins():
 # ---------------------------------------------------------------------------
 
 def _leaky_cell(ctx):
-    """Rank 1 sends rank 0 a p2p message, a slot-ring payload and a spilled
-    pickle, then enters an allreduce (its ready token goes out); rank 0
-    raises before receiving any of it, so all four strand in its inbox and
-    rank 1's wait ends at rank 0's abort record."""
+    """Rank 1 sends rank 0 a string, an array and a list, then enters an
+    allreduce (its ready token goes out); rank 0 raises before receiving
+    any of it, so all four strand in its inbox and rank 1's wait ends at
+    rank 0's abort record."""
     if ctx.rank == 0:
         raise RuntimeError("boom")
     ctx.send("stale-from-cell1", dest=0, tag=1)
-    ctx.send(np.zeros(1 << 14, dtype=np.float32), dest=0, tag=2)
-    ctx.send(list(range(-5000, 0)), dest=0, tag=3)
+    ctx.send(np.zeros(64, dtype=np.float32), dest=0, tag=2)
+    ctx.send(list(range(-50, 0)), dest=0, tag=3)
     ctx.allreduce(np.zeros(2, dtype=np.float32))
 
 
 def _clean_cell(ctx):
     if ctx.rank == 1:
         ctx.send("fresh", dest=0, tag=1)
-        ctx.send(np.ones(1 << 14, dtype=np.float32), dest=0, tag=2)
-        ctx.send(list(range(5000)), dest=0, tag=3)
+        ctx.send(np.ones(64, dtype=np.float32), dest=0, tag=2)
+        ctx.send(list(range(50)), dest=0, tag=3)
         got = None
     else:
         got = (ctx.recv(1, tag=1), float(ctx.recv(1, tag=2).sum()), sum(ctx.recv(1, tag=3)))
@@ -248,7 +245,7 @@ def test_a_failed_cell_leaks_nothing_into_the_next(reused_fabric):
     assert not isinstance(err.value, MultiRankError)  # rank 1 was only aborted
     assert not inboxes[0].empty()
     assert comm.run(_clean_cell) == [
-        (("fresh", 16384.0, 12497500), [3.0, 3.0]),
+        (("fresh", 64.0, 1225), [3.0, 3.0]),
         (None, [3.0, 3.0]),
     ]
     assert all(inbox.empty() for inbox in inboxes)  # the stale records were dropped
@@ -332,10 +329,10 @@ def _plan(seed=3):
     return FaultPlan(seed=seed).drop_rate(0.3).delay(0.3, 0.002)
 
 
-def _contribution(rank, dtype=np.float32):
+def _contribution(rank, dtype=np.float32, elems=_PLAN_ELEMS):
     # Magnitudes six decades apart: any association drift flips bits.
     rng = np.random.default_rng(rank)
-    values = rng.standard_normal(_PLAN_ELEMS) * rng.choice([1e-3, 1.0, 1e3], size=_PLAN_ELEMS)
+    values = rng.standard_normal(elems) * rng.choice([1e-3, 1.0, 1e3], size=elems)
     return values.astype(dtype)
 
 
@@ -348,7 +345,15 @@ def _buffer_allreduce(ctx):
 
 
 def _allreduce_of(ctx, dtype):
-    return ctx.allreduce(_contribution(ctx.rank, dtype), view=True).flags.writeable
+    # 128 elements: a float64 tree edge is one inbox record.
+    return ctx.allreduce(_contribution(ctx.rank, dtype, 128), view=True).flags.writeable
+
+
+def _exchange_pairs(ctx):
+    """Swap with the neighbour twice; the second swap hands back one's own."""
+    theirs = ctx.exchange(_contribution(ctx.rank), ctx.rank ^ 1, tag=9)
+    mine = ctx.exchange(theirs, ctx.rank ^ 1, tag=9)
+    return theirs.tobytes() + mine.tobytes()
 
 
 def _records(fault_log):
@@ -377,6 +382,21 @@ class TestArenaUnderAFaultPlan:
         ops = {e.op for e in trace.sends()}
         assert ops == ({"ring-reduce-scatter", "ring-allgather"} if collective == "ring"
                        else {"tree-reduce", "tree-bcast"})
+
+    def test_an_exchange_swaps_under_drops_and_delays(self, fabric):
+        trace = Trace()
+        results, comm = _run(fabric, 4, _exchange_pairs, timeout=20.0, faults=_plan(),
+                             trace=trace)
+        # Ranks 0-1 and 2-3 swap twice: each ends with its own array back.
+        assert results == [_contribution(r ^ 1).tobytes() + _contribution(r).tobytes()
+                           for r in range(4)]
+        assert comm.fault_log.count("drop") > 0 and comm.fault_log.count("lost") == 0
+        check_message_conservation(trace)
+        sends = trace.sends()
+        assert {e.op for e in sends} == {"exchange"}
+        # A ready token stands for the array, a done token for nothing.
+        assert sorted({e.nbytes for e in sends}) == [0, 4 * _PLAN_ELEMS]
+        assert len(sends) == 4 * 2 * 2
 
     def test_the_plan_decides_alike_on_the_arena_and_the_message_tree(self, fabric):
         # float32 folds in the arena, float64 reduces on the message tree:
@@ -455,7 +475,7 @@ def test_pool_refuses_bad_cell_options_before_leasing_a_worker():
 @pytest.mark.parametrize("slots", [0, -1])
 def test_pool_refuses_nonpositive_shm_slots_at_construction(slots):
     # A bad ring depth once constructed, then killed every leased worker at
-    # the first dispatch. The depth is now DEFAULT_SLOTS, not a knob: asking
+    # the first dispatch. There is no ring depth to set any more: asking
     # for one is refused by name before anything forks or maps a segment.
     children = multiprocessing.active_children()
     segments = list_live_segments()

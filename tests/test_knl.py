@@ -259,13 +259,19 @@ class TestChipPartitionProcesses:
         b.train(8)
         np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
 
-    #: Two gradient sizes: the conv net packs ~4.5 KB (small enough to
-    #: pickle in band as a message), the MLP ~790 KB.
+    #: Two gradient sizes on the arena: the conv net packs ~4.5 KB, the
+    #: MLP ~790 KB. A message carries one inbox record, so the message
+    #: tree trains a net whose gradient fits one: ~0.8 KB.
     _NETS = {
         "tiny-conv": lambda: Network(
             [Conv2D(2, 5), ReLU(), MaxPool2D(4), Flatten(), Dense(10)],
             (3, 32, 32), seed=4, name="tiny-conv"),
         "mlp": lambda: build_mlp(input_shape=(3, 32, 32), seed=4),
+    }
+    _RECORD_NETS = {
+        "micro-conv": lambda: Network(
+            [Conv2D(1, 3), ReLU(), MaxPool2D(8), Flatten(), Dense(10)],
+            (3, 32, 32), seed=4, name="micro-conv"),
     }
 
     @pytest.mark.parametrize("parts", [2, 4])
@@ -273,15 +279,18 @@ class TestChipPartitionProcesses:
     def test_both_allreduce_paths_match_serial(self, cifar_tiny, monkeypatch, path, parts):
         """Both models' float32 gradients fold in the arena at any size.
         The message tree — what a lone rank or another dtype takes — is
-        driven here by a fabric that offers no arena. Either path, either
-        model: the serial trajectory bit for bit."""
+        driven here by a fabric that offers no arena, on a model whose
+        gradient fits one inbox record. Either path, any model: the
+        serial trajectory bit for bit."""
         from repro.comm.runtime import RankContextBase
-        from repro.comm.shm_transport import DEFAULT_MIN_BYTES
+        from repro.comm.shm_transport import INLINE_LIMIT
         from repro.knl import partition
 
+        nets = self._NETS
         if path == "message-tree":
             monkeypatch.setattr(RankContextBase, "_collective_arena",
                                 lambda self, tag, elems: None)
+            nets = self._RECORD_NETS
         comms, build_comm = [], partition.make_communicator
 
         def recording(*args, **kwargs):
@@ -291,8 +300,8 @@ class TestChipPartitionProcesses:
         monkeypatch.setattr(partition, "make_communicator", recording)
         # One arena allreduce a round: 2(P-1) tokens on the tree.
         tokens = 10 * 2 * (parts - 1) if path == "arena-tree" else 0
-        for model, build in self._NETS.items():
-            assert (4 * build().num_params < DEFAULT_MIN_BYTES) == (model == "tiny-conv")
+        for model, build in nets.items():
+            assert (4 * build().num_params < INLINE_LIMIT) == (path == "message-tree")
             a = self._trainer(cifar_tiny, "threads", parts=parts, net=build())
             b = self._trainer(cifar_tiny, "processes", parts=parts, net=build())
             serial, procs = a.train(10), b.train(10)

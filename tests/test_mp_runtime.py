@@ -34,7 +34,6 @@ from repro.comm.shm_transport import (
     PickleStage,
     SeqlockBuffer,
     ShmInbox,
-    SlotRing,
     split_pickle,
 )
 from repro.pool import WorkerPool
@@ -192,7 +191,7 @@ class TestMpFailures:
 # run borrows a long-lived one. Same failures, same cleanup, either way.
 # ---------------------------------------------------------------------------
 
-RING_ELEMS = 1 << 14  # 64 KiB of float32: rides a slot ring
+RING_ELEMS = 1 << 14  # 64 KiB of float32: folds in the cell's arena
 
 
 @contextlib.contextmanager
@@ -213,9 +212,10 @@ def _launched(launch, transport, size, timeout):
 
 def _exits_mid_program(ctx):
     if ctx.rank == 1:
-        # Ship a ring-sized message first: the dying rank then owns a shm
+        # Map an arena no peer maps first: the dying rank then owns a shm
         # segment whose name it never gets to report.
-        ctx.send(np.ones(RING_ELEMS, dtype=np.float32), dest=0, tag=3)
+        ctx.shared_row(7, RING_ELEMS)[:] = 1.0
+        ctx.send("bye", dest=0, tag=3)
         os._exit(3)
     ctx.recv(source=1, tag=3)
     return ctx.rank
@@ -393,7 +393,6 @@ def _stage_of(values):
 
 #: Every creator of a ``repro-*`` segment, by the kind it names.
 SEGMENT_CREATORS = {
-    "ring": lambda: SlotRing(0, 1, 0, slot_nbytes=1 << 16),
     "inbox": lambda: ShmInbox.create(2),
     "coll": lambda: CollectiveArena.create_or_attach(segment_name("coll"), 2, 1 << 14),
     "snap": lambda: SeqlockBuffer.create(1 << 14, shared=True),
@@ -414,8 +413,8 @@ class TestCreateSegment:
         assert set(list_live_segments()) | set(registered_segments()) == before
 
     def test_error_survives_the_trip_back_from_a_rank(self):
-        err = pickle.loads(pickle.dumps(ShmCapacityError("ring", 10, 5)))
-        assert (err.kind, err.needed, err.free) == ("ring", 10, 5)
+        err = pickle.loads(pickle.dumps(ShmCapacityError("coll", 10, 5)))
+        assert (err.kind, err.needed, err.free) == ("coll", 10, 5)
         assert "10 bytes needed, 5 free" in str(err)
 
 

@@ -1,7 +1,7 @@
 """Persistent worker pool + the sweeps on it: reuse without drift.
 
 The pool's whole contract is "wall-clock only": long-lived forked workers
-and recycled shm fabric (slot rings, collective-arena rows) must produce
+and recycled shm fabric (inboxes, collective-arena rows) must produce
 **bit-identical** weights to a cold per-cell spawn, cell after cell. The
 tests here pin that contract for the rank programs and for both dispatch
 styles, plus what sweeps build on top (concurrent cells on disjoint rank
@@ -354,8 +354,7 @@ def test_a_rank_runs_on_its_blas_budget():
 # ---------------------------------------------------------------------------
 
 def _ring_cell(ctx, x):
-    # 16 KB payload: comfortably past the shm transport's min-bytes
-    # threshold, so the messages really ride the slot rings.
+    # 16 KB of float32: folds in the cell's arena.
     v = ctx.allreduce(np.full(4096, float(ctx.rank + x), dtype=np.float32))
     return float(v[0])
 
@@ -371,7 +370,7 @@ def _shm_listing():
 @needs_fork
 @pytest.mark.parametrize("collective", ["tree", "ring"])
 def test_consecutive_cells_reuse_one_arena(collective):
-    """Regression: cell 2 must attach cell 1's rings/arena, not grow new ones."""
+    """Regression: cell 2 must attach cell 1's arena, not grow new ones."""
     with WorkerPool(RANKS) as pool:
         r1 = pool.run(RANKS, _ring_cell, 1.0, collective=collective)
         segs1 = _shm_listing()
@@ -382,6 +381,30 @@ def test_consecutive_cells_reuse_one_arena(collective):
     assert segs1 == segs2, f"cell 2 grew new segments: {set(segs2) - set(segs1)}"
     after = _shm_listing()
     assert not [s for s in after if s in segs1], "pool close leaked segments"
+
+
+@pytest.mark.slow
+@pytest.mark.mp
+@needs_fork
+def test_consecutive_gossip_cells_reuse_one_arena(inputs):
+    """The pairwise exchange swaps through one arena per cell shape: a
+    second pooled gossip cell maps no new segment, and close leaves none."""
+    net, train, _ = inputs
+
+    def gossip(pool):
+        result = run_mpi_gossip(net, train, ranks=RANKS, iterations=ITERS,
+                                batch_size=BATCH, backend="processes", pool=pool)
+        return [w.tobytes() for w in result.worker_weights]
+
+    with WorkerPool(RANKS) as pool:
+        r1 = gossip(pool)
+        segs1 = _shm_listing()
+        r2 = gossip(pool)
+        segs2 = _shm_listing()
+    assert r1 == r2
+    assert segs1, "expected live shm segments while the pool is up"
+    assert segs1 == segs2, f"cell 2 grew new segments: {set(segs2) - set(segs1)}"
+    assert not [s for s in _shm_listing() if s in segs1], "pool close leaked segments"
 
 
 def _boom_cell(ctx, x):
@@ -403,13 +426,13 @@ def test_failed_cell_then_a_correct_one():
 
 
 def _stranding_cell(ctx):
-    """Rank 1 raises without receiving what the others sent it: a token, a
-    slot-ring descriptor and a spilled pickle stay in its inbox."""
+    """Rank 1 raises without receiving what the others sent it: a token, an
+    array and a list stay in its inbox."""
     if ctx.rank == 1:
         raise RuntimeError("boom")
     ctx.send(ctx.rank, dest=1, tag=1)
-    ctx.send(np.ones(1 << 14, dtype=np.float32), dest=1, tag=2)
-    ctx.send(list(range(5000)), dest=1, tag=3)
+    ctx.send(np.ones(64, dtype=np.float32), dest=1, tag=2)
+    ctx.send(list(range(50)), dest=1, tag=3)
     return ctx.rank
 
 
@@ -425,7 +448,7 @@ def test_a_stranded_cell_leaks_nothing_into_a_pooled_run(inputs):
             pool.run(RANKS, _stranding_cell)
         assert not pool._inboxes[1].empty()
         # No barrier between the cells: rank 1's first receive of the next
-        # one decodes the stale records (freeing their slots) and drops them.
+        # one drops the stale records.
         pooled = run_mpi_sync_easgd(net, train, ranks=RANKS, iterations=ITERS,
                                     batch_size=BATCH, backend="processes", pool=pool)
         assert all(inbox.empty() for inbox in pool._inboxes)

@@ -286,6 +286,29 @@ class TestLoadGen:
         # in-burst interarrival by an order of magnitude.
         assert gaps.max() > 10 * np.median(gaps)
 
+    def test_open_loop_latency_runs_from_the_due_instant(self):
+        # Every arrival is due at offset 0 and each request takes 5 ms to
+        # make, so request i is submitted at least 5(i+1) ms late: its
+        # latency must carry that lateness.
+        snap = ModelSnapshotter(4)
+        snap.on_step(np.ones(4, dtype=np.float32), step=1)
+        fe = _make_frontend(snap, batch_cap=4, max_wait=0.0).start()
+        made = []
+
+        def make_request(i):
+            time.sleep(0.005)
+            made.append(time.monotonic())
+            return np.ones(4, dtype=np.float32)
+
+        try:
+            done = OpenLoopLoadGen(np.zeros(6)).run(fe, make_request)
+        finally:
+            fe.stop()
+            snap.close()
+        due = made[0] - 0.005  # an upper bound on the one due instant
+        for req, submitted in zip(done, made):
+            assert req.latency >= submitted - due
+
     @pytest.mark.parametrize("requests,clients", [(15, 2), (1, 4), (16, 2), (7, 7)])
     def test_closed_loop_issues_each_request_index_once(self, requests, clients):
         snap = ModelSnapshotter(4)

@@ -1,13 +1,14 @@
-"""The shared-memory inbox: records, wrap, spill, backpressure, both waits.
+"""The shared-memory inbox: records, wrap, refusal, backpressure, both waits.
 
 ``ShmInbox`` replaced ``multiprocessing.Queue`` on the shm message path, so
 it owes the rank runtime everything the queue gave it: intact records of
 any size in per-sender order, a bounded wait that ends in ``queue.Empty``
 (and never loses a delivery racing the deadline), and a bounded ``put``
 that ends in a typed backpressure error. Two things are new and pinned
-here too: an in-band pickle too long for the control ring rides a slot
-ring (the spill path), and a receive first spins on the shared heads, then
-blocks on a doorbell.
+here too: a message is exactly one record, so a payload whose pickle
+exceeds ``INLINE_LIMIT`` is refused by name and its cell aborted, cold and
+pooled; and a receive first spins on the shared heads, then blocks on a
+doorbell.
 
 Every case runs twice — spin budget forced to 0 (each wait goes straight
 to the doorbell) and at its constant — so both wait paths are covered
@@ -17,6 +18,7 @@ whatever the host's core count.
 import multiprocessing
 import pickle
 import queue
+import threading
 import time
 
 from hypothesis import given, HealthCheck, settings
@@ -24,16 +26,23 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from repro.comm import MultiprocessCommunicator, RingBackpressureError, shm_transport
+from repro.comm import (
+    CellAborted,
+    MultiprocessCommunicator,
+    RecordTooLargeError,
+    RingBackpressureError,
+    shm_transport,
+)
 from repro.comm.mp_runtime import fork_available
+from repro.comm.shm_lifecycle import list_live_segments
 from repro.comm.shm_transport import (
     _wait_until,
     INBOX_RING_BYTES,
     INLINE_LIMIT,
     ShmInbox,
-    ShmSlotRef,
     ShmTransport,
 )
+from repro.pool import WorkerPool
 
 pytestmark = [
     pytest.mark.mp,
@@ -181,6 +190,29 @@ class TestWaits:
         inbox.get_nowait()
         inbox.put((0, 1, body))  # consumption makes room again
 
+    def test_a_blocked_put_wakes_soon_after_the_consume(self, inbox):
+        """Regression: the old backoff doubled its sleeps to 50 ms, so a
+        sender blocked for 40 ms woke ~23 ms after room was freed."""
+        body = bytes(INBOX_RING_BYTES // 2 - 16)
+        inbox.put((0, 1, body))
+        lags = []
+        for _ in range(5):  # best of five: host noise must not fail this
+            inbox.put((0, 1, body))  # the ring is full again
+            freed = []
+
+            def consume():
+                time.sleep(0.04)
+                freed.append(time.monotonic())
+                inbox.get_nowait()
+
+            receiver = threading.Thread(target=consume)
+            receiver.start()
+            inbox.put((0, 1, body), timeout=5.0)  # blocks until the consume
+            lags.append(time.monotonic() - freed[0])
+            receiver.join(timeout=5.0)
+            inbox.get_nowait()
+        assert min(lags) < 0.010, lags
+
     def test_wait_until_returns_none_at_the_deadline(self):
         calls = []
         t0 = time.monotonic()
@@ -190,27 +222,23 @@ class TestWaits:
 
 
 # ---------------------------------------------------------------------------
-# Through a real communicator: the spill path and backpressure, end to end.
+# Through a real communicator: refusal and backpressure, end to end.
 # ---------------------------------------------------------------------------
 
-def _big_in_band_payloads():
-    """Payloads whose in-band pickle dwarfs the inbox ring: no array bodies
-    to stage, or arrays protocol 5 cannot ship out of band."""
-    grid = np.arange(512 * 512, dtype=np.float32).reshape(512, 512)
-    return [
-        {"table": list(range(60_000)), "note": "x" * 1000},
-        grid[::2, ::2],  # non-contiguous: pickles in band, 256 KiB
-    ]
+def _send_program(ctx, n):
+    """Rank 1 sends ``list(range(n))`` to rank 0, then every rank joins an
+    allreduce. Past the record limit (n = 1000) rank 1 raises, with rank 0
+    waiting for its record and ranks 2-3 in the allreduce."""
+    if ctx.rank == 1:
+        ctx.send(list(range(n)), dest=0, tag=4)
+    elif ctx.rank == 0:
+        ctx.recv(source=1, tag=4)
+    ctx.allreduce(np.ones(4, dtype=np.float32))
 
 
-def _spill_program(ctx):
-    payloads = _big_in_band_payloads()
-    if ctx.rank == 0:
-        for payload in payloads:
-            ctx.send(payload, dest=1, tag=4)
-        return True
-    table, view = (ctx.recv(source=0, tag=4) for _ in payloads)
-    return table == payloads[0] and np.array_equal(view, payloads[1])
+def _names_the_send(err):
+    assert (err.rank, err.dest, err.tag) == (1, 0, 4) and err.nbytes > INLINE_LIMIT
+    assert f"rank 1: send(dest=0, tag=4) of a {err.nbytes}-byte record" in str(err)
 
 
 def _flood_program(ctx, count):
@@ -222,45 +250,35 @@ def _flood_program(ctx, count):
 
 
 class TestEndToEnd:
-    def test_oversized_in_band_pickle_takes_the_spill_path(self):
-        comm = MultiprocessCommunicator(2, timeout=20.0)
-        try:
-            assert comm.run(_spill_program) == [True, True]
-        finally:
-            comm.close()
-        stats = comm.transport_stats
-        assert stats["inbox_spills"] == 2
-        assert stats["inbox_messages"] == 2
-        assert stats["bytes_copied_in"] == stats["bytes_copied_out"] > 2 * INBOX_RING_BYTES
-
-    def test_spilled_stream_shares_the_slot_with_array_bodies(self):
-        # Big arrays *and* a long in-band stream: one slot carries both,
-        # so a one-slot ring cannot deadlock on its own second half.
-        tp = ShmTransport(rank=0, size=2, slots=1)
-        try:
-            arr = np.arange(8192, dtype=np.float32)
-            payload = (arr, list(range(5000)))
-            ref = pickle.loads(tp.pack(1, 0, payload))
-            assert isinstance(ref, ShmSlotRef) and ref.meta == b""
-            assert len(ref.buffers) == 2
-            got = tp.decode(ref)
-            np.testing.assert_array_equal(got[0], arr)
-            assert got[1] == payload[1]
-            assert tp.stats["inbox_spills"] == 1 and tp.stats["ring_allocs"] == 1
-        finally:
-            tp.close(unlink=True)
+    def test_an_oversized_record_is_refused_by_name_and_aborts_its_cell(self):
+        segments = list_live_segments()
+        # Cold: the sender's error arrives alone, so every peer ended in
+        # CellAborted (anything else would be aggregated beside it).
+        t0 = time.monotonic()
+        with pytest.raises(RecordTooLargeError) as cold:
+            MultiprocessCommunicator(4, timeout=30.0).run(_send_program, 1000)
+        assert time.monotonic() - t0 < 5.0  # the peers did not wait out 30 s
+        _names_the_send(cold.value)
+        # Pooled: every rank's outcome, and the cell's own wall time.
+        with WorkerPool(4, timeout=30.0) as pool:
+            job = pool.submit(4, _send_program, 1000)
+            job.wait(timeout=30.0)
+            failures = dict(job.failures)
+            assert job.t_done - job.t_submit < 1.0
+            assert pool.run(4, _send_program, 10) == [None] * 4  # the pool lives on
+        _names_the_send(failures.pop(1))
+        assert sorted(failures) == [0, 2, 3]
+        assert all(type(e) is CellAborted and e.peer == 1 for e in failures.values())
+        assert list_live_segments() == segments
 
     def test_small_payload_is_pickled_once_and_rides_in_band(self):
-        tp = ShmTransport(rank=0, size=2)
-        try:
-            small = np.arange(8, dtype=np.float32)
-            body = tp.pack(1, 0, ("loss", 0.5, small))
-            assert len(body) <= INLINE_LIMIT
-            tag, loss, arr = pickle.loads(body)
-            np.testing.assert_array_equal(arr, small)
-            assert tp.stats["inband_messages"] == 1 and tp.stats["ring_allocs"] == 0
-        finally:
-            tp.close(unlink=True)
+        tp = ShmTransport()
+        small = np.arange(8, dtype=np.float32)
+        body = tp.pack(0, 1, 0, ("loss", 0.5, small))
+        assert len(body) <= INLINE_LIMIT
+        tag, loss, arr = pickle.loads(body)
+        np.testing.assert_array_equal(arr, small)
+        assert tp.stats["inbox_messages"] == 1
 
     def test_flooded_inbox_raises_ring_backpressure(self):
         # 32 bytes a record: the 64 KiB ring holds 2048 unreceived ints.

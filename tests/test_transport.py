@@ -1,16 +1,17 @@
-"""The zero-copy shm transport and the hot-loop arena machinery.
+"""The shm transport and the hot-loop arena machinery.
 
 Three layers of coverage:
 
 1. Fast units (tier-1): the ``transport=`` compatibility argument (only
-   ``None`` and ``"shm"`` pass), slot-ring protocol (wraparound,
-   backpressure), transport pack/decode with its in-band fallbacks, the
-   buffer arena, ``next_batch_into``, and the ``_payload_nbytes`` fix for
-   tuple/list payloads.
+   ``None`` and ``"shm"`` pass), the record codec (one pickle, refused by
+   name past ``INLINE_LIMIT``), the dispatch stage, the buffer arena,
+   ``next_batch_into``, and the ``_payload_nbytes`` fix for tuple/list
+   payloads.
 2. Process-backed integration (mp): backpressure through a real
-   communicator — a sender blocked on a full ring recovers when the
+   communicator — a sender blocked on a full inbox ring recovers when the
    receiver drains, and raises a :class:`DeadlockError` subclass when it
-   never does — and the spine's exact call shapes.
+   never does — the counters of arena traffic, and the spine's exact
+   call shapes.
 3. Equivalence (mp + slow): async EASGD over shm lands on the thread
    backend's bits at P = 4.
 """
@@ -18,7 +19,6 @@ Three layers of coverage:
 import hashlib
 import multiprocessing
 import pickle
-import threading
 import time
 
 import numpy as np
@@ -31,14 +31,18 @@ from repro.comm import (
     DeadlockError,
     make_communicator,
     MultiprocessCommunicator,
+    RecordTooLargeError,
     RingBackpressureError,
-    ShmSlotRef,
-    ShmTransport,
-    SlotRing,
 )
 from repro.comm.mp_runtime import fork_available
 from repro.comm.runtime import _payload_nbytes
-from repro.comm.shm_transport import DEFAULT_SLOTS, PickleStage, split_pickle
+from repro.comm.shm_transport import (
+    INBOX_RING_BYTES,
+    INLINE_LIMIT,
+    PickleStage,
+    ShmTransport,
+    split_pickle,
+)
 from repro.data.loader import BatchSampler
 from repro.data.synthetic import make_mnist_like
 
@@ -153,150 +157,43 @@ class TestPayloadNbytes:
         assert _payload_nbytes(object()) == 0
 
 
-class TestSlotRing:
-    def test_wraparound(self):
-        ring = SlotRing(rank=0, dest=1, tag=0, slot_nbytes=100, capacity=2)
-        try:
-            assert ring.slot_nbytes == 128  # rounded to a cache line
-            payload = np.arange(100, dtype=np.uint8)
-            offsets = []
-            for i in range(9):
-                off = ring.acquire(timeout=1.0)
-                ring.write(off, payload)
-                offsets.append(off)
-                ring._tail[0] += 1  # consume immediately (receiver stand-in)
-            assert ring.head == 9
-            assert ring.in_flight == 0
-            # Two slots alternate: offsets cycle with period == capacity.
-            assert offsets[0] == offsets[2] and offsets[1] == offsets[3]
-            assert offsets[0] != offsets[1]
-        finally:
-            ring.close(unlink=True)
-
-    def test_backpressure_raises_deadlock_subclass(self):
-        ring = SlotRing(rank=3, dest=1, tag=7, slot_nbytes=64, capacity=2)
-        try:
-            ring.acquire(timeout=0.1)
-            ring.acquire(timeout=0.1)
-            t0 = time.monotonic()
-            with pytest.raises(RingBackpressureError) as exc_info:
-                ring.acquire(timeout=0.1)
-            assert time.monotonic() - t0 >= 0.1
-            err = exc_info.value
-            assert isinstance(err, DeadlockError)
-            assert err.rank == 3 and err.capacity == 2
-            # Consumption unblocks the next acquire.
-            ring._tail[0] += 1
-            ring.acquire(timeout=0.1)
-        finally:
-            ring.close(unlink=True)
-
-
-    def test_blocked_acquire_wakes_soon_after_the_consume(self):
-        """Regression: the old backoff doubled its sleeps to 50 ms, so a
-        sender blocked for 40 ms woke ~23 ms after the slot was freed."""
-        ring = SlotRing(rank=0, dest=1, tag=0, slot_nbytes=64, capacity=1)
-        try:
-            lags = []
-            for _ in range(5):  # best of five: host noise must not fail this
-                ring.acquire(timeout=1.0)  # the ring is full again
-                freed = []
-
-                def consume():
-                    time.sleep(0.04)
-                    freed.append(time.monotonic())
-                    ring._tail[0] += 1
-
-                receiver = threading.Thread(target=consume)
-                receiver.start()
-                ring.acquire(timeout=5.0)  # blocks until the consume
-                lags.append(time.monotonic() - freed[0])
-                receiver.join(timeout=5.0)
-                ring._tail[0] += 1
-            assert min(lags) < 0.010, lags
-        finally:
-            ring.close(unlink=True)
-
-
 class TestShmTransport:
-    @staticmethod
-    def _staged(transport, payload, dest=1, tag=0):
-        """The descriptor of ``payload``'s inbox record."""
-        ref = pickle.loads(transport.pack(dest, tag, payload))
-        assert isinstance(ref, ShmSlotRef)
-        return ref
-
-    def _roundtrip(self, transport, payload, dest=1, tag=0):
-        return transport.decode(self._staged(transport, payload, dest, tag))
-
-    def test_large_array_roundtrip(self):
-        tp = ShmTransport(rank=0, size=2, min_bytes=1024)
-        try:
-            arr = np.random.default_rng(0).standard_normal(8192).astype(np.float32)
-            out = self._roundtrip(tp, arr)
-            np.testing.assert_array_equal(out, arr)
-            assert out.flags.writeable  # private copy, never ring memory
-            out[0] = -1.0  # must not corrupt anything
-            assert tp.stats["shm_messages"] == 1
-            assert tp.stats["bytes_copied_in"] == arr.nbytes
-            assert tp.stats["bytes_copied_out"] == arr.nbytes
-            assert 0 < tp.stats["bytes_on_wire"] < arr.nbytes
-        finally:
-            tp.close(unlink=True)
+    def test_large_array_is_refused_by_name(self):
+        tp = ShmTransport()
+        arr = np.zeros(8192, dtype=np.float32)
+        with pytest.raises(RecordTooLargeError) as err:
+            tp.pack(3, 1, 7, arr)
+        e = err.value
+        assert (e.rank, e.dest, e.tag) == (3, 1, 7) and e.nbytes > arr.nbytes
+        assert f"rank 3: send(dest=1, tag=7) of a {e.nbytes}-byte record" in str(e)
+        assert isinstance(e, ValueError) and not isinstance(e, DeadlockError)
+        copy = pickle.loads(pickle.dumps(e))  # it travels back from a forked rank
+        assert (copy.rank, copy.dest, copy.tag, copy.nbytes) == (3, 1, 7, e.nbytes)
+        assert tp.stats["inbox_messages"] == 0
 
     def test_nested_trace_style_tuple(self):
-        tp = ShmTransport(rank=0, size=2, min_bytes=1024)
-        try:
-            arr = np.arange(16384, dtype=np.float32)
-            seq_wrapped = (7, (np.float32(0.5), arr))  # (seq, (loss, weights))
-            out = self._roundtrip(tp, seq_wrapped)
-            assert out[0] == 7
-            assert out[1][0] == np.float32(0.5)
-            np.testing.assert_array_equal(out[1][1], arr)
-        finally:
-            tp.close(unlink=True)
+        tp = ShmTransport()
+        arr = np.arange(64, dtype=np.float32)
+        seq_wrapped = (7, (np.float32(0.5), arr))  # (seq, (loss, weights))
+        out = tp.unpack(tp.pack(0, 1, 0, seq_wrapped))
+        assert out[0] == 7
+        assert out[1][0] == np.float32(0.5)
+        np.testing.assert_array_equal(out[1][1], arr)
+        assert out[1][1].flags.writeable  # a private array, like any unpickle
 
     def test_small_and_arrayfree_payloads_fall_back(self):
-        tp = ShmTransport(rank=0, size=2, min_bytes=1 << 14)
-        try:
-            assert pickle.loads(tp.pack(1, 0, "token")) == "token"
-            small = pickle.loads(tp.pack(1, 0, np.zeros(4, dtype=np.float32)))
-            np.testing.assert_array_equal(small, np.zeros(4, dtype=np.float32))
-            assert tp.stats["inband_messages"] == 2
-            assert tp.stats["shm_messages"] == tp.stats["ring_allocs"] == 0
-            # Non-contiguous arrays pickle in band -> no out-of-band array
-            # body; the 64 KiB stream itself then spills through the slot.
-            big = np.arange(256 * 256, dtype=np.float32).reshape(256, 256)
-            ref = self._staged(tp, big[::2, ::2])
-            assert ref.meta == b"" and len(ref.buffers) == 1
-            assert tp.stats["inbox_spills"] == 1 and tp.stats["inband_messages"] == 2
-            np.testing.assert_array_equal(tp.decode(ref), big[::2, ::2])
-        finally:
-            tp.close(unlink=True)
-
-    def test_ring_growth_keeps_old_generation_decodable(self):
-        tp = ShmTransport(rank=0, size=2, min_bytes=1024)
-        try:
-            small = np.arange(8192, dtype=np.float32)
-            big = np.arange(32768, dtype=np.float32)
-            ref_small = self._staged(tp, small)
-            ref_big = self._staged(tp, big)  # outgrows the ring: new generation
-            assert tp.stats["ring_allocs"] == 2
-            assert ref_small.segment != ref_big.segment
-            np.testing.assert_array_equal(tp.decode(ref_big), big)
-            np.testing.assert_array_equal(tp.decode(ref_small), small)
-        finally:
-            tp.close(unlink=True)
-
-    def test_per_channel_rings(self):
-        tp = ShmTransport(rank=0, size=4, min_bytes=1024)
-        try:
-            arr = np.arange(8192, dtype=np.float32)
-            refs = [self._staged(tp, arr, d, t) for d, t in ((1, 0), (2, 0), (1, 5))]
-            assert len({r.segment for r in refs}) == 3  # one ring per (dest, tag)
-            assert tp.stats["ring_allocs"] == 3
-        finally:
-            tp.close(unlink=True)
+        tp = ShmTransport()
+        assert tp.unpack(tp.pack(0, 1, 0, "token")) == "token"
+        small = tp.unpack(tp.pack(0, 1, 0, np.zeros(4, dtype=np.float32)))
+        np.testing.assert_array_equal(small, np.zeros(4, dtype=np.float32))
+        assert tp.stats["inbox_messages"] == 2
+        # The record is the payload's one pickle, whatever its layout: a
+        # non-contiguous view that pickles past the limit is refused too.
+        big = np.arange(256 * 256, dtype=np.float32).reshape(256, 256)
+        with pytest.raises(RecordTooLargeError):
+            tp.pack(0, 1, 0, big[::2, ::2])
+        assert len(tp.pack(0, 1, 0, bytes(INLINE_LIMIT - 64))) <= INLINE_LIMIT
+        assert tp.stats["inbox_messages"] == 3
 
 
 class TestPickleStage:
@@ -307,7 +204,7 @@ class TestPickleStage:
         assert len(bulk) == 2 and len(meta) < 1024  # the 24-byte array stays in band
         stage = PickleStage("unit", bulk)
         try:
-            assert stage.ref.nbytes == 20000 + 4096 * 8 and stage.ref.meta == b""
+            assert stage.ref.nbytes == 20000 + 4096 * 8
             assert all(off % 64 == 0 for off, _ in stage.ref.buffers)
             name, (a, b, c) = PickleStage.load(meta, stage.ref)
         finally:
@@ -344,23 +241,25 @@ class TestNextBatchInto:
 # Process-backed integration: backpressure through a real communicator.
 # ---------------------------------------------------------------------------
 
-ARRAY_ELEMS = 16384  # 64 KiB float32 >> the transport's DEFAULT_MIN_BYTES
+ARRAY_ELEMS = 16384  # 64 KiB float32
+
+#: Small records that overfill one inbox ring (32 ring bytes apiece).
+FLOOD = INBOX_RING_BYTES // 32 + 50
 
 
 def _slow_consumer(ctx, n_messages):
     if ctx.rank == 0:
         for i in range(n_messages):
-            ctx.send(np.full(ARRAY_ELEMS, float(i), dtype=np.float32), dest=1, tag=0)
+            ctx.send(i, dest=1, tag=0)
         return "sent"
-    time.sleep(0.3)  # let the sender fill the ring and block on slot reuse
-    sums = [float(ctx.recv(source=0, tag=0).sum()) for _ in range(n_messages)]
-    return sums
+    time.sleep(0.3)  # let the sender fill the ring and block on it
+    return [ctx.recv(source=0, tag=0) for _ in range(n_messages)]
 
 
 def _absent_consumer(ctx, n_messages):
     if ctx.rank == 0:
         for i in range(n_messages):
-            ctx.send(np.full(ARRAY_ELEMS, float(i), dtype=np.float32), dest=1, tag=0)
+            ctx.send(i, dest=1, tag=0)
         return "sent"
     return "never received"
 
@@ -368,17 +267,15 @@ def _absent_consumer(ctx, n_messages):
 @needs_fork
 @pytest.mark.mp
 class TestRingBackpressureEndToEnd:
-    # The ring holds DEFAULT_SLOTS messages; the sender runs that far ahead
-    # of its receiver and blocks on the next one.
+    # The sender runs a full inbox ring ahead of its receiver and blocks
+    # on the next record.
     def test_blocked_sender_recovers_when_receiver_drains(self):
-        n = DEFAULT_SLOTS + 3
         comm = MultiprocessCommunicator(2, timeout=20.0)
         try:
-            results = comm.run(_slow_consumer, n)
+            results = comm.run(_slow_consumer, FLOOD)
         finally:
             comm.close()
-        assert results[0] == "sent"
-        assert results[1] == [ARRAY_ELEMS * float(i) for i in range(n)]
+        assert results == ["sent", list(range(FLOOD))]
 
     def test_never_draining_receiver_raises_deadlock(self):
         # Only the sender fails, so the error arrives unwrapped — and it
@@ -386,22 +283,18 @@ class TestRingBackpressureEndToEnd:
         comm = MultiprocessCommunicator(2, timeout=1.0)
         try:
             with pytest.raises(DeadlockError) as exc_info:
-                comm.run(_absent_consumer, DEFAULT_SLOTS + 2)
+                comm.run(_absent_consumer, FLOOD)
         finally:
             comm.close()
         err = exc_info.value
         assert isinstance(err, RingBackpressureError)
-        assert err.rank == 0 and err.capacity == DEFAULT_SLOTS
+        assert err.rank == 0 and err.capacity == INBOX_RING_BYTES
 
 
 def _echo_stats(ctx):
-    if ctx.rank == 0:
-        payload = np.arange(ARRAY_ELEMS, dtype=np.float32)
-        ctx.send(payload, dest=1, tag=0)
-        return float(ctx.recv(source=1, tag=1).sum())
-    got = ctx.recv(source=0, tag=0)
-    ctx.send(got * 2.0, dest=1 - ctx.rank, tag=1)
-    return "echoed"
+    theirs = ctx.exchange(np.full(ARRAY_ELEMS, ctx.rank + 1.0, dtype=np.float32),
+                          1 - ctx.rank, tag=0)
+    return float(theirs.sum())
 
 
 def _allreduce_only(ctx, steps):
@@ -423,14 +316,16 @@ class TestTransportStats:
     def test_counters_reported_to_parent(self):
         comm = MultiprocessCommunicator(2, timeout=30.0)
         try:
-            comm.run(_echo_stats)
+            assert comm.run(_echo_stats) == [2.0 * ARRAY_ELEMS, 1.0 * ARRAY_ELEMS]
         finally:
             comm.close()
         stats = comm.transport_stats
-        assert stats["shm_messages"] == 2
+        # Each rank copies its array into its row and the peer's out of it...
         assert stats["bytes_copied_in"] == 2 * ARRAY_ELEMS * 4
         assert stats["bytes_copied_out"] == 2 * ARRAY_ELEMS * 4
-        assert stats["ring_allocs"] == 2
+        # ...and sends a ready and a done token: the only records.
+        assert stats["arena_tokens"] == stats["inbox_messages"] == 4
+        assert stats["bytes_on_wire"] == 0
 
     @pytest.mark.parametrize("collective", ["tree", "ring"])
     def test_arena_traffic_is_counted(self, collective):
@@ -448,8 +343,7 @@ class TestTransportStats:
         assert stats["bytes_inplace"] == (ranks - 1) * ARRAY_ELEMS * 4 * steps
         per_step = 2 * (ranks - 1) * (ranks if collective == "ring" else 1)
         assert stats["arena_tokens"] == stats["inbox_messages"] == per_step * steps
-        # Only tokens cross the fabric: nothing staged, no in-band bytes.
-        assert stats["shm_messages"] == stats["inbox_spills"] == 0
+        # Only tokens cross the fabric: no bulk byte on the message path.
         assert stats["bytes_on_wire"] == 0
 
     def test_private_input_and_result_copies_are_counted(self):
