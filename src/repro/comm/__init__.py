@@ -38,6 +38,7 @@ from repro.comm.runtime import (
 )
 from repro.comm.shm_lifecycle import ShmCapacityError
 from repro.comm.shm_transport import (
+    CollectiveTooLargeError,
     RecordTooLargeError,
     RingBackpressureError,
     UnsupportedMemoryModelError,
@@ -75,6 +76,7 @@ __all__ = [
     "fork_available",
     "BACKENDS",
     "BufferArena",
+    "CollectiveTooLargeError",
     "RecordTooLargeError",
     "RingBackpressureError",
     "ShmCapacityError",

@@ -182,8 +182,10 @@ class MultiprocessCommunicator:
         self.size = size
         #: Per-run transport counters summed over ranks (inbox_messages,
         #: bytes_copied_in/out, bytes_inplace, arena_tokens, ...; the
-        #: table is in docs/observability.md); empty until a run completes.
-        self.transport_stats: Dict[str, int] = {}
+        #: table is in docs/observability.md) and the ranks' BLAS thread
+        #: budget, ``blas_threads`` (None: an unknown BLAS); empty until a
+        #: run completes.
+        self.transport_stats: Dict[str, Optional[int]] = {}
         self.trace = trace
         if trace is not None:
             trace.meta.setdefault("ranks", size)

@@ -34,7 +34,9 @@ arguments:
 - ``codec``: ``None`` when payloads cross the inbox as they are (by
   reference, here), else an object whose ``pack``/``unpack`` turn a
   payload into the one record it travels as and back (the shm
-  transport, which refuses a record too long for its inbox).
+  transport, which refuses a record too long for its inbox), and whose
+  ``check_inline(op, array)`` refuses a message-tree collective whose
+  buffer alone is too long.
 - ``arenas``: ``None``, or a callable ``(tag, elems)`` returning the shared
   float32 rows an allreduce folds in place and a pairwise ``exchange``
   swaps through — heap rows here, a named shm segment between processes.
@@ -82,6 +84,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+import os
 import queue
 import threading
 import time
@@ -92,6 +95,7 @@ import numpy as np
 from repro.comm.collectives import shard_bounds, tree_reduce_into, validate_collective
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
+from repro.util.cores import LEDGER
 
 __all__ = [
     "CellAborted",
@@ -144,6 +148,15 @@ COLLECTIVE_TAG_STRIDE = 1 << 16
 
 #: Default user tags of the four collectives (kept from the original API).
 _DEFAULT_TAGS = {"bcast": 101, "reduce": 102, "allreduce": 103, "barrier": 104}
+
+#: Bytes of the first arena channel at whose mapping a thread rank pins
+#: itself to the core its cell leased. Below it, rank threads sharing one
+#: CPU hand the GIL over cheaply, and a pinned handover is a cross-CPU
+#: wake. A 2-rank threads tree step (add, allreduce with ``view=True``,
+#: update) on the 2-core reference host, pinned / unpinned, median of 4
+#: alternating runs: 64 KiB 1.93, 256 KiB 1.14, 1 MiB 0.73, 4 MiB 0.70,
+#: 24 MB 0.53 (docs/performance.md, "Thread ranks and cores").
+_PIN_MIN_BYTES = 1 << 20
 
 #: Wire tags live in ``[0, 2**32)``: a record's tag word carries its cell
 #: above them (the whole collective partition tops out near 2**19).
@@ -347,6 +360,12 @@ class RankContextBase:
     Both produce bitwise-identical sums; see ``allreduce`` for which
     buffers take which path.
     """
+
+    #: The core this rank pins its thread to when it first maps an arena
+    #: channel of at least :data:`_PIN_MIN_BYTES` (None: it stays on its
+    #: mask). Only a thread rank whose cell leased cores has one; a pool
+    #: worker is pinned per cell at dispatch.
+    _core: Optional[int] = None
 
     def __init__(
         self,
@@ -667,8 +686,11 @@ class RankContextBase:
         (reduce-scatter + allgather, Theta(1) bytes per rank in the
         buffer size); a buffer of fewer elements than ranks — ``barrier``'s
         one element — takes the tree. A lone rank, and any other dtype,
-        reduce on the message tree in their own dtype. Every path
-        produces bitwise-identical results.
+        reduce on the message tree in their own dtype; a fabric whose
+        message is one bounded record (``processes``) refuses, on every
+        rank and before any send, a buffer that alone cannot fit one
+        (the codec's ``check_inline``). Every path produces
+        bitwise-identical results.
 
         Each phase runs on tags derived from ``tag`` in reserved blocks
         (see :func:`collective_wire_tags`) so no phase can ever collide
@@ -683,6 +705,8 @@ class RankContextBase:
         arena = self._collective_arena(tag, arr.size) if arr.dtype == np.float32 else None
         if arena is not None:
             return self._arena_allreduce(arena, arr, tag, view)
+        if self._codec is not None and self.size > 1:
+            self._codec.check_inline("allreduce", arr)
         red_tag, bc_tag = collective_wire_tags("allreduce", tag)
         return self.bcast(self.reduce(arr, root=0, tag=red_tag), root=0, tag=bc_tag)
 
@@ -697,12 +721,20 @@ class RankContextBase:
         """The arena a float32 ``allreduce(tag)`` of ``elems`` folds in, or
         None on a fabric without arenas, on a lone rank, or for an empty
         buffer (nothing to fold) — the one rule, shared by
-        :meth:`allreduce` and :meth:`collective_buffer`. Every rank
-        reaches the same verdict because (as under MPI) all ranks pass
-        buffers of one size and dtype.
+        :meth:`allreduce`, :meth:`collective_buffer`, :meth:`exchange`
+        and :meth:`shared_row`. Every rank reaches the same verdict
+        because (as under MPI) all ranks pass buffers of one size and
+        dtype. A rank with a leased core pins itself to it here, the
+        first time the channel is bulk (:data:`_PIN_MIN_BYTES`).
         """
         if self._arenas is None or self.size == 1 or not elems:
             return None
+        if self._core is not None and 4 * elems >= _PIN_MIN_BYTES:
+            core, self._core = self._core, None
+            try:
+                os.sched_setaffinity(0, {core})
+            except OSError:  # pragma: no cover - cgroup/permission quirk
+                pass
         return self._arenas(tag, int(elems))
 
     def shared_row(self, tag: int, elems: int) -> Optional[np.ndarray]:
@@ -1021,17 +1053,26 @@ class InProcessCommunicator:
         been joined: a single failure propagates as-is; multiple failures
         are aggregated into a :class:`MultiRankError` that names every
         failing rank (no silent partial failures, no discarded errors).
+
+        The run is a cell of the process's core ledger
+        (:mod:`repro.util.cores`): when its ranks fit the usable cores
+        each rank thread gets one of its own, and pins itself to it at
+        its first bulk arena (:meth:`RankContextBase._collective_arena`).
+        The calling thread keeps its mask.
         """
         results: List[Any] = [None] * self.size
         errors: List[Tuple[int, BaseException]] = []
         self._cells += 1
         cell = self._cells
+        cores = LEDGER.lease(self.size)
 
         def runner(rank: int) -> None:
             ctx = RankContextBase(
                 rank, self._inboxes, self.options, fault_log=self.fault_log,
                 trace=self.trace, start=self._start, cell=cell, arenas=self._arena,
             )
+            if cores:
+                ctx._core = cores[rank]
             try:
                 results[rank] = fn(ctx, *args)
             except BaseException as exc:
@@ -1042,10 +1083,13 @@ class InProcessCommunicator:
             threading.Thread(target=runner, args=(r,), name=f"rank-{r}")
             for r in range(self.size)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            LEDGER.release(self.size, cores)
         if errors:
             raise MultiRankError.aggregate(errors)
         return results

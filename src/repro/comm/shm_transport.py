@@ -77,6 +77,7 @@ __all__ = [
     "require_tso",
     "RingBackpressureError",
     "RecordTooLargeError",
+    "CollectiveTooLargeError",
     "split_pickle",
     "PickleStage",
     "ShmSlotRef",
@@ -348,6 +349,29 @@ class RecordTooLargeError(ValueError):
         return (RecordTooLargeError, (self.rank, self.dest, self.tag, self.nbytes))
 
 
+class CollectiveTooLargeError(ValueError):
+    """A collective over a non-float32 buffer whose bytes alone exceed
+    :data:`INLINE_LIMIT`, refused on every rank before the first send.
+
+    Only a float32 buffer folds in the cell's arena; any other dtype
+    reduces on the message tree, one inbox record per edge, which such a
+    buffer can never fit. Names the ``op``, the ``dtype`` and ``nbytes``.
+    """
+
+    def __init__(self, op: str, dtype: str, nbytes: int) -> None:
+        self.op = op
+        self.dtype = dtype
+        self.nbytes = nbytes
+        super().__init__(
+            f"{op} of a {nbytes}-byte {dtype} buffer exceeds the {INLINE_LIMIT}-byte "
+            "inbox record: only float32 folds in the cell's arena, so cast the buffer "
+            "to float32 or run it on backend='threads'"
+        )
+
+    def __reduce__(self):
+        return (CollectiveTooLargeError, (self.op, self.dtype, self.nbytes))
+
+
 class ShmTransport:
     """Per-rank codec of the process fabric: a message is one inbox record.
 
@@ -385,6 +409,13 @@ class ShmTransport:
         return record
 
     unpack = staticmethod(pickle.loads)
+
+    @staticmethod
+    def check_inline(op: str, array: np.ndarray) -> None:
+        """Refuse ``op`` on the message tree, before any send, when the
+        buffer alone cannot fit one record (:class:`CollectiveTooLargeError`)."""
+        if array.nbytes > INLINE_LIMIT:
+            raise CollectiveTooLargeError(op, str(array.dtype), int(array.nbytes))
 
     def backpressure(self, rank: int, dest: int, tag: int) -> RingBackpressureError:
         """The error of cell rank ``rank``'s send that found its ring in

@@ -33,6 +33,7 @@ from repro.algorithms.base import RunResult, TimeBreakdown, TrainRecord
 from repro.engine.policy import EvalPolicy
 from repro.engine.strategy import ClockStepStrategy, EventStepStrategy, StepStrategy
 from repro.trace.events import MASTER, TraceEvent
+from repro.util.blas import blas_threads
 
 __all__ = ["StepPipeline", "run_training"]
 
@@ -232,6 +233,9 @@ class StepPipeline:
         records = self.records
         final_acc = records[-1].test_accuracy if records else 0.0
         extras = dict(self.strategy.extras())
+        # The BLAS thread budget the run computed under (None: an unknown
+        # BLAS), so a measurement states what it ran on.
+        extras["blas_threads"] = blas_threads()
         if self.checkpointer is not None:
             stats = self.checkpointer.stats
             # Observable durability overhead. Wall-clock cost lives here

@@ -35,15 +35,17 @@ Design:
   worker's process sentinel, so a worker that dies is seen when it exits,
   and it wakes on a timer only while a failed cell's collection deadline
   is pending. No process of the pool runs a queue feeder thread.
-- A cell **owns its cores** when there are cores to own: if the ranks
-  leased pool-wide, this cell's included, fit the usable cores, each of
-  its ranks is pinned to a core no running cell holds and its receives
-  spin before they block; otherwise its ranks run on the full mask and
-  block on the doorbell. The verdict is per cell, so a two-rank cell on
-  a three-worker pool on two cores is pinned and spinning. It sets the
+- A cell **owns its cores** when there are cores to own: it leases
+  them from the process's core ledger (:mod:`repro.util.cores`), which
+  thread-rank cells lease from too. If the ranks of every running cell,
+  this one's included, fit the usable cores, each of its ranks is pinned
+  to a core no running cell holds and its receives spin before they
+  block; otherwise its ranks run on the full mask and block on the
+  doorbell. The verdict is per cell, so a two-rank cell on a
+  three-worker pool on two cores is pinned and spinning. It sets the
   rank's BLAS thread budget too (:mod:`repro.util.blas`): one thread on
   an owned core, else ``usable_cores // ranks``, never more than the
-  worker forked with.
+  worker forked with; ``transport_stats["blas_threads"]`` reports it.
 - Each cell gets a **fresh** :class:`~repro.comm.runtime.RankContextBase`
   (fresh stashes, sequence counters, RNG-free) over the recycled fabric —
   the cell's inboxes, the worker's transport as its codec, and a by-name
@@ -114,6 +116,7 @@ from repro.comm.shm_transport import (
 from repro.faults import FaultLog, FaultPlan
 from repro.trace.events import Trace
 from repro.util.blas import blas_threads, set_blas_threads
+from repro.util.cores import LEDGER
 
 __all__ = ["POOL_PAYLOAD", "PoolJob", "WorkerPool"]
 
@@ -187,7 +190,9 @@ class PoolJob:
         self.failures: List[Tuple[int, BaseException]] = []
         self.events: List[Any] = []
         self.records: List[Any] = []
-        self.transport_stats: Dict[str, int] = {}
+        #: Transport counters summed over the ranks, and the cell's BLAS
+        #: thread budget as ``"blas_threads"`` (None: an unknown BLAS).
+        self.transport_stats: Dict[str, Optional[int]] = {}
         #: Dispatch instant (monotonic) and completion instant.
         self.t_submit = time.monotonic()
         self.t_done: Optional[float] = None
@@ -269,14 +274,6 @@ class WorkerPool:
         adopt_owner_pid()
         self._mp = multiprocessing.get_context("fork")
         self._start = time.monotonic()
-        #: Usable cores no running cell owns. A cell is granted one per
-        #: rank iff all leased ranks fit the usable cores — exclusive cores
-        #: then exist, and pinning several ranks to one would serialize
-        #: them outright.
-        self._free_cores: List[int] = (
-            sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        )
-        self._ncores = len(self._free_cores)
         #: The BLAS threads every worker forks with (None: an unknown BLAS).
         #: A cell's budget never exceeds them, so with an exported
         #: OPENBLAS_NUM_THREADS=1 a worker sets nothing; looked up once,
@@ -391,8 +388,7 @@ class WorkerPool:
             job = self._lease_locked(nranks)
             base = job.base
             job.patience = options.timeout + _COLLECT_GRACE
-            if self._free.count(False) <= self._ncores:
-                job.cores = [self._free_cores.pop(0) for _ in range(nranks)]
+            job.cores = LEDGER.lease(nranks)
             self._jobs[job.job_id] = job
         if bulk:
             # After the lease, so submitters queued for workers hold no
@@ -480,6 +476,9 @@ class WorkerPool:
                     return
                 job.events.extend(events)
                 job.records.extend(records)
+                # Counters sum over the ranks; the BLAS budget is the
+                # cell's, one value on every rank (None: an unknown BLAS).
+                job.transport_stats["blas_threads"] = tstats.pop("blas_threads")
                 for key, val in tstats.items():
                     job.transport_stats[key] = job.transport_stats.get(key, 0) + int(val)
                 if status == "ok":
@@ -497,7 +496,7 @@ class WorkerPool:
     def _finish_job_locked(self, job: PoolJob) -> None:
         self._jobs.pop(job.job_id, None)
         self._release(job.base, job.nranks)
-        self._free_cores += job.cores
+        LEDGER.release(job.nranks, job.cores)
         if job.stage is not None:
             job.stage.unlink()
         self.jobs_run += 1
@@ -565,6 +564,15 @@ class WorkerPool:
         with self._cond:
             names = list(self._stop_names)
             self._stop_names = []
+            # A cell still running when its workers stopped never reports:
+            # end it here, so its waiters and its leased cores are let go.
+            for job in list(self._jobs.values()):
+                job.failures += [
+                    (cr, RemoteRankError(cr, f"rank {cr} stopped: the pool closed mid-cell"))
+                    for cr in sorted(job._pending)
+                ]
+                job._pending.clear()
+                self._finish_job_locked(job)
         self._unlink(names + self._orphans())
         for conn in self._work_send + self._result_recv:
             conn.close()
@@ -603,8 +611,8 @@ class WorkerPool:
         pooled cells bit-identical to cold spawns and never leaves a cell
         the previous one's cores.
         """
-        full_mask = os.sched_getaffinity(0) if self._ncores else None
-        usable = self._ncores or os.cpu_count() or 1
+        full_mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+        usable = len(full_mask) if full_mask else os.cpu_count() or 1
         for conn in self._work_send + self._result_recv:
             conn.close()
         for r in range(self.size):
@@ -654,10 +662,11 @@ class WorkerPool:
                 except OSError:  # pragma: no cover - cgroup/permission quirk
                     pass
             inbox.spin = core is not None
-            if (self._forked_blas or 1) > 1:  # else every budget is 1 already
+            budget = self._forked_blas
+            if (budget or 1) > 1:  # else every budget is 1 already
                 # One thread on an owned core; else a share of the cores.
-                set_blas_threads(1 if core is not None
-                                 else min(self._forked_blas, usable // nranks))
+                budget = set_blas_threads(1 if core is not None
+                                          else min(budget, usable // nranks))
             # The fabric as data: this cell's inboxes, the worker's
             # transport as codec, and arenas by name (cells on the same
             # block derive the same names, so they reuse one).
@@ -679,6 +688,7 @@ class WorkerPool:
                 transport.stats["stage_bytes_copied"] += stage.nbytes
             tstats = {k: int(v) - int(stats_before[k]) for k, v in transport.stats.items()}
             emit_transport_marks(ctx, tstats)
+            tstats["blas_threads"] = budget  # a setting, not a counter
             events = list(ctx.trace.events) if ctx.trace is not None else []
             records = list(ctx.fault_log.records)
             sent = report("done", job_id, cell_rank, status, payload, events, records, tstats)

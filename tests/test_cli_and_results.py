@@ -13,6 +13,7 @@ from repro.harness.cli import _build_parser, main
 from repro.harness.experiment import ExperimentSpec, run_method
 from repro.harness.results import result_to_dict, results_from_json, results_to_json, SCHEMA_VERSION
 from repro.nn.models import build_mlp
+from repro.util.blas import blas_threads
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,10 @@ class TestResultsSerialization:
 
     def test_dict_is_json_safe(self, quick_result):
         json.dumps(result_to_dict(quick_result))  # must not raise
+
+    def test_extras_state_the_blas_budget_the_run_computed_under(self, quick_result):
+        assert quick_result.extras["blas_threads"] == blas_threads()
+        assert result_to_dict(quick_result)["extras"]["blas_threads"] == blas_threads()
 
     def test_from_document_string(self, quick_result):
         doc = results_to_json([quick_result])

@@ -12,6 +12,7 @@ Tier 2 (``slow``): most cases fork real worker processes.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 import contextlib
 import dataclasses
 import hashlib
@@ -31,7 +32,7 @@ from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
 from repro.algorithms.mpi_sgd import run_mpi_sync_sgd
 from repro.algorithms.ps_runner import PS_RUNNER_METHODS, run_mpi_gossip, run_mpi_ps
 from repro.comm.mp_runtime import fork_available, RemoteRankError
-from repro.comm.runtime import MultiRankError
+from repro.comm.runtime import InProcessCommunicator, MultiRankError
 from repro.comm.shm_lifecycle import registered_segments, ShmCapacityError
 from repro.data import make_mnist_like
 from repro.engine.ps import PS_FAMILIES
@@ -41,6 +42,7 @@ from repro.harness.sweeps import grid_sweep
 from repro.nn.models import build_mlp
 import repro.pool
 from repro.pool import POOL_PAYLOAD, WorkerPool
+from repro.util.blas import blas_threads
 
 pytestmark = pytest.mark.pool
 
@@ -347,6 +349,112 @@ def test_a_rank_runs_on_its_blas_budget():
     assert got["parent"] == forked
     assert got["pinned"] == [1]
     assert got["shared"] == got["cold"] == [share] * (usable + 1)
+
+
+def _budget_cell(ctx):
+    return blas_threads()
+
+
+@pytest.mark.mp
+@needs_fork
+def test_a_pooled_cell_reports_its_blas_budget(monkeypatch):
+    """``transport_stats["blas_threads"]`` is the budget the cell's ranks
+    ran under, one value for the cell; None when the BLAS is unknown."""
+    with WorkerPool(2) as pool:
+        job = pool.submit(2, _budget_cell)
+        ranks = job.result()
+    assert ranks[0] == ranks[1] == job.transport_stats["blas_threads"]
+    monkeypatch.setattr(repro.pool.worker_pool, "blas_threads", lambda: None)
+    with WorkerPool(1) as pool:
+        job = pool.submit(1, _budget_cell)
+        job.wait()
+    assert job.transport_stats["blas_threads"] is None
+
+
+# ---------------------------------------------------------------------------
+# Thread ranks own their cores too: one core ledger per process
+# ---------------------------------------------------------------------------
+
+#: 1.5 MiB and 64 KiB of float32, either side of the thread-rank pin size.
+_BULK_ELEMS, _SMALL_ELEMS = 3 << 17, 1 << 14
+
+needs_two_cores = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable cores",
+)
+
+
+def _mask_after_allreduce(ctx, elems, barrier=None):
+    """Fold ``elems`` float32 and read this rank thread's mask; with a
+    ``barrier``, every rank of the concurrent cells is inside its cell."""
+    if barrier is not None:
+        barrier.wait()
+    ctx.allreduce(np.ones(elems, dtype=np.float32))
+    mask = sorted(os.sched_getaffinity(0))
+    if barrier is not None:
+        barrier.wait()
+    return mask
+
+
+@needs_two_cores
+def test_a_thread_rank_that_folds_a_bulk_buffer_owns_its_core():
+    with _usable_cores(2) as cores:
+        masks = InProcessCommunicator(2).run(_mask_after_allreduce, _BULK_ELEMS)
+    assert sorted(masks) == [[cores[0]], [cores[1]]]
+
+
+@needs_two_cores
+def test_a_thread_rank_that_folds_a_small_buffer_keeps_the_full_mask():
+    with _usable_cores(2) as cores:
+        masks = InProcessCommunicator(2).run(_mask_after_allreduce, _SMALL_ELEMS)
+    assert masks == [cores, cores]
+
+
+def test_the_thread_that_calls_run_keeps_its_mask():
+    before = os.sched_getaffinity(0)
+    InProcessCommunicator(2).run(_mask_after_allreduce, _BULK_ELEMS)
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_on_one_core_no_thread_rank_pins():
+    with _usable_cores(1) as cores:
+        masks = InProcessCommunicator(2).run(_mask_after_allreduce, _BULK_ELEMS)
+    assert masks == [cores, cores]
+
+
+@needs_two_cores
+def test_concurrent_thread_cells_never_hold_one_core():
+    barrier = threading.Barrier(4, timeout=30.0)
+    with _usable_cores(2), ThreadPoolExecutor(2) as runs:
+        cells = [runs.submit(InProcessCommunicator(2).run, _mask_after_allreduce,
+                             _BULK_ELEMS, barrier) for _ in range(2)]
+        masks = [mask for cell in cells for mask in cell.result()]
+    owned = [mask[0] for mask in masks if len(mask) == 1]
+    assert len(owned) == len(set(owned)) == 2
+
+
+def _hold_cell(ctx, inside, leave):
+    inside.wait()
+    leave.wait(30.0)
+
+
+@pytest.mark.mp
+@needs_fork
+@needs_two_cores
+def test_pool_and_thread_cells_lease_from_one_ledger():
+    """While a 2-rank threads cell holds both cores, a pooled cell gets
+    none; once it ends, the pooled cell owns one."""
+    inside, leave = threading.Barrier(3, timeout=30.0), threading.Event()
+    with _usable_cores(2) as cores, WorkerPool(1) as pool, ThreadPoolExecutor(1) as runs:
+        held = runs.submit(InProcessCommunicator(2).run, _hold_cell, inside, leave)
+        inside.wait()
+        during = pool.run(1, _placement_cell)
+        leave.set()
+        held.result()
+        after = pool.run(1, _placement_cell)
+    assert during == [(cores, False)]
+    assert after[0][1] and len(after[0][0]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ any size in per-sender order, a bounded wait that ends in ``queue.Empty``
 that ends in a typed backpressure error. Two things are new and pinned
 here too: a message is exactly one record, so a payload whose pickle
 exceeds ``INLINE_LIMIT`` is refused by name and its cell aborted, cold and
-pooled; and a receive first spins on the shared heads, then blocks on a
+pooled (and a non-float32 allreduce that cannot fit one is refused on
+every rank before it sends); and a receive first spins on the shared heads, then blocks on a
 doorbell.
 
 Every case runs twice — spin budget forced to 0 (each wait goes straight
@@ -28,6 +29,8 @@ import pytest
 
 from repro.comm import (
     CellAborted,
+    CollectiveTooLargeError,
+    make_communicator,
     MultiprocessCommunicator,
     RecordTooLargeError,
     RingBackpressureError,
@@ -241,6 +244,10 @@ def _names_the_send(err):
     assert f"rank 1: send(dest=0, tag=4) of a {err.nbytes}-byte record" in str(err)
 
 
+def _allreduce_program(ctx, buf):
+    return float(ctx.allreduce(buf).sum())
+
+
 def _flood_program(ctx, count):
     if ctx.rank == 0:
         for i in range(count):
@@ -270,6 +277,32 @@ class TestEndToEnd:
         assert sorted(failures) == [0, 2, 3]
         assert all(type(e) is CellAborted and e.peer == 1 for e in failures.values())
         assert list_live_segments() == segments
+
+    def test_a_large_non_float32_allreduce_is_refused_before_any_send(self):
+        """Only float32 folds in the arena; a float64 buffer longer than one
+        record is refused by every rank itself (no peer waits to be
+        aborted), cold and pooled, while threads reduce it."""
+        big = np.full(4096, 1.0)
+        assert big.nbytes > INLINE_LIMIT
+
+        def names_the_buffer(err):
+            assert (err.op, err.dtype, err.nbytes) == ("allreduce", "float64", big.nbytes)
+            assert "only float32 folds in the cell's arena" in str(err)
+
+        with pytest.raises(CollectiveTooLargeError) as cold:
+            MultiprocessCommunicator(2, timeout=30.0).run(_allreduce_program, big)
+        names_the_buffer(cold.value)
+        with WorkerPool(2, timeout=30.0) as pool:
+            job = pool.submit(2, _allreduce_program, big)
+            job.wait(timeout=30.0)
+            assert job.t_done - job.t_submit < 1.0
+            assert pool.run(2, _allreduce_program, big[:8]) == [16.0] * 2  # fits a record
+        assert sorted(rank for rank, _ in job.failures) == [0, 1]
+        for _, err in job.failures:
+            assert type(err) is CollectiveTooLargeError
+            names_the_buffer(err)
+        threads = make_communicator(2).run(_allreduce_program, big)
+        assert threads == [2.0 * big.size] * 2
 
     def test_small_payload_is_pickled_once_and_rides_in_band(self):
         tp = ShmTransport()
