@@ -53,9 +53,11 @@ def _run_cli(argv: list, check: bool = True) -> subprocess.CompletedProcess:
     return proc
 
 
-def _kill_after_first_checkpoint(argv: list, checkpoint_dir: Path) -> None:
+def _kill_after_first_checkpoint(argv: list, checkpoint_dir: Path,
+                                 pattern: str = "ckpt-*") -> None:
     """Launch the CLI, SIGKILL its whole process tree once a checkpoint
-    version has landed, and assert it really died to the signal."""
+    version matching ``pattern`` has landed under ``checkpoint_dir``, and
+    assert it really died to the signal."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", *argv],
         cwd=REPO_ROOT, env=_env(), start_new_session=True,
@@ -64,7 +66,7 @@ def _kill_after_first_checkpoint(argv: list, checkpoint_dir: Path) -> None:
     try:
         deadline = time.monotonic() + POLL_TIMEOUT
         while time.monotonic() < deadline:
-            if list_versions(checkpoint_dir):
+            if any(checkpoint_dir.glob(pattern)):
                 break
             if proc.poll() is not None:
                 raise AssertionError(
@@ -175,6 +177,51 @@ def test_kill_and_resume_chip_partition_processes(tmp_path):
     assert _trajectory(killed_json) == _trajectory(straight_json)
     assert (_newest_manifest(killed_dir)["arrays"]
             == _newest_manifest(straight_dir)["arrays"])
+
+
+SWEEP_ITERATIONS = 1200
+
+
+@pytest.mark.mp
+def test_kill_and_resume_pooled_sweep(tmp_path):
+    """A pooled, checkpointed sweep killed once any cell has a version:
+    the re-run resumes every unfinished cell from its own directory and
+    lands on the straight sweep's accuracies, reaping the shm debris of
+    the killed pool on the way."""
+    from repro.comm.mp_runtime import fork_available
+
+    if not fork_available():
+        pytest.skip("needs the fork start method")
+    common = [
+        "sweep", "--method", "sync-easgd3",
+        "--grid", "lr=0.01,0.03;rho=1.5,3.0", "--pool",
+        "--iterations", str(SWEEP_ITERATIONS), "--seed", "0",
+    ]
+    straight_json = tmp_path / "straight.json"
+    killed_json = tmp_path / "killed.json"
+    killed_root = tmp_path / "ck-killed"
+
+    _run_cli([*common, "--checkpoint-root", str(tmp_path / "ck-straight"),
+              "--json", str(straight_json)])
+    _kill_after_first_checkpoint(
+        [*common, "--checkpoint-root", str(killed_root)], killed_root,
+        pattern="cells/*/ckpt-*",
+    )
+    # The kill must land mid-sweep, else the re-run resumes nothing.
+    assert len(list(killed_root.glob("*.done.pkl"))) < 4
+    _run_cli([*common, "--checkpoint-root", str(killed_root),
+              "--json", str(killed_json)])
+
+    assert stale_segments() == [], "killed sweep leaked shm segments past resume"
+
+    def accuracies(path: Path) -> dict:
+        points = json.loads(path.read_text())["points"]
+        return {tuple(sorted(p["params"].items())): p["final_accuracy"]
+                for p in points}
+
+    straight = accuracies(straight_json)
+    assert len(straight) == 4
+    assert accuracies(killed_json) == straight
 
 
 #: A persistent pool with live shm fabric (inboxes + a collective
