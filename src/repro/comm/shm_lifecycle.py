@@ -50,6 +50,8 @@ import threading
 from typing import Any, List, Optional, Set
 import uuid
 
+from repro.util.pids import pid_alive
+
 __all__ = [
     "SEGMENT_PREFIX",
     "ShmCapacityError",
@@ -98,7 +100,7 @@ def adopt_owner_pid(pid: Optional[int] = None) -> int:
     descendant.
     """
     global _owner_pid
-    if _owner_pid is None or not _pid_alive(_owner_pid):
+    if _owner_pid is None or not pid_alive(_owner_pid):
         _owner_pid = os.getpid() if pid is None else int(pid)
     return _owner_pid
 
@@ -113,7 +115,7 @@ def segment_name(kind: str, suffix: Optional[str] = None) -> str:
     """
     if suffix is None:
         suffix = uuid.uuid4().hex[:8]
-    pid = _owner_pid if (_owner_pid is not None and _pid_alive(_owner_pid)) else os.getpid()
+    pid = _owner_pid if (_owner_pid is not None and pid_alive(_owner_pid)) else os.getpid()
     return f"{SEGMENT_PREFIX}-{pid}-{kind}-{suffix}"
 
 
@@ -233,16 +235,6 @@ def cleanup_registered() -> List[str]:
     return [name for name in names if unlink_segment(name)]
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - foreign uid, but alive
-        return True
-    return True
-
-
 def list_live_segments(shm_dir: str = _SHM_DIR) -> List[str]:
     """All ``repro-*`` segment names currently present (testing aid)."""
     try:
@@ -261,7 +253,7 @@ def stale_segments(shm_dir: str = _SHM_DIR) -> List[str]:
     out: List[str] = []
     for name in list_live_segments(shm_dir):
         match = _NAME_RE.match(name)
-        if match is not None and not _pid_alive(int(match.group(1))):
+        if match is not None and not pid_alive(int(match.group(1))):
             out.append(name)
     return out
 

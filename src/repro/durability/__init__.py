@@ -13,7 +13,6 @@ from repro.durability.checkpoint import (
     FORMAT_VERSION,
     CheckpointData,
     CheckpointManager,
-    array_digest,
     list_versions,
     load_latest_valid,
     read_version,
@@ -34,7 +33,6 @@ __all__ = [
     "FORMAT_VERSION",
     "CheckpointData",
     "CheckpointManager",
-    "array_digest",
     "list_versions",
     "load_latest_valid",
     "read_version",

@@ -1,40 +1,41 @@
 """Crash-safe, versioned checkpoints of full pipeline state.
 
-One checkpoint *version* is a directory ``ckpt-<step>`` holding three
-files:
+One checkpoint *version* is one file, ``ckpt-<step>``:
 
-- ``arrays.npz`` — every numpy array of the run state (packed center and
-  worker weights, optimizer/velocity vectors, ...), uncompressed;
-- ``state.pkl``  — everything else (RNG stream positions, data-loader
-  cursors, event queues, fault-plan progress, trajectory records, trace
-  events), pickled with a fixed protocol so identical state produces
-  identical bytes;
-- ``manifest.json`` — the format version, the model's
-  ``structure_fingerprint``, and a BLAKE2 checksum per array plus one
-  for the pickled state.
+- a magic line, ``repro-ckpt\n``;
+- an 8-byte little-endian length, then a header of that length: the
+  format version, step, the model's ``structure_fingerprint``, the
+  non-array state (RNG stream positions, data-loader cursors, event
+  queues, fault-plan progress, trajectory records, trace events) and
+  each array's (name, dtype, shape), pickled with a fixed protocol so
+  identical state produces identical bytes;
+- every array's raw bytes, in header order (packed center and worker
+  weights, optimizer/velocity vectors, ...);
+- the SHA-256 of everything before it.
 
-Writes are atomic: the version is assembled in a ``tmp-`` directory,
-every file (and the directory) is fsynced, and the directory is renamed
-into place in one step. A process killed at *any* instant therefore
-leaves either the previous versions untouched or a complete new one —
-never a half-written version a resume could trust.
+Writes are atomic: the version is streamed into a ``tmp-`` file, fsynced,
+renamed into place in one step (over an existing version of the same
+step, too), and the directory is fsynced. A process killed at *any*
+instant therefore leaves either the previous versions untouched or a
+complete new one — never a half-written version a resume could trust.
 
 Loads walk versions newest-first: any version that fails validation
-(truncated archive, checksum mismatch, unreadable manifest — the
-expected debris of a SIGKILL mid-write) is logged as a structured
-warning and skipped, falling back to the previous valid version.
+(truncated, bit-flipped, empty, a header that does not account for the
+body — the expected debris of a SIGKILL mid-write or a bad disk) is
+logged as a structured warning and skipped, falling back to the previous
+valid version. The digest is checked before anything is unpickled.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
+import math
 import os
 import pickle
 import queue
 import re
-import shutil
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,12 +50,12 @@ from repro.durability.errors import (
     CheckpointMismatchError,
     NoCheckpointError,
 )
+from repro.util.pids import pid_alive
 
 __all__ = [
     "FORMAT_VERSION",
     "CheckpointData",
     "CheckpointManager",
-    "array_digest",
     "list_versions",
     "read_version",
     "write_version",
@@ -62,43 +63,19 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk layout changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Pinned so identical state always pickles to identical bytes (the
-#: bit-identical-resume tests compare checkpoint payloads across runs).
+#: bit-identical-resume tests compare checkpoint files across runs).
 _PICKLE_PROTOCOL = 4
 
-_ARRAYS_FILE = "arrays.npz"
-_STATE_FILE = "state.pkl"
-_MANIFEST_FILE = "manifest.json"
+_MAGIC = b"repro-ckpt\n"
+_LENGTH = struct.Struct("<Q")
+_DIGEST_SIZE = 32  # SHA-256
 _VERSION_RE = re.compile(r"^ckpt-(\d{8})$")
+_STAGED_RE = re.compile(r"^tmp-ckpt-\d{8}-(\d+)$")
 
 logger = logging.getLogger("repro.durability")
-
-
-def array_digest(arr: np.ndarray) -> str:
-    """A stable BLAKE2 digest of an array's dtype, shape, and contents."""
-    arr = np.ascontiguousarray(arr)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.dtype.str).encode("ascii"))
-    h.update(str(tuple(arr.shape)).encode("ascii"))
-    # Hash through a flat view, not ``tobytes()``: the copy would hold the
-    # GIL for the whole buffer, which the background writer thread must
-    # not do while training steps run.
-    h.update(memoryview(arr).cast("B"))
-    return h.hexdigest()
-
-
-def _bytes_digest(blob: bytes) -> str:
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -119,8 +96,9 @@ def _version_name(step: int) -> str:
 def list_versions(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
     """All complete checkpoint versions under ``directory``, oldest first.
 
-    Only directories matching ``ckpt-<8 digits>`` count; ``tmp-`` debris
-    from interrupted writes is invisible here by construction.
+    Only files named ``ckpt-<8 digits>`` count: ``tmp-`` debris from
+    interrupted writes is invisible here by construction, and so is a
+    format-1 version (a directory).
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -128,7 +106,7 @@ def list_versions(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
     found: List[Tuple[int, Path]] = []
     for entry in directory.iterdir():
         m = _VERSION_RE.match(entry.name)
-        if m is not None and entry.is_dir():
+        if m is not None and entry.is_file():
             found.append((int(m.group(1)), entry))
     found.sort(key=lambda sp: sp[0])
     return found
@@ -155,133 +133,88 @@ def write_version(
 ) -> Tuple[Path, int]:
     """Atomically write one checkpoint version; returns (path, bytes).
 
-    The version is staged in ``tmp-ckpt-<step>-<pid>``, fully fsynced,
-    then renamed into place. An existing version for the same step is
-    replaced atomically (rename-away then rename-in).
+    The version is streamed into ``tmp-ckpt-<step>-<pid>``, fsynced, then
+    renamed into place, replacing any version of the same step.
     """
     if step < 0:
         raise ValueError("step must be non-negative")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     final = directory / _version_name(step)
-    tmp = directory / f"tmp-{_version_name(step)}-{os.getpid()}"
-    if tmp.exists():  # debris from a previous kill in this very slot
-        shutil.rmtree(tmp)
-    tmp.mkdir()
+    tmp = directory / f"tmp-{final.name}-{os.getpid()}"
 
+    arrays = {name: np.asarray(arr, order="C") for name, arr in arrays.items()}
+    header = pickle.dumps({
+        "format_version": FORMAT_VERSION,
+        "step": int(step),
+        "fingerprint": fingerprint,
+        "meta": meta,
+        "arrays": [(name, arr.dtype.str, arr.shape) for name, arr in arrays.items()],
+    }, protocol=_PICKLE_PROTOCOL)
+    # Flat uint8 views, not ``tobytes()``: the copy would hold the GIL for
+    # the whole buffer, which the background writer thread must not do
+    # while training steps run; hashing and writing a view release it.
+    parts = [_MAGIC, _LENGTH.pack(len(header)), header,
+             *(arr.reshape(-1).view(np.uint8) for arr in arrays.values())]
+    digest = hashlib.sha256()
     try:
-        manifest: Dict[str, Any] = {
-            "format_version": FORMAT_VERSION,
-            "step": int(step),
-            "structure_fingerprint": fingerprint,
-            "arrays": {},
-        }
-        # Arrays: one uncompressed npz, digest per entry.
-        with open(tmp / _ARRAYS_FILE, "wb") as fh:
-            np.savez(fh, **arrays)
-        for name, arr in arrays.items():
-            manifest["arrays"][name] = {
-                "digest": array_digest(np.asarray(arr)),
-                "dtype": np.asarray(arr).dtype.str,
-                "shape": list(np.asarray(arr).shape),
-            }
-        # Non-array state: deterministic pickle + digest.
-        state_blob = pickle.dumps(meta, protocol=_PICKLE_PROTOCOL)
-        (tmp / _STATE_FILE).write_bytes(state_blob)
-        manifest["state_digest"] = _bytes_digest(state_blob)
-
-        manifest_blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-        (tmp / _MANIFEST_FILE).write_text(manifest_blob)
-
-        for name in (_ARRAYS_FILE, _STATE_FILE, _MANIFEST_FILE):
-            _fsync_file(tmp / name)
-        _fsync_dir(tmp)
-
-        if final.exists():
-            # Same-step rewrite (e.g. a rerun into the same directory):
-            # move the old version aside so the rename below stays atomic.
-            graveyard = directory / f"tmp-old-{_version_name(step)}-{os.getpid()}"
-            if graveyard.exists():
-                shutil.rmtree(graveyard)
-            os.replace(final, graveyard)
-            shutil.rmtree(graveyard, ignore_errors=True)
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
+            nbytes = fh.tell()
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, final)
-        _fsync_dir(directory)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        tmp.unlink(missing_ok=True)
         raise
-
-    nbytes = sum((final / name).stat().st_size
-                 for name in (_ARRAYS_FILE, _STATE_FILE, _MANIFEST_FILE))
+    _fsync_dir(directory)
     return final, nbytes
 
 
 def read_version(path: Union[str, Path]) -> CheckpointData:
-    """Load and fully validate one version directory.
+    """Load and fully validate one version file.
 
     Raises :class:`CheckpointCorruptionError` on *any* validation
-    failure: missing files, unreadable manifest, wrong format version,
-    archive truncation, or a checksum that does not match its payload.
+    failure: an unreadable file, no magic line, a digest that does not
+    match the bytes before it (truncation, a bit flip), a wrong format
+    version, or a header that will not parse or whose arrays do not
+    account for every body byte.
     """
     path = Path(path)
     try:
-        manifest = json.loads((path / _MANIFEST_FILE).read_text())
-    except (OSError, ValueError) as exc:
-        raise CheckpointCorruptionError(
-            f"{path.name}: manifest unreadable ({exc})"
-        ) from exc
-    if not isinstance(manifest, dict) or "format_version" not in manifest:
-        raise CheckpointCorruptionError(f"{path.name}: manifest missing format_version")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise CheckpointCorruptionError(
-            f"{path.name}: format version {manifest['format_version']!r} "
-            f"not supported (expected {FORMAT_VERSION})"
-        )
+        return _parse(path.read_bytes(), path)
+    except Exception as exc:  # what a file on disk holds: any fault is corruption
+        raise CheckpointCorruptionError(f"{path.name}: {exc}") from exc
 
-    try:
-        state_blob = (path / _STATE_FILE).read_bytes()
-    except OSError as exc:
-        raise CheckpointCorruptionError(f"{path.name}: state file unreadable") from exc
-    if _bytes_digest(state_blob) != manifest.get("state_digest"):
-        raise CheckpointCorruptionError(f"{path.name}: state checksum mismatch")
-    try:
-        meta = pickle.loads(state_blob)
-    except Exception as exc:  # truncated/garbled pickle
-        raise CheckpointCorruptionError(f"{path.name}: state unpicklable ({exc})") from exc
 
-    arrays: Dict[str, np.ndarray] = {}
-    try:
-        # np.load leaks a handle it opened itself when the zip directory
-        # is unreadable; one opened here is closed whatever it raises.
-        with open(path / _ARRAYS_FILE, "rb") as fh, np.load(fh) as data:
-            names = set(data.files)
-            expected = manifest.get("arrays", {})
-            if names != set(expected):
-                raise CheckpointCorruptionError(
-                    f"{path.name}: archive holds {sorted(names)}, "
-                    f"manifest expects {sorted(expected)}"
-                )
-            for name in sorted(names):
-                arr = data[name]
-                if array_digest(arr) != expected[name]["digest"]:
-                    raise CheckpointCorruptionError(
-                        f"{path.name}: checksum mismatch on array {name!r}"
-                    )
-                arrays[name] = arr
-    except CheckpointCorruptionError:
-        raise
-    except Exception as exc:  # BadZipFile, OSError, truncated entries, ...
-        raise CheckpointCorruptionError(
-            f"{path.name}: array archive unreadable ({exc})"
-        ) from exc
-
-    return CheckpointData(
-        step=int(manifest.get("step", -1)),
-        arrays=arrays,
-        meta=meta,
-        path=path,
-        fingerprint=str(manifest.get("structure_fingerprint", "")),
-    )
+def _parse(blob: bytes, path: Path) -> CheckpointData:
+    """One version file's contents; raises on any fault in ``blob``."""
+    start = len(_MAGIC) + _LENGTH.size
+    end = len(blob) - _DIGEST_SIZE
+    if end < start or not blob.startswith(_MAGIC):
+        raise ValueError("not a checkpoint file")
+    view = memoryview(blob)
+    if hashlib.sha256(view[:end]).digest() != blob[end:]:
+        raise ValueError("checksum mismatch")
+    (length,) = _LENGTH.unpack_from(blob, len(_MAGIC))
+    header = pickle.loads(view[start:start + length])
+    if header["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"format version {header['format_version']!r} "
+                         f"not supported (expected {FORMAT_VERSION})")
+    offset, arrays = start + length, {}
+    for name, dtype, shape in header["arrays"]:
+        arr = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
+        arrays[name] = arr.copy()  # writable, aligned and C-contiguous
+        offset += arr.nbytes
+    if offset != end:
+        raise ValueError(f"the header's arrays span {offset - start - length} "
+                         f"bytes, the body holds {end - start - length}")
+    return CheckpointData(step=int(header["step"]), arrays=arrays,
+                          meta=header["meta"], path=path,
+                          fingerprint=str(header["fingerprint"]))
 
 
 def load_latest_valid(
@@ -331,7 +264,8 @@ class CheckpointManager:
 
     ``every`` is the step cadence (0 disables periodic saves but the
     manager can still load for resume); ``keep`` bounds retention —
-    after each save only the newest ``keep`` versions survive.
+    after each save only the newest ``keep`` versions survive, and the
+    staged files of writers that died are removed.
     ``stats`` accumulates observable write cost: count, bytes, wall
     seconds (surfaced as ``checkpoint_*`` extras on the RunResult).
 
@@ -442,8 +376,15 @@ class CheckpointManager:
 
     def _prune(self) -> None:
         versions = list_versions(self.directory)
-        for _, path in versions[: max(0, len(versions) - self.keep)]:
-            shutil.rmtree(path, ignore_errors=True)
+        doomed = [path for _, path in versions[: max(0, len(versions) - self.keep)]]
+        # A writer killed mid-stage leaves its pid-stamped tmp file; once
+        # that pid is gone, nothing else would ever remove it.
+        for entry in self.directory.iterdir():
+            m = _STAGED_RE.match(entry.name)
+            if m is not None and entry.is_file() and not pid_alive(int(m.group(1))):
+                doomed.append(entry)
+        for path in doomed:
+            path.unlink(missing_ok=True)
 
 
 def require_configured(manager: Optional["CheckpointManager"]) -> "CheckpointManager":

@@ -1,8 +1,9 @@
 """Typed failure modes of the durability subsystem.
 
 The loader distinguishes *corruption* (a checkpoint that cannot be
-trusted: truncated files, failed checksums, unreadable manifests — the
-expected aftermath of a crash mid-write or a bad disk) from *mismatch*
+trusted: a truncated or empty file, a failed checksum, a header that
+does not parse or does not account for the body — the expected
+aftermath of a crash mid-write or a bad disk) from *mismatch*
 (a perfectly healthy checkpoint that belongs to a different model
 architecture or run configuration). Corruption triggers fallback to the
 previous valid version; mismatch is a caller error and always raises.
@@ -24,7 +25,8 @@ class CheckpointError(RuntimeError):
 
 class CheckpointCorruptionError(CheckpointError):
     """A checkpoint version failed validation (truncated, bit-flipped,
-    unreadable manifest, or a checksum that does not match its payload).
+    empty, a future format, or a header that will not parse or whose
+    arrays do not account for every body byte).
 
     The version loader treats this as "skip and fall back", never as a
     crash: a run killed mid-write must be able to resume from the

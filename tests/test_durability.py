@@ -19,8 +19,14 @@ The kill-and-resume subprocess test lives in ``test_durability_kill.py``
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import os
 import pickle
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from repro.cluster import CostModel, GpuPlatform
 from repro.cluster.simclock import EventQueue
 from repro.data.loader import BatchSampler
 from repro.durability import (
+    FORMAT_VERSION,
     CheckpointCorruptionError,
     CheckpointError,
     CheckpointManager,
@@ -42,6 +49,7 @@ from repro.durability import (
     read_version,
     write_version,
 )
+from repro.durability import checkpoint as checkpoint_module
 from repro.nn.models import build_lenet, build_mlp
 from repro.nn.serialize import structure_fingerprint
 from repro.nn.spec import LENET
@@ -78,11 +86,16 @@ class TestVersionStore:
         for name in arrays:
             np.testing.assert_array_equal(data.arrays[name], arrays[name])
             assert data.arrays[name].dtype == arrays[name].dtype
+            assert data.arrays[name].flags.writeable
+            assert data.arrays[name].flags.c_contiguous
+        # One file: its size is the byte count the writer reports.
+        assert path.is_file() and path.stat().st_size == nbytes
 
     def test_versions_sorted_and_tmp_invisible(self, tmp_path):
         for step in (20, 5, 12):
             write_version(tmp_path, step, {"w": np.zeros(2)}, {})
-        (tmp_path / "tmp-ckpt-00000099-1234").mkdir()  # staged debris
+        (tmp_path / "tmp-ckpt-00000099-1234").write_bytes(b"")  # staged debris
+        (tmp_path / "ckpt-00000007").mkdir()  # a format-1 version: not read
         (tmp_path / "unrelated").mkdir()
         assert [s for s, _ in list_versions(tmp_path)] == [5, 12, 20]
 
@@ -101,6 +114,52 @@ class TestVersionStore:
         assert [s for s, _ in list_versions(tmp_path)] == [4, 5]
         assert manager.stats["writes"] == 5.0
         assert manager.stats["bytes"] > 0.0
+
+    def test_write_is_staged_fsynced_renamed_then_dir_fsynced(self, tmp_path,
+                                                             monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write_version(tmp_path, 1, {"w": np.zeros(4)}, {})
+        assert events == [
+            ("fsync", "file"),
+            ("replace", f"tmp-ckpt-00000001-{os.getpid()}", "ckpt-00000001"),
+            ("fsync", "dir"),
+        ]
+        assert sorted(e.name for e in tmp_path.iterdir()) == ["ckpt-00000001"]
+
+    def test_failed_write_leaves_no_version_and_no_staged_file(self, tmp_path,
+                                                               monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk gone"):
+            write_version(tmp_path, 1, {"w": np.zeros(4)}, {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_removes_staged_files_of_dead_writers_only(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no process now
+        dead = tmp_path / f"tmp-ckpt-00000001-{child.pid}"
+        live = tmp_path / f"tmp-ckpt-00000001-{os.getppid()}"
+        dead.write_bytes(b"half a version")
+        live.write_bytes(b"a version still being staged")
+        CheckpointManager(tmp_path, every=1, keep=1).save(
+            3, {"w": np.zeros(2)}, {})
+        assert sorted(e.name for e in tmp_path.iterdir()) == [
+            "ckpt-00000003", live.name]
 
     def test_manager_validates_policy(self, tmp_path):
         with pytest.raises(ValueError):
@@ -122,6 +181,29 @@ def _truncate(path, keep: int = 10) -> None:
     path.write_bytes(path.read_bytes()[:keep])
 
 
+#: Where a version file's header starts: the magic line, then its length.
+_HEADER_AT = len(b"repro-ckpt\n") + 8
+
+
+def _forge(path, header=None, body=None) -> None:
+    """Rewrite a version with another header and/or body (raw bytes) but a
+    valid digest: what only the parse after the checksum can catch."""
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[_HEADER_AT - 8:_HEADER_AT], "little")
+    header = blob[_HEADER_AT:_HEADER_AT + length] if header is None else header
+    body = blob[_HEADER_AT + length:-32] if body is None else body
+    out = b"repro-ckpt\n" + len(header).to_bytes(8, "little") + header + body
+    path.write_bytes(out + hashlib.sha256(out).digest())
+
+
+def _edit_header(path, **changes) -> None:
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[_HEADER_AT - 8:_HEADER_AT], "little")
+    header = pickle.loads(blob[_HEADER_AT:_HEADER_AT + length])
+    header.update(changes)
+    _forge(path, header=pickle.dumps(header, protocol=4))
+
+
 class TestCorruptionFallback:
     def _store(self, tmp_path, steps=(1, 2)):
         for step in steps:
@@ -132,7 +214,7 @@ class TestCorruptionFallback:
 
     def test_bit_flip_newest_falls_back(self, tmp_path, caplog):
         self._store(tmp_path)
-        _flip_byte(tmp_path / "ckpt-00000002" / "arrays.npz")
+        _flip_byte(tmp_path / "ckpt-00000002")
         with caplog.at_level(logging.WARNING, logger="repro.durability"):
             data = load_latest_valid(tmp_path, fingerprint="fp")
         assert data.step == 1
@@ -145,22 +227,23 @@ class TestCorruptionFallback:
 
     def test_truncated_files_fall_back(self, tmp_path, caplog):
         self._store(tmp_path, steps=(1, 2, 3))
-        _truncate(tmp_path / "ckpt-00000003" / "state.pkl")
-        _truncate(tmp_path / "ckpt-00000002" / "arrays.npz")
+        _truncate(tmp_path / "ckpt-00000003", keep=_HEADER_AT + 5)  # in the header
+        newest_but_one = tmp_path / "ckpt-00000002"
+        _truncate(newest_but_one, keep=newest_but_one.stat().st_size - 1)
         with caplog.at_level(logging.WARNING, logger="repro.durability"):
             data = load_latest_valid(tmp_path, fingerprint="fp")
         assert data.step == 1
         assert len(caplog.records) == 2
 
-    def test_missing_manifest_falls_back(self, tmp_path):
+    def test_empty_version_file_falls_back(self, tmp_path):
         self._store(tmp_path)
-        (tmp_path / "ckpt-00000002" / "manifest.json").unlink()
+        (tmp_path / "ckpt-00000002").write_bytes(b"")
         assert load_latest_valid(tmp_path).step == 1
 
     def test_all_corrupt_raises_no_checkpoint(self, tmp_path):
         self._store(tmp_path)
         for version in ("ckpt-00000001", "ckpt-00000002"):
-            _flip_byte(tmp_path / version / "state.pkl")
+            _flip_byte(tmp_path / version)
         with pytest.raises(NoCheckpointError):
             load_latest_valid(tmp_path)
 
@@ -177,13 +260,60 @@ class TestCorruptionFallback:
         with pytest.raises(CheckpointMismatchError):
             load_latest_valid(tmp_path, fingerprint="ours")
 
-    def test_read_version_rejects_future_format(self, tmp_path):
+    def test_read_version_rejects_future_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint_module, "FORMAT_VERSION", 99)
         write_version(tmp_path, 1, {"w": np.zeros(2)}, {})
-        manifest = tmp_path / "ckpt-00000001" / "manifest.json"
-        manifest.write_text(manifest.read_text().replace(
-            '"format_version":1', '"format_version":99'))
-        with pytest.raises(CheckpointCorruptionError):
+        monkeypatch.undo()
+        with pytest.raises(CheckpointCorruptionError, match="format version 99"):
             read_version(tmp_path / "ckpt-00000001")
+
+    def test_digest_is_checked_before_anything_is_unpickled(self, tmp_path,
+                                                            monkeypatch):
+        self._store(tmp_path, steps=(1,))
+        _flip_byte(tmp_path / "ckpt-00000001")
+
+        def loads(*args, **kwargs):
+            raise AssertionError("unpickled a file whose digest failed")
+
+        monkeypatch.setattr(checkpoint_module.pickle, "loads", loads)
+        with pytest.raises(CheckpointCorruptionError, match="checksum"):
+            read_version(tmp_path / "ckpt-00000001")
+
+    @pytest.mark.parametrize("corrupt", [
+        "bit-flip", "header-cut", "last-byte-cut", "empty", "garbage",
+        "extra-array", "unclaimed-body", "unpicklable-header", "future-format",
+    ])
+    def test_every_corruption_falls_back_with_a_structured_warning(
+            self, tmp_path, caplog, corrupt):
+        self._store(tmp_path)
+        path = tmp_path / "ckpt-00000002"
+        size = path.stat().st_size
+        if corrupt == "bit-flip":
+            _flip_byte(path)
+        elif corrupt == "header-cut":
+            _truncate(path, keep=_HEADER_AT + 5)
+        elif corrupt == "last-byte-cut":
+            _truncate(path, keep=size - 1)
+        elif corrupt == "empty":
+            path.write_bytes(b"")
+        elif corrupt == "garbage":
+            path.write_bytes(os.urandom(size))
+        elif corrupt == "extra-array":
+            _edit_header(path, arrays=[("w", "<f8", (8,)), ("v", "<f8", (1,))])
+        elif corrupt == "unclaimed-body":
+            _edit_header(path, arrays=[("w", "<f8", (7,))])
+        elif corrupt == "unpicklable-header":
+            _forge(path, header=b"\x80\x04not a pickle")
+        else:
+            _edit_header(path, format_version=FORMAT_VERSION + 1)
+        with pytest.raises(CheckpointCorruptionError):
+            read_version(path)
+        with caplog.at_level(logging.WARNING, logger="repro.durability"):
+            assert load_latest_valid(tmp_path, fingerprint="fp").step == 1
+        [record] = caplog.records
+        assert record.checkpoint_path == str(path)
+        assert record.checkpoint_step == 2
+        assert record.reason.startswith("ckpt-00000002: ")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +359,7 @@ class TestWeightCheckpointMismatch:
         net = build_mlp(seed=0)
         net.forward(train.images[:1])
         path = _write_weights(tmp_path, net)
-        (path / "arrays.npz").write_bytes(b"not a zip archive")
+        path.write_bytes(b"not a checkpoint file at all")
         with pytest.raises(CheckpointCorruptionError):
             read_version(path)
 
@@ -238,8 +368,12 @@ class TestWeightCheckpointMismatch:
         net = build_mlp(seed=0)
         net.forward(train.images[:1])
         path = _write_weights(tmp_path, net)
-        np.savez(path / "arrays.npz", other=net.params)  # no "params" entry
-        with pytest.raises(CheckpointCorruptionError):
+        # The header names one array more than the body holds bytes for;
+        # the digest is valid, so only the parse can tell.
+        _edit_header(path, arrays=[("params", net.params.dtype.str,
+                                    net.params.shape),
+                                   ("missing", "<f4", (4,))])
+        with pytest.raises(CheckpointCorruptionError, match="body holds"):
             read_version(path)
 
 

@@ -100,10 +100,13 @@ def _trajectory(path: Path):
     return _strip_checkpoint_extras(json.loads(path.read_text()))
 
 
-def _newest_manifest(checkpoint_dir: Path) -> dict:
+def _newest_version(checkpoint_dir: Path) -> tuple:
+    """(step, file bytes) of the newest version: equal bytes mean the same
+    arrays, meta, fingerprint and step."""
     versions = list_versions(checkpoint_dir)
     assert versions, f"no checkpoint versions under {checkpoint_dir}"
-    return json.loads((versions[-1][1] / "manifest.json").read_text())
+    step, path = versions[-1]
+    return step, path.read_bytes()
 
 
 # `run` has no --backend: its trainers are simulated, one substrate is all
@@ -139,12 +142,10 @@ def test_kill_and_resume_is_bit_identical(tmp_path, backend):
 
     assert _trajectory(killed_json) == _trajectory(straight_json)
 
-    # The final checkpoints agree array for array: same step, same digests.
-    straight_manifest = _newest_manifest(straight_dir)
-    killed_manifest = _newest_manifest(killed_dir)
-    assert killed_manifest["step"] == straight_manifest["step"] == ITERATIONS
-    assert killed_manifest["arrays"] == straight_manifest["arrays"]
-    assert killed_manifest["state_digest"] == straight_manifest["state_digest"]
+    # The final checkpoints agree byte for byte, at the same step.
+    straight_step, straight_bytes = _newest_version(straight_dir)
+    assert straight_step == ITERATIONS
+    assert _newest_version(killed_dir) == (straight_step, straight_bytes)
 
 
 @pytest.mark.mp
@@ -175,8 +176,7 @@ def test_kill_and_resume_chip_partition_processes(tmp_path):
 
     assert stale_segments() == [], "killed run leaked shm segments past resume"
     assert _trajectory(killed_json) == _trajectory(straight_json)
-    assert (_newest_manifest(killed_dir)["arrays"]
-            == _newest_manifest(straight_dir)["arrays"])
+    assert _newest_version(killed_dir) == _newest_version(straight_dir)
 
 
 SWEEP_ITERATIONS = 1200
@@ -222,6 +222,11 @@ def test_kill_and_resume_pooled_sweep(tmp_path):
     straight = accuracies(straight_json)
     assert len(straight) == 4
     assert accuracies(killed_json) == straight
+    cells = sorted(d.name for d in (tmp_path / "ck-straight" / "cells").iterdir())
+    assert len(cells) == 4
+    for cell in cells:
+        assert (_newest_version(killed_root / "cells" / cell)
+                == _newest_version(tmp_path / "ck-straight" / "cells" / cell))
 
 
 #: A persistent pool with live shm fabric (inboxes + a collective
