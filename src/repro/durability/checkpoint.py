@@ -89,10 +89,6 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _version_name(step: int) -> str:
-    return f"ckpt-{step:08d}"
-
-
 def list_versions(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
     """All complete checkpoint versions under ``directory``, oldest first.
 
@@ -140,7 +136,7 @@ def write_version(
         raise ValueError("step must be non-negative")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    final = directory / _version_name(step)
+    final = directory / f"ckpt-{step:08d}"
     tmp = directory / f"tmp-{final.name}-{os.getpid()}"
 
     arrays = {name: np.asarray(arr, order="C") for name, arr in arrays.items()}

@@ -156,8 +156,9 @@ class TestVersionStore:
         live = tmp_path / f"tmp-ckpt-00000001-{os.getppid()}"
         dead.write_bytes(b"half a version")
         live.write_bytes(b"a version still being staged")
-        CheckpointManager(tmp_path, every=1, keep=1).save(
-            3, {"w": np.zeros(2)}, {})
+        manager = CheckpointManager(tmp_path, every=1, keep=1)
+        manager.save_async(3, {"w": np.zeros(2)}, {})
+        manager.drain()
         assert sorted(e.name for e in tmp_path.iterdir()) == [
             "ckpt-00000003", live.name]
 
@@ -185,23 +186,22 @@ def _truncate(path, keep: int = 10) -> None:
 _HEADER_AT = len(b"repro-ckpt\n") + 8
 
 
-def _forge(path, header=None, body=None) -> None:
-    """Rewrite a version with another header and/or body (raw bytes) but a
-    valid digest: what only the parse after the checksum can catch."""
+def _forge(path, edit) -> None:
+    """Rewrite a version's header bytes with ``edit(header_bytes)`` under
+    a valid digest: what only the parse after the checksum can catch."""
     blob = path.read_bytes()
     length = int.from_bytes(blob[_HEADER_AT - 8:_HEADER_AT], "little")
-    header = blob[_HEADER_AT:_HEADER_AT + length] if header is None else header
-    body = blob[_HEADER_AT + length:-32] if body is None else body
-    out = b"repro-ckpt\n" + len(header).to_bytes(8, "little") + header + body
+    header = edit(blob[_HEADER_AT:_HEADER_AT + length])
+    out = (blob[:_HEADER_AT - 8] + len(header).to_bytes(8, "little") + header
+           + blob[_HEADER_AT + length:-32])
     path.write_bytes(out + hashlib.sha256(out).digest())
 
 
 def _edit_header(path, **changes) -> None:
-    blob = path.read_bytes()
-    length = int.from_bytes(blob[_HEADER_AT - 8:_HEADER_AT], "little")
-    header = pickle.loads(blob[_HEADER_AT:_HEADER_AT + length])
-    header.update(changes)
-    _forge(path, header=pickle.dumps(header, protocol=4))
+    def edit(header: bytes) -> bytes:
+        return pickle.dumps({**pickle.loads(header), **changes}, protocol=4)
+
+    _forge(path, edit)
 
 
 class TestCorruptionFallback:
@@ -303,7 +303,7 @@ class TestCorruptionFallback:
         elif corrupt == "unclaimed-body":
             _edit_header(path, arrays=[("w", "<f8", (7,))])
         elif corrupt == "unpicklable-header":
-            _forge(path, header=b"\x80\x04not a pickle")
+            _forge(path, lambda header: b"\x80\x04not a pickle")
         else:
             _edit_header(path, format_version=FORMAT_VERSION + 1)
         with pytest.raises(CheckpointCorruptionError):
