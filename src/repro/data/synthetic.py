@@ -36,6 +36,13 @@ DATASET_GEOMETRY = {
     ),
 }
 
+#: float32 bytes of Gaussian noise ``make_synthetic`` draws at a time. Each
+#: block's float64 draw (twice this) is freed as an mmap'd chunk, which also
+#: raises glibc's dynamic mmap and trim thresholds past the nn plane's
+#: per-step scratch (docs/performance.md, "Dataset generation in bounded
+#: memory").
+NOISE_BLOCK_BYTES = 4 << 20
+
 
 def _smooth_field(rng: np.random.Generator, channels: int, height: int, width: int) -> np.ndarray:
     """A smooth random pattern: white noise blurred by separable box passes.
@@ -126,7 +133,13 @@ def make_synthetic(
         rolled = np.roll(protos, (dh - max_shift, dw - max_shift), axis=(2, 3))
         images[rows] = rolled[labels[rows]] * gains[rows, None, None, None]
     if noise_sigma > 0:
-        images += noise_sigma * rng.standard_normal(images.shape).astype(np.float32)
+        # Row blocks of NOISE_BLOCK_BYTES drawn in order from the same
+        # generator are the same normals as one dataset-sized draw, so the
+        # bytes are unchanged while the transient stays a few blocks.
+        rows = max(1, NOISE_BLOCK_BYTES // images[0].nbytes)
+        for start in range(0, n, rows):
+            block = images[start : start + rows]
+            block += noise_sigma * rng.standard_normal(block.shape).astype(np.float32)
 
     return Dataset(
         name=name,

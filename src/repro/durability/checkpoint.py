@@ -72,8 +72,8 @@ _PICKLE_PROTOCOL = 4
 _MAGIC = b"repro-ckpt\n"
 _LENGTH = struct.Struct("<Q")
 _DIGEST_SIZE = 32  # SHA-256
-_VERSION_RE = re.compile(r"^ckpt-(\d{8})$")
-_STAGED_RE = re.compile(r"^tmp-ckpt-\d{8}-(\d+)$")
+_VERSION_RE = re.compile(r"^ckpt-(\d{8,})$")
+_STAGED_RE = re.compile(r"^tmp-ckpt-\d{8,}-(\d+)$")
 
 logger = logging.getLogger("repro.durability")
 
@@ -92,9 +92,9 @@ def _fsync_dir(path: Path) -> None:
 def list_versions(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
     """All complete checkpoint versions under ``directory``, oldest first.
 
-    Only files named ``ckpt-<8 digits>`` count: ``tmp-`` debris from
-    interrupted writes is invisible here by construction, and so is a
-    format-1 version (a directory).
+    Only files named ``ckpt-<step>`` (the step zero-padded to at least 8
+    digits) count: ``tmp-`` debris from interrupted writes is invisible
+    here by construction, and so is a format-1 version (a directory).
     """
     directory = Path(directory)
     if not directory.is_dir():

@@ -10,15 +10,17 @@ outside the parameter vector and still influence the forward pass:
   read at inference — i.e. at every evaluation snapshot).
 
 A resume that restored only the packed weights would silently diverge on
-any model using either layer. These helpers walk ``Network.layers`` and
-round-trip that hidden state as plain picklable dicts keyed by layer
-index + name, so a structural change shows up as a hard error instead of
+any model using either layer. These helpers walk ``Network.layers``, and
+the inner layers of every block (``ResidualBlock``'s batch norms,
+``InceptionBlock``'s branches), and round-trip that hidden state as plain
+picklable dicts keyed by layer index + name (``"3:res1/b1:bn1"`` for an
+inner layer), so a structural change shows up as a hard error instead of
 a silent misassignment.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -30,11 +32,20 @@ __all__ = [
 ]
 
 
+def _keyed_layers(
+    layers: Iterable[Tuple[Any, Any]], parent: str = ""
+) -> Iterator[Tuple[str, Any]]:
+    """Every layer with its state key, the inner layers of blocks included."""
+    for tag, layer in layers:
+        key = f"{parent}{tag}:{layer.name}"
+        yield key, layer
+        yield from _keyed_layers(getattr(layer, "sublayers", tuple)(), key + "/")
+
+
 def network_stochastic_state(net: Any) -> Dict[str, Any]:
     """Collect dropout RNG positions and batch-norm running stats."""
     state: Dict[str, Any] = {}
-    for i, layer in enumerate(net.layers):
-        key = f"{i}:{layer.name}"
+    for key, layer in _keyed_layers(enumerate(net.layers)):
         entry: Dict[str, Any] = {}
         rng = getattr(layer, "_rng", None)
         if rng is not None and hasattr(rng, "bit_generator"):
@@ -54,7 +65,7 @@ def restore_network_stochastic_state(net: Any, state: Dict[str, Any]) -> None:
     does not have — a structure change between save and resume, which
     the fingerprint check should already have caught.
     """
-    by_key = {f"{i}:{layer.name}": layer for i, layer in enumerate(net.layers)}
+    by_key = dict(_keyed_layers(enumerate(net.layers)))
     for key, entry in state.items():
         layer = by_key[key]
         if "rng" in entry:

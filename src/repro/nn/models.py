@@ -10,7 +10,7 @@ live in :mod:`repro.nn.spec`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.nn.network import Network
 from repro.nn.regularization import BatchNorm, Dropout
 
 __all__ = [
+    "Block",
     "InceptionBlock",
     "ResidualBlock",
     "build_mlp",
@@ -31,7 +32,39 @@ __all__ = [
 ]
 
 
-class InceptionBlock(Layer):
+class Block(Layer):
+    """A layer made of inner layers, named by ``sublayers()`` prefixes.
+
+    Inner parameters are re-exported as ``<prefix>.<param>`` so they pack
+    into the network's flat buffer like any other layer's, and the
+    durability helpers (:mod:`repro.durability.state`) reach the hidden
+    state of inner layers through the same prefixes.
+    """
+
+    def sublayers(self) -> Iterator[Tuple[str, Layer]]:
+        raise NotImplementedError
+
+    def param_specs(self) -> List[ParamSpec]:
+        return [
+            ParamSpec(f"{prefix}.{spec.name}", spec.shape, spec.init,
+                      spec.fan_in, spec.fan_out)
+            for prefix, layer in self.sublayers()
+            for spec in layer.param_specs()
+        ]
+
+    def bind(self, params, grads) -> None:
+        super().bind(params, grads)
+        for prefix, layer in self.sublayers():
+            layer.bind(
+                {s.name: params[f"{prefix}.{s.name}"] for s in layer.param_specs()},
+                {s.name: grads[f"{prefix}.{s.name}"] for s in layer.param_specs()},
+            )
+
+    def flops_per_sample(self) -> int:
+        return sum(layer.flops_per_sample() for _, layer in self.sublayers())
+
+
+class InceptionBlock(Block):
     """A genuine multi-branch Inception module for the sequential framework.
 
     Each branch is its own stack of layers run on the same input; outputs
@@ -70,31 +103,10 @@ class InceptionBlock(Layer):
         self.built = True
         return self.output_shape
 
-    def param_specs(self) -> List[ParamSpec]:
-        specs: List[ParamSpec] = []
+    def sublayers(self):
         for bi, branch in enumerate(self.branches):
             for li, layer in enumerate(branch):
-                for spec in layer.param_specs():
-                    specs.append(
-                        ParamSpec(
-                            f"b{bi}.{li}.{spec.name}",
-                            spec.shape,
-                            spec.init,
-                            spec.fan_in,
-                            spec.fan_out,
-                        )
-                    )
-        return specs
-
-    def bind(self, params, grads) -> None:
-        super().bind(params, grads)
-        for bi, branch in enumerate(self.branches):
-            for li, layer in enumerate(branch):
-                prefix = f"b{bi}.{li}."
-                layer.bind(
-                    {s.name: params[prefix + s.name] for s in layer.param_specs()},
-                    {s.name: grads[prefix + s.name] for s in layer.param_specs()},
-                )
+                yield f"b{bi}.{li}", layer
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         outputs = []
@@ -115,9 +127,6 @@ class InceptionBlock(Layer):
                 dslice = layer.backward(dslice)
             dx = dslice if dx is None else dx + dslice
         return dx
-
-    def flops_per_sample(self) -> int:
-        return sum(l.flops_per_sample() for b in self.branches for l in b)
 
 
 def build_mlp(
@@ -257,7 +266,7 @@ def build_googlenet_mini(
     return Network(layers, input_shape, seed=seed, name="googlenet-mini")
 
 
-class ResidualBlock(Layer):
+class ResidualBlock(Block):
     """A genuine residual block: ``y = relu(F(x) + shortcut(x))``.
 
     ``F`` is conv-bn-relu-conv-bn; the shortcut is the identity when shapes
@@ -304,31 +313,11 @@ class ResidualBlock(Layer):
         self.built = True
         return self.output_shape
 
-    def _sublayers(self):
+    def sublayers(self):
         for li, layer in enumerate(self.body):
             yield f"b{li}", layer
         for li, layer in enumerate(self.shortcut):
             yield f"s{li}", layer
-
-    def param_specs(self) -> List[ParamSpec]:
-        specs: List[ParamSpec] = []
-        for prefix, layer in self._sublayers():
-            for spec in layer.param_specs():
-                specs.append(
-                    ParamSpec(
-                        f"{prefix}.{spec.name}", spec.shape, spec.init,
-                        spec.fan_in, spec.fan_out,
-                    )
-                )
-        return specs
-
-    def bind(self, params, grads) -> None:
-        super().bind(params, grads)
-        for prefix, layer in self._sublayers():
-            layer.bind(
-                {s.name: params[f"{prefix}.{s.name}"] for s in layer.param_specs()},
-                {s.name: grads[f"{prefix}.{s.name}"] for s in layer.param_specs()},
-            )
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         h = x
@@ -354,9 +343,6 @@ class ResidualBlock(Layer):
         for layer in reversed(self.shortcut):
             dshort = layer.backward(dshort)
         return dbody + dshort
-
-    def flops_per_sample(self) -> int:
-        return sum(l.flops_per_sample() for _, l in self._sublayers())
 
 
 def build_resnet_mini(

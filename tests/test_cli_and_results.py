@@ -306,6 +306,30 @@ def test_docs_name_only_benchmarks_that_exist():
     assert not missing, missing
 
 
+#: "ROADMAP 1(b)", "ROADMAP's item 3", "ROADMAP #2", "item 4 of the ROADMAP"
+#: — but not a value such as "ROADMAP's 1.15 gate".
+_ROADMAP_ITEM_NUMBER = re.compile(
+    r"ROADMAP(?:'s)?\s+(?:[Ii]tem\s+|#|§)?\d+(?![.\d])"
+    r"|\b[Ii]tems?\s+\d+(?:\([a-z]\))?\s+(?:of|in)\s+(?:the\s+)?ROADMAP"
+)
+
+
+def test_docs_cite_roadmap_items_by_title():
+    """Re-anchors renumber the ROADMAP's items, so ``docs/*.md`` and the
+    README cite an item by its title, never by its number."""
+    root = Path(__file__).resolve().parent.parent
+    cited = [
+        f"{source.relative_to(root)}: {m.group(0)!r}"
+        for source in [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        for m in _ROADMAP_ITEM_NUMBER.finditer(source.read_text())
+    ]
+    assert not cited, cited
+    for text in ("ROADMAP 1(b)'s gate", "ROADMAP 5(b)", "ROADMAP's item 3",
+                 "ROADMAP\n#2", "item 4 of the ROADMAP"):
+        assert _ROADMAP_ITEM_NUMBER.search(text), text
+    assert not _ROADMAP_ITEM_NUMBER.search("ROADMAP's 1.15 gate")
+
+
 def _doc_command_lines():
     """Every ``python -m repro ...`` line inside a fenced code block of the
     README, EXPERIMENTS, DESIGN and ``docs/*.md``, backslash continuations

@@ -1,5 +1,14 @@
 """Datasets: container validation, generators, normalization, samplers."""
 
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -10,6 +19,7 @@ from repro.data.loader import BatchSampler
 from repro.data.normalize import standardize, standardize_like
 from repro.data.synthetic import (
     DATASET_GEOMETRY,
+    NOISE_BLOCK_BYTES,
     make_cifar_like,
     make_class_prototypes,
     make_imagenet_like,
@@ -141,6 +151,131 @@ class TestSyntheticAgainstThePerSampleLoop:
         images, labels = _synthetic_reference(300, 10, c, h, w, 7, 0.8, max_shift)
         assert ds.images.tobytes() == images.tobytes()
         assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
+
+
+#: The generators at sizes that span several noise blocks and are not a
+#: multiple of one, with their test splits.
+_PINNED_SIZES = {
+    "mnist": (make_mnist_like, dict(n_train=4099, n_test=1021)),
+    "cifar": (make_cifar_like, dict(n_train=1531, n_test=509)),
+    "imagenet": (make_imagenet_like, dict(n_train=301, n_test=127)),
+}
+
+#: sha256 of (train images, train labels, test images, test labels), written
+#: by the generator that drew the whole noise tensor in one call (NumPy 2.4,
+#: x86-64). Drawing it a block at a time must not move a byte.
+_PINNED_SHA256 = {
+    ("mnist", 0): (
+        "d3718526c80d70a0ff2114450e2ddc46384a9be63f7211858aad9f2103d2db1b",
+        "e46ee2d893eaa1c66ea1326291586f79a6ceae1bcef378fddedc185e0fa805e0",
+        "06f4463bc961aa3cef18dc37fc259e2b28a0bab1115a221e28212f088fd97bc7",
+        "b94066cbe6b448d730e2d1da7deffc5b9c0d57e09844a45f1d7ec50d28d04a5e",
+    ),
+    ("mnist", 5): (
+        "c6173e63002bbb50587d7b1833b8cd0dbc890d381f939e538175885ec19b85d5",
+        "177ad7f88d3c2c3fe675c552cacfcda6bfeb8c7d9b0e9bc15902daa65e27041d",
+        "d611e26d91b7b02071ceece299f198c2fe18d16b1748fcd6460277e6b6b18486",
+        "04dc7bd045a54274f8524552d2996ff1a1cc3ea5a43b49a7ef920a5033105de9",
+    ),
+    ("cifar", 0): (
+        "432c09a020fc12900d8e387d875c434732ad21974bc48ce0e62a4caaa3074ca1",
+        "8f38020f1d10f59339efa1cd4b1388c0203650585e797bf72e7698a102cdefe8",
+        "6142859623f915c1d909f51e05ff1e08858568ec371ba690c3b00e0fab9110b0",
+        "ef7bef49801764fd26b41bfcbdcfd7160b0ab135485bf5d2c63ad288be03452c",
+    ),
+    ("cifar", 5): (
+        "ccc65abe1cab2d1d225548497f50da518c0555218f34a6c0dbbc8acc16cf903a",
+        "3c0f9915fb662acdc292103be52707b20c16054158fd6e62484f672a1fc27c53",
+        "7a5bd9190fc67cc4af684fa4a206900becb4aaa1baab0e8ab51d897fce4bc413",
+        "dc47d326bbcdd6e15619f87a33e2d4df255d2cb1a3c1f2dc25670c08c2beb64b",
+    ),
+    ("imagenet", 0): (
+        "58091aa259d14516d3ab9eef20e1740c8f93e0e59935da135806bb93025bd7ed",
+        "20102fbdf09ffbf95d34204a4e6022ba33003cddd82097e798662a724534d08a",
+        "340b47be17215db8bcaf17fa9dc898b4743d5413471600770d728b4f0f772d28",
+        "5e2ab08e0d68b922ac9b28fe056d8f1faa5020b4a060d50ec4990e98b1e8c4d3",
+    ),
+    ("imagenet", 5): (
+        "587864e5b50a8a39d6f601f8c0316cdb7f7944636dd56d1f1a1bad5f39045eb2",
+        "bec40e3f83889d06da709d282648fd312f0c9b822749e749e949a5901656158d",
+        "b880ac9d36e71c0ec384637113953636cbb38e1be8136d9f755610c187c4aed8",
+        "5f22dc28373ffc3526c8b27165f61eac7c7d1cd5e4403840ebcdf9732dfb428d",
+    ),
+}
+
+#: A 2999-sample MNIST-geometry set at difficulty 0: (images, labels).
+_PINNED_NOISELESS_SHA256 = (
+        "5151ae3c4bff12f90b1039c224c959df055a49e405d4381448d07813e9cc5c0d",
+        "cd605cbafc5876f10b4794b8a79a580738df3a2a6e99446dc9f82d74ffae4b90",
+    )
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestSyntheticBytesAndMemory:
+    @pytest.mark.parametrize("name, seed", list(_PINNED_SHA256),
+                             ids=[f"{n}-{s}" for n, s in _PINNED_SHA256])
+    def test_bytes_are_pinned(self, name, seed):
+        make, sizes = _PINNED_SIZES[name]
+        train, test = make(seed=seed, **sizes)
+        rows = NOISE_BLOCK_BYTES // train.images[0].nbytes
+        assert len(train) > 2 * rows and len(train) % rows  # a ragged last block
+        got = tuple(_sha256(a) for a in (train.images, train.labels,
+                                         test.images, test.labels))
+        assert got == _PINNED_SHA256[name, seed]
+
+    def test_noiseless_bytes_are_pinned(self):
+        ds = make_synthetic("z", 2999, num_classes=10, channels=1, height=28,
+                            width=28, seed=3, difficulty=0.0)
+        assert (_sha256(ds.images), _sha256(ds.labels)) == _PINNED_NOISELESS_SHA256
+
+    def test_transient_is_a_few_blocks(self):
+        # A set eight blocks large: a dataset-sized noise draw would peak at
+        # about four times the set (a float64 draw, its float32 cast, the
+        # scaled copy); a block at a time it is the set plus ~3 blocks.
+        n = 8 * (NOISE_BLOCK_BYTES // (28 * 28 * 4)) + 17
+        tracemalloc.start()
+        try:
+            ds = make_synthetic("m", n, num_classes=10, channels=1, height=28,
+                                width=28, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.images.nbytes + 4 * NOISE_BLOCK_BYTES
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap threshold")
+    def test_generation_keeps_the_nn_plane_off_mmap(self):
+        # Freeing a noise block raises glibc's mmap and trim thresholds past
+        # LeNet's per-step scratch. With a budget too small for that, the
+        # steps pay heap trims: a 256-row budget took ~1,000 to ~300,000
+        # minor faults over these 300 steps, depending on the heap's layout;
+        # 4 MiB blocks take 1, as the one dataset-sized draw did.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", _BARE_LENET_LOOP], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        steps, faults = json.loads(out.stdout)
+        assert faults < steps, f"{faults} minor faults over {steps} LeNet steps"
+
+
+_BARE_LENET_LOOP = """
+import json, resource
+from repro.data import make_mnist_like
+from repro.nn.models import build_lenet
+
+train, _ = make_mnist_like(seed=0)  # un-normalized: nothing else frees a block
+net = build_lenet(seed=0)
+x, y = train.images[:32], train.labels[:32]
+net.gradient(x, y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(300):
+    net.gradient(x, y)
+print(json.dumps([300, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before]))
+"""
+
 
 class TestNormalize:
     def test_standardize_in_place(self):

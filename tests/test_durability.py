@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro.algorithms import TrainerConfig, make_trainer
 from repro.cluster import CostModel, GpuPlatform
 from repro.cluster.simclock import EventQueue
+from repro.data import make_cifar_like, standardize, standardize_like
 from repro.data.loader import BatchSampler
 from repro.durability import (
     FORMAT_VERSION,
@@ -50,7 +51,13 @@ from repro.durability import (
     write_version,
 )
 from repro.durability import checkpoint as checkpoint_module
-from repro.nn.models import build_lenet, build_mlp
+from repro.nn.models import (
+    build_alexnet_mini,
+    build_lenet,
+    build_mlp,
+    build_resnet_mini,
+    build_vgg_mini,
+)
 from repro.nn.serialize import structure_fingerprint
 from repro.nn.spec import LENET
 from repro.trace import to_jsonl
@@ -98,6 +105,14 @@ class TestVersionStore:
         (tmp_path / "ckpt-00000007").mkdir()  # a format-1 version: not read
         (tmp_path / "unrelated").mkdir()
         assert [s for s, _ in list_versions(tmp_path)] == [5, 12, 20]
+
+    def test_steps_past_eight_digits_are_versions(self, tmp_path):
+        # ``ckpt-{step:08d}`` grows a ninth digit at 10**8; a version there
+        # must still be listed, or a resume silently starts from an older one.
+        for step in (10**8, 5):
+            write_version(tmp_path, step, {"w": np.full(2, float(step))}, {})
+        assert [s for s, _ in list_versions(tmp_path)] == [5, 10**8]
+        assert load_latest_valid(tmp_path).step == 10**8
 
     def test_same_step_rewrite_replaces(self, tmp_path):
         write_version(tmp_path, 3, {"w": np.zeros(4)}, {"gen": 1})
@@ -436,18 +451,35 @@ class TestRngStreamState:
 # ---------------------------------------------------------------------------
 # bit-identical resume through the pipeline
 # ---------------------------------------------------------------------------
-def _build_trainer(method, mnist_tiny, checkpoint_dir):
-    train, test = mnist_tiny
+def _build_trainer(method, data, checkpoint_dir, build=build_mlp,
+                   num_gpus=4, batch_size=16):
+    train, test = data
     config = TrainerConfig(
-        batch_size=16, lr=0.05, rho=2.0, seed=0,
+        batch_size=batch_size, lr=0.05, rho=2.0, seed=0,
         eval_every=EVERY, eval_samples=64, trace=True,
         checkpoint_every=EVERY, checkpoint_dir=str(checkpoint_dir),
         checkpoint_keep=3,
     )
     return make_trainer(
-        method, build_mlp(seed=0), train, test,
-        GpuPlatform(num_gpus=4, seed=0), config, CostModel.from_spec(LENET),
+        method, build(input_shape=train.sample_shape, seed=0), train, test,
+        GpuPlatform(num_gpus=num_gpus, seed=0), config, CostModel.from_spec(LENET),
     )
+
+
+@pytest.fixture(scope="module")
+def cifar_tiny():
+    """The CNN-sized pair: resnet-mini's global pool needs 32x32 inputs."""
+    train, test = make_cifar_like(n_train=128, n_test=64, seed=11, difficulty=0.8)
+    mean, std = standardize(train)
+    standardize_like(test, mean, std)
+    return train, test
+
+
+#: Models whose hidden state lives outside the packed weights: dropout RNG
+#: (alexnet-mini), top-level batch norms (vgg-mini), and batch norms inside
+#: residual blocks (resnet-mini).
+CNNS = {"alexnet-mini": build_alexnet_mini, "vgg-mini": build_vgg_mini,
+        "resnet-mini": build_resnet_mini}
 
 
 def run_signature(result) -> dict:
@@ -477,25 +509,34 @@ def run_signature(result) -> dict:
 class TestBitIdenticalResume:
     # The registry trainers are simulated; the trainer that does run on
     # real processes is pinned by ``TestChipPartitionResume`` below.
-    @pytest.mark.parametrize(
-        "method", ["sync-easgd3", "async-easgd", "hogwild-easgd"]
-    )
-    def test_resume_equals_straight_run(self, tmp_path, mnist_tiny, method):
-        straight = _build_trainer(method, mnist_tiny, tmp_path / "straight").train(N)
+    @pytest.mark.parametrize("method, model", [
+        *(pytest.param(m, "mlp", id=m)
+          for m in ("sync-easgd3", "async-easgd", "hogwild-easgd")),
+        *(pytest.param(m, cnn, id=f"{m}-{cnn}")
+          for cnn in CNNS for m in ("sync-easgd3", "async-easgd")),
+    ])
+    def test_resume_equals_straight_run(self, request, tmp_path, method, model):
+        if model == "mlp":
+            data, shape = request.getfixturevalue("mnist_tiny"), {}
+        else:  # two workers and small batches keep the CNN cases quick
+            data = request.getfixturevalue("cifar_tiny")
+            shape = dict(build=CNNS[model], num_gpus=2, batch_size=8)
 
-        _build_trainer(method, mnist_tiny, tmp_path / "resumed").train(K)
-        resumed = _build_trainer(
-            method, mnist_tiny, tmp_path / "resumed"
-        ).train(N, resume=True)
+        def trainer(directory):
+            return _build_trainer(method, data, directory, **shape)
+
+        straight = trainer(tmp_path / "straight").train(N)
+        trainer(tmp_path / "resumed").train(K)
+        resumed = trainer(tmp_path / "resumed").train(N, resume=True)
 
         assert run_signature(resumed) == run_signature(straight)
         # The resumed run kept checkpointing past the resume point.
         assert resumed.extras["checkpoint_writes"] == (N - K) / EVERY
 
-    def test_resume_with_stochastic_layers(self, tmp_path, mnist_tiny):
-        # LeNet carries dropout RNG streams — hidden state outside the
-        # packed weights that the checkpoint must also round-trip.
-        train, test = mnist_tiny
+    def test_resume_with_stochastic_layers(self, tmp_path, cifar_tiny):
+        # alexnet-mini carries a dropout RNG stream — hidden state outside
+        # the packed weights that the checkpoint must also round-trip.
+        train, test = cifar_tiny
         def build(directory):
             config = TrainerConfig(
                 batch_size=16, lr=0.05, rho=2.0, seed=0,
@@ -503,7 +544,7 @@ class TestBitIdenticalResume:
                 checkpoint_every=EVERY, checkpoint_dir=str(directory),
             )
             return make_trainer(
-                "sync-easgd3", build_lenet(seed=0), train, test,
+                "sync-easgd3", build_alexnet_mini(seed=0), train, test,
                 GpuPlatform(num_gpus=2, seed=0), config,
                 CostModel.from_spec(LENET),
             )
