@@ -56,6 +56,7 @@ __all__ = [
     "SEGMENT_PREFIX",
     "ShmCapacityError",
     "segment_name",
+    "shm_free_bytes",
     "create_segment",
     "adopt_owner_pid",
     "register_segment",
@@ -124,7 +125,9 @@ class ShmCapacityError(OSError):
 
     tmpfs hands out pages on first touch, so an oversized segment is
     created happily and kills its writer with ``SIGBUS`` later; this is
-    the same fact as an exception, raised before anything is created.
+    the same fact as an exception, raised before anything is created —
+    or, for a stage written through its descriptor, when the write meets
+    ``ENOSPC`` (the half-written segment is unlinked first).
     """
 
     def __init__(self, kind: str, needed: int, free: int) -> None:
@@ -139,6 +142,16 @@ class ShmCapacityError(OSError):
 
     def __reduce__(self):
         return (ShmCapacityError, (self.kind, self.needed, self.free))
+
+
+def shm_free_bytes() -> Optional[int]:
+    """Bytes an unprivileged writer may still place in ``/dev/shm``, or
+    ``None`` where it cannot be inspected (non-Linux)."""
+    try:
+        vfs = os.statvfs(_SHM_DIR)
+    except OSError:  # pragma: no cover - non-Linux shm layout
+        return None
+    return vfs.f_bavail * vfs.f_frsize
 
 
 def create_segment(
@@ -156,14 +169,9 @@ def create_segment(
     """
     from multiprocessing import shared_memory
 
-    try:
-        vfs = os.statvfs(_SHM_DIR)
-    except OSError:  # pragma: no cover - non-Linux shm layout
-        pass
-    else:
-        free = vfs.f_bavail * vfs.f_frsize
-        if size > free:
-            raise ShmCapacityError(kind, size, free)
+    free = shm_free_bytes()
+    if free is not None and size > free:
+        raise ShmCapacityError(kind, size, free)
     shm = shared_memory.SharedMemory(
         create=True, size=size, name=name or segment_name(kind, suffix)
     )

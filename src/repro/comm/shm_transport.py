@@ -57,6 +57,7 @@ any ``repro-<pid>-`` segment if it is killed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import errno
 import multiprocessing
 import os
 import pickle
@@ -69,7 +70,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.comm.runtime import _DEFAULT_TIMEOUT, DeadlockError
-from repro.comm.shm_lifecycle import create_segment, unregister_segment
+from repro.comm.shm_lifecycle import (
+    create_segment,
+    shm_free_bytes,
+    ShmCapacityError,
+    unregister_segment,
+)
 
 __all__ = [
     "TSO_MACHINES",
@@ -242,7 +248,14 @@ class ShmSlotRef:
     segment: str  # shared-memory name, attachable from any process
     segment_bytes: int  # total segment size (attach needs it for the view)
     buffers: Tuple[Tuple[int, int], ...]
-    nbytes: int  # total out-of-band bytes (copied once, by the creator)
+    nbytes: int  # total out-of-band bytes (written once, by the creator)
+
+
+def _pwrite_all(fd: int, body: memoryview, offset: int) -> None:
+    """Write all of ``body`` at ``offset`` of ``fd``, looping on short writes."""
+    done = 0
+    while done < body.nbytes:
+        done += os.pwrite(fd, body[done:], offset + done)
 
 
 def split_pickle(
@@ -270,27 +283,40 @@ def split_pickle(
 class PickleStage:
     """A write-once segment holding the bulk of one :func:`split_pickle`.
 
-    One writer, many readers: the creator copies the out-of-band buffers
-    in once, cache-line aligned, and drops its mapping; every reader views
-    them in place (:meth:`load`). ``ref`` is the descriptor readers need —
-    the in-band stream travels apart from it. :meth:`unlink` is the
-    creator's; readers' mappings outlive it.
+    One writer, many readers: the creator writes the out-of-band buffers
+    in once, cache-line aligned, through the segment's file descriptor
+    (``os.pwrite``), so it never maps a page of the stage — the kernel
+    allocates the tmpfs pages inside the write, and a ``/dev/shm`` that
+    fills up mid-write is a :class:`ShmCapacityError` (``ENOSPC``) with
+    the half-written segment unlinked, where a copy through a mapping
+    would die of ``SIGBUS``. Every reader views the buffers in place
+    (:meth:`load`). ``ref`` is the descriptor readers need — the in-band
+    stream travels apart from it. :meth:`unlink` is the creator's;
+    readers' mappings outlive it.
     """
 
     def __init__(self, suffix: str, buffers: List[pickle.PickleBuffer]) -> None:
-        bodies = [np.frombuffer(buf.raw(), dtype=np.uint8) for buf in buffers]
         descs: List[Tuple[int, int]] = []
         total = 0
-        for body in bodies:
-            descs.append((total, body.size))
-            total += -(-body.size // 64) * 64
-        self._shm = create_segment("stage", total, suffix)
-        data = np.frombuffer(self._shm.buf, dtype=np.uint8)
-        for (offset, nbytes), body in zip(descs, bodies):
-            data[offset : offset + nbytes] = body
-        del data
         for buf in buffers:
-            buf.release()
+            with buf.raw() as body:
+                nbytes = body.nbytes
+            descs.append((total, nbytes))
+            total += -(-nbytes // 64) * 64
+        self._shm = create_segment("stage", total, suffix)
+        try:
+            for (offset, _), buf in zip(descs, buffers):
+                with buf.raw() as body:  # the descriptor stays open until close
+                    _pwrite_all(self._shm._fd, body, offset)
+        except OSError as exc:
+            free = shm_free_bytes()
+            _close_segment(self._shm, unlink=True)
+            if exc.errno == errno.ENOSPC:
+                raise ShmCapacityError("stage", total, free or 0) from None
+            raise
+        finally:
+            for buf in buffers:
+                buf.release()
         _close_segment(self._shm, unlink=False)
         self.ref = ShmSlotRef(
             segment=self._shm.name, segment_bytes=total,

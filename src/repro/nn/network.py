@@ -149,34 +149,23 @@ class Network:
         self.grads[...] = 0.0
 
     def clone(self, name: Optional[str] = None, seed: Optional[int] = None) -> "Network":
-        """Structurally identical network with freshly built layers.
+        """A replica of this network: same layers, same weights, zero grads.
 
         Used to give each simulated worker its own local weight replica
-        (Algorithm 1 line 4). Parameters are *copied* from this network so
-        all replicas start from the same initialization, as the paper does
-        ("copy W to W_j").
-
-        Layers are deep-copied: a shallow copy would share every mutable
-        per-layer attribute that isn't rebound by ``build``/``bind`` —
-        dropout RNG state, cached forward activations, masks — so running
-        the original would perturb the clone (and vice versa).
+        (Algorithm 1 line 4): every replica starts from this network's
+        parameters, as the paper does ("copy W to W_j"). The whole network
+        is deep-copied — packed buffers, layers and per-layer state such as
+        dropout RNGs and batch-norm running statistics — so running one
+        never perturbs the other; per-call caches are not copied
+        (:meth:`Layer.__getstate__`). No initializer runs. ``name`` and
+        ``seed`` label the replica.
         """
         import copy as _copy
 
-        fresh_layers = []
-        for layer in self.layers:
-            dup = _copy.deepcopy(layer)
-            dup.built = False
-            dup.params = {}
-            dup.grads = {}
-            fresh_layers.append(dup)
-        other = Network(
-            fresh_layers,
-            self.input_shape,
-            seed=self.seed if seed is None else seed,
-            name=name or f"{self.name}-clone",
-        )
-        other.set_params(self.params)
+        other = _copy.deepcopy(self)
+        other.name = name or f"{self.name}-clone"
+        other.seed = self.seed if seed is None else seed
+        other.zero_grads()
         return other
 
     # -- execution ---------------------------------------------------------------

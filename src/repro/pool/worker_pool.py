@@ -58,8 +58,9 @@ Design:
   ago), so ``fn`` must be a module-level function: that one protocol-5
   pickle is the picklability check and is what every rank receives.  Its
   bulk — every contiguous buffer of at least
-  :data:`~repro.comm.shm_transport.DEFAULT_MIN_BYTES` — is copied once
-  into a :class:`~repro.comm.shm_transport.PickleStage` that lives as long as
+  :data:`~repro.comm.shm_transport.DEFAULT_MIN_BYTES` — is written once,
+  through the segment's descriptor, into a
+  :class:`~repro.comm.shm_transport.PickleStage` that lives as long as
   the cell, and each rank unpickles with read-only views of it: a
   launch ships a handle, not the dataset, and a rank program that
   writes into a pooled argument raises instead of diverging silently.

@@ -16,7 +16,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.data.loader import BatchSampler
-from repro.data.normalize import standardize, standardize_like
+from repro.data.normalize import _LEAF, standardize, standardize_like
 from repro.data.synthetic import (
     DATASET_GEOMETRY,
     NOISE_BLOCK_BYTES,
@@ -300,6 +300,38 @@ class TestNormalize:
         ds = Dataset("c", np.ones((4, 1, 2, 2), dtype=np.float32), np.zeros(4, dtype=int), 2)
         standardize(ds)
         assert np.all(np.isfinite(ds.images))
+
+    # Element counts that put the blocked sum's tree in each shape: under
+    # one leaf, exactly 2**k leaves, a partial last leaf, more than 8 leaves.
+    @pytest.mark.parametrize("n", [1000, _LEAF, 4 * _LEAF, 3 * _LEAF + 40, 9 * _LEAF + 77],
+                             ids=["one-leaf", "2^k-leaves", "partial-leaf", "9-leaves",
+                                  "odd-tail"])
+    def test_std_is_numpys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        images = (3.0 * rng.standard_normal(n) + 1.7).astype(np.float32).reshape(n, 1, 1, 1)
+        expected = images.std()
+        mean, std = standardize(Dataset("s", images, np.zeros(n, dtype=np.int64), 2))
+        assert std == float(expected)
+
+    def test_std_of_a_non_contiguous_view_is_numpys(self):
+        rng = np.random.default_rng(3)
+        base = (2.0 * rng.standard_normal((64, 2, 16, 16)) - 0.5).astype(np.float32)
+        view = base[::2, :1]
+        expected = view.std()
+        mean, std = standardize(Dataset("v", view, np.zeros(32, dtype=np.int64), 2))
+        assert std == float(expected)
+
+    def test_std_takes_no_set_sized_temporary(self):
+        # An 8 MiB set; images.std() would square a copy of all of it.
+        images = np.random.default_rng(0).random((2048, 1, 32, 32), dtype=np.float32)
+        ds = Dataset("m", images, np.zeros(2048, dtype=np.int64), 2)
+        tracemalloc.start()
+        try:
+            standardize(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * _LEAF, f"traced peak {peak} B for an {images.nbytes} B set"
 
 
 class TestBatchSampler:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.activations import ReLU
+from repro.nn.init import INITIALIZERS
 from repro.nn.layers import Conv2D, Dense, Flatten
 from repro.nn.network import Network
 
@@ -97,6 +98,30 @@ class TestClone:
         dup = net.clone()
         dup.params[...] = 0.0
         assert not np.allclose(net.params, 0.0)
+
+    def test_clone_copies_and_draws_no_init(self, monkeypatch):
+        net = _net(seed=3)
+        net.grads[...] = 2.0
+
+        def refuse(*_):
+            raise AssertionError("clone ran an initializer")
+
+        for key in INITIALIZERS:
+            monkeypatch.setitem(INITIALIZERS, key, refuse)
+        dup = net.clone(name="replica", seed=9)
+        assert (dup.name, dup.seed) == ("replica", 9)
+        np.testing.assert_array_equal(dup.params, net.params)
+        assert not dup.grads.any() and (net.grads == 2.0).all()
+        # Independent buffers, and the replica's layers view its own.
+        assert not np.shares_memory(dup.params, net.params)
+        assert not np.shares_memory(dup.grads, net.grads)
+        for mine, theirs in zip(dup.layers, net.layers):
+            for key, view in mine.params.items():
+                assert np.shares_memory(view, dup.params)
+                assert not np.shares_memory(view, theirs.params[key])
+        weights = net.layers[0].params["W"].copy()
+        dup.params[...] = 0.0
+        np.testing.assert_array_equal(net.layers[0].params["W"], weights)
 
     def test_clone_forward_matches(self):
         net = _net(seed=4)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import os
 from pathlib import Path
@@ -240,6 +241,26 @@ def test_stage_that_does_not_fit_fails_the_cell_not_the_pool(nearly_full_dev_shm
             with pytest.raises(ShmCapacityError, match="'stage'") as ei:
                 pool.run(2, _sum_cell, big)
         assert ei.value.needed == big.nbytes and ei.value.free < big.nbytes
+        assert pool.run(2, _sum_cell, big) == [float(big.sum())] * 2
+    assert registered_segments() == []
+
+
+@pytest.mark.mp
+@needs_fork
+def test_stage_that_runs_out_of_room_mid_write_fails_the_cell_not_the_pool(monkeypatch):
+    # statvfs said yes, then tmpfs filled up under the write: ENOSPC, which
+    # a copy through a mapping would have delivered as SIGBUS instead.
+    def full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    big = np.ones(1 << 16, dtype=np.float32)
+    with WorkerPool(2) as pool:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "pwrite", full)
+            with pytest.raises(ShmCapacityError, match="'stage'") as ei:
+                pool.run(2, _sum_cell, big)
+        assert ei.value.needed == big.nbytes
+        assert _stages_in_shm() == []  # the half-written segment is unlinked
         assert pool.run(2, _sum_cell, big) == [float(big.sum())] * 2
     assert registered_segments() == []
 

@@ -17,8 +17,13 @@ Three layers of coverage:
 """
 
 import hashlib
+import json
 import multiprocessing
+import os
+from pathlib import Path
 import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -220,6 +225,53 @@ class TestPickleStage:
     def test_nothing_staged_is_a_plain_pickle(self):
         meta, bulk = split_pickle(("fn", (1, 2)))
         assert bulk == [] and PickleStage.load(meta, None) == ("fn", (1, 2))
+
+    def test_short_writes_still_stage_every_byte(self, monkeypatch):
+        # A write may take fewer bytes than asked; the stage loops on them.
+        rng = np.random.default_rng(0)
+        arrays = [rng.integers(0, 256, size, dtype=np.uint8) for size in (16411, 20037, 70001)]
+        real = os.pwrite
+        calls = []
+
+        def short_pwrite(fd, data, offset):
+            calls.append(offset)
+            return real(fd, memoryview(data)[: 4096], offset)
+
+        monkeypatch.setattr(os, "pwrite", short_pwrite)
+        meta, bulk = split_pickle(tuple(arrays))
+        stage = PickleStage("short", bulk)
+        monkeypatch.undo()
+        try:
+            views = PickleStage.load(meta, stage.ref)
+        finally:
+            stage.unlink()
+        assert len(calls) == sum(-(-a.nbytes // 4096) for a in arrays)
+        for view, array in zip(views, arrays):
+            assert view.tobytes() == array.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_staging_leaves_the_writers_resident_set_alone(self):
+        # The writer never maps a page of its stage: staging 32 MiB must not
+        # add 32 MiB of shared pages to its resident set.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", _STAGE_32_MIB], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        grown_kib = json.loads(out.stdout)
+        assert grown_kib < 4 << 10, f"staging 32 MiB grew ru_maxrss by {grown_kib} KiB"
+
+
+_STAGE_32_MIB = """
+import json, resource
+import numpy as np
+from repro.comm.shm_transport import PickleStage, split_pickle
+
+meta, bulk = split_pickle(np.ones(32 << 20, dtype=np.uint8))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+stage = PickleStage("rss", bulk)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+stage.unlink()
+print(json.dumps(grown))
+"""
 
 
 class TestNextBatchInto:
