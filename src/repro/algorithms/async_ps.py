@@ -78,16 +78,16 @@ class _AsyncPSStep(EventStepStrategy):
         #: DOWNPOUR/ADAG/EAMSGD run several between pushes).
         self.batches = tr.local_steps
         self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
-        self.oneway_t = tr.platform.cpu_gpu_param_time(tr.cost, packed=tr.packed)
+        # The asynchronous implementations send per blob.
+        self.oneway_t = tr.platform.cpu_gpu_param_time(tr.cost, packed=False)
         self.service_t = tr.platform.cpu_update_time(tr.cost)
         self.local_upd_t = tr.platform.gpu_update_time(tr.cost) if row.overlap else 0.0
 
-        plan_msgs = tr.platform.param_plan(tr.cost, packed=tr.packed)
-        self.nb = plan_msgs.total_bytes
+        self.nb = tr.platform.param_plan(tr.cost, packed=False).total_bytes
         tr.make_trace(
             g,
             pattern="ps",
-            packed=tr.packed,
+            packed=False,
             messages_per_exchange=1,
             **row.trace_meta(self.batches, self.bound),
         )
@@ -108,12 +108,10 @@ class _AsyncPSStep(EventStepStrategy):
         fwdbwd_base = tr.platform.fwdbwd_time(
             tr.cost, cfg.batch_size, worker=0, jittered=False
         )
-        self.heartbeat = tr.heartbeat_timeout
-        if self.heartbeat is None:
-            self.heartbeat = 25.0 * (
-                self.batches * (self.stage_t + fwdbwd_base)
-                + 2.0 * self.oneway_t + self.service_t
-            )
+        self.heartbeat = 25.0 * (
+            self.batches * (self.stage_t + fwdbwd_base)
+            + 2.0 * self.oneway_t + self.service_t
+        )
 
         self.master_free = 0.0
         self.waiting_total = 0.0
@@ -445,8 +443,6 @@ class AsyncPSTrainer(BaseTrainer):
     :class:`~repro.engine.ps.PsFamily` row ``PS_FAMILIES[family]``.
     """
 
-    packed = False  # the async implementations send per-blob
-
     def __init__(
         self,
         network: Network,
@@ -456,7 +452,6 @@ class AsyncPSTrainer(BaseTrainer):
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
         faults: Optional[FaultPlan] = None,
-        heartbeat_timeout: Optional[float] = None,
         local_steps: Optional[int] = None,
         tau: Optional[int] = None,
         staleness_policy: Optional[str] = None,
@@ -470,10 +465,9 @@ class AsyncPSTrainer(BaseTrainer):
         stall, message drop/delay — see :class:`repro.faults.FaultPlan`).
         This is the fault model behind the paper's "high fault-tolerance
         requirement on cloud systems" motivation — asynchronous masters
-        keep making progress with the surviving workers, evict silent ones
-        after ``heartbeat_timeout`` simulated seconds (default: auto-scaled
-        to ~25 worker cycles), and let crashed workers rejoin by re-pulling
-        the elastic center.
+        keep making progress with the surviving workers, evict a worker
+        silent for ~25 healthy cycles, and let crashed workers rejoin by
+        re-pulling the elastic center.
 
         ``local_steps`` (batches per exchange), ``tau`` and
         ``staleness_policy`` (the staleness bound) default to the row's
@@ -486,9 +480,6 @@ class AsyncPSTrainer(BaseTrainer):
         self.name = self.row.name
         self.platform = platform
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be positive")
-        self.heartbeat_timeout = heartbeat_timeout
         self.local_steps, self.bound = self.row.options(
             platform.num_gpus, local_steps, tau, staleness_policy
         )

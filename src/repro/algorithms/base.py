@@ -46,6 +46,12 @@ BREAKDOWN_PARTS = (
 #: The parts the paper counts as communication when quoting "87% -> 14%".
 COMM_PARTS = ("gpu-gpu para", "cpu-gpu data", "cpu-gpu para")
 
+#: Fraction of overlappable work actually hidden when two things run side
+#: by side: a collective beside the stage+compute path (Sync EASGD3,
+#: Algorithm 4, the GPU cluster), or the master's Eq 2 beside a worker's
+#: Eq 1 (Original EASGD). A free parameter (docs/calibration.md).
+OVERLAP_EFFICIENCY = 0.7
+
 
 @dataclass
 class TrainerConfig:
@@ -71,7 +77,6 @@ class TrainerConfig:
     seed: int = 0
     eval_every: int = 50
     eval_samples: int = 512
-    overlap_efficiency: float = 0.7  # fraction of overlappable comm actually hidden
     #: Record a structured communication trace (repro.trace) for the run.
     #: Off by default: the hot path then allocates no TraceEvent at all.
     trace: bool = False
@@ -91,8 +96,6 @@ class TrainerConfig:
             raise ValueError("eval_every must be positive")
         if self.eval_samples <= 0:
             raise ValueError("eval_samples must be positive")
-        if not 0.0 <= self.overlap_efficiency <= 1.0:
-            raise ValueError("overlap_efficiency must be in [0, 1]")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if self.checkpoint_keep < 1:

@@ -43,16 +43,12 @@ class ClusterSyncEASGDTrainer(BaseTrainer):
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
         allreduce: str = "tree",
-        packed: bool = True,
-        overlap: bool = True,
     ) -> None:
         super().__init__(network, train_set, test_set, config, cost_model)
         if allreduce not in ("tree", "ring"):
             raise ValueError("allreduce must be 'tree' or 'ring'")
         self.platform = platform
         self.allreduce = allreduce
-        self.packed = packed
-        self.overlap = overlap
         self.name = (
             f"Cluster Sync EASGD ({platform.num_nodes}x{platform.gpus_per_node}, "
             f"{allreduce})"
@@ -68,9 +64,8 @@ class ClusterSyncEASGDTrainer(BaseTrainer):
             overlapped=True,
             stage_t=platform.stage_batch_time(cost, self.config.batch_size),
             bcast_t=0.0,  # the allreduce leaves the sum on every worker
-            reduce_t=platform.hierarchical_allreduce_time(cost, self.allreduce, self.packed),
+            reduce_t=platform.hierarchical_allreduce_time(cost, self.allreduce),
             upd_t=platform.gpu_update_time(cost),
-            overlap_efficiency=self.config.overlap_efficiency if self.overlap else 0.0,
         )
 
     def iteration_time(self) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.algorithms.base import BaseTrainer, TrainerConfig
+from repro.algorithms.base import OVERLAP_EFFICIENCY, BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
 from repro.data.dataset import Dataset
@@ -42,20 +42,20 @@ class _RoundRobinComm(CommStrategy):
 
     def __init__(self, trainer: "OriginalEASGDTrainer") -> None:
         tr = trainer
-        cfg = tr.config
         self.ranks = tr.platform.num_gpus
         self.overlapped = tr.overlapped
-        self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
-        self.param_oneway = tr.platform.cpu_gpu_param_time(tr.cost, packed=tr.packed)
+        self.stage_t = tr.platform.stage_batch_time(tr.cost, tr.config.batch_size)
+        # The original implementation sends per blob.
+        self.param_oneway = tr.platform.cpu_gpu_param_time(tr.cost, packed=False)
         self.gpu_upd_t = tr.platform.gpu_update_time(tr.cost)
         self.cpu_upd_t = tr.platform.cpu_update_time(tr.cost)
         # Lines 13 and 14 run on different devices (GPU_j vs CPU), so the
         # two weight updates overlap; only the GPU residue is visible.
         self.visible_gpu_upd = max(
-            0.0, self.gpu_upd_t - cfg.overlap_efficiency * self.cpu_upd_t
+            0.0, self.gpu_upd_t - OVERLAP_EFFICIENCY * self.cpu_upd_t
         )
-        self.plan_msgs = tr.platform.param_plan(tr.cost, packed=tr.packed)
-        self.trace_meta = dict(pattern="round-robin", packed=tr.packed,
+        self.plan_msgs = tr.platform.param_plan(tr.cost, packed=False)
+        self.trace_meta = dict(pattern="round-robin", packed=False,
                                overlapped=tr.overlapped,
                                messages_per_exchange=self.plan_msgs.num_messages)
 
@@ -117,7 +117,6 @@ class OriginalEASGDTrainer(BaseTrainer):
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
         overlapped: bool = True,
-        packed: bool = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if faults is not None:
@@ -125,7 +124,6 @@ class OriginalEASGDTrainer(BaseTrainer):
         super().__init__(network, train_set, test_set, config, cost_model, faults=faults)
         self.platform = platform
         self.overlapped = overlapped
-        self.packed = packed  # the original implementation sends per-blob
         self.name = "Original EASGD" if overlapped else "Original EASGD*"
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
 

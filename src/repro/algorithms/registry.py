@@ -40,19 +40,17 @@ __all__ = [
 
 
 def _make_knl_sync_easgd(network, train_set, test_set, platform, config,
-                         cost_model=None, packed=True, overlap=True) -> BaseTrainer:
+                         cost_model=None) -> BaseTrainer:
     """Adapt the harness GpuPlatform into ``num_gpus`` KNL nodes."""
     from repro.cluster.platform import KnlPlatform
     from repro.knl.trainer import KnlSyncEASGDTrainer
 
     knl = KnlPlatform(num_nodes=platform.num_gpus, seed=platform.seed)
-    return KnlSyncEASGDTrainer(network, train_set, test_set, knl, config,
-                               cost_model, packed=packed, overlap=overlap)
+    return KnlSyncEASGDTrainer(network, train_set, test_set, knl, config, cost_model)
 
 
 def _make_cluster_sync_easgd(network, train_set, test_set, platform, config,
-                             cost_model=None, allreduce="tree", packed=True,
-                             overlap=True) -> BaseTrainer:
+                             cost_model=None, allreduce="tree") -> BaseTrainer:
     """Adapt the harness GpuPlatform into ``num_gpus`` single-GPU nodes."""
     from repro.algorithms.multinode import ClusterSyncEASGDTrainer
     from repro.cluster.multinode import GpuClusterPlatform
@@ -61,8 +59,7 @@ def _make_cluster_sync_easgd(network, train_set, test_set, platform, config,
         num_nodes=platform.num_gpus, gpus_per_node=1, seed=platform.seed
     )
     return ClusterSyncEASGDTrainer(
-        network, train_set, test_set, cluster, config, cost_model,
-        allreduce=allreduce, packed=packed, overlap=overlap,
+        network, train_set, test_set, cluster, config, cost_model, allreduce=allreduce,
     )
 
 
@@ -105,7 +102,8 @@ _ENTRIES = (
     _ps("async-sgd", "Sec 3.1"),
     _ps("async-msgd", "Sec 3.1, Eqs 3-4"),
     _ps("hogwild-sgd", "Sec 3.2"),
-    _sync("sync-sgd", SyncSGDTrainer, "allreduce SGD", "Sec 5.2, Fig 10"),
+    _sync("sync-sgd", partial(SyncSGDTrainer, packed=True), "allreduce SGD",
+          "Sec 5.2, Fig 10"),
     _sync("sync-sgd-unpacked", partial(SyncSGDTrainer, packed=False),
           "allreduce SGD", "Sec 5.2, Fig 10"),
     # the paper's methods
@@ -148,11 +146,12 @@ def make_trainer(name: str, *args, **kwargs) -> BaseTrainer:
     """Instantiate a registered trainer by method name.
 
     A keyword the entry's constructor does not name, or one the entry's
-    name already fixes (``variant`` on ``sync-easgd1``, ``family`` on a
-    parameter-server method), raises :class:`UnsupportedOptionError` — a
-    knob the method never reads is refused, not ignored. Which *values*
-    an accepted option may take is the constructor's business (a
-    parameter-server row refuses a ``tau`` it cannot honour the same way).
+    name already fixes (``variant`` on ``sync-easgd1``, ``packed`` on
+    ``sync-sgd``, ``family`` on a parameter-server method), raises
+    :class:`UnsupportedOptionError` — a knob the method never reads is
+    refused, not ignored. Which *values* an accepted option may take is
+    the constructor's business (a parameter-server row refuses a ``tau``
+    it cannot honour the same way).
     """
     try:
         factory = ALGORITHMS[name]

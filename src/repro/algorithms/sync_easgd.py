@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.algorithms.base import BaseTrainer, TrainerConfig
+from repro.algorithms.base import OVERLAP_EFFICIENCY, BaseTrainer, TrainerConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.platform import GpuPlatform
 from repro.comm.packing import MessagePlan
@@ -56,9 +56,11 @@ class TreeEasgdComm(CommStrategy):
     reduce, updates, each waiting for the previous one. *Overlapped*
     (Sync EASGD3, Algorithm 4, the GPU cluster): the collective runs
     beside the staging + compute path and only the part of it that
-    ``overlap_efficiency`` fails to hide is visible. ``cpu_upd_t`` says
-    where the center lives: on the host (its Eq 2 cost; parameter traffic
-    crosses the CPU<->GPU link) or, when None, on worker 0's device.
+    :data:`~repro.algorithms.base.OVERLAP_EFFICIENCY` fails to hide is
+    visible. Every exchange is one packed buffer (Section 5.2).
+    ``cpu_upd_t`` says where the center lives: on the host (its Eq 2 cost;
+    parameter traffic crosses the CPU<->GPU link) or, when None, on worker
+    0's device.
     ``recost(ranks)`` gives ``(bcast_t, reduce_t)`` for a tree rebuilt
     over survivors; a traced run draws its tree edges from ``plan_msgs``.
     """
@@ -69,7 +71,6 @@ class TreeEasgdComm(CommStrategy):
     bcast_t: float
     reduce_t: float
     upd_t: float  # Eq 1 on one worker's device
-    overlap_efficiency: float
     cpu_upd_t: Optional[float] = None
     recost: Optional[Callable[[int], Tuple[float, float]]] = None
     trace_meta: Optional[Dict[str, object]] = None
@@ -98,7 +99,7 @@ class TreeEasgdComm(CommStrategy):
             return (self.stage_t + self.bcast_t + fwdbwd_max + self.reduce_t
                     + self.gpu_upd_part + self.cpu_upd_part), comm
         # The collective overlaps the stage+compute path.
-        hidden = self.overlap_efficiency * min(comm, self.stage_t + fwdbwd_max)
+        hidden = OVERLAP_EFFICIENCY * min(comm, self.stage_t + fwdbwd_max)
         visible_comm = comm - hidden
         return self.stage_t + fwdbwd_max + visible_comm + self.gpu_upd_part, visible_comm
 
@@ -168,7 +169,6 @@ class SyncEASGDTrainer(BaseTrainer):
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
         variant: int = 3,
-        packed: bool = True,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if faults is not None:
@@ -178,22 +178,21 @@ class SyncEASGDTrainer(BaseTrainer):
             raise ValueError("variant must be 1, 2, or 3")
         self.platform = platform
         self.variant = variant
-        self.packed = packed
         self.name = f"Sync EASGD{variant}"
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
         self.hyper.validate_sync(platform.num_gpus)
 
     def make_comm(self) -> TreeEasgdComm:
         """The variant's clock: where the center lives and what overlaps."""
-        platform, cost, packed = self.platform, self.cost, self.packed
+        platform, cost = self.platform, self.cost
         traffic = "cpu-gpu para" if self.variant == 1 else "gpu-gpu para"
 
         def tree_times(ranks: int) -> Tuple[float, float]:
-            return (platform.tree_bcast_time(cost, traffic, packed, ranks=ranks),
-                    platform.tree_reduce_time(cost, traffic, packed, ranks=ranks))
+            return (platform.tree_bcast_time(cost, traffic, ranks=ranks),
+                    platform.tree_reduce_time(cost, traffic, ranks=ranks))
 
         bcast_t, reduce_t = tree_times(platform.num_gpus)
-        plan_msgs = platform.param_plan(cost, packed=packed)
+        plan_msgs = platform.param_plan(cost)
         return TreeEasgdComm(
             platform.num_gpus,
             overlapped=self.variant == 3,
@@ -202,9 +201,8 @@ class SyncEASGDTrainer(BaseTrainer):
             reduce_t=reduce_t,
             upd_t=platform.gpu_update_time(cost),
             cpu_upd_t=platform.cpu_update_time(cost) if self.variant == 1 else None,
-            overlap_efficiency=self.config.overlap_efficiency,
             recost=tree_times,
-            trace_meta=dict(pattern="tree", variant=self.variant, packed=packed,
+            trace_meta=dict(pattern="tree", variant=self.variant, packed=True,
                             overlapped=self.variant == 3,
                             messages_per_exchange=plan_msgs.num_messages),
             plan_msgs=plan_msgs,

@@ -61,24 +61,15 @@ class StepPipeline:
         if self.snapshotter is not None:
             self.snapshotter.on_step(self.strategy.eval_params(), t, self.sim_time)
 
-    def eval_view(self, t: int) -> np.ndarray:
-        """The packed params to evaluate at step ``t``, torn-free.
+    def eval_view(self) -> np.ndarray:
+        """The packed params to evaluate: the strategy's live vector.
 
-        With a snapshotter attached, the step-``t`` publish already put
-        these exact bits behind a seqlock — read them back through the
-        guard so the eval path can never observe a half-written vector
-        (float32→float32 round-trips bit-exactly, so trajectories are
-        identical with and without serving attached).  Without one, hand
-        back the strategy's live reference: the pipeline is between
-        steps, when no writer is active.
+        The pipeline is between steps, so no writer is active. A serving
+        publish only copies these bits out, on this same thread, just
+        before the evaluation, so reading them back through its seqlock
+        would return the same bits.
         """
-        ref = self.strategy.eval_params()
-        snap = self.snapshotter
-        if snap is not None and snap.buffer.step == t and ref.dtype == np.float32:
-            params, step, _ = snap.buffer.read()
-            if step == t and params.size == ref.size:
-                return params
-        return ref
+        return self.strategy.eval_params()
 
     def run(self, iterations: int, resume: bool = False) -> RunResult:
         if iterations <= 0:

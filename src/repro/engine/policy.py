@@ -41,16 +41,14 @@ class EvalPolicy:
     def snapshot(self, pipeline: "StepPipeline", t: int) -> bool:
         """Evaluate, record a trajectory point, and report early-stop.
 
-        The params are taken through :meth:`StepPipeline.eval_view`, not
-        ``strategy.eval_params()`` directly: the strategy hands out a
-        live reference, and when concurrent writers exist (a serving
-        publisher, shared-memory workers) a direct read could observe a
-        half-written vector.  The view is seqlock-guarded whenever a
-        guard exists and falls back to the raw reference only in the
-        strictly serial case.
+        The params are :meth:`StepPipeline.eval_view`, which is
+        ``strategy.eval_params()``: the live vector, read between steps,
+        when no writer is active. A serving publish copies the same bits
+        out of it, so an attached serving tier leaves the trajectory
+        unchanged.
         """
         trainer = pipeline.trainer
-        acc = trainer.evaluate_params(pipeline.eval_view(t))
+        acc = trainer.evaluate_params(pipeline.eval_view())
         pipeline.records.append(
             TrainRecord(t, pipeline.sim_time, pipeline.strategy.last_loss, acc)
         )

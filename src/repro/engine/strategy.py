@@ -77,10 +77,10 @@ class StepStrategy:
         Contract: return the *live* packed array (a view, not a copy) —
         the pipeline's snapshot publisher copies it into the seqlock
         buffer itself, so a defensive copy here would just double the
-        memcpy on every publish.  Consumers that need isolation from
-        later in-place updates (evaluation, serving) go through
-        :meth:`StepPipeline.eval_view` / the snapshot reader, never
-        through a raw reference they hold across steps.
+        memcpy on every publish.  Evaluation reads it between steps
+        (:meth:`StepPipeline.eval_view`); serving, which needs isolation
+        from later in-place updates, reads the snapshot, never a raw
+        reference held across steps.
         """
         raise NotImplementedError
 

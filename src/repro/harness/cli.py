@@ -512,12 +512,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     snapshotter = ModelSnapshotter(
         replica.num_params, publish_every=args.publish_every, trace=trace,
     )
-    frontend = ServingFrontend.for_network(
-        replica, snapshotter.reader(),
-        batch_cap=args.batch_cap, max_wait=args.max_wait,
-        max_staleness_steps=args.max_staleness_steps,
-        refresh_policy=args.refresh_policy, trace=trace,
-    )
+    try:
+        frontend = ServingFrontend.for_network(
+            replica, snapshotter.reader(),
+            batch_cap=args.batch_cap, max_wait=args.max_wait,
+            max_staleness_steps=args.max_staleness_steps,
+            refresh_policy=args.refresh_policy, trace=trace,
+        )
+    except ValueError as exc:
+        raise _Exit(2, str(exc))
     if args.loop == "closed":
         load = ClosedLoopLoadGen(args.clients, args.requests, think_mean=args.think,
                                  seed=args.seed)

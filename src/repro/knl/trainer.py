@@ -41,13 +41,9 @@ class KnlSyncEASGDTrainer(BaseTrainer):
         platform: KnlPlatform,
         config: TrainerConfig,
         cost_model: Optional[CostModel] = None,
-        packed: bool = True,
-        overlap: bool = True,
     ) -> None:
         super().__init__(network, train_set, test_set, config, cost_model)
         self.platform = platform
-        self.packed = packed
-        self.overlap = overlap
         self.name = f"KNL Sync EASGD ({platform.num_nodes} nodes)"
         self.hyper = EASGDHyper(lr=config.lr, rho=config.rho, mu=config.mu)
         self.hyper.validate_sync(platform.num_nodes)
@@ -59,10 +55,9 @@ class KnlSyncEASGDTrainer(BaseTrainer):
             platform.num_nodes,
             overlapped=True,
             stage_t=0.0,  # line 10: batches come from local memory
-            bcast_t=platform.tree_bcast_time(cost, self.packed),
-            reduce_t=platform.tree_reduce_time(cost, self.packed),  # fabric traffic
+            bcast_t=platform.tree_bcast_time(cost),
+            reduce_t=platform.tree_reduce_time(cost),  # fabric traffic
             upd_t=platform.update_time(cost),
-            overlap_efficiency=self.config.overlap_efficiency if self.overlap else 0.0,
         )
 
     def iteration_time(self) -> float:

@@ -33,6 +33,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
+from repro.durability.state import network_stochastic_state
 from repro.serving.snapshot import SnapshotReader
 from repro.trace.events import MASTER, Trace, TraceEvent
 
@@ -146,7 +147,18 @@ class ServingFrontend:
 
     @classmethod
     def for_network(cls, net: Any, reader: SnapshotReader, **kwargs: Any) -> "ServingFrontend":
-        """A front-end serving from a dedicated :class:`Network` replica."""
+        """A front-end serving from a dedicated :class:`Network` replica.
+
+        Raises ``ValueError`` naming the batch-norm layers, nested ones
+        included: the snapshot carries packed parameters only, so the
+        replica would answer with untrained running statistics.
+        """
+        stats = [key for key, entry in network_stochastic_state(net).items()
+                 if "running_mean" in entry]
+        if stats:
+            raise ValueError(
+                f"cannot serve {net.name}: the snapshot carries packed parameters "
+                f"only, not the batch-norm running statistics of {', '.join(stats)}")
         return cls(
             predict=lambda x: net.forward(x, training=False),
             load_params=net.set_params,

@@ -9,7 +9,7 @@ from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 
 
-def _make(mnist_tiny, cfg, overlapped=True, gpus=4, packed=False):
+def _make(mnist_tiny, cfg, overlapped=True, gpus=4):
     train, test = mnist_tiny
     return OriginalEASGDTrainer(
         build_mlp(seed=2),
@@ -19,7 +19,6 @@ def _make(mnist_tiny, cfg, overlapped=True, gpus=4, packed=False):
         cfg,
         CostModel.from_spec(LENET),
         overlapped=overlapped,
-        packed=packed,
     )
 
 
@@ -62,11 +61,6 @@ class TestTiming:
     def test_comm_dominates_overlapped_run(self, mnist_tiny, fast_config):
         res = _make(mnist_tiny, fast_config, overlapped=True).train(20)
         assert res.breakdown.comm_ratio > 0.6  # the paper measures 87%
-
-    def test_packed_variant_cheaper(self, mnist_tiny, fast_config):
-        unpacked = _make(mnist_tiny, fast_config, packed=False).train(10)
-        packed = _make(mnist_tiny, fast_config, packed=True).train(10)
-        assert packed.sim_time < unpacked.sim_time
 
     def test_no_gpu_gpu_traffic(self, mnist_tiny, fast_config):
         res = _make(mnist_tiny, fast_config).train(10)

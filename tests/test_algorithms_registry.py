@@ -1,5 +1,7 @@
 """Registry: every advertised method constructs and runs."""
 
+import argparse
+import ast
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from repro.algorithms.registry import _ACCEPTS
 from repro.cluster import CostModel, GpuPlatform
 from repro.engine.ps import PS_FAMILIES
 from repro.faults import FaultPlan
-from repro.harness.cli import main
+from repro.harness.cli import _build_parser, main
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
 
@@ -77,10 +79,13 @@ sync-sgd-unpacked    allreduce SGD      centered       sync   none (bulk-sync)  
 #: The arguments every entry takes positionally, in this order.
 POSITIONAL = ("network", "train_set", "test_set", "platform", "config", "cost_model")
 
+#: Keywords probed on every entry though at most one takes them: two moved
+#: off ``TrainerConfig`` onto one trainer's constructor, two became constants.
+RETIRED = {"backend", "collective", "heartbeat_timeout", "overlap"}
+
 #: Every keyword some entry's constructor names beyond ``POSITIONAL``
-#: (accepted, or bound by the entry's ``partial`` and so refused), plus the
-#: two moved off ``TrainerConfig``, each with a value the entries that
-#: accept it can build with.
+#: (accepted, or bound by the entry's ``partial`` and so refused), plus
+#: ``RETIRED``, each with a value the entries that accept it can build with.
 KEYWORDS = {
     "allreduce": "ring",
     "backend": "processes",
@@ -107,6 +112,7 @@ BOUND = [
     ("sync-easgd", "variant", 1),
     ("original-easgd", "overlapped", False),
     ("original-easgd*", "overlapped", True),
+    ("sync-sgd", "packed", False),
     ("sync-sgd-unpacked", "packed", True),
 ] + [(key, "family", "async-sgd" if key != "async-sgd" else "hogwild-sgd")
      for key in PS_FAMILIES]
@@ -178,13 +184,32 @@ class TestRegistry:
         # name binds (refused by name, so still a cell of the matrix).
         accepted = set().union(*_ACCEPTS.values())
         bound = {keyword for _, keyword, _ in BOUND}
-        assert set(KEYWORDS) == accepted - set(POSITIONAL) | bound | {"backend", "collective"}
+        assert set(KEYWORDS) == accepted - set(POSITIONAL) | bound | RETIRED
 
     @pytest.mark.parametrize(
         "name, keyword, value", BOUND, ids=[f"{n}-{k}" for n, k, _ in BOUND])
     def test_bound_keyword_refused(self, name, keyword, value, mnist_tiny, fast_config):
         # A keyword the entry's name fixes would quietly turn the entry
         # into another method ("sync-easgd1" running Sync EASGD3).
+        train, test = mnist_tiny
+        with pytest.raises(UnsupportedOptionError) as ei:
+            make_trainer(
+                name, build_mlp(seed=0), train, test, GpuPlatform(num_gpus=2, seed=0),
+                fast_config, CostModel.from_spec(LENET), **{keyword: value},
+            )
+        assert (ei.value.method, ei.value.option) == (name, keyword)
+
+    @pytest.mark.parametrize("name, keyword, value", [
+        ("original-easgd", "packed", True),
+        ("sync-easgd3", "packed", False),
+        ("knl-sync-easgd", "overlap", False),
+        ("cluster-sync-easgd", "overlap", False),
+        ("async-easgd", "heartbeat_timeout", 1.0),
+    ])
+    def test_fixed_constants_refused(self, name, keyword, value, mnist_tiny, fast_config):
+        # Original EASGD is per-blob, every Sync EASGD exchange one packed
+        # buffer, Algorithm 4 always overlaps and the heartbeat scales with
+        # the healthy cycle: none of them is a knob.
         train, test = mnist_tiny
         with pytest.raises(UnsupportedOptionError) as ei:
             make_trainer(
@@ -272,3 +297,61 @@ class TestRegistry:
             else:  # no twin: the cell says why
                 assert twins[key][1].startswith("— ("), key
 
+
+#: The entry points a program hands trainer keywords to.
+ENTRY_POINTS = {"run_method", "run_methods", "build_trainer", "make_trainer"}
+
+ROOT = Path(__file__).parent.parent
+
+
+def _program_files():
+    """Every Python file of the program, less the registry's own table."""
+    registry = ROOT / "src" / "repro" / "algorithms" / "registry.py"
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path != registry:
+                yield path
+
+
+def _trainer_classes(trees):
+    """Names of every ``BaseTrainer`` subclass defined in ``src/``."""
+    classes, grew = {"BaseTrainer"}, True
+    while grew:
+        grew = False
+        for tree in trees:
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.ClassDef) and node.name not in classes
+                        and any(getattr(b, "id", getattr(b, "attr", None)) in classes
+                                for b in node.bases)):
+                    classes.add(node.name)
+                    grew = True
+    return classes
+
+
+def _keywords_passed_by_name():
+    """Keywords some call in the program passes by name to a trainer entry
+    point or a trainer class."""
+    trees = {path: ast.parse(path.read_text()) for path in _program_files()}
+    callees = ENTRY_POINTS | _trainer_classes(
+        tree for path, tree in trees.items() if (ROOT / "src") in path.parents)
+    passed = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in callees:
+                passed |= {kw.arg for kw in node.keywords if kw.arg is not None}
+    return passed
+
+
+def test_every_accepted_keyword_is_passed_by_the_program():
+    """A keyword ``make_trainer`` accepts is one a program turns: the
+    ``dest`` of a ``repro run`` flag, or passed by name to a trainer entry
+    point somewhere in ``src/``, ``benchmarks/`` or ``examples/``. A knob
+    only tests turn is a second way to configure; make it the constant
+    every program already runs with."""
+    subcommands = next(a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    flags = {action.dest for action in subcommands.choices["run"]._actions}
+    accepted = set().union(*_ACCEPTS.values()) - set(POSITIONAL)
+    unturned = sorted(accepted - flags - _keywords_passed_by_name())
+    assert unturned == [], f"keywords no program passes: {unturned}"

@@ -90,11 +90,6 @@ class TestSyncEASGDTiming:
         res = _trainer(mnist_tiny, fast_config, variant=1).train(8)
         assert res.breakdown.total == pytest.approx(res.sim_time, rel=1e-6)
 
-    def test_unpacked_slower(self, mnist_tiny, fast_config):
-        packed = _trainer(mnist_tiny, fast_config, variant=1, packed=True).train(5)
-        unpacked = _trainer(mnist_tiny, fast_config, variant=1, packed=False).train(5)
-        assert unpacked.sim_time > packed.sim_time
-
 
 class TestSyncSGD:
     def _sgd(self, mnist_tiny, cfg, packed=True):

@@ -252,6 +252,31 @@ class TestCli:
         assert main(shlex.split(line)) == 2
         assert capsys.readouterr().err.strip() == message
 
+    def test_knl_runs_in_process(self, capsys, tmp_path):
+        path = tmp_path / "knl.json"
+        assert main(["knl", "--parts", "2", "--iterations", "3", "--train-samples", "256",
+                     "--json", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = {key.strip(): value for key, value in
+                  (line.split(" : ", 1) for line in lines if " : " in line)}
+        (entry,) = results_from_json(path)
+        assert fields == {
+            "method": "KNL 2-part", "backend": "serial (simulated)",
+            "parts": "2 (34.0 cores/group)", "working set": "2 MB in MCDRAM",
+            "iterations": "3", "simulated time": f"{entry['sim_time']:.3f} s",
+            "final accuracy": f"{entry['final_accuracy']:.3f}"}
+        assert (entry["method"], entry["iterations"]) == ("KNL 2-part", 3)
+        assert lines[-1] == f"trajectory written to {path}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("knl --batch-size 15 --parts 2",
+         "--batch-size 15 must divide evenly into --parts 2 groups"),
+        ("knl --resume", "--resume requires --checkpoint-dir"),
+    ])
+    def test_knl_refusals_exit_2(self, line, message, capsys):
+        assert main(shlex.split(line)) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_serve_closed_loop_serves_every_request(self, capsys, tmp_path):
         # --requests is the total, whether or not --clients divides it.
         path = tmp_path / "serve.json"

@@ -1,5 +1,7 @@
 """Direct tests for paths previously exercised only through benchmarks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,28 +52,18 @@ class TestQuantizedSyncSGD:
 
 
 class TestKnlTrainerVariants:
-    def _trainer(self, mnist_tiny, overlap):
+    def test_overlap_is_faster(self, mnist_tiny):
+        """Algorithm 4 hides part of the fabric trees under compute: its
+        iteration is shorter than the same phases run back to back."""
         train, test = mnist_tiny
         cfg = TrainerConfig(batch_size=16, lr=0.05, rho=2.0, eval_every=10, eval_samples=128)
-        return KnlSyncEASGDTrainer(
-            build_mlp(seed=5),
-            train,
-            test,
-            KnlPlatform(num_nodes=4, seed=0),
-            cfg,
+        comm = KnlSyncEASGDTrainer(
+            build_mlp(seed=5), train, test, KnlPlatform(num_nodes=4, seed=0), cfg,
             CostModel.from_spec(LENET),
-            overlap=overlap,
-        )
-
-    def test_overlap_is_faster(self, mnist_tiny):
-        with_overlap = self._trainer(mnist_tiny, True).train(10)
-        without = self._trainer(mnist_tiny, False).train(10)
-        assert with_overlap.sim_time < without.sim_time
-
-    def test_overlap_same_numerics(self, mnist_tiny):
-        a = self._trainer(mnist_tiny, True).train(10)
-        b = self._trainer(mnist_tiny, False).train(10)
-        assert [r.test_accuracy for r in a.records] == [r.test_accuracy for r in b.records]
+        ).make_comm()
+        serial = dataclasses.replace(comm, overlapped=False)
+        for fwdbwd in (comm.reduce_t, 10.0 * comm.reduce_t):
+            assert comm.timing(fwdbwd)[0] < serial.timing(fwdbwd)[0]
 
 
 class TestClusterPlatformPieces:

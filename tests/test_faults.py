@@ -230,10 +230,7 @@ class TestAsyncFaults:
 
     def test_heartbeat_eviction(self, mnist_tiny, async_baseline):
         plan = FaultPlan(seed=5).crash(3, at=async_baseline.sim_time / 4)
-        res = _trainer(
-            ASYNC_EASGD, mnist_tiny, faults=plan,
-            heartbeat_timeout=async_baseline.sim_time / 20,
-        ).train(150)
+        res = _trainer(ASYNC_EASGD, mnist_tiny, faults=plan).train(150)
         assert res.fault_log.count("evict") == 1
         assert res.extras["workers_evicted"] == 1.0
 

@@ -18,9 +18,16 @@ from repro.comm import shm_lifecycle as lifecycle
 from repro.comm.mp_runtime import fork_available
 from repro.comm.shm_transport import SeqlockBuffer, TornReadError
 from repro.data import make_mnist_like
+from repro.harness.cli import main
 from repro.harness.experiment import ExperimentSpec, run_method
 from repro.knl import ChipPartitionTrainer
-from repro.nn.models import build_mlp
+from repro.nn.models import (
+    build_alexnet_mini,
+    build_lenet,
+    build_mlp,
+    build_resnet_mini,
+    build_vgg_mini,
+)
 from repro.serving import (
     ClosedLoopLoadGen,
     ModelSnapshotter,
@@ -462,6 +469,44 @@ class TestServingInvariants:
             check_serving_publish_monotone(trace)
 
 
+class TestBatchNormRefused:
+    """The snapshot carries packed parameters only: a replica of a
+    batch-norm model would answer with its untrained running statistics."""
+
+    @pytest.mark.parametrize("builder, layers", [
+        (build_vgg_mini, ["1:bn1_1", "4:bn1_2", "8:bn2_1", "11:bn2_2"]),
+        (build_resnet_mini, ["1:bn0", "3:res1/b1:bn1", "4:res2/s1:bnp"]),  # nested
+    ], ids=["vgg-mini", "resnet-mini"])
+    def test_refused_naming_the_layers(self, builder, layers):
+        net = builder(seed=0)
+        snap = ModelSnapshotter(net.num_params)
+        with pytest.raises(ValueError, match="batch-norm running statistics") as ei:
+            ServingFrontend.for_network(net, snap.reader())
+        snap.close()
+        for key in layers:
+            assert key in str(ei.value)
+
+    @pytest.mark.parametrize("builder", [build_mlp, build_lenet, build_alexnet_mini])
+    def test_models_without_running_statistics_are_served(self, builder):
+        net = builder(seed=0)
+        snap = ModelSnapshotter(net.num_params)
+        fe = ServingFrontend.for_network(net, snap.reader(), batch_cap=1, max_wait=0.0)
+        snap.on_step(net.get_params(), step=1)
+        req = fe.submit(np.zeros(net.input_shape, dtype=np.float32))
+        fe.serve_batch([fe._queue.popleft()])
+        assert req.done and req.step == 1
+        snap.close()
+
+    def test_serve_exits_2_before_training(self, capsys, monkeypatch):
+        def no_training(*_, **__):
+            raise AssertionError("training started for a model it cannot serve")
+
+        monkeypatch.setattr("repro.harness.cli.run_method", no_training)
+        assert main(["serve", "--model", "vgg", "--train-samples", "256"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot serve vgg-mini" in err and "1:bn1_1" in err
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity: an attached serving tier never perturbs training
 # ---------------------------------------------------------------------------
@@ -529,9 +574,10 @@ class TestBitIdentity:
         assert result.backend == detached.backend == "processes"
         assert result.records == detached.records
 
-    def test_eval_path_reads_through_the_guard(self):
-        """With a snapshotter attached, the eval path reads the seqlock
-        copy, not the live reference — and gets identical bits."""
+    def test_eval_path_and_the_snapshot_hold_the_same_bits(self):
+        """With a snapshotter attached, the eval path reads the live
+        vector, and the seqlock copy published for that step holds
+        exactly its bits."""
         from repro.engine.pipeline import StepPipeline
 
         spec = _spec()
@@ -544,13 +590,11 @@ class TestBitIdentity:
         pipeline = StepPipeline(trainer, trainer.make_step(), snapshotter=snap)
         result = pipeline.run(4)
         assert result.records
-        # The publish for the final step tags the buffer with it, and the
-        # guarded view returns those exact bits.
-        assert snap.buffer.step == 4
-        view = pipeline.eval_view(4)
-        direct = pipeline.strategy.eval_params()
-        assert view is not direct
-        assert np.array_equal(view, np.asarray(direct, dtype=np.float32))
+        view = pipeline.eval_view()
+        assert view is pipeline.strategy.eval_params()
+        params, step, _ = snap.buffer.read()
+        assert step == 4
+        assert params.tobytes() == np.asarray(view, dtype=np.float32).tobytes()
         snap.close()
 
 

@@ -114,9 +114,6 @@ def _clock_cases():
             cases[f"{name} P={ranks}"] = (name, ranks, {})
     cases["sync-sgd ring"] = ("sync-sgd", 4, {"collective": "ring"})
     cases["sync-sgd 4-bit"] = ("sync-sgd", 4, {"quantize_bits": 4})
-    cases["sync-easgd3 unpacked"] = ("sync-easgd3", 4, {"packed": False})
-    cases["knl-sync-easgd overlap off"] = ("knl-sync-easgd", 4, {"overlap": False})
-    cases["cluster-sync-easgd overlap off"] = ("cluster-sync-easgd", 4, {"overlap": False})
     cases["cluster-sync-easgd ring"] = ("cluster-sync-easgd", 4, {"allreduce": "ring"})
     for name in FAULT_NAMES:
         cases[f"{name} faulted"] = (name, 4, {"faults": True})

@@ -5,7 +5,9 @@ guarantees (Theta(P) vs Theta(log P), conservation under faults, golden
 replays) live in ``test_trace_properties.py`` and ``test_trace_golden.py``.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +18,29 @@ from repro.algorithms.sync_easgd import SyncEASGDTrainer
 from repro.algorithms.sync_sgd import SyncSGDTrainer
 from repro.cluster import CostModel, GpuPlatform
 from repro.nn.models import build_mlp
+from repro.comm.topology import gossip_pairs
 from repro.nn.spec import LENET
+from repro.trace import check as check_module
 from repro.trace import from_jsonl, MASTER, to_chrome, to_jsonl, Trace, TraceEvent
 from repro.trace.check import (
     check_all,
     check_fcfs_service,
+    check_flat_exchange_shape,
+    check_gossip_pairing,
     check_message_conservation,
     check_no_overlap,
     check_overlap,
     check_packed_single_message,
+    check_ring_bytes_per_rank,
+    check_ring_message_bound,
+    check_ring_round_bound,
+    check_serving_batch_cap,
+    check_serving_no_overlap,
+    check_serving_publish_monotone,
+    check_serving_staleness_bound,
     check_tree_message_bound,
     check_tree_round_bound,
+    check_update_staleness_bound,
     InvariantViolation,
 )
 from repro.trace.export import chrome_events
@@ -435,3 +449,161 @@ class TestCliTrace:
                      "--train-samples", "256", "--trace", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
+
+
+# ---------------------------------------------------------------------------
+# One forged trace per ``raise InvariantViolation`` site in trace/check.py
+# ---------------------------------------------------------------------------
+
+
+def _forge(meta, *events):
+    trace = Trace(meta=meta)
+    for event in events:
+        trace.add(event)
+    return trace
+
+
+def _send(rank, peer, op="", round=-1, iteration=0, seq=-1, nbytes=0, t=0.0):
+    return TraceEvent("send", rank, t, t + 1.0, op=op, peer=peer, round=round,
+                      iteration=iteration, seq=seq, nbytes=nbytes)
+
+
+def _batch(t0, t1, size=1, stale=0.0):
+    return TraceEvent("service", MASTER, t0, t1, op="serving/batch", round=size,
+                      value=stale)
+
+
+def _publish(version, step):
+    return TraceEvent("mark", MASTER, 0.0, 0.0, op="serving/publish",
+                      value=float(version), iteration=step)
+
+
+_ONE_EDGE = [_send(0, 1, "tree-reduce", round=0) for _ in range(3)]
+_UNSCHEDULED = next((a, b) for a in range(4) for b in range(a + 1, 4)
+                    if (a, b) not in gossip_pairs(0, 4))
+
+#: (check, forged trace, message it must raise), keyed by the site it hits.
+FORGED = {
+    "ranks-missing": (check_tree_message_bound, _forge({}), "lacks a 'ranks'"),
+    "ghost-recv": (check_message_conservation,
+                   _forge({}, TraceEvent("recv", 1, 0.0, 0.0, peer=0, seq=0)),
+                   r"1 received channel\(s\) were never sent"),
+    "unmatched-send": (check_message_conservation, _forge({}, _send(0, 1, seq=0)),
+                       r"send \(0 -> 1, tag=0, seq=0\) has no matching recv"),
+    "tree-edges": (check_tree_message_bound,
+                   _forge({"ranks": 2}, *[_send(0, j, "tree-reduce", round=0)
+                                          for j in (1, 2, 3)]),
+                   r"tree-reduce used 3 edges > bound P\*ceil\(log2 P\) = 2"),
+    "tree-messages": (check_tree_message_bound, _forge({"ranks": 2}, *_ONE_EDGE),
+                      r"tree-reduce sent 3 messages > 2 \* 1 for P=2"),
+    "tree-rounds": (check_tree_round_bound,
+                    _forge({"ranks": 2}, _send(0, 1, "tree-bcast", round=0),
+                           _send(0, 1, "tree-bcast", round=1)),
+                    r"tree-bcast used 2 rounds > ceil\(log2 2\) = 1"),
+    "ring-messages": (check_ring_message_bound,
+                      _forge({"ranks": 2}, *[_send(0, 1, "ring-allgather", round=0)
+                                             for _ in range(3)]),
+                      r"ring-allgather sent 3 messages > bound P\*\(P-1\) = 2"),
+    "ring-edge-reuse": (check_ring_message_bound,
+                        _forge({"ranks": 3}, _send(0, 1, "ring-allgather", round=0),
+                               _send(0, 1, "ring-allgather", round=1)),
+                        r"ring-allgather reused an edge \(2 messages over 1 edges\)"),
+    "ring-rounds": (check_ring_round_bound,
+                    _forge({"ranks": 2}, _send(0, 1, "ring-reduce-scatter", round=0),
+                           _send(1, 0, "ring-reduce-scatter", round=1)),
+                    r"ring-reduce-scatter used 2 rounds > P-1 = 1"),
+    "ring-bytes": (check_ring_bytes_per_rank,
+                   _forge({"ranks": 2}, _send(0, 1, "ring-allgather", nbytes=1000)),
+                   "rank 0 shipped 1000 ring bytes > per-rank cap 518 for n=500"),
+    "flat-none": (check_flat_exchange_shape, _forge({}), "no round-robin sends"),
+    "flat-ranks": (check_flat_exchange_shape,
+                   _forge({}, _send(MASTER, 0, "round-robin"),
+                          _send(MASTER, 1, "round-robin")),
+                   r"round-robin touched ranks \[-1, 0, 1\]"),
+    "flat-count": (check_flat_exchange_shape, _forge({}, _send(MASTER, 0, "round-robin")),
+                   "1 round-robin messages; expected 2 transfers x 1"),
+    "packed": (check_packed_single_message, _forge({}, *_ONE_EDGE),
+               "carried 3 messages; packed mode sends exactly one buffer"),
+    "overlap": (check_overlap,
+                _forge({}, _send(0, 1), TraceEvent("compute", 0, 1.0, 2.0)),
+                "overlap fraction 0.0000 <= 0.0"),
+    "no-overlap": (check_no_overlap,
+                   _forge({}, _send(0, 1), TraceEvent("compute", 0, 0.0, 1.0)),
+                   "overlap fraction 1.0000 > 1e-09 in a serial schedule"),
+    "fcfs-order": (check_fcfs_service,
+                   _forge({}, TraceEvent("service", MASTER, 0.0, 1.0, value=1.0),
+                          TraceEvent("service", MASTER, 1.0, 2.0, value=0.5)),
+                   r"\(arrival 0\.5\) overtook .* — not FCFS"),
+    "fcfs-spans": (check_fcfs_service,
+                   _forge({}, TraceEvent("service", MASTER, 0.0, 2.0, value=0.0),
+                          TraceEvent("service", MASTER, 1.0, 3.0, value=1.0)),
+                   r"service spans overlap under a locked master: \[0,2\] vs \[1,3\]"),
+    "tau-missing": (check_update_staleness_bound, _forge({}),
+                    "lacks a 'staleness_bound'"),
+    "tau": (check_update_staleness_bound,
+            _forge({"staleness_bound": 2},
+                   TraceEvent("update", 1, 0.0, 1.0, op="elastic-update", value=3.0)),
+            "rank 1 applied staleness 3 > bound tau=2"),
+    "gossip-duplicate": (check_gossip_pairing,
+                         _forge({"ranks": 4}, _send(0, 1, "gossip-exchange"),
+                                _send(0, 1, "gossip-exchange")),
+                         "duplicate gossip edge 0->1"),
+    "gossip-unscheduled": (check_gossip_pairing,
+                           _forge({"ranks": 4}, _send(*_UNSCHEDULED, "gossip-exchange")),
+                           "gossip edge {}->{} is not in the round's schedule".format(
+                               *_UNSCHEDULED)),
+    "gossip-one-way": (check_gossip_pairing,
+                       _forge({"ranks": 4}, _send(*gossip_pairs(0, 4)[0], "gossip-exchange")),
+                       "has no reverse direction"),
+    "serving-overlap": (check_serving_no_overlap,
+                        _forge({}, _batch(0.0, 2.0), _batch(1.0, 3.0)),
+                        "serving batches overlap under a single server"),
+    "cap-missing": (check_serving_batch_cap, _forge({}), "lacks a 'batch_cap'"),
+    "cap": (check_serving_batch_cap, _forge({"batch_cap": 4}, _batch(0.0, 1.0, size=5)),
+            "packed 5 requests > batch_cap 4"),
+    "cap-empty": (check_serving_batch_cap, _forge({"batch_cap": 4}, _batch(0.0, 1.0, size=0)),
+                  "records size 0 < 1"),
+    "bound-missing": (check_serving_staleness_bound, _forge({}),
+                      "lacks a 'max_staleness_steps'"),
+    "bound": (check_serving_staleness_bound,
+              _forge({"max_staleness_steps": 2, "publish_every": 2},
+                     _batch(0.0, 1.0, stale=4.0)),
+              r"served staleness 4 > bound 2 \(\+1 publish thinning\)"),
+    "publish-version": (check_serving_publish_monotone,
+                        _forge({}, _publish(1, 1), _publish(1, 2)),
+                        "two publishes share version 1"),
+    "publish-step": (check_serving_publish_monotone,
+                     _forge({}, _publish(1, 5), _publish(2, 3)),
+                     r"publish version 2 \(step 3\) is older than version 1 \(step 5\)"),
+}
+
+
+def _raise_sites():
+    """Line of every ``raise InvariantViolation(...)`` in trace/check.py."""
+    tree = ast.parse(Path(check_module.__file__).read_text())
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and getattr(node.exc.func, "id", None) == "InvariantViolation")
+
+
+def _violation_site(check, trace, sites):
+    """The raise site (one of ``sites``) ``check(trace)`` fails at."""
+    with pytest.raises(InvariantViolation) as ei:
+        check(trace)
+    tb = ei.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return max(line for line in sites if line <= tb.tb_lineno)
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_forged_trace_violates_its_invariant(case):
+    check, trace, message = FORGED[case]
+    with pytest.raises(InvariantViolation, match=message):
+        check(trace)
+
+
+def test_every_raise_site_has_one_forged_trace():
+    sites = _raise_sites()
+    hit = sorted(_violation_site(check, trace, sites) for check, trace, _ in FORGED.values())
+    assert hit == sites
