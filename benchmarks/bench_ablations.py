@@ -17,7 +17,7 @@ from conftest import run_once
 
 from repro.algorithms.registry import make_trainer
 from repro.comm.alphabeta import CRAY_ARIES
-from repro.comm.collectives import flat_sequential_cost, tree_reduce_cost
+from repro.comm.collectives import flat_sequential_cost, tree_cost
 from repro.harness import run_method
 from repro.nn.spec import GOOGLENET
 
@@ -29,7 +29,7 @@ def bench_ablation_tree_vs_flat(benchmark):
         out = {}
         for p in (2, 8, 64, 1024):
             out[p] = (
-                tree_reduce_cost(CRAY_ARIES, GOOGLENET.nbytes, p),
+                tree_cost(CRAY_ARIES, GOOGLENET.nbytes, p),
                 flat_sequential_cost(CRAY_ARIES, GOOGLENET.nbytes, p),
             )
         return out
@@ -100,14 +100,13 @@ def bench_ablation_pipelined_transfers(benchmark):
     """NCCL-style chunk pipelining of multi-hop broadcasts: wire-speed
     instead of depth x bytes for big buffers."""
     from repro.comm.alphabeta import PCIE_SWITCH_P2P
-    from repro.comm.collectives import tree_bcast_cost
     from repro.comm.pipelining import optimal_chunks, pipelined_tree_bcast_cost
     from repro.nn.spec import ALEXNET, LENET
 
     def costs():
         out = {}
         for spec in (LENET, ALEXNET):
-            plain = tree_bcast_cost(PCIE_SWITCH_P2P, spec.nbytes, 8)
+            plain = tree_cost(PCIE_SWITCH_P2P, spec.nbytes, 8)
             piped = pipelined_tree_bcast_cost(PCIE_SWITCH_P2P, spec.nbytes, 8)
             out[spec.name] = (plain, piped, optimal_chunks(PCIE_SWITCH_P2P, spec.nbytes, 3))
         return out

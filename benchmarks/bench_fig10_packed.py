@@ -74,8 +74,8 @@ def bench_fig10_bandwidth_bound_regime(benchmark, cifar_spec):
     plat = GpuPlatform(num_gpus=4, seed=0)
 
     def gap():
-        packed = plat.tree_reduce_time(cifar_spec.cost_model, "gpu-gpu para", packed=True)
-        unpacked = plat.tree_reduce_time(cifar_spec.cost_model, "gpu-gpu para", packed=False)
+        packed = plat.tree_time(cifar_spec.cost_model, "gpu-gpu para", packed=True)
+        unpacked = plat.tree_time(cifar_spec.cost_model, "gpu-gpu para", packed=False)
         return packed, unpacked
 
     packed_t, unpacked_t = benchmark(gap)

@@ -79,11 +79,11 @@ class _AsyncPSStep(EventStepStrategy):
         self.batches = tr.local_steps
         self.stage_t = tr.platform.stage_batch_time(tr.cost, cfg.batch_size)
         # The asynchronous implementations send per blob.
-        self.oneway_t = tr.platform.cpu_gpu_param_time(tr.cost, packed=False)
+        self.oneway_t = tr.platform.param_time(tr.cost, "cpu-gpu para", packed=False)
         self.service_t = tr.platform.cpu_update_time(tr.cost)
         self.local_upd_t = tr.platform.gpu_update_time(tr.cost) if row.overlap else 0.0
 
-        self.nb = tr.platform.param_plan(tr.cost, packed=False).total_bytes
+        self.nb = tr.cost.weight_bytes
         tr.make_trace(
             g,
             pattern="ps",

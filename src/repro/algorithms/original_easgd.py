@@ -46,7 +46,7 @@ class _RoundRobinComm(CommStrategy):
         self.overlapped = tr.overlapped
         self.stage_t = tr.platform.stage_batch_time(tr.cost, tr.config.batch_size)
         # The original implementation sends per blob.
-        self.param_oneway = tr.platform.cpu_gpu_param_time(tr.cost, packed=False)
+        self.param_oneway = tr.platform.param_time(tr.cost, "cpu-gpu para", packed=False)
         self.gpu_upd_t = tr.platform.gpu_update_time(tr.cost)
         self.cpu_upd_t = tr.platform.cpu_update_time(tr.cost)
         # Lines 13 and 14 run on different devices (GPU_j vs CPU), so the

@@ -39,9 +39,9 @@ class _GossipComm(CommStrategy):
         tr = trainer
         self.ranks = tr.platform.num_gpus
         self.stage_t = tr.platform.stage_batch_time(tr.cost, tr.config.batch_size)
-        self.exch_t = tr.platform.gpu_gpu_param_time(tr.cost, packed=True)
+        self.exch_t = tr.platform.param_time(tr.cost, "gpu-gpu para")
         self.upd_t = tr.platform.gpu_update_time(tr.cost)
-        self.nb = tr.platform.param_plan(tr.cost, packed=True).total_bytes
+        self.nb = tr.cost.weight_bytes
         self.trace_meta = dict(pattern="gossip", packed=True, messages_per_exchange=1)
 
     def _exchange(self, t: int, active: List[int]):

@@ -188,8 +188,8 @@ class SyncEASGDTrainer(BaseTrainer):
         traffic = "cpu-gpu para" if self.variant == 1 else "gpu-gpu para"
 
         def tree_times(ranks: int) -> Tuple[float, float]:
-            return (platform.tree_bcast_time(cost, traffic, ranks=ranks),
-                    platform.tree_reduce_time(cost, traffic, ranks=ranks))
+            tree_t = platform.tree_time(cost, traffic, ranks=ranks)
+            return tree_t, tree_t
 
         bcast_t, reduce_t = tree_times(platform.num_gpus)
         plan_msgs = platform.param_plan(cost)

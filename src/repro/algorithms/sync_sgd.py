@@ -46,9 +46,10 @@ _PARAM_PART = "gpu-gpu para"
 class _AllreduceComm(CommStrategy):
     """Allreduce cost/trace model: tree or sharded ring, optionally quantized.
 
-    The tree costs reduce + bcast as two Theta(log P) phases; the ring
-    costs one reduce-scatter + allgather pass — 2(P-1) steps of n/P-byte
-    shards (:func:`repro.comm.collectives.ring_allreduce_cost`), the
+    The tree costs reduce + bcast as two equal Theta(log P) phases of
+    ``tree_t`` each; the ring costs one reduce-scatter + allgather pass —
+    2(P-1) steps of n/P-byte shards
+    (:func:`repro.comm.collectives.ring_allreduce_cost`), the
     bandwidth-optimal schedule the process backend implements for real.
     """
 
@@ -58,8 +59,7 @@ class _AllreduceComm(CommStrategy):
         g = self.ranks = platform.num_gpus
         self.stage_t = platform.stage_batch_time(cost, tr.config.batch_size)
         self.gpu_upd_t = platform.gpu_update_time(cost)
-        self.bcast_t = platform.tree_bcast_time(cost, _PARAM_PART, tr.packed)
-        self.reduce_t = platform.tree_reduce_time(cost, _PARAM_PART, tr.packed)
+        self.tree_t = platform.tree_time(cost, _PARAM_PART, tr.packed)
         self.plan_msgs = plan = platform.param_plan(cost, tr.packed)
         self._link = link = platform.topology.link_for(_PARAM_PART)
         self.wire_bytes = plan.total_bytes
@@ -70,10 +70,9 @@ class _AllreduceComm(CommStrategy):
             full_bytes_time = link.beta * plan.total_bytes
             hops = tree_rounds(g)
             saved = hops * full_bytes_time * (1.0 - shrink)
-            self.bcast_t = max(self.bcast_t - saved, hops * link.alpha * plan.num_messages)
-            self.reduce_t = max(self.reduce_t - saved, hops * link.alpha * plan.num_messages)
+            self.tree_t = max(self.tree_t - saved, hops * link.alpha * plan.num_messages)
             self.wire_bytes = int(self.wire_bytes * tr.quantize_bits / 32.0)
-        self.full_bcast_t, self.full_reduce_t = self.bcast_t, self.reduce_t
+        self.full_tree_t = self.tree_t
         self.collective = tr.collective
         self.resize_label = f"allreduce {tr.collective}"
         self.trace_meta = dict(
@@ -90,7 +89,7 @@ class _AllreduceComm(CommStrategy):
         """The allreduce's charge on the iteration critical path."""
         if self.collective == "ring":
             return self.ring_t
-        return self.reduce_t + self.bcast_t
+        return self.tree_t + self.tree_t
 
     def retime(self, ranks: int) -> None:
         """Re-cost the collective for the surviving group.
@@ -100,8 +99,7 @@ class _AllreduceComm(CommStrategy):
         over the survivors — fewer, larger shards, 2(ranks-1) steps.
         """
         depth_ratio = tree_rounds(ranks) / max(tree_rounds(self.ranks), 1)
-        self.bcast_t = self.full_bcast_t * depth_ratio
-        self.reduce_t = self.full_reduce_t * depth_ratio
+        self.tree_t = self.full_tree_t * depth_ratio
         if self.collective == "ring":
             self.ring_t = ring_allreduce_cost(self._link, self.wire_bytes, ranks)
 
@@ -132,8 +130,8 @@ class _AllreduceComm(CommStrategy):
             emit_ring_allreduce(trace, active, t_comp, t_done,
                                 nbytes=self.wire_bytes, tag=102, iteration=t)
         else:
-            t_red = t_comp + self.reduce_t
-            t_done = t_red + self.bcast_t
+            t_red = t_comp + self.tree_t
+            t_done = t_red + self.tree_t
             emit_tree_phase(trace, "tree-reduce", active, t_comp, t_red,
                             nbytes=self.wire_bytes,
                             messages_per_edge=self.plan_msgs.num_messages,

@@ -10,19 +10,21 @@ broadcast back down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict
 
 from repro.cluster.cost import CostModel
 from repro.cluster.devices import ComputeJitter, DeviceModel, K80_HALF, XEON_E5_HOST
+from repro.cluster.platform import SimulatedWorkers
 from repro.comm.alphabeta import LinkModel, MELLANOX_FDR_56G
-from repro.comm.collectives import ring_allreduce_cost, tree_bcast_cost, tree_reduce_cost
+from repro.comm.collectives import allreduce_cost, ring_allreduce_cost, tree_cost
 from repro.comm.topology import GpuNodeTopology
 
 __all__ = ["GpuClusterPlatform"]
 
 
 @dataclass
-class GpuClusterPlatform:
+class GpuClusterPlatform(SimulatedWorkers):
     """``num_nodes`` multi-GPU nodes on an InfiniBand-class fabric."""
 
     num_nodes: int
@@ -34,6 +36,9 @@ class GpuClusterPlatform:
     jitter_sigma: float = 0.08
     seed: int = 0
     _jitters: Dict[int, ComputeJitter] = field(default_factory=dict, repr=False)
+
+    _stream = "cluster-gpu"
+    _device = property(attrgetter("gpu"))
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0 or self.gpus_per_node <= 0:
@@ -48,22 +53,6 @@ class GpuClusterPlatform:
         """Total GPU count across the cluster (one worker per GPU)."""
         return self.num_nodes * self.gpus_per_node
 
-    # -- compute ---------------------------------------------------------------
-    def jitter_for(self, worker: int) -> ComputeJitter:
-        """The worker's jitter stream (created on first use)."""
-        jitter = self._jitters.get(worker)
-        if jitter is None:
-            jitter = ComputeJitter(self.seed, ("cluster-gpu", worker), self.jitter_sigma)
-            self._jitters[worker] = jitter
-        return jitter
-
-    def fwdbwd_time(self, cost: CostModel, batch_size: int, worker: int, jittered: bool = True) -> float:
-        """One pass on one GPU anywhere in the cluster."""
-        base = self.gpu.compute_time(cost.fwdbwd_flops(batch_size))
-        if not jittered or self.jitter_sigma == 0.0:
-            return base
-        return base * self.jitter_for(worker).sample()
-
     def stage_batch_time(self, cost: CostModel, batch_size: int) -> float:
         """Host -> GPU staging inside a node (concurrent across nodes)."""
         link = self.node_topology.link_for("cpu-gpu data")
@@ -73,46 +62,22 @@ class GpuClusterPlatform:
         return self.gpu.update_time(3 * cost.weight_bytes)
 
     # -- hierarchical collectives -------------------------------------------------
-    def _intra_hop(self, cost: CostModel, packed: bool) -> float:
-        from repro.comm.packing import packed_plan, per_layer_plan
+    def intra_node_tree_time(self, cost: CostModel) -> float:
+        """One tree phase (reduce or broadcast) among the GPUs of one node
+        (all nodes concurrently)."""
+        link = self.node_topology.link_for("gpu-gpu para")
+        return tree_cost(link, cost.weight_bytes, self.gpus_per_node)
 
-        plan = packed_plan(cost.layer_bytes) if packed else per_layer_plan(cost.layer_bytes)
-        return plan.cost(self.node_topology.link_for("gpu-gpu para"))
-
-    def intra_node_reduce_time(self, cost: CostModel, packed: bool = True) -> float:
-        """Tree reduce among the GPUs of one node (all nodes concurrently)."""
-        per_hop = self._intra_hop(cost, packed)
-        return tree_reduce_cost(LinkModel("derived", per_hop, 0.0), 0, self.gpus_per_node)
-
-    def intra_node_bcast_time(self, cost: CostModel, packed: bool = True) -> float:
-        per_hop = self._intra_hop(cost, packed)
-        return tree_bcast_cost(LinkModel("derived", per_hop, 0.0), 0, self.gpus_per_node)
-
-    def inter_node_allreduce_time(
-        self, cost: CostModel, algorithm: str = "tree", packed: bool = True
-    ) -> float:
+    def inter_node_allreduce_time(self, cost: CostModel, algorithm: str = "tree") -> float:
         """Allreduce of the packed weights across node leaders."""
-        messages = 1 if packed else max(len(cost.layer_bytes), 1)
         if algorithm == "tree":
-            per_hop = messages * self.network.alpha + cost.weight_bytes * self.network.beta
-            link = LinkModel("derived", per_hop, 0.0)
-            return tree_reduce_cost(link, 0, self.num_nodes) + tree_bcast_cost(
-                link, 0, self.num_nodes
-            )
+            return allreduce_cost(self.network, cost.weight_bytes, self.num_nodes)
         if algorithm == "ring":
-            # Ring chunks the buffer: latency per step still pays the
-            # per-message alphas of the plan.
-            extra_alpha = (messages - 1) * self.network.alpha * 2 * max(self.num_nodes - 1, 0)
-            return ring_allreduce_cost(self.network, cost.weight_bytes, self.num_nodes) + extra_alpha
+            return ring_allreduce_cost(self.network, cost.weight_bytes, self.num_nodes)
         raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
 
-    def hierarchical_allreduce_time(
-        self, cost: CostModel, algorithm: str = "tree", packed: bool = True
-    ) -> float:
+    def hierarchical_allreduce_time(self, cost: CostModel, algorithm: str = "tree") -> float:
         """Full cluster weight allreduce: intra-reduce, inter-allreduce,
         intra-bcast. Intra-node phases run concurrently on every node."""
-        return (
-            self.intra_node_reduce_time(cost, packed)
-            + self.inter_node_allreduce_time(cost, algorithm, packed)
-            + self.intra_node_bcast_time(cost, packed)
-        )
+        intra = self.intra_node_tree_time(cost)
+        return intra + self.inter_node_allreduce_time(cost, algorithm) + intra

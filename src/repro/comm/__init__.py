@@ -16,9 +16,8 @@ from repro.comm.backend import BACKENDS, make_communicator, validate_backend
 from repro.comm.collectives import (
     allreduce_cost,
     flat_sequential_cost,
-    tree_bcast_cost,
+    tree_cost,
     tree_reduce,
-    tree_reduce_cost,
 )
 from repro.comm.collectives import ring_allreduce, ring_allreduce_cost
 from repro.comm.mp_runtime import (
@@ -58,8 +57,7 @@ __all__ = [
     "packed_plan",
     "per_layer_plan",
     "tree_reduce",
-    "tree_reduce_cost",
-    "tree_bcast_cost",
+    "tree_cost",
     "flat_sequential_cost",
     "allreduce_cost",
     "GpuNodeTopology",

@@ -26,8 +26,7 @@ __all__ = [
     "tree_rounds",
     "tree_reduce",
     "tree_reduce_into",
-    "tree_reduce_cost",
-    "tree_bcast_cost",
+    "tree_cost",
     "flat_sequential_cost",
     "allreduce_cost",
     "shard_bounds",
@@ -113,13 +112,9 @@ def tree_reduce_into(vectors: Sequence[np.ndarray], out: np.ndarray) -> np.ndarr
     return out
 
 
-def tree_reduce_cost(link: LinkModel, nbytes: int, p: int) -> float:
-    """ceil(log2 P) rounds, each one full-message hop: logP * (alpha + n*beta)."""
-    return tree_rounds(p) * link.cost(nbytes)
-
-
-def tree_bcast_cost(link: LinkModel, nbytes: int, p: int) -> float:
-    """Broadcast cost mirrors the reduce under alpha-beta."""
+def tree_cost(link: LinkModel, nbytes: int, p: int) -> float:
+    """One binomial-tree phase, reduce or broadcast (the two cost the same
+    under alpha-beta): ceil(log2 P) full-message hops, logP * (alpha + n*beta)."""
     return tree_rounds(p) * link.cost(nbytes)
 
 
@@ -136,7 +131,7 @@ def flat_sequential_cost(link: LinkModel, nbytes: int, p: int) -> float:
 
 def allreduce_cost(link: LinkModel, nbytes: int, p: int) -> float:
     """Tree reduce followed by tree broadcast: 2 * logP * (alpha + n*beta)."""
-    return tree_reduce_cost(link, nbytes, p) + tree_bcast_cost(link, nbytes, p)
+    return 2 * tree_cost(link, nbytes, p)
 
 
 def shard_bounds(n: int, p: int) -> List[int]:

@@ -89,7 +89,8 @@ class KnlClusterTopology:
             raise ValueError("num_nodes must be positive")
 
     def link_for(self, traffic: str) -> LinkModel:
-        """KNL nodes are self-hosted: all inter-node traffic is one fabric."""
-        if traffic in ("node-node para", "node-node data"):
+        """KNL nodes are self-hosted and read batches from local memory:
+        the one traffic class, ``node-node para``, rides the fabric."""
+        if traffic == "node-node para":
             return self.network
         raise KeyError(f"unknown traffic class {traffic!r}")

@@ -56,6 +56,7 @@ from repro.nn.models import (
     build_resnet_mini,
     build_vgg_mini,
 )
+from repro.nn.network import Network
 from repro.nn.spec import ALEXNET, LENET
 from repro.util.tables import TextTable
 
@@ -146,6 +147,14 @@ def _datasets(args: argparse.Namespace, dataset: str):
     )
 
 
+def _build_model(args: argparse.Namespace) -> Network:
+    """A fresh network of the ``--model`` the flags name, shaped for ``--dataset``."""
+    shape = {}
+    if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
+        shape["input_shape"] = (3, 32, 32)
+    return _MODELS[args.model](seed=args.seed, **shape)
+
+
 def _build_spec(args: argparse.Namespace, cost_model: Optional[CostModel] = None,
                 **config_fields) -> ExperimentSpec:
     """The normalized :class:`ExperimentSpec` those flags describe;
@@ -155,14 +164,10 @@ def _build_spec(args: argparse.Namespace, cost_model: Optional[CostModel] = None
     config = TrainerConfig(batch_size=args.batch_size, lr=args.lr, rho=args.rho,
                            seed=args.seed, **config_fields)
     train, test = _datasets(args, args.dataset)
-    shape = {}
-    if args.dataset == "cifar" and args.model in ("mlp", "lenet"):
-        shape["input_shape"] = (3, 32, 32)
-    builder = _MODELS[args.model]
     return ExperimentSpec(
         train_set=train,
         test_set=test,
-        model_builder=lambda: builder(seed=args.seed, **shape),
+        model_builder=partial(_build_model, args),
         num_gpus=args.gpus,
         config=config,
         cost_model=cost_model,
@@ -504,8 +509,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.trace import InvariantViolation, check_all
     from repro.trace.events import Trace
 
-    spec = _build_spec(args)
-    replica = spec.model_builder()  # the serving tier's own weights copy
+    # The serving tier's own weights copy, built (and a batch-norm model
+    # refused) before any data is generated.
+    replica = _build_model(args)
     trace = Trace(meta={"pattern": "serving", "method": args.method, **{
         k: getattr(args, k)
         for k in ("batch_cap", "max_staleness_steps", "publish_every", "loop", "arrival")}})
@@ -521,6 +527,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _Exit(2, str(exc))
+    spec = _build_spec(args)
     if args.loop == "closed":
         load = ClosedLoopLoadGen(args.clients, args.requests, think_mean=args.think,
                                  seed=args.seed)

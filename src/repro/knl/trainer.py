@@ -51,12 +51,13 @@ class KnlSyncEASGDTrainer(BaseTrainer):
     def make_comm(self) -> TreeEasgdComm:
         """Algorithm 4's clock: local batches, fabric trees, overlap."""
         platform, cost = self.platform, self.cost
+        tree_t = platform.tree_time(cost)  # fabric traffic
         return TreeEasgdComm(
             platform.num_nodes,
             overlapped=True,
             stage_t=0.0,  # line 10: batches come from local memory
-            bcast_t=platform.tree_bcast_time(cost),
-            reduce_t=platform.tree_reduce_time(cost),  # fabric traffic
+            bcast_t=tree_t,
+            reduce_t=tree_t,
             upd_t=platform.update_time(cost),
         )
 

@@ -7,10 +7,12 @@ import pytest
 
 from repro.cluster.cost import BWD_FLOPS_FACTOR, CostModel
 from repro.cluster.devices import ComputeJitter, DeviceModel, K80_HALF, KNL_7250, M40, XEON_E5_HOST
+from repro.cluster.multinode import GpuClusterPlatform
 from repro.cluster.platform import GpuPlatform, KnlPlatform
 from repro.cluster.simclock import EventQueue
 from repro.comm.alphabeta import LinkModel
 from repro.comm.collectives import flat_sequential_cost
+from repro.durability.state import platform_jitter_state, restore_platform_jitter_state
 from repro.nn.models import build_lenet
 from repro.nn.spec import LENET
 
@@ -158,8 +160,8 @@ class TestGpuPlatform:
     def test_packed_cheaper_than_unpacked(self):
         plat = GpuPlatform(num_gpus=4)
         cost = CostModel.from_spec(LENET)
-        assert plat.cpu_gpu_param_time(cost, packed=True) < plat.cpu_gpu_param_time(
-            cost, packed=False
+        assert plat.param_time(cost, "cpu-gpu para", packed=True) < plat.param_time(
+            cost, "cpu-gpu para", packed=False
         )
 
     def test_tree_cheaper_than_flat(self):
@@ -167,7 +169,7 @@ class TestGpuPlatform:
         cost = CostModel.from_spec(LENET)
         link = plat.topology.link_for("gpu-gpu para")
         per_msg = LinkModel("msg", alpha=plat.param_plan(cost).cost(link), beta=0.0)
-        assert plat.tree_reduce_time(cost, "gpu-gpu para") < flat_sequential_cost(per_msg, 0, 8)
+        assert plat.tree_time(cost, "gpu-gpu para") < flat_sequential_cost(per_msg, 0, 8)
 
     def test_gpu_update_faster_than_cpu_update(self):
         plat = GpuPlatform(num_gpus=4)
@@ -178,14 +180,45 @@ class TestGpuPlatform:
 class TestKnlPlatform:
     def test_tree_times_grow_with_nodes(self):
         cost = CostModel.from_spec(LENET)
-        t2 = KnlPlatform(num_nodes=2).tree_reduce_time(cost)
-        t16 = KnlPlatform(num_nodes=16).tree_reduce_time(cost)
+        t2 = KnlPlatform(num_nodes=2).tree_time(cost)
+        t16 = KnlPlatform(num_nodes=16).tree_time(cost)
         assert t16 > t2
 
     def test_single_node_no_comm(self):
         cost = CostModel.from_spec(LENET)
-        assert KnlPlatform(num_nodes=1).tree_reduce_time(cost) == 0.0
+        assert KnlPlatform(num_nodes=1).tree_time(cost) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             KnlPlatform(num_nodes=0)
+
+
+@pytest.mark.parametrize("make, label", [
+    (lambda: GpuPlatform(num_gpus=3, seed=7), "gpu"),
+    (lambda: KnlPlatform(num_nodes=3, seed=7), "knl"),
+    (lambda: GpuClusterPlatform(num_nodes=3, gpus_per_node=1, seed=7), "cluster-gpu"),
+], ids=["gpu", "knl", "cluster-gpu"])
+class TestSimulatedWorkers:
+    """The one jitter core, on each platform that shares it."""
+
+    def test_jitter_for_draws_the_platforms_stream(self, make, label):
+        plat = make()
+        for w in range(3):
+            ref = ComputeJitter(plat.seed, (label, w), plat.jitter_sigma)
+            assert [plat.jitter_for(w).sample() for _ in range(4)] == [
+                ref.sample() for _ in range(4)]
+        assert plat.jitter_for(1) is plat.jitter_for(1)
+
+    def test_jitter_state_resumes_at_the_next_draw(self, make, label):
+        cost = CostModel.from_spec(LENET)
+        plat, straight = make(), make()
+        for _ in range(3):
+            for w in range(3):
+                plat.fwdbwd_time(cost, 32, worker=w)
+                straight.fwdbwd_time(cost, 32, worker=w)
+        resumed, fresh = make(), make()
+        restore_platform_jitter_state(resumed, platform_jitter_state(plat))
+        for w in range(3):
+            want = straight.fwdbwd_time(cost, 32, worker=w)
+            assert resumed.fwdbwd_time(cost, 32, worker=w) == want
+            assert fresh.fwdbwd_time(cost, 32, worker=w) != want

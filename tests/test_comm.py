@@ -16,9 +16,8 @@ from repro.comm.alphabeta import (
 from repro.comm.collectives import (
     allreduce_cost,
     flat_sequential_cost,
-    tree_bcast_cost,
+    tree_cost,
     tree_reduce,
-    tree_reduce_cost,
     tree_rounds,
 )
 from repro.comm.packing import MessagePlan, packed_plan, per_layer_plan
@@ -169,32 +168,32 @@ class TestCostFunctions:
         """The paper's Theta(log P) vs Theta(P) claim."""
         n = 10**6
         for p in (4, 8, 64):
-            assert tree_reduce_cost(self.link, n, p) < flat_sequential_cost(self.link, n, p)
+            assert tree_cost(self.link, n, p) < flat_sequential_cost(self.link, n, p)
 
     def test_tree_cost_formula(self):
-        assert tree_reduce_cost(self.link, 1000, 8) == pytest.approx(3 * self.link.cost(1000))
+        assert tree_cost(self.link, 1000, 8) == pytest.approx(3 * self.link.cost(1000))
 
     def test_flat_cost_formula(self):
         assert flat_sequential_cost(self.link, 1000, 8) == pytest.approx(8 * self.link.cost(1000))
 
     def test_allreduce_is_reduce_plus_bcast(self):
         assert allreduce_cost(self.link, 500, 16) == pytest.approx(
-            tree_reduce_cost(self.link, 500, 16) + tree_bcast_cost(self.link, 500, 16)
+            tree_cost(self.link, 500, 16) + tree_cost(self.link, 500, 16)
         )
 
     def test_p_one_is_free(self):
-        assert tree_reduce_cost(self.link, 10**6, 1) == 0.0
+        assert tree_cost(self.link, 10**6, 1) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(p=st.integers(2, 512), n=st.integers(1, 10**8))
     def test_tree_beats_flat_property(self, p, n):
-        assert tree_reduce_cost(self.link, n, p) <= flat_sequential_cost(self.link, n, p)
+        assert tree_cost(self.link, n, p) <= flat_sequential_cost(self.link, n, p)
 
     @settings(max_examples=30, deadline=None)
     @given(p1=st.integers(1, 256), p2=st.integers(1, 256))
     def test_tree_cost_monotone_in_p(self, p1, p2):
         if p1 <= p2:
-            assert tree_reduce_cost(self.link, 1000, p1) <= tree_reduce_cost(self.link, 1000, p2)
+            assert tree_cost(self.link, 1000, p1) <= tree_cost(self.link, 1000, p2)
 
 
 class TestTopology:

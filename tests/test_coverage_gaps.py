@@ -71,7 +71,7 @@ class TestClusterPlatformPieces:
         cost = CostModel.from_spec(LENET)
         two = GpuClusterPlatform(num_nodes=2, gpus_per_node=2)
         eight = GpuClusterPlatform(num_nodes=2, gpus_per_node=8)
-        assert two.intra_node_reduce_time(cost) < eight.intra_node_reduce_time(cost)
+        assert two.intra_node_tree_time(cost) < eight.intra_node_tree_time(cost)
 
     def test_stage_time_independent_of_cluster_size(self):
         cost = CostModel.from_spec(LENET)

@@ -17,7 +17,7 @@ from repro.comm.collectives import (
     allreduce_cost,
     flat_sequential_cost,
     ring_allreduce_cost,
-    tree_reduce_cost,
+    tree_cost,
     tree_rounds,
 )
 from repro.comm.packing import packed_plan, per_layer_plan
@@ -58,8 +58,8 @@ class TestPlatformOrderings:
     @given(cost=cost_model_strategy(), gpus=st.integers(2, 16))
     def test_packed_never_slower_any_cost_model(self, cost, gpus):
         plat = GpuPlatform(num_gpus=gpus, jitter_sigma=0.0)
-        assert plat.cpu_gpu_param_time(cost, packed=True) <= plat.cpu_gpu_param_time(
-            cost, packed=False
+        assert plat.param_time(cost, "cpu-gpu para", packed=True) <= plat.param_time(
+            cost, "cpu-gpu para", packed=False
         )
 
     @settings(max_examples=25, deadline=None)
@@ -68,7 +68,7 @@ class TestPlatformOrderings:
         plat = GpuPlatform(num_gpus=gpus, jitter_sigma=0.0)
         link = plat.topology.link_for("gpu-gpu para")
         per_msg = LinkModel("msg", alpha=plat.param_plan(cost).cost(link), beta=0.0)
-        assert plat.tree_reduce_time(cost, "gpu-gpu para") <= flat_sequential_cost(
+        assert plat.tree_time(cost, "gpu-gpu para") <= flat_sequential_cost(
             per_msg, 0, gpus
         )
 
@@ -86,14 +86,14 @@ class TestCollectiveCostLaws:
     @given(link=link_strategy(), n=st.integers(1, 10**9), p=st.integers(2, 512))
     def test_allreduce_decomposition(self, link, n, p):
         assert allreduce_cost(link, n, p) == pytest.approx(
-            2 * tree_reduce_cost(link, n, p), rel=1e-12
+            2 * tree_cost(link, n, p), rel=1e-12
         )
 
     @settings(max_examples=40, deadline=None)
     @given(link=link_strategy(), n=st.integers(1, 10**9), p=st.integers(2, 512))
     def test_tree_flat_ratio_bounded_by_depth(self, link, n, p):
         """flat/tree is exactly P / ceil(log2 P) under alpha-beta."""
-        ratio = flat_sequential_cost(link, n, p) / tree_reduce_cost(link, n, p)
+        ratio = flat_sequential_cost(link, n, p) / tree_cost(link, n, p)
         assert ratio == pytest.approx(p / tree_rounds(p), rel=1e-9)
 
     @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from repro.algorithms import make_trainer, TrainerConfig
 from repro.cluster import CostModel, GpuPlatform
 from repro.comm.alphabeta import LinkModel, PCIE_SWITCH_P2P
-from repro.comm.collectives import tree_bcast_cost
+from repro.comm.collectives import tree_cost
 from repro.comm.pipelining import optimal_chunks, pipelined_hops_cost, pipelined_tree_bcast_cost
 from repro.faults import FaultPlan
 from repro.harness.experiment import ExperimentSpec
@@ -68,7 +68,7 @@ class TestPipelining:
     def test_pipelining_beats_plain_for_large_buffers(self):
         link = PCIE_SWITCH_P2P
         n = ALEXNET.nbytes
-        plain = tree_bcast_cost(link, n, 8)
+        plain = tree_cost(link, n, 8)
         piped = pipelined_tree_bcast_cost(link, n, 8)
         assert piped < plain
 

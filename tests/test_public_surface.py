@@ -28,7 +28,6 @@ SRC = ROOT / "src" / "repro"
 #: checked against, or a reader of a format the CLI writes.
 TEST_ORACLES: Dict[str, str] = {
     "MeanSquaredError": "the second loss head of the gradient checks in tests/conftest.py",
-    "allreduce_cost": "closed-form tree allreduce cost the collective clock is checked against",
     "registered_segments": "lists this process's live shm segments for the leak checks",
     "message_counts": "per-rank send counter the trace invariant tests read",
     "bytes_by_rank": "per-rank byte counter the trace invariant tests read",

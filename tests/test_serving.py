@@ -18,7 +18,7 @@ from repro.comm import shm_lifecycle as lifecycle
 from repro.comm.mp_runtime import fork_available
 from repro.comm.shm_transport import SeqlockBuffer, TornReadError
 from repro.data import make_mnist_like
-from repro.harness.cli import main
+from repro.harness.cli import _DATASETS, main
 from repro.harness.experiment import ExperimentSpec, run_method
 from repro.knl import ChipPartitionTrainer
 from repro.nn.models import (
@@ -505,6 +505,14 @@ class TestBatchNormRefused:
         assert main(["serve", "--model", "vgg", "--train-samples", "256"]) == 2
         err = capsys.readouterr().err
         assert "cannot serve vgg-mini" in err and "1:bn1_1" in err
+
+    def test_serve_refuses_before_generating_data(self, capsys, monkeypatch):
+        def no_data(*_, **__):
+            raise AssertionError("dataset generated for a model it cannot serve")
+
+        monkeypatch.setitem(_DATASETS, "mnist", no_data)
+        assert main(["serve", "--model", "vgg"]) == 2
+        assert "batch-norm running statistics" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
